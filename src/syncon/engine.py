@@ -14,6 +14,14 @@ a set boundary the crossing is located by bisection on the step fraction,
 re-integrating the partial step, so every accepted sample respects its set
 within ``event_tol``.  Everything here is deterministic: the same spec, state
 and config produce bit-identical arcs.
+
+The indicators are evaluated once per state: the pair computed at the end of
+an accepted step is carried into the next iteration, and is recomputed only
+after a jump, a located boundary state, or a projection that moved the
+sample.  A spec whose producer declares ``complementary=True`` promises
+``in_jump_set(x) == -in_flow_set(x)`` exactly, for every x; the engine then
+calls only ``in_flow_set`` and negates it.  The arc's ``stats`` mapping
+counts the work done.
 """
 
 from __future__ import annotations
@@ -44,6 +52,19 @@ TERM_DEAD_END = "dead_end"
 ZENO_WARN_AFTER = 100
 
 _PROGRESS_EPS = 1e-15
+
+# Counters kept on HybridArc.stats, all integers filled by the engine itself.
+#   indicator_evals  calls of in_flow_set / in_jump_set
+#   rk4_steps        RK4 steps, trial steps and bisection probes alike
+#   locate_calls     boundary locations started
+#   locate_probes    partial steps integrated while locating a boundary
+#   clamps           accepted samples that project_flow moved
+STAT_KEYS = ("indicator_evals", "rk4_steps", "locate_calls", "locate_probes",
+             "clamps")
+
+
+def _new_stats() -> dict[str, int]:
+    return dict.fromkeys(STAT_KEYS, 0)
 
 
 class Priority(Enum):
@@ -94,6 +115,16 @@ class HybridSystemSpec:
     project_flow  optional hook applied to each accepted flow sample; used to
                   clamp one-step constraint overshoot back onto an admissible
                   set.  Projections are counted on the arc.
+    complementary the producer's promise that in_jump_set(x) is exactly
+                  -in_flow_set(x) for every x, as when both are built as
+                  +-(excess - gap); the engine then evaluates only
+                  in_flow_set.  Under round-to-nearest fl(a - b) == -fl(b - a),
+                  so such a pair qualifies; only the sign of a zero may differ,
+                  which no tolerance test sees.  The navigation loops and
+                  synergy.assemble_closed_loop set it.  in_jump_set stays
+                  required for apply_jump, boundary location into the jump
+                  set and direct callers.  Leave it False unless the negation
+                  is exact.
     """
 
     dim: int
@@ -102,6 +133,7 @@ class HybridSystemSpec:
     in_flow_set: Callable[[np.ndarray], float]
     in_jump_set: Callable[[np.ndarray], float]
     project_flow: Callable[[np.ndarray], np.ndarray] | None = None
+    complementary: bool = False
 
 
 @dataclass
@@ -126,13 +158,20 @@ class JumpEvent:
 
 @dataclass
 class HybridArc:
-    """A simulated solution: flow segments separated by jumps."""
+    """A simulated solution: flow segments separated by jumps.
+
+    ``stats`` holds the engine's counts for the run, keyed by STAT_KEYS.
+    """
 
     segments: list[FlowSegment]
     jumps: list[JumpEvent]
     termination: str
-    n_clamped: int = 0
+    stats: dict[str, int] = field(default_factory=_new_stats)
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def n_clamped(self) -> int:
+        return self.stats["clamps"]
 
     @property
     def n_jumps(self) -> int:
@@ -187,7 +226,11 @@ def step_flow(spec: HybridSystemSpec, x: np.ndarray, h: float) -> np.ndarray:
 def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
                     indicator: Callable[[np.ndarray], float],
                     event_tol: float = 1e-10,
-                    max_iter: int = 200) -> tuple[np.ndarray, float]:
+                    max_iter: int = 200, *,
+                    x_hi: np.ndarray | None = None,
+                    f_lo: float | None = None,
+                    f_hi: float | None = None,
+                    stats: dict[str, int] | None = None) -> tuple[np.ndarray, float]:
     """Find the boundary crossing of ``indicator`` within one flow step.
 
     Bisects the step fraction in [0, 1], re-integrating the partial RK4 step
@@ -195,13 +238,29 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     probe state is within ``event_tol``.  The endpoints must straddle the
     zero level set, otherwise NoSignChange is raised.  Returns the boundary
     state and the located fraction.
+
+    A caller that already holds the full step ``x_hi = step_flow(spec,
+    x_inside, h)`` or the indicator values at its ends (``f_lo`` at
+    ``x_inside``, ``f_hi`` at ``x_hi``) passes them in and they are not
+    computed again; they must be exactly what this function would compute.
+    Work done here is added to ``stats`` when it is given.
     """
+    if stats is None:
+        stats = _new_stats()
+    stats["locate_calls"] += 1
     x_inside = np.asarray(x_inside, dtype=float)
-    f_lo = float(indicator(x_inside))
+    if f_lo is None:
+        f_lo = float(indicator(x_inside))
+        stats["indicator_evals"] += 1
     if abs(f_lo) <= event_tol:
         return x_inside.copy(), 0.0
-    x_hi = step_flow(spec, x_inside, h)
-    f_hi = float(indicator(x_hi))
+    if x_hi is None:
+        x_hi = step_flow(spec, x_inside, h)
+        stats["rk4_steps"] += 1
+        stats["locate_probes"] += 1
+    if f_hi is None:
+        f_hi = float(indicator(x_hi))
+        stats["indicator_evals"] += 1
     if abs(f_hi) <= event_tol:
         return x_hi, 1.0
     if f_lo * f_hi > 0.0:
@@ -214,6 +273,9 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
         mid = 0.5 * (lo + hi)
         x_mid = step_flow(spec, x_inside, mid * h)
         f_mid = float(indicator(x_mid))
+        stats["rk4_steps"] += 1
+        stats["locate_probes"] += 1
+        stats["indicator_evals"] += 1
         if abs(f_mid) <= event_tol or (hi - lo) < 1e-16:
             return x_mid, mid
         if (f_mid > 0.0) == (f_hi > 0.0):
@@ -223,9 +285,12 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     return x_mid, mid
 
 
-def _select_jump(spec: HybridSystemSpec, x: np.ndarray,
-                 event_tol: float) -> tuple[np.ndarray, int]:
-    ji = float(spec.in_jump_set(x))
+def _select_jump(spec: HybridSystemSpec, x: np.ndarray, event_tol: float,
+                 ji: float | None = None) -> tuple[np.ndarray, int]:
+    """The first jump candidate at x and the candidate count.  ``ji`` is the
+    jump-set indicator at x when the caller already holds it."""
+    if ji is None:
+        ji = float(spec.in_jump_set(x))
     if ji > event_tol:
         raise NotInJumpSet(
             f"jump requested outside the jump set (indicator {ji:.6g} > {event_tol:g})")
@@ -261,9 +326,18 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
         raise DimensionMismatch(f"x0 has dimension {x.size}, expected {spec.dim}")
     _require_finite(x, "initial state")
     tol = cfg.event_tol
+    stats = _new_stats()
+    complementary = spec.complementary
+    evals_per_state = 1 if complementary else 2
 
-    fi = float(spec.in_flow_set(x))
-    ji = float(spec.in_jump_set(x))
+    def indicators(v: np.ndarray) -> tuple[float, float]:
+        stats["indicator_evals"] += evals_per_state
+        f = float(spec.in_flow_set(v))
+        return f, (-f if complementary else float(spec.in_jump_set(v)))
+
+    # (fi, ji) are the indicators at x; None once x has moved to a state
+    # where they have not been evaluated yet.
+    fi, ji = indicators(x)
     if fi > tol and ji > tol:
         raise CoverageViolation(
             f"initial state is in neither set (flow {fi:.6g}, jump {ji:.6g})")
@@ -275,7 +349,6 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     notes: list[str] = []
     seg_t = [t]
     seg_x = [x.copy()]
-    n_clamped = 0
     consecutive_jumps = 0
     zeno_warned = False
     flow_blocked = False
@@ -285,24 +358,22 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
         segments.append(FlowSegment(j=j, ts=np.array(seg_t), xs=np.array(seg_x)))
 
     while True:
-        ji = float(spec.in_jump_set(x))
-        jump_now = False
-        if ji <= tol:
-            if cfg.priority is Priority.JUMP:
-                jump_now = True
-            else:
-                jump_now = float(spec.in_flow_set(x)) > tol or flow_blocked
+        if fi is None:
+            fi, ji = indicators(x)
+        jump_now = ji <= tol and (cfg.priority is Priority.JUMP
+                                  or fi > tol or flow_blocked)
 
         if jump_now:
             if j >= cfg.j_max:
                 termination = TERM_J_MAX
                 break
-            x_post, n_cand = _select_jump(spec, x, tol)
+            x_post, n_cand = _select_jump(spec, x, tol, ji=ji)
             jumps.append(JumpEvent(t=t, j_pre=j, x_pre=x.copy(),
                                    x_post=x_post.copy(), n_candidates=n_cand))
             close_segment()
             j += 1
             x = x_post
+            fi = ji = None
             seg_t = [t]
             seg_x = [x.copy()]
             flow_blocked = False
@@ -316,7 +387,6 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             continue
         consecutive_jumps = 0
 
-        fi = float(spec.in_flow_set(x))
         if fi > tol:
             raise CoverageViolation(
                 f"state in neither set at t={t:.6g}, j={j} "
@@ -332,31 +402,35 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
 
         h = min(cfg.dt, cfg.t_max - t)
         x_trial = step_flow(spec, x, h)
-        fi_trial = float(spec.in_flow_set(x_trial))
-        ji_trial = float(spec.in_jump_set(x_trial))
+        stats["rk4_steps"] += 1
+        fi_trial, ji_trial = indicators(x_trial)
 
         indicator = None
         if cfg.priority is Priority.JUMP and ji > tol and ji_trial <= -tol:
             # Entered the jump set mid-step: stop at the earliest entry point.
-            indicator = spec.in_jump_set
+            indicator, f_lo, f_hi = spec.in_jump_set, ji, ji_trial
         elif fi_trial > tol:
             # Left the flow set mid-step: stop on its boundary.
-            indicator = spec.in_flow_set
+            indicator, f_lo, f_hi = spec.in_flow_set, fi, fi_trial
 
         if indicator is None:
             x_new, t_new = x_trial, t + h
+            fi, ji = fi_trial, ji_trial
         else:
-            x_b, frac = locate_boundary(spec, x, h, indicator, tol)
+            x_b, frac = locate_boundary(spec, x, h, indicator, tol, x_hi=x_trial,
+                                        f_lo=f_lo, f_hi=f_hi, stats=stats)
             if frac * h <= _PROGRESS_EPS:
                 flow_blocked = True
                 continue
             x_new, t_new = x_b, t + frac * h
+            fi = ji = None
 
         if spec.project_flow is not None:
             x_proj = np.asarray(spec.project_flow(x_new), dtype=float)
             if not np.array_equal(x_proj, x_new):
-                n_clamped += 1
+                stats["clamps"] += 1
                 x_new = x_proj
+                fi = ji = None
         x = x_new
         t = t_new
         seg_t.append(t)
@@ -364,4 +438,4 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
 
     close_segment()
     return HybridArc(segments=segments, jumps=jumps, termination=termination,
-                     n_clamped=n_clamped, notes=notes)
+                     stats=stats, notes=notes)

@@ -584,6 +584,7 @@ def hybrid_closed_loop(world: NavigationWorld, gains: NavGains,
         in_flow_set=lambda v: excess(v) - gains.delta,
         in_jump_set=lambda v: gains.delta - excess(v),
         project_flow=shell_projection(world) if project else None,
+        complementary=True,
     )
 
 
@@ -650,6 +651,7 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
         in_flow_set=lambda v: excess(v) - sp.delta_s,
         in_jump_set=lambda v: sp.delta_s - excess(v),
         project_flow=shell_projection(world) if project else None,
+        complementary=True,
     )
 
 
@@ -739,6 +741,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
         in_flow_set=lambda v: excess(v) - bp.delta_b,
         in_jump_set=lambda v: bp.delta_b - excess(v),
         project_flow=shell_projection(world) if project else None,
+        complementary=True,
     )
 
 

@@ -186,7 +186,7 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
 
     return HybridSystemSpec(dim=n + r, flow_map=flow, jump_map=jump,
                             in_flow_set=in_flow, in_jump_set=in_jump,
-                            project_flow=project_flow)
+                            project_flow=project_flow, complementary=True)
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray,

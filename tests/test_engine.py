@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from syncon.engine import (
+    STAT_KEYS,
     TERM_DEAD_END,
     TERM_J_MAX,
     TERM_T_MAX,
@@ -254,6 +255,91 @@ def test_locate_boundary_fraction_on_linear_clock():
         locate_boundary(spec, x0, 1.0, lambda v: float(v[0] - 2.0))
 
 
+def test_locate_boundary_reuses_the_callers_step():
+    spec = pure_flow_spec(lambda v: np.ones(1))
+    x0 = np.zeros(1)
+
+    def indicator(v):
+        return float(v[0] - 0.2)
+
+    fresh = dict.fromkeys(STAT_KEYS, 0)
+    x_a, frac_a = locate_boundary(spec, x0, 1.0, indicator, stats=fresh)
+    x_hi = step_flow(spec, x0, 1.0)
+    reused = dict.fromkeys(STAT_KEYS, 0)
+    x_b, frac_b = locate_boundary(spec, x0, 1.0, indicator, x_hi=x_hi,
+                                  f_lo=indicator(x0), f_hi=indicator(x_hi),
+                                  stats=reused)
+    assert frac_a == frac_b
+    assert np.array_equal(x_a, x_b)
+    assert fresh["locate_calls"] == reused["locate_calls"] == 1
+    assert reused["locate_probes"] == fresh["locate_probes"] - 1
+    assert reused["rk4_steps"] == fresh["rk4_steps"] - 1
+    assert reused["indicator_evals"] == fresh["indicator_evals"] - 2
+    assert reused["rk4_steps"] == reused["locate_probes"] == reused["indicator_evals"]
+
+
+def test_flow_steps_evaluate_indicators_once_per_state():
+    spec = pure_flow_spec(lambda v: -v)
+    cfg = SimConfig(dt=0.1, t_max=1.0)
+    general = simulate(spec, np.array([1.0]), cfg)
+    paired = simulate(dataclasses.replace(spec, complementary=True),
+                      np.array([1.0]), cfg)
+    assert np.array_equal(general.segments[0].ts, paired.segments[0].ts)
+    assert np.array_equal(general.segments[0].xs, paired.segments[0].xs)
+    # Ten steps: the initial state plus each step's end, one evaluation of
+    # each indicator per state, or of the flow indicator alone.
+    quiet = {"locate_calls": 0, "locate_probes": 0, "clamps": 0}
+    assert general.stats == {"indicator_evals": 22, "rk4_steps": 10, **quiet}
+    assert paired.stats == {"indicator_evals": 11, "rk4_steps": 10, **quiet}
+
+
+def counting_reset_clock_spec(complementary):
+    """reset_clock_spec whose indicators count their own calls."""
+    calls = [0]
+    base = reset_clock_spec()
+
+    def counted(fn):
+        def wrapper(v):
+            calls[0] += 1
+            return fn(v)
+        return wrapper
+
+    spec = dataclasses.replace(base, in_flow_set=counted(base.in_flow_set),
+                               in_jump_set=counted(base.in_jump_set),
+                               complementary=complementary)
+    return spec, calls
+
+
+def test_event_counts_on_the_reset_clock():
+    cfg = SimConfig(dt=0.03, t_max=3.5)
+    general_spec, general_calls = counting_reset_clock_spec(False)
+    paired_spec, paired_calls = counting_reset_clock_spec(True)
+    general = simulate(general_spec, np.array([0.0]), cfg)
+    paired = simulate(paired_spec, np.array([0.0]), cfg)
+    assert general.termination == paired.termination == TERM_T_MAX
+    assert len(general.segments) == len(paired.segments) == 4
+    for a, b in zip(general.segments, paired.segments):
+        assert np.array_equal(a.ts, b.ts) and np.array_equal(a.xs, b.xs)
+    for a, b in zip(general.jumps, paired.jumps):
+        assert np.array_equal(a.x_pre, b.x_pre)
+        assert np.array_equal(a.x_post, b.x_post)
+
+    # 119 trial steps; 3 of them end in a boundary located by 27 bisection
+    # probes, each an RK4 step and one indicator call.  States evaluated: the
+    # initial one, every trial step's end, each post-jump and each located
+    # state.  The jump selection reuses the loop's jump indicator.
+    trial, located, probes = 119, 3, 81
+    states = 1 + trial + general.n_jumps + located
+    for arc, per_state, calls in ((general, 2, general_calls),
+                                  (paired, 1, paired_calls)):
+        assert arc.stats == {"indicator_evals": per_state * states + probes,
+                             "rk4_steps": trial + probes,
+                             "locate_calls": located,
+                             "locate_probes": probes,
+                             "clamps": 0}
+        assert calls[0] == arc.stats["indicator_evals"]
+
+
 def test_apply_jump_selects_first_candidate():
     spec = HybridSystemSpec(
         dim=1,
@@ -295,6 +381,10 @@ def test_project_flow_clamps_samples_and_counts():
     assert np.min(xs) >= floor - 1e-12
     assert abs(float(arc.final_state[0]) - floor) <= 1e-12
     assert arc.n_clamped >= 4
+    assert arc.n_clamped == arc.stats["clamps"]
+    # A clamped sample is a new state: its indicators are evaluated afresh.
+    steps = arc.stats["rk4_steps"]
+    assert arc.stats["indicator_evals"] == 2 * (1 + steps + arc.n_clamped)
 
 
 def test_unused_projection_counts_nothing():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from syncon import numdiff
 from syncon.engine import SimConfig, simulate
 from syncon.errors import (
@@ -44,6 +45,7 @@ from syncon.navigation import (
     switched_gradient_theta,
     switched_potential,
 )
+from syncon.harness import build_closed_loop, initial_packed_state, load_config
 from syncon.smoothing import SmoothedParams, check_reconstruction
 from syncon.backstepping import BacksteppingParams
 from syncon.synergy import assemble_closed_loop, v_excess
@@ -524,3 +526,32 @@ def test_decomposition_reconstructs_the_switched_feedback():
     states = [(p, np.array([rng.uniform(-0.25, 0.25)]))
               for p in sample_free_points(world, rng, 30)]
     assert check_reconstruction(q, d, states) <= 1e-12
+
+
+# -- complementary indicators --------------------------------------------------
+
+@pytest.mark.parametrize("name", ["fig5_hybrid", "fig5_smooth", "fig5_backstep"])
+def test_complementary_loops_match_the_two_indicator_path(name):
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    spec = build_closed_loop(cfg)
+    assert spec.complementary
+    sim = dataclasses.replace(cfg.sim, t_max=1.0)
+    x0 = initial_packed_state(cfg)
+    paired = simulate(spec, x0, sim)
+    general = simulate(dataclasses.replace(spec, complementary=False), x0, sim)
+
+    assert paired.termination == general.termination
+    assert len(paired.segments) == len(general.segments)
+    for a, b in zip(paired.segments, general.segments):
+        assert a.j == b.j
+        assert np.array_equal(a.ts, b.ts)
+        assert np.array_equal(a.xs, b.xs)
+    assert len(paired.jumps) == len(general.jumps)
+    for a, b in zip(paired.jumps, general.jumps):
+        assert a.t == b.t
+        assert np.array_equal(a.x_pre, b.x_pre)
+        assert np.array_equal(a.x_post, b.x_post)
+    # No boundary is located inside this horizon, so every evaluation is a
+    # per-state one: one call where the two-indicator path makes two.
+    assert paired.stats["locate_calls"] == 0
+    assert general.stats["indicator_evals"] == 2 * paired.stats["indicator_evals"]
