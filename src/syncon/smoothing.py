@@ -168,30 +168,6 @@ def tracker_control(plant: AffinePlant, q: SynergisticQuadruple,
             - cross / p.gamma_s)
 
 
-def estimate_offset_bound(d: DecomposedFeedback,
-                          states: Sequence[tuple[np.ndarray, np.ndarray]],
-                          Theta: np.ndarray,
-                          inflation: float = 1.0) -> float:
-    """Estimate c_kappa: half the worst spread of sigma across Theta.
-
-    Evaluated over the supplied (x, theta) states.  ``inflation`` scales the
-    estimate up when it stands in for an analytic bound; 1.0 reports the raw
-    sampled value.
-    """
-    Theta = np.asarray(Theta, dtype=float)
-    if Theta.ndim == 1:
-        Theta = Theta.reshape(-1, 1)
-    worst = 0.0
-    for x, theta in states:
-        x = np.asarray(x, float)
-        theta = np.atleast_1d(np.asarray(theta, float))
-        s0 = np.asarray(d.sigma(x, theta), float)
-        for i in range(Theta.shape[0]):
-            diff = s0 - np.asarray(d.sigma(x, Theta[i]), float)
-            worst = max(worst, float(diff @ diff))
-    return 0.5 * worst * inflation
-
-
 def smoothed_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
                        d: DecomposedFeedback,
                        p: SmoothedParams) -> tuple[AffinePlant, SynergisticQuadruple]:

@@ -87,27 +87,24 @@ class AffinePlant:
     drift_uses_theta: bool = False
 
 
-@dataclass
-class ExtendedState:
-    """Plant state paired with the switching variable; packs as [x | theta]."""
+def _candidate_values(V, Theta, x: np.ndarray) -> list[float]:
+    """V(x, theta_bar) for every candidate row of Theta, in Theta order."""
+    return [V(x, cand) for cand in Theta]
 
-    x: np.ndarray
-    theta: np.ndarray
 
-    @property
-    def packed(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.x, float).ravel(),
-                               np.asarray(self.theta, float).ravel()])
+def _excess(V, Theta, x: np.ndarray, theta: np.ndarray) -> float:
+    return V(x, theta) - min(_candidate_values(V, Theta, x))
 
-    @classmethod
-    def from_packed(cls, v: np.ndarray, dim_x: int) -> "ExtendedState":
-        v = np.asarray(v, dtype=float).ravel()
-        return cls(x=v[:dim_x], theta=v[dim_x:])
+
+def _minimizers(V, Theta, x: np.ndarray) -> list[np.ndarray]:
+    values = _candidate_values(V, Theta, x)
+    vmin = min(values)
+    return [cand for cand, v in zip(Theta, values) if v - vmin <= TIE_TOL]
 
 
 def best_candidate_value(q: SynergisticQuadruple, x: np.ndarray) -> float:
     """min over Theta of V(x, theta_bar)."""
-    return min(q.V(x, q.Theta[i]) for i in range(q.n_candidates))
+    return min(_candidate_values(q.V, q.Theta, x))
 
 
 def v_excess(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float:
@@ -116,7 +113,7 @@ def v_excess(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float
     Non-negative whenever theta itself belongs to Theta; the zero level says
     the current switching value is already optimal.
     """
-    return q.V(x, theta) - best_candidate_value(q, x)
+    return _excess(q.V, q.Theta, x, theta)
 
 
 def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
@@ -125,9 +122,7 @@ def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
 
     The engine applies the first entry, so ties resolve to the lowest index.
     """
-    values = [q.V(x, q.Theta[i]) for i in range(q.n_candidates)]
-    vmin = min(values)
-    return [q.Theta[i].copy() for i, v in enumerate(values) if v - vmin <= TIE_TOL]
+    return [cand.copy() for cand in _minimizers(q.V, q.Theta, x)]
 
 
 def flow_indicator(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float:
@@ -140,14 +135,44 @@ def jump_indicator(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) ->
     return q.delta - v_excess(q, x, theta)
 
 
+def switching_system(V, Theta: np.ndarray, gap: float, flow_map, dim_x: int,
+                     project_flow=None) -> HybridSystemSpec:
+    """The switching rule of every synergistic loop, over packed [x | theta].
+
+    V(x, theta) is the loop's potential, with x = v[:dim_x] and theta the
+    rest of the packed state; Theta holds the candidates as rows, shape
+    (L, r).  The loop flows while V(x, theta) is within ``gap`` of the best
+    candidate and jumps otherwise, freezing x and moving theta to every
+    candidate within TIE_TOL of the minimum, lowest index first.  The two
+    indicators are exact negations of each other, so the spec is
+    complementary.  ``flow_map`` is used as given.
+    """
+    n = dim_x
+    Theta = np.asarray(Theta, dtype=float)
+    cands = list(Theta)
+
+    def excess(v: np.ndarray) -> float:
+        return _excess(V, cands, v[:n], v[n:])
+
+    def jump(v: np.ndarray) -> list[np.ndarray]:
+        x = v[:n]
+        return [np.concatenate([x, cand]) for cand in _minimizers(V, cands, x)]
+
+    return HybridSystemSpec(dim=n + Theta.shape[1], flow_map=flow_map,
+                            jump_map=jump,
+                            in_flow_set=lambda v: excess(v) - gap,
+                            in_jump_set=lambda v: gap - excess(v),
+                            project_flow=project_flow, complementary=True)
+
+
 def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
                          project_flow=None) -> HybridSystemSpec:
     """Wire a plant and a quadruple into a simulable hybrid system.
 
     State layout is [x | theta] with x of length plant.dim_x.  Flow applies
-    kappa to the plant and varpi to the switching variable; jumps freeze x
-    and move theta to an argmin candidate.  Output dimensions of kappa and
-    varpi are checked on first use and raise DimensionMismatch.
+    kappa to the plant and varpi to the switching variable; jumps and the
+    sets follow switching_system on q.V with gap q.delta.  Output dimensions
+    of kappa and varpi are checked on first use and raise DimensionMismatch.
     """
     n = plant.dim_x
     r = q.dim_theta
@@ -173,20 +198,7 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
         xdot = np.asarray(drift, dtype=float) + np.asarray(g(x), dtype=float) @ u
         return np.concatenate([xdot, w])
 
-    def jump(v: np.ndarray) -> list[np.ndarray]:
-        x = v[:n]
-        th = v[n:]
-        return [np.concatenate([x, cand]) for cand in switch_candidates(q, x, th)]
-
-    def in_flow(v: np.ndarray) -> float:
-        return flow_indicator(q, v[:n], v[n:])
-
-    def in_jump(v: np.ndarray) -> float:
-        return jump_indicator(q, v[:n], v[n:])
-
-    return HybridSystemSpec(dim=n + r, flow_map=flow, jump_map=jump,
-                            in_flow_set=in_flow, in_jump_set=in_jump,
-                            project_flow=project_flow, complementary=True)
+    return switching_system(q.V, q.Theta, q.delta, flow, n, project_flow)
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray,

@@ -1,19 +1,22 @@
 """Unit tests for config parsing, scenario runs, exports, and the CLI."""
 
 import copy
+import importlib.util
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 from syncon.cli import main
 from syncon.engine import Priority
 from syncon.errors import ParseError, ValidationError
 from syncon.harness import (
     CSV_HEADER,
+    build_closed_loop,
     check_scenario,
     compare_records,
     governing_gap,
@@ -196,6 +199,38 @@ def test_parse_rejects_gain_bound_violations():
     raw = smooth_raw()
     raw["gains"]["gamma_s"] = 0.2  # above delta / c_kappa
     assert any("gamma_s" in p for p in violations_of(raw))
+
+
+@pytest.mark.parametrize("raw_fn", [hybrid_raw, smooth_raw, backstep_raw,
+                                    non_hybrid_raw])
+def test_parse_rejects_duplicate_candidates(raw_fn, tmp_path, capsys):
+    raw = raw_fn()
+    raw["gains"]["Theta"] = [0.2, 0.2]
+    problems = violations_of(raw)
+    assert any(p.startswith("test: gains.Theta:") and "distinct" in p
+               for p in problems)
+
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert "gains.Theta" in capsys.readouterr().err
+
+
+def test_parse_reports_tracker_and_integrator_bounds_together():
+    raw = backstep_raw()
+    raw["gains"]["gamma_s"] = 0.2  # above delta / c_kappa
+    raw["gains"]["delta_b"] = 0.5  # above delta - gamma_s c_kappa
+    problems = violations_of(raw)
+    assert any("gamma_s" in p for p in problems)
+    assert any("delta_b" in p for p in problems)
+
+
+def test_readme_config_example_parses():
+    text = (REPO_ROOT / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(json.loads(blocks[0]), source="README.md")
+    assert cfg.controller == "hybrid"
 
 
 def test_parse_rejects_unsafe_start():
@@ -433,3 +468,30 @@ def test_cli_error_paths_exit_two(tmp_path, capsys):
     code = main(["run", str(invalid)])
     assert code == 2
     assert "k_p" in capsys.readouterr().err
+
+
+# -- benchmark tracer --------------------------------------------------------
+
+def load_spans():
+    path = REPO_ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_patches_names_that_resolve():
+    """perfbench/spans.py replaces program functions by name; every name it
+    patches must still exist, and the loop builders must be looked up on the
+    harness module at call time, or traced runs read zero calls."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()  # looks up every patched name on its module
+        targets = list(tracer._patched)
+        build_closed_loop(parse_config(hybrid_raw()))
+        assert tracer.calls("navigation.build") == 1
+    finally:
+        tracer.uninstall()
+    for module, attr, original in targets:
+        assert getattr(module, attr) is original

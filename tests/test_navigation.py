@@ -14,12 +14,14 @@ from syncon.errors import (
     NoRootBracketed,
     NonPositiveDistance,
     OutsideFreeSpace,
+    ParamBoundViolation,
 )
 from syncon.navigation import (
     NavGains,
     NavigationWorld,
     backstep_closed_loop,
-    backstep_controller,
+    backstep_jacobians,
+    backstep_potential,
     barrier,
     barrier_grad,
     barrier_hess,
@@ -37,17 +39,31 @@ from syncon.navigation import (
     rotation_rate_bound,
     shell_projection,
     smooth_closed_loop,
-    smooth_controller,
     switch_offset,
     switch_offset_bound,
     switch_offset_rate,
     switched_gradient_p,
     switched_gradient_theta,
     switched_potential,
+    tracked_input,
+    tracking_potential,
+    validate_layer_params,
 )
 from syncon.harness import build_closed_loop, initial_packed_state, load_config
-from syncon.smoothing import SmoothedParams, check_reconstruction
-from syncon.backstepping import BacksteppingParams
+from syncon.smoothing import (
+    SmoothedParams,
+    check_reconstruction,
+    smoothed_quadruple,
+    tracked_feedback,
+    tracking_lyapunov,
+    validate_smoothed_params,
+)
+from syncon.backstepping import (
+    BacksteppingParams,
+    backstep_lyapunov,
+    backstepped_quadruple,
+    validate_backstepping_params,
+)
 from syncon.synergy import assemble_closed_loop, v_excess
 
 
@@ -338,6 +354,35 @@ def test_validate_gains_flags_each_bound():
     assert "k_p" in str(err.value) and "k_theta" in str(err.value)
 
 
+def test_layer_bounds_match_the_generic_validators():
+    world = demo_world()
+    gains = demo_gains()
+    _, q = nominal_controller(world, gains)
+    d = decomposed_feedback(world, gains)
+    for gamma_s in (0.01, 0.0659, 0.0733, 0.2):
+        for delta_s in (0.0036, 0.01, 0.04):
+            for delta_b in (0.0036, 0.01, 0.04):
+                sp = SmoothedParams(gamma_s=gamma_s, k_eta=100.0,
+                                    delta_s=delta_s)
+                bp = BacksteppingParams(gamma_b=0.5, k_b=40.0, delta_b=delta_b)
+                expected = []
+                for check in (lambda: validate_smoothed_params(q, d, sp),
+                              lambda: validate_backstepping_params(q, d, sp, bp)):
+                    try:
+                        check()
+                    except ParamBoundViolation as exc:
+                        expected.append(str(exc))
+                if not expected:
+                    validate_layer_params(world, gains, sp, bp)
+                    backstep_closed_loop(world, gains, sp, bp)
+                    continue
+                with pytest.raises(ParamBoundViolation) as err:
+                    validate_layer_params(world, gains, sp, bp)
+                assert str(err.value) == "; ".join(expected)
+                with pytest.raises(ParamBoundViolation):
+                    backstep_closed_loop(world, gains, sp, bp)
+
+
 # -- critical point ----------------------------------------------------------
 
 def test_find_critical_point_frozen_clearance():
@@ -419,6 +464,18 @@ def test_shell_projection_clamps_to_the_margin():
 
 # -- fused loops against the generic composition -----------------------------
 
+def assert_same_switching(fused, generic, v):
+    assert fused.in_flow_set(v) == pytest.approx(generic.in_flow_set(v),
+                                                 abs=1e-10)
+    assert fused.in_jump_set(v) == pytest.approx(generic.in_jump_set(v),
+                                                 abs=1e-10)
+    cf = fused.jump_map(v)
+    cg = generic.jump_map(v)
+    assert len(cf) == len(cg)
+    for a, b in zip(cf, cg):
+        assert np.allclose(a, b, atol=1e-12)
+
+
 def test_hybrid_loop_matches_generic_composition():
     world = demo_world()
     gains = demo_gains()
@@ -432,15 +489,14 @@ def test_hybrid_loop_matches_generic_composition():
         v = np.array([p[0], p[1], rng.uniform(-0.25, 0.25)])
         assert np.allclose(fused.flow_map(v), generic.flow_map(v),
                            rtol=1e-9, atol=1e-9)
-        assert fused.in_flow_set(v) == pytest.approx(generic.in_flow_set(v),
-                                                     abs=1e-10)
-        assert fused.in_jump_set(v) == pytest.approx(generic.in_jump_set(v),
-                                                     abs=1e-10)
-        cf = fused.jump_map(v)
-        cg = generic.jump_map(v)
-        assert len(cf) == len(cg)
-        for a, b in zip(cf, cg):
-            assert np.allclose(a, b, atol=1e-12)
+        assert_same_switching(fused, generic, v)
+        # The V and u channels the harness reads for this loop.
+        assert switched_potential(world, gains, v[:2], v[2], check=False) \
+            == pytest.approx(q.V(v[:2], v[2:]), rel=1e-14, abs=1e-14)
+        assert np.allclose(
+            -gains.k_p * switched_gradient_p(world, gains, v[:2], v[2],
+                                             check=False),
+            q.kappa(v[:2], v[2:]), rtol=1e-14, atol=1e-14)
 
 
 def test_smooth_loop_matches_generic_composition():
@@ -448,7 +504,9 @@ def test_smooth_loop_matches_generic_composition():
     gains = demo_gains()
     sp = demo_smoothed()
     fused = smooth_closed_loop(world, gains, sp, project=False)
-    plant_s, q_s, _ = smooth_controller(world, gains, sp)
+    plant, q = nominal_controller(world, gains)
+    d = decomposed_feedback(world, gains)
+    plant_s, q_s = smoothed_quadruple(plant, q, d, sp)
     generic = assemble_closed_loop(plant_s, q_s)
     assert fused.dim == generic.dim == 5
 
@@ -458,13 +516,15 @@ def test_smooth_loop_matches_generic_composition():
                             rng.uniform(-0.25, 0.25, 1)])
         assert np.allclose(fused.flow_map(v), generic.flow_map(v),
                            rtol=1e-9, atol=1e-9)
-        assert fused.in_flow_set(v) == pytest.approx(generic.in_flow_set(v),
-                                                     abs=1e-10)
-        cf = fused.jump_map(v)
-        cg = generic.jump_map(v)
-        assert len(cf) == len(cg)
-        for a, b in zip(cf, cg):
-            assert np.allclose(a, b, atol=1e-12)
+        assert_same_switching(fused, generic, v)
+        V = tracking_potential(world, gains, sp, v[:2], v[2:4], v[4])
+        assert V == pytest.approx(q_s.V(v[:4], v[4:]), rel=1e-13, abs=1e-13)
+        assert V == pytest.approx(
+            tracking_lyapunov(q, d, sp, v[:2], v[2:4], v[4:]),
+            rel=1e-13, abs=1e-13)
+        assert np.allclose(tracked_input(world, gains, v[:2], v[2:4]),
+                           tracked_feedback(d, v[:2], v[2:4]),
+                           rtol=1e-13, atol=1e-13)
 
 
 def test_backstep_loop_matches_generic_composition():
@@ -473,7 +533,10 @@ def test_backstep_loop_matches_generic_composition():
     sp = demo_smoothed()
     bp = demo_backstep()
     fused = backstep_closed_loop(world, gains, sp, bp, project=False)
-    plant_b, q_b, _, _ = backstep_controller(world, gains, sp, bp)
+    plant, q = nominal_controller(world, gains)
+    d = decomposed_feedback(world, gains)
+    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp,
+                                         backstep_jacobians(world, gains))
     generic = assemble_closed_loop(plant_b, q_b)
     assert fused.dim == generic.dim == 7
 
@@ -485,13 +548,43 @@ def test_backstep_loop_matches_generic_composition():
         ff = fused.flow_map(v)
         gf = generic.flow_map(v)
         assert np.all(np.abs(ff - gf) <= 1e-8 + 1e-8 * np.abs(gf))
-        assert fused.in_flow_set(v) == pytest.approx(generic.in_flow_set(v),
-                                                     abs=1e-10)
-        cf = fused.jump_map(v)
-        cg = generic.jump_map(v)
-        assert len(cf) == len(cg)
-        for a, b in zip(cf, cg):
-            assert np.allclose(a, b, atol=1e-12)
+        assert_same_switching(fused, generic, v)
+        V = backstep_potential(world, gains, sp, bp, v[:2], v[2:4], v[4:6],
+                               v[6])
+        assert V == pytest.approx(q_b.V(v[:6], v[6:]), rel=1e-13, abs=1e-13)
+        assert V == pytest.approx(
+            backstep_lyapunov(q, d, sp, bp, v[:2], v[2:4], v[4:6], v[6:]),
+            rel=1e-13, abs=1e-13)
+
+
+def mirrored_loops(world, gains):
+    """The three switched loops with their states on the p_o-p_d axis.
+
+    On that axis the rotated family and the tracker offset are symmetric in
+    theta, so the candidates -0.2 and 0.2 tie exactly.
+    """
+    p = np.array([12.0, 0.0])
+    eta = np.array([0.7, 0.0])
+    u = np.array([-3.0, 1.5])
+    return [
+        (hybrid_closed_loop(world, gains), np.concatenate([p, [0.05]])),
+        (smooth_closed_loop(world, gains, demo_smoothed()),
+         np.concatenate([p, eta, [0.05]])),
+        (backstep_closed_loop(world, gains, demo_smoothed(), demo_backstep()),
+         np.concatenate([p, eta, u, [0.05]])),
+    ]
+
+
+@pytest.mark.parametrize("theta", [[-0.2, 0.2], [0.2, -0.2]])
+def test_exact_tie_jumps_to_both_candidates_in_theta_order(theta):
+    world = demo_world()
+    gains = dataclasses.replace(demo_gains(),
+                                theta_candidates=np.array(theta))
+    for spec, v in mirrored_loops(world, gains):
+        successors = spec.jump_map(v)
+        assert [s[-1] for s in successors] == theta
+        for s in successors:
+            assert np.array_equal(s[:-1], v[:-1])
 
 
 def test_gradient_loop_descends_and_never_jumps():

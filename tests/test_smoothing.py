@@ -12,7 +12,6 @@ from syncon.smoothing import (
     DecomposedFeedback,
     SmoothedParams,
     check_reconstruction,
-    estimate_offset_bound,
     grad_tracking_lyapunov,
     sigma_time_derivative,
     smoothed_quadruple,
@@ -193,19 +192,3 @@ def test_smoothed_quadruple_rejects_bad_params():
     plant, q, d = sine_family()
     with pytest.raises(ParamBoundViolation):
         smoothed_quadruple(plant, q, d, SmoothedParams(0.6, 4.0, 0.01))
-
-
-def test_estimate_offset_bound_matches_hand_value():
-    d = DecomposedFeedback(
-        sigma=lambda x, th: np.array([math.sin(th[0])]),
-        varsigma=lambda x: np.zeros(1),
-        upsilon=lambda x: np.eye(1),
-        dim_tracker=1,
-        c_kappa=0.0,
-    )
-    states = [(np.zeros(1), np.array([math.pi / 2]))]
-    got = estimate_offset_bound(d, states, Theta=np.array([0.0]))
-    assert got == pytest.approx(0.5)
-    inflated = estimate_offset_bound(d, states, Theta=np.array([0.0]),
-                                     inflation=2.0)
-    assert inflated == pytest.approx(1.0)

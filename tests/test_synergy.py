@@ -8,7 +8,6 @@ from syncon.errors import DimensionMismatch
 from syncon.synergy import (
     TIE_TOL,
     AffinePlant,
-    ExtendedState,
     SynergisticQuadruple,
     assemble_closed_loop,
     audit_quadruple,
@@ -128,15 +127,6 @@ def test_tie_breaking_follows_candidate_order():
     assert abs(vals[0] - vals[1]) < TIE_TOL
     cands = switch_candidates(q, np.array([shift]), np.array([-1.0]))
     assert len(cands) == 2
-
-
-def test_extended_state_roundtrip():
-    s = ExtendedState(x=np.array([1.0, 2.0]), theta=np.array([3.0]))
-    packed = s.packed
-    assert np.array_equal(packed, np.array([1.0, 2.0, 3.0]))
-    back = ExtendedState.from_packed(packed, dim_x=2)
-    assert np.array_equal(back.x, s.x)
-    assert np.array_equal(back.theta, s.theta)
 
 
 def test_closed_loop_jump_drops_v_by_at_least_delta():
