@@ -8,7 +8,6 @@ from .backstepping import (
     backstep_control,
     backstep_lyapunov,
     backstepped_quadruple,
-    toy_scalar_pieces,
     validate_backstepping_params,
 )
 from .engine import (
@@ -88,7 +87,6 @@ from .synergy import (
     SynergisticQuadruple,
     assemble_closed_loop,
     audit_quadruple,
-    best_candidate_value,
     switch_candidates,
     v_excess,
 )

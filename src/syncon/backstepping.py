@@ -60,10 +60,15 @@ class BacksteppingParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
-def validate_backstepping_params(q: SynergisticQuadruple, d: DecomposedFeedback,
-                                 sp: SmoothedParams, bp: BacksteppingParams) -> None:
-    """Check delta_b against the reduced-gap bound; raises ParamBoundViolation."""
-    slack = q.delta - sp.gamma_s * d.c_kappa
+def validate_backstepping_params(delta: float, c_kappa: float,
+                                 sp: SmoothedParams,
+                                 bp: BacksteppingParams) -> None:
+    """Check delta_b <= delta - gamma_s c_kappa; raises ParamBoundViolation.
+
+    delta is the core gap and c_kappa the offset spread, as for
+    validate_smoothed_params, which checks sp itself.
+    """
+    slack = delta - sp.gamma_s * c_kappa
     if not bp.delta_b <= slack:
         raise ParamBoundViolation(
             f"delta_b = {bp.delta_b:.6g} must be <= delta - gamma_s * c_kappa "
@@ -135,7 +140,7 @@ def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
     assemble_closed_loop to simulate.  Raises ParamBoundViolation when
     delta_b violates its bound.
     """
-    validate_backstepping_params(q, d, sp, bp)
+    validate_backstepping_params(q.delta, d.c_kappa, sp, bp)
     n = plant.dim_x
     s = d.dim_tracker
     m = plant.dim_u
@@ -190,45 +195,3 @@ def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
                                varpi=varpi_b, Theta=q.Theta.copy(),
                                delta=bp.delta_b)
     return plant_b, q_b
-
-
-def toy_scalar_pieces(delta: float = 0.1, gamma_s: float = 0.5,
-                      k_eta: float = 5.0, delta_s: float = 0.1,
-                      gamma_b: float = 0.5, k_b: float = 4.0,
-                      delta_b: float = 0.1):
-    """A one-dimensional worked example with every piece written out.
-
-    Plant xdot = u, feedback kappa = -x decomposed as varsigma = -x with a
-    zero mixing matrix, so the tracker is inert and the integrator reference
-    is kappa_bar = -x.  Handy for validating the composite formulas against
-    finite differences.  Returns (plant, q, d, sp, bp, jac).
-    """
-    plant = AffinePlant(
-        dim_x=1, dim_u=1,
-        f=lambda x: np.zeros(1),
-        g=lambda x: np.eye(1),
-    )
-    q = SynergisticQuadruple(
-        V=lambda x, th: 0.5 * float(x[0] * x[0]),
-        grad_V=lambda x, th: (np.array([x[0]]), np.zeros(1)),
-        kappa=lambda x, th: np.array([-x[0]]),
-        varpi=lambda x, th: np.zeros(1),
-        Theta=np.array([[0.0]]),
-        delta=delta,
-    )
-    d = DecomposedFeedback(
-        sigma=lambda x, th: np.zeros(1),
-        varsigma=lambda x: np.array([-x[0]]),
-        upsilon=lambda x: np.zeros((1, 1)),
-        dim_tracker=1,
-        c_kappa=0.0,
-        d_sigma_dx=lambda x, th: np.zeros((1, 1)),
-        d_sigma_dtheta=lambda x, th: np.zeros((1, 1)),
-    )
-    sp = SmoothedParams(gamma_s=gamma_s, k_eta=k_eta, delta_s=delta_s)
-    bp = BacksteppingParams(gamma_b=gamma_b, k_b=k_b, delta_b=delta_b)
-    jac = FeedbackJacobians(
-        d_varsigma_dx=lambda x: np.array([[-1.0]]),
-        d_upsilon_dx=None,
-    )
-    return plant, q, d, sp, bp, jac

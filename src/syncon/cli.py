@@ -21,6 +21,14 @@ from .navigation import find_critical_point, nominal_controller
 from .synergy import audit_quadruple
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syncon",
@@ -45,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="audit the switched family on its own")
     p_audit.add_argument("config", help="path to a scenario JSON file")
     p_audit.add_argument("--samples", type=int, default=400)
-    p_audit.add_argument("--seed", type=int, default=None,
+    p_audit.add_argument("--seed", type=_non_negative_int, default=None,
                          help="override the config seed")
 
     p_cmp = sub.add_parser("compare",

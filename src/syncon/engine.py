@@ -53,6 +53,10 @@ ZENO_WARN_AFTER = 100
 
 _PROGRESS_EPS = 1e-15
 
+# Bisection cap in locate_boundary; 200 halvings outlast the 1e-16 bracket
+# floor on any step fraction.
+_MAX_BISECTIONS = 200
+
 # Counters kept on HybridArc.stats, all integers filled by the engine itself.
 #   indicator_evals  calls of in_flow_set / in_jump_set
 #   rk4_steps        RK4 steps, trial steps and bisection probes alike
@@ -225,8 +229,7 @@ def step_flow(spec: HybridSystemSpec, x: np.ndarray, h: float) -> np.ndarray:
 
 def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
                     indicator: Callable[[np.ndarray], float],
-                    event_tol: float = 1e-10,
-                    max_iter: int = 200, *,
+                    event_tol: float = 1e-10, *,
                     x_hi: np.ndarray | None = None,
                     f_lo: float | None = None,
                     f_hi: float | None = None,
@@ -269,7 +272,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     lo, hi = 0.0, 1.0
     x_mid = x_hi
     mid = 1.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         x_mid = step_flow(spec, x_inside, mid * h)
         f_mid = float(indicator(x_mid))

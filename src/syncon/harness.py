@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backstepping import BacksteppingParams
+from .backstepping import BacksteppingParams, validate_backstepping_params
 from .engine import HybridArc, Priority, SimConfig, simulate
 from .errors import ParseError, SynconError, ValidationError
 from .navigation import (
@@ -48,9 +48,12 @@ from .navigation import (
     tracked_input,
     tracking_potential,
     validate_gains,
-    validate_layer_params,
 )
-from .smoothing import SmoothedParams, check_reconstruction
+from .smoothing import (
+    SmoothedParams,
+    check_reconstruction,
+    validate_smoothed_params,
+)
 from .synergy import audit_quadruple, v_excess
 
 # The benchmark's tracer patches these generic functions on this module by
@@ -61,6 +64,8 @@ from .smoothing import tracked_feedback, tracking_lyapunov  # noqa: F401
 CONTROLLERS = ("hybrid", "smooth_hybrid", "non_hybrid", "backstepped")
 
 CSV_HEADER = "t,j,px,py,theta,eta1,eta2,ux,uy,V,mu,dobs,ddest"
+
+_SVG_WIDTH = 640  # pixels; the height follows the scene's aspect ratio
 
 _CORE_GAIN_KEYS = ("k_p", "k_theta", "gamma_theta", "Theta", "delta")
 _SMOOTH_GAIN_KEYS = ("gamma_s", "k_eta", "delta_s")
@@ -91,12 +96,17 @@ class ScenarioConfig:
     expected: dict | None = None
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool (which subclasses int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_pair(value, path: str, problems: list) -> np.ndarray | None:
-    try:
-        arr = np.asarray(value, dtype=float).reshape(2)
-    except (TypeError, ValueError):
+    if not (isinstance(value, list) and len(value) == 2
+            and all(_is_number(v) for v in value)):
         problems.append(f"{path}: expected a pair of numbers, got {value!r}")
         return None
+    arr = np.array(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         problems.append(f"{path}: entries must be finite, got {value!r}")
         return None
@@ -104,7 +114,7 @@ def _as_pair(value, path: str, problems: list) -> np.ndarray | None:
 
 
 def _as_float(value, path: str, problems: list) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         problems.append(f"{path}: expected a number, got {value!r}")
         return None
     v = float(value)
@@ -186,16 +196,12 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         cand = graw.get("Theta")
         if cand is None:
             problems.append("gains.Theta: required")
+        elif (isinstance(cand, list) and cand
+              and all(_is_number(v) for v in cand)):
+            core["theta_candidates"] = np.array(cand, dtype=float)
         else:
-            try:
-                cand = np.atleast_1d(np.asarray(cand, dtype=float))
-                if cand.ndim != 1 or cand.size == 0:
-                    raise ValueError
-                core["theta_candidates"] = cand
-            except (TypeError, ValueError):
-                problems.append(
-                    f"gains.Theta: expected a nonempty list of angles, got "
-                    f"{graw.get('Theta')!r}")
+            problems.append(
+                f"gains.Theta: expected a nonempty list of angles, got {cand!r}")
         if len(core) == 5 and all(v is not None for v in core.values()):
             try:
                 gains = NavGains(**core)
@@ -236,10 +242,17 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
                 except ValueError as exc:
                     problems.append(f"gains: {exc}")
     if world is not None and gains is not None and smoothed is not None:
+        c_kappa = switch_offset_bound(world, gains)
         try:
-            validate_layer_params(world, gains, smoothed, backstep)
+            validate_smoothed_params(gains.delta, c_kappa, smoothed)
         except SynconError as exc:
             problems.extend(f"gains: {part}" for part in str(exc).split("; "))
+        if backstep is not None:
+            try:
+                validate_backstepping_params(gains.delta, c_kappa, smoothed,
+                                             backstep)
+            except SynconError as exc:
+                problems.append(f"gains: {exc}")
 
     initial = None
     iraw = raw.get("initial")
@@ -306,8 +319,8 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
             problems.append(f"sim: {exc}")
 
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        problems.append(f"seed: expected an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        problems.append(f"seed: expected a non-negative integer, got {seed!r}")
         seed = 0
 
     expected = raw.get("expected")
@@ -330,9 +343,11 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(raw, source=str(path))
@@ -543,7 +558,7 @@ def write_csv(record: RunRecord, path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def write_svg(record: RunRecord, path, width: int = 640) -> None:
+def write_svg(record: RunRecord, path) -> None:
     """Render the planar trajectory with the obstacle, shell, and skirt."""
     world = record.config.world
     r_skirt = world.r_o + world.r_s
@@ -560,7 +575,7 @@ def write_svg(record: RunRecord, path, width: int = 640) -> None:
     xmax += pad
     ymin -= pad
     ymax += pad
-    scale = width / (xmax - xmin)
+    scale = _SVG_WIDTH / (xmax - xmin)
     height = int(round((ymax - ymin) * scale))
 
     def sx(x): return (x - xmin) * scale
@@ -571,9 +586,9 @@ def write_svg(record: RunRecord, path, width: int = 640) -> None:
                 f'r="{r * scale:.2f}" {style}/>')
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {_SVG_WIDTH} {height}">',
+        f'<rect width="{_SVG_WIDTH}" height="{height}" fill="#ffffff"/>',
         circle(world.p_o[0], world.p_o[1], r_skirt,
                'fill="#fdeeda" stroke="none"'),
         circle(world.p_o[0], world.p_o[1], world.r_o + world.epsilon,

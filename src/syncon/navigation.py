@@ -48,16 +48,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backstepping import BacksteppingParams, FeedbackJacobians
+from .backstepping import (
+    BacksteppingParams,
+    FeedbackJacobians,
+    validate_backstepping_params,
+)
 from .engine import HybridSystemSpec
 from .errors import (
     GainValidation,
     NonPositiveDistance,
     NoRootBracketed,
     OutsideFreeSpace,
-    ParamBoundViolation,
 )
-from .smoothing import DecomposedFeedback, SmoothedParams
+from .smoothing import (
+    DecomposedFeedback,
+    SmoothedParams,
+    validate_smoothed_params,
+)
 from .synergy import AffinePlant, SynergisticQuadruple, switching_system
 
 _Z_MIN = 1e-12
@@ -174,37 +181,6 @@ def validate_gains(world: NavigationWorld, gains: NavGains) -> None:
                 f"*min|theta_bar|^2 = {gap:.6g}")
     if problems:
         raise GainValidation("; ".join(problems))
-
-
-def validate_layer_params(world: NavigationWorld, gains: NavGains,
-                          sp: SmoothedParams,
-                          bp: BacksteppingParams | None = None) -> None:
-    """Check the tracker bounds, and the integrator bound when bp is given.
-
-    These are the bounds of validate_smoothed_params and
-    validate_backstepping_params for this family, whose gap is gains.delta
-    and whose offset spread is c_kappa = switch_offset_bound(world, gains):
-    gamma_s < delta / c_kappa, and delta_s and delta_b at most
-    delta - gamma_s c_kappa.  Raises ParamBoundViolation listing every
-    bound broken.
-    """
-    c_kappa = switch_offset_bound(world, gains)
-    slack = gains.delta - sp.gamma_s * c_kappa
-    problems = []
-    if c_kappa > 0.0 and not sp.gamma_s < gains.delta / c_kappa:
-        problems.append(
-            f"gamma_s = {sp.gamma_s:.6g} must be < delta / c_kappa = "
-            f"{gains.delta / c_kappa:.6g}")
-    if not sp.delta_s <= slack:
-        problems.append(
-            f"delta_s = {sp.delta_s:.6g} must be <= delta - gamma_s * c_kappa "
-            f"= {slack:.6g}")
-    if bp is not None and not bp.delta_b <= slack:
-        problems.append(
-            f"delta_b = {bp.delta_b:.6g} must be <= delta - gamma_s * c_kappa "
-            f"= {slack:.6g}")
-    if problems:
-        raise ParamBoundViolation("; ".join(problems))
 
 
 # -- repulsive skirt ---------------------------------------------------------
@@ -421,8 +397,7 @@ def switch_offset_bound(world: NavigationWorld, gains: NavGains) -> float:
 
 # -- critical point ----------------------------------------------------------
 
-def find_critical_point(world: NavigationWorld, tol: float = 1e-12,
-                        refine: bool = True) -> np.ndarray:
+def find_critical_point(world: NavigationWorld) -> np.ndarray:
     """Locate the saddle of the base potential behind the obstacle.
 
     On the ray from the destination through the obstacle center, at distance
@@ -431,8 +406,8 @@ def find_critical_point(world: NavigationWorld, tol: float = 1e-12,
         h(z) = ||p_o - p_d|| + r_o + z + varrho phi'(z),
 
     which is -inf as z -> 0 and positive at r_s, so the saddle clearance is
-    the root of h.  Bisection brackets it inside (epsilon, r_s); a few
-    Newton steps on the full gradient then polish the point.  Raises
+    the root of h.  Bisection brackets it to 1e-12 inside (epsilon, r_s);
+    a few Newton steps on the full gradient then polish the point.  Raises
     NoRootBracketed when the skirt is too weak to balance the pull inside
     the bracket (no stuck point in the guaranteed free space).
     """
@@ -449,7 +424,7 @@ def find_critical_point(world: NavigationWorld, tol: float = 1e-12,
         raise NoRootBracketed(
             f"h(z) = ||p_o - p_d|| + r_o + z + varrho*phi'(z) does not change "
             f"sign on ({lo:.6g}, {hi:.6g}); no balance point in the shell")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if h(mid) < 0.0:
             lo = mid
@@ -459,17 +434,16 @@ def find_critical_point(world: NavigationWorld, tol: float = 1e-12,
 
     u = (world.p_o - world.p_d) / d
     p_star = world.p_o + (world.r_o + z_star) * u
-    if refine:
-        p_try = p_star.copy()
-        for _ in range(5):
-            g = nav_gradient(world, p_try, check=False)
-            step = np.linalg.solve(nav_hessian(world, p_try, check=False), g)
-            p_try = p_try - step
-        z_try = obstacle_distance(world, p_try)
-        if (world.epsilon < z_try < world.r_s
-                and np.linalg.norm(nav_gradient(world, p_try, check=False))
-                <= np.linalg.norm(nav_gradient(world, p_star, check=False))):
-            p_star = p_try
+    p_try = p_star.copy()
+    for _ in range(5):
+        g = nav_gradient(world, p_try, check=False)
+        step = np.linalg.solve(nav_hessian(world, p_try, check=False), g)
+        p_try = p_try - step
+    z_try = obstacle_distance(world, p_try)
+    if (world.epsilon < z_try < world.r_s
+            and np.linalg.norm(nav_gradient(world, p_try, check=False))
+            <= np.linalg.norm(nav_gradient(world, p_star, check=False))):
+        p_star = p_try
     return p_star
 
 
@@ -579,8 +553,7 @@ def backstep_jacobians(world: NavigationWorld, gains: NavGains) -> FeedbackJacob
 # the controller formulas in scalar arithmetic; tests pin them against the
 # generic compositions.
 
-def hybrid_closed_loop(world: NavigationWorld, gains: NavGains,
-                       project: bool = True) -> HybridSystemSpec:
+def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Switched feedback applied directly; state [px, py, theta]."""
     validate_gains(world, gains)
     k_p = gains.k_p
@@ -596,15 +569,14 @@ def hybrid_closed_loop(world: NavigationWorld, gains: NavGains,
     return switching_system(
         lambda x, th: switched_potential(world, gains, x, th[0], check=False),
         gains.theta_candidates.reshape(-1, 1), gains.delta, flow, 2,
-        shell_projection(world) if project else None)
+        shell_projection(world))
 
 
 def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
-                       sp: SmoothedParams,
-                       project: bool = True) -> HybridSystemSpec:
+                       sp: SmoothedParams) -> HybridSystemSpec:
     """Tracker-mediated loop with continuous input; [px, py, eta1, eta2, theta]."""
     validate_gains(world, gains)
-    validate_layer_params(world, gains, sp)
+    validate_smoothed_params(gains.delta, switch_offset_bound(world, gains), sp)
     k_p = gains.k_p
     k_theta = gains.k_theta
     gamma_s = sp.gamma_s
@@ -637,15 +609,17 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
     return switching_system(
         lambda x, th: tracking_potential(world, gains, sp, x[:2], x[2:4], th[0]),
         gains.theta_candidates.reshape(-1, 1), sp.delta_s, flow, 4,
-        shell_projection(world) if project else None)
+        shell_projection(world))
 
 
 def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
-                         sp: SmoothedParams, bp: BacksteppingParams,
-                         project: bool = True) -> HybridSystemSpec:
+                         sp: SmoothedParams,
+                         bp: BacksteppingParams) -> HybridSystemSpec:
     """Loop with tracker and actuator integrator; [p, eta, u, theta] packed."""
     validate_gains(world, gains)
-    validate_layer_params(world, gains, sp, bp)
+    c_kappa = switch_offset_bound(world, gains)
+    validate_smoothed_params(gains.delta, c_kappa, sp)
+    validate_backstepping_params(gains.delta, c_kappa, sp, bp)
     k_p = gains.k_p
     k_theta = gains.k_theta
     gamma_s = sp.gamma_s
@@ -699,11 +673,10 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
         lambda x, th: backstep_potential(world, gains, sp, bp, x[:2], x[2:4],
                                          x[4:6], th[0]),
         gains.theta_candidates.reshape(-1, 1), bp.delta_b, flow, 6,
-        shell_projection(world) if project else None)
+        shell_projection(world))
 
 
-def gradient_closed_loop(world: NavigationWorld, gains: NavGains,
-                         project: bool = True) -> HybridSystemSpec:
+def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Plain descent on the base potential; never jumps.  [px, py, theta]."""
     k_p = gains.k_p
 
@@ -717,5 +690,5 @@ def gradient_closed_loop(world: NavigationWorld, gains: NavGains,
         jump_map=lambda v: [],
         in_flow_set=lambda v: -1.0,
         in_jump_set=lambda v: 1.0,
-        project_flow=shell_projection(world) if project else None,
+        project_flow=shell_projection(world),
     )

@@ -1,9 +1,8 @@
 """Central finite differences with relative step sizing.
 
-Used as the fallback when an analytic Jacobian is not supplied, and by the
-test suite as an independent reference for analytic derivatives.  The step
-for coordinate i is ``step * max(1, |x_i|)`` so the stencil stays sensible
-for both tiny and large coordinates.
+The test suite's independent reference for the analytic derivatives; no
+run path calls these.  The step for coordinate i is ``step * max(1, |x_i|)``
+so the stencil stays sensible for both tiny and large coordinates.
 """
 
 from __future__ import annotations

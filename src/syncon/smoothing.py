@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import numdiff
 from .errors import ParamBoundViolation
 from .synergy import AffinePlant, SynergisticQuadruple
 
@@ -37,8 +36,8 @@ class DecomposedFeedback:
     upsilon         x -> (m, s) mixing matrix
     dim_tracker     s, the length of sigma's output
     c_kappa         spread bound for sigma across Theta (see module docstring)
-    d_sigma_dx      optional (x, theta) -> (s, n); finite differences if None
-    d_sigma_dtheta  optional (x, theta) -> (s, r); finite differences if None
+    d_sigma_dx      (x, theta) -> (s, n), analytic x-Jacobian of sigma
+    d_sigma_dtheta  (x, theta) -> (s, r), analytic theta-Jacobian of sigma
     """
 
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -46,8 +45,8 @@ class DecomposedFeedback:
     upsilon: Callable[[np.ndarray], np.ndarray]
     dim_tracker: int
     c_kappa: float
-    d_sigma_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    d_sigma_dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    d_sigma_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_sigma_dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.dim_tracker < 1:
@@ -56,14 +55,10 @@ class DecomposedFeedback:
             raise ValueError(f"c_kappa must be finite and >= 0, got {self.c_kappa}")
 
     def sigma_jac_x(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        if self.d_sigma_dx is not None:
-            return np.asarray(self.d_sigma_dx(x, theta), dtype=float)
-        return numdiff.central_jacobian(lambda xv: self.sigma(xv, theta), x)
+        return np.asarray(self.d_sigma_dx(x, theta), dtype=float)
 
     def sigma_jac_theta(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        if self.d_sigma_dtheta is not None:
-            return np.asarray(self.d_sigma_dtheta(x, theta), dtype=float)
-        return numdiff.central_jacobian(lambda tv: self.sigma(x, tv), theta)
+        return np.asarray(self.d_sigma_dtheta(x, theta), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -81,16 +76,21 @@ class SmoothedParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
-def validate_smoothed_params(q: SynergisticQuadruple, d: DecomposedFeedback,
+def validate_smoothed_params(delta: float, c_kappa: float,
                              p: SmoothedParams) -> None:
-    """Check the admissibility bounds; raises ParamBoundViolation."""
+    """Check p against the gap delta and the offset spread c_kappa.
+
+    gamma_s < delta / c_kappa (no bound when c_kappa is 0) and
+    delta_s <= delta - gamma_s c_kappa.  Raises ParamBoundViolation listing
+    every bound broken, in that order.
+    """
     problems = []
-    if d.c_kappa > 0.0:
-        bound = q.delta / d.c_kappa
+    if c_kappa > 0.0:
+        bound = delta / c_kappa
         if not p.gamma_s < bound:
             problems.append(
                 f"gamma_s = {p.gamma_s:.6g} must be < delta / c_kappa = {bound:.6g}")
-    slack = q.delta - p.gamma_s * d.c_kappa
+    slack = delta - p.gamma_s * c_kappa
     if not p.delta_s <= slack:
         problems.append(
             f"delta_s = {p.delta_s:.6g} must be <= delta - gamma_s * c_kappa "
@@ -180,7 +180,7 @@ def smoothed_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
     delta_s.  Compose with assemble_closed_loop to simulate.  Raises
     ParamBoundViolation when p violates its bounds.
     """
-    validate_smoothed_params(q, d, p)
+    validate_smoothed_params(q.delta, d.c_kappa, p)
     n = plant.dim_x
     s = d.dim_tracker
     eye_s = np.eye(s)

@@ -24,6 +24,10 @@ from .errors import DimensionMismatch, SynconError
 # ties are broken by lowest index in Theta.
 TIE_TOL = 1e-12
 
+# Largest sampled directional derivative of V along flows that the audit
+# still counts as a decrease (condition c3).
+_C3_TOL = 1e-9
+
 
 @dataclass
 class SynergisticQuadruple:
@@ -102,11 +106,6 @@ def _minimizers(V, Theta, x: np.ndarray) -> list[np.ndarray]:
     return [cand for cand, v in zip(Theta, values) if v - vmin <= TIE_TOL]
 
 
-def best_candidate_value(q: SynergisticQuadruple, x: np.ndarray) -> float:
-    """min over Theta of V(x, theta_bar)."""
-    return min(_candidate_values(q.V, q.Theta, x))
-
-
 def v_excess(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float:
     """How far V(x, theta) sits above the best candidate at x.
 
@@ -123,16 +122,6 @@ def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
     The engine applies the first entry, so ties resolve to the lowest index.
     """
     return [cand.copy() for cand in _minimizers(q.V, q.Theta, x)]
-
-
-def flow_indicator(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float:
-    """Signed flow-set membership: excess minus gap, <= 0 inside."""
-    return v_excess(q, x, theta) - q.delta
-
-
-def jump_indicator(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float:
-    """Signed jump-set membership: gap minus excess, <= 0 inside."""
-    return q.delta - v_excess(q, x, theta)
 
 
 def switching_system(V, Theta: np.ndarray, gap: float, flow_map, dim_x: int,
@@ -274,8 +263,7 @@ def audit_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
                     critical_states: Sequence[tuple[np.ndarray, np.ndarray]],
                     box: tuple[np.ndarray, np.ndarray] | None = None,
                     n_samples: int = 0,
-                    seed: int = 0,
-                    c3_tol: float = 1e-9) -> AuditReport:
+                    seed: int = 0) -> AuditReport:
     """Sample the quadruple conditions and report margins.
 
     ``sample_states`` are explicit (x, theta) pairs; ``box`` adds ``n_samples``
@@ -350,7 +338,7 @@ def audit_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
 
     return AuditReport(
         c3_worst=float(c3_worst),
-        c3_pass=bool(c3_worst <= c3_tol),
+        c3_pass=bool(c3_worst <= _C3_TOL),
         c4_margin=float(c4_margin),
         c4_pass=bool(c4_margin > 0.0),
         v_min=float(v_min) if states else float("nan"),

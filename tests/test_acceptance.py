@@ -16,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, record_criterion
-from syncon.backstepping import toy_scalar_pieces, backstepped_quadruple
+from conftest import CONFIG_DIR, record_criterion, toy_scalar_pieces
+from syncon.backstepping import backstepped_quadruple
 from syncon.engine import HybridSystemSpec, SimConfig, simulate, step_flow
 from syncon.harness import (
     build_closed_loop,

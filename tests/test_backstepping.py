@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import toy_scalar_pieces
 from syncon import numdiff
 from syncon.backstepping import (
     BacksteppingParams,
@@ -13,7 +14,6 @@ from syncon.backstepping import (
     backstep_lyapunov,
     backstepped_quadruple,
     reference_time_derivative,
-    toy_scalar_pieces,
     validate_backstepping_params,
 )
 from syncon.errors import ParamBoundViolation
@@ -81,10 +81,11 @@ def test_backstepping_params_require_positive_entries():
 def test_validate_backstepping_params_bound():
     plant, q, d, sp, bp, jac = toy_scalar_pieces()
     # The toy spread bound is zero, so the slack is the full gap delta = 0.1.
-    validate_backstepping_params(q, d, sp, bp)
+    validate_backstepping_params(q.delta, d.c_kappa, sp, bp)
     with pytest.raises(ParamBoundViolation, match="delta_b"):
         validate_backstepping_params(
-            q, d, sp, BacksteppingParams(gamma_b=0.5, k_b=4.0, delta_b=0.11))
+            q.delta, d.c_kappa, sp,
+            BacksteppingParams(gamma_b=0.5, k_b=4.0, delta_b=0.11))
 
 
 def test_toy_control_matches_hand_formula():

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -225,6 +226,41 @@ def test_parse_reports_tracker_and_integrator_bounds_together():
     assert any("delta_b" in p for p in problems)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("initial", "p0", ["12", "0.5"]),
+    ("initial", "p0", [True, False]),
+    ("gains", "Theta", "0.3"),
+    ("gains", "Theta", 0.5),
+    ("gains", "Theta", [True, -0.4]),
+    ("gains", "Theta", ["0.2"]),
+])
+def test_parse_rejects_non_numbers_in_pairs_and_theta(section, key, value):
+    raw = hybrid_raw()
+    raw[section][key] = value
+    assert any(p.startswith(f"test: {section}.{key}:") for p in violations_of(raw))
+
+
+def test_shipped_configs_parse():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert len(paths) == 6
+    for path in paths:
+        load_config(path)
+
+
+@pytest.mark.parametrize("seed", [-1, True])
+def test_parse_rejects_a_seed_that_is_not_a_non_negative_integer(seed, tmp_path,
+                                                                  capsys):
+    raw = hybrid_raw()
+    raw["seed"] = seed
+    assert any(p.startswith("test: seed: expected a non-negative integer")
+               for p in violations_of(raw))
+
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path), "--samples", "10"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_readme_config_example_parses():
     text = (REPO_ROOT / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", text, flags=re.S)
@@ -439,6 +475,13 @@ def test_cli_check_and_audit_pass_on_shipped_config(capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+def test_cli_audit_rejects_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", str(CONFIG_DIR / "fig5_hybrid.json"), "--seed", "-3"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_cli_compare_lists_every_config(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -460,6 +503,12 @@ def test_cli_error_paths_exit_two(tmp_path, capsys):
     code = main(["run", str(bad)])
     assert code == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + json.dumps(hybrid_raw()).encode("utf-16-le"))
+    code = main(["run", str(utf16)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
     invalid = tmp_path / "invalid.json"
     raw = hybrid_raw()
@@ -495,3 +544,24 @@ def test_benchmark_tracer_patches_names_that_resolve():
         tracer.uninstall()
     for module, attr, original in targets:
         assert getattr(module, attr) is original
+
+
+def test_benchmark_workloads_pass_their_own_gate(monkeypatch):
+    """perfbench/workloads.py drives the program through its public names;
+    one arc per ring loop and one thermostat must still pass its checks."""
+    path = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+
+    ring = workloads.RingSweep(811)
+    loops = list(workloads.RING_LOOPS)
+    ring.starts = [next(s for s in ring.starts if s[0] == loop) for loop in loops]
+    storm = workloads.EventStorm(811)
+    storm.inits = storm.inits[:1]
+    arcs = ring.run_pass() + storm.run_pass()
+    assert len(arcs) == len(loops) + 1
+    for arc in arcs:
+        assert arc.problems == [], arc.key

@@ -47,7 +47,6 @@ from syncon.navigation import (
     switched_potential,
     tracked_input,
     tracking_potential,
-    validate_layer_params,
 )
 from syncon.harness import build_closed_loop, initial_packed_state, load_config
 from syncon.smoothing import (
@@ -56,13 +55,11 @@ from syncon.smoothing import (
     smoothed_quadruple,
     tracked_feedback,
     tracking_lyapunov,
-    validate_smoothed_params,
 )
 from syncon.backstepping import (
     BacksteppingParams,
     backstep_lyapunov,
     backstepped_quadruple,
-    validate_backstepping_params,
 )
 from syncon.synergy import assemble_closed_loop, v_excess
 
@@ -355,32 +352,37 @@ def test_validate_gains_flags_each_bound():
 
 
 def test_layer_bounds_match_the_generic_validators():
+    """The loop builders reject exactly the layer parameters that the
+    generic compositions reject for this family."""
     world = demo_world()
     gains = demo_gains()
-    _, q = nominal_controller(world, gains)
+    plant, q = nominal_controller(world, gains)
     d = decomposed_feedback(world, gains)
+    jac = backstep_jacobians(world, gains)
+
+    def rejects(build):
+        try:
+            build()
+        except ParamBoundViolation:
+            return True
+        return False
+
+    seen = set()
     for gamma_s in (0.01, 0.0659, 0.0733, 0.2):
         for delta_s in (0.0036, 0.01, 0.04):
             for delta_b in (0.0036, 0.01, 0.04):
                 sp = SmoothedParams(gamma_s=gamma_s, k_eta=100.0,
                                     delta_s=delta_s)
                 bp = BacksteppingParams(gamma_b=0.5, k_b=40.0, delta_b=delta_b)
-                expected = []
-                for check in (lambda: validate_smoothed_params(q, d, sp),
-                              lambda: validate_backstepping_params(q, d, sp, bp)):
-                    try:
-                        check()
-                    except ParamBoundViolation as exc:
-                        expected.append(str(exc))
-                if not expected:
-                    validate_layer_params(world, gains, sp, bp)
-                    backstep_closed_loop(world, gains, sp, bp)
-                    continue
-                with pytest.raises(ParamBoundViolation) as err:
-                    validate_layer_params(world, gains, sp, bp)
-                assert str(err.value) == "; ".join(expected)
-                with pytest.raises(ParamBoundViolation):
-                    backstep_closed_loop(world, gains, sp, bp)
+                tracker_bad = rejects(lambda: smoothed_quadruple(plant, q, d, sp))
+                integrator_bad = rejects(
+                    lambda: backstepped_quadruple(plant, q, d, sp, bp, jac))
+                assert rejects(lambda: smooth_closed_loop(world, gains, sp)) \
+                    == tracker_bad
+                assert rejects(lambda: backstep_closed_loop(world, gains, sp, bp)) \
+                    == (tracker_bad or integrator_bad)
+                seen.add((tracker_bad, integrator_bad))
+    assert len(seen) == 4
 
 
 # -- critical point ----------------------------------------------------------
@@ -395,15 +397,6 @@ def test_find_critical_point_frozen_clearance():
                                       abs=1e-9)
     assert abs(p_star[1]) <= 1e-9
     assert np.linalg.norm(nav_gradient(world, p_star)) <= 1e-9
-
-
-def test_find_critical_point_refinement_agrees_with_bisection():
-    world = demo_world()
-    coarse = find_critical_point(world, refine=False)
-    fine = find_critical_point(world, refine=True)
-    assert np.linalg.norm(coarse - fine) <= 1e-8
-    assert (np.linalg.norm(nav_gradient(world, fine, check=False))
-            <= np.linalg.norm(nav_gradient(world, coarse, check=False)) + 1e-15)
 
 
 def test_find_critical_point_narrow_world():
@@ -479,7 +472,8 @@ def assert_same_switching(fused, generic, v):
 def test_hybrid_loop_matches_generic_composition():
     world = demo_world()
     gains = demo_gains()
-    fused = hybrid_closed_loop(world, gains, project=False)
+    fused = dataclasses.replace(hybrid_closed_loop(world, gains),
+                                project_flow=None)
     plant, q = nominal_controller(world, gains)
     generic = assemble_closed_loop(plant, q)
     assert fused.dim == generic.dim == 3
@@ -503,7 +497,8 @@ def test_smooth_loop_matches_generic_composition():
     world = demo_world()
     gains = demo_gains()
     sp = demo_smoothed()
-    fused = smooth_closed_loop(world, gains, sp, project=False)
+    fused = dataclasses.replace(smooth_closed_loop(world, gains, sp),
+                                project_flow=None)
     plant, q = nominal_controller(world, gains)
     d = decomposed_feedback(world, gains)
     plant_s, q_s = smoothed_quadruple(plant, q, d, sp)
@@ -532,7 +527,8 @@ def test_backstep_loop_matches_generic_composition():
     gains = demo_gains()
     sp = demo_smoothed()
     bp = demo_backstep()
-    fused = backstep_closed_loop(world, gains, sp, bp, project=False)
+    fused = dataclasses.replace(backstep_closed_loop(world, gains, sp, bp),
+                                project_flow=None)
     plant, q = nominal_controller(world, gains)
     d = decomposed_feedback(world, gains)
     plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp,

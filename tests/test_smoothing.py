@@ -1,12 +1,13 @@
 """Unit tests for the switch-tracking (input smoothing) layer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import toy_scalar_pieces
 from syncon import numdiff
-from syncon.backstepping import toy_scalar_pieces
 from syncon.errors import ParamBoundViolation
 from syncon.smoothing import (
     DecomposedFeedback,
@@ -23,7 +24,7 @@ from syncon.smoothing import (
 from syncon.synergy import AffinePlant, SynergisticQuadruple
 
 
-def sine_family(with_jacobians=True):
+def sine_family():
     """1-d plant with sigma = sin(theta) + 0.3 x, for formula checks."""
     plant = AffinePlant(
         dim_x=1, dim_u=1,
@@ -38,19 +39,14 @@ def sine_family(with_jacobians=True):
         Theta=np.array([0.0, 0.7]),
         delta=1.0,
     )
-    kwargs = {}
-    if with_jacobians:
-        kwargs = dict(
-            d_sigma_dx=lambda x, th: np.array([[0.3]]),
-            d_sigma_dtheta=lambda x, th: np.array([[math.cos(th[0])]]),
-        )
     d = DecomposedFeedback(
         sigma=lambda x, th: np.array([math.sin(th[0]) + 0.3 * x[0]]),
         varsigma=lambda x: np.array([-x[0]]),
         upsilon=lambda x: np.eye(1),
         dim_tracker=1,
         c_kappa=2.0,
-        **kwargs,
+        d_sigma_dx=lambda x, th: np.array([[0.3]]),
+        d_sigma_dtheta=lambda x, th: np.array([[math.cos(th[0])]]),
     )
     return plant, q, d
 
@@ -65,19 +61,18 @@ def test_smoothed_params_require_positive_entries():
 
 def test_validate_smoothed_params_bounds():
     _, q, d = sine_family()  # delta = 1, c_kappa = 2 so gamma_s < 0.5
-    validate_smoothed_params(q, d, SmoothedParams(0.2, 5.0, 0.5))
+    validate_smoothed_params(q.delta, d.c_kappa, SmoothedParams(0.2, 5.0, 0.5))
 
     with pytest.raises(ParamBoundViolation, match="gamma_s"):
-        validate_smoothed_params(q, d, SmoothedParams(0.6, 5.0, 0.01))
+        validate_smoothed_params(q.delta, d.c_kappa, SmoothedParams(0.6, 5.0, 0.01))
     with pytest.raises(ParamBoundViolation, match="delta_s"):
-        validate_smoothed_params(q, d, SmoothedParams(0.2, 5.0, 0.7))
+        validate_smoothed_params(q.delta, d.c_kappa, SmoothedParams(0.2, 5.0, 0.7))
 
     # A zero spread bound leaves gamma_s unconstrained; only the reduced
     # gap must fit under delta.
-    d.c_kappa = 0.0
-    validate_smoothed_params(q, d, SmoothedParams(25.0, 5.0, 1.0))
+    validate_smoothed_params(q.delta, 0.0, SmoothedParams(25.0, 5.0, 1.0))
     with pytest.raises(ParamBoundViolation, match="delta_s"):
-        validate_smoothed_params(q, d, SmoothedParams(25.0, 5.0, 1.1))
+        validate_smoothed_params(q.delta, 0.0, SmoothedParams(25.0, 5.0, 1.1))
 
 
 def test_reconstruction_is_exact_for_a_true_decomposition():
@@ -86,21 +81,8 @@ def test_reconstruction_is_exact_for_a_true_decomposition():
     states = [(rng.uniform(-2, 2, 1), rng.uniform(-1, 1, 1)) for _ in range(20)]
     assert check_reconstruction(q, d, states) <= 1e-15
 
-    d_off = DecomposedFeedback(
-        sigma=d.sigma, varsigma=lambda x: np.array([-x[0] + 0.01]),
-        upsilon=d.upsilon, dim_tracker=1, c_kappa=d.c_kappa)
+    d_off = dataclasses.replace(d, varsigma=lambda x: np.array([-x[0] + 0.01]))
     assert check_reconstruction(q, d_off, states) == pytest.approx(0.01)
-
-
-def test_sigma_jacobians_fall_back_to_finite_differences():
-    _, _, d_exact = sine_family(with_jacobians=True)
-    _, _, d_fd = sine_family(with_jacobians=False)
-    x = np.array([0.4])
-    th = np.array([0.3])
-    assert np.allclose(d_fd.sigma_jac_x(x, th), d_exact.sigma_jac_x(x, th),
-                       atol=1e-8)
-    assert np.allclose(d_fd.sigma_jac_theta(x, th),
-                       d_exact.sigma_jac_theta(x, th), atol=1e-8)
 
 
 def test_tracking_gradients_match_finite_differences():

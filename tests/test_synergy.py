@@ -11,9 +11,6 @@ from syncon.synergy import (
     SynergisticQuadruple,
     assemble_closed_loop,
     audit_quadruple,
-    best_candidate_value,
-    flow_indicator,
-    jump_indicator,
     latin_hypercube,
     switch_candidates,
     v_excess,
@@ -87,7 +84,6 @@ def test_quadruple_rejects_bad_candidate_sets():
 def test_excess_and_best_value():
     _, q = scalar_family()
     x = np.array([1.0])
-    assert best_candidate_value(q, x) == 0.0
     assert v_excess(q, x, np.array([-1.0])) == 4.0
     assert v_excess(q, x, np.array([1.0])) == 0.0
     # Excess is V relative to the best member, so a theta outside the
@@ -96,13 +92,16 @@ def test_excess_and_best_value():
 
 
 def test_indicators_partition_the_state_space():
-    _, q = scalar_family(delta=1.0)
+    plant, q = scalar_family(delta=1.0)
+    spec = assemble_closed_loop(plant, q)
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(-3.0, 3.0, 1)
         th = np.array([rng.choice([-1.0, 1.0])])
-        fi = flow_indicator(q, x, th)
-        ji = jump_indicator(q, x, th)
+        v = np.concatenate([x, th])
+        fi = spec.in_flow_set(v)
+        ji = spec.in_jump_set(v)
+        assert fi == v_excess(q, x, th) - q.delta
         assert fi + ji == pytest.approx(0.0, abs=1e-15)
         assert fi <= 0.0 or ji <= 0.0
 
