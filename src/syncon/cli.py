@@ -46,13 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check",
                              help="validate bounds and audit the family")
     p_check.add_argument("config", help="path to a scenario JSON file")
-    p_check.add_argument("--samples", type=int, default=200,
+    p_check.add_argument("--samples", type=_non_negative_int, default=200,
                          help="box samples for the family audit")
 
     p_audit = sub.add_parser("audit",
                              help="audit the switched family on its own")
     p_audit.add_argument("config", help="path to a scenario JSON file")
-    p_audit.add_argument("--samples", type=int, default=400)
+    p_audit.add_argument("--samples", type=_non_negative_int, default=400)
     p_audit.add_argument("--seed", type=_non_negative_int, default=None,
                          help="override the config seed")
 

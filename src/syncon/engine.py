@@ -9,11 +9,16 @@ The two sets must jointly cover every reachable state; a state outside both
 
 Solutions live on a hybrid time domain (t, j): flow advances t along segments
 of constant jump counter j, and each jump increments j while t stands still.
-Integration is explicit fixed-step 4th-order Runge-Kutta.  When a step crosses
-a set boundary the crossing is located by bisection on the step fraction,
-re-integrating the partial step, so every accepted sample respects its set
-within ``event_tol``.  Everything here is deterministic: the same spec, state
-and config produce bit-identical arcs.
+Integration is explicit fixed-step 4th-order Runge-Kutta, computed entry by
+entry over Python floats in the order of operations of the vector formula
+x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  The flow map receives each stage state as
+a float ndarray of length ``dim`` and must return a float ndarray of length
+``dim``; its output is read with ``tolist()``, and any other length raises
+DimensionMismatch.  When a step crosses a set boundary the crossing is
+located by bisection on the step fraction, re-integrating the partial step,
+so every accepted sample respects its set within ``event_tol``.  Everything
+here is deterministic: the same spec, state and config produce bit-identical
+arcs.
 
 The indicators are evaluated once per state: the pair computed at the end of
 an accepted step is carried into the next iteration, and is recomputed only
@@ -26,6 +31,7 @@ counts the work done.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -110,7 +116,8 @@ class SimConfig:
 class HybridSystemSpec:
     """A simulable hybrid system over flat state vectors of length ``dim``.
 
-    flow_map      state -> time derivative, used while flowing
+    flow_map      state -> time derivative, used while flowing; takes a float
+                  ndarray of length dim and returns one of length dim
     jump_map      state -> ordered list of candidate post-states; the engine
                   deterministically applies the first candidate, so producers
                   put their preferred selection at index 0
@@ -205,24 +212,39 @@ class HybridArc:
 
 
 def _require_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if not all(map(math.isfinite, x.tolist())):
         raise NonFiniteState(f"{what} is not finite: {x!r}")
 
 
+def _stage(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+           n: int) -> list[float]:
+    """The flow map at x, as a list of n floats."""
+    k = f(x).tolist()
+    if len(k) != n:
+        raise DimensionMismatch(f"flow map returned dimension {len(k)}, expected {n}")
+    return k
+
+
 def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + (0.5 * h) * k1)
-    k3 = f(x + (0.5 * h) * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """x + (h/6)(k1 + 2 k2 + 2 k3 + k4), entry by entry over Python floats,
+    in the same order of operations as the vector expression."""
+    x0 = x.tolist()
+    n = len(x0)
+    half = 0.5 * h
+    k1 = _stage(f, x, n)
+    k2 = _stage(f, np.array([a + half * b for a, b in zip(x0, k1)]), n)
+    k3 = _stage(f, np.array([a + half * b for a, b in zip(x0, k2)]), n)
+    k4 = _stage(f, np.array([a + h * b for a, b in zip(x0, k3)]), n)
+    w = h / 6.0
+    return np.array([a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(x0, k1, k2, k3, k4)])
 
 
 def step_flow(spec: HybridSystemSpec, x: np.ndarray, h: float) -> np.ndarray:
     """One explicit RK4 step of size h along the flow map."""
-    if not (h > 0.0 and np.isfinite(h)):
+    if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
-    x = np.asarray(x, dtype=float)
-    out = _rk4(spec.flow_map, x, h)
+    out = _rk4(spec.flow_map, np.asarray(x, dtype=float), h)
     _require_finite(out, f"flow step output (h={h:g})")
     return out
 
@@ -429,10 +451,11 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             fi = ji = None
 
         if spec.project_flow is not None:
-            x_proj = np.asarray(spec.project_flow(x_new), dtype=float)
-            if not np.array_equal(x_proj, x_new):
+            # A projection that hands back its input object did not move it.
+            x_proj = spec.project_flow(x_new)
+            if x_proj is not x_new and not np.array_equal(x_proj, x_new):
                 stats["clamps"] += 1
-                x_new = x_proj
+                x_new = np.asarray(x_proj, dtype=float)
                 fi = ji = None
         x = x_new
         t = t_new

@@ -33,12 +33,13 @@ HybridSystemSpec:
 The three switched loops share one switching rule, synergy.switching_system,
 applied to the loop's potential: switched_potential, tracking_potential or
 backstep_potential.  The harness reads those same potentials, and
-tracked_input, for its V and u channels.  Only the flow maps are hand-fused.
-The generic compositions (assemble_closed_loop over nominal_controller,
-smoothed_quadruple and backstepped_quadruple) give the same flows, but a
-generic flow call costs about 1.1-1.6x (hybrid), 4-8x (smooth) and 7-12x
-(backstep) a fused one (2-core Xeon, Python 3.11, numpy 2.4), so they serve
-as the tests' reference.
+tracked_input, for its V and u channels.  Each formula is written once, as a
+scalar kernel over Python floats; the loop maps and the public helpers both
+call it.  The generic compositions (assemble_closed_loop over
+nominal_controller, smoothed_quadruple and backstepped_quadruple) give the
+same flows, but a generic flow call costs about 3-6x (hybrid), 15-27x
+(smooth) and 20-43x (backstep) a kernel one (2-core Xeon, Python 3.11,
+numpy 2.4), so they serve as the tests' reference.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ class NavigationWorld:
     def __post_init__(self):
         object.__setattr__(self, "p_o", np.asarray(self.p_o, dtype=float).reshape(2))
         object.__setattr__(self, "p_d", np.asarray(self.p_d, dtype=float).reshape(2))
+        # Plain-float copies of p_o, p_d and p_o - p_d for the scalar kernels.
+        pox, poy = self.p_o.tolist()
+        pdx, pdy = self.p_d.tolist()
+        object.__setattr__(self, "_po", (pox, poy))
+        object.__setattr__(self, "_pd", (pdx, pdy))
+        object.__setattr__(self, "_q", (pox - pdx, poy - pdy))
         if not (self.r_o > 0.0 and math.isfinite(self.r_o)):
             raise ValueError(f"r_o must be positive, got {self.r_o}")
         if not (self.varrho > 0.0 and math.isfinite(self.varrho)):
@@ -166,13 +173,14 @@ def validate_gains(world: NavigationWorld, gains: NavGains) -> None:
         problems.append(
             f"gamma_theta = {gains.gamma_theta:.6g} must lie in (0, "
             f"4*r_o*||p_d - p_o||/pi^2 = {gt_max:.6g})")
-    for tb in gains.theta_candidates:
-        if not 0.0 < abs(tb) < math.pi:
-            problems.append(
-                f"candidate angle {tb:.6g} must have magnitude in (0, pi)")
+    bad_angles = [tb for tb in gains.theta_candidates
+                  if not 0.0 < abs(tb) < math.pi]
+    for tb in bad_angles:
+        problems.append(
+            f"candidate angle {tb:.6g} must have magnitude in (0, pi)")
     if not gains.delta > 0.0:
         problems.append(f"delta = {gains.delta:.6g} must be positive")
-    elif 0.0 < gains.gamma_theta < gt_max:
+    elif 0.0 < gains.gamma_theta < gt_max and not bad_angles:
         gap = max_synergy_gap(world, gains)
         if gains.delta > gap:
             problems.append(
@@ -229,6 +237,12 @@ def barrier_hess(z: float, r_s: float) -> float:
 
 
 # -- base potential ----------------------------------------------------------
+#
+# The potentials, gradients and flow terms are written once, as scalar
+# kernels over Python floats (the underscored functions below).  The loop
+# maps unpack their state with tolist() and call them; the public helpers
+# unpack their arguments and call the same kernels, so both compute the
+# same bits.
 
 def obstacle_distance(world: NavigationWorld, p: np.ndarray) -> float:
     """Signed clearance ||p - p_o|| - r_o (negative inside the disc)."""
@@ -244,6 +258,39 @@ def _require_free(world: NavigationWorld, z: float) -> None:
             f"epsilon = {world.epsilon:.6g}")
 
 
+def _xy(p) -> tuple[float, float]:
+    return float(p[0]), float(p[1])
+
+
+def _radial(world: NavigationWorld, px: float, py: float, check: bool = False):
+    """(wx, wy, rho, z): p - p_o, its length and the clearance rho - r_o.
+
+    Raises NonPositiveDistance unless z > 1e-12, and with ``check`` also
+    OutsideFreeSpace inside the safety margin.
+    """
+    pox, poy = world._po
+    wx = px - pox
+    wy = py - poy
+    rho = math.hypot(wx, wy)
+    z = rho - world.r_o
+    _require_free(world, z) if check else _check_z(z)
+    return wx, wy, rho, z
+
+
+def _grad(world: NavigationWorld, px: float, py: float, wx: float, wy: float,
+          rho: float, z: float):
+    """(gx, gy, a): grad V_nav(p) and its skirt weight a = varrho phi'(z)/rho."""
+    pdx, pdy = world._pd
+    a = world.varrho * _dphi(z, world.r_s) / rho
+    return px - pdx + a * wx, py - pdy + a * wy, a
+
+
+def _hess(world: NavigationWorld, wx: float, wy: float, rho: float, z: float,
+          a: float):
+    """(b, nx, ny) of the Hessian I + a I + b n n^T, with n = (p - p_o)/rho."""
+    return world.varrho * _d2phi(z, world.r_s) - a, wx / rho, wy / rho
+
+
 def nav_potential(world: NavigationWorld, p: np.ndarray, check: bool = True) -> float:
     """Quadratic pull plus skirt: ||p - p_d||^2 / 2 + varrho phi(d_o(p))."""
     p = np.asarray(p, dtype=float)
@@ -255,28 +302,17 @@ def nav_potential(world: NavigationWorld, p: np.ndarray, check: bool = True) -> 
 
 
 def nav_gradient(world: NavigationWorld, p: np.ndarray, check: bool = True) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    wx = p[0] - world.p_o[0]
-    wy = p[1] - world.p_o[1]
-    rho = math.hypot(wx, wy)
-    z = rho - world.r_o
-    _require_free(world, z) if check else _check_z(z)
-    c = world.varrho * _dphi(z, world.r_s) / rho
-    return np.array([p[0] - world.p_d[0] + c * wx, p[1] - world.p_d[1] + c * wy])
+    px, py = _xy(p)
+    gx, gy, _ = _grad(world, px, py, *_radial(world, px, py, check))
+    return np.array([gx, gy])
 
 
 def nav_hessian(world: NavigationWorld, p: np.ndarray, check: bool = True) -> np.ndarray:
     """Second derivative I + varrho (phi'' n n^T + (phi'/rho)(I - n n^T))."""
-    p = np.asarray(p, dtype=float)
-    wx = p[0] - world.p_o[0]
-    wy = p[1] - world.p_o[1]
-    rho = math.hypot(wx, wy)
-    z = rho - world.r_o
-    _require_free(world, z) if check else _check_z(z)
-    nx = wx / rho
-    ny = wy / rho
-    a = world.varrho * _dphi(z, world.r_s) / rho
-    b = world.varrho * _d2phi(z, world.r_s) - a
+    px, py = _xy(p)
+    wx, wy, rho, z = _radial(world, px, py, check)
+    _, _, a = _grad(world, px, py, wx, wy, rho, z)
+    b, nx, ny = _hess(world, wx, wy, rho, z, a)
     return np.array([
         [1.0 + a + b * nx * nx, b * nx * ny],
         [b * nx * ny, 1.0 + a + b * ny * ny],
@@ -297,20 +333,87 @@ def rotate_about_obstacle(world: NavigationWorld, p: np.ndarray,
                      world.p_o[1] + s * wx + c * wy])
 
 
+def _offset(world: NavigationWorld, c: float, s: float):
+    """(sx, sy, rx, ry): the offset sigma(theta) and its theta-derivative,
+    from c = cos(theta) and s = sin(theta)."""
+    qx, qy = world._q
+    return (qx - (c * qx + s * qy), qy - (c * qy - s * qx),
+            s * qx - c * qy, c * qx + s * qy)
+
+
+def _theta_grad(gains: NavGains, th: float, wx: float, wy: float, rx: float,
+                ry: float) -> float:
+    """theta-derivative of V(p, theta), from p - p_o and the offset rate."""
+    return gains.gamma_theta * th - (wx * rx + wy * ry)
+
+
+def _switched_v(world: NavigationWorld, gains: NavGains, px: float, py: float,
+                th: float, check: bool = False):
+    """V(p, theta) with the terms the other kernels reuse:
+    (V, cos theta, sin theta, wx, wy, rho, z)."""
+    wx, wy, rho, z = _radial(world, px, py, check)
+    c = math.cos(th)
+    s = math.sin(th)
+    pox, poy = world._po
+    pdx, pdy = world._pd
+    ex = pox + c * wx - s * wy - pdx
+    ey = poy + s * wx + c * wy - pdy
+    V = (0.5 * (ex * ex + ey * ey) + world.varrho * _phi(z, world.r_s)
+         + 0.5 * gains.gamma_theta * th * th)
+    return V, c, s, wx, wy, rho, z
+
+
+def _tracking_v(world: NavigationWorld, gains: NavGains, sp: SmoothedParams,
+                px: float, py: float, eta1: float, eta2: float, th: float):
+    """Smoothed loop's V, with (wx, wy, rho, z) for reuse."""
+    V, c, s, wx, wy, rho, z = _switched_v(world, gains, px, py, th)
+    sx, sy, _, _ = _offset(world, c, s)
+    e1 = eta1 - sx
+    e2 = eta2 - sy
+    return V + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2), wx, wy, rho, z
+
+
+def _tracked(gains: NavGains, eta1: float, eta2: float, gx: float, gy: float):
+    """Applied input k_p (eta - g) of the tracker loops, g = grad V_nav(p)."""
+    return gains.k_p * (eta1 - gx), gains.k_p * (eta2 - gy)
+
+
+def _tracker_rate(gains: NavGains, sp: SmoothedParams, eta1: float,
+                  eta2: float, gx: float, gy: float, sx: float, sy: float,
+                  rx: float, ry: float, varpi: float):
+    """Tracker flow: pull to sigma, feedforward of its drift, Lyapunov
+    cross-term."""
+    c = gains.k_p / sp.gamma_s
+    return (-sp.k_eta * (eta1 - sx) + rx * varpi - c * (gx - sx),
+            -sp.k_eta * (eta2 - sy) + ry * varpi - c * (gy - sy))
+
+
+def _backstep_v(world: NavigationWorld, gains: NavGains, sp: SmoothedParams,
+                bp: BacksteppingParams, px: float, py: float, eta1: float,
+                eta2: float, u1: float, u2: float, th: float) -> float:
+    V, wx, wy, rho, z = _tracking_v(world, gains, sp, px, py, eta1, eta2, th)
+    gx, gy, _ = _grad(world, px, py, wx, wy, rho, z)
+    r1, r2 = _tracked(gains, eta1, eta2, gx, gy)
+    f1 = u1 - r1
+    f2 = u2 - r2
+    return V + 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
+
+
+def _descent(world: NavigationWorld, gains: NavGains, px: float, py: float,
+             th: float):
+    """Per-state terms of the switched flows: (gx, gy, sx, sy, rx, ry, gt,
+    wx, wy, rho, z, a), with g = grad V_nav(p), s the offset, r its rate, gt
+    the theta-derivative of V and a the skirt weight of grad V_nav."""
+    wx, wy, rho, z = _radial(world, px, py)
+    gx, gy, a = _grad(world, px, py, wx, wy, rho, z)
+    sx, sy, rx, ry = _offset(world, math.cos(th), math.sin(th))
+    gt = _theta_grad(gains, th, wx, wy, rx, ry)
+    return gx, gy, sx, sy, rx, ry, gt, wx, wy, rho, z, a
+
+
 def switched_potential(world: NavigationWorld, gains: NavGains, p: np.ndarray,
                        theta: float, check: bool = True) -> float:
-    p = np.asarray(p, dtype=float)
-    wx = p[0] - world.p_o[0]
-    wy = p[1] - world.p_o[1]
-    rho = math.hypot(wx, wy)
-    z = rho - world.r_o
-    _require_free(world, z) if check else _check_z(z)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    ex = world.p_o[0] + c * wx - s * wy - world.p_d[0]
-    ey = world.p_o[1] + s * wx + c * wy - world.p_d[1]
-    return (0.5 * (ex * ex + ey * ey) + world.varrho * _phi(z, world.r_s)
-            + 0.5 * gains.gamma_theta * theta * theta)
+    return _switched_v(world, gains, *_xy(p), float(theta), check)[0]
 
 
 def tracking_potential(world: NavigationWorld, gains: NavGains,
@@ -320,18 +423,15 @@ def tracking_potential(world: NavigationWorld, gains: NavGains,
 
     Unchecked, like the loop maps: only the barrier's own domain is enforced.
     """
-    sig = switch_offset(world, theta)
-    e1 = eta[0] - sig[0]
-    e2 = eta[1] - sig[1]
-    return (switched_potential(world, gains, p, theta, check=False)
-            + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2))
+    return _tracking_v(world, gains, sp, *_xy(p), *_xy(eta), float(theta))[0]
 
 
 def tracked_input(world: NavigationWorld, gains: NavGains, p: np.ndarray,
                   eta: np.ndarray) -> np.ndarray:
     """Applied input k_p (eta - grad V_nav(p)) of the tracker-mediated loops."""
-    g = nav_gradient(world, p, check=False)
-    return np.array([gains.k_p * (eta[0] - g[0]), gains.k_p * (eta[1] - g[1])])
+    px, py = _xy(p)
+    gx, gy, _ = _grad(world, px, py, *_radial(world, px, py))
+    return np.array(_tracked(gains, *_xy(eta), gx, gy))
 
 
 def backstep_potential(world: NavigationWorld, gains: NavGains,
@@ -339,27 +439,25 @@ def backstep_potential(world: NavigationWorld, gains: NavGains,
                        p: np.ndarray, eta: np.ndarray, u: np.ndarray,
                        theta: float) -> float:
     """Backstepped loop's V: tracking potential + (gamma_b/2)||u - tracked input||^2."""
-    ref = tracked_input(world, gains, p, eta)
-    f1 = u[0] - ref[0]
-    f2 = u[1] - ref[1]
-    return (tracking_potential(world, gains, sp, p, eta, theta)
-            + 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2))
+    return _backstep_v(world, gains, sp, bp, *_xy(p), *_xy(eta), *_xy(u),
+                       float(theta))
 
 
 def switched_gradient_p(world: NavigationWorld, gains: NavGains, p: np.ndarray,
                         theta: float, check: bool = True) -> np.ndarray:
     """p-gradient of the rotated potential: nav gradient minus the offset."""
-    g = nav_gradient(world, p, check=check)
-    return g - switch_offset(world, theta)
+    px, py = _xy(p)
+    gx, gy, _ = _grad(world, px, py, *_radial(world, px, py, check))
+    sx, sy, _, _ = _offset(world, math.cos(theta), math.sin(theta))
+    return np.array([gx - sx, gy - sy])
 
 
 def switched_gradient_theta(world: NavigationWorld, gains: NavGains,
                             p: np.ndarray, theta: float) -> float:
-    p = np.asarray(p, dtype=float)
-    wx = p[0] - world.p_o[0]
-    wy = p[1] - world.p_o[1]
-    dx, dy = switch_offset_rate(world, theta)
-    return gains.gamma_theta * theta - (wx * dx + wy * dy)
+    px, py = _xy(p)
+    pox, poy = world._po
+    _, _, rx, ry = _offset(world, math.cos(theta), math.sin(theta))
+    return _theta_grad(gains, float(theta), px - pox, py - poy, rx, ry)
 
 
 def switch_offset(world: NavigationWorld, theta: float) -> np.ndarray:
@@ -368,20 +466,12 @@ def switch_offset(world: NavigationWorld, theta: float) -> np.ndarray:
     Vanishes at theta = 0, so the switched feedback reduces to the plain
     descent direction when the logic angle has settled.
     """
-    qx = world.p_o[0] - world.p_d[0]
-    qy = world.p_o[1] - world.p_d[1]
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return np.array([qx - (c * qx + s * qy), qy - (c * qy - s * qx)])
+    return np.array(_offset(world, math.cos(theta), math.sin(theta))[:2])
 
 
 def switch_offset_rate(world: NavigationWorld, theta: float) -> np.ndarray:
     """Derivative of the offset in theta."""
-    qx = world.p_o[0] - world.p_d[0]
-    qy = world.p_o[1] - world.p_d[1]
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return np.array([s * qx - c * qy, c * qx + s * qy])
+    return np.array(_offset(world, math.cos(theta), math.sin(theta))[2:])
 
 
 def switch_offset_bound(world: NavigationWorld, gains: NavGains) -> float:
@@ -453,15 +543,16 @@ def shell_projection(world: NavigationWorld):
     """Projection onto clearance >= epsilon for use as an engine flow hook.
 
     Acts on any packed state whose first two entries are the position;
-    points that dip inside the margin are pushed radially back onto it.
+    points that dip inside the margin are pushed radially back onto it, in a
+    copy.  A point outside the margin comes back as the same object.
     """
     r_min = (world.r_o + world.epsilon) * (1.0 + 1e-12)
-    pox = world.p_o[0]
-    poy = world.p_o[1]
+    pox, poy = world._po
 
     def project(v: np.ndarray) -> np.ndarray:
-        wx = v[0] - pox
-        wy = v[1] - poy
+        px, py = v.tolist()[:2]
+        wx = px - pox
+        wy = py - poy
         rho = math.hypot(wx, wy)
         if rho >= r_min:
             return v
@@ -548,10 +639,9 @@ def backstep_jacobians(world: NavigationWorld, gains: NavGains) -> FeedbackJacob
 
 # -- closed loops ------------------------------------------------------------
 #
-# Each switched loop below is a hand-fused flow map plus its potential, handed
-# to synergy.switching_system for the sets and the jump map.  The flows inline
-# the controller formulas in scalar arithmetic; tests pin them against the
-# generic compositions.
+# Each switched loop below is a flow map plus its potential, both over the
+# scalar kernels above, handed to synergy.switching_system for the sets and
+# the jump map.  Tests pin the flows against the generic compositions.
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Switched feedback applied directly; state [px, py, theta]."""
@@ -560,14 +650,12 @@ def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemS
     k_theta = gains.k_theta
 
     def flow(v):
-        p = v[:2]
-        th = v[2]
-        gp = switched_gradient_p(world, gains, p, th, check=False)
-        gt = switched_gradient_theta(world, gains, p, th)
-        return np.array([-k_p * gp[0], -k_p * gp[1], -k_theta * gt])
+        px, py, th = v.tolist()
+        gx, gy, sx, sy, _, _, gt = _descent(world, gains, px, py, th)[:7]
+        return np.array([-k_p * (gx - sx), -k_p * (gy - sy), -k_theta * gt])
 
     return switching_system(
-        lambda x, th: switched_potential(world, gains, x, th[0], check=False),
+        lambda x, th: _switched_v(world, gains, *x.tolist(), float(th[0]))[0],
         gains.theta_candidates.reshape(-1, 1), gains.delta, flow, 2,
         shell_projection(world))
 
@@ -577,37 +665,21 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
     """Tracker-mediated loop with continuous input; [px, py, eta1, eta2, theta]."""
     validate_gains(world, gains)
     validate_smoothed_params(gains.delta, switch_offset_bound(world, gains), sp)
-    k_p = gains.k_p
     k_theta = gains.k_theta
-    gamma_s = sp.gamma_s
-    k_eta = sp.k_eta
 
     def flow(v):
-        p = v[:2]
-        eta = v[2:4]
-        th = v[4]
-        g_nav = nav_gradient(world, p, check=False)
-        sig = switch_offset(world, th)
-        rate = switch_offset_rate(world, th)
-        varpi = -k_theta * switched_gradient_theta(world, gains, p, th)
-        # physical input is the tracked feedback -k_p g_nav + k_p eta
-        px_dot = k_p * (eta[0] - g_nav[0])
-        py_dot = k_p * (eta[1] - g_nav[1])
-        # tracker: pull to sigma, feedforward its drift, Lyapunov cross-term
-        gsx = g_nav[0] - sig[0]
-        gsy = g_nav[1] - sig[1]
-        e1 = eta[0] - sig[0]
-        e2 = eta[1] - sig[1]
-        return np.array([
-            px_dot,
-            py_dot,
-            -k_eta * e1 + rate[0] * varpi - (k_p / gamma_s) * gsx,
-            -k_eta * e2 + rate[1] * varpi - (k_p / gamma_s) * gsy,
-            varpi,
-        ])
+        px, py, eta1, eta2, th = v.tolist()
+        gx, gy, sx, sy, rx, ry, gt = _descent(world, gains, px, py, th)[:7]
+        varpi = -k_theta * gt
+        # physical input is the tracked feedback k_p (eta - g_nav)
+        u1, u2 = _tracked(gains, eta1, eta2, gx, gy)
+        e1, e2 = _tracker_rate(gains, sp, eta1, eta2, gx, gy, sx, sy, rx, ry,
+                               varpi)
+        return np.array([u1, u2, e1, e2, varpi])
 
     return switching_system(
-        lambda x, th: tracking_potential(world, gains, sp, x[:2], x[2:4], th[0]),
+        lambda x, th: _tracking_v(world, gains, sp, *x.tolist(),
+                                  float(th[0]))[0],
         gains.theta_candidates.reshape(-1, 1), sp.delta_s, flow, 4,
         shell_projection(world))
 
@@ -622,56 +694,38 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
     validate_backstepping_params(gains.delta, c_kappa, sp, bp)
     k_p = gains.k_p
     k_theta = gains.k_theta
-    gamma_s = sp.gamma_s
-    k_eta = sp.k_eta
     gamma_b = bp.gamma_b
     k_b = bp.k_b
-    varrho = world.varrho
-    r_s = world.r_s
 
     def flow(v):
-        p = v[:2]
-        eta = v[2:4]
-        u = v[4:6]
-        th = v[6]
-        g_nav = nav_gradient(world, p, check=False)
-        sig = switch_offset(world, th)
-        rate = switch_offset_rate(world, th)
-        varpi = -k_theta * switched_gradient_theta(world, gains, p, th)
-        gsx = g_nav[0] - sig[0]
-        gsy = g_nav[1] - sig[1]
-        kappa_s1 = -k_eta * (eta[0] - sig[0]) + rate[0] * varpi - (k_p / gamma_s) * gsx
-        kappa_s2 = -k_eta * (eta[1] - sig[1]) + rate[1] * varpi - (k_p / gamma_s) * gsy
-        # reference kappa_bar = -k_p g_nav + k_p eta and its time derivative
-        ref1 = k_p * (eta[0] - g_nav[0])
-        ref2 = k_p * (eta[1] - g_nav[1])
-        # H u with H the base-potential Hessian, written radially
-        wx = p[0] - world.p_o[0]
-        wy = p[1] - world.p_o[1]
-        rho = math.hypot(wx, wy)
-        z = rho - world.r_o
-        a = varrho * _dphi(z, r_s) / rho
-        b = varrho * _d2phi(z, r_s) - a
-        nx = wx / rho
-        ny = wy / rho
-        ndotu = nx * u[0] + ny * u[1]
-        Hu1 = (1.0 + a) * u[0] + b * ndotu * nx
-        Hu2 = (1.0 + a) * u[1] + b * ndotu * ny
-        dref1 = k_p * kappa_s1 - k_p * Hu1
-        dref2 = k_p * kappa_s2 - k_p * Hu2
+        px, py, eta1, eta2, u1, u2, th = v.tolist()
+        gx, gy, sx, sy, rx, ry, gt, wx, wy, rho, z, a = _descent(
+            world, gains, px, py, th)
+        varpi = -k_theta * gt
+        ks1, ks2 = _tracker_rate(gains, sp, eta1, eta2, gx, gy, sx, sy, rx,
+                                 ry, varpi)
+        # reference kappa_bar = k_p (eta - g_nav) and its time derivative,
+        # with H u for H the base-potential Hessian, written radially
+        ref1, ref2 = _tracked(gains, eta1, eta2, gx, gy)
+        b, nx, ny = _hess(world, wx, wy, rho, z, a)
+        ndotu = nx * u1 + ny * u2
+        Hu1 = (1.0 + a) * u1 + b * ndotu * nx
+        Hu2 = (1.0 + a) * u2 + b * ndotu * ny
+        dref1 = k_p * ks1 - k_p * Hu1
+        dref2 = k_p * ks2 - k_p * Hu2
         return np.array([
-            u[0],
-            u[1],
-            kappa_s1,
-            kappa_s2,
-            -k_b * (u[0] - ref1) + dref1 - gsx / gamma_b,
-            -k_b * (u[1] - ref2) + dref2 - gsy / gamma_b,
+            u1,
+            u2,
+            ks1,
+            ks2,
+            -k_b * (u1 - ref1) + dref1 - (gx - sx) / gamma_b,
+            -k_b * (u2 - ref2) + dref2 - (gy - sy) / gamma_b,
             varpi,
         ])
 
     return switching_system(
-        lambda x, th: backstep_potential(world, gains, sp, bp, x[:2], x[2:4],
-                                         x[4:6], th[0]),
+        lambda x, th: _backstep_v(world, gains, sp, bp, *x.tolist(),
+                                  float(th[0])),
         gains.theta_candidates.reshape(-1, 1), bp.delta_b, flow, 6,
         shell_projection(world))
 
@@ -681,8 +735,9 @@ def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSyste
     k_p = gains.k_p
 
     def flow(v):
-        g = nav_gradient(world, v[:2], check=False)
-        return np.array([-k_p * g[0], -k_p * g[1], 0.0])
+        px, py, _ = v.tolist()
+        gx, gy, _ = _grad(world, px, py, *_radial(world, px, py))
+        return np.array([-k_p * gx, -k_p * gy, 0.0])
 
     return HybridSystemSpec(
         dim=3,

@@ -83,6 +83,58 @@ def test_step_flow_rejects_nonfinite_result():
         step_flow(spec, np.array([1.0]), 0.1)
 
 
+def test_step_flow_equals_the_vector_rk4_expression():
+    """The float RK4 is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), entry by entry, in
+    the order of operations of the numpy expression: the bits agree."""
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 3, 7):
+        for _ in range(25):
+            A = rng.standard_normal((dim, dim))
+            b = rng.standard_normal(dim)
+
+            def f(v, A=A, b=b):
+                return A @ v + b
+
+            x = rng.standard_normal(dim)
+            h = float(rng.uniform(1e-3, 0.5))
+            k1 = f(x)
+            k2 = f(x + (0.5 * h) * k1)
+            k3 = f(x + (0.5 * h) * k2)
+            k4 = f(x + h * k3)
+            expect = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            spec = dataclasses.replace(pure_flow_spec(f), dim=dim)
+            assert np.array_equal(step_flow(spec, x, h), expect)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_step_flow_rejects_a_flow_of_the_wrong_length(size):
+    """Too short or too long, at the first stage or a later one: the step
+    raises instead of cutting the state to the shorter length."""
+    first = HybridSystemSpec(dim=2, flow_map=lambda v: np.ones(size),
+                             jump_map=lambda v: [],
+                             in_flow_set=lambda v: -1.0,
+                             in_jump_set=lambda v: 1.0)
+    later = dataclasses.replace(
+        first, flow_map=lambda v: np.ones(2) if v[0] == 0.0 else np.ones(size))
+    for spec in (first, later):
+        with pytest.raises(DimensionMismatch):
+            step_flow(spec, np.zeros(2), 0.1)
+        with pytest.raises(DimensionMismatch):
+            simulate(spec, np.zeros(2), SimConfig(dt=0.1, t_max=1.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_step_flow_rejects_a_nonfinite_later_stage(bad):
+    """A stage output that is not finite makes the step output non-finite;
+    the first stage at x is finite here, only a later one is not."""
+    spec = pure_flow_spec(
+        lambda v: np.ones(1) if v[0] == 1.0 else np.array([bad]))
+    with pytest.raises(NonFiniteState):
+        step_flow(spec, np.array([1.0]), 0.1)
+    with pytest.raises(NonFiniteState):
+        simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
+
+
 def test_pure_flow_growth_error_shrinks_fourth_order():
     spec = pure_flow_spec(lambda v: v)
     errs = []

@@ -217,6 +217,22 @@ def test_parse_rejects_duplicate_candidates(raw_fn, tmp_path, capsys):
     assert "gains.Theta" in capsys.readouterr().err
 
 
+def test_parse_rejects_a_huge_candidate_angle_without_overflow(tmp_path,
+                                                               capsys):
+    """The gap ceiling squares the smallest angle; it is only computed once
+    every angle has passed the (0, pi) check."""
+    raw = hybrid_raw()
+    raw["gains"]["Theta"] = [1e308]
+    problems = violations_of(raw)
+    assert any("candidate angle 1e+308" in p for p in problems)
+    assert not any("min|theta_bar|^2" in p for p in problems)
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert "candidate angle" in capsys.readouterr().err
+
+
 def test_parse_reports_tracker_and_integrator_bounds_together():
     raw = backstep_raw()
     raw["gains"]["gamma_s"] = 0.2  # above delta / c_kappa
@@ -517,6 +533,13 @@ def test_cli_error_paths_exit_two(tmp_path, capsys):
     code = main(["run", str(invalid)])
     assert code == 2
     assert "k_p" in capsys.readouterr().err
+
+    for command in ("check", "audit"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(CONFIG_DIR / "fig5_hybrid.json"),
+                  "--samples", "-5"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 # -- benchmark tracer --------------------------------------------------------
