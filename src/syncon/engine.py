@@ -218,8 +218,17 @@ def _require_finite(x: np.ndarray, what: str) -> None:
 
 def _stage(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
            n: int) -> list[float]:
-    """The flow map at x, as a list of n floats."""
-    k = f(x).tolist()
+    """The flow map at x, as a list of n floats.
+
+    A math-domain or overflow error from a flow map evaluated at a stage
+    state that has already left the reals (a step too large for the field)
+    is reported as NonFiniteState; at a finite state it propagates as is.
+    """
+    try:
+        k = f(x).tolist()
+    except (ValueError, OverflowError):
+        _require_finite(x, "RK4 stage state")
+        raise
     if len(k) != n:
         raise DimensionMismatch(f"flow map returned dimension {len(k)}, expected {n}")
     return k

@@ -9,9 +9,15 @@ ValidationError so a config can be fixed in one pass.
 run_scenario simulates the closed loop and post-processes the arc into
 flat per-sample channels (position, logic angle, tracker, applied input,
 Lyapunov value, switching excess, clearances) ready for CSV export or the
-hand-rolled SVG plot.  check_scenario re-derives every parameter bound,
-locates the stuck point of the base potential, and audits the switched
-family on a sampled box, producing a line-per-check report.
+hand-rolled SVG plot.  The channels are computed as arrays over the stacked
+states of the whole arc (navigation.sample_channels), with numpy arithmetic
+in the scalar kernels' order of operations and math's log, hypot, cos and
+sin, so every value, and every exported byte, is what the per-sample scalar
+helpers give.  write_csv formats column by column in bounded chunks.
+
+check_scenario re-derives every parameter bound, locates the stuck point of
+the base potential, and audits the switched family on a sampled box,
+producing a line-per-check report.
 """
 
 from __future__ import annotations
@@ -30,23 +36,19 @@ from .navigation import (
     NavGains,
     NavigationWorld,
     backstep_closed_loop,
-    backstep_potential,
     decomposed_feedback,
     find_critical_point,
     gradient_closed_loop,
     hybrid_closed_loop,
     max_synergy_gap,
     nav_gradient,
-    nav_potential,
     nominal_controller,
     obstacle_distance,
     rotation_rate_bound,
+    sample_channels,
     smooth_closed_loop,
     switch_offset_bound,
-    switched_gradient_p,
-    switched_potential,
     tracked_input,
-    tracking_potential,
     validate_gains,
 )
 from .smoothing import (
@@ -66,6 +68,8 @@ CONTROLLERS = ("hybrid", "smooth_hybrid", "non_hybrid", "backstepped")
 CSV_HEADER = "t,j,px,py,theta,eta1,eta2,ux,uy,V,mu,dobs,ddest"
 
 _SVG_WIDTH = 640  # pixels; the height follows the scene's aspect ratio
+
+_CSV_CHUNK_ROWS = 1024  # rows formatted per write
 
 _CORE_GAIN_KEYS = ("k_p", "k_theta", "gamma_theta", "Theta", "delta")
 _SMOOTH_GAIN_KEYS = ("gamma_s", "k_eta", "delta_s")
@@ -380,27 +384,6 @@ def initial_packed_state(cfg: ScenarioConfig) -> np.ndarray:
                      u0[0], u0[1], init.theta0])
 
 
-def _column_fns(cfg: ScenarioConfig):
-    """Per-sample extractors (V, applied input) of the simulated loop."""
-    world, gains = cfg.world, cfg.gains
-    k_p = gains.k_p
-    if cfg.controller == "hybrid":
-        return (lambda v: switched_potential(world, gains, v[:2], v[2], check=False),
-                lambda v: -k_p * switched_gradient_p(world, gains, v[:2], v[2],
-                                                     check=False))
-    if cfg.controller == "smooth_hybrid":
-        sp = cfg.smoothed
-        return (lambda v: tracking_potential(world, gains, sp, v[:2], v[2:4], v[4]),
-                lambda v: tracked_input(world, gains, v[:2], v[2:4]))
-    if cfg.controller == "backstepped":
-        sp, bp = cfg.smoothed, cfg.backstep
-        return (lambda v: backstep_potential(world, gains, sp, bp, v[:2], v[2:4],
-                                             v[4:6], v[6]),
-                lambda v: v[4:6].copy())
-    return (lambda v: nav_potential(world, v[:2], check=False),
-            lambda v: -k_p * nav_gradient(world, v[:2], check=False))
-
-
 def governing_gap(cfg: ScenarioConfig) -> float | None:
     """Per-jump decrease floor of the controller actually simulated."""
     if cfg.controller == "hybrid":
@@ -479,48 +462,35 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     x0 = initial_packed_state(cfg)
     arc = simulate(spec, x0, cfg.sim)
 
-    V_fn, u_fn = _column_fns(cfg)
     gap = governing_gap(cfg)
-    mu_fn = None
-    if gap is not None:
-        in_flow = spec.in_flow_set
-        mu_fn = lambda v: in_flow(v) + gap
+
+    def channels(states: np.ndarray):
+        return sample_channels(cfg.world, cfg.gains, states, gap,
+                               cfg.smoothed, cfg.backstep)
+
+    segments = arc.segments
+    xs = np.concatenate([seg.xs for seg in segments])
+    V, u, mu, dobs, ddest = channels(xs)
+    jump_rows = []
+    if arc.jumps:
+        V_pre, _, mu_pre, _, _ = channels(np.array([ev.x_pre for ev in arc.jumps]))
+        V_post = channels(np.array([ev.x_post for ev in arc.jumps]))[0]
+        if mu_pre is None:
+            mu_pre = np.full(len(arc.jumps), math.nan)
+        jump_rows = [JumpRow(t=ev.t, j_pre=ev.j_pre, mu_pre=m, V_pre=vp, V_post=vq)
+                     for ev, m, vp, vq in zip(arc.jumps, mu_pre.tolist(),
+                                              V_pre.tolist(), V_post.tolist())]
 
     has_eta = cfg.controller in ("smooth_hybrid", "backstepped")
     has_theta = cfg.controller != "non_hybrid"
-    world = cfg.world
-
-    ts, js, ps, thetas, etas, us, Vs, mus, dobs, ddest = \
-        [], [], [], [], [], [], [], [], [], []
-    for t, j, x in arc.iter_samples():
-        ts.append(t)
-        js.append(j)
-        ps.append((x[0], x[1]))
-        if has_theta:
-            thetas.append(x[-1])
-        if has_eta:
-            etas.append((x[2], x[3]))
-        us.append(np.asarray(u_fn(x), dtype=float))
-        Vs.append(V_fn(x))
-        if mu_fn is not None:
-            mus.append(mu_fn(x))
-        dobs.append(obstacle_distance(world, x[:2]))
-        ddest.append(math.hypot(x[0] - world.p_d[0], x[1] - world.p_d[1]))
-
-    jump_rows = []
-    for ev in arc.jumps:
-        mu_pre = mu_fn(ev.x_pre) if mu_fn is not None else math.nan
-        jump_rows.append(JumpRow(t=ev.t, j_pre=ev.j_pre, mu_pre=mu_pre,
-                                 V_pre=V_fn(ev.x_pre), V_post=V_fn(ev.x_post)))
-
     return RunRecord(
         config=cfg,
-        t=np.array(ts), j=np.array(js, dtype=int), p=np.array(ps),
-        theta=np.array(thetas) if has_theta else None,
-        eta=np.array(etas) if has_eta else None,
-        u=np.array(us), V=np.array(Vs),
-        mu=np.array(mus) if mu_fn is not None else None,
-        dobs=np.array(dobs), ddest=np.array(ddest),
+        t=np.concatenate([seg.ts for seg in segments]),
+        j=np.concatenate([np.full(len(seg.ts), seg.j, dtype=int)
+                          for seg in segments]),
+        p=xs[:, :2], theta=xs[:, -1] if has_theta else None,
+        eta=xs[:, 2:4] if has_eta else None,
+        u=u, V=V, mu=mu, dobs=dobs, ddest=ddest,
         jumps=jump_rows, termination=arc.termination, gap=gap,
         n_clamped=arc.n_clamped, wall_time=time.perf_counter() - start,
         arc=arc,
@@ -529,33 +499,29 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
 
 # -- exports -----------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_csv(record: RunRecord, path) -> None:
     """Write the per-sample channels; absent channels stay empty.
 
-    The format is deterministic: the same config produces byte-identical
-    output on every run.
+    Floats are printed with %.17g, so the same config produces
+    byte-identical output on every run.  Rows are formatted column by
+    column, _CSV_CHUNK_ROWS at a time, which bounds the text held at once.
     """
-    rows = [CSV_HEADER]
+    eta, j = record.eta, record.j
+    columns = [record.t, j, record.p[:, 0], record.p[:, 1], record.theta,
+               None if eta is None else eta[:, 0],
+               None if eta is None else eta[:, 1],
+               record.u[:, 0], record.u[:, 1], record.V, record.mu,
+               record.dobs, record.ddest]
     n = len(record.t)
-    for i in range(n):
-        theta = _fmt(record.theta[i]) if record.theta is not None else ""
-        eta1 = _fmt(record.eta[i, 0]) if record.eta is not None else ""
-        eta2 = _fmt(record.eta[i, 1]) if record.eta is not None else ""
-        mu = _fmt(record.mu[i]) if record.mu is not None else ""
-        rows.append(",".join([
-            _fmt(record.t[i]), str(int(record.j[i])),
-            _fmt(record.p[i, 0]), _fmt(record.p[i, 1]),
-            theta, eta1, eta2,
-            _fmt(record.u[i, 0]), _fmt(record.u[i, 1]),
-            _fmt(record.V[i]), mu,
-            _fmt(record.dobs[i]), _fmt(record.ddest[i]),
-        ]))
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for lo in range(0, n, _CSV_CHUNK_ROWS):
+            hi = min(lo + _CSV_CHUNK_ROWS, n)
+            cells = [[""] * (hi - lo) if col is None else
+                     list(map(str, j[lo:hi].tolist())) if col is j else
+                     ["%.17g" % v for v in col[lo:hi].tolist()]
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_svg(record: RunRecord, path) -> None:
@@ -597,7 +563,8 @@ def write_svg(record: RunRecord, path) -> None:
         circle(world.p_o[0], world.p_o[1], world.r_o,
                'fill="#9aa0a6" stroke="#5f6368" stroke-width="1.5"'),
     ]
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in record.p)
+    pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in
+                    zip(sx(record.p[:, 0]).tolist(), sy(record.p[:, 1]).tolist())])
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1a73e8" '
                  f'stroke-width="1.8"/>')
     for row in record.jumps:

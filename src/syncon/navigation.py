@@ -32,10 +32,11 @@ HybridSystemSpec:
 
 The three switched loops share one switching rule, synergy.switching_system,
 applied to the loop's potential: switched_potential, tracking_potential or
-backstep_potential.  The harness reads those same potentials, and
-tracked_input, for its V and u channels.  Each formula is written once, as a
-scalar kernel over Python floats; the loop maps and the public helpers both
-call it.  The generic compositions (assemble_closed_loop over
+backstep_potential.  Each formula is written once, as a scalar kernel over
+Python floats; the loop maps and the public helpers both call it.  The
+harness's V, u, excess and clearance channels come from sample_channels, the
+same formulas over a stack of states as numpy arrays, bit-equal to the
+kernels at every state.  The generic compositions (assemble_closed_loop over
 nominal_controller, smoothed_quadruple and backstepped_quadruple) give the
 same flows, but a generic flow call costs about 3-6x (hybrid), 15-27x
 (smooth) and 20-43x (backstep) a kernel one (2-core Xeon, Python 3.11,
@@ -56,6 +57,7 @@ from .backstepping import (
 )
 from .engine import HybridSystemSpec
 from .errors import (
+    DimensionMismatch,
     GainValidation,
     NonPositiveDistance,
     NoRootBracketed,
@@ -472,6 +474,112 @@ def switch_offset(world: NavigationWorld, theta: float) -> np.ndarray:
 def switch_offset_rate(world: NavigationWorld, theta: float) -> np.ndarray:
     """Derivative of the offset in theta."""
     return np.array(_offset(world, math.cos(theta), math.sin(theta))[2:])
+
+
+# -- sample channels ---------------------------------------------------------
+#
+# The harness's per-sample channels over a whole stack of packed states.
+# numpy's + - * / round exactly like Python floats, so each array expression
+# below follows the order of operations of the scalar kernel it mirrors and
+# gives the same bits.  log, hypot, cos and sin are math's, mapped over the
+# entries: numpy's own differ from math's in the last place on a fraction of
+# a percent of inputs.
+
+def _mapped(fn, *cols: np.ndarray) -> np.ndarray:
+    """fn applied entry by entry over Python floats."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=float,
+                       count=len(cols[0]))
+
+
+def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
+                    gap: float | None, sp: SmoothedParams | None,
+                    bp: BacksteppingParams | None):
+    """(V, u, mu, dobs, ddest) of a loop at each row of ``xs``.
+
+    ``xs`` stacks packed states, shape (n, dim).  The loop is the gradient
+    loop when ``gap`` is None, otherwise the switched loop that ``sp`` and
+    ``bp`` select: hybrid (neither), smoothed (``sp``) or backstepped
+    (both), with ``gap`` its switching gap.  V is the loop's potential, u
+    (shape (n, 2)) the applied input, mu = in_flow_set + gap the switching
+    excess (None for the gradient loop), dobs the obstacle clearance and
+    ddest the distance to p_d.  Every entry equals the scalar helpers' value
+    at that row; a clearance at or below 1e-12 raises NonPositiveDistance.
+    """
+    n_x = 2 if sp is None else 4 if bp is None else 6
+    if xs.ndim != 2 or xs.shape[1] != n_x + 1:
+        raise DimensionMismatch(
+            f"states have shape {xs.shape}, expected (n, {n_x + 1})")
+    cols = xs.T
+    px, py, th = cols[0], cols[1], cols[-1]
+    pox, poy = world._po
+    pdx, pdy = world._pd
+    r_s = world.r_s
+    # _radial
+    wx = px - pox
+    wy = py - poy
+    rho = _mapped(math.hypot, wx, wy)
+    z = rho - world.r_o
+    low = ~(z > _Z_MIN)
+    if low.any():
+        _check_z(float(z[low.argmax()]))
+    # _phi and _dphi, zero from r_s outward
+    phi = np.zeros_like(z)
+    dphi = np.zeros_like(z)
+    skirt = z < r_s
+    if skirt.any():
+        zs = z[skirt]
+        d = zs - r_s
+        log = _mapped(math.log, r_s / zs)
+        phi[skirt] = d * d * log
+        dphi[skirt] = 2.0 * d * log - d * d / zs
+    vphi = world.varrho * phi
+    # _grad, with p - p_d
+    ex = px - pdx
+    ey = py - pdy
+    a = world.varrho * dphi / rho
+    gx = ex + a * wx
+    gy = ey + a * wy
+    ddest = _mapped(math.hypot, ex, ey)
+
+    if gap is None:
+        # nav_potential and -k_p nav_gradient
+        V = 0.5 * (ex * ex + ey * ey) + vphi
+        u = np.stack([-gains.k_p * gx, -gains.k_p * gy], axis=1)
+        return V, u, None, z, ddest
+
+    if bp is not None:
+        r1, r2 = _tracked(gains, cols[2], cols[3], gx, gy)
+        f1 = cols[4] - r1
+        f2 = cols[5] - r2
+        integrator = 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
+
+    def potential(t, c, s):
+        """The loop's V at logic angle t, with c = cos t and s = sin t."""
+        tx = pox + c * wx - s * wy - pdx  # T(p, t) - p_d
+        ty = poy + s * wx + c * wy - pdy
+        V = 0.5 * (tx * tx + ty * ty) + vphi + 0.5 * gains.gamma_theta * t * t
+        if sp is None:
+            return V
+        sx, sy = _offset(world, c, s)[:2]
+        e1 = cols[2] - sx
+        e2 = cols[3] - sy
+        V = V + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2)
+        return V if bp is None else V + integrator
+
+    c = _mapped(math.cos, th)
+    s = _mapped(math.sin, th)
+    V = potential(th, c, s)
+    best = np.min([potential(t, math.cos(t), math.sin(t))
+                   for t in gains.theta_candidates.tolist()], axis=0)
+    mu = V - best - gap + gap  # (excess - gap) + gap, as in_flow_set + gap
+    if sp is None:
+        sx, sy = _offset(world, c, s)[:2]
+        u = np.stack([-gains.k_p * (gx - sx), -gains.k_p * (gy - sy)], axis=1)
+    elif bp is None:
+        u = np.stack(_tracked(gains, cols[2], cols[3], gx, gy), axis=1)
+    else:
+        u = xs[:, 4:6]
+    return V, u, mu, z, ddest
 
 
 def switch_offset_bound(world: NavigationWorld, gains: NavGains) -> float:

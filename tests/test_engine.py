@@ -135,6 +135,26 @@ def test_step_flow_rejects_a_nonfinite_later_stage(bad):
         simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
 
 
+def test_a_math_error_at_an_overflowed_stage_is_a_nonfinite_state():
+    """A step too large for the field overflows the second stage state to
+    inf, where math.cos raises ValueError; the engine names the state."""
+    spec = pure_flow_spec(lambda v: np.array([1e300 + math.cos(v[0])]))
+    with pytest.raises(NonFiniteState, match="stage state"):
+        step_flow(spec, np.zeros(1), 1e10)
+    with pytest.raises(NonFiniteState, match="stage state"):
+        simulate(spec, np.zeros(1), SimConfig(dt=1e10, t_max=1e11))
+
+
+@pytest.mark.parametrize("f, x", [
+    (lambda v: np.array([math.log(v[0])]), -1.0),
+    (lambda v: np.array([math.exp(v[0])]), 1e3),
+])
+def test_a_math_error_at_a_finite_stage_propagates_unchanged(f, x):
+    with pytest.raises((ValueError, OverflowError)) as err:
+        step_flow(pure_flow_spec(f), np.array([x]), 0.1)
+    assert type(err.value) in (ValueError, OverflowError)
+
+
 def test_pure_flow_growth_error_shrinks_fourth_order():
     spec = pure_flow_spec(lambda v: v)
     errs = []

@@ -12,9 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
+from syncon import harness
 from syncon.cli import main
 from syncon.engine import Priority
-from syncon.errors import ParseError, ValidationError
+from syncon.errors import (
+    DimensionMismatch,
+    NonPositiveDistance,
+    ParseError,
+    ValidationError,
+)
 from syncon.harness import (
     CSV_HEADER,
     build_closed_loop,
@@ -28,7 +34,19 @@ from syncon.harness import (
     write_csv,
     write_svg,
 )
-from syncon.navigation import decomposed_feedback, nominal_controller
+from syncon.navigation import (
+    backstep_potential,
+    decomposed_feedback,
+    nav_gradient,
+    nav_potential,
+    nominal_controller,
+    obstacle_distance,
+    sample_channels,
+    switched_gradient_p,
+    switched_potential,
+    tracked_input,
+    tracking_potential,
+)
 from syncon.smoothing import tracked_feedback
 from syncon.synergy import v_excess
 
@@ -69,6 +87,38 @@ def non_hybrid_raw(t_max=0.5):
     raw["name"] = "unit-plain"
     raw["controller"] = "non_hybrid"
     return raw
+
+
+SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
+
+
+def short_shipped(path, t_max=0.5):
+    """A shipped config cut to a short horizon."""
+    raw = json.loads(path.read_text())
+    raw["sim"]["t_max"] = t_max
+    return parse_config(raw, source=path.name)
+
+
+def scalar_channels(world, gains, sp, bp, spec, gap, v):
+    """(V, ux, uy, mu, dobs, ddest) at one packed state, from the public
+    scalar helpers and the loop's own flow-set indicator; mu is nan for the
+    gradient loop (gap None)."""
+    p, th = v[:2], v[-1]
+    if gap is None:
+        V = nav_potential(world, p, check=False)
+        u = -gains.k_p * nav_gradient(world, p, check=False)
+    elif sp is None:
+        V = switched_potential(world, gains, p, th, check=False)
+        u = -gains.k_p * switched_gradient_p(world, gains, p, th, check=False)
+    elif bp is None:
+        V = tracking_potential(world, gains, sp, p, v[2:4], th)
+        u = tracked_input(world, gains, p, v[2:4])
+    else:
+        V = backstep_potential(world, gains, sp, bp, p, v[2:4], v[4:6], th)
+        u = v[4:6]
+    mu = math.nan if gap is None else spec.in_flow_set(v) + gap
+    return (V, u[0], u[1], mu, obstacle_distance(world, p),
+            math.hypot(p[0] - world.p_d[0], p[1] - world.p_d[1]))
 
 
 def violations_of(raw):
@@ -417,6 +467,106 @@ def test_csv_export_layout_and_determinism(tmp_path):
     assert row[4] == "" and row[10] == ""  # no angle, no excess
 
 
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_run_scenario_channels_equal_the_scalar_helpers(path):
+    """The channels are computed over stacked states; each entry must have
+    the bits the per-sample scalar helpers give at that sample."""
+    cfg = short_shipped(path)
+    rec = run_scenario(cfg)
+    spec = build_closed_loop(cfg)
+    gap = governing_gap(cfg)
+
+    def ref(v):
+        return scalar_channels(cfg.world, cfg.gains, cfg.smoothed, cfg.backstep,
+                               spec, gap, v)
+
+    samples = list(rec.arc.iter_samples())
+    xs = np.array([x for _, _, x in samples])
+    V, ux, uy, mu, dobs, ddest = np.array([ref(x) for x in xs]).T
+    assert np.array_equal(rec.t, [t for t, _, _ in samples])
+    assert np.array_equal(rec.j, [j for _, j, _ in samples])
+    assert np.array_equal(rec.p, xs[:, :2])
+    assert np.array_equal(rec.u, np.stack([ux, uy], axis=1))
+    for got, want in ((rec.V, V), (rec.dobs, dobs), (rec.ddest, ddest)):
+        assert np.array_equal(got, want)
+    if gap is None:
+        assert rec.mu is None and rec.theta is None
+    else:
+        assert np.array_equal(rec.mu, mu)
+        assert np.array_equal(rec.theta, xs[:, -1])
+
+    assert len(rec.jumps) == rec.arc.n_jumps
+    for row, ev in zip(rec.jumps, rec.arc.jumps):
+        pre, post = ref(ev.x_pre), ref(ev.x_post)
+        assert (row.t, row.j_pre) == (ev.t, ev.j_pre)
+        assert (row.V_pre, row.mu_pre, row.V_post) == (pre[0], pre[3], post[0])
+
+
+@pytest.mark.parametrize("raw_fn", [hybrid_raw, smooth_raw, backstep_raw,
+                                    non_hybrid_raw])
+@pytest.mark.parametrize("clearance", [5e-13, 0.0, -0.5])
+def test_sample_channels_raise_at_nonpositive_clearance(raw_fn, clearance):
+    cfg = parse_config(raw_fn())
+    world = cfg.world
+    xs = np.tile(initial_packed_state(cfg), (3, 1))
+    xs[1, :2] = world.p_o + [world.r_o + clearance, 0.0]
+    assert obstacle_distance(world, xs[1, :2]) <= 1e-12
+    with pytest.raises(NonPositiveDistance):
+        sample_channels(world, cfg.gains, xs, governing_gap(cfg), cfg.smoothed,
+                        cfg.backstep)
+    xs[1, :2] = world.p_o + [world.r_o + 1e-6, 0.0]
+    sample_channels(world, cfg.gains, xs, governing_gap(cfg), cfg.smoothed,
+                    cfg.backstep)
+    with pytest.raises(DimensionMismatch):
+        sample_channels(world, cfg.gains, xs[:, 1:], governing_gap(cfg),
+                        cfg.smoothed, cfg.backstep)
+
+
+def per_row_csv(rec) -> bytes:
+    """The CSV written one row at a time, one %.17g field after another."""
+    eta = rec.eta
+    columns = [rec.p[:, 0], rec.p[:, 1], rec.theta,
+               None if eta is None else eta[:, 0],
+               None if eta is None else eta[:, 1],
+               rec.u[:, 0], rec.u[:, 1], rec.V, rec.mu, rec.dobs, rec.ddest]
+    lines = [CSV_HEADER]
+    for i in range(len(rec.t)):
+        lines.append(",".join([f"{rec.t[i]:.17g}", str(int(rec.j[i]))] + [
+            "" if col is None else f"{col[i]:.17g}" for col in columns]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
+                                                            monkeypatch):
+    rec = run_scenario(short_shipped(path))
+    expected = per_row_csv(rec)
+    write_csv(rec, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == expected
+    # Many chunks, the last one short.
+    monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", 7)
+    write_csv(rec, tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == expected
+
+    write_svg(rec, tmp_path / "a.svg")
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    root = ET.fromstring((tmp_path / "a.svg").read_text())
+    world = rec.config.world
+    r = world.r_o + world.r_s
+    xs = np.concatenate([rec.p[:, 0], [world.p_o[0] - r, world.p_o[0] + r,
+                                       world.p_d[0]]])
+    ys = np.concatenate([rec.p[:, 1], [world.p_o[1] - r, world.p_o[1] + r,
+                                       world.p_d[1]]])
+    pad = 0.08 * max(float(xs.max()) - float(xs.min()),
+                     float(ys.max()) - float(ys.min()), 1.0)
+    xmin = float(xs.min()) - pad
+    ymax = float(ys.max()) + pad
+    scale = 640 / (float(xs.max()) + pad - xmin)
+    points = " ".join(f"{(x - xmin) * scale:.2f},{(ymax - y) * scale:.2f}"
+                      for x, y in rec.p)
+    assert root.find(".//s:polyline", ns).get("points") == points
+
+
 def test_svg_export_is_wellformed(tmp_path):
     rec = run_scenario(parse_config(hybrid_raw(t_max=0.2)))
     out = tmp_path / "traj.svg"
@@ -533,6 +683,15 @@ def test_cli_error_paths_exit_two(tmp_path, capsys):
     code = main(["run", str(invalid)])
     assert code == 2
     assert "k_p" in capsys.readouterr().err
+
+    for name in ("fig5_hybrid", "fig5_smooth", "fig5_backstep"):
+        # Steps so large that an RK4 stage state overflows to inf.
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        raw["sim"] = {"dt": 1e200, "t_max": 2e201}
+        huge = tmp_path / f"{name}.json"
+        huge.write_text(json.dumps(raw))
+        assert main(["run", str(huge)]) == 2
+        assert capsys.readouterr().err.startswith("error: RK4 stage state")
 
     for command in ("check", "audit"):
         with pytest.raises(SystemExit) as exc:
