@@ -15,10 +15,12 @@ x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  The flow map receives each stage state as
 a float ndarray of length ``dim`` and must return a float ndarray of length
 ``dim``; its output is read with ``tolist()``, and any other length raises
 DimensionMismatch.  When a step crosses a set boundary the crossing is
-located by bisection on the step fraction, re-integrating the partial step,
-so every accepted sample respects its set within ``event_tol``.  Everything
-here is deterministic: the same spec, state and config produce bit-identical
-arcs.
+located on the step fraction by a safeguarded Illinois (modified regula
+falsi) iteration, re-integrating the partial step at each probe, so every
+accepted sample respects its set within ``event_tol``; a location that gives
+up short of it is counted on the arc.  An indicator that is NaN raises
+NonFiniteState.  Everything here is deterministic: the same spec, state and
+config produce bit-identical arcs.
 
 The indicators are evaluated once per state: the pair computed at the end of
 an accepted step is carried into the next iteration, and is recomputed only
@@ -59,18 +61,20 @@ ZENO_WARN_AFTER = 100
 
 _PROGRESS_EPS = 1e-15
 
-# Bisection cap in locate_boundary; 200 halvings outlast the 1e-16 bracket
-# floor on any step fraction.
-_MAX_BISECTIONS = 200
+# Probe cap in locate_boundary; the midpoint rule halves the bracket at least
+# every second probe, so 200 probes outlast the 1e-16 bracket floor.
+_MAX_PROBES = 200
 
 # Counters kept on HybridArc.stats, all integers filled by the engine itself.
 #   indicator_evals  calls of in_flow_set / in_jump_set
-#   rk4_steps        RK4 steps, trial steps and bisection probes alike
+#   rk4_steps        RK4 steps, trial steps and locator probes alike
 #   locate_calls     boundary locations started
 #   locate_probes    partial steps integrated while locating a boundary
+#   locate_misses    locations that ran out of bracket or of probes with the
+#                    indicator still beyond event_tol
 #   clamps           accepted samples that project_flow moved
 STAT_KEYS = ("indicator_evals", "rk4_steps", "locate_calls", "locate_probes",
-             "clamps")
+             "locate_misses", "clamps")
 
 
 def _new_stats() -> dict[str, int]:
@@ -216,6 +220,12 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise NonFiniteState(f"{what} is not finite: {x!r}")
 
 
+def _nan_indicator(indicator: Callable | str, x: np.ndarray) -> NonFiniteState:
+    """The error for an indicator, a callable or its name, that is NaN at x."""
+    name = getattr(indicator, "__name__", indicator)
+    return NonFiniteState(f"indicator {name} is NaN at {x!r}")
+
+
 def _stage(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
            n: int) -> list[float]:
     """The flow map at x, as a list of n floats.
@@ -267,11 +277,14 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
                     stats: dict[str, int] | None = None) -> tuple[np.ndarray, float]:
     """Find the boundary crossing of ``indicator`` within one flow step.
 
-    Bisects the step fraction in [0, 1], re-integrating the partial RK4 step
-    from ``x_inside`` at each probe, until the indicator magnitude at the
-    probe state is within ``event_tol``.  The endpoints must straddle the
-    zero level set, otherwise NoSignChange is raised.  Returns the boundary
-    state and the located fraction.
+    Searches the step fraction in [0, 1] with the Illinois rule, safeguarded
+    by midpoint probes, re-integrating the partial RK4 step from
+    ``x_inside`` at each probe, until the indicator magnitude at the probe
+    state is within ``event_tol``.  The endpoints must straddle the zero
+    level set, otherwise NoSignChange is raised.  Returns the boundary state
+    and the located fraction.  A bracket narrower than 1e-16, or with no
+    float inside, or ``_MAX_PROBES`` probes end the search at the last probe
+    and count a ``locate_misses``; a NaN indicator raises NonFiniteState.
 
     A caller that already holds the full step ``x_hi = step_flow(spec,
     x_inside, h)`` or the indicator values at its ends (``f_lo`` at
@@ -286,6 +299,8 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     if f_lo is None:
         f_lo = float(indicator(x_inside))
         stats["indicator_evals"] += 1
+        if f_lo != f_lo:
+            raise _nan_indicator(indicator, x_inside)
     if abs(f_lo) <= event_tol:
         return x_inside.copy(), 0.0
     if x_hi is None:
@@ -295,28 +310,49 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     if f_hi is None:
         f_hi = float(indicator(x_hi))
         stats["indicator_evals"] += 1
+        if f_hi != f_hi:
+            raise _nan_indicator(indicator, x_hi)
     if abs(f_hi) <= event_tol:
         return x_hi, 1.0
-    if f_lo * f_hi > 0.0:
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoSignChange(
             f"indicator does not change sign over the step: {f_lo:.6g} -> {f_hi:.6g}")
+    # Illinois iteration on the step fraction: probe at the secant root of
+    # the bracket ends; when one end is kept twice in a row, halve its stored
+    # value.  A NaN secant point, one not strictly inside, or a previous probe
+    # that did not halve the bracket gets the midpoint instead.
     lo, hi = 0.0, 1.0
-    x_mid = x_hi
-    mid = 1.0
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        x_mid = step_flow(spec, x_inside, mid * h)
-        f_mid = float(indicator(x_mid))
+    last = None     # the end the previous probe replaced
+    halved = True
+    for _ in range(_MAX_PROBES):
+        width = hi - lo
+        s = hi - f_hi * width / (f_hi - f_lo)
+        if not (halved and lo < s < hi):
+            s = 0.5 * (lo + hi)
+        x_s = step_flow(spec, x_inside, s * h)
+        f_s = float(indicator(x_s))
         stats["rk4_steps"] += 1
         stats["locate_probes"] += 1
         stats["indicator_evals"] += 1
-        if abs(f_mid) <= event_tol or (hi - lo) < 1e-16:
-            return x_mid, mid
-        if (f_mid > 0.0) == (f_hi > 0.0):
-            hi = mid
+        if f_s != f_s:
+            raise _nan_indicator(indicator, x_s)
+        if abs(f_s) <= event_tol:
+            return x_s, s
+        if width < 1e-16 or not lo < s < hi:
+            break
+        if (f_s > 0.0) == (f_hi > 0.0):
+            hi, f_hi = s, f_s
+            if last == "hi":
+                f_lo *= 0.5
+            last = "hi"
         else:
-            lo = mid
-    return x_mid, mid
+            lo, f_lo = s, f_s
+            if last == "lo":
+                f_hi *= 0.5
+            last = "lo"
+        halved = hi - lo <= 0.5 * width
+    stats["locate_misses"] += 1
+    return x_s, s
 
 
 def _select_jump(spec: HybridSystemSpec, x: np.ndarray, event_tol: float,
@@ -325,6 +361,8 @@ def _select_jump(spec: HybridSystemSpec, x: np.ndarray, event_tol: float,
     jump-set indicator at x when the caller already holds it."""
     if ji is None:
         ji = float(spec.in_jump_set(x))
+        if ji != ji:
+            raise _nan_indicator("in_jump_set", x)
     if ji > event_tol:
         raise NotInJumpSet(
             f"jump requested outside the jump set (indicator {ji:.6g} > {event_tol:g})")
@@ -367,7 +405,14 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     def indicators(v: np.ndarray) -> tuple[float, float]:
         stats["indicator_evals"] += evals_per_state
         f = float(spec.in_flow_set(v))
-        return f, (-f if complementary else float(spec.in_jump_set(v)))
+        if f != f:
+            raise _nan_indicator("in_flow_set", v)
+        if complementary:
+            return f, -f
+        g = float(spec.in_jump_set(v))
+        if g != g:
+            raise _nan_indicator("in_jump_set", v)
+        return f, g
 
     # (fi, ji) are the indicators at x; None once x has moved to a state
     # where they have not been evaluated yet.

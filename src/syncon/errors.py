@@ -18,7 +18,7 @@ class CoverageViolation(SynconError):
 
 
 class NoSignChange(SynconError):
-    """Bisection was asked to locate a boundary the step never crosses."""
+    """The locator was asked for a boundary the step never crosses."""
 
 
 class EmptyJumpSet(SynconError):

@@ -220,7 +220,7 @@ def test_short_jump_chain_does_not_warn():
 
 
 def test_event_location_places_jumps_on_the_boundary():
-    # dt does not divide the crossing time, so every event needs bisection.
+    # dt does not divide the crossing time, so every event needs locating.
     arc = simulate(reset_clock_spec(), np.array([0.0]),
                    SimConfig(dt=0.03, t_max=3.5))
     assert arc.termination == TERM_T_MAX
@@ -360,7 +360,8 @@ def test_flow_steps_evaluate_indicators_once_per_state():
     assert np.array_equal(general.segments[0].xs, paired.segments[0].xs)
     # Ten steps: the initial state plus each step's end, one evaluation of
     # each indicator per state, or of the flow indicator alone.
-    quiet = {"locate_calls": 0, "locate_probes": 0, "clamps": 0}
+    quiet = {"locate_calls": 0, "locate_probes": 0, "locate_misses": 0,
+             "clamps": 0}
     assert general.stats == {"indicator_evals": 22, "rk4_steps": 10, **quiet}
     assert paired.stats == {"indicator_evals": 11, "rk4_steps": 10, **quiet}
 
@@ -396,11 +397,13 @@ def test_event_counts_on_the_reset_clock():
         assert np.array_equal(a.x_pre, b.x_pre)
         assert np.array_equal(a.x_post, b.x_post)
 
-    # 119 trial steps; 3 of them end in a boundary located by 27 bisection
-    # probes, each an RK4 step and one indicator call.  States evaluated: the
-    # initial one, every trial step's end, each post-jump and each located
-    # state.  The jump selection reuses the loop's jump indicator.
-    trial, located, probes = 119, 3, 81
+    # 119 trial steps; 3 of them end in a boundary located by one probe each
+    # (the indicator is linear in the step fraction, so the first secant
+    # point is the root), each an RK4 step and one indicator call.  States
+    # evaluated: the initial one, every trial step's end, each post-jump and
+    # each located state.  The jump selection reuses the loop's jump
+    # indicator.
+    trial, located, probes = 119, 3, 3
     states = 1 + trial + general.n_jumps + located
     for arc, per_state, calls in ((general, 2, general_calls),
                                   (paired, 1, paired_calls)):
@@ -408,6 +411,7 @@ def test_event_counts_on_the_reset_clock():
                              "rk4_steps": trial + probes,
                              "locate_calls": located,
                              "locate_probes": probes,
+                             "locate_misses": 0,
                              "clamps": 0}
         assert calls[0] == arc.stats["indicator_evals"]
 
@@ -511,3 +515,201 @@ def test_random_linear_flows_track_matrix_exponential():
         assert errs[1] <= 1e-6
         if errs[0] > 1e-12:
             assert errs[0] / errs[1] > 5.0
+
+
+def nan_above_spec(cut):
+    """Flow at unit rate; both indicators are NaN for x > cut."""
+    def flow_ind(v):
+        return math.nan if v[0] > cut else -1.0
+
+    def jump_ind(v):
+        return math.nan if v[0] > cut else 1.0
+
+    return HybridSystemSpec(dim=1, flow_map=lambda v: np.ones(1),
+                            jump_map=lambda v: [v], in_flow_set=flow_ind,
+                            in_jump_set=jump_ind)
+
+
+def test_a_nan_indicator_on_a_trial_step_raises():
+    """NaN compares false against every threshold, so without the check the
+    run flowed on to t_max as if the state were inside the flow set."""
+    for complementary in (False, True):
+        spec = dataclasses.replace(nan_above_spec(0.5),
+                                   complementary=complementary)
+        with pytest.raises(NonFiniteState, match="in_flow_set"):
+            simulate(spec, np.zeros(1), SimConfig(dt=0.1, t_max=2.0))
+    jump_only = dataclasses.replace(nan_above_spec(0.5),
+                                    in_flow_set=lambda v: -1.0)
+    with pytest.raises(NonFiniteState, match="in_jump_set"):
+        simulate(jump_only, np.zeros(1), SimConfig(dt=0.1, t_max=2.0))
+
+
+def test_a_nan_indicator_at_the_initial_state_raises():
+    """Indicators NaN everywhere used to pass the initial coverage check."""
+    with pytest.raises(NonFiniteState, match="in_flow_set"):
+        simulate(nan_above_spec(-1.0), np.zeros(1), SimConfig(dt=0.1, t_max=1.0))
+
+
+def test_apply_jump_at_a_nan_jump_indicator_raises():
+    with pytest.raises(NonFiniteState, match="in_jump_set"):
+        apply_jump(nan_above_spec(0.5), np.ones(1))
+
+
+def test_a_nan_indicator_at_a_locator_probe_raises():
+    """The ends of the step straddle the boundary, the probes land in a
+    NaN gap."""
+    spec = pure_flow_spec(lambda v: np.ones(1))
+
+    def gappy(v):
+        return float(v[0] - 0.5) if abs(v[0] - 0.5) > 0.4 else math.nan
+
+    with pytest.raises(NonFiniteState, match="gappy"):
+        locate_boundary(spec, np.zeros(1), 1.0, gappy)
+
+
+def step_indicator(c):
+    """A sign flip at x = c with no zero: no probe can meet event_tol."""
+    return lambda v: -1.0 if v[0] < c else 1.0
+
+
+def test_a_location_that_gives_up_is_counted():
+    """Bisection needs 54 halvings to bring the bracket below 1e-16; the
+    midpoint rule halves it at least every second probe.  At fractions of
+    0.5 and above, adjacent floats are 1.1e-16 apart, so the bracket stops
+    shrinking above the floor and only the no-float-inside test ends it."""
+    spec = pure_flow_spec(lambda v: np.ones(1))
+    for c in (1e-3, 0.3, 0.5, 0.7, 0.987654321, 1.0 - 2.0 ** -53):
+        for sign in (1.0, -1.0):
+            stats = dict.fromkeys(STAT_KEYS, 0)
+            flip = step_indicator(c)
+            x_b, frac = locate_boundary(spec, np.zeros(1), 1.0,
+                                        lambda v: sign * flip(v), stats=stats)
+            assert stats["locate_calls"] == stats["locate_misses"] == 1
+            assert stats["locate_probes"] <= 2 * 54 + 2
+            assert abs(frac - c) <= 1e-15
+            assert float(x_b[0]) == frac
+
+    clock = HybridSystemSpec(dim=1, flow_map=lambda v: np.ones(1),
+                             jump_map=lambda v: [np.zeros(1)],
+                             in_flow_set=step_indicator(0.27),
+                             in_jump_set=lambda v: -step_indicator(0.27)(v))
+    arc = simulate(clock, np.zeros(1), SimConfig(dt=0.1, t_max=1.0))
+    assert arc.n_jumps == arc.stats["locate_calls"] == 3
+    assert arc.stats["locate_misses"] == 3
+    assert arc.stats["locate_probes"] <= 3 * (2 * 54 + 2)
+
+
+def bisection_probes(f, tol):
+    """Probes plain bisection of f over [0, 1] takes to meet tol or to run
+    out of bracket."""
+    lo, hi = 0.0, 1.0
+    up = f(hi) > 0.0
+    for n in range(1, 201):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) <= tol or hi - lo < 1e-16 or not lo < mid < hi:
+            break
+        if (f_mid > 0.0) == up:
+            hi = mid
+        else:
+            lo = mid
+    return n
+
+
+@pytest.mark.parametrize("shape", [
+    # Flat below the root and steep above it: without the midpoint rule the
+    # Illinois steps crawl along the flat side, up to 5x bisection's probes.
+    lambda c: lambda s: (math.expm1(min(700.0, 1e4 * (s - c))) if s > c
+                         else 1e-3 * (s - c)),
+    lambda c: lambda s: math.tanh(1e15 * (s - c)),
+    lambda c: lambda s: math.tanh(1e8 * (s - c) ** 3),
+])
+def test_locate_boundary_costs_at_most_twice_bisection(shape):
+    spec = pure_flow_spec(lambda v: np.ones(1))  # the state is the fraction
+    tol = 1e-10
+    for c in np.linspace(0.05, 0.95, 19):
+        f = shape(float(c))
+        stats = dict.fromkeys(STAT_KEYS, 0)
+        locate_boundary(spec, np.zeros(1), 1.0, lambda v: f(float(v[0])), tol,
+                        stats=stats)
+        assert stats["locate_probes"] <= 2 * bisection_probes(f, tol) + 2
+
+
+def test_locate_boundary_takes_the_midpoint_when_the_far_end_is_inf():
+    """The secant point through an infinite end is NaN."""
+    spec = pure_flow_spec(lambda v: np.ones(1))
+
+    def capped(v):
+        return float(v[0] - 0.3) if v[0] < 0.9 else math.inf
+
+    tol = 1e-10
+    stats = dict.fromkeys(STAT_KEYS, 0)
+    x_b, frac = locate_boundary(spec, np.zeros(1), 1.0, capped, tol, stats=stats)
+    assert abs(capped(x_b)) <= tol
+    assert abs(frac - 0.3) <= 1e-9
+    assert stats["locate_misses"] == 0
+
+
+THERMO_LOW, THERMO_HIGH = 0.9, 1.1
+
+
+def thermostat_spec():
+    """Hysteresis thermostat over [x, q]: xdot = -x + 2q, heating (q = 1)
+    switches off at 1.1 and cooling (q = 0) switches on at 0.9."""
+    return HybridSystemSpec(
+        dim=2,
+        flow_map=lambda v: np.array([-v[0] + 2.0 * v[1], 0.0]),
+        jump_map=lambda v: [np.array([v[0], 1.0 - v[1]])],
+        in_flow_set=lambda v: v[0] - THERMO_HIGH if v[1] > 0.5 else THERMO_LOW - v[0],
+        in_jump_set=lambda v: THERMO_HIGH - v[0] if v[1] > 0.5 else v[0] - THERMO_LOW,
+    )
+
+
+def thermostat_switch_times(x0, q0, count):
+    """The first ``count`` switching times from a start inside the band."""
+    first = math.log((2.0 - x0) / (2.0 - THERMO_HIGH)) if q0 else \
+        math.log(x0 / THERMO_LOW)
+    half = math.log(THERMO_HIGH / THERMO_LOW)
+    return [first + k * half for k in range(count)]
+
+
+def test_thermostat_switching_times_match_the_closed_form():
+    """Each switch is located to event_tol in a handful of probes, and the
+    switching times do not drift from the closed form over 100 switches."""
+    rng = np.random.default_rng(811)
+    spec = thermostat_spec()
+    cfg = SimConfig(dt=0.01, t_max=20.0)
+    locates = probes = 0
+    for _ in range(6):
+        x0, q0 = float(rng.uniform(THERMO_LOW, THERMO_HIGH)), int(rng.integers(2))
+        arc = simulate(spec, np.array([x0, float(q0)]), cfg)
+        expected = thermostat_switch_times(x0, q0, arc.n_jumps + 1)
+        assert arc.n_jumps >= 90 and expected[-1] > cfg.t_max
+        for ev, t in zip(arc.jumps, expected):
+            assert abs(ev.t - t) <= 1e-8
+            assert abs(spec.in_jump_set(ev.x_pre)) <= cfg.event_tol
+        assert arc.stats["locate_misses"] == 0
+        locates += arc.stats["locate_calls"]
+        probes += arc.stats["locate_probes"]
+    assert probes / locates <= 6.0
+
+
+def test_located_states_on_a_nonlinear_flow_meet_event_tol():
+    """A unit-rate rotation reset to (1, 0) when it reaches height sin(1):
+    the indicator is nonlinear in the step fraction."""
+    top = math.sin(1.0)
+    spec = HybridSystemSpec(
+        dim=2,
+        flow_map=lambda v: np.array([-v[1], v[0]]),
+        jump_map=lambda v: [np.array([1.0, 0.0])],
+        in_flow_set=lambda v: float(v[1] - top),
+        in_jump_set=lambda v: float(top - v[1]),
+    )
+    cfg = SimConfig(dt=0.03, t_max=5.5)
+    arc = simulate(spec, np.array([1.0, 0.0]), cfg)
+    assert arc.n_jumps == 5
+    assert arc.stats["locate_calls"] == 5
+    assert arc.stats["locate_misses"] == 0
+    for k, ev in enumerate(arc.jumps):
+        assert abs(spec.in_jump_set(ev.x_pre)) <= cfg.event_tol
+        assert abs(ev.t - (k + 1.0)) <= 1e-7
