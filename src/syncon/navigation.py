@@ -80,8 +80,9 @@ class NavigationWorld:
     """Obstacle disc, safety shell, skirt width, and destination.
 
     The destination must lie outside the skirt, ||p_d - p_o|| > r_o + r_s,
-    so the potential is exactly quadratic near it, and the safety margin
-    epsilon must leave room inside the skirt, 0 < epsilon < r_s.
+    so the potential is exactly quadratic near it, and at a finite distance,
+    or every gain ceiling is inf; the safety margin epsilon must leave room
+    inside the skirt, 0 < epsilon < r_s.
     """
 
     p_o: np.ndarray
@@ -108,10 +109,14 @@ class NavigationWorld:
             raise ValueError(
                 f"epsilon must satisfy 0 < epsilon < r_s, got epsilon = "
                 f"{self.epsilon}, r_s = {self.r_s}")
-        if not self.dest_range > self.r_o + self.r_s:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            span = self.dest_range
+        if not math.isfinite(span):
+            raise ValueError(f"||p_d - p_o|| must be finite, got {span}")
+        if not span > self.r_o + self.r_s:
             raise ValueError(
                 f"destination must clear the skirt: ||p_d - p_o|| = "
-                f"{self.dest_range:.6g} must exceed r_o + r_s = "
+                f"{span:.6g} must exceed r_o + r_s = "
                 f"{self.r_o + self.r_s:.6g}")
 
     @property

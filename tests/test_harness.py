@@ -1,6 +1,7 @@
 """Unit tests for config parsing, scenario runs, exports, and the CLI."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -299,11 +300,114 @@ def test_parse_reports_tracker_and_integrator_bounds_together():
     ("gains", "Theta", 0.5),
     ("gains", "Theta", [True, -0.4]),
     ("gains", "Theta", ["0.2"]),
+    ("gains", "Theta", None),
 ])
 def test_parse_rejects_non_numbers_in_pairs_and_theta(section, key, value):
     raw = hybrid_raw()
     raw[section][key] = value
     assert any(p.startswith(f"test: {section}.{key}:") for p in violations_of(raw))
+
+
+HUGE = 10 ** 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("path, prefix", [
+    (("gains", "k_p"), "gains.k_p: must be finite, got 1000"),
+    (("world", "p_o", 0), "world.p_o: entries must be finite, got [1000"),
+    (("gains", "Theta", 0), "gains.Theta: entries must be finite, got [1000"),
+    (("initial", "theta0"), "initial.theta0: must be finite, got 1000"),
+    (("expected", "saddle_x"), "expected.saddle_x: must be finite, got 1000"),
+])
+def test_parse_reports_integers_too_large_for_a_float(path, prefix, tmp_path,
+                                                      capsys):
+    raw = json.loads((CONFIG_DIR / "fig2_check.json").read_text())
+    obj = raw
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = HUGE
+    assert [p[:len(prefix) + 6] for p in violations_of(raw)] == [
+        "test: " + prefix]
+
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and prefix in err
+
+
+DELETE = object()
+EDGE_VALUES = [None, True, "x", 0, -1, 1e-300, 1e308, -1e308, math.inf,
+               -math.inf, math.nan, HUGE, -HUGE, [], [1.0, 2.0], {}, DELETE]
+
+
+def edge_mutations(raw):
+    """Copies of raw with one field, list entry or section of the field
+    table set to each edge value, or deleted."""
+    for section, key, *_ in harness.FIELDS:
+        # Paths from the top level; "" stands for the top level itself.
+        paths = [(section, key)] + ([("", section)] if section else [])
+        value = raw.get(section, {}).get(key) if section else raw.get(key)
+        if isinstance(value, list):
+            paths += [(section, key, i) for i in range(len(value))]
+        for path in paths:
+            for new in EDGE_VALUES:
+                out = copy.deepcopy(raw)
+                obj = out
+                for step in path[:-1]:
+                    if step != "":
+                        obj = obj.setdefault(step, {})
+                if new is DELETE:
+                    if not isinstance(path[-1], int):
+                        obj.pop(path[-1], None)
+                else:
+                    obj[path[-1]] = new
+                yield out
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_edge_values_in_any_field_give_a_config_or_a_validation_error(path):
+    for raw in edge_mutations(json.loads(path.read_text())):
+        try:
+            parse_config(raw, source="test")
+        except ValidationError:
+            pass
+
+
+def test_parse_reports_an_unknown_expected_key_once():
+    raw = hybrid_raw()
+    raw["expected"] = {"saddle_y": "x"}
+    assert violations_of(raw) == ["test: expected.saddle_y: unknown field"]
+
+
+def test_parse_rejects_a_world_whose_span_overflows(tmp_path, capsys):
+    """||p_d - p_o|| = inf would make every gain ceiling inf."""
+    raw = hybrid_raw()
+    raw["world"]["p_o"] = [1e308, 0.0]
+    raw["world"]["p_d"] = [-1e308, 0.0]
+    assert violations_of(raw) == [
+        "test: world: ||p_d - p_o|| must be finite, got inf"]
+
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert "||p_d - p_o|| must be finite" in capsys.readouterr().err
+
+
+def test_field_table_matches_the_readme_list():
+    """Every field the parser reads is named in README's config list, under
+    its section's bullet, or as a bullet of its own at the top level."""
+    text = (REPO_ROOT / "README.md").read_text()
+    listing = text.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for chunk in re.split(r"^- ", listing, flags=re.M)[1:]:
+        head = re.match(r"`(\w+)`", chunk)
+        if head:
+            bullets[head.group(1)] = chunk
+    for section, key, *_ in harness.FIELDS:
+        if section:
+            assert f"`{key}`" in bullets.get(section, ""), (section, key)
+        else:
+            assert key in bullets, key
 
 
 def test_shipped_configs_parse():
@@ -359,6 +463,17 @@ def test_load_config_raises_parse_error_on_bad_json(tmp_path):
     bad.write_text("{this is not json")
     with pytest.raises(ParseError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("text", [
+    '{"seed": ' + "1" * 4301 + "}",  # past Python's int-string digit limit
+    "[" * 100_000 + "]" * 100_000,  # past the recursion limit
+])
+def test_load_config_raises_parse_error_on_unreadable_json(text, tmp_path):
+    path = tmp_path / "unreadable.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="not valid JSON"):
+        load_config(path)
 
 
 def test_load_config_roundtrips_a_file(tmp_path):
@@ -595,8 +710,24 @@ def test_check_scenario_passes_on_shipped_config():
     report = check_scenario(cfg, n_audit_samples=60)
     assert report.passed, "\n".join(report.lines())
     names = [item.name for item in report.items]
+    assert names[0] == "parameter bounds"
     assert "stuck point" in names
     assert "family audit" in names
+
+
+def test_check_scenario_reports_broken_bounds_in_one_item():
+    """A config built past the parser gets the parser's own bound lines."""
+    cfg = load_config(CONFIG_DIR / "fig5_backstep.json")
+    smoothed = dataclasses.replace(cfg.smoothed, gamma_s=0.2)
+    backstep = dataclasses.replace(cfg.backstep, delta_b=0.5)
+    cfg = dataclasses.replace(cfg, smoothed=smoothed, backstep=backstep)
+    report = check_scenario(cfg, n_audit_samples=20)
+    failing = [it for it in report.items if not it.passed]
+    assert [it.name for it in failing] == ["parameter bounds"]
+    raw = json.loads((CONFIG_DIR / "fig5_backstep.json").read_text())
+    raw["gains"].update(gamma_s=0.2, delta_b=0.5)
+    assert failing[0].detail.split("; ") == [
+        p.removeprefix("test: gains: ") for p in violations_of(raw)]
 
 
 def test_check_scenario_fails_on_wrong_expected_saddle():

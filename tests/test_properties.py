@@ -1,4 +1,5 @@
-"""Property tests over drawn states, run with hypothesis.
+"""Property tests over drawn states and drawn scenario configs, run with
+hypothesis.
 
 Kept apart from the example-based tests so that those still run where
 hypothesis is not installed.
@@ -6,6 +7,7 @@ hypothesis is not installed.
 
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -13,8 +15,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
 from syncon.backstepping import backstepped_quadruple
-from syncon.errors import NonPositiveDistance
+from syncon.errors import NonPositiveDistance, ParseError, ValidationError
+from syncon.harness import (
+    CONTROLLERS,
+    FIELDS,
+    ScenarioConfig,
+    bound_violations,
+    load_config,
+    parse_config,
+)
 from syncon.navigation import (
     backstep_closed_loop,
     backstep_jacobians,
@@ -247,3 +258,94 @@ def test_sample_channels_equal_the_scalar_helpers_across_the_skirt(name):
     got = np.column_stack([V, u, np.full(n, math.nan) if mu is None else mu,
                            dobs, ddest])
     assert np.array_equal(got, ref, equal_nan=True)
+
+
+# -- scenario parsing over arbitrary JSON ---------------------------------------
+
+# Values as json.load returns them: floats with +-inf and nan, and integers
+# up to the 4300-digit limit of Python's int-string conversion, which
+# json.load enforces (a longer literal is a ParseError, tested apart).
+_big_ints = st.builds(lambda digits, sign: sign * 10 ** digits,
+                      st.integers(0, 4299), st.sampled_from([1, -1]))
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _big_ints,
+                          st.floats(), st.text(max_size=6))
+_json = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=6)
+# Field values: what the readers look into is a scalar or a flat list.
+_field_values = st.one_of(_json_scalars, st.lists(_json_scalars, max_size=3))
+
+_KEYS = {}
+for _section, _key, *_ in FIELDS:
+    _KEYS.setdefault(_section, []).append(_key)
+
+# Objects with the table's sections and keys, plus an unknown one, and
+# drawn values under them, so that the values reach every reader.
+_tabled = st.fixed_dictionaries({}, optional={
+    **{key: _field_values for key in _KEYS[""]},
+    "controller": st.one_of(st.sampled_from(CONTROLLERS), _field_values),
+    **{section: st.one_of(st.dictionaries(st.sampled_from(keys + ["bogus"]),
+                                          _field_values, max_size=len(keys)),
+                          _json)
+       for section, keys in _KEYS.items() if section},
+    "bogus": _field_values,
+})
+
+
+def _assert_admissible(cfg):
+    assert isinstance(cfg, ScenarioConfig)
+    assert bound_violations(cfg.world, cfg.gains, cfg.smoothed,
+                            cfg.backstep) == []
+    assert obstacle_distance(cfg.world, cfg.initial.p0) >= cfg.world.epsilon
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(raw=st.one_of(_json, _tabled))
+def test_parse_config_returns_a_config_or_a_validation_error(raw):
+    try:
+        cfg = parse_config(raw, source="drawn")
+    except ValidationError:
+        return
+    _assert_admissible(cfg)
+
+
+_SHIPPED = {path.stem: path.read_text()
+            for path in sorted(CONFIG_DIR.glob("*.json"))}
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shipped config with one to three fields, list entries or sections,
+    at paths from the field table, replaced by drawn values or deleted."""
+    raw = json.loads(_SHIPPED[draw(st.sampled_from(sorted(_SHIPPED)))])
+    for _ in range(draw(st.integers(1, 3))):
+        section, key, *_ = draw(st.sampled_from(FIELDS))
+        obj = raw.setdefault(section, {}) if section else raw
+        if not isinstance(obj, dict):
+            continue
+        action = draw(st.sampled_from(["set", "delete", "entry", "section"]))
+        if action == "set":
+            obj[key] = draw(_field_values)
+        elif action == "delete":
+            obj.pop(key, None)
+        elif action == "entry" and isinstance(obj.get(key), list) and obj[key]:
+            obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(_json_scalars)
+        elif action == "section" and section:
+            raw[section] = draw(_json)
+    return raw
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(raw=_mutated_configs())
+def test_load_config_of_mutated_shipped_configs_raises_only_its_own_errors(
+        raw, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = load_config(path)
+    except (ValidationError, ParseError):
+        return
+    _assert_admissible(cfg)
