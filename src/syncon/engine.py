@@ -215,9 +215,11 @@ class HybridArc:
                 yield float(seg.ts[k]), seg.j, seg.xs[k]
 
 
-def _require_finite(x: np.ndarray, what: str) -> None:
+def _require_finite(x: np.ndarray, what: str, *args) -> None:
+    """NonFiniteState unless x is finite; x is named by what.format(*args),
+    formatted only then."""
     if not all(map(math.isfinite, x.tolist())):
-        raise NonFiniteState(f"{what} is not finite: {x!r}")
+        raise NonFiniteState(f"{what.format(*args)} is not finite: {x!r}")
 
 
 def _nan_indicator(indicator: Callable | str, x: np.ndarray) -> NonFiniteState:
@@ -264,7 +266,7 @@ def step_flow(spec: HybridSystemSpec, x: np.ndarray, h: float) -> np.ndarray:
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
     out = _rk4(spec.flow_map, np.asarray(x, dtype=float), h)
-    _require_finite(out, f"flow step output (h={h:g})")
+    _require_finite(out, "flow step output (h={:g})", h)
     return out
 
 

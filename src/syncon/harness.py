@@ -124,6 +124,13 @@ def _number(value) -> float:
     return v
 
 
+def _positive(value) -> float:
+    v = _number(value)
+    if not v > 0.0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return v
+
+
 def _numbers(value, pair: bool) -> np.ndarray:
     """A pair of numbers, or (pair False) a nonempty list of angles."""
     if not (isinstance(value, list) and (len(value) == 2 if pair else value)
@@ -219,7 +226,7 @@ FIELDS = (
     ("sim", "priority", _priority, CONTROLLERS, "jump"),
     ("", "seed", _seed, CONTROLLERS, 0),
     ("expected", "saddle_x", _number, CONTROLLERS, _OPTIONAL),
-    ("expected", "saddle_tol", _number, CONTROLLERS, _OPTIONAL),
+    ("expected", "saddle_tol", _positive, CONTROLLERS, _OPTIONAL),
 )
 
 # What each section reads as when absent, as for fields; the one absent by

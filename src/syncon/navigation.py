@@ -31,12 +31,17 @@ HybridSystemSpec:
     gradient_closed_loop   plain gradient descent on V_nav, never switches
 
 The three switched loops share one switching rule, synergy.switching_system,
-applied to the loop's potential: switched_potential, tracking_potential or
-backstep_potential.  Each formula is written once, as a scalar kernel over
-Python floats; the loop maps and the public helpers both call it.  The
-harness's V, u, excess and clearance channels come from sample_channels, the
-same formulas over a stack of states as numpy arrays, bit-equal to the
-kernels at every state.  The generic compositions (assemble_closed_loop over
+applied to one per-state kernel built by _switched_loop: at each state it
+computes the terms of the loop's potential that do not depend on theta once
+(_state_terms: p - p_o, the skirt, the integrator term) and combines them
+with each candidate's cos, sin, penalty and offset, fixed when the loop is
+built (_angle_terms), in _loop_v.  switched_potential, tracking_potential and
+backstep_potential call the same three kernels.  Each formula is written
+once, as a scalar kernel over Python floats; the loop maps and the public
+helpers both call it.  The harness's V, u, excess and clearance channels come
+from sample_channels, the same formulas over a stack of states as numpy
+arrays (_loop_v and _angle_terms take arrays too), bit-equal to the kernels
+at every state.  The generic compositions (assemble_closed_loop over
 nominal_controller, smoothed_quadruple and backstepped_quadruple) give the
 same flows, but a generic flow call costs about 3-6x (hybrid), 15-27x
 (smooth) and 20-43x (backstep) a kernel one (2-core Xeon, Python 3.11,
@@ -45,6 +50,7 @@ numpy 2.4), so they serve as the tests' reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -354,30 +360,59 @@ def _theta_grad(gains: NavGains, th: float, wx: float, wy: float, rx: float,
     return gains.gamma_theta * th - (wx * rx + wy * ry)
 
 
-def _switched_v(world: NavigationWorld, gains: NavGains, px: float, py: float,
-                th: float, check: bool = False):
-    """V(p, theta) with the terms the other kernels reuse:
-    (V, cos theta, sin theta, wx, wy, rho, z)."""
+def _state_terms(world: NavigationWorld, gains: NavGains,
+                 bp: BacksteppingParams | None, x, check: bool = False):
+    """The part of a loop's V that does not depend on the logic angle, at
+    the coordinates x = [px, py(, eta1, eta2(, u1, u2))]: (wx, wy, vphi,
+    eta, integ) with p - p_o, the skirt term varrho phi(z), the tracker
+    state (empty for the hybrid loop) and the integrator term (None unless
+    ``bp`` is given)."""
+    px, py = x[0], x[1]
     wx, wy, rho, z = _radial(world, px, py, check)
-    c = math.cos(th)
-    s = math.sin(th)
+    integ = None
+    if bp is not None:
+        gx, gy, _ = _grad(world, px, py, wx, wy, rho, z)
+        integ = _integrator_v(gains, bp, *x[2:6], gx, gy)
+    return wx, wy, world.varrho * _phi(z, world.r_s), x[2:4], integ
+
+
+def _angle_terms(world: NavigationWorld, gains: NavGains, th, cos=math.cos,
+                 sin=math.sin):
+    """The part of a loop's V fixed by the logic angle th: (c, s, pen, sx,
+    sy) with c = cos th, s = sin th, the penalty gamma_theta th^2/2 and the
+    offset sigma(th)."""
+    c = cos(th)
+    s = sin(th)
+    sx, sy, _, _ = _offset(world, c, s)
+    return c, s, 0.5 * gains.gamma_theta * th * th, sx, sy
+
+
+def _loop_v(world: NavigationWorld, sp: SmoothedParams | None, st, at):
+    """A switched loop's V from its state terms and angle terms: the rotated
+    pull, skirt and penalty, plus (gamma_s/2)||eta - sigma||^2 when ``sp`` is
+    given and the integrator term when there is one.  Over floats, or over
+    numpy arrays of states."""
+    wx, wy, vphi, eta, integ = st
+    c, s, pen, sx, sy = at
     pox, poy = world._po
     pdx, pdy = world._pd
-    ex = pox + c * wx - s * wy - pdx
+    ex = pox + c * wx - s * wy - pdx  # T(p, theta) - p_d
     ey = poy + s * wx + c * wy - pdy
-    V = (0.5 * (ex * ex + ey * ey) + world.varrho * _phi(z, world.r_s)
-         + 0.5 * gains.gamma_theta * th * th)
-    return V, c, s, wx, wy, rho, z
+    V = 0.5 * (ex * ex + ey * ey) + vphi + pen
+    if sp is None:
+        return V
+    e1 = eta[0] - sx
+    e2 = eta[1] - sy
+    V = V + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2)
+    return V if integ is None else V + integ
 
 
-def _tracking_v(world: NavigationWorld, gains: NavGains, sp: SmoothedParams,
-                px: float, py: float, eta1: float, eta2: float, th: float):
-    """Smoothed loop's V, with (wx, wy, rho, z) for reuse."""
-    V, c, s, wx, wy, rho, z = _switched_v(world, gains, px, py, th)
-    sx, sy, _, _ = _offset(world, c, s)
-    e1 = eta1 - sx
-    e2 = eta2 - sy
-    return V + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2), wx, wy, rho, z
+def _potential(world: NavigationWorld, gains: NavGains,
+               sp: SmoothedParams | None, bp: BacksteppingParams | None, x,
+               th: float, check: bool = False) -> float:
+    """A switched loop's V at the coordinates x and logic angle th."""
+    return _loop_v(world, sp, _state_terms(world, gains, bp, x, check),
+                   _angle_terms(world, gains, th))
 
 
 def _tracked(gains: NavGains, eta1: float, eta2: float, gx: float, gy: float):
@@ -395,15 +430,13 @@ def _tracker_rate(gains: NavGains, sp: SmoothedParams, eta1: float,
             -sp.k_eta * (eta2 - sy) + ry * varpi - c * (gy - sy))
 
 
-def _backstep_v(world: NavigationWorld, gains: NavGains, sp: SmoothedParams,
-                bp: BacksteppingParams, px: float, py: float, eta1: float,
-                eta2: float, u1: float, u2: float, th: float) -> float:
-    V, wx, wy, rho, z = _tracking_v(world, gains, sp, px, py, eta1, eta2, th)
-    gx, gy, _ = _grad(world, px, py, wx, wy, rho, z)
+def _integrator_v(gains: NavGains, bp: BacksteppingParams, eta1, eta2, u1, u2,
+                 gx, gy):
+    """Integrator term (gamma_b/2)||u - k_p (eta - g)||^2, g = grad V_nav(p)."""
     r1, r2 = _tracked(gains, eta1, eta2, gx, gy)
     f1 = u1 - r1
     f2 = u2 - r2
-    return V + 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
+    return 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
 
 
 def _descent(world: NavigationWorld, gains: NavGains, px: float, py: float,
@@ -420,7 +453,7 @@ def _descent(world: NavigationWorld, gains: NavGains, px: float, py: float,
 
 def switched_potential(world: NavigationWorld, gains: NavGains, p: np.ndarray,
                        theta: float, check: bool = True) -> float:
-    return _switched_v(world, gains, *_xy(p), float(theta), check)[0]
+    return _potential(world, gains, None, None, _xy(p), float(theta), check)
 
 
 def tracking_potential(world: NavigationWorld, gains: NavGains,
@@ -430,7 +463,7 @@ def tracking_potential(world: NavigationWorld, gains: NavGains,
 
     Unchecked, like the loop maps: only the barrier's own domain is enforced.
     """
-    return _tracking_v(world, gains, sp, *_xy(p), *_xy(eta), float(theta))[0]
+    return _potential(world, gains, sp, None, _xy(p) + _xy(eta), float(theta))
 
 
 def tracked_input(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -446,8 +479,8 @@ def backstep_potential(world: NavigationWorld, gains: NavGains,
                        p: np.ndarray, eta: np.ndarray, u: np.ndarray,
                        theta: float) -> float:
     """Backstepped loop's V: tracking potential + (gamma_b/2)||u - tracked input||^2."""
-    return _backstep_v(world, gains, sp, bp, *_xy(p), *_xy(eta), *_xy(u),
-                       float(theta))
+    return _potential(world, gains, sp, bp, _xy(p) + _xy(eta) + _xy(u),
+                      float(theta))
 
 
 def switched_gradient_p(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -552,36 +585,21 @@ def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
         u = np.stack([-gains.k_p * gx, -gains.k_p * gy], axis=1)
         return V, u, None, z, ddest
 
-    if bp is not None:
-        r1, r2 = _tracked(gains, cols[2], cols[3], gx, gy)
-        f1 = cols[4] - r1
-        f2 = cols[5] - r2
-        integrator = 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
-
-    def potential(t, c, s):
-        """The loop's V at logic angle t, with c = cos t and s = sin t."""
-        tx = pox + c * wx - s * wy - pdx  # T(p, t) - p_d
-        ty = poy + s * wx + c * wy - pdy
-        V = 0.5 * (tx * tx + ty * ty) + vphi + 0.5 * gains.gamma_theta * t * t
-        if sp is None:
-            return V
-        sx, sy = _offset(world, c, s)[:2]
-        e1 = cols[2] - sx
-        e2 = cols[3] - sy
-        V = V + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2)
-        return V if bp is None else V + integrator
-
-    c = _mapped(math.cos, th)
-    s = _mapped(math.sin, th)
-    V = potential(th, c, s)
-    best = np.min([potential(t, math.cos(t), math.sin(t))
+    eta = None if sp is None else cols[2:4]
+    integ = None if bp is None else _integrator_v(gains, bp, *eta, cols[4],
+                                                  cols[5], gx, gy)
+    st = (wx, wy, vphi, eta, integ)
+    own = _angle_terms(world, gains, th, functools.partial(_mapped, math.cos),
+                       functools.partial(_mapped, math.sin))
+    V = _loop_v(world, sp, st, own)
+    best = np.min([_loop_v(world, sp, st, _angle_terms(world, gains, t))
                    for t in gains.theta_candidates.tolist()], axis=0)
     mu = V - best - gap + gap  # (excess - gap) + gap, as in_flow_set + gap
     if sp is None:
-        sx, sy = _offset(world, c, s)[:2]
+        sx, sy = own[3:]
         u = np.stack([-gains.k_p * (gx - sx), -gains.k_p * (gy - sy)], axis=1)
     elif bp is None:
-        u = np.stack(_tracked(gains, cols[2], cols[3], gx, gy), axis=1)
+        u = np.stack(_tracked(gains, *eta, gx, gy), axis=1)
     else:
         u = xs[:, 4:6]
     return V, u, mu, z, ddest
@@ -752,9 +770,30 @@ def backstep_jacobians(world: NavigationWorld, gains: NavGains) -> FeedbackJacob
 
 # -- closed loops ------------------------------------------------------------
 #
-# Each switched loop below is a flow map plus its potential, both over the
-# scalar kernels above, handed to synergy.switching_system for the sets and
-# the jump map.  Tests pin the flows against the generic compositions.
+# Each switched loop below is a flow map over the scalar kernels above,
+# handed with its per-state potential kernel to synergy.switching_system for
+# the sets and the jump map.  Tests pin the flows against the generic
+# compositions.
+
+def _switched_loop(world: NavigationWorld, gains: NavGains,
+                   sp: SmoothedParams | None, bp: BacksteppingParams | None,
+                   gap: float, flow) -> HybridSystemSpec:
+    """The loop's flow, with its sets and jump map from its per-state kernel
+    values(v) -> (V at v's own angle, [V at each candidate]): the state terms
+    once per call, each candidate's angle terms once, here."""
+    cands = [_angle_terms(world, gains, t)
+             for t in gains.theta_candidates.tolist()]
+
+    def values(v):
+        *x, th = v.tolist()
+        st = _state_terms(world, gains, bp, x)
+        return (_loop_v(world, sp, st, _angle_terms(world, gains, th)),
+                [_loop_v(world, sp, st, at) for at in cands])
+
+    dim_x = 2 if sp is None else 4 if bp is None else 6
+    return switching_system(values, gains.theta_candidates.reshape(-1, 1),
+                            gap, flow, dim_x, shell_projection(world))
+
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Switched feedback applied directly; state [px, py, theta]."""
@@ -767,10 +806,7 @@ def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemS
         gx, gy, sx, sy, _, _, gt = _descent(world, gains, px, py, th)[:7]
         return np.array([-k_p * (gx - sx), -k_p * (gy - sy), -k_theta * gt])
 
-    return switching_system(
-        lambda x, th: _switched_v(world, gains, *x.tolist(), float(th[0]))[0],
-        gains.theta_candidates.reshape(-1, 1), gains.delta, flow, 2,
-        shell_projection(world))
+    return _switched_loop(world, gains, None, None, gains.delta, flow)
 
 
 def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
@@ -790,11 +826,7 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
                                varpi)
         return np.array([u1, u2, e1, e2, varpi])
 
-    return switching_system(
-        lambda x, th: _tracking_v(world, gains, sp, *x.tolist(),
-                                  float(th[0]))[0],
-        gains.theta_candidates.reshape(-1, 1), sp.delta_s, flow, 4,
-        shell_projection(world))
+    return _switched_loop(world, gains, sp, None, sp.delta_s, flow)
 
 
 def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
@@ -836,11 +868,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
             varpi,
         ])
 
-    return switching_system(
-        lambda x, th: _backstep_v(world, gains, sp, bp, *x.tolist(),
-                                  float(th[0])),
-        gains.theta_candidates.reshape(-1, 1), bp.delta_b, flow, 6,
-        shell_projection(world))
+    return _switched_loop(world, gains, sp, bp, bp.delta_b, flow)
 
 
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:

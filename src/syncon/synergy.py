@@ -91,19 +91,22 @@ class AffinePlant:
     drift_uses_theta: bool = False
 
 
-def _candidate_values(V, Theta, x: np.ndarray) -> list[float]:
-    """V(x, theta_bar) for every candidate row of Theta, in Theta order."""
-    return [V(x, cand) for cand in Theta]
+def _quadruple_values(q: SynergisticQuadruple, x: np.ndarray,
+                      theta: np.ndarray) -> tuple[float, list[float]]:
+    """(V(x, theta), [V(x, theta_bar) for each row of q.Theta, in order])."""
+    return q.V(x, theta), [q.V(x, cand) for cand in q.Theta]
 
 
-def _excess(V, Theta, x: np.ndarray, theta: np.ndarray) -> float:
-    return V(x, theta) - min(_candidate_values(V, Theta, x))
+def _excess(values: tuple[float, list[float]]) -> float:
+    own, cands = values
+    return own - min(cands)
 
 
-def _minimizers(V, Theta, x: np.ndarray) -> list[np.ndarray]:
-    values = _candidate_values(V, Theta, x)
-    vmin = min(values)
-    return [cand for cand, v in zip(Theta, values) if v - vmin <= TIE_TOL]
+def _tied(cands: Sequence[float]) -> list[int]:
+    """Indices of the candidate values within TIE_TOL of their minimum, in
+    order."""
+    vmin = min(cands)
+    return [i for i, v in enumerate(cands) if v - vmin <= TIE_TOL]
 
 
 def v_excess(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float:
@@ -112,7 +115,7 @@ def v_excess(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float
     Non-negative whenever theta itself belongs to Theta; the zero level says
     the current switching value is already optimal.
     """
-    return _excess(q.V, q.Theta, x, theta)
+    return _excess(_quadruple_values(q, x, theta))
 
 
 def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
@@ -121,36 +124,34 @@ def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
 
     The engine applies the first entry, so ties resolve to the lowest index.
     """
-    return [cand.copy() for cand in _minimizers(q.V, q.Theta, x)]
+    return [q.Theta[i].copy()
+            for i in _tied(_quadruple_values(q, x, theta)[1])]
 
 
-def switching_system(V, Theta: np.ndarray, gap: float, flow_map, dim_x: int,
-                     project_flow=None) -> HybridSystemSpec:
+def switching_system(values, Theta: np.ndarray, gap: float, flow_map,
+                     dim_x: int, project_flow=None) -> HybridSystemSpec:
     """The switching rule of every synergistic loop, over packed [x | theta].
 
-    V(x, theta) is the loop's potential, with x = v[:dim_x] and theta the
-    rest of the packed state; Theta holds the candidates as rows, shape
-    (L, r).  The loop flows while V(x, theta) is within ``gap`` of the best
-    candidate and jumps otherwise, freezing x and moving theta to every
-    candidate within TIE_TOL of the minimum, lowest index first.  The two
-    indicators are exact negations of each other, so the spec is
-    complementary.  ``flow_map`` is used as given.
+    ``values(v)`` is the loop's potential at the packed state v, with x =
+    v[:dim_x] and theta the rest: it returns (V(x, theta), [V(x, theta_bar)
+    for each row theta_bar of Theta, in Theta order]).  Theta holds the
+    candidates as rows, shape (L, r).  The loop flows while V(x, theta) is
+    within ``gap`` of the best candidate and jumps otherwise, freezing x and
+    moving theta to every candidate within TIE_TOL of the minimum, lowest
+    index first.  The two indicators are exact negations of each other, so
+    the spec is complementary.  ``flow_map`` is used as given.
     """
     n = dim_x
     Theta = np.asarray(Theta, dtype=float)
-    cands = list(Theta)
-
-    def excess(v: np.ndarray) -> float:
-        return _excess(V, cands, v[:n], v[n:])
 
     def jump(v: np.ndarray) -> list[np.ndarray]:
         x = v[:n]
-        return [np.concatenate([x, cand]) for cand in _minimizers(V, cands, x)]
+        return [np.concatenate([x, Theta[i]]) for i in _tied(values(v)[1])]
 
     return HybridSystemSpec(dim=n + Theta.shape[1], flow_map=flow_map,
                             jump_map=jump,
-                            in_flow_set=lambda v: excess(v) - gap,
-                            in_jump_set=lambda v: gap - excess(v),
+                            in_flow_set=lambda v: _excess(values(v)) - gap,
+                            in_jump_set=lambda v: gap - _excess(values(v)),
                             project_flow=project_flow, complementary=True)
 
 
@@ -160,8 +161,10 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
 
     State layout is [x | theta] with x of length plant.dim_x.  Flow applies
     kappa to the plant and varpi to the switching variable; jumps and the
-    sets follow switching_system on q.V with gap q.delta.  Output dimensions
-    of kappa and varpi are checked on first use and raise DimensionMismatch.
+    sets follow switching_system with gap q.delta, on a ``values`` that
+    calls q.V once at the state's own theta and once per row of q.Theta.
+    Output dimensions of kappa and varpi are checked on first use and raise
+    DimensionMismatch.
     """
     n = plant.dim_x
     r = q.dim_theta
@@ -187,7 +190,8 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
         xdot = np.asarray(drift, dtype=float) + np.asarray(g(x), dtype=float) @ u
         return np.concatenate([xdot, w])
 
-    return switching_system(q.V, q.Theta, q.delta, flow, n, project_flow)
+    return switching_system(lambda v: _quadruple_values(q, v[:n], v[n:]),
+                            q.Theta, q.delta, flow, n, project_flow)
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray,

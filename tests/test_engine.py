@@ -83,6 +83,16 @@ def test_step_flow_rejects_nonfinite_result():
         step_flow(spec, np.array([1.0]), 0.1)
 
 
+def test_step_flow_names_the_step_of_an_overflowing_output():
+    """The stage sum 6e308 overflows to inf; the error names the step size
+    and the output."""
+    spec = pure_flow_spec(lambda v: np.array([1e308]))
+    with pytest.raises(NonFiniteState) as info:
+        step_flow(spec, np.zeros(1), 0.25)
+    assert str(info.value) == ("flow step output (h=0.25) is not finite: "
+                               "array([inf])")
+
+
 def test_step_flow_equals_the_vector_rk4_expression():
     """The float RK4 is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), entry by entry, in
     the order of operations of the numpy expression: the bits agree."""

@@ -336,7 +336,7 @@ def test_parse_reports_integers_too_large_for_a_float(path, prefix, tmp_path,
 
 
 DELETE = object()
-EDGE_VALUES = [None, True, "x", 0, -1, 1e-300, 1e308, -1e308, math.inf,
+EDGE_VALUES = [None, True, "x", 0, -0.0, -1, 1e-300, 1e308, -1e308, math.inf,
                -math.inf, math.nan, HUGE, -HUGE, [], [1.0, 2.0], {}, DELETE]
 
 
@@ -368,9 +368,26 @@ def edge_mutations(raw):
 def test_edge_values_in_any_field_give_a_config_or_a_validation_error(path):
     for raw in edge_mutations(json.loads(path.read_text())):
         try:
-            parse_config(raw, source="test")
+            cfg = parse_config(raw, source="test")
         except ValidationError:
-            pass
+            continue
+        if cfg.expected and "saddle_tol" in cfg.expected:
+            assert cfg.expected["saddle_tol"] > 0.0
+
+
+@pytest.mark.parametrize("tol", [0, -1.0])
+def test_parse_rejects_a_saddle_tol_at_or_below_zero(tol):
+    """With such a tolerance check's stuck-point item could never pass."""
+    raw = json.loads((CONFIG_DIR / "fig2_check.json").read_text())
+    raw["expected"]["saddle_tol"] = tol
+    assert violations_of(raw) == [
+        f"test: expected.saddle_tol: must be positive, got {tol!r}"]
+
+
+def test_parse_accepts_a_positive_saddle_tol():
+    raw = json.loads((CONFIG_DIR / "fig2_check.json").read_text())
+    raw["expected"]["saddle_tol"] = 0.05
+    assert parse_config(raw, source="test").expected["saddle_tol"] == 0.05
 
 
 def test_parse_reports_an_unknown_expected_key_once():

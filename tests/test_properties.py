@@ -41,7 +41,7 @@ from syncon.navigation import (
     tracking_potential,
 )
 from syncon.smoothing import smoothed_quadruple
-from syncon.synergy import assemble_closed_loop
+from syncon.synergy import TIE_TOL, assemble_closed_loop, switch_candidates
 from test_harness import scalar_channels
 from test_navigation import demo_backstep, demo_gains, demo_smoothed, demo_world
 
@@ -98,22 +98,29 @@ def test_backstep_indicators_negate_exactly(radius, angle, theta, eta, u):
 
 # -- loop maps against their definitions ---------------------------------------
 
+# Candidate sets of one, two and three angles; with +-0.2 present, a state on
+# the symmetry axis through p_o and p_d (py = 0, and eta2 = 0 for the
+# tracker loops) ties the two exactly.
+THETA_SETS = ((0.2,), (-0.2, 0.2), (-0.2, 0.19, 0.2))
+
+
 @functools.cache
-def _loops():
-    """Each switched loop, unprojected, with its generic composition, its
-    potential over packed states from the public helpers, and its gap.
-    Two candidates, so that the indicator's minimum has a choice."""
+def _loops(thetas=(-0.2, 0.2)):
+    """Each switched loop, unprojected, with its generic composition and
+    quadruple, its potential over packed states from the public helpers,
+    and its gap.  Two candidates by default, so that the indicator's
+    minimum has a choice."""
     world = demo_world()
     gains = dataclasses.replace(demo_gains(),
-                                theta_candidates=np.array([-0.2, 0.2]))
+                                theta_candidates=np.array(thetas))
     sp, bp = demo_smoothed(), demo_backstep()
     plant, q = nominal_controller(world, gains)
     d = decomposed_feedback(world, gains)
-    generic = {
-        "hybrid": assemble_closed_loop(plant, q),
-        "smooth": assemble_closed_loop(*smoothed_quadruple(plant, q, d, sp)),
-        "backstep": assemble_closed_loop(*backstepped_quadruple(
-            plant, q, d, sp, bp, backstep_jacobians(world, gains))),
+    quads = {
+        "hybrid": (plant, q),
+        "smooth": smoothed_quadruple(plant, q, d, sp),
+        "backstep": backstepped_quadruple(plant, q, d, sp, bp,
+                                          backstep_jacobians(world, gains)),
     }
     fused = {
         "hybrid": hybrid_closed_loop(world, gains),
@@ -131,7 +138,8 @@ def _loops():
     gap = {"hybrid": gains.delta, "smooth": sp.delta_s, "backstep": bp.delta_b}
     return world, gains, {
         name: (dataclasses.replace(fused[name], project_flow=None),
-               generic[name], potential[name], gap[name])
+               assemble_closed_loop(*quads[name]), potential[name], gap[name],
+               quads[name][1])
         for name in fused}
 
 
@@ -149,7 +157,7 @@ _loop_names = st.sampled_from(["hybrid", "smooth", "backstep"])
 def test_loop_flows_match_the_generic_compositions(name, radius, angle, theta,
                                                    eta, u):
     world, _, loops = _loops()
-    fused, generic, _, _ = loops[name]
+    fused, generic, _, _, _ = loops[name]
     v = _packed(name, _free_position(world, radius, angle), eta, u, theta)
     ff = fused.flow_map(v)
     gf = generic.flow_map(v)
@@ -160,35 +168,77 @@ def test_loop_flows_match_the_generic_compositions(name, radius, angle, theta,
         assert np.allclose(ff, gf, rtol=1e-9, atol=1e-9)
 
 
+def _drawn_state(name, thetas, radius, angle, theta, eta, u, on_axis):
+    """A packed state of loop ``name`` over the candidate set ``thetas``,
+    on the symmetry axis when ``on_axis``, with its loop entry."""
+    world, gains, loops = _loops(thetas)
+    if on_axis:
+        p = world.p_o + np.array([math.copysign(world.r_o + world.epsilon
+                                                + radius, angle), 0.0])
+        eta = (eta[0], 0.0)
+    else:
+        p = _free_position(world, radius, angle)
+    return gains, loops[name], _packed(name, p, eta, u, theta)
+
+
+_switching_draws = dict(name=_loop_names, thetas=st.sampled_from(THETA_SETS),
+                        radius=_distances, angle=_angles, theta=_thetas,
+                        eta=_vectors, u=_vectors, on_axis=st.booleans())
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(name=_loop_names, radius=_distances, angle=_angles, theta=_thetas,
-       eta=_vectors, u=_vectors)
+@given(**_switching_draws)
 def test_loop_indicators_are_excess_minus_gap_of_the_public_potentials(
-        name, radius, angle, theta, eta, u):
-    world, gains, loops = _loops()
-    fused, _, potential, gap = loops[name]
-    v = _packed(name, _free_position(world, radius, angle), eta, u, theta)
+        name, thetas, radius, angle, theta, eta, u, on_axis):
+    gains, (fused, _, potential, gap, _), v = _drawn_state(
+        name, thetas, radius, angle, theta, eta, u, on_axis)
     best = min(potential(v, cand) for cand in gains.theta_candidates)
     excess = potential(v, theta) - best
     assert fused.in_flow_set(v) == excess - gap
     assert fused.in_jump_set(v) == gap - excess
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**_switching_draws)
+def test_loop_jump_maps_match_the_generic_composition_and_switch_candidates(
+        name, thetas, radius, angle, theta, eta, u, on_axis):
+    """The same successors, in the same order: every candidate within
+    TIE_TOL of the minimum, lowest index first."""
+    gains, (fused, generic, potential, _, q), v = _drawn_state(
+        name, thetas, radius, angle, theta, eta, u, on_axis)
+    n = fused.dim - 1
+    values = [potential(v, cand) for cand in gains.theta_candidates]
+    expect = [cand for cand, val in zip(gains.theta_candidates.tolist(), values)
+              if val - min(values) <= TIE_TOL]
+    got = fused.jump_map(v)
+    assert [w[n] for w in got] == expect
+    assert all(np.array_equal(w[:n], v[:n]) for w in got)
+    reference = generic.jump_map(v)
+    assert len(got) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(got, reference))
+    switch = switch_candidates(q, v[:n], v[n:])
+    assert len(switch) == len(got)
+    assert all(np.array_equal(w[n:], c) for w, c in zip(got, switch))
+    if on_axis and thetas == (-0.2, 0.2):
+        assert [w[n] for w in got] == [-0.2, 0.2]  # an exact tie
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(name=_loop_names, clearance=st.floats(-2.0, 1e-12), angle=_angles,
-       theta=_thetas, eta=_vectors, u=_vectors)
-def test_loop_maps_raise_at_nonpositive_clearance(name, clearance, angle,
-                                                  theta, eta, u):
-    world, gains, loops = _loops()
-    fused, _, _, _ = loops[name]
+@given(name=_loop_names, thetas=st.sampled_from(THETA_SETS),
+       clearance=st.floats(-2.0, 1e-12), angle=_angles, theta=_thetas,
+       eta=_vectors, u=_vectors)
+def test_loop_maps_raise_at_nonpositive_clearance(name, thetas, clearance,
+                                                  angle, theta, eta, u):
+    world, gains, loops = _loops(thetas)
+    fused = loops[name][0]
     p = world.p_o + (world.r_o + clearance) * np.array([math.cos(angle),
                                                         math.sin(angle)])
     assume(obstacle_distance(world, p) <= 1e-12)
     v = _packed(name, p, eta, u, theta)
-    with pytest.raises(NonPositiveDistance):
-        fused.flow_map(v)
-    with pytest.raises(NonPositiveDistance):
-        fused.in_flow_set(v)
+    for fn in (fused.flow_map, fused.in_flow_set, fused.in_jump_set,
+               fused.jump_map):
+        with pytest.raises(NonPositiveDistance):
+            fn(v)
     _, gap, sp, bp = _channel_loops()[2][name]
     with pytest.raises(NonPositiveDistance):
         sample_channels(world, gains, np.stack([v, v]), gap, sp, bp)
