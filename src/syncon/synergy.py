@@ -91,10 +91,9 @@ class AffinePlant:
     drift_uses_theta: bool = False
 
 
-def _quadruple_values(q: SynergisticQuadruple, x: np.ndarray,
-                      theta: np.ndarray) -> tuple[float, list[float]]:
-    """(V(x, theta), [V(x, theta_bar) for each row of q.Theta, in order])."""
-    return q.V(x, theta), [q.V(x, cand) for cand in q.Theta]
+def _candidate_values(q: SynergisticQuadruple, x: np.ndarray) -> list[float]:
+    """V(x, theta_bar) for every row of q.Theta, in Theta order."""
+    return [q.V(x, cand) for cand in q.Theta]
 
 
 def _excess(values: tuple[float, list[float]]) -> float:
@@ -115,7 +114,7 @@ def v_excess(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float
     Non-negative whenever theta itself belongs to Theta; the zero level says
     the current switching value is already optimal.
     """
-    return _excess(_quadruple_values(q, x, theta))
+    return _excess((q.V(x, theta), _candidate_values(q, x)))
 
 
 def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
@@ -124,8 +123,7 @@ def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
 
     The engine applies the first entry, so ties resolve to the lowest index.
     """
-    return [q.Theta[i].copy()
-            for i in _tied(_quadruple_values(q, x, theta)[1])]
+    return [q.Theta[i].copy() for i in _tied(_candidate_values(q, x))]
 
 
 def switching_system(values, Theta: np.ndarray, gap: float, flow_map,
@@ -190,8 +188,9 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
         xdot = np.asarray(drift, dtype=float) + np.asarray(g(x), dtype=float) @ u
         return np.concatenate([xdot, w])
 
-    return switching_system(lambda v: _quadruple_values(q, v[:n], v[n:]),
-                            q.Theta, q.delta, flow, n, project_flow)
+    return switching_system(
+        lambda v: (q.V(v[:n], v[n:]), _candidate_values(q, v[:n])),
+        q.Theta, q.delta, flow, n, project_flow)
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray,

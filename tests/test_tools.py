@@ -26,15 +26,15 @@ def test_bench_snapshot_has_the_shape_of_the_committed_files(tmp_path,
     monkeypatch.setattr(tool, "ROOT", tmp_path)
     calls = []
 
-    def fake_run(name, seed, seconds):
-        calls.append((name, seed, seconds))
+    def fake_run(name):
+        calls.append(name)
         return ({**committed["env"], "workload": name},
                 committed["workloads"][name])
 
     monkeypatch.setattr(tool, "run_workload", fake_run)
     assert tool.main(["--source", "stub"]) == 0
     out = json.loads((tmp_path / "BENCH_5.json").read_text())
-    assert calls == [(name, 811, 20.0) for name in committed["workloads"]]
+    assert calls == list(committed["workloads"])
     assert out.keys() == committed.keys()
     assert out["command"] == committed["command"]
     assert out["env"] == committed["env"]

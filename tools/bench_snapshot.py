@@ -1,17 +1,17 @@
 """Write a committed BENCH_<n>.json from traced benchmark runs.
 
-    python3 tools/bench_snapshot.py --source "<what this tree is>" [--n N]
-                                    [--seed 811] [--seconds 20]
+    python3 tools/bench_snapshot.py --source "<what this tree is>"
 
 Run from anywhere inside a syncon checkout.  Runs the unchanged
-``perfbench/run.py --workload <name> --seed <seed> --seconds <seconds>
---trace 1`` on each workload that ``BENCHMARK.json`` lists, one after
-another, and writes ``BENCH_<n>.json`` at the repository root (``n`` is one
-past the highest existing file when not given).  The file holds the source
-label, the command, the environment block of the first run (without the
-workload name) and each workload's result object, the last line run.py
-prints.  A run that fails, or whose result is not ``correct``, stops the
-script before anything is written.
+``perfbench/run.py --workload <name> --seed 811 --seconds 20 --trace 1`` on
+each workload that ``BENCHMARK.json`` lists, one after another, and writes
+``BENCH_<n>.json`` at the repository root, ``n`` one past the highest
+existing file.  Seed and length are fixed so that every snapshot compares
+with the others.  The file holds the source label, the command, the
+environment block of the first run (without the workload name) and each
+workload's result object, the last line run.py prints.  A run that fails,
+or whose result is not ``correct``, stops the script before anything is
+written.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 811
+SECONDS = 20
+RUN_ARGS = ["--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "1"]
 
 
-def run_workload(name: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_workload(name: str) -> tuple[dict, dict]:
     """(environment block, result object) of one traced run."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", name,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", name, *RUN_ARGS]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n"
@@ -52,28 +54,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--source", required=True,
                         help="what the measured tree is, e.g. a commit subject")
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=811)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
     env, results = None, {}
-    for name in names:
+    for name in (w["name"] for w in bench["workloads"]):
         print(f"running {name} ...", file=sys.stderr)
-        run_env, results[name] = run_workload(name, args.seed, args.seconds)
+        run_env, results[name] = run_workload(name)
         if env is None:
             env = {k: v for k, v in run_env.items() if k != "workload"}
-    seconds = f"{args.seconds:g}"
     snapshot = {
         "source": args.source,
-        "command": f"python3 perfbench/run.py --workload <name> --seed "
-                   f"{args.seed} --seconds {seconds} --trace 1",
+        "command": " ".join(["python3 perfbench/run.py --workload <name>",
+                             *RUN_ARGS]),
         "env": env,
         "workloads": results,
     }
-    path = ROOT / f"BENCH_{args.n or next_number()}.json"
+    path = ROOT / f"BENCH_{next_number()}.json"
     path.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(path.name)
     return 0
