@@ -377,13 +377,13 @@ def _state_terms(world: NavigationWorld, gains: NavGains,
 
 
 def _angle_terms(world: NavigationWorld, gains: NavGains, th, cos=math.cos,
-                 sin=math.sin, offset: bool = True):
+                 sin=math.sin):
     """The part of a loop's V fixed by the logic angle th: (c, s, pen, sx,
     sy) with c = cos th, s = sin th, the penalty gamma_theta th^2/2 and the
-    offset sigma(th), which is (None, None) when ``offset`` is false."""
+    offset sigma(th)."""
     c = cos(th)
     s = sin(th)
-    sx, sy, _, _ = _offset(world, c, s) if offset else (None,) * 4
+    sx, sy, _, _ = _offset(world, c, s)
     return c, s, 0.5 * gains.gamma_theta * th * th, sx, sy
 
 
@@ -783,13 +783,11 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
     once per call, each candidate's angle terms once, here."""
     cands = [_angle_terms(world, gains, t)
              for t in gains.theta_candidates.tolist()]
-    tracked = sp is not None  # only the tracker loops' V reads sigma
 
     def values(v):
         *x, th = v.tolist()
         st = _state_terms(world, gains, bp, x)
-        own = _angle_terms(world, gains, th, offset=tracked)
-        return (_loop_v(world, sp, st, own),
+        return (_loop_v(world, sp, st, _angle_terms(world, gains, th)),
                 [_loop_v(world, sp, st, at) for at in cands])
 
     dim_x = 2 if sp is None else 4 if bp is None else 6
