@@ -11,16 +11,17 @@ Solutions live on a hybrid time domain (t, j): flow advances t along segments
 of constant jump counter j, and each jump increments j while t stands still.
 Integration is explicit fixed-step 4th-order Runge-Kutta, computed entry by
 entry over Python floats in the order of operations of the vector formula
-x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  The flow map receives each stage state as
-a float ndarray of length ``dim`` and must return a float ndarray of length
-``dim``; its output is read with ``tolist()``, and any other length raises
-DimensionMismatch.  When a step crosses a set boundary the crossing is
-located on the step fraction by a safeguarded Illinois (modified regula
-falsi) iteration, re-integrating the partial step at each probe, so every
-accepted sample respects its set within ``event_tol``; a location that gives
-up short of it is counted on the arc.  An indicator that is NaN raises
-NonFiniteState.  Everything here is deterministic: the same spec, state and
-config produce bit-identical arcs.
+x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Inside the engine a state is a list of
+``dim`` Python floats: the flow map, the indicators, the jump map and the
+projection each receive one, and must not modify it.  The flow map may
+return any sequence of ``dim`` floats; any other length raises
+DimensionMismatch.  The arc still holds float ndarrays.  When a step crosses
+a set boundary the crossing is located on the step fraction by a safeguarded
+Illinois (modified regula falsi) iteration, re-integrating the partial step
+at each probe, so every accepted sample respects its set within
+``event_tol``; a location that gives up short of it is counted on the arc.
+An indicator that is NaN raises NonFiniteState.  Everything here is
+deterministic: the same spec, state and config produce bit-identical arcs.
 
 The indicators are evaluated once per state: the pair computed at the end of
 an accepted step is carried into the next iteration, and is recomputed only
@@ -37,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,8 +121,8 @@ class SimConfig:
 class HybridSystemSpec:
     """A simulable hybrid system over flat state vectors of length ``dim``.
 
-    flow_map      state -> time derivative, used while flowing; takes a float
-                  ndarray of length dim and returns one of length dim
+    flow_map      state -> time derivative, used while flowing; takes a list
+                  of dim floats and returns any sequence of dim floats
     jump_map      state -> ordered list of candidate post-states; the engine
                   deterministically applies the first candidate, so producers
                   put their preferred selection at index 0
@@ -143,11 +144,11 @@ class HybridSystemSpec:
     """
 
     dim: int
-    flow_map: Callable[[np.ndarray], np.ndarray]
-    jump_map: Callable[[np.ndarray], list]
-    in_flow_set: Callable[[np.ndarray], float]
-    in_jump_set: Callable[[np.ndarray], float]
-    project_flow: Callable[[np.ndarray], np.ndarray] | None = None
+    flow_map: Callable[[list[float]], Sequence[float]]
+    jump_map: Callable[[list[float]], list]
+    in_flow_set: Callable[[list[float]], float]
+    in_jump_set: Callable[[list[float]], float]
+    project_flow: Callable[[list[float]], Sequence[float]] | None = None
     complementary: bool = False
 
 
@@ -215,21 +216,25 @@ class HybridArc:
                 yield float(seg.ts[k]), seg.j, seg.xs[k]
 
 
-def _require_finite(x: np.ndarray, what: str, *args) -> None:
+def _state(x) -> list[float]:
+    """x as the engine's state: a list as is, anything else via a float ndarray."""
+    return x if type(x) is list else np.asarray(x, dtype=float).tolist()
+
+
+def _require_finite(x, what: str, *args) -> None:
     """NonFiniteState unless x is finite; x is named by what.format(*args),
     formatted only then."""
-    if not all(map(math.isfinite, x.tolist())):
-        raise NonFiniteState(f"{what.format(*args)} is not finite: {x!r}")
+    if not all(map(math.isfinite, x)):
+        raise NonFiniteState(f"{what.format(*args)} is not finite: {np.asarray(x, float)!r}")
 
 
-def _nan_indicator(indicator: Callable | str, x: np.ndarray) -> NonFiniteState:
+def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
     """The error for an indicator, a callable or its name, that is NaN at x."""
     name = getattr(indicator, "__name__", indicator)
-    return NonFiniteState(f"indicator {name} is NaN at {x!r}")
+    return NonFiniteState(f"indicator {name} is NaN at {np.asarray(x, float)!r}")
 
 
-def _stage(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-           n: int) -> list[float]:
+def _stage(f: Callable, x: list[float], n: int) -> list[float]:
     """The flow map at x, as a list of n floats.
 
     A math-domain or overflow error from a flow map evaluated at a stage
@@ -237,46 +242,47 @@ def _stage(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     is reported as NonFiniteState; at a finite state it propagates as is.
     """
     try:
-        k = f(x).tolist()
+        k = f(x)
     except (ValueError, OverflowError):
         _require_finite(x, "RK4 stage state")
         raise
+    if type(k) is not list:
+        k = k.tolist() if isinstance(k, np.ndarray) else list(k)
     if len(k) != n:
         raise DimensionMismatch(f"flow map returned dimension {len(k)}, expected {n}")
     return k
 
 
-def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
+def _rk4(f: Callable, x: list[float], h: float) -> list[float]:
     """x + (h/6)(k1 + 2 k2 + 2 k3 + k4), entry by entry over Python floats,
     in the same order of operations as the vector expression."""
-    x0 = x.tolist()
-    n = len(x0)
+    n = len(x)
     half = 0.5 * h
     k1 = _stage(f, x, n)
-    k2 = _stage(f, np.array([a + half * b for a, b in zip(x0, k1)]), n)
-    k3 = _stage(f, np.array([a + half * b for a, b in zip(x0, k2)]), n)
-    k4 = _stage(f, np.array([a + h * b for a, b in zip(x0, k3)]), n)
+    k2 = _stage(f, [a + half * b for a, b in zip(x, k1)], n)
+    k3 = _stage(f, [a + half * b for a, b in zip(x, k2)], n)
+    k4 = _stage(f, [a + h * b for a, b in zip(x, k3)], n)
     w = h / 6.0
-    return np.array([a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(x0, k1, k2, k3, k4)])
+    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
-def step_flow(spec: HybridSystemSpec, x: np.ndarray, h: float) -> np.ndarray:
-    """One explicit RK4 step of size h along the flow map."""
+def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
+    """One explicit RK4 step of size h along the flow map, as a list."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
-    out = _rk4(spec.flow_map, np.asarray(x, dtype=float), h)
+    out = _rk4(spec.flow_map, _state(x), h)
     _require_finite(out, "flow step output (h={:g})", h)
     return out
 
 
-def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
-                    indicator: Callable[[np.ndarray], float],
+def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
+                    indicator: Callable[[list[float]], float],
                     event_tol: float = 1e-10, *,
-                    x_hi: np.ndarray | None = None,
+                    x_hi: list[float] | None = None,
                     f_lo: float | None = None,
                     f_hi: float | None = None,
-                    stats: dict[str, int] | None = None) -> tuple[np.ndarray, float]:
+                    stats: dict[str, int] | None = None) -> tuple[list[float], float]:
     """Find the boundary crossing of ``indicator`` within one flow step.
 
     Searches the step fraction in [0, 1] with the Illinois rule, safeguarded
@@ -284,8 +290,8 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     ``x_inside`` at each probe, until the indicator magnitude at the probe
     state is within ``event_tol``.  The endpoints must straddle the zero
     level set, otherwise NoSignChange is raised.  Returns the boundary state
-    and the located fraction.  A bracket narrower than 1e-16, or with no
-    float inside, or ``_MAX_PROBES`` probes end the search at the last probe
+    (a list) and the located fraction.  A bracket narrower than 1e-16, or with
+    no float inside, or ``_MAX_PROBES`` probes end the search at the last probe
     and count a ``locate_misses``; a NaN indicator raises NonFiniteState.
 
     A caller that already holds the full step ``x_hi = step_flow(spec,
@@ -297,14 +303,14 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     if stats is None:
         stats = _new_stats()
     stats["locate_calls"] += 1
-    x_inside = np.asarray(x_inside, dtype=float)
+    x_inside = _state(x_inside)
     if f_lo is None:
         f_lo = float(indicator(x_inside))
         stats["indicator_evals"] += 1
         if f_lo != f_lo:
             raise _nan_indicator(indicator, x_inside)
     if abs(f_lo) <= event_tol:
-        return x_inside.copy(), 0.0
+        return x_inside, 0.0
     if x_hi is None:
         x_hi = step_flow(spec, x_inside, h)
         stats["rk4_steps"] += 1
@@ -357,7 +363,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside: np.ndarray, h: float,
     return x_s, s
 
 
-def _select_jump(spec: HybridSystemSpec, x: np.ndarray, event_tol: float,
+def _select_jump(spec: HybridSystemSpec, x: list[float], event_tol: float,
                  ji: float | None = None) -> tuple[np.ndarray, int]:
     """The first jump candidate at x and the candidate count.  ``ji`` is the
     jump-set indicator at x when the caller already holds it."""
@@ -370,7 +376,7 @@ def _select_jump(spec: HybridSystemSpec, x: np.ndarray, event_tol: float,
             f"jump requested outside the jump set (indicator {ji:.6g} > {event_tol:g})")
     candidates = spec.jump_map(x)
     if len(candidates) == 0:
-        raise EmptyJumpSet(f"jump map returned no candidates at {x!r}")
+        raise EmptyJumpSet(f"jump map returned no candidates at {np.asarray(x, float)!r}")
     post = np.asarray(candidates[0], dtype=float)
     if post.size != spec.dim:
         raise DimensionMismatch(
@@ -382,8 +388,7 @@ def _select_jump(spec: HybridSystemSpec, x: np.ndarray, event_tol: float,
 def apply_jump(spec: HybridSystemSpec, x: np.ndarray,
                event_tol: float = 1e-10) -> np.ndarray:
     """Apply the jump map at x, returning the selected post-state."""
-    post, _ = _select_jump(spec, np.asarray(x, dtype=float), event_tol)
-    return post
+    return _select_jump(spec, _state(x), event_tol)[0]
 
 
 def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridArc:
@@ -395,16 +400,16 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     are normal terminations, recorded on the arc.  A state outside both sets
     raises CoverageViolation.
     """
-    x = np.array(x0, dtype=float).ravel()
-    if x.size != spec.dim:
-        raise DimensionMismatch(f"x0 has dimension {x.size}, expected {spec.dim}")
+    x = np.array(x0, dtype=float).ravel().tolist()
+    if len(x) != spec.dim:
+        raise DimensionMismatch(f"x0 has dimension {len(x)}, expected {spec.dim}")
     _require_finite(x, "initial state")
     tol = cfg.event_tol
     stats = _new_stats()
     complementary = spec.complementary
     evals_per_state = 1 if complementary else 2
 
-    def indicators(v: np.ndarray) -> tuple[float, float]:
+    def indicators(v: list[float]) -> tuple[float, float]:
         stats["indicator_evals"] += evals_per_state
         f = float(spec.in_flow_set(v))
         if f != f:
@@ -428,15 +433,16 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     segments: list[FlowSegment] = []
     jumps: list[JumpEvent] = []
     notes: list[str] = []
+    # The open segment's samples; no state list is modified, so none is copied.
     seg_t = [t]
-    seg_x = [x.copy()]
+    seg_x = [x]
     consecutive_jumps = 0
     zeno_warned = False
     flow_blocked = False
     termination = TERM_T_MAX
 
     def close_segment() -> None:
-        segments.append(FlowSegment(j=j, ts=np.array(seg_t), xs=np.array(seg_x)))
+        segments.append(FlowSegment(j, np.array(seg_t), np.array(seg_x, dtype=float)))
 
     while True:
         if fi is None:
@@ -449,14 +455,14 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
                 termination = TERM_J_MAX
                 break
             x_post, n_cand = _select_jump(spec, x, tol, ji=ji)
-            jumps.append(JumpEvent(t=t, j_pre=j, x_pre=x.copy(),
+            jumps.append(JumpEvent(t=t, j_pre=j, x_pre=np.array(x, dtype=float),
                                    x_post=x_post.copy(), n_candidates=n_cand))
             close_segment()
             j += 1
-            x = x_post
+            x = x_post.tolist()
             fi = ji = None
             seg_t = [t]
-            seg_x = [x.copy()]
+            seg_x = [x]
             flow_blocked = False
             consecutive_jumps += 1
             if consecutive_jumps > ZENO_WARN_AFTER and not zeno_warned:
@@ -511,12 +517,12 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             x_proj = spec.project_flow(x_new)
             if x_proj is not x_new and not np.array_equal(x_proj, x_new):
                 stats["clamps"] += 1
-                x_new = np.asarray(x_proj, dtype=float)
+                x_new = _state(x_proj)
                 fi = ji = None
         x = x_new
         t = t_new
         seg_t.append(t)
-        seg_x.append(x.copy())
+        seg_x.append(x)
 
     close_segment()
     return HybridArc(segments=segments, jumps=jumps, termination=termination,

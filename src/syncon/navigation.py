@@ -115,8 +115,7 @@ class NavigationWorld:
             raise ValueError(
                 f"epsilon must satisfy 0 < epsilon < r_s, got epsilon = "
                 f"{self.epsilon}, r_s = {self.r_s}")
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            span = self.dest_range
+        span = self.dest_range
         if not math.isfinite(span):
             raise ValueError(f"||p_d - p_o|| must be finite, got {span}")
         if not span > self.r_o + self.r_s:
@@ -128,7 +127,7 @@ class NavigationWorld:
     @property
     def dest_range(self) -> float:
         """Distance from the obstacle center to the destination."""
-        return float(np.linalg.norm(self.p_d - self.p_o))
+        return math.hypot(*self._q)
 
 
 @dataclass(frozen=True)
@@ -253,7 +252,7 @@ def barrier_hess(z: float, r_s: float) -> float:
 #
 # The potentials, gradients and flow terms are written once, as scalar
 # kernels over Python floats (the underscored functions below).  The loop
-# maps unpack their state with tolist() and call them; the public helpers
+# maps unpack the engine's list state and call them; the public helpers
 # unpack their arguments and call the same kernels, so both compute the
 # same bits.
 
@@ -673,28 +672,26 @@ def find_critical_point(world: NavigationWorld) -> np.ndarray:
 def shell_projection(world: NavigationWorld):
     """Projection onto clearance >= epsilon for use as an engine flow hook.
 
-    Acts on any packed state whose first two entries are the position;
-    points that dip inside the margin are pushed radially back onto it, in a
-    copy.  A point outside the margin comes back as the same object.
+    Acts on any packed state, a list of floats or a float ndarray, whose
+    first two entries are the position; points that dip inside the margin are
+    pushed radially back onto it, in a new list.  A point outside the margin
+    comes back as the same object.
     """
     r_min = (world.r_o + world.epsilon) * (1.0 + 1e-12)
     pox, poy = world._po
 
-    def project(v: np.ndarray) -> np.ndarray:
-        px, py = v.tolist()[:2]
-        wx = px - pox
-        wy = py - poy
+    def project(v):
+        wx = v[0] - pox
+        wy = v[1] - poy
         rho = math.hypot(wx, wy)
         if rho >= r_min:
             return v
-        out = v.copy()
+        out = list(v)
         if rho <= _Z_MIN:
-            out[0] = pox + r_min
-            out[1] = poy
+            out[:2] = pox + r_min, poy
         else:
             f = r_min / rho
-            out[0] = pox + f * wx
-            out[1] = poy + f * wy
+            out[:2] = pox + f * wx, poy + f * wy
         return out
 
     return project
@@ -785,7 +782,7 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
              for t in gains.theta_candidates.tolist()]
 
     def values(v):
-        *x, th = v.tolist()
+        *x, th = v
         st = _state_terms(world, gains, bp, x)
         return (_loop_v(world, sp, st, _angle_terms(world, gains, th)),
                 [_loop_v(world, sp, st, at) for at in cands])
@@ -802,9 +799,9 @@ def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemS
     k_theta = gains.k_theta
 
     def flow(v):
-        px, py, th = v.tolist()
+        px, py, th = v
         gx, gy, sx, sy, _, _, gt = _descent(world, gains, px, py, th)[:7]
-        return np.array([-k_p * (gx - sx), -k_p * (gy - sy), -k_theta * gt])
+        return [-k_p * (gx - sx), -k_p * (gy - sy), -k_theta * gt]
 
     return _switched_loop(world, gains, None, None, gains.delta, flow)
 
@@ -817,14 +814,14 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
     k_theta = gains.k_theta
 
     def flow(v):
-        px, py, eta1, eta2, th = v.tolist()
+        px, py, eta1, eta2, th = v
         gx, gy, sx, sy, rx, ry, gt = _descent(world, gains, px, py, th)[:7]
         varpi = -k_theta * gt
         # physical input is the tracked feedback k_p (eta - g_nav)
         u1, u2 = _tracked(gains, eta1, eta2, gx, gy)
         e1, e2 = _tracker_rate(gains, sp, eta1, eta2, gx, gy, sx, sy, rx, ry,
                                varpi)
-        return np.array([u1, u2, e1, e2, varpi])
+        return [u1, u2, e1, e2, varpi]
 
     return _switched_loop(world, gains, sp, None, sp.delta_s, flow)
 
@@ -843,7 +840,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
     k_b = bp.k_b
 
     def flow(v):
-        px, py, eta1, eta2, u1, u2, th = v.tolist()
+        px, py, eta1, eta2, u1, u2, th = v
         gx, gy, sx, sy, rx, ry, gt, wx, wy, rho, z, a = _descent(
             world, gains, px, py, th)
         varpi = -k_theta * gt
@@ -858,15 +855,10 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
         Hu2 = (1.0 + a) * u2 + b * ndotu * ny
         dref1 = k_p * ks1 - k_p * Hu1
         dref2 = k_p * ks2 - k_p * Hu2
-        return np.array([
-            u1,
-            u2,
-            ks1,
-            ks2,
-            -k_b * (u1 - ref1) + dref1 - (gx - sx) / gamma_b,
-            -k_b * (u2 - ref2) + dref2 - (gy - sy) / gamma_b,
-            varpi,
-        ])
+        return [u1, u2, ks1, ks2,
+                -k_b * (u1 - ref1) + dref1 - (gx - sx) / gamma_b,
+                -k_b * (u2 - ref2) + dref2 - (gy - sy) / gamma_b,
+                varpi]
 
     return _switched_loop(world, gains, sp, bp, bp.delta_b, flow)
 
@@ -876,9 +868,9 @@ def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSyste
     k_p = gains.k_p
 
     def flow(v):
-        px, py, _ = v.tolist()
+        px, py, _ = v
         gx, gy, _ = _grad(world, px, py, *_radial(world, px, py))
-        return np.array([-k_p * gx, -k_p * gy, 0.0])
+        return [-k_p * gx, -k_p * gy, 0.0]
 
     return HybridSystemSpec(
         dim=3,

@@ -142,7 +142,7 @@ def switching_system(values, Theta: np.ndarray, gap: float, flow_map,
     n = dim_x
     Theta = np.asarray(Theta, dtype=float)
 
-    def jump(v: np.ndarray) -> list[np.ndarray]:
+    def jump(v) -> list[np.ndarray]:
         x = v[:n]
         return [np.concatenate([x, Theta[i]]) for i in _tied(values(v)[1])]
 
@@ -162,7 +162,7 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
     sets follow switching_system with gap q.delta, on a ``values`` that
     calls q.V once at the state's own theta and once per row of q.Theta.
     Output dimensions of kappa and varpi are checked on first use and raise
-    DimensionMismatch.
+    DimensionMismatch.  Both read the list state as one ndarray for q's maps.
     """
     n = plant.dim_x
     r = q.dim_theta
@@ -170,10 +170,10 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
     f, g, kappa, varpi = plant.f, plant.g, q.kappa, q.varpi
     checked = False
 
-    def flow(v: np.ndarray) -> np.ndarray:
+    def flow(v) -> np.ndarray:
         nonlocal checked
-        x = v[:n]
-        th = v[n:]
+        v = np.asarray(v, dtype=float)
+        x, th = v[:n], v[n:]
         u = np.asarray(kappa(x, th), dtype=float)
         w = np.asarray(varpi(x, th), dtype=float)
         if not checked:
@@ -188,9 +188,11 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
         xdot = np.asarray(drift, dtype=float) + np.asarray(g(x), dtype=float) @ u
         return np.concatenate([xdot, w])
 
-    return switching_system(
-        lambda v: (q.V(v[:n], v[n:]), _candidate_values(q, v[:n])),
-        q.Theta, q.delta, flow, n, project_flow)
+    def values(v):
+        v = np.asarray(v, dtype=float)
+        return q.V(v[:n], v[n:]), _candidate_values(q, v[:n])
+
+    return switching_system(values, q.Theta, q.delta, flow, n, project_flow)
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray,

@@ -89,7 +89,7 @@ def reversed_spec(spec: HybridSystemSpec) -> HybridSystemSpec:
     """Same flow integrated backward, for central differences in time."""
     return HybridSystemSpec(
         dim=spec.dim,
-        flow_map=lambda v: -spec.flow_map(v),
+        flow_map=lambda v: [-a for a in spec.flow_map(v)],
         jump_map=lambda v: [],
         in_flow_set=lambda v: -1.0,
         in_jump_set=lambda v: 1.0,

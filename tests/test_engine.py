@@ -46,7 +46,7 @@ def always_jump_spec():
     return HybridSystemSpec(
         dim=1,
         flow_map=lambda v: np.zeros(1),
-        jump_map=lambda v: [0.5 * v],
+        jump_map=lambda v: [[0.5 * v[0]]],
         in_flow_set=lambda v: -1.0,
         in_jump_set=lambda v: -1.0,
     )
@@ -91,6 +91,60 @@ def test_step_flow_names_the_step_of_an_overflowing_output():
         step_flow(spec, np.zeros(1), 0.25)
     assert str(info.value) == ("flow step output (h=0.25) is not finite: "
                                "array([inf])")
+
+
+def test_every_callable_receives_a_list_of_floats():
+    """The engine hands each map its state as a list of Python floats, also
+    where the caller passed an ndarray: flow stages, indicators (locator
+    probes included), projection and jump map."""
+    seen = {}
+
+    def record(name, fn):
+        def wrapper(v):
+            seen.setdefault(name, []).append(
+                type(v) is list and all(type(a) is float for a in v))
+            return fn(v)
+        return wrapper
+
+    base = reset_clock_spec()
+    spec = dataclasses.replace(
+        base, flow_map=record("flow", base.flow_map),
+        jump_map=record("jump", base.jump_map),
+        in_flow_set=record("flow set", base.in_flow_set),
+        in_jump_set=record("jump set", base.in_jump_set),
+        project_flow=record("project", lambda v: v))
+    arc = simulate(spec, np.array([0.0]), SimConfig(dt=0.03, t_max=3.5))
+    assert arc.n_jumps == 3 and arc.stats["locate_probes"] == 3
+    step_flow(spec, np.array([0.5]), 0.1)
+    locate_boundary(spec, np.array([0.9]), 0.2, spec.in_flow_set)
+    apply_jump(spec, np.array([1.0]))
+    assert sorted(seen) == ["flow", "flow set", "jump", "jump set", "project"]
+    assert all(all(calls) for calls in seen.values())
+
+
+@pytest.mark.parametrize("wrap", [list, tuple, np.array])
+def test_a_flow_may_return_any_float_sequence(wrap):
+    """A list, a tuple or an ndarray out of the flow map give the same bits,
+    through single steps and through a run that locates its boundary."""
+    def field(v):
+        x, y = v
+        return [-0.5 * x - y, x - 0.5 * y]
+
+    ref = HybridSystemSpec(dim=2, flow_map=field, jump_map=lambda v: [],
+                           in_flow_set=lambda v: v[1] - 0.5,
+                           in_jump_set=lambda v: 1.0)
+    spec = dataclasses.replace(ref, flow_map=lambda v: wrap(field(v)))
+    x0 = np.array([1.0, 0.25])
+    out = step_flow(spec, x0, 0.1)
+    assert type(out) is list and out == step_flow(ref, x0, 0.1)
+    cfg = SimConfig(dt=0.05, t_max=5.0)
+    got, expect = simulate(spec, x0, cfg), simulate(ref, x0, cfg)
+    assert got.termination == expect.termination == TERM_DEAD_END
+    assert got.stats == expect.stats and got.stats["locate_calls"] > 0
+    (a,), (b,) = got.segments, expect.segments
+    for u, w in ((a.ts, b.ts), (a.xs, b.xs)):
+        assert u.dtype == w.dtype == float and u.shape == w.shape
+        assert u.tobytes() == w.tobytes()
 
 
 def test_step_flow_equals_the_vector_rk4_expression():
@@ -178,7 +232,7 @@ def test_pure_flow_growth_error_shrinks_fourth_order():
 
 
 def test_pure_flow_decay_sample_layout():
-    spec = pure_flow_spec(lambda v: -v)
+    spec = pure_flow_spec(lambda v: [-v[0]])
     arc = simulate(spec, np.array([2.0]), SimConfig(dt=0.01, t_max=2.0))
     assert arc.termination == TERM_T_MAX
     assert arc.n_jumps == 0
@@ -361,7 +415,7 @@ def test_locate_boundary_reuses_the_callers_step():
 
 
 def test_flow_steps_evaluate_indicators_once_per_state():
-    spec = pure_flow_spec(lambda v: -v)
+    spec = pure_flow_spec(lambda v: [-v[0]])
     cfg = SimConfig(dt=0.1, t_max=1.0)
     general = simulate(spec, np.array([1.0]), cfg)
     paired = simulate(dataclasses.replace(spec, complementary=True),
@@ -474,7 +528,7 @@ def test_project_flow_clamps_samples_and_counts():
 
 
 def test_unused_projection_counts_nothing():
-    spec = pure_flow_spec(lambda v: -v, project=lambda v: v)
+    spec = pure_flow_spec(lambda v: [-v[0]], project=lambda v: v)
     arc = simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
     assert arc.n_clamped == 0
 
@@ -723,3 +777,20 @@ def test_located_states_on_a_nonlinear_flow_meet_event_tol():
     for k, ev in enumerate(arc.jumps):
         assert abs(spec.in_jump_set(ev.x_pre)) <= cfg.event_tol
         assert abs(ev.t - (k + 1.0)) <= 1e-7
+
+
+def test_errors_name_the_list_state_as_an_array():
+    """The engine holds its state as a list; its error texts still print the
+    state as a float array."""
+    with pytest.raises(NonFiniteState) as info:
+        simulate(nan_above_spec(-1.0), np.zeros(1), SimConfig(dt=0.1, t_max=1.0))
+    assert str(info.value) == "indicator in_flow_set is NaN at array([0.])"
+    spec = nan_above_spec(0.5)
+    with pytest.raises(NonFiniteState) as info:
+        locate_boundary(spec, [0.0], 1.0, spec.in_flow_set)
+    assert str(info.value) == "indicator flow_ind is NaN at array([1.])"
+    empty = dataclasses.replace(spec, jump_map=lambda v: [],
+                                in_jump_set=lambda v: -1.0)
+    with pytest.raises(EmptyJumpSet) as info:
+        apply_jump(empty, [0.25])
+    assert str(info.value) == "jump map returned no candidates at array([0.25])"

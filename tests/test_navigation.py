@@ -161,6 +161,19 @@ def test_world_validation():
                         p_d=np.array([9.0, 0.0]), r_s=0.5, varrho=-1.0)
 
 
+def test_a_wide_world_keeps_its_finite_span():
+    """||p_d - p_o|| is taken without squaring: a span past 1.3e154, whose
+    square overflows, is still finite, and so are the gain ceilings."""
+    wide = NavigationWorld(p_o=np.array([3e200, 0.0]), r_o=1e200, epsilon=0.1,
+                           p_d=np.zeros(2), r_s=0.5, varrho=1.0)
+    assert wide.dest_range == 3e200
+    world = NavigationWorld(p_o=np.array([1e155, 0.0]), r_o=1.0, epsilon=0.1,
+                            p_d=np.zeros(2), r_s=0.5, varrho=1.0)
+    assert world.dest_range == 1e155
+    assert math.isfinite(rotation_rate_bound(world))
+    assert math.isfinite(max_synergy_gap(world, demo_gains()))
+
+
 def test_obstacle_distance_sign():
     world = demo_world()
     assert obstacle_distance(world, np.array([12.0, 0.0])) == pytest.approx(5.0)

@@ -159,8 +159,8 @@ def test_loop_flows_match_the_generic_compositions(name, radius, angle, theta,
     world, _, loops = _loops()
     fused, generic, _, _, _ = loops[name]
     v = _packed(name, _free_position(world, radius, angle), eta, u, theta)
-    ff = fused.flow_map(v)
-    gf = generic.flow_map(v)
+    ff = np.asarray(fused.flow_map(v))
+    gf = np.asarray(generic.flow_map(v))
     assert ff.shape == gf.shape == (fused.dim,)
     if name == "backstep":
         assert np.all(np.abs(ff - gf) <= 1e-8 + 1e-8 * np.abs(gf))
