@@ -13,7 +13,9 @@ Integration is explicit fixed-step 4th-order Runge-Kutta, computed entry by
 entry over Python floats in the order of operations of the vector formula
 x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Inside the engine a state is a list of
 ``dim`` Python floats: the flow map, the indicators, the jump map and the
-projection each receive one, and must not modify it.  The flow map may
+projection each receive one, and must not modify it.  A list passed to
+step_flow, locate_boundary or apply_jump is taken as is, so it must hold
+Python floats; any other sequence is read as a float array.  The flow map may
 return any sequence of ``dim`` floats; any other length raises
 DimensionMismatch.  The arc still holds float ndarrays.  When a step crosses
 a set boundary the crossing is located on the step fraction by a safeguarded
@@ -315,6 +317,8 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
         x_hi = step_flow(spec, x_inside, h)
         stats["rk4_steps"] += 1
         stats["locate_probes"] += 1
+    else:
+        x_hi = _state(x_hi)
     if f_hi is None:
         f_hi = float(indicator(x_hi))
         stats["indicator_evals"] += 1

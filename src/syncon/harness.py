@@ -309,13 +309,14 @@ def bound_violations(world: NavigationWorld, gains: NavGains,
                      backstep: BacksteppingParams | None = None) -> list[str]:
     """One line per broken parameter bound: validate_gains, then
     validate_smoothed_params and validate_backstepping_params for the
-    layers present."""
+    layers present.  A c_kappa that is not finite is named only by the
+    former; the latter would read a bound of -inf."""
     checks = [lambda: validate_gains(world, gains)]
     if smoothed is not None:
         c_kappa = switch_offset_bound(world, gains)
         checks.append(lambda: validate_smoothed_params(gains.delta, c_kappa,
                                                        smoothed))
-        if backstep is not None:
+        if backstep is not None and math.isfinite(c_kappa):
             checks.append(lambda: validate_backstepping_params(
                 gains.delta, c_kappa, smoothed, backstep))
     lines = []

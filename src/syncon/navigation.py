@@ -86,9 +86,10 @@ class NavigationWorld:
     """Obstacle disc, safety shell, skirt width, and destination.
 
     The destination must lie outside the skirt, ||p_d - p_o|| > r_o + r_s,
-    so the potential is exactly quadratic near it, and at a finite distance,
-    or every gain ceiling is inf; the safety margin epsilon must leave room
-    inside the skirt, 0 < epsilon < r_s.
+    so the potential is exactly quadratic near it, and at a finite distance
+    (a gain ceiling that overflows is reported by the validator that reads
+    it); the safety margin epsilon must leave room inside the skirt,
+    0 < epsilon < r_s.
     """
 
     p_o: np.ndarray
@@ -181,7 +182,10 @@ def validate_gains(world: NavigationWorld, gains: NavGains) -> None:
     if not gains.k_theta > 0.0:
         problems.append(f"k_theta = {gains.k_theta:.6g} must be positive")
     gt_max = rotation_rate_bound(world)
-    if not 0.0 < gains.gamma_theta < gt_max:
+    if not math.isfinite(gt_max):
+        problems.append(f"4*r_o*||p_d - p_o||/pi^2 = {gt_max:.6g} must be "
+                        f"finite to bound gamma_theta and delta")
+    elif not 0.0 < gains.gamma_theta < gt_max:
         problems.append(
             f"gamma_theta = {gains.gamma_theta:.6g} must lie in (0, "
             f"4*r_o*||p_d - p_o||/pi^2 = {gt_max:.6g})")
@@ -192,8 +196,8 @@ def validate_gains(world: NavigationWorld, gains: NavGains) -> None:
             f"candidate angle {tb:.6g} must have magnitude in (0, pi)")
     if not gains.delta > 0.0:
         problems.append(f"delta = {gains.delta:.6g} must be positive")
-    elif 0.0 < gains.gamma_theta < gt_max and not bad_angles:
-        gap = max_synergy_gap(world, gains)
+    elif 0.0 < gains.gamma_theta < gt_max < math.inf and not bad_angles:
+        gap = max_synergy_gap(world, gains)  # finite: < 2*r_o*||p_d - p_o||
         if gains.delta > gap:
             problems.append(
                 f"delta = {gains.delta:.6g} must not exceed "

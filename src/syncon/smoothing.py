@@ -82,8 +82,10 @@ def validate_smoothed_params(delta: float, c_kappa: float,
 
     gamma_s < delta / c_kappa (no bound when c_kappa is 0) and
     delta_s <= delta - gamma_s c_kappa.  Raises ParamBoundViolation listing
-    every bound broken, in that order.
+    every bound broken, in that order, or naming a c_kappa that is not finite.
     """
+    if not np.isfinite(c_kappa):
+        raise ParamBoundViolation(f"c_kappa = {c_kappa:.6g} must be finite")
     problems = []
     if c_kappa > 0.0:
         bound = delta / c_kappa

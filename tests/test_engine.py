@@ -95,8 +95,9 @@ def test_step_flow_names_the_step_of_an_overflowing_output():
 
 def test_every_callable_receives_a_list_of_floats():
     """The engine hands each map its state as a list of Python floats, also
-    where the caller passed an ndarray: flow stages, indicators (locator
-    probes included), projection and jump map."""
+    where the caller passed an ndarray, as the state or as the locator's
+    step end: flow stages, indicators (locator probes included), projection
+    and jump map."""
     seen = {}
 
     def record(name, fn):
@@ -117,6 +118,11 @@ def test_every_callable_receives_a_list_of_floats():
     assert arc.n_jumps == 3 and arc.stats["locate_probes"] == 3
     step_flow(spec, np.array([0.5]), 0.1)
     locate_boundary(spec, np.array([0.9]), 0.2, spec.in_flow_set)
+    locate_boundary(spec, np.array([0.9]), 0.2, spec.in_flow_set,
+                    x_hi=np.array([1.1]))
+    x_b, frac = locate_boundary(spec, np.array([0.9]), 0.1, spec.in_flow_set,
+                                x_hi=np.array([1.0]))
+    assert frac == 1.0 and type(x_b) is list and x_b == [1.0]
     apply_jump(spec, np.array([1.0]))
     assert sorted(seen) == ["flow", "flow set", "jump", "jump set", "project"]
     assert all(all(calls) for calls in seen.values())

@@ -410,6 +410,20 @@ def test_parse_rejects_a_world_whose_span_overflows(tmp_path, capsys):
     assert "||p_d - p_o|| must be finite" in capsys.readouterr().err
 
 
+def test_parse_names_a_gain_ceiling_that_overflows():
+    """A finite span can still overflow a ceiling: 4*r_o*||p_d - p_o||/pi^2
+    with r_o = 2 and a span of 1e308, or c_kappa, which grows with the
+    squared span, at 1e155.  Each is one violation that names it."""
+    raw = json.loads((CONFIG_DIR / "fig5_hybrid.json").read_text())
+    raw["world"]["p_o"] = [1e308, 0.0]
+    assert violations_of(raw) == [
+        "test: gains: 4*r_o*||p_d - p_o||/pi^2 = inf must be finite to bound "
+        "gamma_theta and delta"]
+    for raw in (smooth_raw(), backstep_raw()):
+        raw["world"]["p_o"] = [1e155, 0.0]
+        assert violations_of(raw) == ["test: gains: c_kappa = inf must be finite"]
+
+
 def test_field_table_matches_the_readme_list():
     """Every field the parser reads is named in README's config list, under
     its section's bullet, or as a bullet of its own at the top level."""

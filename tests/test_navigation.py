@@ -47,6 +47,7 @@ from syncon.navigation import (
     switched_potential,
     tracked_input,
     tracking_potential,
+    validate_gains,
 )
 from syncon.harness import build_closed_loop, initial_packed_state, load_config
 from syncon.smoothing import (
@@ -163,15 +164,31 @@ def test_world_validation():
 
 def test_a_wide_world_keeps_its_finite_span():
     """||p_d - p_o|| is taken without squaring: a span past 1.3e154, whose
-    square overflows, is still finite, and so are the gain ceilings."""
+    square overflows, is still finite.  A gain ceiling that overflows is
+    reported by the validator that reads it, naming that ceiling."""
     wide = NavigationWorld(p_o=np.array([3e200, 0.0]), r_o=1e200, epsilon=0.1,
                            p_d=np.zeros(2), r_s=0.5, varrho=1.0)
     assert wide.dest_range == 3e200
+    assert rotation_rate_bound(wide) == math.inf
+    with pytest.raises(GainValidation) as info:
+        validate_gains(wide, demo_gains())
+    assert str(info.value) == (
+        "4*r_o*||p_d - p_o||/pi^2 = inf must be finite to bound gamma_theta "
+        "and delta")
+
     world = NavigationWorld(p_o=np.array([1e155, 0.0]), r_o=1.0, epsilon=0.1,
                             p_d=np.zeros(2), r_s=0.5, varrho=1.0)
     assert world.dest_range == 1e155
     assert math.isfinite(rotation_rate_bound(world))
     assert math.isfinite(max_synergy_gap(world, demo_gains()))
+    validate_gains(world, demo_gains())
+    assert switch_offset_bound(world, demo_gains()) == math.inf
+    for build in (lambda: smooth_closed_loop(world, demo_gains(), demo_smoothed()),
+                  lambda: backstep_closed_loop(world, demo_gains(), demo_smoothed(),
+                                               demo_backstep())):
+        with pytest.raises(ParamBoundViolation) as info:
+            build()
+        assert str(info.value) == "c_kappa = inf must be finite"
 
 
 def test_obstacle_distance_sign():

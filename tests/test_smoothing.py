@@ -73,6 +73,9 @@ def test_validate_smoothed_params_bounds():
     validate_smoothed_params(q.delta, 0.0, SmoothedParams(25.0, 5.0, 1.0))
     with pytest.raises(ParamBoundViolation, match="delta_s"):
         validate_smoothed_params(q.delta, 0.0, SmoothedParams(25.0, 5.0, 1.1))
+    # A spread bound that is not finite leaves neither bound a meaning.
+    with pytest.raises(ParamBoundViolation, match=r"^c_kappa = inf must be finite$"):
+        validate_smoothed_params(q.delta, math.inf, SmoothedParams(0.2, 5.0, 0.5))
 
 
 def test_reconstruction_is_exact_for_a_true_decomposition():
