@@ -9,15 +9,18 @@ The two sets must jointly cover every reachable state; a state outside both
 
 Solutions live on a hybrid time domain (t, j): flow advances t along segments
 of constant jump counter j, and each jump increments j while t stands still.
-Integration is explicit fixed-step 4th-order Runge-Kutta, computed entry by
-entry over Python floats in the order of operations of the vector formula
-x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Inside the engine a state is a list of
-``dim`` Python floats: the flow map, the indicators, the jump map and the
-projection each receive one, and must not modify it.  A list passed to
-step_flow, locate_boundary or apply_jump is taken as is, so it must hold
-Python floats; any other sequence is read as a float array.  The flow map may
-return any sequence of ``dim`` floats; any other length raises
-DimensionMismatch.  The arc still holds float ndarrays.  When a step crosses
+Integration is explicit fixed-step 4th-order Runge-Kutta.  Each state width
+n gets one straight-line kernel, generated and compiled on first use: it
+unpacks the state and each stage into n float locals and builds every stage
+state and the result as a list display, in the order of operations of the
+vector formula x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy
+expression's.  Inside the engine a state is a list of ``dim`` Python floats:
+the flow map, the indicators, the jump map and the projection each receive
+one, and must not modify it.  A list passed to step_flow, locate_boundary or
+apply_jump is taken as is, so it must hold Python floats; any other sequence
+is read as a float array.  The flow map may return any sequence of ``dim``
+floats; any other length raises DimensionMismatch.  The arc still holds
+float ndarrays.  When a step crosses
 a set boundary the crossing is located on the step fraction by a safeguarded
 Illinois (modified regula falsi) iteration, re-integrating the partial step
 at each probe, so every accepted sample respects its set within
@@ -36,6 +39,7 @@ counts the work done.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -97,9 +101,10 @@ class SimConfig:
 
     dt         fixed flow step (final step of a segment may be shorter)
     t_max      flow-time horizon
-    j_max      jump budget; exceeding it ends the run, it is not an error
-    event_tol  tolerance on set-indicator values at accepted samples
-    priority   regime choice on the overlap of the two sets
+    j_max      jump budget, an int; exceeding it ends the run, it is not an
+               error
+    event_tol  tolerance on set-indicator values at accepted samples, finite
+    priority   regime choice on the overlap of the two sets, a Priority
     """
 
     dt: float
@@ -112,11 +117,17 @@ class SimConfig:
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.t_max >= 0.0 and np.isfinite(self.t_max)):
-            raise ValueError(f"t_max must be non-negative, got {self.t_max}")
-        if self.j_max < 0:
-            raise ValueError(f"j_max must be non-negative, got {self.j_max}")
-        if not (self.event_tol > 0.0):
-            raise ValueError(f"event_tol must be positive, got {self.event_tol}")
+            raise ValueError(
+                f"t_max must be non-negative and finite, got {self.t_max}")
+        if not isinstance(self.j_max, int) or isinstance(self.j_max, bool) \
+                or self.j_max < 0:
+            raise ValueError(
+                f"j_max must be a non-negative integer, got {self.j_max!r}")
+        if not (self.event_tol > 0.0 and np.isfinite(self.event_tol)):
+            raise ValueError(
+                f"event_tol must be positive and finite, got {self.event_tol}")
+        if not isinstance(self.priority, Priority):
+            raise ValueError(f"priority must be a Priority, got {self.priority!r}")
 
 
 @dataclass
@@ -236,44 +247,74 @@ def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
     return NonFiniteState(f"indicator {name} is NaN at {np.asarray(x, float)!r}")
 
 
-def _stage(f: Callable, x: list[float], n: int) -> list[float]:
-    """The flow map at x, as a list of n floats.
-
-    A math-domain or overflow error from a flow map evaluated at a stage
-    state that has already left the reals (a step too large for the field)
-    is reported as NonFiniteState; at a finite state it propagates as is.
-    """
-    try:
-        k = f(x)
-    except (ValueError, OverflowError):
-        _require_finite(x, "RK4 stage state")
-        raise
-    if type(k) is not list:
-        k = k.tolist() if isinstance(k, np.ndarray) else list(k)
+def _stage_list(k, n: int) -> list[float]:
+    """A flow map's output k that is not a list of n entries, as one."""
+    k = k.tolist() if isinstance(k, np.ndarray) else list(k)
     if len(k) != n:
         raise DimensionMismatch(f"flow map returned dimension {len(k)}, expected {n}")
     return k
 
 
-def _rk4(f: Callable, x: list[float], h: float) -> list[float]:
-    """x + (h/6)(k1 + 2 k2 + 2 k3 + k4), entry by entry over Python floats,
-    in the same order of operations as the vector expression."""
-    n = len(x)
-    half = 0.5 * h
-    k1 = _stage(f, x, n)
-    k2 = _stage(f, [a + half * b for a, b in zip(x, k1)], n)
-    k3 = _stage(f, [a + half * b for a, b in zip(x, k2)], n)
-    k4 = _stage(f, [a + h * b for a, b in zip(x, k3)], n)
-    w = h / 6.0
-    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+# One RK4 stage of the kernel below: the flow map at the stage state s,
+# unpacked into the locals {k}0 ... {k}{n-1}.  A math-domain or overflow error
+# from a flow map evaluated at a stage state that has already left the reals
+# (a step too large for the field) is reported as NonFiniteState; at a finite
+# state it propagates as is.
+_RK4_STAGE = """\
+    try:
+        k = f(s)
+    except (ValueError, OverflowError):
+        _require_finite(s, "RK4 stage state")
+        raise
+    if type(k) is not list or len(k) != {n}:
+        k = _stage_list(k, {n})
+    [{ks}] = k
+"""
+
+
+@functools.cache
+def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]:
+    """The RK4 step over lists of n Python floats, as straight-line code.
+
+    ``kernel(f, x, h)`` is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), computed for
+    each entry in the order of operations of the vector expression, so it is
+    bit-identical to it.  The source is generated once per width: x and each
+    stage are unpacked into locals and every stage state and the result are
+    list displays, so a step runs no per-entry loop.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def state(scale, k):
+        return "[" + ", ".join(f"x{i} + {scale} * {k}{i}" for i in range(n)) + "]"
+
+    def stage(k):
+        return _RK4_STAGE.format(n=n, ks=names(k))
+
+    result = ", ".join(f"x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+                       for i in range(n))
+    source = (
+        "def kernel(f, x, h):\n"
+        f"    [{names('x')}] = x\n"
+        "    half = 0.5 * h\n"
+        "    s = x\n"
+        + stage("a")
+        + f"    s = {state('half', 'a')}\n" + stage("b")
+        + f"    s = {state('half', 'b')}\n" + stage("c")
+        + f"    s = {state('h', 'c')}\n" + stage("d")
+        + "    w = h / 6.0\n"
+        f"    return [{result}]\n")
+    namespace = {"_require_finite": _require_finite, "_stage_list": _stage_list}
+    exec(compile(source, f"<rk4 kernel, width {n}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
     """One explicit RK4 step of size h along the flow map, as a list."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
-    out = _rk4(spec.flow_map, _state(x), h)
+    x = _state(x)
+    out = _rk4_kernel(len(x))(spec.flow_map, x, h)
     _require_finite(out, "flow step output (h={:g})", h)
     return out
 

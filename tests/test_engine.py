@@ -155,10 +155,13 @@ def test_a_flow_may_return_any_float_sequence(wrap):
 
 def test_step_flow_equals_the_vector_rk4_expression():
     """The float RK4 is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), entry by entry, in
-    the order of operations of the numpy expression: the bits agree."""
+    the order of operations of the numpy expression: the bits agree.  The
+    widths cover every shipped loop (3, 5, 7) and one wide kernel, and the
+    flow returns a list, a tuple and an ndarray in turn."""
     rng = np.random.default_rng(7)
-    for dim in (1, 2, 3, 7):
-        for _ in range(25):
+    wraps = (np.ndarray.tolist, lambda k: tuple(k.tolist()), lambda k: k)
+    for dim in (1, 2, 3, 5, 7, 40):
+        for i in range(25):
             A = rng.standard_normal((dim, dim))
             b = rng.standard_normal(dim)
 
@@ -172,25 +175,31 @@ def test_step_flow_equals_the_vector_rk4_expression():
             k3 = f(x + (0.5 * h) * k2)
             k4 = f(x + h * k3)
             expect = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            spec = dataclasses.replace(pure_flow_spec(f), dim=dim)
-            assert np.array_equal(step_flow(spec, x, h), expect)
+            spec = dataclasses.replace(
+                pure_flow_spec(lambda v, f=f, wrap=wraps[i % 3]: wrap(f(v))),
+                dim=dim)
+            out = step_flow(spec, x, h)
+            assert type(out) is list and all(type(a) is float for a in out)
+            assert np.asarray(out).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 3])
 def test_step_flow_rejects_a_flow_of_the_wrong_length(size):
-    """Too short or too long, at the first stage or a later one: the step
-    raises instead of cutting the state to the shorter length."""
-    first = HybridSystemSpec(dim=2, flow_map=lambda v: np.ones(size),
-                             jump_map=lambda v: [],
-                             in_flow_set=lambda v: -1.0,
-                             in_jump_set=lambda v: 1.0)
-    later = dataclasses.replace(
-        first, flow_map=lambda v: np.ones(2) if v[0] == 0.0 else np.ones(size))
-    for spec in (first, later):
-        with pytest.raises(DimensionMismatch):
-            step_flow(spec, np.zeros(2), 0.1)
-        with pytest.raises(DimensionMismatch):
-            simulate(spec, np.zeros(2), SimConfig(dt=0.1, t_max=1.0))
+    """Too short or too long, as an ndarray, a list or a tuple, at the first
+    stage or a later one: the step raises DimensionMismatch instead of
+    cutting the state to the shorter length or failing to unpack it."""
+    for ones in (np.ones, lambda m: [1.0] * m, lambda m: (1.0,) * m):
+        first = HybridSystemSpec(dim=2, flow_map=lambda v: ones(size),
+                                 jump_map=lambda v: [],
+                                 in_flow_set=lambda v: -1.0,
+                                 in_jump_set=lambda v: 1.0)
+        later = dataclasses.replace(
+            first, flow_map=lambda v: ones(2) if v[0] == 0.0 else ones(size))
+        for spec in (first, later):
+            with pytest.raises(DimensionMismatch):
+                step_flow(spec, np.zeros(2), 0.1)
+            with pytest.raises(DimensionMismatch):
+                simulate(spec, np.zeros(2), SimConfig(dt=0.1, t_max=1.0))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -205,12 +214,25 @@ def test_step_flow_rejects_a_nonfinite_later_stage(bad):
         simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
 
 
-def test_a_math_error_at_an_overflowed_stage_is_a_nonfinite_state():
-    """A step too large for the field overflows the second stage state to
-    inf, where math.cos raises ValueError; the engine names the state."""
-    spec = pure_flow_spec(lambda v: np.array([1e300 + math.cos(v[0])]))
+@pytest.mark.parametrize("stage", [2, 3, 4])
+def test_a_math_error_at_an_overflowed_stage_is_a_nonfinite_state(stage):
+    """A step of h = 1e10 too large for the field overflows the given stage
+    state to inf first, where math.cos raises ValueError; the engine names
+    the state.  The rate is 1 at x = 0 and 2 at x = h/2, so the stage states
+    run 0, h/2, h; the first state without a listed rate gets 1e300."""
+    rates = dict([(0.0, 1.0), (5e9, 2.0)][:stage - 2])
+    seen = []
+
+    def f(v):
+        seen.append(v[0])
+        math.cos(v[0])
+        return [rates.get(v[0], 1e300)]
+
+    spec = pure_flow_spec(f)
     with pytest.raises(NonFiniteState, match="stage state"):
         step_flow(spec, np.zeros(1), 1e10)
+    assert len(seen) == stage and seen[-1] == math.inf
+    assert all(map(math.isfinite, seen[:-1]))
     with pytest.raises(NonFiniteState, match="stage state"):
         simulate(spec, np.zeros(1), SimConfig(dt=1e10, t_max=1e11))
 
@@ -546,10 +568,20 @@ def test_sim_config_validation():
         SimConfig(dt=-0.1, t_max=1.0)
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, t_max=-1.0)
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, t_max=1.0, j_max=-1)
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, t_max=1.0, event_tol=0.0)
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            SimConfig(dt=0.1, t_max=t_max)
+    for j_max in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="j_max"):
+            SimConfig(dt=0.1, t_max=1.0, j_max=j_max)
+    for event_tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="event_tol"):
+            SimConfig(dt=0.1, t_max=1.0, event_tol=event_tol)
+    # A plain string would select flow priority, since simulate tests
+    # ``priority is Priority.JUMP``.
+    with pytest.raises(ValueError, match="priority"):
+        SimConfig(dt=0.1, t_max=1.0, priority="jump")
+    assert SimConfig(dt=0.1, t_max=1.0, j_max=0).j_max == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg = SimConfig(dt=0.1, t_max=1.0)
         cfg.dt = 0.2
