@@ -15,7 +15,6 @@ from .engine import (
     HybridArc,
     HybridSystemSpec,
     JumpEvent,
-    Priority,
     SimConfig,
     apply_jump,
     locate_boundary,

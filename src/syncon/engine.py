@@ -5,7 +5,11 @@ flow-set indicator is non-positive, and a jump map ``x+ in G(x)`` that applies
 while the jump-set indicator is non-positive.  Indicators are signed reals:
 values <= 0 mean "inside the set", and their zero level set is the boundary.
 The two sets must jointly cover every reachable state; a state outside both
-(beyond ``event_tol``) is a modelling error, not a normal termination.
+(beyond ``event_tol``) is a modelling error, not a normal termination.  Where
+both sets hold the engine jumps.  In a closed loop whose flow set is
+{mu <= delta} and jump set {mu >= delta} that is only their shared boundary,
+where the switch is due, so the HyEQ Toolbox's default rule is the only rule
+here: flowing first there would only add steps and boundary locations.
 
 Solutions live on a hybrid time domain (t, j): flow advances t along segments
 of constant jump counter j, and each jump increments j while t stands still.
@@ -18,13 +22,14 @@ expression's.  Inside the engine a state is a list of ``dim`` Python floats:
 the flow map, the indicators, the jump map and the projection each receive
 one, and must not modify it.  A list passed to step_flow, locate_boundary or
 apply_jump is taken as is, so it must hold Python floats; any other sequence
-is read as a float array.  The flow map may return any sequence of ``dim``
-floats; any other length raises DimensionMismatch.  The arc still holds
-float ndarrays.  When a step crosses
-a set boundary the crossing is located on the step fraction by a safeguarded
-Illinois (modified regula falsi) iteration, re-integrating the partial step
-at each probe, so every accepted sample respects its set within
-``event_tol``; a location that gives up short of it is counted on the arc.
+is read as a float array; a state of any width but ``dim`` raises
+DimensionMismatch.  The flow map may return any sequence of ``dim`` floats;
+any other length raises DimensionMismatch too.  The arc still holds float
+ndarrays.  When a step crosses a set boundary the crossing is located on the
+step fraction by a safeguarded Illinois (modified regula falsi) iteration,
+re-integrating the partial step at each probe, so every accepted sample
+respects its set within ``event_tol``; a location that gives up short of it
+is counted on the arc.
 An indicator that is NaN raises NonFiniteState.  Everything here is
 deterministic: the same spec, state and config produce bit-identical arcs.
 
@@ -43,7 +48,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -88,13 +92,6 @@ def _new_stats() -> dict[str, int]:
     return dict.fromkeys(STAT_KEYS, 0)
 
 
-class Priority(Enum):
-    """Which regime wins where the flow and jump sets overlap."""
-
-    JUMP = "jump"
-    FLOW = "flow"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Integrator settings.
@@ -104,14 +101,14 @@ class SimConfig:
     j_max      jump budget, an int; exceeding it ends the run, it is not an
                error
     event_tol  tolerance on set-indicator values at accepted samples, finite
-    priority   regime choice on the overlap of the two sets, a Priority
+
+    Where both sets hold, the engine jumps; there is no setting for it.
     """
 
     dt: float
     t_max: float
     j_max: int = 10_000
     event_tol: float = 1e-10
-    priority: Priority = Priority.JUMP
 
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
@@ -126,8 +123,6 @@ class SimConfig:
         if not (self.event_tol > 0.0 and np.isfinite(self.event_tol)):
             raise ValueError(
                 f"event_tol must be positive and finite, got {self.event_tol}")
-        if not isinstance(self.priority, Priority):
-            raise ValueError(f"priority must be a Priority, got {self.priority!r}")
 
 
 @dataclass
@@ -229,9 +224,14 @@ class HybridArc:
                 yield float(seg.ts[k]), seg.j, seg.xs[k]
 
 
-def _state(x) -> list[float]:
-    """x as the engine's state: a list as is, anything else via a float ndarray."""
-    return x if type(x) is list else np.asarray(x, dtype=float).tolist()
+def _state(x, dim: int, what: str) -> list[float]:
+    """x as the engine's state: a list as is, anything else via a float
+    ndarray; DimensionMismatch, naming x by what, unless it has dim entries."""
+    if type(x) is not list:
+        x = np.asarray(x, dtype=float).tolist()
+    if len(x) != dim:
+        raise DimensionMismatch(f"{what} has dimension {len(x)}, expected {dim}")
+    return x
 
 
 def _require_finite(x, what: str, *args) -> None:
@@ -313,7 +313,7 @@ def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
     """One explicit RK4 step of size h along the flow map, as a list."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
-    x = _state(x)
+    x = _state(x, spec.dim, "state")
     out = _rk4_kernel(len(x))(spec.flow_map, x, h)
     _require_finite(out, "flow step output (h={:g})", h)
     return out
@@ -346,7 +346,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     if stats is None:
         stats = _new_stats()
     stats["locate_calls"] += 1
-    x_inside = _state(x_inside)
+    x_inside = _state(x_inside, spec.dim, "x_inside")
     if f_lo is None:
         f_lo = float(indicator(x_inside))
         stats["indicator_evals"] += 1
@@ -359,7 +359,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
         stats["rk4_steps"] += 1
         stats["locate_probes"] += 1
     else:
-        x_hi = _state(x_hi)
+        x_hi = _state(x_hi, spec.dim, "x_hi")
     if f_hi is None:
         f_hi = float(indicator(x_hi))
         stats["indicator_evals"] += 1
@@ -433,7 +433,7 @@ def _select_jump(spec: HybridSystemSpec, x: list[float], event_tol: float,
 def apply_jump(spec: HybridSystemSpec, x: np.ndarray,
                event_tol: float = 1e-10) -> np.ndarray:
     """Apply the jump map at x, returning the selected post-state."""
-    return _select_jump(spec, _state(x), event_tol)[0]
+    return _select_jump(spec, _state(x, spec.dim, "state"), event_tol)[0]
 
 
 def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridArc:
@@ -445,9 +445,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     are normal terminations, recorded on the arc.  A state outside both sets
     raises CoverageViolation.
     """
-    x = np.array(x0, dtype=float).ravel().tolist()
-    if len(x) != spec.dim:
-        raise DimensionMismatch(f"x0 has dimension {len(x)}, expected {spec.dim}")
+    x = _state(np.ravel(x0), spec.dim, "x0")
     _require_finite(x, "initial state")
     tol = cfg.event_tol
     stats = _new_stats()
@@ -483,7 +481,6 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     seg_x = [x]
     consecutive_jumps = 0
     zeno_warned = False
-    flow_blocked = False
     termination = TERM_T_MAX
 
     def close_segment() -> None:
@@ -492,10 +489,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     while True:
         if fi is None:
             fi, ji = indicators(x)
-        jump_now = ji <= tol and (cfg.priority is Priority.JUMP
-                                  or fi > tol or flow_blocked)
-
-        if jump_now:
+        if ji <= tol:
             if j >= cfg.j_max:
                 termination = TERM_J_MAX
                 break
@@ -508,7 +502,6 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             fi = ji = None
             seg_t = [t]
             seg_x = [x]
-            flow_blocked = False
             consecutive_jumps += 1
             if consecutive_jumps > ZENO_WARN_AFTER and not zeno_warned:
                 msg = (f"{consecutive_jumps} consecutive jumps without flow-time "
@@ -523,11 +516,6 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             raise CoverageViolation(
                 f"state in neither set at t={t:.6g}, j={j} "
                 f"(flow {fi:.6g}, jump {ji:.6g})")
-        if flow_blocked:
-            # On the flow-set boundary with an outward field and no jump
-            # available: the solution cannot be continued.
-            termination = TERM_DEAD_END
-            break
         if t >= cfg.t_max - _PROGRESS_EPS:
             termination = TERM_T_MAX
             break
@@ -538,7 +526,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
         fi_trial, ji_trial = indicators(x_trial)
 
         indicator = None
-        if cfg.priority is Priority.JUMP and ji > tol and ji_trial <= -tol:
+        if ji_trial <= -tol:
             # Entered the jump set mid-step: stop at the earliest entry point.
             indicator, f_lo, f_hi = spec.in_jump_set, ji, ji_trial
         elif fi_trial > tol:
@@ -552,8 +540,10 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             x_b, frac = locate_boundary(spec, x, h, indicator, tol, x_hi=x_trial,
                                         f_lo=f_lo, f_hi=f_hi, stats=stats)
             if frac * h <= _PROGRESS_EPS:
-                flow_blocked = True
-                continue
+                # No flow from a boundary state outside the jump set: x, fi
+                # and ji are unchanged, so the solution cannot be continued.
+                termination = TERM_DEAD_END
+                break
             x_new, t_new = x_b, t + frac * h
             fi = ji = None
 
@@ -562,7 +552,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             x_proj = spec.project_flow(x_new)
             if x_proj is not x_new and not np.array_equal(x_proj, x_new):
                 stats["clamps"] += 1
-                x_new = _state(x_proj)
+                x_new = _state(x_proj, spec.dim, "projected state")
                 fi = ji = None
         x = x_new
         t = t_new

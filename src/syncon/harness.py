@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backstepping import BacksteppingParams, validate_backstepping_params
-from .engine import HybridArc, Priority, SimConfig, simulate
+from .engine import HybridArc, SimConfig, simulate
 from .errors import ParseError, SynconError, ValidationError
 from .navigation import (
     NavGains,
@@ -176,12 +176,6 @@ def _seed(value) -> int:
     return value
 
 
-def _priority(value) -> Priority:
-    if value not in ("jump", "flow"):
-        raise ValueError(f"must be 'jump' or 'flow', got {value!r}")
-    return Priority(value)
-
-
 # -- the scenario schema -----------------------------------------------------
 
 _REQUIRED = object()  # default of a field the config must give
@@ -223,7 +217,6 @@ FIELDS = (
     ("sim", "t_max", _number, CONTROLLERS, 10.0),
     ("sim", "event_tol", _number, CONTROLLERS, 1e-10),
     ("sim", "j_max", _count, CONTROLLERS, 10_000),
-    ("sim", "priority", _priority, CONTROLLERS, "jump"),
     ("", "seed", _seed, CONTROLLERS, 0),
     ("expected", "saddle_x", _number, CONTROLLERS, _OPTIONAL),
     ("expected", "saddle_tol", _positive, CONTROLLERS, _OPTIONAL),
@@ -483,23 +476,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     arc = simulate(spec, x0, cfg.sim)
 
     gap = governing_gap(cfg)
-
-    def channels(states: np.ndarray):
-        return sample_channels(cfg.world, cfg.gains, states, gap,
-                               cfg.smoothed, cfg.backstep)
-
     segments = arc.segments
     xs = np.concatenate([seg.xs for seg in segments])
-    V, u, mu, dobs, ddest = channels(xs)
+    V, u, mu, dobs, ddest = sample_channels(cfg.world, cfg.gains, xs, gap,
+                                            cfg.smoothed, cfg.backstep)
     jump_rows = []
     if arc.jumps:
-        V_pre, _, mu_pre, _, _ = channels(np.array([ev.x_pre for ev in arc.jumps]))
-        V_post = channels(np.array([ev.x_post for ev in arc.jumps]))[0]
-        if mu_pre is None:
-            mu_pre = np.full(len(arc.jumps), math.nan)
+        # Jump k closes segment k on x_pre and opens segment k + 1 on x_post,
+        # so its channels are the samples on either side of that segment end.
+        post = np.cumsum([len(seg.ts) for seg in segments[:-1]])
         jump_rows = [JumpRow(t=ev.t, j_pre=ev.j_pre, mu_pre=m, V_pre=vp, V_post=vq)
-                     for ev, m, vp, vq in zip(arc.jumps, mu_pre.tolist(),
-                                              V_pre.tolist(), V_post.tolist())]
+                     for ev, m, vp, vq in zip(arc.jumps, mu[post - 1].tolist(),
+                                              V[post - 1].tolist(), V[post].tolist())]
 
     has_eta = cfg.controller in ("smooth_hybrid", "backstepped")
     has_theta = cfg.controller != "non_hybrid"

@@ -153,8 +153,8 @@ def switching_system(values, Theta: np.ndarray, gap: float, flow_map,
                             project_flow=project_flow, complementary=True)
 
 
-def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
-                         project_flow=None) -> HybridSystemSpec:
+def assemble_closed_loop(plant: AffinePlant,
+                         q: SynergisticQuadruple) -> HybridSystemSpec:
     """Wire a plant and a quadruple into a simulable hybrid system.
 
     State layout is [x | theta] with x of length plant.dim_x.  Flow applies
@@ -192,7 +192,7 @@ def assemble_closed_loop(plant: AffinePlant, q: SynergisticQuadruple,
         v = np.asarray(v, dtype=float)
         return q.V(v[:n], v[n:]), _candidate_values(q, v[:n])
 
-    return switching_system(values, q.Theta, q.delta, flow, n, project_flow)
+    return switching_system(values, q.Theta, q.delta, flow, n)
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray,

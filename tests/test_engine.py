@@ -12,7 +12,6 @@ from syncon.engine import (
     TERM_J_MAX,
     TERM_T_MAX,
     HybridSystemSpec,
-    Priority,
     SimConfig,
     apply_jump,
     locate_boundary,
@@ -202,6 +201,33 @@ def test_step_flow_rejects_a_flow_of_the_wrong_length(size):
                 simulate(spec, np.zeros(2), SimConfig(dt=0.1, t_max=1.0))
 
 
+def test_a_state_of_the_wrong_width_is_named():
+    """step_flow and locate_boundary compare the caller's state with
+    spec.dim: a width-agnostic flow would step it, and a fixed-width one
+    would be blamed for the caller's state."""
+    for flow in (lambda v: [-a for a in v], lambda v: [-v[0], -v[1]]):
+        spec = HybridSystemSpec(dim=2, flow_map=flow, jump_map=lambda v: [],
+                                in_flow_set=lambda v: -1.0,
+                                in_jump_set=lambda v: 1.0)
+        for x in ([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), [1.0]):
+            width = len(x)
+            with pytest.raises(DimensionMismatch,
+                               match=f"^state has dimension {width}, expected 2"):
+                step_flow(spec, x, 0.1)
+            with pytest.raises(DimensionMismatch,
+                               match=f"^x_inside has dimension {width}, expected 2"):
+                locate_boundary(spec, x, 0.1, lambda v: float(v[0] - 0.5))
+            with pytest.raises(DimensionMismatch,
+                               match=f"^x_hi has dimension {width}, expected 2"):
+                locate_boundary(spec, [0.0, 0.0], 0.1, lambda v: float(v[0] - 0.5),
+                                x_hi=x)
+            with pytest.raises(DimensionMismatch, match="^state has dimension"):
+                apply_jump(spec, x)
+    spec = pure_flow_spec(lambda v: [-v[0]], project=lambda v: [0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="^projected state has dimension 2"):
+        simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_step_flow_rejects_a_nonfinite_later_stage(bad):
     """A stage output that is not finite makes the step output non-finite;
@@ -380,16 +406,9 @@ def test_dead_end_when_flow_stalls_and_no_jump_allowed():
 def test_priority_resolves_overlap():
     spec = always_jump_spec()
     jump_first = simulate(spec, np.array([1.0]),
-                          SimConfig(dt=0.1, t_max=1.0, j_max=3,
-                                    priority=Priority.JUMP))
+                          SimConfig(dt=0.1, t_max=1.0, j_max=3))
     assert jump_first.termination == TERM_J_MAX
     assert jump_first.n_jumps == 3
-
-    flow_first = simulate(spec, np.array([1.0]),
-                          SimConfig(dt=0.1, t_max=1.0, j_max=3,
-                                    priority=Priority.FLOW))
-    assert flow_first.termination == TERM_T_MAX
-    assert flow_first.n_jumps == 0
 
 
 def test_nonfinite_flow_raises_during_simulation():
@@ -577,9 +596,7 @@ def test_sim_config_validation():
     for event_tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="event_tol"):
             SimConfig(dt=0.1, t_max=1.0, event_tol=event_tol)
-    # A plain string would select flow priority, since simulate tests
-    # ``priority is Priority.JUMP``.
-    with pytest.raises(ValueError, match="priority"):
+    with pytest.raises(TypeError, match="priority"):
         SimConfig(dt=0.1, t_max=1.0, priority="jump")
     assert SimConfig(dt=0.1, t_max=1.0, j_max=0).j_max == 0
     with pytest.raises(dataclasses.FrozenInstanceError):

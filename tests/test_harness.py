@@ -15,7 +15,7 @@ import pytest
 from conftest import CONFIG_DIR, REPO_ROOT
 from syncon import harness
 from syncon.cli import main
-from syncon.engine import Priority
+from syncon.engine import SimConfig, simulate
 from syncon.errors import (
     DimensionMismatch,
     NonPositiveDistance,
@@ -140,7 +140,6 @@ def test_parse_valid_hybrid_config():
     assert cfg.initial.eta0 is None
     assert cfg.sim.dt == 0.001
     assert cfg.sim.j_max == 10_000
-    assert cfg.sim.priority is Priority.JUMP
     assert cfg.smoothed is None
     assert cfg.backstep is None
     assert cfg.seed == 0
@@ -235,8 +234,9 @@ def test_parse_rejects_missing_and_mistyped_fields():
     assert any("controller" in p for p in violations_of(raw))
 
     raw = hybrid_raw()
-    raw["sim"]["priority"] = "both"
-    assert any("sim.priority" in p for p in violations_of(raw))
+    # Jumps win wherever both sets hold; there is no setting for it.
+    raw["sim"]["priority"] = "jump"
+    assert any("sim.priority: unknown field" in p for p in violations_of(raw))
 
     raw = hybrid_raw()
     raw["expected"] = {"saddle_y": 1.0}
@@ -890,22 +890,60 @@ def test_benchmark_tracer_patches_names_that_resolve():
         assert getattr(module, attr) is original
 
 
-def test_benchmark_workloads_pass_their_own_gate(monkeypatch):
-    """perfbench/workloads.py drives the program through its public names;
-    one arc per ring loop and one thermostat must still pass its checks."""
+def load_workloads(monkeypatch):
     path = REPO_ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # Its dataclasses resolve their annotations through sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def arc_bytes(arc):
+    """Every sample, jump, the termination and the stats of an arc."""
+    return ([(seg.j, seg.ts.tobytes(), seg.xs.tobytes()) for seg in arc.segments],
+            [(ev.t, ev.j_pre, ev.x_pre.tobytes(), ev.x_post.tobytes(),
+              ev.n_candidates) for ev in arc.jumps],
+            arc.termination, arc.stats)
+
+
+def test_traced_specs_give_the_same_arcs(monkeypatch):
+    """The benchmark tracer rebuilds each spec with dataclasses.replace and
+    wrapped callables; the traced spec must simulate bit for bit alike."""
+    tracer = load_spans().Tracer()
+    runs = []
+    for raw in (hybrid_raw(0.2), smooth_raw(0.2), backstep_raw(0.2),
+                non_hybrid_raw(0.2)):
+        cfg = parse_config(raw)
+        runs.append((build_closed_loop(cfg), initial_packed_state(cfg), cfg.sim))
+    workloads = load_workloads(monkeypatch)
+    runs.append((workloads.thermostat_spec(), np.array([1.0, 1.0]),
+                 SimConfig(dt=workloads.THERMO_DT, t_max=5.0)))
+    for spec, x0, sim in runs:
+        traced = tracer.wrap_spec(spec, "test")
+        assert traced.flow_map is not spec.flow_map
+        assert arc_bytes(simulate(traced, x0, sim)) == \
+            arc_bytes(simulate(spec, x0, sim))
+
+
+def test_benchmark_workloads_pass_their_own_gate(monkeypatch, tmp_path):
+    """perfbench/workloads.py drives the program through its public names;
+    one arc per ring loop, one thermostat and fig2_check through the CLI
+    (one jump, and its ``expected`` check) must still pass its checks."""
+    workloads = load_workloads(monkeypatch)
+    monkeypatch.setattr(workloads, "OUT_DIR", tmp_path)
 
     ring = workloads.RingSweep(811)
     loops = list(workloads.RING_LOOPS)
     ring.starts = [next(s for s in ring.starts if s[0] == loop) for loop in loops]
     storm = workloads.EventStorm(811)
     storm.inits = storm.inits[:1]
-    arcs = ring.run_pass() + storm.run_pass()
-    assert len(arcs) == len(loops) + 1
+    demo = workloads.DemoScenarios(811)
+    demo.configs = ["fig2_check"]
+    arcs = ring.run_pass() + storm.run_pass() + demo.run_pass()
+    assert len(arcs) == len(loops) + 2
     for arc in arcs:
         assert arc.problems == [], arc.key
+    assert arcs[-1].jumps == 1
+    assert (tmp_path / "demo" / "fig2_check.csv").is_file()
