@@ -57,9 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config seed")
 
     p_cmp = sub.add_parser("compare",
-                           help="run several configs and tabulate outcomes")
+                           help="run configs and tabulate outcomes")
     p_cmp.add_argument("configs", nargs="+",
-                       help="two or more scenario JSON files")
+                       help="one or more scenario JSON files")
     return parser
 
 

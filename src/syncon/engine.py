@@ -423,9 +423,9 @@ def _select_jump(spec: HybridSystemSpec, x: list[float], event_tol: float,
     if len(candidates) == 0:
         raise EmptyJumpSet(f"jump map returned no candidates at {np.asarray(x, float)!r}")
     post = np.asarray(candidates[0], dtype=float)
-    if post.size != spec.dim:
+    if post.shape != (spec.dim,):
         raise DimensionMismatch(
-            f"jump candidate has dimension {post.size}, expected {spec.dim}")
+            f"jump candidate has shape {post.shape}, expected ({spec.dim},)")
     _require_finite(post, "jump output")
     return post, len(candidates)
 

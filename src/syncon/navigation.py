@@ -30,22 +30,27 @@ HybridSystemSpec:
     backstep_closed_loop   tracker plus an actuator integrator
     gradient_closed_loop   plain gradient descent on V_nav, never switches
 
-The three switched loops share one switching rule, synergy.switching_system,
-applied to one per-state kernel built by _switched_loop: at each state it
-computes the terms of the loop's potential that do not depend on theta once
-(_state_terms: p - p_o, the skirt, the integrator term) and combines them
+The public helpers (switched_potential, tracking_potential,
+backstep_potential, switched_gradient_p, ...) are built from small scalar
+kernels over Python floats, each formula written once.  The loop maps are
+not: each loop builder reads every world, gain and layer constant once into
+closure locals and returns a fused flow closure whose body is straight-line
+float code, with no helper call per evaluation.  The three switched loops
+share one switching rule, synergy.switching_system, applied to one fused
+per-state kernel built by _switched_loop: at each state it computes the
+terms of the loop's potential that do not depend on theta once (p - p_o, the
+skirt, the integrator term) and combines them with the state's own angle and
 with each candidate's cos, sin, penalty and offset, fixed when the loop is
-built (_angle_terms), in _loop_v.  switched_potential, tracking_potential and
-backstep_potential call the same three kernels.  Each formula is written
-once, as a scalar kernel over Python floats; the loop maps and the public
-helpers both call it.  The harness's V, u, excess and clearance channels come
-from sample_channels, the same formulas over a stack of states as numpy
-arrays (_loop_v and _angle_terms take arrays too), bit-equal to the kernels
-at every state.  The generic compositions (assemble_closed_loop over
+built.  The fused closures follow the helpers' order of operations, so they
+give the same bits; tests/test_navigation.py's
+test_fused_kernels_equal_the_scalar_helpers pins that with ==, inside and
+outside the skirt, and test_loop_maps_guard_the_clearance pins the clearance
+guard.  The harness's V, u, excess and clearance channels come from
+sample_channels, the same formulas over a stack of states as numpy arrays
+(_loop_v and _angle_terms take arrays too), bit-equal to the helpers at
+every state.  The generic compositions (assemble_closed_loop over
 nominal_controller, smoothed_quadruple and backstepped_quadruple) give the
-same flows, but a generic flow call costs about 3-6x (hybrid), 15-27x
-(smooth) and 20-43x (backstep) a kernel one (2-core Xeon, Python 3.11,
-numpy 2.4), so they serve as the tests' reference.
+same flows at many times the cost, so they serve as the tests' reference.
 """
 
 from __future__ import annotations
@@ -254,11 +259,10 @@ def barrier_hess(z: float, r_s: float) -> float:
 
 # -- base potential ----------------------------------------------------------
 #
-# The potentials, gradients and flow terms are written once, as scalar
-# kernels over Python floats (the underscored functions below).  The loop
-# maps unpack the engine's list state and call them; the public helpers
-# unpack their arguments and call the same kernels, so both compute the
-# same bits.
+# The potentials and gradients are written once, as scalar kernels over
+# Python floats (the underscored functions below).  The public helpers
+# unpack their arguments and call them; the fused loop closures further down
+# repeat their order of operations inline.
 
 def obstacle_distance(world: NavigationWorld, p: np.ndarray) -> float:
     """Signed clearance ||p - p_o|| - r_o (negative inside the disc)."""
@@ -301,12 +305,6 @@ def _grad(world: NavigationWorld, px: float, py: float, wx: float, wy: float,
     return px - pdx + a * wx, py - pdy + a * wy, a
 
 
-def _hess(world: NavigationWorld, wx: float, wy: float, rho: float, z: float,
-          a: float):
-    """(b, nx, ny) of the Hessian I + a I + b n n^T, with n = (p - p_o)/rho."""
-    return world.varrho * _d2phi(z, world.r_s) - a, wx / rho, wy / rho
-
-
 def nav_potential(world: NavigationWorld, p: np.ndarray, check: bool = True) -> float:
     """Quadratic pull plus skirt: ||p - p_d||^2 / 2 + varrho phi(d_o(p))."""
     p = np.asarray(p, dtype=float)
@@ -328,7 +326,10 @@ def nav_hessian(world: NavigationWorld, p: np.ndarray, check: bool = True) -> np
     px, py = _xy(p)
     wx, wy, rho, z = _radial(world, px, py, check)
     _, _, a = _grad(world, px, py, wx, wy, rho, z)
-    b, nx, ny = _hess(world, wx, wy, rho, z, a)
+    # I + a I + b n n^T, with n = (p - p_o)/rho
+    b = world.varrho * _d2phi(z, world.r_s) - a
+    nx = wx / rho
+    ny = wy / rho
     return np.array([
         [1.0 + a + b * nx * nx, b * nx * ny],
         [b * nx * ny, 1.0 + a + b * ny * ny],
@@ -355,28 +356,6 @@ def _offset(world: NavigationWorld, c: float, s: float):
     qx, qy = world._q
     return (qx - (c * qx + s * qy), qy - (c * qy - s * qx),
             s * qx - c * qy, c * qx + s * qy)
-
-
-def _theta_grad(gains: NavGains, th: float, wx: float, wy: float, rx: float,
-                ry: float) -> float:
-    """theta-derivative of V(p, theta), from p - p_o and the offset rate."""
-    return gains.gamma_theta * th - (wx * rx + wy * ry)
-
-
-def _state_terms(world: NavigationWorld, gains: NavGains,
-                 bp: BacksteppingParams | None, x, check: bool = False):
-    """The part of a loop's V that does not depend on the logic angle, at
-    the coordinates x = [px, py(, eta1, eta2(, u1, u2))]: (wx, wy, vphi,
-    eta, integ) with p - p_o, the skirt term varrho phi(z), the tracker
-    state (empty for the hybrid loop) and the integrator term (None unless
-    ``bp`` is given)."""
-    px, py = x[0], x[1]
-    wx, wy, rho, z = _radial(world, px, py, check)
-    integ = None
-    if bp is not None:
-        gx, gy, _ = _grad(world, px, py, wx, wy, rho, z)
-        integ = _integrator_v(gains, bp, *x[2:6], gx, gy)
-    return wx, wy, world.varrho * _phi(z, world.r_s), x[2:4], integ
 
 
 def _angle_terms(world: NavigationWorld, gains: NavGains, th, cos=math.cos,
@@ -413,24 +392,21 @@ def _loop_v(world: NavigationWorld, sp: SmoothedParams | None, st, at):
 def _potential(world: NavigationWorld, gains: NavGains,
                sp: SmoothedParams | None, bp: BacksteppingParams | None, x,
                th: float, check: bool = False) -> float:
-    """A switched loop's V at the coordinates x and logic angle th."""
-    return _loop_v(world, sp, _state_terms(world, gains, bp, x, check),
-                   _angle_terms(world, gains, th))
+    """A switched loop's V at the coordinates x = [px, py(, eta1, eta2(, u1,
+    u2))] and logic angle th."""
+    px, py = x[0], x[1]
+    wx, wy, rho, z = _radial(world, px, py, check)
+    integ = None
+    if bp is not None:
+        gx, gy, _ = _grad(world, px, py, wx, wy, rho, z)
+        integ = _integrator_v(gains, bp, *x[2:6], gx, gy)
+    st = (wx, wy, world.varrho * _phi(z, world.r_s), x[2:4], integ)
+    return _loop_v(world, sp, st, _angle_terms(world, gains, th))
 
 
 def _tracked(gains: NavGains, eta1: float, eta2: float, gx: float, gy: float):
     """Applied input k_p (eta - g) of the tracker loops, g = grad V_nav(p)."""
     return gains.k_p * (eta1 - gx), gains.k_p * (eta2 - gy)
-
-
-def _tracker_rate(gains: NavGains, sp: SmoothedParams, eta1: float,
-                  eta2: float, gx: float, gy: float, sx: float, sy: float,
-                  rx: float, ry: float, varpi: float):
-    """Tracker flow: pull to sigma, feedforward of its drift, Lyapunov
-    cross-term."""
-    c = gains.k_p / sp.gamma_s
-    return (-sp.k_eta * (eta1 - sx) + rx * varpi - c * (gx - sx),
-            -sp.k_eta * (eta2 - sy) + ry * varpi - c * (gy - sy))
 
 
 def _integrator_v(gains: NavGains, bp: BacksteppingParams, eta1, eta2, u1, u2,
@@ -440,18 +416,6 @@ def _integrator_v(gains: NavGains, bp: BacksteppingParams, eta1, eta2, u1, u2,
     f1 = u1 - r1
     f2 = u2 - r2
     return 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
-
-
-def _descent(world: NavigationWorld, gains: NavGains, px: float, py: float,
-             th: float):
-    """Per-state terms of the switched flows: (gx, gy, sx, sy, rx, ry, gt,
-    wx, wy, rho, z, a), with g = grad V_nav(p), s the offset, r its rate, gt
-    the theta-derivative of V and a the skirt weight of grad V_nav."""
-    wx, wy, rho, z = _radial(world, px, py)
-    gx, gy, a = _grad(world, px, py, wx, wy, rho, z)
-    sx, sy, rx, ry = _offset(world, math.cos(th), math.sin(th))
-    gt = _theta_grad(gains, th, wx, wy, rx, ry)
-    return gx, gy, sx, sy, rx, ry, gt, wx, wy, rho, z, a
 
 
 def switched_potential(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -497,10 +461,11 @@ def switched_gradient_p(world: NavigationWorld, gains: NavGains, p: np.ndarray,
 
 def switched_gradient_theta(world: NavigationWorld, gains: NavGains,
                             p: np.ndarray, theta: float) -> float:
+    """theta-derivative of the rotated potential."""
     px, py = _xy(p)
     pox, poy = world._po
     _, _, rx, ry = _offset(world, math.cos(theta), math.sin(theta))
-    return _theta_grad(gains, float(theta), px - pox, py - poy, rx, ry)
+    return gains.gamma_theta * float(theta) - ((px - pox) * rx + (py - poy) * ry)
 
 
 def switch_offset(world: NavigationWorld, theta: float) -> np.ndarray:
@@ -771,10 +736,15 @@ def backstep_jacobians(world: NavigationWorld, gains: NavGains) -> FeedbackJacob
 
 # -- closed loops ------------------------------------------------------------
 #
-# Each switched loop below is a flow map over the scalar kernels above,
-# handed with its per-state potential kernel to synergy.switching_system for
-# the sets and the jump map.  Tests pin the flows against the generic
-# compositions.
+# The fused closures repeat the scalar kernels' order of operations inline,
+# down to the skirt weight varrho*0.0/rho outside the skirt (as in _grad),
+# so that they give the helpers' bits, signed zeros included.
+
+def _world_constants(world: NavigationWorld):
+    """(pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho) as plain numbers."""
+    return (*world._po, *world._pd, *world._q, world.r_o, world.r_s,
+            world.varrho)
+
 
 def _switched_loop(world: NavigationWorld, gains: NavGains,
                    sp: SmoothedParams | None, bp: BacksteppingParams | None,
@@ -782,14 +752,67 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
     """The loop's flow, with its sets and jump map from its per-state kernel
     values(v) -> (V at v's own angle, [V at each candidate]): the state terms
     once per call, each candidate's angle terms once, here."""
+    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
+    half_gt = 0.5 * gains.gamma_theta
+    tracker = sp is not None
+    integrator = bp is not None
+    half_gs = 0.5 * sp.gamma_s if tracker else None
+    half_gb = 0.5 * bp.gamma_b if integrator else None
+    k_p = gains.k_p
     cands = [_angle_terms(world, gains, t)
              for t in gains.theta_candidates.tolist()]
+    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
 
     def values(v):
-        *x, th = v
-        st = _state_terms(world, gains, bp, x)
-        return (_loop_v(world, sp, st, _angle_terms(world, gains, th)),
-                [_loop_v(world, sp, st, at) for at in cands])
+        px = v[0]
+        py = v[1]
+        th = v[-1]
+        wx = px - pox
+        wy = py - poy
+        rho = hypot(wx, wy)
+        z = rho - r_o
+        if not z > _Z_MIN:
+            _check_z(z)
+        if z < r_s:
+            d = z - r_s
+            lg = log(r_s / z)
+            vphi = varrho * (d * d * lg)
+        else:
+            vphi = varrho * 0.0
+        if tracker:
+            eta1 = v[2]
+            eta2 = v[3]
+            if integrator:
+                dphi = 2.0 * d * lg - d * d / z if z < r_s else 0.0
+                a = varrho * dphi / rho
+                f1 = v[4] - k_p * (eta1 - (px - pdx + a * wx))
+                f2 = v[5] - k_p * (eta2 - (py - pdy + a * wy))
+                integ = half_gb * (f1 * f1 + f2 * f2)
+        # _loop_v at the state's own angle, then at each candidate's
+        c = cos(th)
+        s = sin(th)
+        ex = pox + c * wx - s * wy - pdx  # T(p, theta) - p_d
+        ey = poy + s * wx + c * wy - pdy
+        own = 0.5 * (ex * ex + ey * ey) + vphi + half_gt * th * th
+        if tracker:
+            e1 = eta1 - (qx - (c * qx + s * qy))
+            e2 = eta2 - (qy - (c * qy - s * qx))
+            own = own + half_gs * (e1 * e1 + e2 * e2)
+            if integrator:
+                own = own + integ
+        vals = []
+        for c, s, pen, sx, sy in cands:
+            ex = pox + c * wx - s * wy - pdx
+            ey = poy + s * wx + c * wy - pdy
+            V = 0.5 * (ex * ex + ey * ey) + vphi + pen
+            if tracker:
+                e1 = eta1 - sx
+                e2 = eta2 - sy
+                V = V + half_gs * (e1 * e1 + e2 * e2)
+                if integrator:
+                    V = V + integ
+            vals.append(V)
+        return own, vals
 
     dim_x = 2 if sp is None else 4 if bp is None else 6
     return switching_system(values, gains.theta_candidates.reshape(-1, 1),
@@ -799,33 +822,81 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Switched feedback applied directly; state [px, py, theta]."""
     validate_gains(world, gains)
-    k_p = gains.k_p
-    k_theta = gains.k_theta
+    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
+    nk_p = -gains.k_p
+    nk_theta = -gains.k_theta
+    gamma_theta = gains.gamma_theta
+    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
 
     def flow(v):
         px, py, th = v
-        gx, gy, sx, sy, _, _, gt = _descent(world, gains, px, py, th)[:7]
-        return [-k_p * (gx - sx), -k_p * (gy - sy), -k_theta * gt]
+        wx = px - pox
+        wy = py - poy
+        rho = hypot(wx, wy)
+        z = rho - r_o
+        if not z > _Z_MIN:
+            _check_z(z)
+        if z < r_s:
+            d = z - r_s
+            a = varrho * (2.0 * d * log(r_s / z) - d * d / z) / rho
+        else:
+            a = varrho * 0.0 / rho
+        c = cos(th)
+        s = sin(th)
+        cq = c * qx + s * qy
+        sy = qy - (c * qy - s * qx)
+        gt = gamma_theta * th - (wx * (s * qx - c * qy) + wy * cq)
+        return [nk_p * (px - pdx + a * wx - (qx - cq)),
+                nk_p * (py - pdy + a * wy - sy),
+                nk_theta * gt]
 
     return _switched_loop(world, gains, None, None, gains.delta, flow)
 
 
 def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
                        sp: SmoothedParams) -> HybridSystemSpec:
-    """Tracker-mediated loop with continuous input; [px, py, eta1, eta2, theta]."""
+    """Tracker-mediated loop with continuous input; [px, py, eta1, eta2, theta].
+
+    The tracker flow pulls eta to the offset sigma, feeds its drift forward
+    and adds the Lyapunov cross-term; the physical input is the tracked
+    feedback k_p (eta - grad V_nav).
+    """
     validate_gains(world, gains)
     validate_smoothed_params(gains.delta, switch_offset_bound(world, gains), sp)
-    k_theta = gains.k_theta
+    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
+    k_p = gains.k_p
+    nk_theta = -gains.k_theta
+    gamma_theta = gains.gamma_theta
+    nk_eta = -sp.k_eta
+    kp_gs = k_p / sp.gamma_s
+    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
 
     def flow(v):
         px, py, eta1, eta2, th = v
-        gx, gy, sx, sy, rx, ry, gt = _descent(world, gains, px, py, th)[:7]
-        varpi = -k_theta * gt
-        # physical input is the tracked feedback k_p (eta - g_nav)
-        u1, u2 = _tracked(gains, eta1, eta2, gx, gy)
-        e1, e2 = _tracker_rate(gains, sp, eta1, eta2, gx, gy, sx, sy, rx, ry,
-                               varpi)
-        return [u1, u2, e1, e2, varpi]
+        wx = px - pox
+        wy = py - poy
+        rho = hypot(wx, wy)
+        z = rho - r_o
+        if not z > _Z_MIN:
+            _check_z(z)
+        if z < r_s:
+            d = z - r_s
+            a = varrho * (2.0 * d * log(r_s / z) - d * d / z) / rho
+        else:
+            a = varrho * 0.0 / rho
+        gx = px - pdx + a * wx
+        gy = py - pdy + a * wy
+        c = cos(th)
+        s = sin(th)
+        ry = c * qx + s * qy
+        rx = s * qx - c * qy
+        sx = qx - ry
+        sy = qy - (c * qy - s * qx)
+        varpi = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
+        return [k_p * (eta1 - gx), k_p * (eta2 - gy),
+                nk_eta * (eta1 - sx) + rx * varpi - kp_gs * (gx - sx),
+                nk_eta * (eta2 - sy) + ry * varpi - kp_gs * (gy - sy),
+                varpi]
 
     return _switched_loop(world, gains, sp, None, sp.delta_s, flow)
 
@@ -833,35 +904,64 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
 def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
                          sp: SmoothedParams,
                          bp: BacksteppingParams) -> HybridSystemSpec:
-    """Loop with tracker and actuator integrator; [p, eta, u, theta] packed."""
+    """Loop with tracker and actuator integrator; [p, eta, u, theta] packed.
+
+    The tracker flows as in smooth_closed_loop; the integrator tracks the
+    reference k_p (eta - grad V_nav) with its time derivative, which needs
+    H u for H the base-potential Hessian I + a I + b n n^T (nav_hessian),
+    written radially.
+    """
     validate_gains(world, gains)
     c_kappa = switch_offset_bound(world, gains)
     validate_smoothed_params(gains.delta, c_kappa, sp)
     validate_backstepping_params(gains.delta, c_kappa, sp, bp)
+    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
     k_p = gains.k_p
-    k_theta = gains.k_theta
+    nk_theta = -gains.k_theta
+    gamma_theta = gains.gamma_theta
+    nk_eta = -sp.k_eta
+    kp_gs = k_p / sp.gamma_s
     gamma_b = bp.gamma_b
-    k_b = bp.k_b
+    nk_b = -bp.k_b
+    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
 
     def flow(v):
         px, py, eta1, eta2, u1, u2, th = v
-        gx, gy, sx, sy, rx, ry, gt, wx, wy, rho, z, a = _descent(
-            world, gains, px, py, th)
-        varpi = -k_theta * gt
-        ks1, ks2 = _tracker_rate(gains, sp, eta1, eta2, gx, gy, sx, sy, rx,
-                                 ry, varpi)
-        # reference kappa_bar = k_p (eta - g_nav) and its time derivative,
-        # with H u for H the base-potential Hessian, written radially
-        ref1, ref2 = _tracked(gains, eta1, eta2, gx, gy)
-        b, nx, ny = _hess(world, wx, wy, rho, z, a)
+        wx = px - pox
+        wy = py - poy
+        rho = hypot(wx, wy)
+        z = rho - r_o
+        if not z > _Z_MIN:
+            _check_z(z)
+        if z < r_s:
+            d = z - r_s
+            lg = log(r_s / z)
+            a = varrho * (2.0 * d * lg - d * d / z) / rho
+            b = varrho * (2.0 * lg - 4.0 * d / z + d * d / (z * z)) - a
+        else:
+            a = varrho * 0.0 / rho
+            b = varrho * 0.0 - a
+        gx = px - pdx + a * wx
+        gy = py - pdy + a * wy
+        c = cos(th)
+        s = sin(th)
+        ry = c * qx + s * qy
+        rx = s * qx - c * qy
+        sx = qx - ry
+        sy = qy - (c * qy - s * qx)
+        varpi = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
+        ks1 = nk_eta * (eta1 - sx) + rx * varpi - kp_gs * (gx - sx)
+        ks2 = nk_eta * (eta2 - sy) + ry * varpi - kp_gs * (gy - sy)
+        nx = wx / rho
+        ny = wy / rho
         ndotu = nx * u1 + ny * u2
         Hu1 = (1.0 + a) * u1 + b * ndotu * nx
         Hu2 = (1.0 + a) * u2 + b * ndotu * ny
-        dref1 = k_p * ks1 - k_p * Hu1
-        dref2 = k_p * ks2 - k_p * Hu2
         return [u1, u2, ks1, ks2,
-                -k_b * (u1 - ref1) + dref1 - (gx - sx) / gamma_b,
-                -k_b * (u2 - ref2) + dref2 - (gy - sy) / gamma_b,
+                nk_b * (u1 - k_p * (eta1 - gx)) + (k_p * ks1 - k_p * Hu1)
+                - (gx - sx) / gamma_b,
+                nk_b * (u2 - k_p * (eta2 - gy)) + (k_p * ks2 - k_p * Hu2)
+                - (gy - sy) / gamma_b,
                 varpi]
 
     return _switched_loop(world, gains, sp, bp, bp.delta_b, flow)
@@ -869,12 +969,24 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
 
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Plain descent on the base potential; never jumps.  [px, py, theta]."""
-    k_p = gains.k_p
+    pox, poy, pdx, pdy, _, _, r_o, r_s, varrho = _world_constants(world)
+    nk_p = -gains.k_p
+    hypot, log = math.hypot, math.log
 
     def flow(v):
         px, py, _ = v
-        gx, gy, _ = _grad(world, px, py, *_radial(world, px, py))
-        return [-k_p * gx, -k_p * gy, 0.0]
+        wx = px - pox
+        wy = py - poy
+        rho = hypot(wx, wy)
+        z = rho - r_o
+        if not z > _Z_MIN:
+            _check_z(z)
+        if z < r_s:
+            d = z - r_s
+            a = varrho * (2.0 * d * log(r_s / z) - d * d / z) / rho
+        else:
+            a = varrho * 0.0 / rho
+        return [nk_p * (px - pdx + a * wx), nk_p * (py - pdy + a * wy), 0.0]
 
     return HybridSystemSpec(
         dim=3,

@@ -559,6 +559,23 @@ def test_apply_jump_error_paths():
         apply_jump(wrong_dim, np.array([0.0]))
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), ()])
+def test_a_jump_candidate_of_the_wrong_shape_is_named(shape):
+    """A candidate with the right number of entries but not a flat vector
+    of dim entries is a DimensionMismatch, from apply_jump and simulate."""
+    def jump(v):
+        return [np.resize(np.array([0.0, v[1]]), shape)]
+
+    spec = HybridSystemSpec(dim=2, flow_map=lambda v: [0.0, 0.0],
+                            jump_map=jump, in_flow_set=lambda v: 1.0,
+                            in_jump_set=lambda v: -1.0)
+    x0 = np.array([1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match=r"jump candidate has shape"):
+        apply_jump(spec, x0)
+    with pytest.raises(DimensionMismatch, match=r"jump candidate has shape"):
+        simulate(spec, x0, SimConfig(dt=0.1, t_max=1.0))
+
+
 def test_project_flow_clamps_samples_and_counts():
     floor = 0.5
     spec = pure_flow_spec(lambda v: -np.ones(1),

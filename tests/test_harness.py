@@ -819,6 +819,10 @@ def test_cli_compare_lists_every_config(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "unit-hybrid" in out and "unit-plain" in out
+    # One config is enough, as the help says.
+    assert main(["compare", str(a)]) == 0
+    out = capsys.readouterr().out
+    assert "unit-hybrid" in out and "unit-plain" not in out
 
 
 def test_cli_error_paths_exit_two(tmp_path, capsys):

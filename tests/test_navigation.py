@@ -583,6 +583,111 @@ def test_backstep_loop_matches_generic_composition():
             rel=1e-13, abs=1e-13)
 
 
+def skirt_states(world, gains, rng, n, width):
+    """n seeded list states [px, py(, eta(, u)), theta]: the first half
+    inside the skirt (clearance in (1e-6, r_s)), the rest outside.  u is
+    drawn near its reference tracked_input, as along an arc, so the
+    integrator term's low bits reach V."""
+    states = []
+    for i in range(n):
+        z = rng.uniform(1e-6, world.r_s) if i < n // 2 \
+            else rng.uniform(world.r_s, 10.0)
+        ang = rng.uniform(-math.pi, math.pi)
+        rho = world.r_o + z
+        p = world.p_o + rho * np.array([math.cos(ang), math.sin(ang)])
+        v = p.tolist()
+        if width > 3:
+            eta = rng.normal(0.0, 3.0, 2)
+            v += eta.tolist()
+        if width > 5:
+            v += (tracked_input(world, gains, p, eta)
+                  + rng.normal(0.0, 1.0, 2)).tolist()
+        states.append(v + [rng.uniform(-0.4, 0.4)])
+    return states
+
+
+def test_fused_kernels_equal_the_scalar_helpers():
+    """The loops' fused flow and indicator closures give the public scalar
+    helpers' bits (==, not approx), inside and outside the skirt, in a world
+    with no zero coordinate."""
+    world = dataclasses.replace(demo_world(), p_o=np.array([3.3, 5.1]),
+                                p_d=np.array([0.3, 1.1]))
+    gains = dataclasses.replace(demo_gains(),
+                                theta_candidates=np.array([-0.2, 0.2]))
+    sp = demo_smoothed()
+    bp = demo_backstep()
+    k_p, k_theta = gains.k_p, gains.k_theta
+    loops = {
+        "hybrid": (hybrid_closed_loop(world, gains), 3, gains.delta,
+                   lambda v, th: switched_potential(world, gains, v[:2], th,
+                                                    check=False)),
+        "smooth": (smooth_closed_loop(world, gains, sp), 5, sp.delta_s,
+                   lambda v, th: tracking_potential(world, gains, sp, v[:2],
+                                                    v[2:4], th)),
+        "backstep": (backstep_closed_loop(world, gains, sp, bp), 7,
+                     bp.delta_b,
+                     lambda v, th: backstep_potential(world, gains, sp, bp,
+                                                      v[:2], v[2:4], v[4:6],
+                                                      th)),
+    }
+    cands = gains.theta_candidates.tolist()
+    rng = np.random.default_rng(59)
+    for name, (spec, width, gap, V) in loops.items():
+        states = skirt_states(world, gains, rng, 200, width)
+        inside = [obstacle_distance(world, v[:2]) < world.r_s for v in states]
+        assert 0 < sum(inside) < len(states)
+        for v in states:
+            own = V(v, v[-1])
+            best = min(V(v, t) for t in cands)
+            assert spec.in_flow_set(v) == own - best - gap, name
+            assert spec.in_jump_set(v) == gap - (own - best), name
+            flow = spec.flow_map(v)
+            if name == "hybrid":
+                assert flow[:2] == (-k_p * switched_gradient_p(
+                    world, gains, v[:2], v[2], check=False)).tolist()
+                assert flow[2] == -k_theta * switched_gradient_theta(
+                    world, gains, v[:2], v[2])
+            elif name == "smooth":
+                assert flow[:2] == tracked_input(world, gains, v[:2],
+                                                 v[2:4]).tolist()
+
+    spec = gradient_closed_loop(world, gains)
+    for v in skirt_states(world, gains, rng, 200, 3):
+        assert spec.flow_map(v) == (
+            -k_p * nav_gradient(world, v[:2], check=False)).tolist() + [0.0]
+
+
+def test_loop_maps_guard_the_clearance():
+    """Every loop map that reads the clearance raises NonPositiveDistance at
+    or below 1e-12: on the rim, a hair outside it, at p_o and at NaN."""
+    world = demo_world()
+    gains = demo_gains()
+    sp = demo_smoothed()
+    bp = demo_backstep()
+    pox, poy = world.p_o.tolist()
+    points = [(pox + world.r_o, poy), (pox, poy - world.r_o),
+              (pox + world.r_o + 5e-13, poy), (pox, poy),
+              (math.nan, poy)]
+    for p in points[:4]:
+        assert not obstacle_distance(world, np.array(p)) > 1e-12
+    loops = [
+        (hybrid_closed_loop(world, gains), 3,
+         ("flow_map", "in_flow_set", "in_jump_set", "jump_map")),
+        (smooth_closed_loop(world, gains, sp), 5,
+         ("flow_map", "in_flow_set", "in_jump_set", "jump_map")),
+        (backstep_closed_loop(world, gains, sp, bp), 7,
+         ("flow_map", "in_flow_set", "in_jump_set", "jump_map")),
+        # The gradient loop's sets and jump map are constants.
+        (gradient_closed_loop(world, gains), 3, ("flow_map",)),
+    ]
+    for spec, width, maps in loops:
+        for p in points:
+            v = [p[0], p[1], *[0.5] * (width - 3), 0.1]
+            for fn in maps:
+                with pytest.raises(NonPositiveDistance):
+                    getattr(spec, fn)(v)
+
+
 def mirrored_loops(world, gains):
     """The three switched loops with their states on the p_o-p_d axis.
 
