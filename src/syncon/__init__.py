@@ -4,7 +4,6 @@ construction with a simulation harness."""
 
 from .backstepping import (
     BacksteppingParams,
-    FeedbackJacobians,
     backstep_control,
     backstep_lyapunov,
     backstepped_quadruple,

@@ -8,15 +8,14 @@ follow.  The composite Lyapunov function adds a weighted following penalty,
 
 and the new input v = kappa_b combines proportional following, feedforward of
 kappa_bar's time derivative, and a Lyapunov cross-term.  The feedforward
-needs the x-Jacobians of varsigma and of each column of Upsilon, supplied
-analytically through FeedbackJacobians.  The augmented family keeps the
+needs the x-Jacobians of varsigma and of each column of Upsilon, which the
+DecomposedFeedback carries next to sigma's.  The augmented family keeps the
 synergistic structure with a gap delta_b <= delta - gamma_s c_kappa.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,19 +29,6 @@ from .smoothing import (
     tracking_lyapunov,
 )
 from .synergy import AffinePlant, SynergisticQuadruple
-
-
-@dataclass
-class FeedbackJacobians:
-    """Analytic x-Jacobians of the decomposed feedback.
-
-    d_varsigma_dx  x -> (m, n)
-    d_upsilon_dx   x -> list of s matrices (m, n), one per tracker component,
-                   or None when Upsilon is constant in x
-    """
-
-    d_varsigma_dx: Callable[[np.ndarray], np.ndarray]
-    d_upsilon_dx: Callable[[np.ndarray], list] | None = None
 
 
 @dataclass(frozen=True)
@@ -75,12 +61,12 @@ def validate_backstepping_params(delta: float, c_kappa: float,
             f"= {slack:.6g}")
 
 
-def _kappa_bar_jac_x(d: DecomposedFeedback, jac: FeedbackJacobians,
-                     x: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _kappa_bar_jac_x(d: DecomposedFeedback, x: np.ndarray,
+                     eta: np.ndarray) -> np.ndarray:
     """x-Jacobian of kappa_bar: d varsigma + sum_i eta_i d Upsilon_i."""
-    out = np.array(jac.d_varsigma_dx(x), dtype=float, copy=True)
-    if jac.d_upsilon_dx is not None:
-        cols = jac.d_upsilon_dx(x)
+    out = np.array(d.d_varsigma_dx(x), dtype=float, copy=True)
+    if d.d_upsilon_dx is not None:
+        cols = d.d_upsilon_dx(x)
         for i, dcol in enumerate(cols):
             out += eta[i] * np.asarray(dcol, dtype=float)
     return out
@@ -88,8 +74,7 @@ def _kappa_bar_jac_x(d: DecomposedFeedback, jac: FeedbackJacobians,
 
 def reference_time_derivative(plant: AffinePlant, q: SynergisticQuadruple,
                               d: DecomposedFeedback, sp: SmoothedParams,
-                              jac: FeedbackJacobians, x: np.ndarray,
-                              eta: np.ndarray, u: np.ndarray,
+                              x: np.ndarray, eta: np.ndarray, u: np.ndarray,
                               theta: np.ndarray) -> np.ndarray:
     """Time derivative of kappa_bar along the composite closed loop.
 
@@ -100,7 +85,7 @@ def reference_time_derivative(plant: AffinePlant, q: SynergisticQuadruple,
     xdot = (np.asarray(plant.f(x), dtype=float)
             + np.asarray(plant.g(x), dtype=float) @ np.asarray(u, dtype=float))
     return (np.asarray(d.upsilon(x), dtype=float) @ etadot
-            + _kappa_bar_jac_x(d, jac, x, eta) @ xdot)
+            + _kappa_bar_jac_x(d, x, eta) @ xdot)
 
 
 def backstep_lyapunov(q: SynergisticQuadruple, d: DecomposedFeedback,
@@ -115,21 +100,20 @@ def backstep_lyapunov(q: SynergisticQuadruple, d: DecomposedFeedback,
 
 def backstep_control(plant: AffinePlant, q: SynergisticQuadruple,
                      d: DecomposedFeedback, sp: SmoothedParams,
-                     bp: BacksteppingParams, jac: FeedbackJacobians,
-                     x: np.ndarray, eta: np.ndarray, u: np.ndarray,
-                     theta: np.ndarray) -> np.ndarray:
+                     bp: BacksteppingParams, x: np.ndarray, eta: np.ndarray,
+                     u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Integrator input: following + feedforward + Lyapunov cross-term."""
     err = np.asarray(u, float) - tracked_feedback(d, x, eta)
     gx, _ = q.grad_V(x, theta)
     cross = np.asarray(plant.g(x), float).T @ np.asarray(gx, float).ravel()
     return (-bp.k_b * err
-            + reference_time_derivative(plant, q, d, sp, jac, x, eta, u, theta)
+            + reference_time_derivative(plant, q, d, sp, x, eta, u, theta)
             - cross / bp.gamma_b)
 
 
 def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
                           d: DecomposedFeedback, sp: SmoothedParams,
-                          bp: BacksteppingParams, jac: FeedbackJacobians,
+                          bp: BacksteppingParams
                           ) -> tuple[AffinePlant, SynergisticQuadruple]:
     """Augment with tracker and integrator states; rebuild the quadruple.
 
@@ -177,14 +161,14 @@ def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
         u = xb[n + s:]
         gx, geta, gth = grad_tracking_lyapunov(q, d, sp, x, eta, theta)
         err = np.asarray(u, float) - tracked_feedback(d, x, eta)
-        gx = gx - bp.gamma_b * (_kappa_bar_jac_x(d, jac, x, eta).T @ err)
+        gx = gx - bp.gamma_b * (_kappa_bar_jac_x(d, x, eta).T @ err)
         geta = geta - bp.gamma_b * (np.asarray(d.upsilon(x), float).T @ err)
         gu = bp.gamma_b * err
         return np.concatenate([gx, geta, gu]), gth
 
     def kappa_b(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return backstep_control(plant, q, d, sp, bp, jac, xb[:n],
-                                xb[n:n + s], xb[n + s:], theta)
+        return backstep_control(plant, q, d, sp, bp, xb[:n], xb[n:n + s],
+                                xb[n + s:], theta)
 
     def varpi_b(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return q.varpi(xb[:n], theta)

@@ -511,8 +511,8 @@ def write_csv(record: RunRecord, path) -> None:
     """Write the per-sample channels; absent channels stay empty.
 
     Floats are printed with %.17g, so the same config produces
-    byte-identical output on every run.  Rows are formatted column by
-    column, _CSV_CHUNK_ROWS at a time, which bounds the text held at once.
+    byte-identical output on every run.  Rows are formatted with one format
+    string, _CSV_CHUNK_ROWS at a time, which bounds the text held at once.
     """
     eta, j = record.eta, record.j
     columns = [record.t, j, record.p[:, 0], record.p[:, 1], record.theta,
@@ -520,16 +520,15 @@ def write_csv(record: RunRecord, path) -> None:
                None if eta is None else eta[:, 1],
                record.u[:, 0], record.u[:, 1], record.V, record.mu,
                record.dobs, record.ddest]
-    n = len(record.t)
+    row = ",".join("" if col is None else "%d" if col is j else "%.17g"
+                   for col in columns) + "\n"
+    present = [col for col in columns if col is not None]
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for lo in range(0, n, _CSV_CHUNK_ROWS):
-            hi = min(lo + _CSV_CHUNK_ROWS, n)
-            cells = [[""] * (hi - lo) if col is None else
-                     list(map(str, j[lo:hi].tolist())) if col is j else
-                     ["%.17g" % v for v in col[lo:hi].tolist()]
-                     for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for lo in range(0, len(record.t), _CSV_CHUNK_ROWS):
+            values = zip(*[col[lo:lo + _CSV_CHUNK_ROWS].tolist()
+                           for col in present])
+            fh.write("".join([row % v for v in values]))
 
 
 def write_svg(record: RunRecord, path) -> None:

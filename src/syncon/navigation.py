@@ -61,11 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backstepping import (
-    BacksteppingParams,
-    FeedbackJacobians,
-    validate_backstepping_params,
-)
+from .backstepping import BacksteppingParams, validate_backstepping_params
 from .engine import HybridSystemSpec
 from .errors import (
     DimensionMismatch,
@@ -722,15 +718,7 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
         d_sigma_dx=lambda x, th: np.zeros((2, 2)),
         d_sigma_dtheta=lambda x, th: switch_offset_rate(
             world, float(th[0])).reshape(2, 1),
-    )
-
-
-def backstep_jacobians(world: NavigationWorld, gains: NavGains) -> FeedbackJacobians:
-    """Analytic x-Jacobians of the decomposed feedback (Upsilon is constant)."""
-    k_p = gains.k_p
-    return FeedbackJacobians(
         d_varsigma_dx=lambda x: -k_p * nav_hessian(world, x, check=False),
-        d_upsilon_dx=None,
     )
 
 
@@ -995,4 +983,5 @@ def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSyste
         in_flow_set=lambda v: -1.0,
         in_jump_set=lambda v: 1.0,
         project_flow=shell_projection(world),
+        complementary=True,
     )

@@ -7,7 +7,8 @@ kappa_bar(x, eta) = varsigma(x) + Upsilon(x) eta, which no longer reads theta
 and therefore stays continuous across switches.  The tracker input kappa_s
 combines feedforward of sigma's time derivative, proportional tracking, and
 a Lyapunov cross-term; the augmented family keeps the synergistic structure
-with a reduced gap delta_s.
+with a reduced gap delta_s.  One DecomposedFeedback holds the decomposition
+and every Jacobian that this layer and the backstepping layer read.
 
 Bounds that make this work: with c_kappa a bound satisfying
 max over Theta of ||sigma(x, theta) - sigma(x, theta_bar)||^2 <= 2 c_kappa
@@ -29,15 +30,19 @@ from .synergy import AffinePlant, SynergisticQuadruple
 
 @dataclass
 class DecomposedFeedback:
-    """The pieces of kappa(x, theta) = varsigma(x) + Upsilon(x) sigma(x, theta).
+    """The pieces of kappa(x, theta) = varsigma(x) + Upsilon(x) sigma(x, theta)
+    and their analytic Jacobians.
 
     sigma           (x, theta) -> (s,) switch-dependent part
     varsigma        x -> (m,) switch-independent part
     upsilon         x -> (m, s) mixing matrix
     dim_tracker     s, the length of sigma's output
     c_kappa         spread bound for sigma across Theta (see module docstring)
-    d_sigma_dx      (x, theta) -> (s, n), analytic x-Jacobian of sigma
-    d_sigma_dtheta  (x, theta) -> (s, r), analytic theta-Jacobian of sigma
+    d_sigma_dx      (x, theta) -> (s, n), x-Jacobian of sigma
+    d_sigma_dtheta  (x, theta) -> (s, r), theta-Jacobian of sigma
+    d_varsigma_dx   x -> (m, n), x-Jacobian of varsigma
+    d_upsilon_dx    x -> list of s matrices (m, n), the x-Jacobian of each
+                    column of Upsilon, or None when Upsilon is constant in x
     """
 
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -47,18 +52,14 @@ class DecomposedFeedback:
     c_kappa: float
     d_sigma_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_sigma_dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_varsigma_dx: Callable[[np.ndarray], np.ndarray]
+    d_upsilon_dx: Callable[[np.ndarray], list] | None = None
 
     def __post_init__(self):
         if self.dim_tracker < 1:
             raise ValueError(f"dim_tracker must be >= 1, got {self.dim_tracker}")
         if not (self.c_kappa >= 0.0 and np.isfinite(self.c_kappa)):
             raise ValueError(f"c_kappa must be finite and >= 0, got {self.c_kappa}")
-
-    def sigma_jac_x(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(self.d_sigma_dx(x, theta), dtype=float)
-
-    def sigma_jac_theta(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(self.d_sigma_dtheta(x, theta), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,8 @@ def grad_tracking_lyapunov(q: SynergisticQuadruple, d: DecomposedFeedback,
     """Gradients of the tracking Lyapunov function wrt x, eta, theta."""
     gx, gth = q.grad_V(x, theta)
     err = np.asarray(eta, float) - np.asarray(d.sigma(x, theta), float)
-    jx = d.sigma_jac_x(x, theta)
-    jth = d.sigma_jac_theta(x, theta)
+    jx = np.asarray(d.d_sigma_dx(x, theta), float)
+    jth = np.asarray(d.d_sigma_dtheta(x, theta), float)
     grad_x = np.asarray(gx, float).ravel() - p.gamma_s * (jx.T @ err)
     grad_eta = p.gamma_s * err
     grad_theta = np.asarray(gth, float).ravel() - p.gamma_s * (jth.T @ err)
@@ -153,8 +154,9 @@ def sigma_time_derivative(plant: AffinePlant, q: SynergisticQuadruple,
     """
     xdot = (np.asarray(plant.f(x), dtype=float)
             + np.asarray(plant.g(x), dtype=float) @ tracked_feedback(d, x, eta))
-    return (d.sigma_jac_x(x, theta) @ xdot
-            + d.sigma_jac_theta(x, theta) @ np.asarray(q.varpi(x, theta), dtype=float))
+    return (np.asarray(d.d_sigma_dx(x, theta), dtype=float) @ xdot
+            + np.asarray(d.d_sigma_dtheta(x, theta), dtype=float)
+            @ np.asarray(q.varpi(x, theta), dtype=float))
 
 
 def tracker_control(plant: AffinePlant, q: SynergisticQuadruple,

@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from syncon.backstepping import BacksteppingParams, FeedbackJacobians
+from syncon.backstepping import BacksteppingParams
 from syncon.smoothing import DecomposedFeedback, SmoothedParams
 from syncon.synergy import AffinePlant, SynergisticQuadruple
 
@@ -28,7 +28,7 @@ def toy_scalar_pieces():
     Plant xdot = u, feedback kappa = -x decomposed as varsigma = -x with a
     zero mixing matrix, so the tracker is inert and the integrator reference
     is kappa_bar = -x.  Handy for validating the composite formulas against
-    hand-derived rates.  Returns (plant, q, d, sp, bp, jac).
+    hand-derived rates.  Returns (plant, q, d, sp, bp).
     """
     plant = AffinePlant(
         dim_x=1, dim_u=1,
@@ -51,14 +51,11 @@ def toy_scalar_pieces():
         c_kappa=0.0,
         d_sigma_dx=lambda x, th: np.zeros((1, 1)),
         d_sigma_dtheta=lambda x, th: np.zeros((1, 1)),
+        d_varsigma_dx=lambda x: np.array([[-1.0]]),
     )
     sp = SmoothedParams(gamma_s=0.5, k_eta=5.0, delta_s=0.1)
     bp = BacksteppingParams(gamma_b=0.5, k_b=4.0, delta_b=0.1)
-    jac = FeedbackJacobians(
-        d_varsigma_dx=lambda x: np.array([[-1.0]]),
-        d_upsilon_dx=None,
-    )
-    return plant, q, d, sp, bp, jac
+    return plant, q, d, sp, bp
 
 
 def record_criterion(num: int, label: str, passed: bool, detail: str = "") -> None:

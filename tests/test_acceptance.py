@@ -27,7 +27,6 @@ from syncon.harness import (
     write_csv,
 )
 from syncon.navigation import (
-    backstep_jacobians,
     barrier,
     barrier_grad,
     decomposed_feedback,
@@ -298,14 +297,13 @@ def test_criterion_6_derivative_checks(records):
 
     bs = records["fig5_backstep"]
     sp = bs.config.smoothed
-    jac = backstep_jacobians(world, gains)
     spec_b = build_closed_loop(bs.config)
     back_b = reversed_spec(spec_b)
     worst_ref = 0.0
     pts = flow_samples(bs.arc, spec_b.in_flow_set)
     assert len(pts) >= 15
     for v in pts:
-        got = reference_time_derivative(plant, q, d, sp, jac,
+        got = reference_time_derivative(plant, q, d, sp,
                                         v[:2], v[2:4], v[4:6], v[6:])
         vp = step_flow(spec_b, v, h)
         vm = step_flow(back_b, v, h)
@@ -349,8 +347,8 @@ def test_criterion_7_smooth_input_continuity(records):
 
 
 def test_criterion_8_backstepping_demo(records):
-    plant, q, d, sp, bp, jac = toy_scalar_pieces()
-    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp, jac)
+    plant, q, d, sp, bp = toy_scalar_pieces()
+    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp)
     spec = assemble_closed_loop(plant_b, q_b)
     arc = simulate(spec, np.array([1.5, 0.0, 0.0, 0.0]),
                    SimConfig(dt=1e-3, t_max=5.0))

@@ -9,7 +9,6 @@ from conftest import toy_scalar_pieces
 from syncon import numdiff
 from syncon.backstepping import (
     BacksteppingParams,
-    FeedbackJacobians,
     backstep_control,
     backstep_lyapunov,
     backstepped_quadruple,
@@ -60,14 +59,12 @@ def bent_family():
         c_kappa=2.0,
         d_sigma_dx=lambda x, th: np.array([[0.3]]),
         d_sigma_dtheta=lambda x, th: np.array([[math.cos(th[0])]]),
-    )
-    sp = SmoothedParams(gamma_s=0.3, k_eta=4.0, delta_s=0.2)
-    bp = BacksteppingParams(gamma_b=0.7, k_b=3.0, delta_b=0.2)
-    jac = FeedbackJacobians(
         d_varsigma_dx=lambda x: np.array([[-1.0]]),
         d_upsilon_dx=lambda x: [np.array([[0.2 * x[0]]])],
     )
-    return plant, q, d, sp, bp, jac
+    sp = SmoothedParams(gamma_s=0.3, k_eta=4.0, delta_s=0.2)
+    bp = BacksteppingParams(gamma_b=0.7, k_b=3.0, delta_b=0.2)
+    return plant, q, d, sp, bp
 
 
 def test_backstepping_params_require_positive_entries():
@@ -79,7 +76,7 @@ def test_backstepping_params_require_positive_entries():
 
 
 def test_validate_backstepping_params_bound():
-    plant, q, d, sp, bp, jac = toy_scalar_pieces()
+    plant, q, d, sp, bp = toy_scalar_pieces()
     # The toy spread bound is zero, so the slack is the full gap delta = 0.1.
     validate_backstepping_params(q.delta, d.c_kappa, sp, bp)
     with pytest.raises(ParamBoundViolation, match="delta_b"):
@@ -89,26 +86,26 @@ def test_validate_backstepping_params_bound():
 
 
 def test_toy_control_matches_hand_formula():
-    plant, q, d, sp, bp, jac = toy_scalar_pieces()
+    plant, q, d, sp, bp = toy_scalar_pieces()
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.uniform(-3, 3, 1)
         eta = rng.uniform(-2, 2, 1)
         u = rng.uniform(-3, 3, 1)
-        got = backstep_control(plant, q, d, sp, bp, jac, x, eta, u, np.zeros(1))
+        got = backstep_control(plant, q, d, sp, bp, x, eta, u, np.zeros(1))
         # Following gain k_b = 4 on u + x, feedforward -u, cross-term x/gamma_b.
         expect = (-bp.k_b * (u[0] + x[0]) - u[0] - x[0] / bp.gamma_b)
         assert got[0] == pytest.approx(expect, abs=1e-12)
 
-    got = backstep_control(plant, q, d, sp, bp, jac,
+    got = backstep_control(plant, q, d, sp, bp,
                            np.array([2.0]), np.array([0.3]),
                            np.array([-1.0]), np.zeros(1))
     assert got[0] == pytest.approx(-7.0, abs=1e-12)
 
 
 def test_composite_gradient_matches_finite_differences():
-    plant, q, d, sp, bp, jac = bent_family()
-    _, q_b = backstepped_quadruple(plant, q, d, sp, bp, jac)
+    plant, q, d, sp, bp = bent_family()
+    _, q_b = backstepped_quadruple(plant, q, d, sp, bp)
     rng = np.random.default_rng(8)
     for _ in range(20):
         xb = rng.uniform(-2, 2, 3)
@@ -122,7 +119,7 @@ def test_composite_gradient_matches_finite_differences():
 
 
 def test_reference_derivative_matches_time_differencing():
-    plant, q, d, sp, bp, jac = bent_family()
+    plant, q, d, sp, bp = bent_family()
     rng = np.random.default_rng(5)
     h = 1e-5
     for _ in range(20):
@@ -130,7 +127,7 @@ def test_reference_derivative_matches_time_differencing():
         eta = rng.uniform(-2, 2, 1)
         u = rng.uniform(-2, 2, 1)
         th = rng.uniform(-1, 1, 1)
-        got = reference_time_derivative(plant, q, d, sp, jac, x, eta, u, th)
+        got = reference_time_derivative(plant, q, d, sp, x, eta, u, th)
 
         xdot = plant.f(x) + plant.g(x) @ u
         etadot = tracker_control(plant, q, d, sp, x, eta, th)
@@ -140,8 +137,8 @@ def test_reference_derivative_matches_time_differencing():
 
 
 def test_toy_composite_flow_dissipates_at_the_book_rate():
-    plant, q, d, sp, bp, jac = toy_scalar_pieces()
-    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp, jac)
+    plant, q, d, sp, bp = toy_scalar_pieces()
+    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp)
     rng = np.random.default_rng(12)
     for _ in range(25):
         xb = rng.uniform(-2, 2, 3)
@@ -158,9 +155,9 @@ def test_toy_composite_flow_dissipates_at_the_book_rate():
 
 
 def test_backstepped_quadruple_wiring():
-    plant, q, d, sp, bp, jac = bent_family()
+    plant, q, d, sp, bp = bent_family()
     plant.safety_indicator = lambda x: float(x[0]) - 5.0
-    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp, jac)
+    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp)
 
     assert plant_b.dim_x == 3
     assert plant_b.dim_u == 1
@@ -187,8 +184,8 @@ def test_backstepped_quadruple_wiring():
 
 
 def test_backstepped_quadruple_rejects_bad_gap():
-    plant, q, d, sp, _, jac = bent_family()
+    plant, q, d, sp, _ = bent_family()
     # Slack is delta - gamma_s c_kappa = 1 - 0.6 = 0.4.
     bad = BacksteppingParams(gamma_b=0.7, k_b=3.0, delta_b=0.5)
     with pytest.raises(ParamBoundViolation):
-        backstepped_quadruple(plant, q, d, sp, bad, jac)
+        backstepped_quadruple(plant, q, d, sp, bad)

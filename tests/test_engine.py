@@ -861,6 +861,10 @@ def test_errors_name_the_list_state_as_an_array():
     with pytest.raises(NonFiniteState) as info:
         locate_boundary(spec, [0.0], 1.0, spec.in_flow_set)
     assert str(info.value) == "indicator flow_ind is NaN at array([1.])"
+    # With no f_lo given, the indicator at x_inside is the first one read.
+    with pytest.raises(NonFiniteState) as info:
+        locate_boundary(spec, [1.0], 1.0, spec.in_flow_set)
+    assert str(info.value) == "indicator flow_ind is NaN at array([1.])"
     empty = dataclasses.replace(spec, jump_map=lambda v: [],
                                 in_jump_set=lambda v: -1.0)
     with pytest.raises(EmptyJumpSet) as info:

@@ -685,7 +685,9 @@ def per_row_csv(rec) -> bytes:
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
                                                             monkeypatch):
-    rec = run_scenario(short_shipped(path))
+    # More rows than one default chunk holds on every config.
+    rec = run_scenario(short_shipped(path, t_max=1.2))
+    assert len(rec.t) > harness._CSV_CHUNK_ROWS
     expected = per_row_csv(rec)
     write_csv(rec, tmp_path / "a.csv")
     assert (tmp_path / "a.csv").read_bytes() == expected
@@ -711,6 +713,23 @@ def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
     points = " ".join(f"{(x - xmin) * scale:.2f},{(ymax - y) * scale:.2f}"
                       for x, y in rec.p)
     assert root.find(".//s:polyline", ns).get("points") == points
+
+
+def test_the_shell_projection_holds_the_margin_on_the_exact_flow():
+    """A weak skirt lets the hybrid loop press on the epsilon-shell.  Clamps
+    grow about tenfold as dt shrinks tenfold: the arc spends a fixed time
+    on the shell, so the exact flow enters it and the projection, not the
+    barrier, keeps the clearance at epsilon."""
+    clamps = []
+    for dt in (1e-3, 1e-4):
+        raw = hybrid_raw(t_max=4.0)
+        raw["world"]["varrho"] = 2.0
+        raw["sim"]["dt"] = dt
+        rec = run_scenario(parse_config(raw))
+        assert rec.min_clearance >= rec.config.world.epsilon
+        clamps.append(rec.n_clamped)
+    assert clamps[0] > 0
+    assert clamps[1] >= 5 * clamps[0]
 
 
 def test_svg_export_is_wellformed(tmp_path):
@@ -759,6 +778,26 @@ def test_check_scenario_reports_broken_bounds_in_one_item():
     raw["gains"].update(gamma_s=0.2, delta_b=0.5)
     assert failing[0].detail.split("; ") == [
         p.removeprefix("test: gains: ") for p in violations_of(raw)]
+
+
+def test_check_reports_a_missing_stuck_point_and_skips_the_audit(tmp_path,
+                                                                capsys):
+    """A skirt too weak to balance the pull (h(epsilon) > 0) leaves no
+    stuck point to find: check fails on that item alone and runs no audit,
+    and the audit command, which needs the point, is an error."""
+    raw = json.loads((CONFIG_DIR / "fig5_hybrid.json").read_text())
+    raw["world"]["varrho"] = 0.1
+    report = check_scenario(parse_config(raw), n_audit_samples=20)
+    assert [(it.name, it.passed) for it in report.items] == [
+        ("parameter bounds", True), ("stuck point", False)]
+    assert "does not change sign" in report.items[1].detail
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path), "--samples", "20"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[FAIL]") == 1 and "[FAIL] stuck point" in out
+    assert main(["audit", str(path), "--samples", "20"]) == 2
+    assert "error: h(z)" in capsys.readouterr().err
 
 
 def test_check_scenario_fails_on_wrong_expected_saddle():

@@ -20,7 +20,6 @@ from syncon.navigation import (
     NavGains,
     NavigationWorld,
     backstep_closed_loop,
-    backstep_jacobians,
     backstep_potential,
     barrier,
     barrier_grad,
@@ -62,7 +61,7 @@ from syncon.backstepping import (
     backstep_lyapunov,
     backstepped_quadruple,
 )
-from syncon.synergy import assemble_closed_loop, v_excess
+from syncon.synergy import assemble_closed_loop, audit_quadruple, v_excess
 
 
 def demo_world() -> NavigationWorld:
@@ -352,6 +351,12 @@ def test_rotation_rate_bound_and_gap_frozen_values():
     assert gains.delta <= gap
 
 
+def test_nav_gains_reject_an_empty_candidate_list():
+    for empty in ([], np.array([]), np.zeros((0, 1))):
+        with pytest.raises(ValueError, match="nonempty"):
+            dataclasses.replace(demo_gains(), theta_candidates=empty)
+
+
 def test_validate_gains_flags_each_bound():
     world = demo_world()
     good = demo_gains()
@@ -388,7 +393,6 @@ def test_layer_bounds_match_the_generic_validators():
     gains = demo_gains()
     plant, q = nominal_controller(world, gains)
     d = decomposed_feedback(world, gains)
-    jac = backstep_jacobians(world, gains)
 
     def rejects(build):
         try:
@@ -406,7 +410,7 @@ def test_layer_bounds_match_the_generic_validators():
                 bp = BacksteppingParams(gamma_b=0.5, k_b=40.0, delta_b=delta_b)
                 tracker_bad = rejects(lambda: smoothed_quadruple(plant, q, d, sp))
                 integrator_bad = rejects(
-                    lambda: backstepped_quadruple(plant, q, d, sp, bp, jac))
+                    lambda: backstepped_quadruple(plant, q, d, sp, bp))
                 assert rejects(lambda: smooth_closed_loop(world, gains, sp)) \
                     == tracker_bad
                 assert rejects(lambda: backstep_closed_loop(world, gains, sp, bp)) \
@@ -552,6 +556,29 @@ def test_smooth_loop_matches_generic_composition():
                            rtol=1e-13, atol=1e-13)
 
 
+def test_smoothed_quadruple_gradient_matches_finite_differences():
+    """The smoothed family's grad_V, which no loop calls, against central
+    differences of its V, and its flows pass the audit's decrease check."""
+    world, gains, sp = demo_world(), demo_gains(), demo_smoothed()
+    plant, q = nominal_controller(world, gains)
+    d = decomposed_feedback(world, gains)
+    plant_s, q_s = smoothed_quadruple(plant, q, d, sp)
+    rng = np.random.default_rng(47)
+    states = []
+    for p in sample_free_points(world, rng, 30):
+        xs = np.concatenate([p, rng.uniform(-1.0, 1.0, 2)])
+        th = rng.uniform(-0.25, 0.25, 1)
+        states.append((xs, th))
+        gx, gth = q_s.grad_V(xs, th)
+        fd = numdiff.central_gradient(lambda v: q_s.V(v[:4], v[4:]),
+                                      np.concatenate([xs, th]))
+        assert np.allclose(np.concatenate([gx, gth]), fd,
+                           rtol=1e-6, atol=1e-6)
+    report = audit_quadruple(plant_s, q_s, states, critical_states=[])
+    assert report.c3_pass, report.lines()
+    assert report.n_states_checked == 30
+
+
 def test_backstep_loop_matches_generic_composition():
     world = demo_world()
     gains = demo_gains()
@@ -561,8 +588,7 @@ def test_backstep_loop_matches_generic_composition():
                                 project_flow=None)
     plant, q = nominal_controller(world, gains)
     d = decomposed_feedback(world, gains)
-    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp,
-                                         backstep_jacobians(world, gains))
+    plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp)
     generic = assemble_closed_loop(plant_b, q_b)
     assert fused.dim == generic.dim == 7
 
@@ -754,7 +780,8 @@ def test_decomposition_reconstructs_the_switched_feedback():
 
 # -- complementary indicators --------------------------------------------------
 
-@pytest.mark.parametrize("name", ["fig5_hybrid", "fig5_smooth", "fig5_backstep"])
+@pytest.mark.parametrize("name", ["fig5_hybrid", "fig5_smooth", "fig5_backstep",
+                                  "fig5_nonhybrid"])
 def test_complementary_loops_match_the_two_indicator_path(name):
     cfg = load_config(CONFIG_DIR / f"{name}.json")
     spec = build_closed_loop(cfg)

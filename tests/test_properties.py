@@ -28,7 +28,6 @@ from syncon.harness import (
 )
 from syncon.navigation import (
     backstep_closed_loop,
-    backstep_jacobians,
     backstep_potential,
     decomposed_feedback,
     gradient_closed_loop,
@@ -119,8 +118,7 @@ def _loops(thetas=(-0.2, 0.2)):
     quads = {
         "hybrid": (plant, q),
         "smooth": smoothed_quadruple(plant, q, d, sp),
-        "backstep": backstepped_quadruple(plant, q, d, sp, bp,
-                                          backstep_jacobians(world, gains)),
+        "backstep": backstepped_quadruple(plant, q, d, sp, bp),
     }
     fused = {
         "hybrid": hybrid_closed_loop(world, gains),

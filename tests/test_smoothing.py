@@ -47,6 +47,7 @@ def sine_family():
         c_kappa=2.0,
         d_sigma_dx=lambda x, th: np.array([[0.3]]),
         d_sigma_dtheta=lambda x, th: np.array([[math.cos(th[0])]]),
+        d_varsigma_dx=lambda x: np.array([[-1.0]]),
     )
     return plant, q, d
 
@@ -57,6 +58,15 @@ def test_smoothed_params_require_positive_entries():
                 dict(gamma_s=0.1, k_eta=1.0, delta_s=math.inf)):
         with pytest.raises(ValueError):
             SmoothedParams(**bad)
+
+
+def test_decomposed_feedback_checks_its_sizes():
+    _, _, d = sine_family()
+    with pytest.raises(ValueError, match="dim_tracker"):
+        dataclasses.replace(d, dim_tracker=0)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c_kappa"):
+            dataclasses.replace(d, c_kappa=bad)
 
 
 def test_validate_smoothed_params_bounds():
@@ -124,7 +134,7 @@ def test_sigma_time_derivative_matches_time_differencing():
 
 
 def test_toy_tracker_flow_dissipates_at_the_book_rate():
-    plant, q, d, sp, _, _ = toy_scalar_pieces()
+    plant, q, d, sp, _ = toy_scalar_pieces()
     rng = np.random.default_rng(6)
     for _ in range(25):
         x = rng.uniform(-2, 2, 1)

@@ -1,10 +1,12 @@
 """Unit tests for the synergistic quadruple layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from syncon.engine import SimConfig, simulate
-from syncon.errors import DimensionMismatch
+from syncon.errors import DimensionMismatch, NonPositiveDistance
 from syncon.synergy import (
     TIE_TOL,
     AffinePlant,
@@ -181,8 +183,9 @@ def test_latin_hypercube_stratifies_each_axis():
 
 def test_audit_passes_for_the_stabilizing_family():
     plant, q = scalar_family(delta=1.0)
+    # At x = 0 both candidates give V = 1: two tied states.
     samples = [(np.array([x]), np.array([th]))
-               for x in (-2.0, -0.5, 0.5, 2.0) for th in (-1.0, 1.0)]
+               for x in (-2.0, -0.5, 0.0, 0.5, 2.0) for th in (-1.0, 1.0)]
     report = audit_quadruple(plant, q, samples,
                              critical_states=[(np.array([1.0]), np.array([-1.0]))])
     assert report.passed
@@ -190,6 +193,7 @@ def test_audit_passes_for_the_stabilizing_family():
     assert report.c4_margin == pytest.approx(3.0)
     assert report.v_min >= 0.0
     assert report.n_states_checked == len(samples)
+    assert report.argmin_ties == 2
     assert any(line.startswith("[PASS]") for line in report.lines())
 
 
@@ -221,3 +225,23 @@ def test_audit_box_sampling_skips_inadmissible_draws():
         n_samples=40, seed=5)
     assert 0 < report.n_states_checked < 40
     assert any("skipped" in note for note in report.notes)
+
+
+def test_audit_probes_rays_from_zero_and_stops_at_a_domain_error():
+    """With no state at all the rays leave the origin of [x | theta]; a ray
+    whose V raises a SynconError is dropped, not propagated."""
+    plant, q = scalar_family()
+    report = audit_quadruple(plant, q, [], critical_states=[])
+    assert report.n_states_checked == 0
+    assert report.c1_rays_checked == report.c1_rays_growing == 8
+    assert report.passed
+
+    def V(x, th):
+        if abs(x[0]) > 3.0 or abs(th[0]) > 3.0:
+            raise NonPositiveDistance("outside the domain")
+        return float((x[0] - th[0]) ** 2)
+
+    report = audit_quadruple(plant, dataclasses.replace(q, V=V), [],
+                             critical_states=[])
+    assert report.c1_rays_checked == 0
+    assert report.passed

@@ -1,8 +1,10 @@
-"""tools/bench_snapshot.py writes a BENCH file of the committed shape."""
+"""tools/bench_snapshot.py writes a BENCH file of the committed shape, and
+tools/untested_lines.py names the lines a run never executes."""
 
 import importlib.util
 import json
 import shutil
+import sys
 
 from conftest import REPO_ROOT
 
@@ -39,3 +41,54 @@ def test_bench_snapshot_has_the_shape_of_the_committed_files(tmp_path,
     assert out["command"] == committed["command"]
     assert out["env"] == committed["env"]
     assert out["workloads"] == committed["workloads"]
+
+
+def load_untested_tool():
+    spec = importlib.util.spec_from_file_location(
+        "untested_lines", REPO_ROOT / "tools" / "untested_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TOY = '''\
+"""A toy module."""
+
+
+def sign(x):
+    if x > 0:
+        return 1
+    return -1
+'''
+
+
+def test_untested_lines_names_the_branch_not_taken(tmp_path):
+    """Only the untaken return is reported, only files under the traced
+    directory are recorded, and a tracer already installed comes back."""
+    tool = load_untested_tool()
+    pkg = tmp_path / "toypkg"
+    pkg.mkdir()
+    (pkg / "toy.py").write_text(TOY)
+    (pkg / "unused.py").write_text("X = 1\n")
+
+    def run():
+        spec = importlib.util.spec_from_file_location("toy", pkg / "toy.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.sign(2) == 1
+
+    def outer(frame, event, arg):
+        return None
+
+    sys.settrace(outer)
+    try:
+        executed = tool.trace_lines(run, pkg)
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(None)
+    assert list(executed) == [str((pkg / "toy.py").resolve())]
+    assert tool.report(executed, pkg) == [
+        "toypkg/toy.py: 4/5  never ran: 7",
+        "toypkg/unused.py: 0/1  never ran: 1",
+        "total: 4/6",
+    ]
