@@ -51,9 +51,6 @@ from .navigation import (
     NavGains,
     NavigationWorld,
     backstep_closed_loop,
-    barrier,
-    barrier_grad,
-    barrier_hess,
     decomposed_feedback,
     find_critical_point,
     gradient_closed_loop,
@@ -61,7 +58,6 @@ from .navigation import (
     max_synergy_gap,
     nav_gradient,
     nav_hessian,
-    nav_potential,
     nominal_controller,
     obstacle_distance,
     rotation_rate_bound,

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .errors import SynconError
+from .errors import NoRootBracketed, SynconError
 from .harness import (
     audit_box,
     check_scenario,
@@ -87,8 +87,11 @@ def main(argv=None) -> int:
         if args.command == "audit":
             cfg = load_config(args.config)
             plant, q = nominal_controller(cfg.world, cfg.gains)
-            p_star = find_critical_point(cfg.world)
-            critical = [(p_star, np.zeros(1))]
+            try:
+                critical = [(find_critical_point(cfg.world), np.zeros(1))]
+            except NoRootBracketed as exc:
+                print(f"[note] no stuck point: {exc}")
+                critical = []
             lo, hi = audit_box(cfg)
             seed = cfg.seed if args.seed is None else args.seed
             report = audit_quadruple(

@@ -30,27 +30,29 @@ HybridSystemSpec:
     backstep_closed_loop   tracker plus an actuator integrator
     gradient_closed_loop   plain gradient descent on V_nav, never switches
 
-The public helpers (switched_potential, tracking_potential,
-backstep_potential, switched_gradient_p, ...) are built from small scalar
-kernels over Python floats, each formula written once.  The loop maps are
-not: each loop builder reads every world, gain and layer constant once into
-closure locals and returns a fused flow closure whose body is straight-line
-float code, with no helper call per evaluation.  The three switched loops
-share one switching rule, synergy.switching_system, applied to one fused
-per-state kernel built by _switched_loop: at each state it computes the
-terms of the loop's potential that do not depend on theta once (p - p_o, the
-skirt, the integrator term) and combines them with the state's own angle and
-with each candidate's cos, sin, penalty and offset, fixed when the loop is
-built.  The fused closures follow the helpers' order of operations, so they
-give the same bits; tests/test_navigation.py's
-test_fused_kernels_equal_the_scalar_helpers pins that with ==, inside and
-outside the skirt, and test_loop_maps_guard_the_clearance pins the clearance
-guard.  The harness's V, u, excess and clearance channels come from
-sample_channels, the same formulas over a stack of states as numpy arrays
-(_loop_v and _angle_terms take arrays too), bit-equal to the helpers at
-every state.  The generic compositions (assemble_closed_loop over
-nominal_controller, smoothed_quadruple and backstepped_quadruple) give the
-same flows at many times the cost, so they serve as the tests' reference.
+Each potential is stated once per path.  On the run path, each loop
+builder reads every world, gain and layer constant once into closure locals
+and returns a fused flow closure whose body is straight-line float code,
+with no helper call per evaluation.  The three switched loops share one
+switching rule, synergy.switching_system, applied to one fused per-state
+kernel built by _switched_loop: at each state it computes the terms of the
+loop's potential that do not depend on theta once (p - p_o, the skirt, the
+integrator term) and combines them with the state's own angle and with each
+candidate's cos, sin, penalty and offset, fixed when the loop is built.
+Post-processing reads the harness's V, u, excess and clearance channels
+from sample_channels, the same formulas over a stack of states as numpy
+arrays (_loop_v and _angle_terms take arrays too).  The float helpers
+(switched_potential, switched_gradient_p/theta, nav_gradient, nav_hessian,
+switch_offset, switch_offset_rate, tracked_input) are built from small
+scalar kernels and serve nominal_controller, decomposed_feedback,
+find_critical_point and the harness's checks.  All three follow one order
+of operations and give the same bits: tests/test_navigation.py's
+test_fused_kernels_equal_the_scalar_helpers pins the fused closures against
+the float helpers and against sample_channels with ==, inside and outside
+the skirt, and test_loop_maps_guard_the_clearance pins the clearance guard.
+The generic compositions (assemble_closed_loop over nominal_controller,
+smoothed_quadruple and backstepped_quadruple) give the same flows at many
+times the cost, so they serve as the tests' reference.
 """
 
 from __future__ import annotations
@@ -237,22 +239,6 @@ def _check_z(z: float) -> None:
             f"distance to the obstacle boundary must be positive, got {z:.6g}")
 
 
-def barrier(z: float, r_s: float) -> float:
-    """Skirt potential (z - r_s)^2 ln(r_s / z), zero from r_s outward."""
-    _check_z(z)
-    return _phi(z, r_s)
-
-
-def barrier_grad(z: float, r_s: float) -> float:
-    _check_z(z)
-    return _dphi(z, r_s)
-
-
-def barrier_hess(z: float, r_s: float) -> float:
-    _check_z(z)
-    return _d2phi(z, r_s)
-
-
 # -- base potential ----------------------------------------------------------
 #
 # The potentials and gradients are written once, as scalar kernels over
@@ -301,16 +287,6 @@ def _grad(world: NavigationWorld, px: float, py: float, wx: float, wy: float,
     return px - pdx + a * wx, py - pdy + a * wy, a
 
 
-def nav_potential(world: NavigationWorld, p: np.ndarray, check: bool = True) -> float:
-    """Quadratic pull plus skirt: ||p - p_d||^2 / 2 + varrho phi(d_o(p))."""
-    p = np.asarray(p, dtype=float)
-    z = obstacle_distance(world, p)
-    _require_free(world, z) if check else _check_z(z)
-    ex = p[0] - world.p_d[0]
-    ey = p[1] - world.p_d[1]
-    return 0.5 * (ex * ex + ey * ey) + world.varrho * _phi(z, world.r_s)
-
-
 def nav_gradient(world: NavigationWorld, p: np.ndarray, check: bool = True) -> np.ndarray:
     px, py = _xy(p)
     gx, gy, _ = _grad(world, px, py, *_radial(world, px, py, check))
@@ -333,18 +309,6 @@ def nav_hessian(world: NavigationWorld, p: np.ndarray, check: bool = True) -> np
 
 
 # -- rotated family ----------------------------------------------------------
-
-def rotate_about_obstacle(world: NavigationWorld, p: np.ndarray,
-                          theta: float) -> np.ndarray:
-    """Rotate p around the obstacle center by theta."""
-    p = np.asarray(p, dtype=float)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    wx = p[0] - world.p_o[0]
-    wy = p[1] - world.p_o[1]
-    return np.array([world.p_o[0] + c * wx - s * wy,
-                     world.p_o[1] + s * wx + c * wy])
-
 
 def _offset(world: NavigationWorld, c: float, s: float):
     """(sx, sy, rx, ry): the offset sigma(theta) and its theta-derivative,
@@ -385,48 +349,18 @@ def _loop_v(world: NavigationWorld, sp: SmoothedParams | None, st, at):
     return V if integ is None else V + integ
 
 
-def _potential(world: NavigationWorld, gains: NavGains,
-               sp: SmoothedParams | None, bp: BacksteppingParams | None, x,
-               th: float, check: bool = False) -> float:
-    """A switched loop's V at the coordinates x = [px, py(, eta1, eta2(, u1,
-    u2))] and logic angle th."""
-    px, py = x[0], x[1]
-    wx, wy, rho, z = _radial(world, px, py, check)
-    integ = None
-    if bp is not None:
-        gx, gy, _ = _grad(world, px, py, wx, wy, rho, z)
-        integ = _integrator_v(gains, bp, *x[2:6], gx, gy)
-    st = (wx, wy, world.varrho * _phi(z, world.r_s), x[2:4], integ)
-    return _loop_v(world, sp, st, _angle_terms(world, gains, th))
-
-
 def _tracked(gains: NavGains, eta1: float, eta2: float, gx: float, gy: float):
     """Applied input k_p (eta - g) of the tracker loops, g = grad V_nav(p)."""
     return gains.k_p * (eta1 - gx), gains.k_p * (eta2 - gy)
 
 
-def _integrator_v(gains: NavGains, bp: BacksteppingParams, eta1, eta2, u1, u2,
-                 gx, gy):
-    """Integrator term (gamma_b/2)||u - k_p (eta - g)||^2, g = grad V_nav(p)."""
-    r1, r2 = _tracked(gains, eta1, eta2, gx, gy)
-    f1 = u1 - r1
-    f2 = u2 - r2
-    return 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
-
-
 def switched_potential(world: NavigationWorld, gains: NavGains, p: np.ndarray,
                        theta: float, check: bool = True) -> float:
-    return _potential(world, gains, None, None, _xy(p), float(theta), check)
-
-
-def tracking_potential(world: NavigationWorld, gains: NavGains,
-                       sp: SmoothedParams, p: np.ndarray, eta: np.ndarray,
-                       theta: float) -> float:
-    """Smoothed loop's V: switched potential + (gamma_s/2)||eta - sigma(theta)||^2.
-
-    Unchecked, like the loop maps: only the barrier's own domain is enforced.
-    """
-    return _potential(world, gains, sp, None, _xy(p) + _xy(eta), float(theta))
+    """Rotated pull plus skirt plus angle penalty, V(p, theta)."""
+    px, py = _xy(p)
+    wx, wy, _, z = _radial(world, px, py, check)
+    st = (wx, wy, world.varrho * _phi(z, world.r_s), None, None)
+    return _loop_v(world, None, st, _angle_terms(world, gains, float(theta)))
 
 
 def tracked_input(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -435,15 +369,6 @@ def tracked_input(world: NavigationWorld, gains: NavGains, p: np.ndarray,
     px, py = _xy(p)
     gx, gy, _ = _grad(world, px, py, *_radial(world, px, py))
     return np.array(_tracked(gains, *_xy(eta), gx, gy))
-
-
-def backstep_potential(world: NavigationWorld, gains: NavGains,
-                       sp: SmoothedParams, bp: BacksteppingParams,
-                       p: np.ndarray, eta: np.ndarray, u: np.ndarray,
-                       theta: float) -> float:
-    """Backstepped loop's V: tracking potential + (gamma_b/2)||u - tracked input||^2."""
-    return _potential(world, gains, sp, bp, _xy(p) + _xy(eta) + _xy(u),
-                      float(theta))
 
 
 def switched_gradient_p(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -504,8 +429,9 @@ def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
     (both), with ``gap`` its switching gap.  V is the loop's potential, u
     (shape (n, 2)) the applied input, mu = in_flow_set + gap the switching
     excess (None for the gradient loop), dobs the obstacle clearance and
-    ddest the distance to p_d.  Every entry equals the scalar helpers' value
-    at that row; a clearance at or below 1e-12 raises NonPositiveDistance.
+    ddest the distance to p_d.  Every entry has the bits of the loop's fused
+    closures and of the float helpers at that row; a clearance at or below
+    1e-12 raises NonPositiveDistance.
     """
     n_x = 2 if sp is None else 4 if bp is None else 6
     if xs.ndim != 2 or xs.shape[1] != n_x + 1:
@@ -544,14 +470,19 @@ def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
     ddest = _mapped(math.hypot, ex, ey)
 
     if gap is None:
-        # nav_potential and -k_p nav_gradient
+        # V_nav(p) and -k_p nav_gradient
         V = 0.5 * (ex * ex + ey * ey) + vphi
         u = np.stack([-gains.k_p * gx, -gains.k_p * gy], axis=1)
         return V, u, None, z, ddest
 
     eta = None if sp is None else cols[2:4]
-    integ = None if bp is None else _integrator_v(gains, bp, *eta, cols[4],
-                                                  cols[5], gx, gy)
+    integ = None
+    if bp is not None:
+        # (gamma_b/2)||u - k_p (eta - g)||^2
+        r1, r2 = _tracked(gains, *eta, gx, gy)
+        f1 = cols[4] - r1
+        f2 = cols[5] - r2
+        integ = 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
     st = (wx, wy, vphi, eta, integ)
     own = _angle_terms(world, gains, th, functools.partial(_mapped, math.cos),
                        functools.partial(_mapped, math.sin))

@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 
 from syncon.backstepping import BacksteppingParams
+from syncon.navigation import switch_offset, switched_potential, tracked_input
 from syncon.smoothing import DecomposedFeedback, SmoothedParams
 from syncon.synergy import AffinePlant, SynergisticQuadruple
 
@@ -56,6 +57,24 @@ def toy_scalar_pieces():
     sp = SmoothedParams(gamma_s=0.5, k_eta=5.0, delta_s=0.1)
     bp = BacksteppingParams(gamma_b=0.5, k_b=4.0, delta_b=0.1)
     return plant, q, d, sp, bp
+
+
+def loop_potential(world, gains, sp, bp, v, th):
+    """A switched navigation loop's V at the packed state v = [p(, eta(, u)),
+    ...] and angle th, built layer on layer from the public float helpers:
+    the rotated potential, plus (gamma_s/2)||eta - sigma(th)||^2 when ``sp``
+    is given, plus (gamma_b/2)||u - tracked input||^2 when ``bp`` is too.
+    It follows the loops' order of operations, so it gives their bits."""
+    V = switched_potential(world, gains, v[:2], th, check=False)
+    if sp is None:
+        return V
+    e1, e2 = (np.asarray(v[2:4]) - switch_offset(world, th)).tolist()
+    V = V + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2)
+    if bp is None:
+        return V
+    f1, f2 = (np.asarray(v[4:6])
+              - tracked_input(world, gains, v[:2], v[2:4])).tolist()
+    return V + 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
 
 
 def record_criterion(num: int, label: str, passed: bool, detail: str = "") -> None:

@@ -27,8 +27,8 @@ from syncon.harness import (
     write_csv,
 )
 from syncon.navigation import (
-    barrier,
-    barrier_grad,
+    _dphi,
+    _phi,
     decomposed_feedback,
     find_critical_point,
     hybrid_closed_loop,
@@ -268,10 +268,9 @@ def test_criterion_6_derivative_checks(records):
 
         z = float(rng.uniform(0.02, 1.2 * world.r_s))
         h = 1e-7
-        fd_b = (barrier(z + h, world.r_s) - barrier(z - h, world.r_s)) / (2 * h)
+        fd_b = (_phi(z + h, world.r_s) - _phi(z - h, world.r_s)) / (2 * h)
         worst_rel = max(worst_rel,
-                        abs(barrier_grad(z, world.r_s) - fd_b)
-                        / (1.0 + abs(fd_b)))
+                        abs(_dphi(z, world.r_s) - fd_b) / (1.0 + abs(fd_b)))
         n_states += 1
     ok_point = worst_rel <= 1e-6
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, loop_potential
 from syncon import numdiff
 from syncon.engine import SimConfig, simulate
 from syncon.errors import (
@@ -19,11 +19,10 @@ from syncon.errors import (
 from syncon.navigation import (
     NavGains,
     NavigationWorld,
+    _d2phi,
+    _dphi,
+    _phi,
     backstep_closed_loop,
-    backstep_potential,
-    barrier,
-    barrier_grad,
-    barrier_hess,
     decomposed_feedback,
     find_critical_point,
     gradient_closed_loop,
@@ -31,11 +30,10 @@ from syncon.navigation import (
     max_synergy_gap,
     nav_gradient,
     nav_hessian,
-    nav_potential,
     nominal_controller,
     obstacle_distance,
-    rotate_about_obstacle,
     rotation_rate_bound,
+    sample_channels,
     shell_projection,
     smooth_closed_loop,
     switch_offset,
@@ -45,7 +43,6 @@ from syncon.navigation import (
     switched_gradient_theta,
     switched_potential,
     tracked_input,
-    tracking_potential,
     validate_gains,
 )
 from syncon.harness import build_closed_loop, initial_packed_state, load_config
@@ -104,41 +101,30 @@ def sample_free_points(world, rng, n, margin=0.05, lo=-15.0, hi=15.0):
 # -- skirt function ----------------------------------------------------------
 
 def test_barrier_frozen_values():
-    assert barrier(0.5, 1.0) == pytest.approx(0.25 * math.log(2.0), abs=1e-15)
-    assert barrier(0.5, 1.0) == pytest.approx(0.17328679513998632, abs=1e-15)
-    assert barrier_grad(0.5, 1.0) == pytest.approx(-1.1931471805599454,
-                                                   abs=1e-15)
+    assert _phi(0.5, 1.0) == pytest.approx(0.25 * math.log(2.0), abs=1e-15)
+    assert _phi(0.5, 1.0) == pytest.approx(0.17328679513998632, abs=1e-15)
+    assert _dphi(0.5, 1.0) == pytest.approx(-1.1931471805599454, abs=1e-15)
 
 
 def test_barrier_vanishes_twice_differentiably_at_the_rim():
     r_s = 0.5
-    assert barrier(r_s, r_s) == 0.0
-    assert barrier(2.0 * r_s, r_s) == 0.0
-    assert barrier_grad(r_s, r_s) == 0.0
-    assert barrier_hess(r_s, r_s) == 0.0
+    assert _phi(r_s, r_s) == 0.0
+    assert _phi(2.0 * r_s, r_s) == 0.0
+    assert _dphi(r_s, r_s) == 0.0
+    assert _d2phi(r_s, r_s) == 0.0
     h = 1e-6
-    assert abs(barrier(r_s - h, r_s)) <= 1e-14
-    assert abs(barrier_grad(r_s - h, r_s)) <= 1e-8
-    assert abs(barrier_hess(r_s - h, r_s)) <= 1e-4
+    assert abs(_phi(r_s - h, r_s)) <= 1e-14
+    assert abs(_dphi(r_s - h, r_s)) <= 1e-8
+    assert abs(_d2phi(r_s - h, r_s)) <= 1e-4
 
 
 def test_barrier_derivatives_match_finite_differences():
     r_s = 0.7
     for z in (0.05, 0.2, 0.4, 0.65):
-        fd_g = (barrier(z + 1e-7, r_s) - barrier(z - 1e-7, r_s)) / 2e-7
-        assert barrier_grad(z, r_s) == pytest.approx(fd_g, abs=1e-6)
-        fd_h = (barrier_grad(z + 1e-7, r_s) - barrier_grad(z - 1e-7, r_s)) / 2e-7
-        assert barrier_hess(z, r_s) == pytest.approx(fd_h, abs=1e-5)
-
-
-def test_barrier_rejects_nonpositive_distance():
-    for z in (0.0, -0.3):
-        with pytest.raises(NonPositiveDistance):
-            barrier(z, 1.0)
-        with pytest.raises(NonPositiveDistance):
-            barrier_grad(z, 1.0)
-        with pytest.raises(NonPositiveDistance):
-            barrier_hess(z, 1.0)
+        fd_g = (_phi(z + 1e-7, r_s) - _phi(z - 1e-7, r_s)) / 2e-7
+        assert _dphi(z, r_s) == pytest.approx(fd_g, abs=1e-6)
+        fd_h = (_dphi(z + 1e-7, r_s) - _dphi(z - 1e-7, r_s)) / 2e-7
+        assert _d2phi(z, r_s) == pytest.approx(fd_h, abs=1e-5)
 
 
 # -- world and potential -----------------------------------------------------
@@ -198,25 +184,28 @@ def test_obstacle_distance_sign():
 
 def test_potential_guards_free_space():
     world = demo_world()
+    gains = demo_gains()
     inside_margin = np.array([5.0 + world.r_o + 0.05, 0.0])
     with pytest.raises(OutsideFreeSpace):
-        nav_potential(world, inside_margin)
+        switched_potential(world, gains, inside_margin, 0.0)
     # The unguarded variant still evaluates anywhere with positive clearance.
-    assert nav_potential(world, inside_margin, check=False) > 0.0
+    assert switched_potential(world, gains, inside_margin, 0.0,
+                              check=False) > 0.0
     with pytest.raises(NonPositiveDistance):
-        nav_potential(world, world.p_o, check=False)
+        switched_potential(world, gains, world.p_o, 0.0, check=False)
 
 
 def test_potential_is_plain_quadratic_outside_the_skirt():
     world = demo_world()
     p = np.array([12.0, 0.0])
-    assert nav_potential(world, p) == 72.0
+    assert switched_potential(world, demo_gains(), p, 0.0) == 72.0
     assert np.allclose(nav_gradient(world, p), p - world.p_d)
     assert np.allclose(nav_hessian(world, p), np.eye(2))
 
 
 def test_nav_gradient_and_hessian_match_finite_differences():
     world = demo_world()
+    gains = demo_gains()
     rng = np.random.default_rng(21)
     pts = sample_free_points(world, rng, 120)
     checked = 0
@@ -227,7 +216,8 @@ def test_nav_gradient_and_hessian_match_finite_differences():
             continue
         g = nav_gradient(world, p, check=False)
         fd_g = numdiff.central_gradient(
-            lambda v: nav_potential(world, v, check=False), p)
+            lambda v: switched_potential(world, gains, v, 0.0, check=False),
+            p)
         assert np.all(np.abs(g - fd_g) <= 1e-6 * (1.0 + np.abs(fd_g)))
 
         h = nav_hessian(world, p, check=False)
@@ -240,19 +230,6 @@ def test_nav_gradient_and_hessian_match_finite_differences():
 
 # -- rotated family ----------------------------------------------------------
 
-def test_rotation_preserves_obstacle_distance():
-    world = demo_world()
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = rng.uniform(-10, 10, 2)
-        th = rng.uniform(-3, 3)
-        rot = rotate_about_obstacle(world, p, th)
-        assert obstacle_distance(world, rot) == pytest.approx(
-            obstacle_distance(world, p), abs=1e-12)
-    p = rng.uniform(-10, 10, 2)
-    assert np.allclose(rotate_about_obstacle(world, p, 0.0), p)
-
-
 def test_switched_potential_is_rotated_potential_plus_angle_penalty():
     world = demo_world()
     gains = demo_gains()
@@ -260,8 +237,14 @@ def test_switched_potential_is_rotated_potential_plus_angle_penalty():
     for p in sample_free_points(world, rng, 30):
         th = rng.uniform(-0.3, 0.3)
         direct = switched_potential(world, gains, p, th, check=False)
-        rebuilt = (nav_potential(world, rotate_about_obstacle(world, p, th),
-                                 check=False)
+        # T(p, theta) = p_o + R(theta) (p - p_o), then V_nav(T) + penalty
+        c, s = math.cos(th), math.sin(th)
+        w = p - world.p_o
+        rot = world.p_o + np.array([c * w[0] - s * w[1], s * w[0] + c * w[1]])
+        e = rot - world.p_d
+        rebuilt = (0.5 * float(e @ e)
+                   + world.varrho * _phi(obstacle_distance(world, rot),
+                                         world.r_s)
                    + 0.5 * gains.gamma_theta * th * th)
         assert direct == pytest.approx(rebuilt, rel=1e-12, abs=1e-12)
 
@@ -546,7 +529,7 @@ def test_smooth_loop_matches_generic_composition():
         assert np.allclose(fused.flow_map(v), generic.flow_map(v),
                            rtol=1e-9, atol=1e-9)
         assert_same_switching(fused, generic, v)
-        V = tracking_potential(world, gains, sp, v[:2], v[2:4], v[4])
+        V = loop_potential(world, gains, sp, None, v, v[4])
         assert V == pytest.approx(q_s.V(v[:4], v[4:]), rel=1e-13, abs=1e-13)
         assert V == pytest.approx(
             tracking_lyapunov(q, d, sp, v[:2], v[2:4], v[4:]),
@@ -601,8 +584,7 @@ def test_backstep_loop_matches_generic_composition():
         gf = generic.flow_map(v)
         assert np.all(np.abs(ff - gf) <= 1e-8 + 1e-8 * np.abs(gf))
         assert_same_switching(fused, generic, v)
-        V = backstep_potential(world, gains, sp, bp, v[:2], v[2:4], v[4:6],
-                               v[6])
+        V = loop_potential(world, gains, sp, bp, v, v[6])
         assert V == pytest.approx(q_b.V(v[:6], v[6:]), rel=1e-13, abs=1e-13)
         assert V == pytest.approx(
             backstep_lyapunov(q, d, sp, bp, v[:2], v[2:4], v[4:6], v[6:]),
@@ -633,9 +615,9 @@ def skirt_states(world, gains, rng, n, width):
 
 
 def test_fused_kernels_equal_the_scalar_helpers():
-    """The loops' fused flow and indicator closures give the public scalar
-    helpers' bits (==, not approx), inside and outside the skirt, in a world
-    with no zero coordinate."""
+    """The loops' fused flow and indicator closures give the bits (==, not
+    approx) of the public float helpers and of sample_channels, inside and
+    outside the skirt, in a world with no zero coordinate."""
     world = dataclasses.replace(demo_world(), p_o=np.array([3.3, 5.1]),
                                 p_d=np.array([0.3, 1.1]))
     gains = dataclasses.replace(demo_gains(),
@@ -644,29 +626,29 @@ def test_fused_kernels_equal_the_scalar_helpers():
     bp = demo_backstep()
     k_p, k_theta = gains.k_p, gains.k_theta
     loops = {
-        "hybrid": (hybrid_closed_loop(world, gains), 3, gains.delta,
-                   lambda v, th: switched_potential(world, gains, v[:2], th,
-                                                    check=False)),
-        "smooth": (smooth_closed_loop(world, gains, sp), 5, sp.delta_s,
-                   lambda v, th: tracking_potential(world, gains, sp, v[:2],
-                                                    v[2:4], th)),
+        "hybrid": (hybrid_closed_loop(world, gains), 3, gains.delta, None,
+                   None),
+        "smooth": (smooth_closed_loop(world, gains, sp), 5, sp.delta_s, sp,
+                   None),
         "backstep": (backstep_closed_loop(world, gains, sp, bp), 7,
-                     bp.delta_b,
-                     lambda v, th: backstep_potential(world, gains, sp, bp,
-                                                      v[:2], v[2:4], v[4:6],
-                                                      th)),
+                     bp.delta_b, sp, bp),
     }
     cands = gains.theta_candidates.tolist()
     rng = np.random.default_rng(59)
-    for name, (spec, width, gap, V) in loops.items():
+    for name, (spec, width, gap, lsp, lbp) in loops.items():
         states = skirt_states(world, gains, rng, 200, width)
         inside = [obstacle_distance(world, v[:2]) < world.r_s for v in states]
         assert 0 < sum(inside) < len(states)
         for v in states:
-            own = V(v, v[-1])
-            best = min(V(v, t) for t in cands)
+            own = loop_potential(world, gains, lsp, lbp, v, v[-1])
+            best = min(loop_potential(world, gains, lsp, lbp, v, t)
+                       for t in cands)
             assert spec.in_flow_set(v) == own - best - gap, name
             assert spec.in_jump_set(v) == gap - (own - best), name
+            V, _, mu, _, _ = sample_channels(world, gains, np.array([v]), gap,
+                                             lsp, lbp)
+            assert spec.in_flow_set(v) + gap == mu[0], name
+            assert V[0] == own, name
             flow = spec.flow_map(v)
             if name == "hybrid":
                 assert flow[:2] == (-k_p * switched_gradient_p(
@@ -684,8 +666,9 @@ def test_fused_kernels_equal_the_scalar_helpers():
 
 
 def test_loop_maps_guard_the_clearance():
-    """Every loop map that reads the clearance raises NonPositiveDistance at
-    or below 1e-12: on the rim, a hair outside it, at p_o and at NaN."""
+    """Every loop map and float helper that reads the clearance raises
+    NonPositiveDistance at or below 1e-12: on the rim, a hair outside it, at
+    p_o and at NaN."""
     world = demo_world()
     gains = demo_gains()
     sp = demo_smoothed()
@@ -712,6 +695,17 @@ def test_loop_maps_guard_the_clearance():
             for fn in maps:
                 with pytest.raises(NonPositiveDistance):
                     getattr(spec, fn)(v)
+    helpers = [
+        lambda p: switched_potential(world, gains, p, 0.1, check=False),
+        lambda p: switched_gradient_p(world, gains, p, 0.1, check=False),
+        lambda p: nav_gradient(world, p, check=False),
+        lambda p: nav_hessian(world, p, check=False),
+        lambda p: tracked_input(world, gains, p, np.array([0.5, 0.5])),
+    ]
+    for helper in helpers:
+        for p in points:
+            with pytest.raises(NonPositiveDistance):
+                helper(np.array(p))
 
 
 def mirrored_loops(world, gains):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, loop_potential
 from syncon.backstepping import backstepped_quadruple
 from syncon.errors import NonPositiveDistance, ParseError, ValidationError
 from syncon.harness import (
@@ -28,7 +28,6 @@ from syncon.harness import (
 )
 from syncon.navigation import (
     backstep_closed_loop,
-    backstep_potential,
     decomposed_feedback,
     gradient_closed_loop,
     hybrid_closed_loop,
@@ -36,8 +35,6 @@ from syncon.navigation import (
     obstacle_distance,
     sample_channels,
     smooth_closed_loop,
-    switched_potential,
-    tracking_potential,
 )
 from syncon.smoothing import smoothed_quadruple
 from syncon.synergy import TIE_TOL, assemble_closed_loop, switch_candidates
@@ -125,14 +122,11 @@ def _loops(thetas=(-0.2, 0.2)):
         "smooth": smooth_closed_loop(world, gains, sp),
         "backstep": backstep_closed_loop(world, gains, sp, bp),
     }
+    layers = {"hybrid": (None, None), "smooth": (sp, None),
+              "backstep": (sp, bp)}
     potential = {
-        "hybrid": lambda v, th: switched_potential(world, gains, v[:2], th,
-                                                   check=False),
-        "smooth": lambda v, th: tracking_potential(world, gains, sp, v[:2],
-                                                   v[2:4], th),
-        "backstep": lambda v, th: backstep_potential(world, gains, sp, bp,
-                                                     v[:2], v[2:4], v[4:6], th),
-    }
+        name: functools.partial(loop_potential, world, gains, *layer)
+        for name, layer in layers.items()}
     gap = {"hybrid": gains.delta, "smooth": sp.delta_s, "backstep": bp.delta_b}
     return world, gains, {
         name: (dataclasses.replace(fused[name], project_flow=None),
