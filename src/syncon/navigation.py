@@ -30,15 +30,19 @@ HybridSystemSpec:
     backstep_closed_loop   tracker plus an actuator integrator
     gradient_closed_loop   plain gradient descent on V_nav, never switches
 
-Each potential is stated once per path.  On the run path, each loop
-builder reads every world, gain and layer constant once into closure locals
-and returns a fused flow closure whose body is straight-line float code,
-with no helper call per evaluation.  The three switched loops share one
-switching rule, synergy.switching_system, applied to one fused per-state
-kernel built by _switched_loop: at each state it computes the terms of the
-loop's potential that do not depend on theta once (p - p_o, the skirt, the
-integrator term) and combines them with the state's own angle and with each
-candidate's cos, sin, penalty and offset, fixed when the loop is built.
+Each potential is stated once per path.  On the run path, one builder,
+_switched_loop, makes all three switched loops the way the paper layers
+them: the smoothed loop is the hybrid loop plus the tracker eta, the
+backstepped loop the smoothed loop plus the actuator integrator u.  It reads
+every world, gain and layer constant once into closure locals and builds one
+flow closure and one per-state kernel, values, for the switching rule
+synergy.switching_system; both are straight-line float code that adds the
+tracker terms when there is a tracker and the integrator terms when there
+is an integrator.  values computes the terms of V that do not depend on
+theta once per state (p - p_o, the skirt, the integrator term) and combines
+them with the state's own angle and with each candidate's cos, sin, penalty
+and offset, fixed when the loop is built.  The gradient loop never switches
+and has its own flow closure.
 Post-processing reads the harness's V, u, excess and clearance channels
 from sample_channels, the same formulas over a stack of states as numpy
 arrays (_loop_v and _angle_terms take arrays too).  The float helpers
@@ -522,7 +526,8 @@ def find_critical_point(world: NavigationWorld) -> np.ndarray:
         h(z) = ||p_o - p_d|| + r_o + z + varrho phi'(z),
 
     which is -inf as z -> 0 and positive at r_s, so the saddle clearance is
-    the root of h.  Bisection brackets it to 1e-12 inside (epsilon, r_s);
+    the root of h.  Bisection brackets it to 1e-12 inside (epsilon, r_s), or
+to adjacent floats where those are wider (z* of 8192 and beyond);
     a few Newton steps on the full gradient then polish the point.  Raises
     NoRootBracketed when the skirt is too weak to balance the pull inside
     the bracket (no stuck point in the guaranteed free space).
@@ -542,6 +547,8 @@ def find_critical_point(world: NavigationWorld) -> np.ndarray:
             f"sign on ({lo:.6g}, {hi:.6g}); no balance point in the shell")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats: a wide skirt
+            break
         if h(mid) < 0.0:
             lo = mid
         else:
@@ -666,21 +673,91 @@ def _world_constants(world: NavigationWorld):
 
 
 def _switched_loop(world: NavigationWorld, gains: NavGains,
-                   sp: SmoothedParams | None, bp: BacksteppingParams | None,
-                   gap: float, flow) -> HybridSystemSpec:
-    """The loop's flow, with its sets and jump map from its per-state kernel
-    values(v) -> (V at v's own angle, [V at each candidate]): the state terms
-    once per call, each candidate's angle terms once, here."""
-    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
-    half_gt = 0.5 * gains.gamma_theta
+                   sp: SmoothedParams | None,
+                   bp: BacksteppingParams | None) -> HybridSystemSpec:
+    """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
+    (neither), smoothed (``sp``) or backstepped (both), after the gain and
+    layer bounds are validated.  Its flow and its per-state kernel
+    values(v) -> (V at v's own angle, [V at each candidate]), which the sets
+    and the jump map read, share the hybrid loop's prefix and add the tracker
+    and integrator terms of the layers present."""
+    validate_gains(world, gains)
     tracker = sp is not None
     integrator = bp is not None
-    half_gs = 0.5 * sp.gamma_s if tracker else None
-    half_gb = 0.5 * bp.gamma_b if integrator else None
+    gap = gains.delta
+    if tracker:
+        c_kappa = switch_offset_bound(world, gains)
+        validate_smoothed_params(gains.delta, c_kappa, sp)
+        gap = sp.delta_s
+        half_gs = 0.5 * sp.gamma_s
+        nk_eta = -sp.k_eta
+        kp_gs = gains.k_p / sp.gamma_s
+    if integrator:
+        validate_backstepping_params(gains.delta, c_kappa, sp, bp)
+        gap = bp.delta_b
+        half_gb = 0.5 * bp.gamma_b
+        gamma_b = bp.gamma_b
+        nk_b = -bp.k_b
+    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
     k_p = gains.k_p
+    nk_p = -k_p
+    nk_theta = -gains.k_theta
+    gamma_theta = gains.gamma_theta
+    half_gt = 0.5 * gamma_theta
     cands = [_angle_terms(world, gains, t)
              for t in gains.theta_candidates.tolist()]
     hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
+
+    def flow(v):
+        if not tracker:
+            px, py, th = v
+        elif not integrator:
+            px, py, eta1, eta2, th = v
+        else:
+            px, py, eta1, eta2, u1, u2, th = v
+        wx = px - pox
+        wy = py - poy
+        rho = hypot(wx, wy)
+        z = rho - r_o
+        if not z > _Z_MIN:
+            _check_z(z)
+        if z < r_s:
+            d = z - r_s
+            lg = log(r_s / z)
+            a = varrho * (2.0 * d * lg - d * d / z) / rho
+        else:
+            a = varrho * 0.0 / rho
+        gx = px - pdx + a * wx
+        gy = py - pdy + a * wy
+        c = cos(th)
+        s = sin(th)
+        ry = c * qx + s * qy
+        rx = s * qx - c * qy
+        sx = qx - ry
+        sy = qy - (c * qy - s * qx)
+        varpi = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
+        if not tracker:
+            return [nk_p * (gx - sx), nk_p * (gy - sy), varpi]
+        ks1 = nk_eta * (eta1 - sx) + rx * varpi - kp_gs * (gx - sx)
+        ks2 = nk_eta * (eta2 - sy) + ry * varpi - kp_gs * (gy - sy)
+        if not integrator:
+            return [k_p * (eta1 - gx), k_p * (eta2 - gy), ks1, ks2, varpi]
+        # H u for H = I + a I + b n n^T (nav_hessian), written radially
+        if z < r_s:
+            b = varrho * (2.0 * lg - 4.0 * d / z + d * d / (z * z)) - a
+        else:
+            b = varrho * 0.0 - a
+        nx = wx / rho
+        ny = wy / rho
+        ndotu = nx * u1 + ny * u2
+        Hu1 = (1.0 + a) * u1 + b * ndotu * nx
+        Hu2 = (1.0 + a) * u2 + b * ndotu * ny
+        return [u1, u2, ks1, ks2,
+                nk_b * (u1 - k_p * (eta1 - gx)) + (k_p * ks1 - k_p * Hu1)
+                - (gx - sx) / gamma_b,
+                nk_b * (u2 - k_p * (eta2 - gy)) + (k_p * ks2 - k_p * Hu2)
+                - (gy - sy) / gamma_b,
+                varpi]
 
     def values(v):
         px = v[0]
@@ -740,36 +817,7 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Switched feedback applied directly; state [px, py, theta]."""
-    validate_gains(world, gains)
-    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
-    nk_p = -gains.k_p
-    nk_theta = -gains.k_theta
-    gamma_theta = gains.gamma_theta
-    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
-
-    def flow(v):
-        px, py, th = v
-        wx = px - pox
-        wy = py - poy
-        rho = hypot(wx, wy)
-        z = rho - r_o
-        if not z > _Z_MIN:
-            _check_z(z)
-        if z < r_s:
-            d = z - r_s
-            a = varrho * (2.0 * d * log(r_s / z) - d * d / z) / rho
-        else:
-            a = varrho * 0.0 / rho
-        c = cos(th)
-        s = sin(th)
-        cq = c * qx + s * qy
-        sy = qy - (c * qy - s * qx)
-        gt = gamma_theta * th - (wx * (s * qx - c * qy) + wy * cq)
-        return [nk_p * (px - pdx + a * wx - (qx - cq)),
-                nk_p * (py - pdy + a * wy - sy),
-                nk_theta * gt]
-
-    return _switched_loop(world, gains, None, None, gains.delta, flow)
+    return _switched_loop(world, gains, None, None)
 
 
 def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
@@ -780,44 +828,7 @@ def smooth_closed_loop(world: NavigationWorld, gains: NavGains,
     and adds the Lyapunov cross-term; the physical input is the tracked
     feedback k_p (eta - grad V_nav).
     """
-    validate_gains(world, gains)
-    validate_smoothed_params(gains.delta, switch_offset_bound(world, gains), sp)
-    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
-    k_p = gains.k_p
-    nk_theta = -gains.k_theta
-    gamma_theta = gains.gamma_theta
-    nk_eta = -sp.k_eta
-    kp_gs = k_p / sp.gamma_s
-    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
-
-    def flow(v):
-        px, py, eta1, eta2, th = v
-        wx = px - pox
-        wy = py - poy
-        rho = hypot(wx, wy)
-        z = rho - r_o
-        if not z > _Z_MIN:
-            _check_z(z)
-        if z < r_s:
-            d = z - r_s
-            a = varrho * (2.0 * d * log(r_s / z) - d * d / z) / rho
-        else:
-            a = varrho * 0.0 / rho
-        gx = px - pdx + a * wx
-        gy = py - pdy + a * wy
-        c = cos(th)
-        s = sin(th)
-        ry = c * qx + s * qy
-        rx = s * qx - c * qy
-        sx = qx - ry
-        sy = qy - (c * qy - s * qx)
-        varpi = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
-        return [k_p * (eta1 - gx), k_p * (eta2 - gy),
-                nk_eta * (eta1 - sx) + rx * varpi - kp_gs * (gx - sx),
-                nk_eta * (eta2 - sy) + ry * varpi - kp_gs * (gy - sy),
-                varpi]
-
-    return _switched_loop(world, gains, sp, None, sp.delta_s, flow)
+    return _switched_loop(world, gains, sp, None)
 
 
 def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
@@ -830,60 +841,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
     H u for H the base-potential Hessian I + a I + b n n^T (nav_hessian),
     written radially.
     """
-    validate_gains(world, gains)
-    c_kappa = switch_offset_bound(world, gains)
-    validate_smoothed_params(gains.delta, c_kappa, sp)
-    validate_backstepping_params(gains.delta, c_kappa, sp, bp)
-    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
-    k_p = gains.k_p
-    nk_theta = -gains.k_theta
-    gamma_theta = gains.gamma_theta
-    nk_eta = -sp.k_eta
-    kp_gs = k_p / sp.gamma_s
-    gamma_b = bp.gamma_b
-    nk_b = -bp.k_b
-    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
-
-    def flow(v):
-        px, py, eta1, eta2, u1, u2, th = v
-        wx = px - pox
-        wy = py - poy
-        rho = hypot(wx, wy)
-        z = rho - r_o
-        if not z > _Z_MIN:
-            _check_z(z)
-        if z < r_s:
-            d = z - r_s
-            lg = log(r_s / z)
-            a = varrho * (2.0 * d * lg - d * d / z) / rho
-            b = varrho * (2.0 * lg - 4.0 * d / z + d * d / (z * z)) - a
-        else:
-            a = varrho * 0.0 / rho
-            b = varrho * 0.0 - a
-        gx = px - pdx + a * wx
-        gy = py - pdy + a * wy
-        c = cos(th)
-        s = sin(th)
-        ry = c * qx + s * qy
-        rx = s * qx - c * qy
-        sx = qx - ry
-        sy = qy - (c * qy - s * qx)
-        varpi = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
-        ks1 = nk_eta * (eta1 - sx) + rx * varpi - kp_gs * (gx - sx)
-        ks2 = nk_eta * (eta2 - sy) + ry * varpi - kp_gs * (gy - sy)
-        nx = wx / rho
-        ny = wy / rho
-        ndotu = nx * u1 + ny * u2
-        Hu1 = (1.0 + a) * u1 + b * ndotu * nx
-        Hu2 = (1.0 + a) * u2 + b * ndotu * ny
-        return [u1, u2, ks1, ks2,
-                nk_b * (u1 - k_p * (eta1 - gx)) + (k_p * ks1 - k_p * Hu1)
-                - (gx - sx) / gamma_b,
-                nk_b * (u2 - k_p * (eta2 - gy)) + (k_p * ks2 - k_p * Hu2)
-                - (gy - sy) / gamma_b,
-                varpi]
-
-    return _switched_loop(world, gains, sp, bp, bp.delta_b, flow)
+    return _switched_loop(world, gains, sp, bp)
 
 
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:

@@ -96,11 +96,6 @@ def _candidate_values(q: SynergisticQuadruple, x: np.ndarray) -> list[float]:
     return [q.V(x, cand) for cand in q.Theta]
 
 
-def _excess(values: tuple[float, list[float]]) -> float:
-    own, cands = values
-    return own - min(cands)
-
-
 def _tied(cands: Sequence[float]) -> list[int]:
     """Indices of the candidate values within TIE_TOL of their minimum, in
     order."""
@@ -114,7 +109,7 @@ def v_excess(q: SynergisticQuadruple, x: np.ndarray, theta: np.ndarray) -> float
     Non-negative whenever theta itself belongs to Theta; the zero level says
     the current switching value is already optimal.
     """
-    return _excess((q.V(x, theta), _candidate_values(q, x)))
+    return q.V(x, theta) - min(_candidate_values(q, x))
 
 
 def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
@@ -146,10 +141,17 @@ def switching_system(values, Theta: np.ndarray, gap: float, flow_map,
         x = v[:n]
         return [np.concatenate([x, Theta[i]]) for i in _tied(values(v)[1])]
 
+    def in_flow_set(v) -> float:
+        own, cands = values(v)
+        return own - min(cands) - gap
+
+    def in_jump_set(v) -> float:
+        own, cands = values(v)
+        return gap - (own - min(cands))
+
     return HybridSystemSpec(dim=n + Theta.shape[1], flow_map=flow_map,
-                            jump_map=jump,
-                            in_flow_set=lambda v: _excess(values(v)) - gap,
-                            in_jump_set=lambda v: gap - _excess(values(v)),
+                            jump_map=jump, in_flow_set=in_flow_set,
+                            in_jump_set=in_jump_set,
                             project_flow=project_flow, complementary=True)
 
 

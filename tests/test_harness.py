@@ -805,6 +805,21 @@ def test_check_reports_a_missing_stuck_point_and_skips_the_audit(tmp_path,
     assert "[FAIL]" not in captured.out and captured.err == ""
 
 
+def test_check_and_audit_end_on_a_wide_skirt(tmp_path, capsys):
+    """A skirt so wide that the stuck point's clearance exceeds 8192, which
+    the parser accepts: both commands find the point and report."""
+    raw = hybrid_raw()
+    raw["world"].update(p_o=[0.0, 0.0], r_o=1.0, r_s=1e5, varrho=1.0,
+                        p_d=[-3e5, 0.0])
+    raw["initial"]["p0"] = [2e5, 10.0]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path), "--samples", "20"]) == 0
+    assert "[PASS] stuck point: p* = (30105.2, 0)" in capsys.readouterr().out
+    assert main(["audit", str(path), "--samples", "20"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 def test_check_scenario_fails_on_wrong_expected_saddle():
     cfg = load_config(CONFIG_DIR / "fig2_check.json")
     bad = copy.deepcopy(cfg.expected)

@@ -431,6 +431,19 @@ def test_find_critical_point_requires_a_strong_skirt():
         find_critical_point(weak)
 
 
+def test_find_critical_point_ends_on_a_wide_skirt():
+    """Past z* = 8192 one ulp of the clearance is wider than the 1e-12
+    bracket, so the bisection stops on adjacent floats instead."""
+    world = NavigationWorld(p_o=np.zeros(2), r_o=1.0, epsilon=0.1,
+                            p_d=np.array([-3e5, 0.0]), r_s=1e5, varrho=1.0)
+    p_star = find_critical_point(world)
+    z_star = obstacle_distance(world, p_star)
+    assert world.epsilon < z_star < world.r_s
+    assert p_star[0] == pytest.approx(30105.15276896443, rel=1e-12)
+    assert p_star[1] == 0.0
+    assert np.linalg.norm(nav_gradient(world, p_star)) <= 1e-8
+
+
 def test_excess_frozen_values_at_start_and_saddle():
     world = demo_world()
     gains = demo_gains()
@@ -633,6 +646,7 @@ def test_fused_kernels_equal_the_scalar_helpers():
         "backstep": (backstep_closed_loop(world, gains, sp, bp), 7,
                      bp.delta_b, sp, bp),
     }
+    smooth_spec = loops["smooth"][0]
     cands = gains.theta_candidates.tolist()
     rng = np.random.default_rng(59)
     for name, (spec, width, gap, lsp, lbp) in loops.items():
@@ -650,14 +664,19 @@ def test_fused_kernels_equal_the_scalar_helpers():
             assert spec.in_flow_set(v) + gap == mu[0], name
             assert V[0] == own, name
             flow = spec.flow_map(v)
+            assert flow[-1] == -k_theta * switched_gradient_theta(
+                world, gains, v[:2], v[-1]), name
             if name == "hybrid":
                 assert flow[:2] == (-k_p * switched_gradient_p(
                     world, gains, v[:2], v[2], check=False)).tolist()
-                assert flow[2] == -k_theta * switched_gradient_theta(
-                    world, gains, v[:2], v[2])
             elif name == "smooth":
                 assert flow[:2] == tracked_input(world, gains, v[:2],
                                                  v[2:4]).tolist()
+            else:
+                # The integrator drives p; the tracker flows as in the
+                # smoothed loop at the same (p, eta, theta).
+                assert flow[:2] == v[4:6]
+                assert flow[2:4] == smooth_spec.flow_map(v[:4] + v[-1:])[2:4]
 
     spec = gradient_closed_loop(world, gains)
     for v in skirt_states(world, gains, rng, 200, 3):

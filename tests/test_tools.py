@@ -1,17 +1,18 @@
-"""tools/bench_snapshot.py writes a BENCH file of the committed shape, and
-tools/untested_lines.py names the lines a run never executes."""
+"""tools/bench_snapshot.py writes a BENCH file of the committed shape,
+tools/untested_lines.py names the lines a run never executes, and
+tools/arc_digest.py digests a config's run the same way every time."""
 
 import importlib.util
 import json
 import shutil
 import sys
 
-from conftest import REPO_ROOT
+from conftest import CONFIG_DIR, REPO_ROOT
 
 
-def load_snapshot_tool():
+def load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_snapshot", REPO_ROOT / "tools" / "bench_snapshot.py")
+        name, REPO_ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -21,7 +22,7 @@ def test_bench_snapshot_has_the_shape_of_the_committed_files(tmp_path,
                                                              monkeypatch):
     """Same keys as BENCH_4.json at every level above the metrics, numbered
     one past the highest existing file; the benchmark itself is stubbed."""
-    tool = load_snapshot_tool()
+    tool = load_tool("bench_snapshot")
     committed = json.loads((REPO_ROOT / "BENCH_4.json").read_text())
     shutil.copy(REPO_ROOT / "BENCHMARK.json", tmp_path)
     shutil.copy(REPO_ROOT / "BENCH_4.json", tmp_path)
@@ -43,14 +44,6 @@ def test_bench_snapshot_has_the_shape_of_the_committed_files(tmp_path,
     assert out["workloads"] == committed["workloads"]
 
 
-def load_untested_tool():
-    spec = importlib.util.spec_from_file_location(
-        "untested_lines", REPO_ROOT / "tools" / "untested_lines.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 TOY = '''\
 """A toy module."""
 
@@ -65,7 +58,7 @@ def sign(x):
 def test_untested_lines_names_the_branch_not_taken(tmp_path):
     """Only the untaken return is reported, only files under the traced
     directory are recorded, and a tracer already installed comes back."""
-    tool = load_untested_tool()
+    tool = load_tool("untested_lines")
     pkg = tmp_path / "toypkg"
     pkg.mkdir()
     (pkg / "toy.py").write_text(TOY)
@@ -92,3 +85,13 @@ def test_untested_lines_names_the_branch_not_taken(tmp_path):
         "toypkg/unused.py: 0/1  never ran: 1",
         "total: 4/6",
     ]
+
+
+def test_arc_digest_is_the_same_on_a_second_run():
+    """Two runs of one config digest alike: no wall time, temporary path or
+    other run-to-run detail reaches the hash."""
+    tool = load_tool("arc_digest")
+    path = CONFIG_DIR / "fig2_check.json"
+    first = tool.config_digest(path)
+    assert len(first) == 64 and int(first, 16) >= 0
+    assert tool.config_digest(path) == first
