@@ -18,18 +18,20 @@ n gets one straight-line kernel, generated and compiled on first use: it
 unpacks the state and each stage into n float locals and builds every stage
 state and the result as a list display, in the order of operations of the
 vector formula x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy
-expression's.  Inside the engine a state is a list of ``dim`` Python floats:
-the flow map, the indicators, the jump map and the projection each receive
-one, and must not modify it.  A list passed to step_flow, locate_boundary or
-apply_jump is taken as is, so it must hold Python floats; any other sequence
-is read as a float array; a state of any width but ``dim`` raises
-DimensionMismatch.  The flow map may return any sequence of ``dim`` floats;
-any other length raises DimensionMismatch too.  The arc still holds float
-ndarrays.  When a step crosses a set boundary the crossing is located on the
-step fraction by a safeguarded Illinois (modified regula falsi) iteration,
-re-integrating the partial step at each probe, so every accepted sample
-respects its set within ``event_tol``; a location that gives up short of it
-is counted on the arc.
+expression's.  The kernel converts a stage output that is an ndarray itself
+and checks its own result's finiteness through the sum of the entries, so a
+step costs no further pass over the state.  Inside the engine a state is a
+list of ``dim`` Python floats: the flow map, the indicators, the jump map and
+the projection each receive one, and must not modify it.  A list passed to
+step_flow, locate_boundary or apply_jump is taken as is, so it must hold
+Python floats; any other sequence is read as a float array; a state of any
+width but ``dim`` raises DimensionMismatch.  The flow map may return any
+sequence of ``dim`` floats; any other length raises DimensionMismatch too.
+The arc still holds float ndarrays.  When a step crosses a set boundary the
+crossing is located on the step fraction by a safeguarded Illinois (modified
+regula falsi) iteration, re-integrating the partial step at each probe, so
+every accepted sample respects its set within ``event_tol``; a location that
+gives up short of it is counted on the arc.
 An indicator that is NaN raises NonFiniteState.  Everything here is
 deterministic: the same spec, state and config produce bit-identical arcs.
 
@@ -38,8 +40,10 @@ an accepted step is carried into the next iteration, and is recomputed only
 after a jump, a located boundary state, or a projection that moved the
 sample.  A spec whose producer declares ``complementary=True`` promises
 ``in_jump_set(x) == -in_flow_set(x)`` exactly, for every x; the engine then
-calls only ``in_flow_set`` and negates it.  The arc's ``stats`` mapping
-counts the work done.
+calls only ``in_flow_set`` and negates it, in line at the end of each trial
+step.  The arc's ``stats`` mapping counts the work done.  ``simulate`` reaches
+``step_flow``, ``locate_boundary`` and ``_select_jump`` through this module's
+names, so a tracer that replaces them sees every step.
 """
 
 from __future__ import annotations
@@ -248,26 +252,30 @@ def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
 
 
 def _stage_list(k, n: int) -> list[float]:
-    """A flow map's output k that is not a list of n entries, as one."""
-    k = k.tolist() if isinstance(k, np.ndarray) else list(k)
+    """A flow map's output k, a sequence, as a list of n entries;
+    DimensionMismatch if it has any other length."""
+    k = list(k)
     if len(k) != n:
         raise DimensionMismatch(f"flow map returned dimension {len(k)}, expected {n}")
     return k
 
 
 # One RK4 stage of the kernel below: the flow map at the stage state s,
-# unpacked into the locals {k}0 ... {k}{n-1}.  A math-domain or overflow error
-# from a flow map evaluated at a stage state that has already left the reals
-# (a step too large for the field) is reported as NonFiniteState; at a finite
-# state it propagates as is.
+# unpacked into the locals {k}0 ... {k}{n-1}.  An ndarray output is converted
+# here, any other sequence by _stage_list, which also raises on an output of
+# the wrong length.  A math-domain or overflow error from a flow map evaluated
+# at a stage state that has already left the reals (a step too large for the
+# field) is reported as NonFiniteState; at a finite state it propagates as is.
 _RK4_STAGE = """\
     try:
         k = f(s)
     except (ValueError, OverflowError):
         _require_finite(s, "RK4 stage state")
         raise
-    if type(k) is not list or len(k) != {n}:
-        k = _stage_list(k, {n})
+    if type(k) is not list:
+        k = k.tolist() if isinstance(k, ndarray) else _stage_list(k, {n})
+    if len(k) != {n}:
+        _stage_list(k, {n})
     [{ks}] = k
 """
 
@@ -280,10 +288,14 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
     each entry in the order of operations of the vector expression, so it is
     bit-identical to it.  The source is generated once per width: x and each
     stage are unpacked into locals and every stage state and the result are
-    list displays, so a step runs no per-entry loop.
+    list displays, so a step runs no per-entry loop.  The result is checked
+    through the sum e of its entries: a sum of finite floats is finite or
+    overflows to inf, and an inf or NaN entry makes it inf or NaN, so the
+    entries are checked one by one, raising NonFiniteState, only when
+    ``e - e`` is not zero.
     """
-    def names(prefix):
-        return ", ".join(f"{prefix}{i}" for i in range(n))
+    def names(prefix, sep=", "):
+        return sep.join(f"{prefix}{i}" for i in range(n))
 
     def state(scale, k):
         return "[" + ", ".join(f"x{i} + {scale} * {k}{i}" for i in range(n)) + "]"
@@ -291,8 +303,9 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
     def stage(k):
         return _RK4_STAGE.format(n=n, ks=names(k))
 
-    result = ", ".join(f"x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
-                       for i in range(n))
+    result = "".join(
+        f"    y{i} = x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})\n"
+        for i in range(n))
     source = (
         "def kernel(f, x, h):\n"
         f"    [{names('x')}] = x\n"
@@ -303,8 +316,14 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
         + f"    s = {state('half', 'b')}\n" + stage("c")
         + f"    s = {state('h', 'c')}\n" + stage("d")
         + "    w = h / 6.0\n"
-        f"    return [{result}]\n")
-    namespace = {"_require_finite": _require_finite, "_stage_list": _stage_list}
+        + result
+        + f"    out = [{names('y')}]\n"
+        f"    e = {names('y', ' + ')}\n"
+        "    if e - e != 0.0:\n"
+        '        _require_finite(out, "flow step output (h={:g})", h)\n'
+        "    return out\n")
+    namespace = {"_require_finite": _require_finite, "_stage_list": _stage_list,
+                 "ndarray": np.ndarray}
     exec(compile(source, f"<rk4 kernel, width {n}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -313,10 +332,9 @@ def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
     """One explicit RK4 step of size h along the flow map, as a list."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
-    x = _state(x, spec.dim, "state")
-    out = _rk4_kernel(len(x))(spec.flow_map, x, h)
-    _require_finite(out, "flow step output (h={:g})", h)
-    return out
+    if type(x) is not list or len(x) != spec.dim:
+        x = _state(x, spec.dim, "state")
+    return _rk4_kernel(spec.dim)(spec.flow_map, x, h)
 
 
 def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
@@ -436,6 +454,23 @@ def apply_jump(spec: HybridSystemSpec, x: np.ndarray,
     return _select_jump(spec, _state(x, spec.dim, "state"), event_tol)[0]
 
 
+def _indicator_pair(spec: HybridSystemSpec, v: list[float],
+                    stats: dict[str, int]) -> tuple[float, float]:
+    """(in_flow_set, in_jump_set) at v, each checked for NaN; a complementary
+    spec's jump indicator is the negated flow indicator."""
+    f = float(spec.in_flow_set(v))
+    if f != f:
+        raise _nan_indicator("in_flow_set", v)
+    if spec.complementary:
+        stats["indicator_evals"] += 1
+        return f, -f
+    g = float(spec.in_jump_set(v))
+    if g != g:
+        raise _nan_indicator("in_jump_set", v)
+    stats["indicator_evals"] += 2
+    return f, g
+
+
 def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridArc:
     """Integrate the hybrid system from x0 over hybrid time.
 
@@ -448,25 +483,20 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     x = _state(np.ravel(x0), spec.dim, "x0")
     _require_finite(x, "initial state")
     tol = cfg.event_tol
-    stats = _new_stats()
+    dt = cfg.dt
+    t_max = cfg.t_max
+    t_stop = t_max - _PROGRESS_EPS
+    in_flow_set = spec.in_flow_set
+    in_jump_set = spec.in_jump_set
+    project_flow = spec.project_flow
     complementary = spec.complementary
-    evals_per_state = 1 if complementary else 2
-
-    def indicators(v: list[float]) -> tuple[float, float]:
-        stats["indicator_evals"] += evals_per_state
-        f = float(spec.in_flow_set(v))
-        if f != f:
-            raise _nan_indicator("in_flow_set", v)
-        if complementary:
-            return f, -f
-        g = float(spec.in_jump_set(v))
-        if g != g:
-            raise _nan_indicator("in_jump_set", v)
-        return f, g
+    stats = _new_stats()
+    # Trial steps; each also evaluates the indicators once at its end.
+    steps = 0
 
     # (fi, ji) are the indicators at x; None once x has moved to a state
     # where they have not been evaluated yet.
-    fi, ji = indicators(x)
+    fi, ji = _indicator_pair(spec, x, stats)
     if fi > tol and ji > tol:
         raise CoverageViolation(
             f"initial state is in neither set (flow {fi:.6g}, jump {ji:.6g})")
@@ -488,7 +518,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
 
     while True:
         if fi is None:
-            fi, ji = indicators(x)
+            fi, ji = _indicator_pair(spec, x, stats)
         if ji <= tol:
             if j >= cfg.j_max:
                 termination = TERM_J_MAX
@@ -516,22 +546,32 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             raise CoverageViolation(
                 f"state in neither set at t={t:.6g}, j={j} "
                 f"(flow {fi:.6g}, jump {ji:.6g})")
-        if t >= cfg.t_max - _PROGRESS_EPS:
+        if t >= t_stop:
             termination = TERM_T_MAX
             break
 
-        h = min(cfg.dt, cfg.t_max - t)
+        h = t_max - t
+        if not h < dt:
+            h = dt
         x_trial = step_flow(spec, x, h)
-        stats["rk4_steps"] += 1
-        fi_trial, ji_trial = indicators(x_trial)
+        steps += 1
+        fi_trial = float(in_flow_set(x_trial))
+        if fi_trial != fi_trial:
+            raise _nan_indicator("in_flow_set", x_trial)
+        if complementary:
+            ji_trial = -fi_trial
+        else:
+            ji_trial = float(in_jump_set(x_trial))
+            if ji_trial != ji_trial:
+                raise _nan_indicator("in_jump_set", x_trial)
 
         indicator = None
         if ji_trial <= -tol:
             # Entered the jump set mid-step: stop at the earliest entry point.
-            indicator, f_lo, f_hi = spec.in_jump_set, ji, ji_trial
+            indicator, f_lo, f_hi = in_jump_set, ji, ji_trial
         elif fi_trial > tol:
             # Left the flow set mid-step: stop on its boundary.
-            indicator, f_lo, f_hi = spec.in_flow_set, fi, fi_trial
+            indicator, f_lo, f_hi = in_flow_set, fi, fi_trial
 
         if indicator is None:
             x_new, t_new = x_trial, t + h
@@ -547,9 +587,9 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             x_new, t_new = x_b, t + frac * h
             fi = ji = None
 
-        if spec.project_flow is not None:
+        if project_flow is not None:
             # A projection that hands back its input object did not move it.
-            x_proj = spec.project_flow(x_new)
+            x_proj = project_flow(x_new)
             if x_proj is not x_new and not np.array_equal(x_proj, x_new):
                 stats["clamps"] += 1
                 x_new = _state(x_proj, spec.dim, "projected state")
@@ -560,5 +600,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
         seg_x.append(x)
 
     close_segment()
+    stats["rk4_steps"] += steps
+    stats["indicator_evals"] += steps if complementary else 2 * steps
     return HybridArc(segments=segments, jumps=jumps, termination=termination,
                      stats=stats, notes=notes)

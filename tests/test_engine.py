@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from syncon import engine
 from syncon.engine import (
     STAT_KEYS,
     TERM_DEAD_END,
@@ -92,6 +93,34 @@ def test_step_flow_names_the_step_of_an_overflowing_output():
                                "array([inf])")
 
 
+@pytest.mark.parametrize("at", range(3))
+@pytest.mark.parametrize("bad", [1e308, -1e308, math.nan])
+def test_step_flow_names_a_nonfinite_output_at_any_entry(at, bad):
+    """The kernel's finiteness check on the sum of the output still finds a
+    single bad entry, at every position: a stage sum that overflows to +-inf
+    or a NaN, named with the step size and the whole output."""
+    k = [0.0, 0.0, 0.0]
+    k[at] = bad
+    spec = dataclasses.replace(pure_flow_spec(lambda v: k), dim=3)
+    expect = [0.0, 0.0, 0.0]
+    expect[at] = math.copysign(math.inf, bad) if bad == bad else math.nan
+    with pytest.raises(NonFiniteState) as info:
+        step_flow(spec, [0.0, 0.0, 0.0], 0.25)
+    assert str(info.value) == ("flow step output (h=0.25) is not finite: "
+                               f"{np.array(expect)!r}")
+
+
+def test_step_flow_accepts_finite_entries_whose_sum_overflows():
+    """1e308 + 1e308 is inf, but each entry is finite: the step returns the
+    state's bits under a zero flow and does not raise."""
+    spec = dataclasses.replace(pure_flow_spec(lambda v: [0.0, 0.0, 0.0]), dim=3)
+    x = [1e308, 1e308, 0.0]
+    for start in (x, np.array(x)):
+        out = step_flow(spec, start, 0.5)
+        assert type(out) is list
+        assert np.array(out).tobytes() == np.array(x).tobytes()
+
+
 def test_every_callable_receives_a_list_of_floats():
     """The engine hands each map its state as a list of Python floats, also
     where the caller passed an ndarray, as the state or as the locator's
@@ -127,11 +156,22 @@ def test_every_callable_receives_a_list_of_floats():
     assert all(all(calls) for calls in seen.values())
 
 
-@pytest.mark.parametrize("wrap", [list, tuple, np.array])
+class FloatArray(np.ndarray):
+    """An ndarray subclass, as a flow map may return one."""
+
+
+def float_array(k):
+    return np.asarray(k, dtype=float).view(FloatArray)
+
+
+@pytest.mark.parametrize("wrap", [list, tuple, np.array, float_array])
 def test_a_flow_may_return_any_float_sequence(wrap):
-    """A list, a tuple or an ndarray out of the flow map give the same bits,
-    through single steps and through a run that locates its boundary."""
+    """A list, a tuple, an ndarray or an ndarray subclass out of the flow map
+    give the same bits, through single steps and through a run that locates
+    its boundary, and every stage state reaches the maps as a list of Python
+    floats."""
     def field(v):
+        assert type(v) is list and all(type(a) is float for a in v)
         x, y = v
         return [-0.5 * x - y, x - 0.5 * y]
 
@@ -525,6 +565,25 @@ def test_event_counts_on_the_reset_clock():
                              "locate_misses": 0,
                              "clamps": 0}
         assert calls[0] == arc.stats["indicator_evals"]
+
+
+def test_simulate_reaches_its_steps_through_the_traced_names(monkeypatch):
+    """A tracer patches engine.step_flow, engine.locate_boundary and
+    engine._select_jump; simulate must call them by those names, so that
+    the patched ones count every RK4 step (trial steps and locator probes),
+    every location and every jump selection on the arc's stats."""
+    calls = {}
+    for name in ("step_flow", "locate_boundary", "_select_jump"):
+        def counted(*args, _name=name, _fn=getattr(engine, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    arc = simulate(reset_clock_spec(), np.array([0.0]),
+                   SimConfig(dt=0.03, t_max=3.5))
+    assert arc.stats["locate_probes"] > 0 and arc.n_jumps > 0
+    assert calls == {"step_flow": arc.stats["rk4_steps"],
+                     "locate_boundary": arc.stats["locate_calls"],
+                     "_select_jump": arc.n_jumps}
 
 
 def test_apply_jump_selects_first_candidate():

@@ -12,8 +12,12 @@ and the notes), the CSV and SVG bytes that ``syncon run --csv --svg``
 writes, the run summary with its wall time zeroed, and the ``syncon check``
 report.  The ``ring_grid`` line covers the arcs and stats of all
 ``RING_GRID`` starts of perfbench's ring_sweep through both of its loops, at
-the workload's horizons.  Standard library and numpy only; the whole run
-takes a few seconds.
+the workload's horizons.  The ``thermostat`` line covers the arcs and stats
+of event_storm's thermostat, at the workload's step and horizon, from nine
+temperatures evenly spaced over [0.5, 1.5] in either mode: the only line
+whose arcs locate boundaries, with a spec that is not complementary and a
+flow map that returns ndarrays.  Standard library and numpy only; the whole
+run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from syncon import engine, harness  # noqa: E402
 
@@ -62,11 +68,16 @@ def config_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def ring_digest() -> str:
-    """Digest of every ring_sweep grid start through both ring loops."""
+def _workloads():
+    """perfbench's workloads module, imported from this checkout."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
+    return workloads
 
+
+def ring_digest() -> str:
+    """Digest of every ring_sweep grid start through both ring loops."""
+    workloads = _workloads()
     h = hashlib.sha256()
     for loop, cfg in workloads.ring_configs().items():
         spec = harness.build_closed_loop(cfg)
@@ -77,10 +88,25 @@ def ring_digest() -> str:
     return h.hexdigest()
 
 
+def thermostat_digest() -> str:
+    """Digest of event_storm's thermostat from a fixed grid of starts."""
+    workloads = _workloads()
+    spec = workloads.thermostat_spec()
+    cfg = engine.SimConfig(dt=workloads.THERMO_DT, t_max=workloads.THERMO_T_MAX)
+    h = hashlib.sha256()
+    for temp in np.linspace(0.5, 1.5, 9):
+        for mode in (0.0, 1.0):
+            x0 = np.array([temp, mode])
+            h.update(x0.tobytes())
+            _feed_arc(h, engine.simulate(spec, x0, cfg))
+    return h.hexdigest()
+
+
 def main() -> int:
     for path in sorted((ROOT / "configs").glob("*.json")):
         print(f"{config_digest(path)}  {path.stem}")
     print(f"{ring_digest()}  ring_grid")
+    print(f"{thermostat_digest()}  thermostat")
     return 0
 
 
