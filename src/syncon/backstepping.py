@@ -7,10 +7,12 @@ follow.  The composite Lyapunov function adds a weighted following penalty,
     V_b = V_s + (gamma_b / 2) ||u - kappa_bar(x, eta)||^2,
 
 and the new input v = kappa_b combines proportional following, feedforward of
-kappa_bar's time derivative, and a Lyapunov cross-term.  The feedforward
-needs the x-Jacobians of varsigma and of each column of Upsilon, which the
-DecomposedFeedback carries next to sigma's.  The augmented family keeps the
-synergistic structure with a gap delta_b <= delta - gamma_s c_kappa.
+kappa_bar's time derivative, and the Lyapunov cross-term g^T grad_x V_s,
+which cancels the tracking stage's V_s along the following error.  The
+feedforward needs the x-Jacobians of varsigma and of each column of
+Upsilon, which the DecomposedFeedback carries next to sigma's.  The
+augmented family keeps the synergistic structure with a gap
+delta_b <= delta - gamma_s c_kappa.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .smoothing import (
     tracker_control,
     tracking_lyapunov,
 )
-from .synergy import AffinePlant, SynergisticQuadruple
+from .synergy import AffinePlant, SynergisticQuadruple, augmented_family
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,15 @@ def backstep_control(plant: AffinePlant, q: SynergisticQuadruple,
                      d: DecomposedFeedback, sp: SmoothedParams,
                      bp: BacksteppingParams, x: np.ndarray, eta: np.ndarray,
                      u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Integrator input: following + feedforward + Lyapunov cross-term."""
+    """Integrator input: following + feedforward + Lyapunov cross-term.
+
+    The cross term g^T grad_x V_s cancels the tracking stage's V_s along the
+    following error u - kappa_bar; grad_x V_s equals grad_x V only where
+    sigma does not depend on x.
+    """
     err = np.asarray(u, float) - tracked_feedback(d, x, eta)
-    gx, _ = q.grad_V(x, theta)
-    cross = np.asarray(plant.g(x), float).T @ np.asarray(gx, float).ravel()
+    gx, _, _ = grad_tracking_lyapunov(q, d, sp, x, eta, theta)
+    cross = np.asarray(plant.g(x), float).T @ gx
     return (-bp.k_b * err
             + reference_time_derivative(plant, q, d, sp, x, eta, u, theta)
             - cross / bp.gamma_b)
@@ -117,48 +124,23 @@ def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
                           ) -> tuple[AffinePlant, SynergisticQuadruple]:
     """Augment with tracker and integrator states; rebuild the quadruple.
 
-    Returns (plant_b, q_b) over xb = [x | eta | u].  The drift carries the
-    physical flow xdot = f + g u, the tracker flow etadot = kappa_s (which
-    reads theta, so the composite plant is marked drift_uses_theta), and a
-    held integrator; the new input channel drives u.  Compose with
+    Returns (plant_b, q_b) over xb = [x | eta | u], built by
+    augmented_family.  The drift carries the physical flow xdot = f + g u
+    and holds eta and u; two input channels drive them, and q_b's kappa is
+    [tracker control kappa_s, integrator input kappa_b].  Compose with
     assemble_closed_loop to simulate.  Raises ParamBoundViolation when
     delta_b violates its bound.
     """
     validate_backstepping_params(q.delta, d.c_kappa, sp, bp)
     n = plant.dim_x
     s = d.dim_tracker
-    m = plant.dim_u
-    eye_m = np.eye(m)
-
-    def f_b(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        x = xb[:n]
-        eta = xb[n:n + s]
-        u = xb[n + s:]
-        xdot = (np.asarray(plant.f(x), dtype=float)
-                + np.asarray(plant.g(x), dtype=float) @ u)
-        etadot = tracker_control(plant, q, d, sp, x, eta, theta)
-        return np.concatenate([xdot, etadot, np.zeros(m)])
-
-    def g_b(xb: np.ndarray) -> np.ndarray:
-        out = np.zeros((n + s + m, m))
-        out[n + s:, :] = eye_m
-        return out
-
-    safety = None
-    if plant.safety_indicator is not None:
-        parent_safety = plant.safety_indicator
-
-        def safety(xb: np.ndarray) -> float:
-            return parent_safety(xb[:n])
 
     def V_b(xb: np.ndarray, theta: np.ndarray) -> float:
         return backstep_lyapunov(q, d, sp, bp, xb[:n], xb[n:n + s],
                                  xb[n + s:], theta)
 
     def grad_V_b(xb: np.ndarray, theta: np.ndarray):
-        x = xb[:n]
-        eta = xb[n:n + s]
-        u = xb[n + s:]
+        x, eta, u = xb[:n], xb[n:n + s], xb[n + s:]
         gx, geta, gth = grad_tracking_lyapunov(q, d, sp, x, eta, theta)
         err = np.asarray(u, float) - tracked_feedback(d, x, eta)
         gx = gx - bp.gamma_b * (_kappa_bar_jac_x(d, x, eta).T @ err)
@@ -167,15 +149,10 @@ def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
         return np.concatenate([gx, geta, gu]), gth
 
     def kappa_b(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return backstep_control(plant, q, d, sp, bp, xb[:n], xb[n:n + s],
-                                xb[n + s:], theta)
+        x, eta, u = xb[:n], xb[n:n + s], xb[n + s:]
+        return np.concatenate([
+            tracker_control(plant, q, d, sp, x, eta, theta),
+            backstep_control(plant, q, d, sp, bp, x, eta, u, theta)])
 
-    def varpi_b(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return q.varpi(xb[:n], theta)
-
-    plant_b = AffinePlant(dim_x=n + s + m, dim_u=m, f=f_b, g=g_b,
-                          safety_indicator=safety, drift_uses_theta=True)
-    q_b = SynergisticQuadruple(V=V_b, grad_V=grad_V_b, kappa=kappa_b,
-                               varpi=varpi_b, Theta=q.Theta.copy(),
-                               delta=bp.delta_b)
-    return plant_b, q_b
+    return augmented_family(plant, q, s + plant.dim_u, lambda xb: xb[n + s:],
+                            V_b, grad_V_b, kappa_b, bp.delta_b)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParamBoundViolation
-from .synergy import AffinePlant, SynergisticQuadruple
+from .synergy import AffinePlant, SynergisticQuadruple, augmented_family
 
 
 @dataclass
@@ -177,36 +177,15 @@ def smoothed_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
                        p: SmoothedParams) -> tuple[AffinePlant, SynergisticQuadruple]:
     """Augment the plant with the tracker state and rebuild the quadruple.
 
-    Returns (plant_s, q_s) over the augmented state xs = [x | eta]: the drift
-    carries xdot = f + g kappa_bar with eta held, the new input channel
-    drives eta directly, and q_s bundles the tracking Lyapunov function, the
-    tracker control, the original varpi and Theta, and the reduced gap
-    delta_s.  Compose with assemble_closed_loop to simulate.  Raises
-    ParamBoundViolation when p violates its bounds.
+    Returns (plant_s, q_s) over the augmented state xs = [x | eta], built by
+    augmented_family: the drift carries xdot = f + g kappa_bar with eta held,
+    the new input channel drives eta directly, and q_s bundles the tracking
+    Lyapunov function, the tracker control, the original varpi and Theta,
+    and the reduced gap delta_s.  Compose with assemble_closed_loop to
+    simulate.  Raises ParamBoundViolation when p violates its bounds.
     """
     validate_smoothed_params(q.delta, d.c_kappa, p)
     n = plant.dim_x
-    s = d.dim_tracker
-    eye_s = np.eye(s)
-
-    def f_s(xs: np.ndarray) -> np.ndarray:
-        x = xs[:n]
-        eta = xs[n:]
-        xdot = (np.asarray(plant.f(x), dtype=float)
-                + np.asarray(plant.g(x), dtype=float) @ tracked_feedback(d, x, eta))
-        return np.concatenate([xdot, np.zeros(s)])
-
-    def g_s(xs: np.ndarray) -> np.ndarray:
-        out = np.zeros((n + s, s))
-        out[n:, :] = eye_s
-        return out
-
-    safety = None
-    if plant.safety_indicator is not None:
-        parent_safety = plant.safety_indicator
-
-        def safety(xs: np.ndarray) -> float:
-            return parent_safety(xs[:n])
 
     def V_s(xs: np.ndarray, theta: np.ndarray) -> float:
         return tracking_lyapunov(q, d, p, xs[:n], xs[n:], theta)
@@ -218,11 +197,6 @@ def smoothed_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
     def kappa_s(xs: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return tracker_control(plant, q, d, p, xs[:n], xs[n:], theta)
 
-    def varpi_s(xs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return q.varpi(xs[:n], theta)
-
-    plant_s = AffinePlant(dim_x=n + s, dim_u=s, f=f_s, g=g_s,
-                          safety_indicator=safety)
-    q_s = SynergisticQuadruple(V=V_s, grad_V=grad_V_s, kappa=kappa_s,
-                               varpi=varpi_s, Theta=q.Theta.copy(), delta=p.delta_s)
-    return plant_s, q_s
+    return augmented_family(plant, q, d.dim_tracker,
+                            lambda xs: tracked_feedback(d, xs[:n], xs[n:]),
+                            V_s, grad_V_s, kappa_s, p.delta_s)

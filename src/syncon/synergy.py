@@ -76,19 +76,16 @@ class SynergisticQuadruple:
 class AffinePlant:
     """Control-affine plant xdot = f(x) + g(x) u on an admissible set.
 
-    safety_indicator, when present, is a signed distance to the boundary of
-    the admissible state set: <= 0 means admissible.  drift_uses_theta marks
-    composite plants whose drift also reads the switching variable (the
-    integrator-augmented plant built by backstepping is one); for those, f is
-    called as f(x, theta).
+    f and g read x alone; a feedback that reads the switching variable
+    enters through u.  safety_indicator, when present, is a signed distance
+    to the boundary of the admissible state set: <= 0 means admissible.
     """
 
     dim_x: int
     dim_u: int
-    f: Callable
+    f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     safety_indicator: Callable[[np.ndarray], float] | None = None
-    drift_uses_theta: bool = False
 
 
 def _candidate_values(q: SynergisticQuadruple, x: np.ndarray) -> list[float]:
@@ -168,7 +165,6 @@ def assemble_closed_loop(plant: AffinePlant,
     """
     n = plant.dim_x
     r = q.dim_theta
-    uses_theta = plant.drift_uses_theta
     f, g, kappa, varpi = plant.f, plant.g, q.kappa, q.varpi
     checked = False
 
@@ -186,8 +182,7 @@ def assemble_closed_loop(plant: AffinePlant,
                 raise DimensionMismatch(
                     f"varpi returned dimension {w.size}, Theta has dimension {r}")
             checked = True
-        drift = f(x, th) if uses_theta else f(x)
-        xdot = np.asarray(drift, dtype=float) + np.asarray(g(x), dtype=float) @ u
+        xdot = np.asarray(f(x), dtype=float) + np.asarray(g(x), dtype=float) @ u
         return np.concatenate([xdot, w])
 
     def values(v):
@@ -195,6 +190,39 @@ def assemble_closed_loop(plant: AffinePlant,
         return q.V(v[:n], v[n:]), _candidate_values(q, v[:n])
 
     return switching_system(values, q.Theta, q.delta, flow, n)
+
+
+def augmented_family(plant: AffinePlant, q: SynergisticQuadruple, extra: int,
+                     applied: Callable[[np.ndarray], np.ndarray], V, grad_V,
+                     kappa, delta: float
+                     ) -> tuple[AffinePlant, SynergisticQuadruple]:
+    """Lift (plant, q) by ``extra`` appended states z, each with its own input.
+
+    The lifted plant lives on [x | z]: its drift is plant.f(x) + plant.g(x)
+    applied([x | z]) with z held, its input matrix is the identity on z's
+    rows, and its safety indicator is plant's, read on x.  The lifted family
+    is (V, grad_V, kappa) over [x | z], with q's varpi read on x, a copy of
+    q.Theta, and gap delta.  Smoothing (z = eta) and backstepping (z = [eta
+    | u]) are each one call.
+    """
+    n = plant.dim_x
+    f, g, safe = plant.f, plant.g, plant.safety_indicator
+    held = np.zeros(extra)
+
+    def f_aug(xz: np.ndarray) -> np.ndarray:
+        x = xz[:n]
+        xdot = (np.asarray(f(x), dtype=float)
+                + np.asarray(g(x), dtype=float) @ applied(xz))
+        return np.concatenate([xdot, held])
+
+    lifted = AffinePlant(
+        dim_x=n + extra, dim_u=extra, f=f_aug,
+        g=lambda xz: np.eye(n + extra, extra, -n),
+        safety_indicator=None if safe is None else lambda xz: safe(xz[:n]))
+    return lifted, SynergisticQuadruple(
+        V=V, grad_V=grad_V, kappa=kappa,
+        varpi=lambda xz, theta: q.varpi(xz[:n], theta),
+        Theta=q.Theta.copy(), delta=delta)
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray,
@@ -258,8 +286,8 @@ def _directional_derivative(plant: AffinePlant, q: SynergisticQuadruple,
                             x: np.ndarray, theta: np.ndarray) -> float:
     gx, gth = q.grad_V(x, theta)
     u = np.asarray(q.kappa(x, theta), dtype=float)
-    drift = plant.f(x, theta) if plant.drift_uses_theta else plant.f(x)
-    xdot = np.asarray(drift, dtype=float) + np.asarray(plant.g(x), dtype=float) @ u
+    xdot = (np.asarray(plant.f(x), dtype=float)
+            + np.asarray(plant.g(x), dtype=float) @ u)
     w = np.asarray(q.varpi(x, theta), dtype=float)
     return float(np.dot(np.asarray(gx, float).ravel(), xdot.ravel())
                  + np.dot(np.asarray(gth, float).ravel(), w.ravel()))

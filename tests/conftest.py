@@ -7,6 +7,7 @@ the end of a pytest run shows where the gate stands.
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import numpy as np
@@ -57,6 +58,55 @@ def toy_scalar_pieces():
     sp = SmoothedParams(gamma_s=0.5, k_eta=5.0, delta_s=0.1)
     bp = BacksteppingParams(gamma_b=0.5, k_b=4.0, delta_b=0.1)
     return plant, q, d, sp, bp
+
+
+def toy_state_offset_pieces():
+    """A second one-dimensional worked example, whose offset reads x.
+
+    Plant xdot = u, V = (x^2 + theta^2)/2, sigma = -0.5 x (1 + 0.5 sin theta),
+    varsigma = -x, Upsilon = 1, kappa = varsigma + Upsilon sigma and varpi =
+    -theta, over Theta = [0, 0.7] with gap 1.  The base family decreases
+    along its flows, and d sigma/dx is not zero, so grad_x V_s differs from
+    grad_x V.  Returns (plant, q, d, sp, bp).
+    """
+    plant = AffinePlant(
+        dim_x=1, dim_u=1,
+        f=lambda x: np.zeros(1),
+        g=lambda x: np.eye(1),
+    )
+
+    def sigma(x, th):
+        return np.array([-0.5 * x[0] * (1.0 + 0.5 * math.sin(th[0]))])
+
+    q = SynergisticQuadruple(
+        V=lambda x, th: 0.5 * float(x[0] ** 2 + th[0] ** 2),
+        grad_V=lambda x, th: (np.array([x[0]]), np.array([th[0]])),
+        kappa=lambda x, th: np.array([-x[0]]) + sigma(x, th),
+        varpi=lambda x, th: np.array([-th[0]]),
+        Theta=np.array([0.0, 0.7]),
+        delta=1.0,
+    )
+    d = DecomposedFeedback(
+        sigma=sigma,
+        varsigma=lambda x: np.array([-x[0]]),
+        upsilon=lambda x: np.eye(1),
+        dim_tracker=1,
+        c_kappa=0.5,
+        d_sigma_dx=lambda x, th: np.array([[-0.5 * (1.0 + 0.5 * math.sin(th[0]))]]),
+        d_sigma_dtheta=lambda x, th: np.array([[-0.25 * x[0] * math.cos(th[0])]]),
+        d_varsigma_dx=lambda x: np.array([[-1.0]]),
+    )
+    sp = SmoothedParams(gamma_s=0.3, k_eta=0.05, delta_s=0.2)
+    bp = BacksteppingParams(gamma_b=0.7, k_b=0.05, delta_b=0.2)
+    return plant, q, d, sp, bp
+
+
+def base_rate(plant, q, x, th):
+    """The base loop's Vdot: grad_x V . (f + g kappa) + grad_theta V . varpi,
+    the rate each layer's Lyapunov function must meet, less its penalties."""
+    gx, gth = q.grad_V(x, th)
+    xdot = plant.f(x) + plant.g(x) @ q.kappa(x, th)
+    return float(gx @ xdot + gth @ q.varpi(x, th))
 
 
 def loop_potential(world, gains, sp, bp, v, th):

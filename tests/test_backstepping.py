@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import toy_scalar_pieces
+from conftest import base_rate, toy_scalar_pieces, toy_state_offset_pieces
 from syncon import numdiff
 from syncon.backstepping import (
     BacksteppingParams,
@@ -136,21 +136,27 @@ def test_reference_derivative_matches_time_differencing():
         assert abs(float(got[0] - fd[0])) <= 1e-7 + 1e-5 * abs(float(fd[0]))
 
 
-def test_toy_composite_flow_dissipates_at_the_book_rate():
-    plant, q, d, sp, bp = toy_scalar_pieces()
+@pytest.mark.parametrize("pieces", [toy_scalar_pieces, toy_state_offset_pieces],
+                         ids=["scalar", "state_offset"])
+def test_toy_composite_flow_dissipates_at_the_book_rate(pieces):
+    """Vdot_b is the base loop's rate less gamma_s k_eta ||eta - sigma||^2
+    and gamma_b k_b ||u - kappa_bar||^2."""
+    plant, q, d, sp, bp = pieces()
     plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp)
     rng = np.random.default_rng(12)
     for _ in range(25):
         xb = rng.uniform(-2, 2, 3)
-        th = np.zeros(1)
+        th = rng.uniform(-1, 1, 1)
         gxb, gth = q_b.grad_V(xb, th)
-        flow = (plant_b.f(xb, th)
-                + plant_b.g(xb) @ q_b.kappa(xb, th))
+        flow = plant_b.f(xb) + plant_b.g(xb) @ q_b.kappa(xb, th)
         vdot = float(gxb @ flow + gth @ q_b.varpi(xb, th))
 
-        x, eta, u = xb
-        expect = (-x ** 2 - sp.gamma_s * sp.k_eta * eta ** 2
-                  - bp.gamma_b * bp.k_b * (u + x) ** 2)
+        x, eta, u = xb[:1], xb[1:2], xb[2:]
+        err_s = eta - d.sigma(x, th)
+        err_b = u - tracked_feedback(d, x, eta)
+        expect = (base_rate(plant, q, x, th)
+                  - sp.gamma_s * sp.k_eta * float(err_s @ err_s)
+                  - bp.gamma_b * bp.k_b * float(err_b @ err_b))
         assert vdot == pytest.approx(expect, abs=1e-10)
 
 
@@ -160,23 +166,22 @@ def test_backstepped_quadruple_wiring():
     plant_b, q_b = backstepped_quadruple(plant, q, d, sp, bp)
 
     assert plant_b.dim_x == 3
-    assert plant_b.dim_u == 1
-    assert plant_b.drift_uses_theta
+    assert plant_b.dim_u == 2
     assert q_b.delta == bp.delta_b
     assert np.array_equal(q_b.Theta, q.Theta)
     assert q_b.Theta is not q.Theta
 
     xb = np.array([0.5, -0.2, 0.8])
     th = np.array([0.3])
-    drift = plant_b.f(xb, th)
-    # Physical state flows under the integrator value u, not the reference.
-    assert drift[0] == pytest.approx(0.5 * xb[0] + xb[2])
-    assert drift[1] == pytest.approx(
-        float(tracker_control(plant, q, d, sp, xb[:1], xb[1:2], th)[0]))
-    assert drift[2] == 0.0
-    g = plant_b.g(xb)
-    assert g.shape == (3, 1)
-    assert list(g[:, 0]) == [0.0, 0.0, 1.0]
+    # Physical state flows under the integrator value u, not the reference;
+    # the drift holds eta and u.
+    assert list(plant_b.f(xb)) == [0.5 * xb[0] + xb[2], 0.0, 0.0]
+    # One input channel drives eta, the other u.
+    assert plant_b.g(xb).tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    kappa = q_b.kappa(xb, th)
+    assert kappa[0] == tracker_control(plant, q, d, sp, xb[:1], xb[1:2], th)[0]
+    assert kappa[1] == backstep_control(plant, q, d, sp, bp, xb[:1], xb[1:2],
+                                        xb[2:], th)[0]
 
     assert q_b.V(xb, th) == pytest.approx(
         backstep_lyapunov(q, d, sp, bp, xb[:1], xb[1:2], xb[2:], th))

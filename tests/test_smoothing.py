@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import toy_scalar_pieces
+from conftest import base_rate, toy_scalar_pieces, toy_state_offset_pieces
 from syncon import numdiff
 from syncon.errors import ParamBoundViolation
 from syncon.smoothing import (
@@ -133,20 +133,25 @@ def test_sigma_time_derivative_matches_time_differencing():
         assert abs(float(got[0] - fd[0])) <= 1e-8 + 1e-6 * abs(float(fd[0]))
 
 
-def test_toy_tracker_flow_dissipates_at_the_book_rate():
-    plant, q, d, sp, _ = toy_scalar_pieces()
+@pytest.mark.parametrize("pieces", [toy_scalar_pieces, toy_state_offset_pieces],
+                         ids=["scalar", "state_offset"])
+def test_toy_tracker_flow_dissipates_at_the_book_rate(pieces):
+    """Vdot_s is the base loop's rate less gamma_s k_eta ||eta - sigma||^2."""
+    plant, q, d, sp, _ = pieces()
     rng = np.random.default_rng(6)
     for _ in range(25):
         x = rng.uniform(-2, 2, 1)
         eta = rng.uniform(-2, 2, 1)
-        th = np.zeros(1)
+        th = rng.uniform(-1, 1, 1)
 
-        gx, geta, _ = grad_tracking_lyapunov(q, d, sp, x, eta, th)
+        gx, geta, gth = grad_tracking_lyapunov(q, d, sp, x, eta, th)
         xdot = plant.f(x) + plant.g(x) @ tracked_feedback(d, x, eta)
         etadot = tracker_control(plant, q, d, sp, x, eta, th)
-        vdot = float(gx @ xdot + geta @ etadot)
+        vdot = float(gx @ xdot + geta @ etadot + gth @ q.varpi(x, th))
 
-        expect = -x[0] ** 2 - sp.gamma_s * sp.k_eta * eta[0] ** 2
+        err = eta - d.sigma(x, th)
+        expect = (base_rate(plant, q, x, th)
+                  - sp.gamma_s * sp.k_eta * float(err @ err))
         assert vdot == pytest.approx(expect, abs=1e-12)
 
 
@@ -158,7 +163,6 @@ def test_smoothed_quadruple_wiring():
 
     assert plant_s.dim_x == 2
     assert plant_s.dim_u == 1
-    assert not plant_s.drift_uses_theta
     assert q_s.delta == sp.delta_s
     assert np.array_equal(q_s.Theta, q.Theta)
     assert q_s.Theta is not q.Theta

@@ -20,8 +20,9 @@ def load_tool(name):
 
 def test_bench_snapshot_has_the_shape_of_the_committed_files(tmp_path,
                                                              monkeypatch):
-    """Same keys as BENCH_4.json at every level above the metrics, numbered
-    one past the highest existing file; the benchmark itself is stubbed."""
+    """Same keys as BENCH_4.json at every level above the metrics, plus the
+    untraced runs under "untraced", numbered one past the highest existing
+    file; the benchmark itself is stubbed."""
     tool = load_tool("bench_snapshot")
     committed = json.loads((REPO_ROOT / "BENCH_4.json").read_text())
     shutil.copy(REPO_ROOT / "BENCHMARK.json", tmp_path)
@@ -29,19 +30,29 @@ def test_bench_snapshot_has_the_shape_of_the_committed_files(tmp_path,
     monkeypatch.setattr(tool, "ROOT", tmp_path)
     calls = []
 
-    def fake_run(name):
-        calls.append(name)
-        return ({**committed["env"], "workload": name},
-                committed["workloads"][name])
+    def untraced_result(name):
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": {"value": len(name), "unit": "s"}}}
+
+    def fake_run(name, trace):
+        calls.append((name, trace))
+        result = committed["workloads"][name] if trace else untraced_result(name)
+        return {**committed["env"], "workload": name}, result
 
     monkeypatch.setattr(tool, "run_workload", fake_run)
     assert tool.main(["--source", "stub"]) == 0
     out = json.loads((tmp_path / "BENCH_5.json").read_text())
-    assert calls == list(committed["workloads"])
-    assert out.keys() == committed.keys()
+    assert calls == [(name, trace) for name in committed["workloads"]
+                     for trace in (1, 0)]
+    assert out.keys() == committed.keys() | {"untraced"}
     assert out["command"] == committed["command"]
     assert out["env"] == committed["env"]
     assert out["workloads"] == committed["workloads"]
+    assert out["untraced"] == {
+        "command": committed["command"].replace("--trace 1", "--trace 0"),
+        "workloads": {name: untraced_result(name)
+                      for name in committed["workloads"]},
+    }
 
 
 TOY = '''\

@@ -16,8 +16,13 @@ the workload's horizons.  The ``thermostat`` line covers the arcs and stats
 of event_storm's thermostat, at the workload's step and horizon, from nine
 temperatures evenly spaced over [0.5, 1.5] in either mode: the only line
 whose arcs locate boundaries, with a spec that is not complementary and a
-flow map that returns ndarrays.  Standard library and numpy only; the whole
-run takes a few seconds.
+flow map that returns ndarrays.  The ``generic`` line covers the generic
+layer constructions on fig5_backstep's world, gains and layers:
+``assemble_closed_loop`` over ``nominal_controller``, ``smoothed_quadruple``
+and ``backstepped_quadruple``, each started from that config's packed start
+cut to its width and run at dt 1e-3 to t = 0.5, plus one seeded
+``audit_quadruple`` report per family.  Standard library and numpy only;
+the whole run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from syncon import engine, harness  # noqa: E402
+from syncon import (  # noqa: E402
+    backstepping, engine, harness, navigation, smoothing, synergy)
 
 
 def _feed_arc(h, arc: engine.HybridArc) -> None:
@@ -102,11 +108,47 @@ def thermostat_digest() -> str:
     return h.hexdigest()
 
 
+def generic_digest() -> str:
+    """Digest of fig5_backstep's layers through the generic constructions."""
+    cfg = harness.load_config(ROOT / "configs" / "fig5_backstep.json")
+    world, gains, sp, bp = cfg.world, cfg.gains, cfg.smoothed, cfg.backstep
+    plant, q = navigation.nominal_controller(world, gains)
+    d = navigation.decomposed_feedback(world, gains)
+    families = {
+        "nominal": (plant, q),
+        "smoothed": smoothing.smoothed_quadruple(plant, q, d, sp),
+        "backstepped": backstepping.backstepped_quadruple(plant, q, d, sp, bp),
+    }
+    start = harness.initial_packed_state(cfg)
+    sim = engine.SimConfig(dt=1e-3, t_max=0.5)
+    lo, hi = harness.audit_box(cfg)
+    p_star = navigation.find_critical_point(world)
+    h = hashlib.sha256()
+    for name, (fam_plant, fam) in families.items():
+        n = fam_plant.dim_x
+        x0 = np.concatenate([start[:n], start[-1:]])
+        h.update(name.encode())
+        _feed_arc(h, engine.simulate(synergy.assemble_closed_loop(fam_plant, fam),
+                                     x0, sim))
+        # The box and the stuck point carry the start's tracker and
+        # integrator entries, with a unit margin on each.
+        tail = x0[2:n]
+        box = (np.concatenate([lo[:2], tail - 1.0, lo[2:]]),
+               np.concatenate([hi[:2], tail + 1.0, hi[2:]]))
+        report = synergy.audit_quadruple(
+            fam_plant, fam, sample_states=[(x0[:n], x0[n:])],
+            critical_states=[(np.concatenate([p_star, tail]), np.zeros(1))],
+            box=box, n_samples=50, seed=cfg.seed)
+        h.update(json.dumps(dataclasses.asdict(report)).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for path in sorted((ROOT / "configs").glob("*.json")):
         print(f"{config_digest(path)}  {path.stem}")
     print(f"{ring_digest()}  ring_grid")
     print(f"{thermostat_digest()}  thermostat")
+    print(f"{generic_digest()}  generic")
     return 0
 
 

@@ -3,15 +3,18 @@
     python3 tools/bench_snapshot.py --source "<what this tree is>"
 
 Run from anywhere inside a syncon checkout.  Runs the unchanged
-``perfbench/run.py --workload <name> --seed 811 --seconds 20 --trace 1`` on
-each workload that ``BENCHMARK.json`` lists, one after another, and writes
-``BENCH_<n>.json`` at the repository root, ``n`` one past the highest
-existing file.  Seed and length are fixed so that every snapshot compares
-with the others.  The file holds the source label, the command, the
-environment block of the first run (without the workload name) and each
-workload's result object, the last line run.py prints.  A run that fails,
-or whose result is not ``correct``, stops the script before anything is
-written.
+``perfbench/run.py --workload <name> --seed 811 --seconds 20 --trace 1`` and
+then the same command with ``--trace 0`` on each workload that
+``BENCHMARK.json`` lists, one after another, and writes ``BENCH_<n>.json``
+at the repository root, ``n`` one past the highest existing file.  Seed and
+length are fixed so that every snapshot compares with the others.  The file
+holds the source label, the traced command, the environment block of the
+first run (without the workload name) and each workload's traced result
+object, the last line run.py prints.  Under ``"untraced"`` it holds the
+untraced command and each workload's untraced result object, whose
+``wall_s`` is the calibrated median over the whole run rather than the one
+plain pass that ``trace.untraced_wall_s`` times.  A run that fails, or whose
+result is not ``correct``, stops the script before anything is written.
 """
 
 from __future__ import annotations
@@ -26,12 +29,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 811
 SECONDS = 20
-RUN_ARGS = ["--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "1"]
 
 
-def run_workload(name: str) -> tuple[dict, dict]:
-    """(environment block, result object) of one traced run."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", name, *RUN_ARGS]
+def run_args(trace: int) -> list[str]:
+    return ["--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+
+
+def command(trace: int) -> str:
+    return " ".join(["python3 perfbench/run.py --workload <name>",
+                     *run_args(trace)])
+
+
+def run_workload(name: str, trace: int) -> tuple[dict, dict]:
+    """(environment block, result object) of one run, traced or not."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", name,
+           *run_args(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n"
@@ -57,18 +69,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    env, results = None, {}
+    env, results, untraced = None, {}, {}
     for name in (w["name"] for w in bench["workloads"]):
         print(f"running {name} ...", file=sys.stderr)
-        run_env, results[name] = run_workload(name)
+        run_env, results[name] = run_workload(name, 1)
+        _, untraced[name] = run_workload(name, 0)
         if env is None:
             env = {k: v for k, v in run_env.items() if k != "workload"}
     snapshot = {
         "source": args.source,
-        "command": " ".join(["python3 perfbench/run.py --workload <name>",
-                             *RUN_ARGS]),
+        "command": command(1),
         "env": env,
         "workloads": results,
+        "untraced": {"command": command(0), "workloads": untraced},
     }
     path = ROOT / f"BENCH_{next_number()}.json"
     path.write_text(json.dumps(snapshot, indent=1) + "\n")
