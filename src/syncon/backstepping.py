@@ -83,7 +83,15 @@ def reference_time_derivative(plant: AffinePlant, q: SynergisticQuadruple,
     etadot is the tracker control and xdot = f + g u with the integrator
     state u as the physical input.
     """
-    etadot = tracker_control(plant, q, d, sp, x, eta, theta)
+    return _reference_rate(plant, d, x, eta, u,
+                           tracker_control(plant, q, d, sp, x, eta, theta))
+
+
+def _reference_rate(plant: AffinePlant, d: DecomposedFeedback, x: np.ndarray,
+                    eta: np.ndarray, u: np.ndarray,
+                    etadot: np.ndarray) -> np.ndarray:
+    """reference_time_derivative for a tracker control etadot already at
+    hand."""
     xdot = (np.asarray(plant.f(x), dtype=float)
             + np.asarray(plant.g(x), dtype=float) @ np.asarray(u, dtype=float))
     return (np.asarray(d.upsilon(x), dtype=float) @ etadot
@@ -110,11 +118,21 @@ def backstep_control(plant: AffinePlant, q: SynergisticQuadruple,
     following error u - kappa_bar; grad_x V_s equals grad_x V only where
     sigma does not depend on x.
     """
+    return _backstep_input(plant, q, d, sp, bp, x, eta, u, theta,
+                           tracker_control(plant, q, d, sp, x, eta, theta))
+
+
+def _backstep_input(plant: AffinePlant, q: SynergisticQuadruple,
+                    d: DecomposedFeedback, sp: SmoothedParams,
+                    bp: BacksteppingParams, x: np.ndarray, eta: np.ndarray,
+                    u: np.ndarray, theta: np.ndarray,
+                    etadot: np.ndarray) -> np.ndarray:
+    """backstep_control for a tracker control etadot already at hand."""
     err = np.asarray(u, float) - tracked_feedback(d, x, eta)
     gx, _, _ = grad_tracking_lyapunov(q, d, sp, x, eta, theta)
     cross = np.asarray(plant.g(x), float).T @ gx
     return (-bp.k_b * err
-            + reference_time_derivative(plant, q, d, sp, x, eta, u, theta)
+            + _reference_rate(plant, d, x, eta, u, etadot)
             - cross / bp.gamma_b)
 
 
@@ -150,9 +168,9 @@ def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
 
     def kappa_b(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
         x, eta, u = xb[:n], xb[n:n + s], xb[n + s:]
+        etadot = tracker_control(plant, q, d, sp, x, eta, theta)
         return np.concatenate([
-            tracker_control(plant, q, d, sp, x, eta, theta),
-            backstep_control(plant, q, d, sp, bp, x, eta, u, theta)])
+            etadot, _backstep_input(plant, q, d, sp, bp, x, eta, u, theta, etadot)])
 
     return augmented_family(plant, q, s + plant.dim_u, lambda xb: xb[n + s:],
                             V_b, grad_V_b, kappa_b, bp.delta_b)

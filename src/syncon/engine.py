@@ -28,10 +28,14 @@ Python floats; any other sequence is read as a float array; a state of any
 width but ``dim`` raises DimensionMismatch.  The flow map may return any
 sequence of ``dim`` floats; any other length raises DimensionMismatch too.
 The arc still holds float ndarrays.  When a step crosses a set boundary the
-crossing is located on the step fraction by a safeguarded Illinois (modified
-regula falsi) iteration, re-integrating the partial step at each probe, so
-every accepted sample respects its set within ``event_tol``; a location that
-gives up short of it is counted on the arc.
+crossing is located on the step fraction, re-integrating the partial step at
+each probe, so every accepted sample respects its set within ``event_tol``;
+a location that gives up short of it is counted on the arc.  Each probe is
+Brent's inverse quadratic step through the bracket ends and the end the
+previous probe replaced, which meets a smooth event in about two probes;
+it falls back to the Illinois (modified regula falsi) secant, and to the
+midpoint after any probe that did not halve the bracket, so no location
+takes more than about twice bisection's probes.
 An indicator that is NaN raises NonFiniteState.  Everything here is
 deterministic: the same spec, state and config produce bit-identical arcs.
 
@@ -76,8 +80,9 @@ ZENO_WARN_AFTER = 100
 
 _PROGRESS_EPS = 1e-15
 
-# Probe cap in locate_boundary; the midpoint rule halves the bracket at least
-# every second probe, so 200 probes outlast the 1e-16 bracket floor.
+# Probe cap in locate_boundary; whatever the interpolated or secant probe
+# does, the midpoint rule halves the bracket at least every second probe, so
+# 200 probes outlast the 1e-16 bracket floor.
 _MAX_PROBES = 200
 
 # Counters kept on HybridArc.stats, all integers filled by the engine itself.
@@ -337,6 +342,18 @@ def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
     return _rk4_kernel(spec.dim)(spec.flow_map, x, h)
 
 
+def _inverse_quadratic(a: float, f_a: float, b: float, f_b: float,
+                       c: float, f_c: float) -> float:
+    """The zero of the quadratic in the indicator value that takes f_a, f_b
+    and f_c, which must be distinct, to a, b and c: Newton's divided
+    differences of the inverse.  Differences of distinct floats are never
+    zero, so nothing here divides by zero; where the arithmetic overflows or
+    underflows the result may be inf or NaN."""
+    d_ab = (b - a) / (f_b - f_a)
+    d_bc = (c - b) / (f_c - f_b)
+    return a - f_a * (d_ab - f_b * (d_bc - d_ab) / (f_c - f_a))
+
+
 def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
                     indicator: Callable[[list[float]], float],
                     event_tol: float = 1e-10, *,
@@ -346,14 +363,21 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
                     stats: dict[str, int] | None = None) -> tuple[list[float], float]:
     """Find the boundary crossing of ``indicator`` within one flow step.
 
-    Searches the step fraction in [0, 1] with the Illinois rule, safeguarded
-    by midpoint probes, re-integrating the partial RK4 step from
-    ``x_inside`` at each probe, until the indicator magnitude at the probe
-    state is within ``event_tol``.  The endpoints must straddle the zero
-    level set, otherwise NoSignChange is raised.  Returns the boundary state
-    (a list) and the located fraction.  A bracket narrower than 1e-16, or with
-    no float inside, or ``_MAX_PROBES`` probes end the search at the last probe
-    and count a ``locate_misses``; a NaN indicator raises NonFiniteState.
+    Searches the step fraction in [0, 1], re-integrating the partial RK4
+    step from ``x_inside`` at each probe, until the indicator magnitude at
+    the probe state is within ``event_tol``.  A probe goes to the inverse
+    quadratic interpolant through the bracket ends and the end the previous
+    probe replaced, at their true indicator values; without such a third
+    point, with a repeated value, or with the point not strictly inside, it
+    goes to the Illinois secant root, and after any probe that did not halve
+    the bracket, to the midpoint.  A smooth event whose first probe halves
+    the bracket is then met in two probes, and no location takes more than
+    about twice bisection's.  The endpoints must straddle the zero level
+    set, otherwise NoSignChange is raised.  Returns the boundary state (a
+    list) and the located fraction.  A bracket narrower than 1e-16, or with
+    no float inside, or ``_MAX_PROBES`` probes end the search at the last
+    probe and count a ``locate_misses``; a NaN indicator raises
+    NonFiniteState.
 
     A caller that already holds the full step ``x_hi = step_flow(spec,
     x_inside, h)`` or the indicator values at its ends (``f_lo`` at
@@ -388,18 +412,31 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoSignChange(
             f"indicator does not change sign over the step: {f_lo:.6g} -> {f_hi:.6g}")
-    # Illinois iteration on the step fraction: probe at the secant root of
-    # the bracket ends; when one end is kept twice in a row, halve its stored
-    # value.  A NaN secant point, one not strictly inside, or a previous probe
-    # that did not halve the bracket gets the midpoint instead.
+    # Probe at the inverse quadratic interpolant through the bracket ends and
+    # the end the previous probe replaced, c, at their true indicator values.
+    # With no c yet, with a value repeated, or with a point not strictly
+    # inside, probe at the Illinois secant root instead: the secant through
+    # the ends' stored values w_lo and w_hi, where an end kept twice in a row
+    # has its stored value halved.  A NaN secant point, one not strictly
+    # inside, or a previous probe that did not halve the bracket gets the
+    # midpoint.  An interpolant that overflowed is inf or NaN, so not inside.
     lo, hi = 0.0, 1.0
+    w_lo, w_hi = f_lo, f_hi
+    c = f_c = None
     last = None     # the end the previous probe replaced
     halved = True
     for _ in range(_MAX_PROBES):
         width = hi - lo
-        s = hi - f_hi * width / (f_hi - f_lo)
-        if not (halved and lo < s < hi):
+        if not halved:
             s = 0.5 * (lo + hi)
+        else:
+            s = math.nan
+            if c is not None and f_c != f_lo and f_c != f_hi:
+                s = _inverse_quadratic(lo, f_lo, hi, f_hi, c, f_c)
+            if not lo < s < hi:
+                s = hi - w_hi * width / (w_hi - w_lo)
+                if not lo < s < hi:
+                    s = 0.5 * (lo + hi)
         x_s = step_flow(spec, x_inside, s * h)
         f_s = float(indicator(x_s))
         stats["rk4_steps"] += 1
@@ -412,14 +449,18 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
         if width < 1e-16 or not lo < s < hi:
             break
         if (f_s > 0.0) == (f_hi > 0.0):
+            c, f_c = hi, f_hi
             hi, f_hi = s, f_s
+            w_hi = f_s
             if last == "hi":
-                f_lo *= 0.5
+                w_lo *= 0.5
             last = "hi"
         else:
+            c, f_c = lo, f_lo
             lo, f_lo = s, f_s
+            w_lo = f_s
             if last == "lo":
-                f_hi *= 0.5
+                w_hi *= 0.5
             last = "lo"
         halved = hi - lo <= 0.5 * width
     stats["locate_misses"] += 1

@@ -1,12 +1,13 @@
 """Unit tests for the integrator backstepping layer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import base_rate, toy_scalar_pieces, toy_state_offset_pieces
-from syncon import numdiff
+from syncon import backstepping, numdiff
 from syncon.backstepping import (
     BacksteppingParams,
     backstep_control,
@@ -186,6 +187,34 @@ def test_backstepped_quadruple_wiring():
     assert q_b.V(xb, th) == pytest.approx(
         backstep_lyapunov(q, d, sp, bp, xb[:1], xb[1:2], xb[2:], th))
     assert plant_b.safety_indicator(xb) == plant.safety_indicator(xb[:1])
+
+
+def test_the_backstepped_input_runs_the_tracker_once(monkeypatch):
+    """kappa_b hands the tracker control it computes for the eta channel to
+    the integrator input, whose feedforward needs it too: one tracker call
+    and two base gradients (the tracker's cross term and grad_x V_s) per
+    input, with the bits of the public functions."""
+    plant, q, d, sp, bp = toy_state_offset_pieces()
+    calls = {"tracker": 0, "grad_V": 0}
+
+    def counted_grad_V(x, th):
+        calls["grad_V"] += 1
+        return q.grad_V(x, th)
+
+    def counted_tracker(*args):
+        calls["tracker"] += 1
+        return tracker_control(*args)
+
+    _, q_b = backstepped_quadruple(
+        plant, dataclasses.replace(q, grad_V=counted_grad_V), d, sp, bp)
+    monkeypatch.setattr(backstepping, "tracker_control", counted_tracker)
+    xb, th = np.array([0.4, -0.3, 0.9]), np.array([0.7])
+    kappa = q_b.kappa(xb, th)
+    assert calls == {"tracker": 1, "grad_V": 2}
+    x, eta, u = xb[:1], xb[1:2], xb[2:]
+    assert kappa.tolist() == [
+        tracker_control(plant, q, d, sp, x, eta, th)[0],
+        backstep_control(plant, q, d, sp, bp, x, eta, u, th)[0]]
 
 
 def test_backstepped_quadruple_rejects_bad_gap():

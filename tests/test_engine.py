@@ -743,6 +743,10 @@ def test_a_nan_indicator_at_the_initial_state_raises():
     """Indicators NaN everywhere used to pass the initial coverage check."""
     with pytest.raises(NonFiniteState, match="in_flow_set"):
         simulate(nan_above_spec(-1.0), np.zeros(1), SimConfig(dt=0.1, t_max=1.0))
+    # A finite flow indicator does not excuse a NaN jump indicator.
+    spec = dataclasses.replace(nan_above_spec(-1.0), in_flow_set=lambda v: -1.0)
+    with pytest.raises(NonFiniteState, match="in_jump_set"):
+        simulate(spec, np.zeros(1), SimConfig(dt=0.1, t_max=1.0))
 
 
 def test_apply_jump_at_a_nan_jump_indicator_raises():
@@ -845,6 +849,114 @@ def test_locate_boundary_takes_the_midpoint_when_the_far_end_is_inf():
     assert stats["locate_misses"] == 0
 
 
+def record_probes(monkeypatch):
+    """Log each RK4 step the locator takes as ("probe", h) and each
+    interpolant it computes as ("quadratic", lo, hi, s), in call order."""
+    log = []
+    step_flow, quadratic = engine.step_flow, engine._inverse_quadratic
+
+    def logged_step(spec, x, h):
+        log.append(("probe", h))
+        return step_flow(spec, x, h)
+
+    def logged_quadratic(a, f_a, b, f_b, c, f_c):
+        s = quadratic(a, f_a, b, f_b, c, f_c)
+        log.append(("quadratic", a, b, s))
+        return s
+
+    monkeypatch.setattr(engine, "step_flow", logged_step)
+    monkeypatch.setattr(engine, "_inverse_quadratic", logged_quadratic)
+    return log
+
+
+def unit_clock_probes(f, tol=1e-10, stats=None):
+    """Locate the root of f over the unit clock's step; returns the probes."""
+    stats = dict.fromkeys(STAT_KEYS, 0) if stats is None else stats
+    locate_boundary(pure_flow_spec(lambda v: np.ones(1)), [0.0], 1.0,
+                    lambda v: f(v[0]), tol, stats=stats)
+    return stats["locate_probes"]
+
+
+def test_the_first_probe_is_the_secant_root(monkeypatch):
+    """No probe has replaced an end yet, so there is no third point."""
+    log = record_probes(monkeypatch)
+
+    def f(s):
+        return s ** 3 - 0.729
+
+    unit_clock_probes(f)
+    f_0, f_1 = f(0.0), f(1.0)
+    assert log[:2] == [("probe", 1.0), ("probe", 1.0 - f_1 * 1.0 / (f_1 - f_0))]
+    assert log[2][0] == "quadratic"
+
+
+def test_a_repeated_indicator_value_gets_no_interpolant(monkeypatch):
+    """Past a sign flip every replaced end repeats the value of the end that
+    replaced it, so each probe is the Illinois secant root, which here is
+    the midpoint."""
+    log = record_probes(monkeypatch)
+    stats = dict.fromkeys(STAT_KEYS, 0)
+    unit_clock_probes(lambda s: -1.0 if s < 0.3 else 1.0, stats=stats)
+    assert [entry[0] for entry in log] == ["probe"] * stats["locate_probes"]
+    assert [h for _, h in log[1:4]] == [0.5, 0.25, 0.375]
+    assert stats["locate_misses"] == 1
+
+
+@pytest.mark.parametrize("f, outside", [
+    # A finite interpolant beyond the bracket.
+    (lambda s: s ** 3 - 0.49 ** 3, lambda s: math.isfinite(s)),
+    # At a subnormal scale the divided differences overflow.
+    (lambda s: 1e-310 * (s ** 3 - 0.49 ** 3), lambda s: not math.isfinite(s)),
+])
+def test_an_interpolant_outside_the_bracket_gives_way_to_the_secant(
+        monkeypatch, f, outside):
+    log = record_probes(monkeypatch)
+    unit_clock_probes(f, tol=0.0)
+    misses = [k for k, entry in enumerate(log) if entry[0] == "quadratic"
+              and not entry[1] < entry[3] < entry[2]]
+    assert misses
+    for k in misses:
+        _, lo, hi, s = log[k]
+        assert outside(s)
+        kind, h = log[k + 1]
+        assert kind == "probe" and lo < h < hi
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-310])
+@pytest.mark.parametrize("shape", [
+    lambda c: lambda s: s ** 3 - c ** 3,
+    lambda c: lambda s: math.exp(5.0 * s) - math.exp(5.0 * c),
+])
+def test_a_tiny_indicator_is_located_without_error(scale, shape):
+    """At 1e-160 the products of indicator differences in a Lagrange-form
+    interpolant underflow to zero; at 1e-310 the divided differences
+    overflow.  Either way the location ends within twice bisection's 54
+    probes."""
+    for c in (0.1, 0.3, 0.7, 0.9):
+        f = shape(c)
+        assert unit_clock_probes(lambda s: scale * f(s), tol=1e-10 * scale) \
+            <= 2 * 54 + 2
+
+
+# Mean probes over 48 roots in [0.03, 0.97], measured with the Illinois
+# rule and its midpoint rule alone, before the interpolated probe.
+ILLINOIS_MEAN_PROBES = [
+    (lambda c: lambda s: s ** 3 - c ** 3, 16.2),
+    (lambda c: lambda s: math.exp(5.0 * s) - math.exp(5.0 * c), 19.8),
+    (lambda c: lambda s: (math.expm1(min(700.0, 1e4 * (s - c))) if s > c
+                          else 1e-3 * (s - c)), 33.0),
+]
+
+
+@pytest.mark.parametrize("shape, illinois", ILLINOIS_MEAN_PROBES)
+def test_the_interpolated_probe_beats_the_illinois_rule(shape, illinois):
+    """Two thirds of the Illinois rule's mean; the interpolated probe took
+    10.1, 11.7 and 4.1."""
+    mean = np.mean([unit_clock_probes(shape(float(c)))
+                    for c in np.linspace(0.03, 0.97, 48)])
+    assert mean <= 2.0 / 3.0 * illinois
+
+
 THERMO_LOW, THERMO_HIGH = 0.9, 1.1
 
 
@@ -869,7 +981,7 @@ def thermostat_switch_times(x0, q0, count):
 
 
 def test_thermostat_switching_times_match_the_closed_form():
-    """Each switch is located to event_tol in a handful of probes, and the
+    """Each switch is located to event_tol in about two probes, and the
     switching times do not drift from the closed form over 100 switches."""
     rng = np.random.default_rng(811)
     spec = thermostat_spec()
@@ -886,7 +998,7 @@ def test_thermostat_switching_times_match_the_closed_form():
         assert arc.stats["locate_misses"] == 0
         locates += arc.stats["locate_calls"]
         probes += arc.stats["locate_probes"]
-    assert probes / locates <= 6.0
+    assert probes / locates <= 2.5
 
 
 def test_located_states_on_a_nonlinear_flow_meet_event_tol():
