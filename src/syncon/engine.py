@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -268,9 +269,11 @@ def _stage_list(k, n: int) -> list[float]:
 # One RK4 stage of the kernel below: the flow map at the stage state s,
 # unpacked into the locals {k}0 ... {k}{n-1}.  An ndarray output is converted
 # here, any other sequence by _stage_list, which also raises on an output of
-# the wrong length.  A math-domain or overflow error from a flow map evaluated
-# at a stage state that has already left the reals (a step too large for the
-# field) is reported as NonFiniteState; at a finite state it propagates as is.
+# the wrong length.  A list of the wrong length fails to unpack, and only
+# then is it handed to _stage_list for the error.  A math-domain or overflow
+# error from a flow map evaluated at a stage state that has already left the
+# reals (a step too large for the field) is reported as NonFiniteState; at a
+# finite state it propagates as is.
 _RK4_STAGE = """\
     try:
         k = f(s)
@@ -279,9 +282,11 @@ _RK4_STAGE = """\
         raise
     if type(k) is not list:
         k = k.tolist() if isinstance(k, ndarray) else _stage_list(k, {n})
-    if len(k) != {n}:
+    try:
+        [{ks}] = k
+    except ValueError:
         _stage_list(k, {n})
-    [{ks}] = k
+        raise
 """
 
 
@@ -521,7 +526,8 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     are normal terminations, recorded on the arc.  A state outside both sets
     raises CoverageViolation.
     """
-    x = _state(np.ravel(x0), spec.dim, "x0")
+    dim = spec.dim
+    x = _state(np.ravel(x0), dim, "x0")
     _require_finite(x, "initial state")
     tol = cfg.event_tol
     dt = cfg.dt
@@ -555,7 +561,9 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     termination = TERM_T_MAX
 
     def close_segment() -> None:
-        segments.append(FlowSegment(j, np.array(seg_t), np.array(seg_x, dtype=float)))
+        n = len(seg_x)
+        xs = np.fromiter(chain.from_iterable(seg_x), float, n * dim)
+        segments.append(FlowSegment(j, np.array(seg_t), xs.reshape(n, dim)))
 
     while True:
         if fi is None:
@@ -633,7 +641,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             x_proj = project_flow(x_new)
             if x_proj is not x_new and not np.array_equal(x_proj, x_new):
                 stats["clamps"] += 1
-                x_new = _state(x_proj, spec.dim, "projected state")
+                x_new = _state(x_proj, dim, "projected state")
                 fi = ji = None
         x = x_new
         t = t_new

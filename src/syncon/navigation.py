@@ -35,14 +35,18 @@ _switched_loop, makes all three switched loops the way the paper layers
 them: the smoothed loop is the hybrid loop plus the tracker eta, the
 backstepped loop the smoothed loop plus the actuator integrator u.  It reads
 every world, gain and layer constant once into closure locals and builds one
-flow closure and one per-state kernel, values, for the switching rule
-synergy.switching_system; both are straight-line float code that adds the
-tracker terms when there is a tracker and the integrator terms when there
-is an integrator.  values computes the terms of V that do not depend on
-theta once per state (p - p_o, the skirt, the integrator term) and combines
-them with the state's own angle and with each candidate's cos, sin, penalty
-and offset, fixed when the loop is built.  The gradient loop never switches
-and has its own flow closure.
+flow closure and one switching kernel for synergy.switching_system; both
+are straight-line float code that adds the tracker terms when there is a
+tracker and the integrator terms when there is an integrator.  The kernel
+is the flow-set indicator itself, so a set test is one Python call: it
+computes the terms of V that do not depend on theta once per state (p -
+p_o, the skirt, the integrator term), combines them with the state's own
+angle and with each candidate's cos, sin, penalty and offset, fixed when
+the loop is built, keeps the smallest candidate V as it goes, the first of
+equals as the builtin min does, and returns V - best - gap without
+building a tuple or a list.  The jump map passes it a list, to which it
+appends each candidate's V.  The gradient loop never switches and has its
+own flow closure.
 Post-processing reads the harness's V, u, excess and clearance channels
 from sample_channels, the same formulas over a stack of states as numpy
 arrays (_loop_v and _angle_terms take arrays too).  The float helpers
@@ -677,10 +681,11 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
                    bp: BacksteppingParams | None) -> HybridSystemSpec:
     """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
     (neither), smoothed (``sp``) or backstepped (both), after the gain and
-    layer bounds are validated.  Its flow and its per-state kernel
-    values(v) -> (V at v's own angle, [V at each candidate]), which the sets
-    and the jump map read, share the hybrid loop's prefix and add the tracker
-    and integrator terms of the layers present."""
+    layer bounds are validated.  Its flow and its switching kernel
+    in_flow_set(v, out=None) -> V at v's own angle - best candidate V - gap,
+    which is the flow-set indicator and which the jump map reads through
+    ``out``, share the hybrid loop's prefix and add the tracker and
+    integrator terms of the layers present."""
     validate_gains(world, gains)
     tracker = sp is not None
     integrator = bp is not None
@@ -759,7 +764,7 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
                 - (gy - sy) / gamma_b,
                 varpi]
 
-    def values(v):
+    def in_flow_set(v, out=None):
         px = v[0]
         py = v[1]
         th = v[-1]
@@ -796,7 +801,7 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
             own = own + half_gs * (e1 * e1 + e2 * e2)
             if integrator:
                 own = own + integ
-        vals = []
+        best = None
         for c, s, pen, sx, sy in cands:
             ex = pox + c * wx - s * wy - pdx
             ey = poy + s * wx + c * wy - pdy
@@ -807,12 +812,15 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
                 V = V + half_gs * (e1 * e1 + e2 * e2)
                 if integrator:
                     V = V + integ
-            vals.append(V)
-        return own, vals
+            if out is not None:
+                out.append(V)
+            if best is None or V < best:
+                best = V
+        return own - best - gap
 
     dim_x = 2 if sp is None else 4 if bp is None else 6
-    return switching_system(values, gains.theta_candidates.reshape(-1, 1),
-                            gap, flow, dim_x, shell_projection(world))
+    return switching_system(in_flow_set, gains.theta_candidates.reshape(-1, 1),
+                            flow, dim_x, shell_projection(world))
 
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:

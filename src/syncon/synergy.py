@@ -118,33 +118,33 @@ def switch_candidates(q: SynergisticQuadruple, x: np.ndarray,
     return [q.Theta[i].copy() for i in _tied(_candidate_values(q, x))]
 
 
-def switching_system(values, Theta: np.ndarray, gap: float, flow_map,
-                     dim_x: int, project_flow=None) -> HybridSystemSpec:
+def switching_system(in_flow_set, Theta: np.ndarray, flow_map, dim_x: int,
+                     project_flow=None) -> HybridSystemSpec:
     """The switching rule of every synergistic loop, over packed [x | theta].
 
-    ``values(v)`` is the loop's potential at the packed state v, with x =
-    v[:dim_x] and theta the rest: it returns (V(x, theta), [V(x, theta_bar)
-    for each row theta_bar of Theta, in Theta order]).  Theta holds the
-    candidates as rows, shape (L, r).  The loop flows while V(x, theta) is
-    within ``gap`` of the best candidate and jumps otherwise, freezing x and
-    moving theta to every candidate within TIE_TOL of the minimum, lowest
-    index first.  The two indicators are exact negations of each other, so
-    the spec is complementary.  ``flow_map`` is used as given.
+    ``in_flow_set(v, out=None)`` is the loop's switching kernel at the
+    packed state v, with x = v[:dim_x] and theta the rest: it returns
+    V(x, theta) - min over the rows theta_bar of Theta of V(x, theta_bar),
+    less the gap, and with a list ``out`` also appends each candidate's
+    V(x, theta_bar) to it, in Theta order.  The kernel is the spec's flow-set
+    indicator as it stands, so the loop flows while V(x, theta) is within the
+    gap of the best candidate.  The jump-set indicator is its exact
+    negation, so the spec is complementary; the jump map freezes x and moves
+    theta to every candidate within TIE_TOL of the minimum, lowest index
+    first.  Theta holds the candidates as rows, shape (L, r).  ``flow_map``
+    is used as given.
     """
     n = dim_x
     Theta = np.asarray(Theta, dtype=float)
 
     def jump(v) -> list[np.ndarray]:
+        cands = []
+        in_flow_set(v, cands)
         x = v[:n]
-        return [np.concatenate([x, Theta[i]]) for i in _tied(values(v)[1])]
-
-    def in_flow_set(v) -> float:
-        own, cands = values(v)
-        return own - min(cands) - gap
+        return [np.concatenate([x, Theta[i]]) for i in _tied(cands)]
 
     def in_jump_set(v) -> float:
-        own, cands = values(v)
-        return gap - (own - min(cands))
+        return -in_flow_set(v)
 
     return HybridSystemSpec(dim=n + Theta.shape[1], flow_map=flow_map,
                             jump_map=jump, in_flow_set=in_flow_set,
@@ -158,8 +158,8 @@ def assemble_closed_loop(plant: AffinePlant,
 
     State layout is [x | theta] with x of length plant.dim_x.  Flow applies
     kappa to the plant and varpi to the switching variable; jumps and the
-    sets follow switching_system with gap q.delta, on a ``values`` that
-    calls q.V once at the state's own theta and once per row of q.Theta.
+    sets follow switching_system with gap q.delta, on a kernel that calls
+    q.V once at the state's own theta and once per row of q.Theta.
     Output dimensions of kappa and varpi are checked on first use and raise
     DimensionMismatch.  Both read the list state as one ndarray for q's maps.
     """
@@ -185,11 +185,15 @@ def assemble_closed_loop(plant: AffinePlant,
         xdot = np.asarray(f(x), dtype=float) + np.asarray(g(x), dtype=float) @ u
         return np.concatenate([xdot, w])
 
-    def values(v):
+    def in_flow_set(v, out=None) -> float:
         v = np.asarray(v, dtype=float)
-        return q.V(v[:n], v[n:]), _candidate_values(q, v[:n])
+        own = q.V(v[:n], v[n:])
+        cands = _candidate_values(q, v[:n])
+        if out is not None:
+            out.extend(cands)
+        return own - min(cands) - q.delta
 
-    return switching_system(values, q.Theta, q.delta, flow, n)
+    return switching_system(in_flow_set, q.Theta, flow, n)
 
 
 def augmented_family(plant: AffinePlant, q: SynergisticQuadruple, extra: int,
