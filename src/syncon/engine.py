@@ -34,8 +34,9 @@ a location that gives up short of it is counted on the arc.  Each probe is
 Brent's inverse quadratic step through the bracket ends and the end the
 previous probe replaced, which meets a smooth event in about two probes;
 it falls back to the Illinois (modified regula falsi) secant, and to the
-midpoint after any probe that did not halve the bracket, so no location
-takes more than about twice bisection's probes.
+midpoint after any probe that did not halve the bracket, but for a first
+probe that at least halved the indicator at the end it replaced, so no
+location takes more than about twice bisection's probes.
 An indicator that is NaN raises NonFiniteState.  Everything here is
 deterministic: the same spec, state and config produce bit-identical arcs.
 
@@ -54,9 +55,9 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -82,8 +83,8 @@ ZENO_WARN_AFTER = 100
 _PROGRESS_EPS = 1e-15
 
 # Probe cap in locate_boundary; whatever the interpolated or secant probe
-# does, the midpoint rule halves the bracket at least every second probe, so
-# 200 probes outlast the 1e-16 bracket floor.
+# does, the midpoint rule halves the bracket at least every second probe
+# after the first, so 200 probes outlast the 1e-16 bracket floor.
 _MAX_PROBES = 200
 
 # Counters kept on HybridArc.stats, all integers filled by the engine itself.
@@ -257,23 +258,13 @@ def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
     return NonFiniteState(f"indicator {name} is NaN at {np.asarray(x, float)!r}")
 
 
-def _stage_list(k, n: int) -> list[float]:
-    """A flow map's output k, a sequence, as a list of n entries;
-    DimensionMismatch if it has any other length."""
-    k = list(k)
-    if len(k) != n:
-        raise DimensionMismatch(f"flow map returned dimension {len(k)}, expected {n}")
-    return k
-
-
 # One RK4 stage of the kernel below: the flow map at the stage state s,
 # unpacked into the locals {k}0 ... {k}{n-1}.  An ndarray output is converted
-# here, any other sequence by _stage_list, which also raises on an output of
-# the wrong length.  A list of the wrong length fails to unpack, and only
-# then is it handed to _stage_list for the error.  A math-domain or overflow
-# error from a flow map evaluated at a stage state that has already left the
-# reals (a step too large for the field) is reported as NonFiniteState; at a
-# finite state it propagates as is.
+# with tolist, any other sequence with list; an output of the wrong length
+# fails to unpack, and only then is it measured for DimensionMismatch.  A
+# math-domain or overflow error from a flow map evaluated at a stage state
+# that has already left the reals (a step too large for the field) is
+# reported as NonFiniteState; at a finite state it propagates as is.
 _RK4_STAGE = """\
     try:
         k = f(s)
@@ -281,12 +272,12 @@ _RK4_STAGE = """\
         _require_finite(s, "RK4 stage state")
         raise
     if type(k) is not list:
-        k = k.tolist() if isinstance(k, ndarray) else _stage_list(k, {n})
+        k = k.tolist() if isinstance(k, ndarray) else list(k)
     try:
         [{ks}] = k
     except ValueError:
-        _stage_list(k, {n})
-        raise
+        raise DimensionMismatch(
+            f"flow map returned dimension {{len(k)}}, expected {n}") from None
 """
 
 
@@ -332,8 +323,8 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
         "    if e - e != 0.0:\n"
         '        _require_finite(out, "flow step output (h={:g})", h)\n'
         "    return out\n")
-    namespace = {"_require_finite": _require_finite, "_stage_list": _stage_list,
-                 "ndarray": np.ndarray}
+    namespace = {"_require_finite": _require_finite,
+                 "DimensionMismatch": DimensionMismatch, "ndarray": np.ndarray}
     exec(compile(source, f"<rk4 kernel, width {n}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -374,10 +365,11 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     quadratic interpolant through the bracket ends and the end the previous
     probe replaced, at their true indicator values; without such a third
     point, with a repeated value, or with the point not strictly inside, it
-    goes to the Illinois secant root, and after any probe that did not halve
-    the bracket, to the midpoint.  A smooth event whose first probe halves
-    the bracket is then met in two probes, and no location takes more than
-    about twice bisection's.  The endpoints must straddle the zero level
+    goes to the Illinois secant root, and after a probe that did not halve
+    the bracket, to the midpoint, unless that was the first probe and it at
+    least halved |indicator| at the end it replaced.  A smooth event is then
+    met in two probes, and no location takes more than about twice
+    bisection's.  The endpoints must straddle the zero level
     set, otherwise NoSignChange is raised.  Returns the boundary state (a
     list) and the located fraction.  A bracket narrower than 1e-16, or with
     no float inside, or ``_MAX_PROBES`` probes end the search at the last
@@ -424,13 +416,14 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     # the ends' stored values w_lo and w_hi, where an end kept twice in a row
     # has its stored value halved.  A NaN secant point, one not strictly
     # inside, or a previous probe that did not halve the bracket gets the
-    # midpoint.  An interpolant that overflowed is inf or NaN, so not inside.
+    # midpoint, unless it was the first and halved |f| at the end it
+    # replaced.  An interpolant that overflowed is inf or NaN, so not inside.
     lo, hi = 0.0, 1.0
     w_lo, w_hi = f_lo, f_hi
     c = f_c = None
     last = None     # the end the previous probe replaced
     halved = True
-    for _ in range(_MAX_PROBES):
+    for probe in range(_MAX_PROBES):
         width = hi - lo
         if not halved:
             s = 0.5 * (lo + hi)
@@ -467,7 +460,8 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
             if last == "lo":
                 w_hi *= 0.5
             last = "lo"
-        halved = hi - lo <= 0.5 * width
+        halved = (hi - lo <= 0.5 * width
+                  or probe == 0 and abs(f_s) <= 0.5 * abs(f_c))
     stats["locate_misses"] += 1
     return x_s, s
 
@@ -562,8 +556,8 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
 
     def close_segment() -> None:
         n = len(seg_x)
-        xs = np.fromiter(chain.from_iterable(seg_x), float, n * dim)
-        segments.append(FlowSegment(j, np.array(seg_t), xs.reshape(n, dim)))
+        xs = np.fromiter(chain.from_iterable(seg_x), float, n * dim).reshape(n, dim)
+        segments.append(FlowSegment(j, np.array(seg_t), xs))
 
     while True:
         if fi is None:

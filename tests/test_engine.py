@@ -241,6 +241,44 @@ def test_step_flow_rejects_a_flow_of_the_wrong_length(size):
                 simulate(spec, np.zeros(2), SimConfig(dt=0.1, t_max=1.0))
 
 
+@pytest.mark.parametrize("wrap", [list, tuple, np.array,
+                                  lambda k: (a for a in k)])
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_flow_of_the_wrong_length_is_named(wrap, size):
+    """A list, a tuple, an ndarray or a generator of the wrong length, at
+    the first stage or a later one, is reported with its length."""
+    first = HybridSystemSpec(dim=2, flow_map=lambda v: wrap([1.0] * size),
+                             jump_map=lambda v: [],
+                             in_flow_set=lambda v: -1.0,
+                             in_jump_set=lambda v: 1.0)
+    later = dataclasses.replace(
+        first, flow_map=lambda v: wrap([1.0] * (2 if v[0] == 0.0 else size)))
+    for spec in (first, later):
+        with pytest.raises(DimensionMismatch,
+                           match=f"^flow map returned dimension {size}, expected 2$"):
+            step_flow(spec, [0.0, 0.0], 0.1)
+
+
+def test_segments_hold_c_contiguous_float64_states():
+    """Each segment's xs is a float64, C-contiguous (samples, dim) array
+    holding the states in sample order: on a width-1 clock whose first
+    segment is one sample (a jump at t = 0), and on a width-2 thermostat."""
+    clock = simulate(reset_clock_spec(), np.array([1.0]),
+                     SimConfig(dt=0.25, t_max=2.0))
+    thermo = simulate(thermostat_spec(), np.array([1.0, 1.0]),
+                      SimConfig(dt=0.05, t_max=1.0))
+    assert len(clock.segments[0].ts) == 1 and clock.jumps[0].t == 0.0
+    for arc, dim in ((clock, 1), (thermo, 2)):
+        assert arc.n_jumps >= 2
+        for seg in arc.segments:
+            xs = seg.xs
+            assert xs.dtype == np.float64 and xs.flags.c_contiguous
+            assert xs.shape == (len(seg.ts), dim)
+            assert xs.tobytes() == np.array(xs.tolist()).tobytes()
+    assert clock.segments[0].xs.tolist() == [[1.0]]
+    assert clock.segments[1].xs[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 def test_a_state_of_the_wrong_width_is_named():
     """step_flow and locate_boundary compare the caller's state with
     spec.dim: a width-agnostic flow would step it, and a fixed-width one
@@ -999,6 +1037,23 @@ def test_thermostat_switching_times_match_the_closed_form():
         locates += arc.stats["locate_calls"]
         probes += arc.stats["locate_probes"]
     assert probes / locates <= 2.5
+
+
+def test_a_first_probe_near_the_root_is_spared_the_midpoint(monkeypatch):
+    """From (1.0, heating) at dt 0.01 the first switch falls at fraction
+    0.536 of its step: the secant probe lands just past the root, beyond
+    the middle, and the interpolant then meets it, with no midpoint
+    between."""
+    log = record_probes(monkeypatch)
+    arc = simulate(thermostat_spec(), np.array([1.0, 1.0]),
+                   SimConfig(dt=0.01, t_max=0.15))
+    assert arc.n_jumps == arc.stats["locate_calls"] == 1
+    assert arc.stats["locate_probes"] == 2
+    # Eleven full steps, the last of them across the switch, then the probes.
+    steps = [entry[1] for entry in log if entry[0] == "probe"]
+    assert steps[:11] == [0.01] * 11
+    first, second = (h / 0.01 for h in steps[11:13])
+    assert 0.5 < second < first < 0.54
 
 
 def test_located_states_on_a_nonlinear_flow_meet_event_tol():
