@@ -77,21 +77,16 @@ def _kappa_bar_jac_x(d: DecomposedFeedback, x: np.ndarray,
 def reference_time_derivative(plant: AffinePlant, q: SynergisticQuadruple,
                               d: DecomposedFeedback, sp: SmoothedParams,
                               x: np.ndarray, eta: np.ndarray, u: np.ndarray,
-                              theta: np.ndarray) -> np.ndarray:
+                              theta: np.ndarray, *,
+                              etadot: np.ndarray | None = None) -> np.ndarray:
     """Time derivative of kappa_bar along the composite closed loop.
 
-    etadot is the tracker control and xdot = f + g u with the integrator
-    state u as the physical input.
+    etadot is the tracker control, computed here unless the caller already
+    holds it, and xdot = f + g u with the integrator state u as the
+    physical input.
     """
-    return _reference_rate(plant, d, x, eta, u,
-                           tracker_control(plant, q, d, sp, x, eta, theta))
-
-
-def _reference_rate(plant: AffinePlant, d: DecomposedFeedback, x: np.ndarray,
-                    eta: np.ndarray, u: np.ndarray,
-                    etadot: np.ndarray) -> np.ndarray:
-    """reference_time_derivative for a tracker control etadot already at
-    hand."""
+    if etadot is None:
+        etadot = tracker_control(plant, q, d, sp, x, eta, theta)
     xdot = (np.asarray(plant.f(x), dtype=float)
             + np.asarray(plant.g(x), dtype=float) @ np.asarray(u, dtype=float))
     return (np.asarray(d.upsilon(x), dtype=float) @ etadot
@@ -111,28 +106,23 @@ def backstep_lyapunov(q: SynergisticQuadruple, d: DecomposedFeedback,
 def backstep_control(plant: AffinePlant, q: SynergisticQuadruple,
                      d: DecomposedFeedback, sp: SmoothedParams,
                      bp: BacksteppingParams, x: np.ndarray, eta: np.ndarray,
-                     u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+                     u: np.ndarray, theta: np.ndarray, *,
+                     etadot: np.ndarray | None = None) -> np.ndarray:
     """Integrator input: following + feedforward + Lyapunov cross-term.
 
     The cross term g^T grad_x V_s cancels the tracking stage's V_s along the
     following error u - kappa_bar; grad_x V_s equals grad_x V only where
-    sigma does not depend on x.
+    sigma does not depend on x.  etadot, the tracker control, is computed
+    here unless the caller already holds it.
     """
-    return _backstep_input(plant, q, d, sp, bp, x, eta, u, theta,
-                           tracker_control(plant, q, d, sp, x, eta, theta))
-
-
-def _backstep_input(plant: AffinePlant, q: SynergisticQuadruple,
-                    d: DecomposedFeedback, sp: SmoothedParams,
-                    bp: BacksteppingParams, x: np.ndarray, eta: np.ndarray,
-                    u: np.ndarray, theta: np.ndarray,
-                    etadot: np.ndarray) -> np.ndarray:
-    """backstep_control for a tracker control etadot already at hand."""
+    if etadot is None:
+        etadot = tracker_control(plant, q, d, sp, x, eta, theta)
     err = np.asarray(u, float) - tracked_feedback(d, x, eta)
     gx, _, _ = grad_tracking_lyapunov(q, d, sp, x, eta, theta)
     cross = np.asarray(plant.g(x), float).T @ gx
     return (-bp.k_b * err
-            + _reference_rate(plant, d, x, eta, u, etadot)
+            + reference_time_derivative(plant, q, d, sp, x, eta, u, theta,
+                                        etadot=etadot)
             - cross / bp.gamma_b)
 
 
@@ -169,8 +159,8 @@ def backstepped_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
     def kappa_b(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
         x, eta, u = xb[:n], xb[n:n + s], xb[n + s:]
         etadot = tracker_control(plant, q, d, sp, x, eta, theta)
-        return np.concatenate([
-            etadot, _backstep_input(plant, q, d, sp, bp, x, eta, u, theta, etadot)])
+        return np.concatenate([etadot, backstep_control(
+            plant, q, d, sp, bp, x, eta, u, theta, etadot=etadot)])
 
     return augmented_family(plant, q, s + plant.dim_u, lambda xb: xb[n + s:],
                             V_b, grad_V_b, kappa_b, bp.delta_b)

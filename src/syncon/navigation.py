@@ -35,18 +35,16 @@ _switched_loop, makes all three switched loops the way the paper layers
 them: the smoothed loop is the hybrid loop plus the tracker eta, the
 backstepped loop the smoothed loop plus the actuator integrator u.  It reads
 every world, gain and layer constant once into closure locals and builds one
-flow closure and one switching kernel for synergy.switching_system; both
-are straight-line float code that adds the tracker terms when there is a
-tracker and the integrator terms when there is an integrator.  The kernel
-is the flow-set indicator itself, so a set test is one Python call: it
-computes the terms of V that do not depend on theta once per state (p -
-p_o, the skirt, the integrator term), combines them with the state's own
-angle and with each candidate's cos, sin, penalty and offset, fixed when
-the loop is built, keeps the smallest candidate V as it goes, the first of
-equals as the builtin min does, and returns V - best - gap without
-building a tuple or a list.  The jump map passes it a list, to which it
-appends each candidate's V.  The gradient loop never switches and has its
-own flow closure.
+flow closure and one switching kernel, in_flow_set, for the switching rule
+synergy.switching_system; both are straight-line float code that adds the
+tracker terms when there is a tracker and the integrator terms when there
+is an integrator.  The kernel is the flow-set indicator, one Python call: it
+computes the terms of V that do not depend on theta once per state (p - p_o,
+the skirt, the integrator term), combines them with the state's own angle
+and with each candidate's cos, sin, penalty and offset, fixed when the loop
+is built, keeps the least candidate V inline and returns V - best - gap;
+handed a list, it appends each candidate's V for the jump map.  The gradient
+loop never switches and has its own flow closure.
 Post-processing reads the harness's V, u, excess and clearance channels
 from sample_channels, the same formulas over a stack of states as numpy
 arrays (_loop_v and _angle_terms take arrays too).  The float helpers
@@ -682,10 +680,9 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
     """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
     (neither), smoothed (``sp``) or backstepped (both), after the gain and
     layer bounds are validated.  Its flow and its switching kernel
-    in_flow_set(v, out=None) -> V at v's own angle - best candidate V - gap,
-    which is the flow-set indicator and which the jump map reads through
-    ``out``, share the hybrid loop's prefix and add the tracker and
-    integrator terms of the layers present."""
+    in_flow_set(v, out=None), V(v) - best candidate V - gap, share the hybrid
+    loop's prefix and add the tracker and integrator terms of the layers
+    present."""
     validate_gains(world, gains)
     tracker = sp is not None
     integrator = bp is not None

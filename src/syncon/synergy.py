@@ -122,17 +122,16 @@ def switching_system(in_flow_set, Theta: np.ndarray, flow_map, dim_x: int,
                      project_flow=None) -> HybridSystemSpec:
     """The switching rule of every synergistic loop, over packed [x | theta].
 
-    ``in_flow_set(v, out=None)`` is the loop's switching kernel at the
-    packed state v, with x = v[:dim_x] and theta the rest: it returns
-    V(x, theta) - min over the rows theta_bar of Theta of V(x, theta_bar),
-    less the gap, and with a list ``out`` also appends each candidate's
-    V(x, theta_bar) to it, in Theta order.  The kernel is the spec's flow-set
-    indicator as it stands, so the loop flows while V(x, theta) is within the
-    gap of the best candidate.  The jump-set indicator is its exact
-    negation, so the spec is complementary; the jump map freezes x and moves
-    theta to every candidate within TIE_TOL of the minimum, lowest index
-    first.  Theta holds the candidates as rows, shape (L, r).  ``flow_map``
-    is used as given.
+    ``in_flow_set(v, out=None)`` is the loop's switching kernel and the
+    spec's flow-set indicator as it stands: at the packed state v, with x =
+    v[:dim_x] and theta the rest, it returns V(x, theta) less the least
+    V(x, theta_bar) over the rows theta_bar of Theta, less the gap, and
+    appends each V(x, theta_bar), in Theta order, to a list ``out``.  Theta
+    holds the candidates as rows, shape (L, r).  The loop flows while the
+    excess is within the gap and jumps otherwise, freezing x and moving theta
+    to every candidate within TIE_TOL of the minimum, lowest index first.
+    The jump-set indicator is the exact negation, so the spec is
+    complementary.  ``flow_map`` is used as given.
     """
     n = dim_x
     Theta = np.asarray(Theta, dtype=float)
@@ -140,8 +139,7 @@ def switching_system(in_flow_set, Theta: np.ndarray, flow_map, dim_x: int,
     def jump(v) -> list[np.ndarray]:
         cands = []
         in_flow_set(v, cands)
-        x = v[:n]
-        return [np.concatenate([x, Theta[i]]) for i in _tied(cands)]
+        return [np.concatenate([v[:n], Theta[i]]) for i in _tied(cands)]
 
     def in_jump_set(v) -> float:
         return -in_flow_set(v)

@@ -217,6 +217,27 @@ def test_the_backstepped_input_runs_the_tracker_once(monkeypatch):
         backstep_control(plant, q, d, sp, bp, x, eta, u, th)[0]]
 
 
+def test_a_given_tracker_control_is_used_as_is():
+    """backstep_control and reference_time_derivative compute the tracker
+    control unless the caller passes it as etadot; the tracker's own value
+    gives the same bits, and any other value is used instead."""
+    plant, q, d, sp, bp = bent_family()
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        x, eta, u, th = (rng.uniform(-2, 2, 1) for _ in range(4))
+        etadot = tracker_control(plant, q, d, sp, x, eta, th)
+        assert reference_time_derivative(
+            plant, q, d, sp, x, eta, u, th, etadot=etadot).tolist() == \
+            reference_time_derivative(plant, q, d, sp, x, eta, u, th).tolist()
+        assert backstep_control(
+            plant, q, d, sp, bp, x, eta, u, th, etadot=etadot).tolist() == \
+            backstep_control(plant, q, d, sp, bp, x, eta, u, th).tolist()
+        other = etadot + 1.0
+        assert reference_time_derivative(
+            plant, q, d, sp, x, eta, u, th, etadot=other).tolist() != \
+            reference_time_derivative(plant, q, d, sp, x, eta, u, th).tolist()
+
+
 def test_backstepped_quadruple_rejects_bad_gap():
     plant, q, d, sp, _ = bent_family()
     # Slack is delta - gamma_s c_kappa = 1 - 0.6 = 0.4.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ from syncon.backstepping import (
     backstep_lyapunov,
     backstepped_quadruple,
 )
-from syncon.synergy import assemble_closed_loop, audit_quadruple, v_excess
+from syncon.synergy import _tied, assemble_closed_loop, audit_quadruple, v_excess
 
 
 def demo_world() -> NavigationWorld:
@@ -682,6 +683,61 @@ def test_fused_kernels_equal_the_scalar_helpers():
     for v in skirt_states(world, gains, rng, 200, 3):
         assert spec.flow_map(v) == (
             -k_p * nav_gradient(world, v[:2], check=False)).tolist() + [0.0]
+
+
+def two_sided_loops():
+    """(name, spec, width, sp, bp) of the three switched loops in the demo
+    world with Theta = [-0.2, 0.2]."""
+    world = demo_world()
+    gains = dataclasses.replace(demo_gains(),
+                                theta_candidates=np.array([-0.2, 0.2]))
+    sp, bp = demo_smoothed(), demo_backstep()
+    return world, gains, [
+        ("hybrid", hybrid_closed_loop(world, gains), 3, None, None),
+        ("smooth", smooth_closed_loop(world, gains, sp), 5, sp, None),
+        ("backstep", backstep_closed_loop(world, gains, sp, bp), 7, sp, bp)]
+
+
+def test_the_switching_indicator_is_one_python_call():
+    """Each loop's flow-set indicator is its fused kernel: an evaluation
+    makes one Python-level call and no other, inside and outside the
+    skirt.  The jump-set indicator is its negation, bit for bit, the sign of
+    a zero included."""
+    world, gains, loops = two_sided_loops()
+    rng = np.random.default_rng(67)
+    for name, spec, width, _, _ in loops:
+        for v in skirt_states(world, gains, rng, 40, width):
+            calls = []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls.append(frame.f_code.co_name)
+
+            sys.setprofile(profile)
+            try:
+                fi = spec.in_flow_set(v)
+            finally:
+                sys.setprofile(None)
+            assert calls == ["in_flow_set"], name
+            ji = spec.in_jump_set(v)
+            assert np.float64(ji).tobytes() == np.float64(-fi).tobytes(), name
+
+
+def test_tied_candidates_all_come_back_from_the_jump_map():
+    """With p on the axis through p_o and p_d (and the tracker's eta2 at
+    zero), the candidates -0.2 and 0.2 give the same V to the last bit: the
+    jump map returns both, lowest index first, as synergy._tied picks them
+    from the loop potential."""
+    world, gains, loops = two_sided_loops()
+    cands = gains.theta_candidates.tolist()
+    for name, spec, width, sp, bp in loops:
+        for px in (-3.0, 2.55, 7.3, 12.0):
+            v = [px, 0.0, 0.7, 0.0, 1.5, -0.4][:width - 1] + [0.05]
+            values = [loop_potential(world, gains, sp, bp, v, t) for t in cands]
+            assert values[0] == values[1], name
+            post = [c.tolist() for c in spec.jump_map(v)]
+            assert post == [v[:-1] + [cands[i]] for i in _tied(values)], name
+            assert [p[-1] for p in post] == [-0.2, 0.2], name
 
 
 def test_loop_maps_guard_the_clearance():
