@@ -26,19 +26,21 @@ the projection each receive one, and must not modify it.  A list passed to
 step_flow, locate_boundary or apply_jump is taken as is, so it must hold
 Python floats; any other sequence is read as a float array; a state of any
 width but ``dim`` raises DimensionMismatch.  The flow map may return any
-sequence of ``dim`` floats; any other length raises DimensionMismatch too.
-The arc still holds float ndarrays.  When a step crosses a set boundary the
-crossing is located on the step fraction, re-integrating the partial step at
-each probe, so every accepted sample respects its set within ``event_tol``;
-a location that gives up short of it is counted on the arc.  Each probe is
-Brent's inverse quadratic step through the bracket ends and the end the
-previous probe replaced, which meets a smooth event in about two probes;
-it falls back to the Illinois (modified regula falsi) secant, and to the
-midpoint after any probe that did not halve the bracket, but for a first
-probe that at least halved the indicator at the end it replaced, so no
-location takes more than about twice bisection's probes.
-An indicator that is NaN raises NonFiniteState.  Everything here is
-deterministic: the same spec, state and config produce bit-identical arcs.
+sequence of ``dim`` floats; any other length fails the stage's unpack and
+raises DimensionMismatch too.  The arc still holds float ndarrays, each
+segment's states one C-contiguous (samples, dim) array filled by
+np.fromiter.  When a step crosses a set boundary the crossing is located on
+the step fraction, re-integrating the partial step at each probe, so every
+accepted sample respects its set within ``event_tol``; a location that
+gives up short of it is counted on the arc.  Each probe is Brent's inverse
+quadratic step through the bracket ends and the end the previous probe
+replaced, which meets a smooth event in about two probes; it falls back to
+the Illinois (modified regula falsi) secant, and to the midpoint after any
+probe that did not halve the bracket, but for a first probe that at least
+halved the indicator at the end it replaced, so no location takes more than
+about twice bisection's probes.  An indicator that is NaN raises
+NonFiniteState.  Everything here is deterministic: the same spec, state and
+config produce bit-identical arcs.
 
 The indicators are evaluated once per state: the pair computed at the end of
 an accepted step is carried into the next iteration, and is recomputed only
@@ -258,13 +260,12 @@ def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
     return NonFiniteState(f"indicator {name} is NaN at {np.asarray(x, float)!r}")
 
 
-# One RK4 stage of the kernel below: the flow map at the stage state s,
-# unpacked into the locals {k}0 ... {k}{n-1}.  An ndarray output is converted
-# with tolist, any other sequence with list; an output of the wrong length
-# fails to unpack, and only then is it measured for DimensionMismatch.  A
-# math-domain or overflow error from a flow map evaluated at a stage state
-# that has already left the reals (a step too large for the field) is
-# reported as NonFiniteState; at a finite state it propagates as is.
+# One RK4 stage of the kernel below: the flow map at the stage state s, as a
+# list (tolist for an ndarray), unpacked into {k}0 ... {k}{n-1}; an output
+# that fails to unpack raises DimensionMismatch.  A math-domain or overflow
+# error from a flow map at a stage state that has already left the reals (a
+# step too large for the field) is NonFiniteState; at a finite state it
+# propagates as is.
 _RK4_STAGE = """\
     try:
         k = f(s)
