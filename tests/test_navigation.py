@@ -686,8 +686,8 @@ def test_fused_kernels_equal_the_scalar_helpers():
 
 
 def two_sided_loops():
-    """(name, spec, width, sp, bp) of the three switched loops in the demo
-    world with Theta = [-0.2, 0.2]."""
+    """The demo world, its gains with Theta = [-0.2, 0.2], and (name, spec,
+    width, sp, bp) for each of the three switched loops on them."""
     world = demo_world()
     gains = dataclasses.replace(demo_gains(),
                                 theta_candidates=np.array([-0.2, 0.2]))
