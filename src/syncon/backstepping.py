@@ -41,11 +41,7 @@ class BacksteppingParams:
     k_b: float
     delta_b: float
 
-    def __post_init__(self):
-        for name in ("gamma_b", "k_b", "delta_b"):
-            v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+    __post_init__ = SmoothedParams.__post_init__  # every field positive
 
 
 def validate_backstepping_params(delta: float, c_kappa: float,

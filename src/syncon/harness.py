@@ -15,7 +15,7 @@ hand-rolled SVG plot.  The channels are computed as arrays over the stacked
 states of the whole arc (navigation.sample_channels), with numpy arithmetic
 in the scalar kernels' order of operations and math's log, hypot, cos and
 sin, so every value, and every exported byte, is what the per-sample scalar
-helpers give.  write_csv formats column by column in bounded chunks.
+helpers give.  write_csv formats bounded chunks of rows, on two cores.
 
 check_scenario reports the parameter bounds from the same validators,
 locates the stuck point of the base potential, and audits the switched
@@ -28,6 +28,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .backstepping import BacksteppingParams, validate_backstepping_params
 from .engine import HybridArc, SimConfig, simulate
-from .errors import ParseError, SynconError, ValidationError
+from .errors import NoRootBracketed, ParseError, SynconError, ValidationError
 from .navigation import (
     NavGains,
     NavigationWorld,
@@ -500,7 +503,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         eta=xs[:, 2:4] if has_eta else None,
         u=u, V=V, mu=mu, dobs=dobs, ddest=ddest,
         jumps=jump_rows, termination=arc.termination, gap=gap,
-        n_clamped=arc.n_clamped, wall_time=time.perf_counter() - start,
+        n_clamped=arc.stats["clamps"], wall_time=time.perf_counter() - start,
         arc=arc,
     )
 
@@ -513,6 +516,12 @@ def write_csv(record: RunRecord, path) -> None:
     Floats are printed with %.17g, so the same config produces
     byte-identical output on every run.  Rows are formatted with one format
     string, _CSV_CHUNK_ROWS at a time, which bounds the text held at once.
+    From two chunks on, a forked worker formats the second half of the rows
+    into a pipe while this process writes the first, each held to its own
+    CPUs (a scheduler need not move a forked child off its parent's), then
+    the pipe is copied in: the same bytes.  With one usable CPU, another
+    live thread (the child could deadlock) or no os.sched_setaffinity, one
+    process writes them all.
     """
     eta, j = record.eta, record.j
     columns = [record.t, j, record.p[:, 0], record.p[:, 1], record.theta,
@@ -523,12 +532,45 @@ def write_csv(record: RunRecord, path) -> None:
     row = ",".join("" if col is None else "%d" if col is j else "%.17g"
                    for col in columns) + "\n"
     present = [col for col in columns if col is not None]
+
+    def chunks(lo, hi):  # rows lo:hi, _CSV_CHUNK_ROWS formatted to a string
+        for a in range(lo, hi, _CSV_CHUNK_ROWS):
+            b = min(a + _CSV_CHUNK_ROWS, hi)
+            yield "".join([row % v for v in zip(*[c[a:b].tolist() for c in present])])
+
+    n = len(record.t)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    mid = n // 2 if (n >= 2 * _CSV_CHUNK_ROWS and len(cpus) > 1
+                     and threading.active_count() == 1) else n
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for lo in range(0, len(record.t), _CSV_CHUNK_ROWS):
-            values = zip(*[col[lo:lo + _CSV_CHUNK_ROWS].tolist()
-                           for col in present])
-            fh.write("".join([row % v for v in values]))
+        if mid == n:
+            fh.writelines(chunks(0, n))
+            return
+        r, w = os.pipe()
+        with open(r, "rb") as pipe, open(w, "w") as out:
+            pid = os.fork()
+            if pid == 0:  # the worker: rows mid:n to the pipe, then exit
+                try:
+                    os.close(r)  # so that it gets EPIPE once the caller closes
+                    os.sched_setaffinity(0, cpus[1:])
+                    out.write("".join(chunks(mid, n)))
+                    out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            out.close()  # the worker's copy is the only writer
+            try:
+                os.sched_setaffinity(0, cpus[:1])
+                fh.writelines(chunks(0, mid))
+                fh.flush()
+                shutil.copyfileobj(pipe, fh.buffer)
+            finally:
+                pipe.close()  # a worker still writing then exits
+                os.sched_setaffinity(0, cpus)
+                status = os.waitpid(pid, 0)[1]
+    if status:
+        raise OSError(f"{path}: the CSV worker ended with wait status {status}")
 
 
 def write_svg(record: RunRecord, path) -> None:
@@ -627,20 +669,38 @@ def audit_box(cfg: ScenarioConfig):
             np.array([hi_p[0], hi_p[1], tmax]))
 
 
+def family_audit(cfg: ScenarioConfig, n_samples: int, seed: int,
+                 sample_critical: bool = False):
+    """(q, critical states, note, report): cfg's nominal family audited on
+    audit_box, at the stuck point if there is one, else with the note saying
+    why not.  sample_critical (check_scenario's audit) also samples the stuck
+    point and, without one, runs no audit and gives report None."""
+    plant, q = nominal_controller(cfg.world, cfg.gains)
+    try:
+        critical, note = [(find_critical_point(cfg.world), np.zeros(1))], None
+    except NoRootBracketed as exc:
+        critical, note = [], str(exc)
+    report = None if sample_critical and not critical else audit_quadruple(
+        plant, q, [(cfg.initial.p0.copy(), np.zeros(1))]
+        + (critical if sample_critical else []), critical, box=audit_box(cfg),
+        n_samples=n_samples, seed=seed)
+    return q, critical, note, report
+
+
 def check_scenario(cfg: ScenarioConfig, n_audit_samples: int = 200) -> ConsistencyReport:
     """Check the parameter bounds, the stuck point and the switched family."""
     world, gains = cfg.world, cfg.gains
     items: list[CheckItem] = []
-    dest = world.dest_range
 
     broken = bound_violations(world, gains, cfg.smoothed, cfg.backstep)
     items.append(CheckItem("parameter bounds", not broken,
                            "; ".join(broken) or "every layer bound holds"))
 
     gap_max = max_synergy_gap(world, gains)
-    plant, q = nominal_controller(world, gains)
-    try:
-        p_star = find_critical_point(world)
+    q, critical, note, report = family_audit(cfg, n_audit_samples, cfg.seed,
+                                             sample_critical=True)
+    if critical:
+        p_star = critical[0][0]
         g_norm = float(np.linalg.norm(nav_gradient(world, p_star)))
         z_star = obstacle_distance(world, p_star)
         items.append(CheckItem(
@@ -653,17 +713,15 @@ def check_scenario(cfg: ScenarioConfig, n_audit_samples: int = 200) -> Consisten
             mu_star > gains.delta and mu_star >= gap_max - 1e-9,
             f"mu(p*, 0) = {mu_star:.6g} exceeds delta = {gains.delta:.6g} "
             f"and the gap ceiling {gap_max:.6g}"))
-        critical = [(p_star, np.zeros(1))]
-    except SynconError as exc:
-        items.append(CheckItem("stuck point", False, str(exc)))
-        critical = []
+    else:
+        items.append(CheckItem("stuck point", False, note))
 
     if cfg.smoothed is not None:
         d = decomposed_feedback(world, gains)
         rng = np.random.default_rng(cfg.seed)
         states = []
         while len(states) < 25:
-            p = rng.uniform(-1.0, 1.0, 2) * (dest + 4.0)
+            p = rng.uniform(-1.0, 1.0, 2) * (world.dest_range + 4.0)
             if obstacle_distance(world, p) > world.epsilon:
                 th = rng.uniform(-gains.theta_mag_max, gains.theta_mag_max)
                 states.append((p, np.array([th])))
@@ -673,13 +731,7 @@ def check_scenario(cfg: ScenarioConfig, n_audit_samples: int = 200) -> Consisten
             f"max |varsigma + Upsilon sigma - kappa| = {worst:.3g} over "
             f"{len(states)} states"))
 
-    if critical:
-        lo, hi = audit_box(cfg)
-        report = audit_quadruple(
-            plant, q,
-            sample_states=[(cfg.initial.p0.copy(), np.zeros(1))] + critical,
-            critical_states=critical,
-            box=(lo, hi), n_samples=n_audit_samples, seed=cfg.seed)
+    if report is not None:
         items.append(CheckItem(
             "family audit", report.passed,
             f"worst flow derivative = {report.c3_worst:.3g}, critical excess "

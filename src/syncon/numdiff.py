@@ -14,21 +14,6 @@ import numpy as np
 DEFAULT_STEP = 1e-6
 
 
-def central_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     step: float = DEFAULT_STEP) -> np.ndarray:
-    """Gradient of a scalar function by central differences."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return out
-
-
 def central_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                      step: float = DEFAULT_STEP) -> np.ndarray:
     """Jacobian of a vector function, one output row per component of fn."""
@@ -43,3 +28,10 @@ def central_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         cols.append((np.asarray(fn(xp), dtype=float)
                      - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def central_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
+                     step: float = DEFAULT_STEP) -> np.ndarray:
+    """Gradient of a scalar function by central differences: the one row of
+    the Jacobian of [f]."""
+    return central_jacobian(lambda v: [f(v)], x, step)[0]

@@ -5,14 +5,16 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, REPO_ROOT, loop_potential
+from conftest import CONFIG_DIR, REPO_ROOT, arc_samples, loop_potential
 from syncon import harness
 from syncon.cli import main
 from syncon.engine import SimConfig, simulate
@@ -627,7 +629,7 @@ def test_run_scenario_channels_equal_the_scalar_helpers(path):
         return scalar_channels(cfg.world, cfg.gains, cfg.smoothed, cfg.backstep,
                                spec, gap, v)
 
-    samples = list(rec.arc.iter_samples())
+    samples = list(arc_samples(rec.arc))
     xs = np.array([x for _, _, x in samples])
     V, ux, uy, mu, dobs, ddest = np.array([ref(x) for x in xs]).T
     assert np.array_equal(rec.t, [t for t, _, _ in samples])
@@ -714,6 +716,168 @@ def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
     points = " ".join(f"{(x - xmin) * scale:.2f},{(ymax - y) * scale:.2f}"
                       for x, y in rec.p)
     assert root.find(".//s:polyline", ns).get("points") == points
+
+
+# -- the CSV export on two cores ----------------------------------------------
+
+CHUNK = harness._CSV_CHUNK_ROWS
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@pytest.fixture(scope="module")
+def smooth_record():
+    """fig5_smooth over t = 1.2: 2401 rows, every channel present."""
+    return run_scenario(short_shipped(CONFIG_DIR / "fig5_smooth.json", t_max=1.2))
+
+
+@pytest.fixture
+def pins(monkeypatch):
+    """The CPU sets write_csv holds this process to, on a host with two
+    usable CPUs; the worker's own pin is made in the worker."""
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: calls.append(list(cpus)), raising=False)
+    return calls
+
+
+@pytest.fixture
+def forks(monkeypatch, pins):
+    """The os.fork calls write_csv makes."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def first_rows(rec, n):
+    """The record cut to its first n samples, every channel alike."""
+    names = ("t", "j", "p", "theta", "eta", "u", "V", "mu", "dobs", "ddest")
+    return dataclasses.replace(rec, **{name: getattr(rec, name)[:n] for name in names
+                                       if getattr(rec, name) is not None})
+
+
+class FailingSlices:
+    """A channel whose row slices raise where ``fails(first row)`` holds."""
+
+    def __init__(self, values, fails):
+        self.values, self.fails = values, fails
+
+    def __getitem__(self, rows):
+        if self.fails(rows.start):
+            raise ValueError(f"rows from {rows.start} refused")
+        return self.values[rows]
+
+
+@needs_fork
+@pytest.mark.parametrize("rows, chunk_rows, n_forks", [
+    (2 * CHUNK - 1, CHUNK, 0),
+    (2 * CHUNK, CHUNK, 1),
+    (2401, CHUNK, 1),
+    (13, 7, 0),
+    (2401, 7, 1),  # both halves many chunks, each ending short
+])
+def test_csv_halves_give_the_per_row_bytes(smooth_record, forks, pins,
+                                           monkeypatch, tmp_path, rows,
+                                           chunk_rows, n_forks):
+    """A record of two chunks or more is formatted by two processes, one
+    below that by one; the bytes are the per-row formatting's either way.
+    The caller holds itself to the first CPU while the worker runs and
+    then gets its whole set back."""
+    monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", chunk_rows)
+    rec = first_rows(smooth_record, rows)
+    write_csv(rec, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == per_row_csv(rec)
+    assert len(forks) == n_forks
+    assert pins == [[0], [0, 1]] * n_forks
+    assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("cannot", ["thread", "one_cpu", "no_pinning"])
+def test_csv_is_written_in_one_process_where_a_worker_cannot_run(
+        smooth_record, forks, monkeypatch, tmp_path, cannot):
+    """Another live thread (a child forked then may deadlock), one usable
+    CPU, or no os.sched_setaffinity to hold the worker off this process's
+    CPU: no worker, and the same bytes."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if cannot == "thread":
+        thread.start()
+    elif cannot == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    try:
+        write_csv(smooth_record, tmp_path / "a.csv")
+    finally:
+        release.set()
+    if cannot == "thread":
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert (tmp_path / "a.csv").read_bytes() == per_row_csv(smooth_record)
+    assert forks == []
+    assert_no_child()
+
+
+@needs_fork
+def test_a_failing_csv_worker_raises_an_oserror(smooth_record, forks, tmp_path):
+    """Only the worker formats rows n//2 on, so a channel that fails there
+    fails the worker, and write_csv raises OSError naming its status."""
+    mid = len(smooth_record.t) // 2
+    rec = dataclasses.replace(
+        smooth_record, V=FailingSlices(smooth_record.V, lambda a: a >= mid))
+    with pytest.raises(OSError, match="wait status 256"):
+        write_csv(rec, tmp_path / "a.csv")
+    assert len(forks) == 1
+    assert_no_child()
+
+
+@needs_fork
+def test_a_failure_in_the_callers_half_reaps_the_worker(smooth_record, forks,
+                                                        tmp_path):
+    """The caller's own error propagates; its worker, with more text than
+    a pipe buffers, is not left blocked on the pipe."""
+    mid = len(smooth_record.t) // 2
+    rec = dataclasses.replace(
+        smooth_record, V=FailingSlices(smooth_record.V, lambda a: a < mid))
+    with pytest.raises(ValueError, match="rows from 0 refused"):
+        write_csv(rec, tmp_path / "a.csv")
+    assert len(forks) == 1
+    assert_no_child()
+
+
+@needs_fork
+def test_an_unwritable_csv_path_raises_before_any_fork(smooth_record, forks,
+                                                       tmp_path):
+    with pytest.raises(IsADirectoryError):
+        write_csv(smooth_record, tmp_path)
+    assert forks == []
+    assert_no_child()
+
+
+@needs_fork
+def test_the_csv_worker_flushes_no_buffer_of_the_caller(smooth_record, forks,
+                                                        tmp_path):
+    """Text the caller has buffered but not flushed is written once."""
+    with open(tmp_path / "log.txt", "w") as log:
+        log.write("buffered\n")
+        write_csv(smooth_record, tmp_path / "a.csv")
+    assert len(forks) == 1
+    assert (tmp_path / "log.txt").read_text() == "buffered\n"
+    assert_no_child()
 
 
 def test_the_shell_projection_holds_the_margin_on_the_exact_flow():
