@@ -805,6 +805,23 @@ def test_csv_halves_give_the_per_row_bytes(smooth_record, forks, pins,
     assert_no_child()
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and two usable CPUs")
+def test_the_caller_gets_its_cpu_set_back(smooth_record, monkeypatch, tmp_path):
+    """With the real pinning calls, the worker runs and the caller ends
+    with the CPU set it started with."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    before = os.sched_getaffinity(0)
+    write_csv(smooth_record, tmp_path / "a.csv")
+    assert os.sched_getaffinity(0) == before
+    assert len(calls) == 1
+    assert (tmp_path / "a.csv").read_bytes() == per_row_csv(smooth_record)
+    assert_no_child()
+
+
 @needs_fork
 @pytest.mark.parametrize("cannot", ["thread", "one_cpu", "no_pinning"])
 def test_csv_is_written_in_one_process_where_a_worker_cannot_run(
