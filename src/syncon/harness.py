@@ -567,8 +567,8 @@ def write_csv(record: RunRecord, path) -> None:
                 shutil.copyfileobj(pipe, fh.buffer)
             finally:
                 pipe.close()  # a worker still writing then exits
-                os.sched_setaffinity(0, cpus)
                 status = os.waitpid(pid, 0)[1]
+                os.sched_setaffinity(0, cpus)
     if status:
         raise OSError(f"{path}: the CSV worker ended with wait status {status}")
 
