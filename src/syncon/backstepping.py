@@ -41,7 +41,11 @@ class BacksteppingParams:
     k_b: float
     delta_b: float
 
-    __post_init__ = SmoothedParams.__post_init__  # every field positive
+    def __post_init__(self):
+        for name in ("gamma_b", "k_b", "delta_b"):
+            v = getattr(self, name)
+            if not (v > 0.0 and np.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def validate_backstepping_params(delta: float, c_kappa: float,

@@ -5,16 +5,20 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import SynconError
 from .harness import (
+    audit_box,
     check_scenario,
     compare_records,
-    family_audit,
     load_config,
+    nominal_family,
     run_scenario,
     write_csv,
     write_svg,
 )
+from .synergy import audit_quadruple
 
 
 def _non_negative_int(text: str) -> int:
@@ -73,15 +77,25 @@ def main(argv=None) -> int:
                     print(line)
             return 0
 
-        if args.command in ("check", "audit"):
+        if args.command == "check":
+            report = check_scenario(load_config(args.config),
+                                    n_audit_samples=args.samples)
+            for line in report.lines():
+                print(line)
+            return 0 if report.passed else 1
+
+        if args.command == "audit":
             cfg = load_config(args.config)
-            if args.command == "check":
-                report = check_scenario(cfg, n_audit_samples=args.samples)
-            else:
-                seed = cfg.seed if args.seed is None else args.seed
-                _, _, note, report = family_audit(cfg, args.samples, seed)
-                if note:
-                    print(f"[note] no stuck point: {note}")
+            plant, q, critical, note = nominal_family(cfg)
+            if note is not None:
+                print(f"[note] no stuck point: {note}")
+            lo, hi = audit_box(cfg)
+            seed = cfg.seed if args.seed is None else args.seed
+            report = audit_quadruple(
+                plant, q,
+                sample_states=[(cfg.initial.p0.copy(), np.zeros(1))],
+                critical_states=critical,
+                box=(lo, hi), n_samples=args.samples, seed=seed)
             for line in report.lines():
                 print(line)
             return 0 if report.passed else 1

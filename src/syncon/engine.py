@@ -60,7 +60,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -207,6 +207,10 @@ class HybridArc:
     notes: list[str] = field(default_factory=list)
 
     @property
+    def n_clamped(self) -> int:
+        return self.stats["clamps"]
+
+    @property
     def n_jumps(self) -> int:
         return len(self.jumps)
 
@@ -215,8 +219,22 @@ class HybridArc:
         return self.segments[-1].xs[-1]
 
     @property
+    def final_time(self) -> float:
+        return float(self.segments[-1].ts[-1])
+
+    @property
+    def final_jump_counter(self) -> int:
+        return self.segments[-1].j
+
+    @property
     def total_samples(self) -> int:
         return sum(len(seg.ts) for seg in self.segments)
+
+    def iter_samples(self) -> Iterator[tuple[float, int, np.ndarray]]:
+        """Yield (t, j, state) over all segments in hybrid-time order."""
+        for seg in self.segments:
+            for k in range(len(seg.ts)):
+                yield float(seg.ts[k]), seg.j, seg.xs[k]
 
 
 def _state(x, dim: int, what: str) -> list[float]:

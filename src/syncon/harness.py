@@ -503,7 +503,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         eta=xs[:, 2:4] if has_eta else None,
         u=u, V=V, mu=mu, dobs=dobs, ddest=ddest,
         jumps=jump_rows, termination=arc.termination, gap=gap,
-        n_clamped=arc.stats["clamps"], wall_time=time.perf_counter() - start,
+        n_clamped=arc.n_clamped, wall_time=time.perf_counter() - start,
         arc=arc,
     )
 
@@ -517,11 +517,20 @@ def write_csv(record: RunRecord, path) -> None:
     byte-identical output on every run.  Rows are formatted with one format
     string, _CSV_CHUNK_ROWS at a time, which bounds the text held at once.
     From two chunks on, a forked worker formats the second half of the rows
-    into a pipe while this process writes the first, each held to its own
-    CPUs (a scheduler need not move a forked child off its parent's), then
-    the pipe is copied in: the same bytes.  With one usable CPU, another
-    live thread (the child could deadlock) or no os.sched_setaffinity, one
-    process writes them all.
+    into a pipe while this process writes the first, then the pipe is
+    copied in: the same bytes.  The worker is held to the usable CPUs other
+    than the one this process runs on, since a scheduler need not move a
+    forked child off its parent's CPU; this process is never pinned.  With
+    one usable CPU, another live thread (the child could deadlock), no
+    os.sched_setaffinity or no readable /proc/self/stat, or where os.fork
+    fails, one process writes them all.
+
+    threading.active_count() sees Python threads only, not a native pool
+    such as OpenBLAS's; Python 3.12 and later warn when such a process
+    forks.  The threshold and the pinning were measured on one 2-core host
+    whose cpuset does not balance load, under Python 3.11 only: there the
+    forked export took 10% less time at 2048 rows and 26-41% less from
+    4096 to 32768 rows.
     """
     eta, j = record.eta, record.j
     columns = [record.t, j, record.p[:, 0], record.p[:, 1], record.theta,
@@ -539,38 +548,71 @@ def write_csv(record: RunRecord, path) -> None:
             yield "".join([row % v for v in zip(*[c[a:b].tolist() for c in present])])
 
     n = len(record.t)
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    mid = n // 2 if (n >= 2 * _CSV_CHUNK_ROWS and len(cpus) > 1
-                     and threading.active_count() == 1) else n
+    here = (_cpu_now() if n >= 2 * _CSV_CHUNK_ROWS
+            and threading.active_count() == 1 else None)
+    others = [] if here is None else sorted(os.sched_getaffinity(0) - {here})
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        if mid == n:
+        worker = _fork_csv_worker(chunks(n // 2, n), others) if others else None
+        if worker is None:
             fh.writelines(chunks(0, n))
             return
-        r, w = os.pipe()
-        with open(r, "rb") as pipe, open(w, "w") as out:
-            pid = os.fork()
-            if pid == 0:  # the worker: rows mid:n to the pipe, then exit
-                try:
-                    os.close(r)  # so that it gets EPIPE once the caller closes
-                    os.sched_setaffinity(0, cpus[1:])
-                    out.write("".join(chunks(mid, n)))
-                    out.flush()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            out.close()  # the worker's copy is the only writer
-            try:
-                os.sched_setaffinity(0, cpus[:1])
-                fh.writelines(chunks(0, mid))
-                fh.flush()
-                shutil.copyfileobj(pipe, fh.buffer)
-            finally:
-                pipe.close()  # a worker still writing then exits
-                status = os.waitpid(pid, 0)[1]
-                os.sched_setaffinity(0, cpus)
+        pid, pipe = worker
+        try:
+            fh.writelines(chunks(0, n // 2))
+            fh.flush()
+            shutil.copyfileobj(pipe, fh.buffer)
+        finally:
+            pipe.close()  # a worker still writing then exits
+            status = os.waitpid(pid, 0)[1]
     if status:
-        raise OSError(f"{path}: the CSV worker ended with wait status {status}")
+        raise OSError(f"{path}: the CSV worker ended with wait status {status}"
+                      " (its traceback is on stderr)")
+
+
+def _cpu_now() -> int | None:
+    """The CPU this process is running on, read from /proc/self/stat
+    (field 39, after the parenthesised command name); None where
+    os.sched_setaffinity is missing or the file cannot be read."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _fork_csv_worker(texts, cpus):
+    """(pid, pipe) of a forked worker, held to cpus, that joins the strings
+    texts yields and writes them to a pipe; pipe is its read end, a binary
+    file.  None where os.fork fails (a process limit, no memory).
+
+    The worker touches no file object of the caller and always ends in
+    os._exit, so no buffer the caller holds is written twice.  A worker that
+    fails writes its traceback to file descriptor 2 and exits with status 1.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)  # so that it gets EPIPE once the caller closes
+            os.sched_setaffinity(0, cpus)
+            with open(w, "w") as out:
+                out.write("".join(texts))
+            os._exit(0)
+        except BaseException:
+            import traceback  # only a failing worker needs it
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(1)
+    os.close(w)  # the worker's copy is the only writer
+    return pid, open(r, "rb")
 
 
 def write_svg(record: RunRecord, path) -> None:
@@ -669,36 +711,34 @@ def audit_box(cfg: ScenarioConfig):
             np.array([hi_p[0], hi_p[1], tmax]))
 
 
-def family_audit(cfg: ScenarioConfig, n_samples: int, seed: int,
-                 sample_critical: bool = False):
-    """(q, critical states, note, report): cfg's nominal family audited on
-    audit_box, at the stuck point if there is one, else with the note saying
-    why not.  sample_critical (check_scenario's audit) also samples the stuck
-    point and, without one, runs no audit and gives report None."""
+def nominal_family(cfg: ScenarioConfig):
+    """(plant, q, critical, note): cfg's nominal switched family, the
+    critical states for its audit, and why they are empty.
+
+    critical holds the stuck point of the base potential at theta = 0, and
+    note is None; where find_critical_point brackets no stuck point,
+    critical is empty and note is its reason.
+    """
     plant, q = nominal_controller(cfg.world, cfg.gains)
     try:
-        critical, note = [(find_critical_point(cfg.world), np.zeros(1))], None
+        p_star = find_critical_point(cfg.world)
     except NoRootBracketed as exc:
-        critical, note = [], str(exc)
-    report = None if sample_critical and not critical else audit_quadruple(
-        plant, q, [(cfg.initial.p0.copy(), np.zeros(1))]
-        + (critical if sample_critical else []), critical, box=audit_box(cfg),
-        n_samples=n_samples, seed=seed)
-    return q, critical, note, report
+        return plant, q, [], str(exc)
+    return plant, q, [(p_star, np.zeros(1))], None
 
 
 def check_scenario(cfg: ScenarioConfig, n_audit_samples: int = 200) -> ConsistencyReport:
     """Check the parameter bounds, the stuck point and the switched family."""
     world, gains = cfg.world, cfg.gains
     items: list[CheckItem] = []
+    dest = world.dest_range
 
     broken = bound_violations(world, gains, cfg.smoothed, cfg.backstep)
     items.append(CheckItem("parameter bounds", not broken,
                            "; ".join(broken) or "every layer bound holds"))
 
     gap_max = max_synergy_gap(world, gains)
-    q, critical, note, report = family_audit(cfg, n_audit_samples, cfg.seed,
-                                             sample_critical=True)
+    plant, q, critical, note = nominal_family(cfg)
     if critical:
         p_star = critical[0][0]
         g_norm = float(np.linalg.norm(nav_gradient(world, p_star)))
@@ -721,7 +761,7 @@ def check_scenario(cfg: ScenarioConfig, n_audit_samples: int = 200) -> Consisten
         rng = np.random.default_rng(cfg.seed)
         states = []
         while len(states) < 25:
-            p = rng.uniform(-1.0, 1.0, 2) * (world.dest_range + 4.0)
+            p = rng.uniform(-1.0, 1.0, 2) * (dest + 4.0)
             if obstacle_distance(world, p) > world.epsilon:
                 th = rng.uniform(-gains.theta_mag_max, gains.theta_mag_max)
                 states.append((p, np.array([th])))
@@ -731,7 +771,13 @@ def check_scenario(cfg: ScenarioConfig, n_audit_samples: int = 200) -> Consisten
             f"max |varsigma + Upsilon sigma - kappa| = {worst:.3g} over "
             f"{len(states)} states"))
 
-    if report is not None:
+    if critical:
+        lo, hi = audit_box(cfg)
+        report = audit_quadruple(
+            plant, q,
+            sample_states=[(cfg.initial.p0.copy(), np.zeros(1))] + critical,
+            critical_states=critical,
+            box=(lo, hi), n_samples=n_audit_samples, seed=cfg.seed)
         items.append(CheckItem(
             "family audit", report.passed,
             f"worst flow derivative = {report.c3_worst:.3g}, critical excess "

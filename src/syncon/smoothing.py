@@ -19,7 +19,7 @@ away from the target set, the tracker weight must satisfy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,10 +71,10 @@ class SmoothedParams:
     delta_s: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in ("gamma_s", "k_eta", "delta_s"):
+            v = getattr(self, name)
             if not (v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"{f.name} must be positive and finite, got {v}")
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def validate_smoothed_params(delta: float, c_kappa: float,

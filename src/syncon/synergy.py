@@ -64,6 +64,10 @@ class SynergisticQuadruple:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
     @property
+    def n_candidates(self) -> int:
+        return self.Theta.shape[0]
+
+    @property
     def dim_theta(self) -> int:
         return self.Theta.shape[1]
 
@@ -329,17 +333,20 @@ def audit_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
         if len(switch_candidates(q, x, th)) > 1:
             ties += 1
 
-    critical = [(np.asarray(x, float), np.atleast_1d(np.asarray(th, float)))
-                for x, th in critical_states]
-    c4_margin = min([np.inf] + [v_excess(q, x, th) - q.delta
-                                for x, th in critical])
+    c4_margin = np.inf
+    for x, th in critical_states:
+        x = np.asarray(x, float)
+        th = np.atleast_1d(np.asarray(th, float))
+        c4_margin = min(c4_margin, v_excess(q, x, th) - q.delta)
 
     # Radial growth probe: V should grow along rays leaving the first
-    # critical state (or else the first sampled state).
+    # critical state (or the origin-like mean of the samples).
     rng = np.random.default_rng(seed + 1)
-    if critical or states:
-        x, th = (critical or states)[0]
-        base = np.concatenate([x.ravel(), th])
+    if critical_states:
+        base = np.concatenate([np.asarray(critical_states[0][0], float).ravel(),
+                               np.atleast_1d(np.asarray(critical_states[0][1], float))])
+    elif states:
+        base = np.concatenate([states[0][0], states[0][1]])
     else:
         base = np.zeros(n + q.dim_theta)
     rays_checked = 0

@@ -24,13 +24,6 @@ CONFIG_DIR = REPO_ROOT / "configs"
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
 
 
-def arc_samples(arc):
-    """(t, j, state) of every sample of a HybridArc, in hybrid-time order."""
-    for seg in arc.segments:
-        for k in range(len(seg.ts)):
-            yield float(seg.ts[k]), seg.j, seg.xs[k]
-
-
 def toy_scalar_pieces():
     """A one-dimensional worked example with every piece written out.
 

@@ -16,12 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
-    CONFIG_DIR,
-    arc_samples,
-    record_criterion,
-    toy_scalar_pieces,
-)
+from conftest import CONFIG_DIR, record_criterion, toy_scalar_pieces
 from syncon.backstepping import backstepped_quadruple
 from syncon.engine import HybridSystemSpec, SimConfig, simulate, step_flow
 from syncon.harness import (
@@ -77,7 +72,7 @@ def long_records(records):
                         SimConfig(dt=0.01, t_max=150.0))
         world = rec.config.world
         t2, dist2, th2 = [], [], []
-        for t, _, x in arc_samples(arc2):
+        for t, _, x in arc2.iter_samples():
             t2.append(10.0 + t)
             dist2.append(math.hypot(x[0] - world.p_d[0], x[1] - world.p_d[1]))
             th2.append(x[-1])
@@ -103,7 +98,7 @@ def reversed_spec(spec: HybridSystemSpec) -> HybridSystemSpec:
 def flow_samples(arc, in_flow, t_min=0.5, stride=500, boundary=-1e-5):
     """Interior flow samples of an arc, past the initial transient."""
     picked = []
-    for i, (t, _, x) in enumerate(arc_samples(arc)):
+    for i, (t, _, x) in enumerate(arc.iter_samples()):
         if t < t_min or i % stride:
             continue
         if in_flow(x) <= boundary:
@@ -356,7 +351,7 @@ def test_criterion_8_backstepping_demo(records):
     spec = assemble_closed_loop(plant_b, q_b)
     arc = simulate(spec, np.array([1.5, 0.0, 0.0, 0.0]),
                    SimConfig(dt=1e-3, t_max=5.0))
-    toy_V = np.array([q_b.V(x[:3], x[3:]) for _, _, x in arc_samples(arc)])
+    toy_V = np.array([q_b.V(x[:3], x[3:]) for _, _, x in arc.iter_samples()])
     toy_rise = float(np.max(np.diff(toy_V)))
     xe = arc.final_state
     toy_follow = abs(float(xe[2]) - float(tracked_feedback(
@@ -455,7 +450,7 @@ def test_hybrid_ring_sweep():
         arc = simulate(spec, np.array([p0[0], p0[1], 0.0]), sim)
 
         vs, clear = [], math.inf
-        for _, _, x in arc_samples(arc):
+        for _, _, x in arc.iter_samples():
             vs.append(switched_potential(world, gains, x[:2], x[2],
                                          check=False))
             clear = min(clear, obstacle_distance(world, x[:2]))
@@ -481,7 +476,7 @@ def test_smooth_ring_sweep():
         arc = simulate(spec, np.array([p0[0], p0[1], 0.0, 0.0, 0.0]), sim)
 
         clear = math.inf
-        for _, _, x in arc_samples(arc):
+        for _, _, x in arc.iter_samples():
             clear = min(clear, obstacle_distance(world, x[:2]))
         xe = arc.final_state
         v_end = tracking_lyapunov(q, d, sp, xe[:2], xe[2:4], xe[4:])

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import arc_samples
 from syncon import engine
 from syncon.engine import (
     STAT_KEYS,
@@ -358,7 +357,7 @@ def test_pure_flow_growth_error_shrinks_fourth_order():
     for dt in (0.05, 0.025):
         arc = simulate(spec, np.array([1.0]), SimConfig(dt=dt, t_max=1.0))
         assert arc.termination == TERM_T_MAX
-        assert abs(arc.segments[-1].ts[-1] - 1.0) <= 1e-12
+        assert abs(arc.final_time - 1.0) <= 1e-12
         errs.append(abs(float(arc.final_state[0]) - math.e))
     ratio = errs[0] / errs[1]
     assert 8.0 <= ratio <= 32.0
@@ -380,7 +379,7 @@ def test_zero_horizon_returns_initial_state():
     spec = pure_flow_spec(lambda v: v)
     arc = simulate(spec, np.array([3.0]), SimConfig(dt=0.1, t_max=0.0))
     assert arc.termination == TERM_T_MAX
-    assert arc.segments[-1].ts[-1] == 0.0
+    assert arc.final_time == 0.0
     assert float(arc.final_state[0]) == 3.0
 
 
@@ -389,7 +388,7 @@ def test_jump_chain_halves_until_budget():
                    SimConfig(dt=0.1, t_max=1.0, j_max=5))
     assert arc.termination == TERM_J_MAX
     assert arc.n_jumps == 5
-    assert arc.segments[-1].j == 5
+    assert arc.final_jump_counter == 5
     assert abs(float(arc.final_state[0]) - 1.0 / 32.0) <= 1e-15
     for k, ev in enumerate(arc.jumps):
         assert ev.t == 0.0
@@ -429,7 +428,7 @@ def test_event_location_places_jumps_on_the_boundary():
     assert len(arc.segments) == 4
     assert [seg.j for seg in arc.segments] == [0, 1, 2, 3]
     assert arc.total_samples == sum(len(seg.ts) for seg in arc.segments)
-    ts = [t for t, _, _ in arc_samples(arc)]
+    ts = [t for t, _, _ in arc.iter_samples()]
     assert len(ts) == arc.total_samples
 
 
@@ -438,7 +437,7 @@ def test_simulate_is_deterministic():
     for _ in range(2):
         arc = simulate(reset_clock_spec(), np.array([0.0]),
                        SimConfig(dt=0.03, t_max=3.5))
-        runs.append(np.array([[t, j, x[0]] for t, j, x in arc_samples(arc)]))
+        runs.append(np.array([[t, j, x[0]] for t, j, x in arc.iter_samples()]))
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -479,7 +478,7 @@ def test_dead_end_when_flow_stalls_and_no_jump_allowed():
     arc = simulate(spec, np.array([0.0]), SimConfig(dt=0.1, t_max=5.0))
     assert arc.termination == TERM_DEAD_END
     assert abs(float(arc.final_state[0]) - 1.0) <= 1e-8
-    assert arc.segments[-1].ts[-1] < 5.0
+    assert arc.final_time < 5.0
 
 
 def test_priority_resolves_overlap():
@@ -679,19 +678,20 @@ def test_project_flow_clamps_samples_and_counts():
     spec = pure_flow_spec(lambda v: -np.ones(1),
                           project=lambda v: np.maximum(v, floor))
     arc = simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
-    xs = np.array([x[0] for _, _, x in arc_samples(arc)])
+    xs = np.array([x[0] for _, _, x in arc.iter_samples()])
     assert np.min(xs) >= floor - 1e-12
     assert abs(float(arc.final_state[0]) - floor) <= 1e-12
-    assert arc.stats["clamps"] >= 4
+    assert arc.n_clamped >= 4
+    assert arc.n_clamped == arc.stats["clamps"]
     # A clamped sample is a new state: its indicators are evaluated afresh.
     steps = arc.stats["rk4_steps"]
-    assert arc.stats["indicator_evals"] == 2 * (1 + steps + arc.stats["clamps"])
+    assert arc.stats["indicator_evals"] == 2 * (1 + steps + arc.n_clamped)
 
 
 def test_unused_projection_counts_nothing():
     spec = pure_flow_spec(lambda v: [-v[0]], project=lambda v: v)
     arc = simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
-    assert arc.stats["clamps"] == 0
+    assert arc.n_clamped == 0
 
 
 def test_sim_config_validation():

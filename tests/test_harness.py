@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import errno
 import importlib.util
 import json
 import math
@@ -14,7 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, REPO_ROOT, arc_samples, loop_potential
+from conftest import CONFIG_DIR, REPO_ROOT, loop_potential
 from syncon import harness
 from syncon.cli import main
 from syncon.engine import SimConfig, simulate
@@ -629,7 +630,7 @@ def test_run_scenario_channels_equal_the_scalar_helpers(path):
         return scalar_channels(cfg.world, cfg.gains, cfg.smoothed, cfg.backstep,
                                spec, gap, v)
 
-    samples = list(arc_samples(rec.arc))
+    samples = list(rec.arc.iter_samples())
     xs = np.array([x for _, _, x in samples])
     V, ux, uy, mu, dobs, ddest = np.array([ref(x) for x in xs]).T
     assert np.array_equal(rec.t, [t for t, _, _ in samples])
@@ -721,6 +722,7 @@ def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
 # -- the CSV export on two cores ----------------------------------------------
 
 CHUNK = harness._CSV_CHUNK_ROWS
+CPU_NOW = harness._cpu_now
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
@@ -731,15 +733,22 @@ def smooth_record():
 
 
 @pytest.fixture
-def pins(monkeypatch):
-    """The CPU sets write_csv holds this process to, on a host with two
-    usable CPUs; the worker's own pin is made in the worker."""
-    calls = []
+def pins(monkeypatch, tmp_path):
+    """A host with two usable CPUs and this process on CPU 0.  Returns the
+    os.sched_setaffinity calls made so far, "<pid> <cpus>" each; they are
+    logged to a file, so a worker's calls are seen too."""
+    log = tmp_path / "pins.txt"
+    log.write_text("")
+
+    def pin(pid, cpus):
+        with open(log, "a") as fh:
+            fh.write(f"{pid} {sorted(cpus)}\n")
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity",
-                        lambda pid, cpus: calls.append(list(cpus)), raising=False)
-    return calls
+    monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+    monkeypatch.setattr(harness, "_cpu_now", lambda: 0)
+    return lambda: log.read_text().splitlines()
 
 
 @pytest.fixture
@@ -794,49 +803,72 @@ def test_csv_halves_give_the_per_row_bytes(smooth_record, forks, pins,
                                            chunk_rows, n_forks):
     """A record of two chunks or more is formatted by two processes, one
     below that by one; the bytes are the per-row formatting's either way.
-    The caller holds itself to the first CPU while the worker runs and
-    then gets its whole set back."""
+    Only the worker is pinned, to the CPU this process is not on."""
     monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", chunk_rows)
     rec = first_rows(smooth_record, rows)
     write_csv(rec, tmp_path / "a.csv")
     assert (tmp_path / "a.csv").read_bytes() == per_row_csv(rec)
     assert len(forks) == n_forks
-    assert pins == [[0], [0, 1]] * n_forks
+    assert pins() == ["0 [1]"] * n_forks
     assert_no_child()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs os.sched_setaffinity and two usable CPUs")
-def test_the_caller_gets_its_cpu_set_back(smooth_record, monkeypatch, tmp_path):
-    """With the real pinning calls, the worker runs and the caller ends
-    with the CPU set it started with."""
-    calls = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+                    or len(os.sched_getaffinity(0)) < 2
+                    or harness._cpu_now() is None,
+                    reason="needs os.sched_setaffinity, /proc/self/stat and "
+                           "two usable CPUs")
+def test_the_worker_runs_off_the_callers_cpu(smooth_record, monkeypatch,
+                                             tmp_path):
+    """With the real calls, the worker is held to the usable CPUs but the
+    one the caller was running on, and the caller's own set is untouched."""
+    log = tmp_path / "worker.txt"
+    seen = []
+    pin = os.sched_setaffinity
+
+    def logged(pid, cpus):
+        pin(pid, cpus)
+        log.write_text(repr(sorted(os.sched_getaffinity(0))))
+
+    monkeypatch.setattr(harness, "_cpu_now",
+                        lambda: seen.append(CPU_NOW()) or seen[-1])
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
     before = os.sched_getaffinity(0)
     write_csv(smooth_record, tmp_path / "a.csv")
     assert os.sched_getaffinity(0) == before
-    assert len(calls) == 1
+    assert seen[0] in before
+    assert log.read_text() == repr(sorted(before - {seen[0]}))
     assert (tmp_path / "a.csv").read_bytes() == per_row_csv(smooth_record)
     assert_no_child()
 
 
+def test_no_cpu_is_read_where_proc_cannot_be(monkeypatch):
+    def refused(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/stat")
+
+    monkeypatch.setattr(harness, "open", refused, raising=False)
+    assert harness._cpu_now() is None
+
+
 @needs_fork
-@pytest.mark.parametrize("cannot", ["thread", "one_cpu", "no_pinning"])
+@pytest.mark.parametrize("cannot", ["thread", "one_cpu", "no_pinning",
+                                    "no_cpu_reading"])
 def test_csv_is_written_in_one_process_where_a_worker_cannot_run(
         smooth_record, forks, monkeypatch, tmp_path, cannot):
     """Another live thread (a child forked then may deadlock), one usable
-    CPU, or no os.sched_setaffinity to hold the worker off this process's
-    CPU: no worker, and the same bytes."""
+    CPU, or no os.sched_setaffinity or no CPU reading to hold the worker
+    off this process's CPU: no worker, and the same bytes."""
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     if cannot == "thread":
         thread.start()
     elif cannot == "one_cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    else:
+    elif cannot == "no_pinning":  # the real reading, which checks for it
+        monkeypatch.setattr(harness, "_cpu_now", CPU_NOW)
         monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        monkeypatch.setattr(harness, "_cpu_now", lambda: None)
     try:
         write_csv(smooth_record, tmp_path / "a.csv")
     finally:
@@ -850,15 +882,36 @@ def test_csv_is_written_in_one_process_where_a_worker_cannot_run(
 
 
 @needs_fork
-def test_a_failing_csv_worker_raises_an_oserror(smooth_record, forks, tmp_path):
+def test_csv_is_written_in_one_process_where_fork_fails(smooth_record, pins,
+                                                       monkeypatch, tmp_path):
+    """A fork refused at a process limit leaves no pipe end open and no CPU
+    pinned: this process writes every row, and the bytes are the same."""
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+    monkeypatch.setattr(os, "fork", refused)
+    write_csv(smooth_record, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == per_row_csv(smooth_record)
+    assert pins() == []
+    if fds:
+        assert len(os.listdir("/proc/self/fd")) == len(fds)
+    assert_no_child()
+
+
+@needs_fork
+def test_a_failing_csv_worker_raises_an_oserror(smooth_record, forks, tmp_path,
+                                                capfd):
     """Only the worker formats rows n//2 on, so a channel that fails there
-    fails the worker, and write_csv raises OSError naming its status."""
+    fails the worker: its traceback goes to stderr, and write_csv raises
+    OSError naming its status."""
     mid = len(smooth_record.t) // 2
     rec = dataclasses.replace(
         smooth_record, V=FailingSlices(smooth_record.V, lambda a: a >= mid))
     with pytest.raises(OSError, match="wait status 256"):
         write_csv(rec, tmp_path / "a.csv")
     assert len(forks) == 1
+    assert f"ValueError: rows from {mid} refused" in capfd.readouterr().err
     assert_no_child()
 
 

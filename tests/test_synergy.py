@@ -43,6 +43,7 @@ def scalar_family(delta=1.0, kappa_sign=-1.0):
 def test_flat_theta_list_becomes_a_column():
     _, q = scalar_family()
     assert q.Theta.shape == (2, 1)
+    assert q.n_candidates == 2
     assert q.dim_theta == 1
 
 
