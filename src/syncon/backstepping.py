@@ -87,10 +87,8 @@ def reference_time_derivative(plant: AffinePlant, q: SynergisticQuadruple,
     """
     if etadot is None:
         etadot = tracker_control(plant, q, d, sp, x, eta, theta)
-    xdot = (np.asarray(plant.f(x), dtype=float)
-            + np.asarray(plant.g(x), dtype=float) @ np.asarray(u, dtype=float))
     return (np.asarray(d.upsilon(x), dtype=float) @ etadot
-            + _kappa_bar_jac_x(d, x, eta) @ xdot)
+            + _kappa_bar_jac_x(d, x, eta) @ plant.flow(x, u))
 
 
 def backstep_lyapunov(q: SynergisticQuadruple, d: DecomposedFeedback,
@@ -112,11 +110,9 @@ def backstep_control(plant: AffinePlant, q: SynergisticQuadruple,
 
     The cross term g^T grad_x V_s cancels the tracking stage's V_s along the
     following error u - kappa_bar; grad_x V_s equals grad_x V only where
-    sigma does not depend on x.  etadot, the tracker control, is computed
-    here unless the caller already holds it.
+    sigma does not depend on x.  etadot, the tracker control, goes to
+    reference_time_derivative, which computes it unless the caller holds it.
     """
-    if etadot is None:
-        etadot = tracker_control(plant, q, d, sp, x, eta, theta)
     err = np.asarray(u, float) - tracked_feedback(d, x, eta)
     gx, _, _ = grad_tracking_lyapunov(q, d, sp, x, eta, theta)
     cross = np.asarray(plant.g(x), float).T @ gx

@@ -4,9 +4,9 @@ A scenario is a JSON file naming one of four controllers and the world,
 gains, initial condition, and integration settings to drive it with.
 Parsing is strict and driven by one table, FIELDS, of every field's
 section, key, reader, controllers and default: unknown fields anywhere are
-rejected, every parameter bound is checked by the layer validators
-(bound_violations), and all problems are reported at once in a
-ValidationError so a config can be fixed in one pass.
+rejected, every parameter bound is checked by the layer chain
+(navigation.layer_checks, read by bound_violations), and all problems are
+reported at once in a ValidationError so a config can be fixed in one pass.
 
 run_scenario simulates the closed loop and post-processes the arc into
 flat per-sample channels (position, logic angle, tracker, applied input,
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backstepping import BacksteppingParams, validate_backstepping_params
+from .backstepping import BacksteppingParams
 from .engine import HybridArc, SimConfig, simulate
 from .errors import NoRootBracketed, ParseError, SynconError, ValidationError
 from .navigation import (
@@ -47,21 +47,17 @@ from .navigation import (
     find_critical_point,
     gradient_closed_loop,
     hybrid_closed_loop,
+    layer_checks,
+    loop_gap,
     max_synergy_gap,
     nav_gradient,
     nominal_controller,
     obstacle_distance,
     sample_channels,
     smooth_closed_loop,
-    switch_offset_bound,
     tracked_input,
-    validate_gains,
 )
-from .smoothing import (
-    SmoothedParams,
-    check_reconstruction,
-    validate_smoothed_params,
-)
+from .smoothing import SmoothedParams, check_reconstruction
 from .synergy import audit_quadruple, v_excess
 
 # The benchmark's tracer patches these generic functions on this module by
@@ -88,7 +84,9 @@ class InitialState:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario, ready to build and simulate."""
+    """Fully validated scenario, ready to build and simulate: ``smoothed``
+    is set for smooth_hybrid and backstepped, ``backstep`` for backstepped
+    alone, and the run reads these layers, not the controller name."""
 
     name: str
     controller: str
@@ -303,20 +301,9 @@ def _make(cls, section: str, values: dict, problems: list,
 def bound_violations(world: NavigationWorld, gains: NavGains,
                      smoothed: SmoothedParams | None = None,
                      backstep: BacksteppingParams | None = None) -> list[str]:
-    """One line per broken parameter bound: validate_gains, then
-    validate_smoothed_params and validate_backstepping_params for the
-    layers present.  A c_kappa that is not finite is named only by the
-    former; the latter would read a bound of -inf."""
-    checks = [lambda: validate_gains(world, gains)]
-    if smoothed is not None:
-        c_kappa = switch_offset_bound(world, gains)
-        checks.append(lambda: validate_smoothed_params(gains.delta, c_kappa,
-                                                       smoothed))
-        if backstep is not None and math.isfinite(c_kappa):
-            checks.append(lambda: validate_backstepping_params(
-                gains.delta, c_kappa, smoothed, backstep))
+    """One line per broken bound, from navigation.layer_checks in order."""
     lines = []
-    for check in checks:
+    for check in layer_checks(world, gains, smoothed, backstep):
         try:
             check()
         except SynconError as exc:
@@ -388,27 +375,22 @@ def build_closed_loop(cfg: ScenarioConfig):
 
 def initial_packed_state(cfg: ScenarioConfig) -> np.ndarray:
     init = cfg.initial
-    if cfg.controller in ("hybrid", "non_hybrid"):
-        return np.array([init.p0[0], init.p0[1], init.theta0])
-    eta0 = init.eta0
-    if cfg.controller == "smooth_hybrid":
-        return np.array([init.p0[0], init.p0[1], eta0[0], eta0[1], init.theta0])
-    u0 = init.u0
-    if u0 is None:
-        u0 = tracked_input(cfg.world, cfg.gains, init.p0, eta0)
-    return np.array([init.p0[0], init.p0[1], eta0[0], eta0[1],
-                     u0[0], u0[1], init.theta0])
+    parts = [init.p0]
+    if cfg.smoothed is not None:
+        parts.append(init.eta0)
+    if cfg.backstep is not None:
+        u0 = init.u0
+        if u0 is None:
+            u0 = tracked_input(cfg.world, cfg.gains, init.p0, init.eta0)
+        parts.append(u0)
+    return np.concatenate(parts + [[init.theta0]])
 
 
 def governing_gap(cfg: ScenarioConfig) -> float | None:
-    """Per-jump decrease floor of the controller actually simulated."""
-    if cfg.controller == "hybrid":
-        return cfg.gains.delta
-    if cfg.controller == "smooth_hybrid":
-        return cfg.smoothed.delta_s
-    if cfg.controller == "backstepped":
-        return cfg.backstep.delta_b
-    return None
+    """Per-jump decrease floor: navigation.loop_gap, None for non_hybrid."""
+    if cfg.controller == "non_hybrid":
+        return None
+    return loop_gap(cfg.gains, cfg.smoothed, cfg.backstep)
 
 
 @dataclass
@@ -492,15 +474,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
                      for ev, m, vp, vq in zip(arc.jumps, mu[post - 1].tolist(),
                                               V[post - 1].tolist(), V[post].tolist())]
 
-    has_eta = cfg.controller in ("smooth_hybrid", "backstepped")
-    has_theta = cfg.controller != "non_hybrid"
     return RunRecord(
         config=cfg,
         t=np.concatenate([seg.ts for seg in segments]),
         j=np.concatenate([np.full(len(seg.ts), seg.j, dtype=int)
                           for seg in segments]),
-        p=xs[:, :2], theta=xs[:, -1] if has_theta else None,
-        eta=xs[:, 2:4] if has_eta else None,
+        p=xs[:, :2], theta=None if gap is None else xs[:, -1],
+        eta=None if cfg.smoothed is None else xs[:, 2:4],
         u=u, V=V, mu=mu, dobs=dobs, ddest=ddest,
         jumps=jump_rows, termination=arc.termination, gap=gap,
         n_clamped=arc.n_clamped, wall_time=time.perf_counter() - start,

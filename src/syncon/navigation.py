@@ -33,9 +33,11 @@ HybridSystemSpec:
 Each potential is stated once per path.  On the run path, one builder,
 _switched_loop, makes all three switched loops the way the paper layers
 them: the smoothed loop is the hybrid loop plus the tracker eta, the
-backstepped loop the smoothed loop plus the actuator integrator u.  It reads
-every world, gain and layer constant once into closure locals and builds one
-flow closure and one switching kernel, in_flow_set, for the switching rule
+backstepped loop the smoothed loop plus the actuator integrator u.  Each
+layer's bounds and gap are stated once, in layer_checks and loop_gap, which
+the builder and the harness read.  The builder reads every world, gain and
+layer constant once into closure locals and builds one flow closure and
+one switching kernel, in_flow_set, for the switching rule
 synergy.switching_system; both are straight-line float code that adds the
 tracker terms when there is a tracker and the integrator terms when there
 is an integrator.  The kernel is the flow-set indicator, one Python call: it
@@ -183,6 +185,17 @@ def max_synergy_gap(world: NavigationWorld, gains: NavGains) -> float:
     return coeff * gains.theta_mag_min ** 2
 
 
+def switch_offset_bound(world: NavigationWorld, gains: NavGains) -> float:
+    """Half the worst squared offset spread between rest and a candidate.
+
+    ||sigma(theta) - sigma(theta_bar)||^2 = 2 (1 - cos(theta - theta_bar))
+    ||p_d - p_o||^2, so switches between the settled angle 0 and the largest
+    candidate give (1 - cos max|theta_bar|) ||p_d - p_o||^2.
+    """
+    d = world.dest_range
+    return (1.0 - math.cos(gains.theta_mag_max)) * d * d
+
+
 def validate_gains(world: NavigationWorld, gains: NavGains) -> None:
     """Check every gain bound at once; raises GainValidation listing failures."""
     problems = []
@@ -214,6 +227,34 @@ def validate_gains(world: NavigationWorld, gains: NavGains) -> None:
                 f"*min|theta_bar|^2 = {gap:.6g}")
     if problems:
         raise GainValidation("; ".join(problems))
+
+
+def layer_checks(world: NavigationWorld, gains: NavGains,
+                 sp: SmoothedParams | None, bp: BacksteppingParams | None):
+    """The bound checks of the layers ``sp`` and ``bp`` select, in order,
+    each a callable raising a SynconError that joins its broken bounds with
+    "; ": validate_gains; with a tracker, validate_smoothed_params at c_kappa
+    = switch_offset_bound; with an integrator too, validate_backstepping_params
+    if c_kappa is finite (validate_smoothed_params names one that is not)."""
+    yield functools.partial(validate_gains, world, gains)
+    if sp is None:
+        return
+    c_kappa = switch_offset_bound(world, gains)
+    yield functools.partial(validate_smoothed_params, gains.delta, c_kappa, sp)
+    if bp is not None and math.isfinite(c_kappa):
+        yield functools.partial(validate_backstepping_params, gains.delta,
+                                c_kappa, sp, bp)
+
+
+def loop_gap(gains: NavGains, sp: SmoothedParams | None,
+             bp: BacksteppingParams | None) -> float:
+    """The gap of the switched loop the layers ``sp`` and ``bp`` select:
+    delta_b with an integrator, delta_s with a tracker alone, else delta."""
+    if bp is not None:
+        return bp.delta_b
+    if sp is not None:
+        return sp.delta_s
+    return gains.delta
 
 
 # -- repulsive skirt ---------------------------------------------------------
@@ -506,17 +547,6 @@ def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
     return V, u, mu, z, ddest
 
 
-def switch_offset_bound(world: NavigationWorld, gains: NavGains) -> float:
-    """Half the worst squared offset spread between rest and a candidate.
-
-    ||sigma(theta) - sigma(theta_bar)||^2 = 2 (1 - cos(theta - theta_bar))
-    ||p_d - p_o||^2, so switches between the settled angle 0 and the largest
-    candidate give (1 - cos max|theta_bar|) ||p_d - p_o||^2.
-    """
-    d = world.dest_range
-    return (1.0 - math.cos(gains.theta_mag_max)) * d * d
-
-
 # -- critical point ----------------------------------------------------------
 
 def find_critical_point(world: NavigationWorld) -> np.ndarray:
@@ -678,25 +708,21 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
                    sp: SmoothedParams | None,
                    bp: BacksteppingParams | None) -> HybridSystemSpec:
     """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
-    (neither), smoothed (``sp``) or backstepped (both), after the gain and
-    layer bounds are validated.  Its flow and its switching kernel
-    in_flow_set(v, out=None), V(v) - best candidate V - gap, share the hybrid
-    loop's prefix and add the tracker and integrator terms of the layers
-    present."""
-    validate_gains(world, gains)
+    (neither), smoothed (``sp``) or backstepped (both), after the checks of
+    layer_checks have passed; the first that fails raises.  Its flow and its
+    switching kernel in_flow_set(v, out=None), V(v) - best candidate V -
+    loop_gap, share the hybrid loop's prefix and add the tracker and
+    integrator terms of the layers present."""
+    for check in layer_checks(world, gains, sp, bp):
+        check()
     tracker = sp is not None
     integrator = bp is not None
-    gap = gains.delta
+    gap = loop_gap(gains, sp, bp)
     if tracker:
-        c_kappa = switch_offset_bound(world, gains)
-        validate_smoothed_params(gains.delta, c_kappa, sp)
-        gap = sp.delta_s
         half_gs = 0.5 * sp.gamma_s
         nk_eta = -sp.k_eta
         kp_gs = gains.k_p / sp.gamma_s
     if integrator:
-        validate_backstepping_params(gains.delta, c_kappa, sp, bp)
-        gap = bp.delta_b
         half_gb = 0.5 * bp.gamma_b
         gamma_b = bp.gamma_b
         nk_b = -bp.k_b

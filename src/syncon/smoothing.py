@@ -109,9 +109,7 @@ def check_reconstruction(q: SynergisticQuadruple, d: DecomposedFeedback,
     for x, theta in states:
         x = np.asarray(x, float)
         theta = np.atleast_1d(np.asarray(theta, float))
-        rebuilt = (np.asarray(d.varsigma(x), float)
-                   + np.asarray(d.upsilon(x), float)
-                   @ np.asarray(d.sigma(x, theta), float))
+        rebuilt = tracked_feedback(d, x, d.sigma(x, theta))
         mismatch = rebuilt - np.asarray(q.kappa(x, theta), float)
         worst = max(worst, float(np.max(np.abs(mismatch))))
     return worst
@@ -152,8 +150,7 @@ def sigma_time_derivative(plant: AffinePlant, q: SynergisticQuadruple,
 
     Chain rule through xdot = f + g kappa_bar and thetadot = varpi.
     """
-    xdot = (np.asarray(plant.f(x), dtype=float)
-            + np.asarray(plant.g(x), dtype=float) @ tracked_feedback(d, x, eta))
+    xdot = plant.flow(x, tracked_feedback(d, x, eta))
     return (np.asarray(d.d_sigma_dx(x, theta), dtype=float) @ xdot
             + np.asarray(d.d_sigma_dtheta(x, theta), dtype=float)
             @ np.asarray(q.varpi(x, theta), dtype=float))

@@ -87,6 +87,12 @@ class AffinePlant:
     g: Callable[[np.ndarray], np.ndarray]
     safety_indicator: Callable[[np.ndarray], float] | None = None
 
+    def flow(self, x: np.ndarray, u) -> np.ndarray:
+        """xdot = f(x) + g(x) u, over float arrays."""
+        return (np.asarray(self.f(x), dtype=float)
+                + np.asarray(self.g(x), dtype=float)
+                @ np.asarray(u, dtype=float))
+
 
 def _candidate_values(q: SynergisticQuadruple, x: np.ndarray) -> list[float]:
     """V(x, theta_bar) for every row of q.Theta, in Theta order."""
@@ -163,7 +169,7 @@ def assemble_closed_loop(plant: AffinePlant,
     """
     n = plant.dim_x
     r = q.dim_theta
-    f, g, kappa, varpi = plant.f, plant.g, q.kappa, q.varpi
+    kappa, varpi = q.kappa, q.varpi
     checked = False
 
     def flow(v) -> np.ndarray:
@@ -180,8 +186,7 @@ def assemble_closed_loop(plant: AffinePlant,
                 raise DimensionMismatch(
                     f"varpi returned dimension {w.size}, Theta has dimension {r}")
             checked = True
-        xdot = np.asarray(f(x), dtype=float) + np.asarray(g(x), dtype=float) @ u
-        return np.concatenate([xdot, w])
+        return np.concatenate([plant.flow(x, u), w])
 
     def in_flow_set(v, out=None) -> float:
         v = np.asarray(v, dtype=float)
@@ -200,22 +205,19 @@ def augmented_family(plant: AffinePlant, q: SynergisticQuadruple, extra: int,
                      ) -> tuple[AffinePlant, SynergisticQuadruple]:
     """Lift (plant, q) by ``extra`` appended states z, each with its own input.
 
-    The lifted plant lives on [x | z]: its drift is plant.f(x) + plant.g(x)
-    applied([x | z]) with z held, its input matrix is the identity on z's
+    The lifted plant lives on [x | z]: its drift is plant.flow(x,
+    applied([x | z])) with z held, its input matrix is the identity on z's
     rows, and its safety indicator is plant's, read on x.  The lifted family
     is (V, grad_V, kappa) over [x | z], with q's varpi read on x, a copy of
     q.Theta, and gap delta.  Smoothing (z = eta) and backstepping (z = [eta
     | u]) are each one call.
     """
     n = plant.dim_x
-    f, g, safe = plant.f, plant.g, plant.safety_indicator
+    safe = plant.safety_indicator
     held = np.zeros(extra)
 
     def f_aug(xz: np.ndarray) -> np.ndarray:
-        x = xz[:n]
-        xdot = (np.asarray(f(x), dtype=float)
-                + np.asarray(g(x), dtype=float) @ applied(xz))
-        return np.concatenate([xdot, held])
+        return np.concatenate([plant.flow(xz[:n], applied(xz)), held])
 
     lifted = AffinePlant(
         dim_x=n + extra, dim_u=extra, f=f_aug,
@@ -287,9 +289,7 @@ class AuditReport:
 def _directional_derivative(plant: AffinePlant, q: SynergisticQuadruple,
                             x: np.ndarray, theta: np.ndarray) -> float:
     gx, gth = q.grad_V(x, theta)
-    u = np.asarray(q.kappa(x, theta), dtype=float)
-    xdot = (np.asarray(plant.f(x), dtype=float)
-            + np.asarray(plant.g(x), dtype=float) @ u)
+    xdot = plant.flow(x, q.kappa(x, theta))
     w = np.asarray(q.varpi(x, theta), dtype=float)
     return float(np.dot(np.asarray(gx, float).ravel(), xdot.ravel())
                  + np.dot(np.asarray(gth, float).ravel(), w.ravel()))

@@ -21,12 +21,15 @@ from syncon.cli import main
 from syncon.engine import SimConfig, simulate
 from syncon.errors import (
     DimensionMismatch,
+    GainValidation,
     NonPositiveDistance,
+    ParamBoundViolation,
     ParseError,
     ValidationError,
 )
 from syncon.harness import (
     CSV_HEADER,
+    bound_violations,
     build_closed_loop,
     check_scenario,
     compare_records,
@@ -295,6 +298,32 @@ def test_parse_reports_tracker_and_integrator_bounds_together():
     problems = violations_of(raw)
     assert any("gamma_s" in p for p in problems)
     assert any("delta_b" in p for p in problems)
+
+
+@pytest.mark.parametrize("raw_fn, part, changes, error", [
+    (hybrid_raw, "gains", {"delta": 0.05}, GainValidation),
+    (backstep_raw, "gains", {"delta": -0.01}, GainValidation),
+    (smooth_raw, "smoothed", {"gamma_s": 0.2}, ParamBoundViolation),
+    (backstep_raw, "smoothed", {"gamma_s": 0.2}, ParamBoundViolation),
+    (backstep_raw, "backstep", {"delta_b": 0.5}, ParamBoundViolation),
+    (smooth_raw, "world", {"p_o": [1e155, 0.0]}, ParamBoundViolation),
+    (backstep_raw, "world", {"p_o": [1e155, 0.0]}, ParamBoundViolation),
+], ids=["delta", "delta_all_layers", "gamma_s", "gamma_s_and_delta_b",
+        "delta_b", "c_kappa_inf_smooth", "c_kappa_inf_backstep"])
+def test_the_builder_stops_at_the_first_check_the_parser_reports(
+        raw_fn, part, changes, error):
+    """Built in Python past the parser, a config with a broken delta,
+    gamma_s or delta_b, or with c_kappa = inf, makes the builder raise the
+    first failing check of the chain, whose lines begin bound_violations."""
+    cfg = parse_config(raw_fn())
+    cfg = dataclasses.replace(cfg, **{part: dataclasses.replace(
+        getattr(cfg, part), **changes)})
+    lines = bound_violations(cfg.world, cfg.gains, cfg.smoothed, cfg.backstep)
+    with pytest.raises(error) as info:
+        build_closed_loop(cfg)
+    assert type(info.value) is error
+    first = str(info.value).split("; ")
+    assert lines[:len(first)] == first
 
 
 @pytest.mark.parametrize("section, key, value", [

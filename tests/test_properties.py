@@ -23,6 +23,9 @@ from syncon.harness import (
     FIELDS,
     ScenarioConfig,
     bound_violations,
+    build_closed_loop,
+    governing_gap,
+    initial_packed_state,
     load_config,
     parse_config,
 )
@@ -342,6 +345,12 @@ def _assert_admissible(cfg):
     assert bound_violations(cfg.world, cfg.gains, cfg.smoothed,
                             cfg.backstep) == []
     assert obstacle_distance(cfg.world, cfg.initial.p0) >= cfg.world.epsilon
+    # The parser sets the layers once; the harness reads them, not the name.
+    assert (cfg.smoothed is not None) == (
+        cfg.controller in ("smooth_hybrid", "backstepped"))
+    assert (cfg.backstep is not None) == (cfg.controller == "backstepped")
+    assert initial_packed_state(cfg).shape == (build_closed_loop(cfg).dim,)
+    assert (governing_gap(cfg) is None) == (cfg.controller == "non_hybrid")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -165,6 +165,34 @@ def test_closed_loop_checks_feedback_dimensions():
         simulate(spec, np.array([0.5, 1.0]), SimConfig(dt=0.01, t_max=0.1))
 
 
+def test_plant_flow_with_a_state_dependent_input_matrix():
+    """g(x) = J x is 2x1 and reads x, and f is nonzero, so a transposed or
+    dropped g, or a lost f, changes the flow."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    plant = AffinePlant(dim_x=2, dim_u=1,
+                        f=lambda x: np.array([0.3 * x[1], -0.2 * x[0] * x[0]]),
+                        g=lambda x: (J @ x).reshape(2, 1))
+    q = SynergisticQuadruple(
+        V=lambda x, th: float(x @ x + th[0] * th[0]),
+        grad_V=lambda x, th: (2.0 * x, 2.0 * th),
+        kappa=lambda x, th: np.array([x[0] * th[0] - 0.7 * x[1]]),
+        varpi=lambda x, th: np.array([0.1 * x[0] - 0.4 * th[0]]),
+        Theta=np.array([-0.5, 0.5]),
+        delta=0.1,
+    )
+    flow_map = assemble_closed_loop(plant, q).flow_map
+    for x, th in [(np.array([0.6, -0.8]), np.array([0.5])),
+                  (np.array([-1.3, 0.25]), np.array([-0.5])),
+                  (np.array([2.0, 3.0]), np.array([0.2]))]:
+        u = q.kappa(x, th)
+        want = plant.f(x) + plant.g(x) @ u
+        assert np.array_equal(want, plant.f(x) + (J @ x) * u[0])
+        got = plant.flow(x, u)
+        assert got.shape == (2,) and np.array_equal(got, want)
+        assert np.array_equal(flow_map(np.concatenate([x, th])),
+                              np.concatenate([want, q.varpi(x, th)]))
+
+
 def test_latin_hypercube_stratifies_each_axis():
     rng = np.random.default_rng(11)
     n = 16
