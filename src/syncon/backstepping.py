@@ -25,6 +25,8 @@ from .errors import ParamBoundViolation
 from .smoothing import (
     DecomposedFeedback,
     SmoothedParams,
+    _PositiveParams,
+    _reduced_gap_lines,
     grad_tracking_lyapunov,
     tracked_feedback,
     tracker_control,
@@ -34,18 +36,12 @@ from .synergy import AffinePlant, SynergisticQuadruple, augmented_family
 
 
 @dataclass(frozen=True)
-class BacksteppingParams:
+class BacksteppingParams(_PositiveParams):
     """Following weight, following gain, and the composite synergy gap."""
 
     gamma_b: float
     k_b: float
     delta_b: float
-
-    def __post_init__(self):
-        for name in ("gamma_b", "k_b", "delta_b"):
-            v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def validate_backstepping_params(delta: float, c_kappa: float,
@@ -56,11 +52,9 @@ def validate_backstepping_params(delta: float, c_kappa: float,
     delta is the core gap and c_kappa the offset spread, as for
     validate_smoothed_params, which checks sp itself.
     """
-    slack = delta - sp.gamma_s * c_kappa
-    if not bp.delta_b <= slack:
-        raise ParamBoundViolation(
-            f"delta_b = {bp.delta_b:.6g} must be <= delta - gamma_s * c_kappa "
-            f"= {slack:.6g}")
+    problems = _reduced_gap_lines("delta_b", bp.delta_b, delta, sp.gamma_s, c_kappa)
+    if problems:
+        raise ParamBoundViolation("; ".join(problems))
 
 
 def _kappa_bar_jac_x(d: DecomposedFeedback, x: np.ndarray,

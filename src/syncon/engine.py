@@ -219,14 +219,6 @@ class HybridArc:
         return self.segments[-1].xs[-1]
 
     @property
-    def final_time(self) -> float:
-        return float(self.segments[-1].ts[-1])
-
-    @property
-    def final_jump_counter(self) -> int:
-        return self.segments[-1].j
-
-    @property
     def total_samples(self) -> int:
         return sum(len(seg.ts) for seg in self.segments)
 

@@ -85,8 +85,9 @@ class InitialState:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated scenario, ready to build and simulate: ``smoothed``
-    is set for smooth_hybrid and backstepped, ``backstep`` for backstepped
-    alone, and the run reads these layers, not the controller name."""
+    is set exactly for smooth_hybrid and backstepped, ``backstep`` for
+    backstepped alone (ValueError otherwise), and the run reads these
+    layers, not the controller name."""
 
     name: str
     controller: str
@@ -98,6 +99,11 @@ class ScenarioConfig:
     backstep: BacksteppingParams | None = None
     seed: int = 0
     expected: dict | None = None
+
+    def __post_init__(self):
+        if ((self.smoothed is None) == (self.controller in _SMOOTHED)
+                or (self.backstep is None) == (self.controller in _BACKSTEPPED)):
+            raise ValueError(f"controller {self.controller} does not match its layers")
 
 
 # -- field readers: each returns the parsed value or raises ValueError -------
@@ -651,9 +657,10 @@ def write_svg(record: RunRecord, path) -> None:
                  f'x2="{sx(world.p_d[0]) + d:.2f}" y2="{sy(world.p_d[1]) + d:.2f}"/>'
                  f'<line x1="{sx(world.p_d[0]) - d:.2f}" y1="{sy(world.p_d[1]) + d:.2f}" '
                  f'x2="{sx(world.p_d[0]) + d:.2f}" y2="{sy(world.p_d[1]) - d:.2f}"/></g>')
+    title = f"{record.config.name} ({record.config.controller})"
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts.append(f'<text x="10" y="20" font-family="sans-serif" font-size="14" '
-                 f'fill="#202124">{record.config.name} '
-                 f'({record.config.controller})</text>')
+                 f'fill="#202124">{title}</text>')
     parts.append('</svg>')
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

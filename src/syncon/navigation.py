@@ -34,8 +34,9 @@ Each potential is stated once per path.  On the run path, one builder,
 _switched_loop, makes all three switched loops the way the paper layers
 them: the smoothed loop is the hybrid loop plus the tracker eta, the
 backstepped loop the smoothed loop plus the actuator integrator u.  Each
-layer's bounds and gap are stated once, in layer_checks and loop_gap, which
-the builder and the harness read.  The builder reads every world, gain and
+layer's bounds, gap and packed width are stated once, in layer_checks,
+loop_gap and _packed_width, which the builder and the harness read (the
+width through sample_channels).  The builder reads every world, gain and
 layer constant once into closure locals and builds one flow closure and
 one switching kernel, in_flow_set, for the switching rule
 synergy.switching_system; both are straight-line float code that adds the
@@ -255,6 +256,11 @@ def loop_gap(gains: NavGains, sp: SmoothedParams | None,
     if sp is not None:
         return sp.delta_s
     return gains.delta
+
+
+def _packed_width(sp: SmoothedParams | None, bp: BacksteppingParams | None) -> int:
+    """Width of [p | eta | u], ahead of theta, in the loop ``sp`` and ``bp`` select."""
+    return 2 if sp is None else 4 if bp is None else 6
 
 
 # -- repulsive skirt ---------------------------------------------------------
@@ -480,7 +486,7 @@ def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
     closures and of the float helpers at that row; a clearance at or below
     1e-12 raises NonPositiveDistance.
     """
-    n_x = 2 if sp is None else 4 if bp is None else 6
+    n_x = _packed_width(sp, bp)
     if xs.ndim != 2 or xs.shape[1] != n_x + 1:
         raise DimensionMismatch(
             f"states have shape {xs.shape}, expected (n, {n_x + 1})")
@@ -841,9 +847,8 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
                 best = V
         return own - best - gap
 
-    dim_x = 2 if sp is None else 4 if bp is None else 6
     return switching_system(in_flow_set, gains.theta_candidates.reshape(-1, 1),
-                            flow, dim_x, shell_projection(world))
+                            flow, _packed_width(sp, bp), shell_projection(world))
 
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:

@@ -19,7 +19,7 @@ away from the target set, the tracker weight must satisfy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,18 +63,23 @@ class DecomposedFeedback:
 
 
 @dataclass(frozen=True)
-class SmoothedParams:
+class _PositiveParams:
+    """Layer parameters whose every field must be positive and finite."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (v > 0.0 and np.isfinite(v)):
+                raise ValueError(f"{f.name} must be positive and finite, got {v}")
+
+
+@dataclass(frozen=True)
+class SmoothedParams(_PositiveParams):
     """Tracker weight, tracker gain, and reduced synergy gap."""
 
     gamma_s: float
     k_eta: float
     delta_s: float
-
-    def __post_init__(self):
-        for name in ("gamma_s", "k_eta", "delta_s"):
-            v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def validate_smoothed_params(delta: float, c_kappa: float,
@@ -93,13 +98,17 @@ def validate_smoothed_params(delta: float, c_kappa: float,
         if not p.gamma_s < bound:
             problems.append(
                 f"gamma_s = {p.gamma_s:.6g} must be < delta / c_kappa = {bound:.6g}")
-    slack = delta - p.gamma_s * c_kappa
-    if not p.delta_s <= slack:
-        problems.append(
-            f"delta_s = {p.delta_s:.6g} must be <= delta - gamma_s * c_kappa "
-            f"= {slack:.6g}")
+    problems += _reduced_gap_lines("delta_s", p.delta_s, delta, p.gamma_s, c_kappa)
     if problems:
         raise ParamBoundViolation("; ".join(problems))
+
+
+def _reduced_gap_lines(name: str, gap: float, delta: float, gamma_s: float,
+                       c_kappa: float) -> list[str]:
+    """[The bound line] of a reduced gap ``name`` above delta - gamma_s c_kappa, or []."""
+    slack = delta - gamma_s * c_kappa
+    return [] if gap <= slack else [
+        f"{name} = {gap:.6g} must be <= delta - gamma_s * c_kappa = {slack:.6g}"]
 
 
 def check_reconstruction(q: SynergisticQuadruple, d: DecomposedFeedback,

@@ -63,14 +63,6 @@ class SynergisticQuadruple:
         if not (self.delta > 0.0 and np.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
-    @property
-    def n_candidates(self) -> int:
-        return self.Theta.shape[0]
-
-    @property
-    def dim_theta(self) -> int:
-        return self.Theta.shape[1]
-
 
 @dataclass
 class AffinePlant:
@@ -168,7 +160,7 @@ def assemble_closed_loop(plant: AffinePlant,
     DimensionMismatch.  Both read the list state as one ndarray for q's maps.
     """
     n = plant.dim_x
-    r = q.dim_theta
+    r = q.Theta.shape[1]
     kappa, varpi = q.kappa, q.varpi
     checked = False
 
@@ -348,7 +340,7 @@ def audit_quadruple(plant: AffinePlant, q: SynergisticQuadruple,
     elif states:
         base = np.concatenate([states[0][0], states[0][1]])
     else:
-        base = np.zeros(n + q.dim_theta)
+        base = np.zeros(n + q.Theta.shape[1])
     rays_checked = 0
     rays_growing = 0
     for _ in range(8):

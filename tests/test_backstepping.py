@@ -22,6 +22,7 @@ from syncon.smoothing import (
     SmoothedParams,
     tracked_feedback,
     tracker_control,
+    validate_smoothed_params,
 )
 from syncon.synergy import AffinePlant, SynergisticQuadruple
 
@@ -84,6 +85,29 @@ def test_validate_backstepping_params_bound():
         validate_backstepping_params(
             q.delta, d.c_kappa, sp,
             BacksteppingParams(gamma_b=0.5, k_b=4.0, delta_b=0.11))
+
+
+@pytest.mark.parametrize("make_bound, make_params, bound_line, positivity", [
+    (lambda sp: validate_smoothed_params(0.1, 1.0, sp),
+     lambda: SmoothedParams(gamma_s=0.05, k_eta=-1.0, delta_s=0.2),
+     "delta_s = 0.2 must be <= delta - gamma_s * c_kappa = 0.05",
+     "k_eta must be positive and finite, got -1.0"),
+    (lambda sp: validate_backstepping_params(
+        0.1, 1.0, sp, BacksteppingParams(gamma_b=1.0, k_b=1.0, delta_b=0.2)),
+     lambda: BacksteppingParams(gamma_b=1.0, k_b=math.nan, delta_b=0.1),
+     "delta_b = 0.2 must be <= delta - gamma_s * c_kappa = 0.05",
+     "k_b must be positive and finite, got nan"),
+], ids=["smoothed", "backstepped"])
+def test_each_layer_words_its_bounds_the_same(make_bound, make_params,
+                                               bound_line, positivity):
+    """Both layers' reduced-gap bound lines and parameter positivity
+    messages, word for word."""
+    with pytest.raises(ParamBoundViolation) as info:
+        make_bound(SmoothedParams(gamma_s=0.05, k_eta=1.0, delta_s=0.2))
+    assert str(info.value) == bound_line
+    with pytest.raises(ValueError) as info:
+        make_params()
+    assert str(info.value) == positivity
 
 
 def test_toy_control_matches_hand_formula():

@@ -357,7 +357,7 @@ def test_pure_flow_growth_error_shrinks_fourth_order():
     for dt in (0.05, 0.025):
         arc = simulate(spec, np.array([1.0]), SimConfig(dt=dt, t_max=1.0))
         assert arc.termination == TERM_T_MAX
-        assert abs(arc.final_time - 1.0) <= 1e-12
+        assert abs(arc.segments[-1].ts[-1] - 1.0) <= 1e-12
         errs.append(abs(float(arc.final_state[0]) - math.e))
     ratio = errs[0] / errs[1]
     assert 8.0 <= ratio <= 32.0
@@ -379,7 +379,7 @@ def test_zero_horizon_returns_initial_state():
     spec = pure_flow_spec(lambda v: v)
     arc = simulate(spec, np.array([3.0]), SimConfig(dt=0.1, t_max=0.0))
     assert arc.termination == TERM_T_MAX
-    assert arc.final_time == 0.0
+    assert arc.segments[-1].ts[-1] == 0.0
     assert float(arc.final_state[0]) == 3.0
 
 
@@ -388,7 +388,7 @@ def test_jump_chain_halves_until_budget():
                    SimConfig(dt=0.1, t_max=1.0, j_max=5))
     assert arc.termination == TERM_J_MAX
     assert arc.n_jumps == 5
-    assert arc.final_jump_counter == 5
+    assert arc.segments[-1].j == 5
     assert abs(float(arc.final_state[0]) - 1.0 / 32.0) <= 1e-15
     for k, ev in enumerate(arc.jumps):
         assert ev.t == 0.0
@@ -478,7 +478,7 @@ def test_dead_end_when_flow_stalls_and_no_jump_allowed():
     arc = simulate(spec, np.array([0.0]), SimConfig(dt=0.1, t_max=5.0))
     assert arc.termination == TERM_DEAD_END
     assert abs(float(arc.final_state[0]) - 1.0) <= 1e-8
-    assert arc.final_time < 5.0
+    assert arc.segments[-1].ts[-1] < 5.0
 
 
 def test_priority_resolves_overlap():

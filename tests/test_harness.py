@@ -42,6 +42,7 @@ from syncon.harness import (
     write_svg,
 )
 from syncon.navigation import (
+    _packed_width,
     _phi,
     decomposed_feedback,
     nav_gradient,
@@ -570,6 +571,38 @@ def test_initial_packed_state_layouts():
     assert np.allclose(initial_packed_state(cfg)[4:6], [1.0, -2.0])
 
 
+def non_hybrid_given(smooth):
+    """fig5_nonhybrid given the tracker layer and start of ``smooth``."""
+    plain = load_config(CONFIG_DIR / "fig5_nonhybrid.json")
+    return dataclasses.replace(plain, smoothed=smooth.smoothed,
+                               initial=smooth.initial)
+
+
+@pytest.mark.parametrize("path, mismatch", [
+    ("fig5_smooth.json", lambda cfg: dataclasses.replace(cfg, smoothed=None)),
+    ("fig5_smooth.json", non_hybrid_given),
+    ("fig5_backstep.json", lambda cfg: dataclasses.replace(cfg, backstep=None)),
+], ids=["smooth_without_tracker", "non_hybrid_with_tracker",
+        "backstepped_without_integrator"])
+def test_a_controller_must_match_its_layers(path, mismatch):
+    """A config whose layer fields disagree with its controller name is
+    refused where it is made, not run as a loop it does not name."""
+    cfg = load_config(CONFIG_DIR / path)
+    with pytest.raises(ValueError, match="does not match its layers"):
+        mismatch(cfg)
+
+
+@pytest.mark.parametrize("raw_fn", [hybrid_raw, smooth_raw, backstep_raw,
+                                    non_hybrid_raw])
+def test_initial_packed_state_width_is_the_navigation_rule(raw_fn):
+    """[p | eta | u] is as wide as navigation's one rule says, for every
+    controller, then theta follows; the built loop has that width too."""
+    cfg = parse_config(raw_fn())
+    width = _packed_width(cfg.smoothed, cfg.backstep)
+    assert initial_packed_state(cfg).shape == (width + 1,)
+    assert build_closed_loop(cfg).dim == width + 1
+
+
 def test_governing_gap_per_controller():
     assert governing_gap(parse_config(hybrid_raw())) == 0.0365
     assert governing_gap(parse_config(smooth_raw())) == 0.0036
@@ -1006,6 +1039,22 @@ def test_svg_export_is_wellformed(tmp_path):
     assert root.findall(".//s:polyline", ns)
     assert len(root.findall(".//s:circle", ns)) >= 4
     assert root.findall(".//s:text", ns)
+
+
+def test_svg_title_escapes_the_scenario_name(tmp_path):
+    """Every shipped config's plot, and one whose name the parser accepts
+    but holds XML markup, parse as XML; the name reads back as given."""
+    runs = [run_scenario(short_shipped(path, t_max=0.05)) for path in SHIPPED]
+    raw = hybrid_raw(t_max=0.05)
+    raw["name"] = "R&D <obstacle>"
+    runs.append(run_scenario(parse_config(raw)))
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    for k, rec in enumerate(runs):
+        out = tmp_path / f"{k}.svg"
+        write_svg(rec, out)
+        title = ET.parse(out).getroot().find("s:text", ns).text
+        assert title == f"{rec.config.name} ({rec.config.controller})"
+    assert title == "R&D <obstacle> (hybrid)"
 
 
 def test_compare_records_tabulates_each_run():

@@ -43,8 +43,8 @@ def scalar_family(delta=1.0, kappa_sign=-1.0):
 def test_flat_theta_list_becomes_a_column():
     _, q = scalar_family()
     assert q.Theta.shape == (2, 1)
-    assert q.n_candidates == 2
-    assert q.dim_theta == 1
+    assert q.Theta.shape[0] == 2
+    assert q.Theta.shape[1] == 1
 
 
 def test_two_dim_candidates_keep_their_shape():
@@ -57,7 +57,7 @@ def test_two_dim_candidates_keep_their_shape():
         delta=0.5,
     )
     assert q.Theta.shape == (2, 2)
-    assert q.dim_theta == 2
+    assert q.Theta.shape[1] == 2
 
 
 def test_quadruple_rejects_bad_candidate_sets():

@@ -21,14 +21,18 @@ layer constructions on fig5_backstep's world, gains and layers:
 ``assemble_closed_loop`` over ``nominal_controller``, ``smoothed_quadruple``
 and ``backstepped_quadruple``, each started from that config's packed start
 cut to its width and run at dt 1e-3 to t = 0.5, plus one seeded
-``audit_quadruple`` report per family.  Standard library and numpy only;
-the whole run takes a few seconds.
+``audit_quadruple`` report per family.  After these, one ``<config>:audit``
+line per shipped config covers what ``syncon audit`` prints and returns on
+it, by default and with ``--samples 50 --seed 7``.  Standard library and
+numpy only; the whole run takes a few seconds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -40,7 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from syncon import (  # noqa: E402
-    backstepping, engine, harness, navigation, smoothing, synergy)
+    backstepping, cli, engine, harness, navigation, smoothing, synergy)
 
 
 def _feed_arc(h, arc: engine.HybridArc) -> None:
@@ -143,12 +147,27 @@ def generic_digest() -> str:
     return h.hexdigest()
 
 
+def audit_digest(path: Path) -> str:
+    """Digest of ``syncon audit`` on one config: the printed report and the
+    exit status, by default and with ``--samples 50 --seed 7``."""
+    h = hashlib.sha256()
+    for extra in ([], ["--samples", "50", "--seed", "7"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(["audit", str(path), *extra])
+        h.update(f"{out.getvalue()}exit {status}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
-    for path in sorted((ROOT / "configs").glob("*.json")):
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    for path in configs:
         print(f"{config_digest(path)}  {path.stem}")
     print(f"{ring_digest()}  ring_grid")
     print(f"{thermostat_digest()}  thermostat")
     print(f"{generic_digest()}  generic")
+    for path in configs:
+        print(f"{audit_digest(path)}  {path.stem}:audit")
     return 0
 
 
