@@ -49,8 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--samples", type=_non_negative_int, default=200,
                          help="box samples for the family audit")
 
-    p_audit = sub.add_parser("audit",
-                             help="audit the switched family on its own")
+    p_audit = sub.add_parser(
+        "audit", help="audit the nominal switched family on its own",
+        description="Audit the nominal switched family, whatever the "
+                    "config's controller.  For smooth_hybrid and backstepped "
+                    "it is the core family the layered loops inherit synergy "
+                    "from under the bounds `check` reports; for non_hybrid "
+                    "it is a family the loop never switches on.")
     p_audit.add_argument("config", help="path to a scenario JSON file")
     p_audit.add_argument("--samples", type=_non_negative_int, default=400)
     p_audit.add_argument("--seed", type=_non_negative_int, default=None,

@@ -32,15 +32,11 @@ segment's states one C-contiguous (samples, dim) array filled by
 np.fromiter.  When a step crosses a set boundary the crossing is located on
 the step fraction, re-integrating the partial step at each probe, so every
 accepted sample respects its set within ``event_tol``; a location that
-gives up short of it is counted on the arc.  Each probe is Brent's inverse
-quadratic step through the bracket ends and the end the previous probe
-replaced, which meets a smooth event in about two probes; it falls back to
-the Illinois (modified regula falsi) secant, and to the midpoint after any
-probe that did not halve the bracket, but for a first probe that at least
-halved the indicator at the end it replaced, so no location takes more than
-about twice bisection's probes.  An indicator that is NaN raises
-NonFiniteState.  Everything here is deterministic: the same spec, state and
-config produce bit-identical arcs.
+gives up short of it is counted on the arc.  Each probe interpolates, else
+takes the secant root, else the midpoint, and the midpoint rule brings the
+bracket to its 1e-16 floor within 2 * 54 + 2 probes; ``locate_boundary``
+states the rules.  An indicator that is NaN raises NonFiniteState.  Everything here is
+deterministic: the same spec, state and config produce bit-identical arcs.
 
 The indicators are evaluated once per state: the pair computed at the end of
 an accepted step is carried into the next iteration, and is recomputed only
@@ -354,20 +350,23 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
 
     Searches the step fraction in [0, 1], re-integrating the partial RK4
     step from ``x_inside`` at each probe, until the indicator magnitude at
-    the probe state is within ``event_tol``.  A probe goes to the inverse
-    quadratic interpolant through the bracket ends and the end the previous
-    probe replaced, at their true indicator values; without such a third
-    point, with a repeated value, or with the point not strictly inside, it
-    goes to the Illinois secant root, and after a probe that did not halve
-    the bracket, to the midpoint, unless that was the first probe and it at
-    least halved |indicator| at the end it replaced.  A smooth event is then
-    met in two probes, and no location takes more than about twice
-    bisection's.  The endpoints must straddle the zero level
-    set, otherwise NoSignChange is raised.  Returns the boundary state (a
-    list) and the located fraction.  A bracket narrower than 1e-16, or with
-    no float inside, or ``_MAX_PROBES`` probes end the search at the last
-    probe and count a ``locate_misses``; a NaN indicator raises
-    NonFiniteState.
+    the probe state is within ``event_tol``.  Three rules place a probe.
+    It goes to Brent's inverse quadratic interpolant through the bracket
+    ends and the end the previous probe replaced, at their true indicator
+    values.  Without such a third point, with a value repeated, or with the
+    interpolant not strictly inside the bracket (an overflow makes it inf or
+    NaN), it goes to the secant root through the ends' true values instead.
+    It goes to the midpoint when that root is not strictly inside either,
+    and after any probe that did not halve the bracket, unless that was the
+    first probe and it at least halved |indicator| at the end it replaced.
+    The interpolant meets a smooth event in about two probes; after the
+    first probe at least every second probe halves the bracket, so a
+    location takes at most 2 * 54 + 2 probes to reach the 1e-16 floor.  The
+    endpoints must straddle the zero level set, otherwise NoSignChange is
+    raised.  Returns the boundary state (a list) and the located fraction.
+    A bracket narrower than 1e-16, or with no float inside, or
+    ``_MAX_PROBES`` probes end the search at the last probe and count a
+    ``locate_misses``; a NaN indicator raises NonFiniteState.
 
     A caller that already holds the full step ``x_hi = step_flow(spec,
     x_inside, h)`` or the indicator values at its ends (``f_lo`` at
@@ -402,19 +401,10 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoSignChange(
             f"indicator does not change sign over the step: {f_lo:.6g} -> {f_hi:.6g}")
-    # Probe at the inverse quadratic interpolant through the bracket ends and
-    # the end the previous probe replaced, c, at their true indicator values.
-    # With no c yet, with a value repeated, or with a point not strictly
-    # inside, probe at the Illinois secant root instead: the secant through
-    # the ends' stored values w_lo and w_hi, where an end kept twice in a row
-    # has its stored value halved.  A NaN secant point, one not strictly
-    # inside, or a previous probe that did not halve the bracket gets the
-    # midpoint, unless it was the first and halved |f| at the end it
-    # replaced.  An interpolant that overflowed is inf or NaN, so not inside.
+    # Interpolate through c, the end the previous probe replaced, else take
+    # the secant root, else the midpoint: the docstring states the rules.
     lo, hi = 0.0, 1.0
-    w_lo, w_hi = f_lo, f_hi
     c = f_c = None
-    last = None     # the end the previous probe replaced
     halved = True
     for probe in range(_MAX_PROBES):
         width = hi - lo
@@ -425,7 +415,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
             if c is not None and f_c != f_lo and f_c != f_hi:
                 s = _inverse_quadratic(lo, f_lo, hi, f_hi, c, f_c)
             if not lo < s < hi:
-                s = hi - w_hi * width / (w_hi - w_lo)
+                s = hi - f_hi * width / (f_hi - f_lo)
                 if not lo < s < hi:
                     s = 0.5 * (lo + hi)
         x_s = step_flow(spec, x_inside, s * h)
@@ -442,17 +432,9 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
         if (f_s > 0.0) == (f_hi > 0.0):
             c, f_c = hi, f_hi
             hi, f_hi = s, f_s
-            w_hi = f_s
-            if last == "hi":
-                w_lo *= 0.5
-            last = "hi"
         else:
             c, f_c = lo, f_lo
             lo, f_lo = s, f_s
-            w_lo = f_s
-            if last == "lo":
-                w_hi *= 0.5
-            last = "lo"
         halved = (hi - lo <= 0.5 * width
                   or probe == 0 and abs(f_s) <= 0.5 * abs(f_c))
     stats["locate_misses"] += 1

@@ -854,8 +854,8 @@ def bisection_probes(f, tol):
 
 
 @pytest.mark.parametrize("shape", [
-    # Flat below the root and steep above it: without the midpoint rule the
-    # Illinois steps crawl along the flat side, up to 5x bisection's probes.
+    # Flat below the root and steep above it: without the midpoint rule,
+    # secant steps would crawl along the flat side.
     lambda c: lambda s: (math.expm1(min(700.0, 1e4 * (s - c))) if s > c
                          else 1e-3 * (s - c)),
     lambda c: lambda s: math.tanh(1e15 * (s - c)),
@@ -870,6 +870,30 @@ def test_locate_boundary_costs_at_most_twice_bisection(shape):
         locate_boundary(spec, np.zeros(1), 1.0, lambda v: f(float(v[0])), tol,
                         stats=stats)
         assert stats["locate_probes"] <= 2 * bisection_probes(f, tol) + 2
+
+
+@pytest.mark.parametrize("shape, may_miss", [
+    (lambda c: lambda s: math.atan(50.0 * (s - c)), False),
+    # Meeting event_tol needs |s - c| <= 1e-20, below the float spacing
+    # near most roots, so a location may end at the floor as a miss.
+    (lambda c: lambda s: math.copysign(math.sqrt(abs(s - c)), s - c), True),
+])
+def test_locate_boundary_stays_within_the_midpoint_rules_bound(shape,
+                                                              may_miss):
+    """At roots of 0.25, 0.5 and 0.75 bisection's midpoint lands on the
+    root in two probes, so no multiple of bisection's count bounds the
+    locator there.  The midpoint rule halves the bracket at least every
+    second probe after the first, which bounds any location by 54 such
+    pairs to reach the 1e-16 floor, plus the full step and the first
+    probe."""
+    spec = pure_flow_spec(lambda v: np.ones(1))  # the state is the fraction
+    for c in (0.05, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9):
+        f = shape(c)
+        stats = dict.fromkeys(STAT_KEYS, 0)
+        locate_boundary(spec, np.zeros(1), 1.0, lambda v: f(float(v[0])),
+                        stats=stats)
+        assert stats["locate_probes"] <= 2 * 54 + 2
+        assert may_miss or stats["locate_misses"] == 0
 
 
 def test_locate_boundary_takes_the_midpoint_when_the_far_end_is_inf():
@@ -930,14 +954,50 @@ def test_the_first_probe_is_the_secant_root(monkeypatch):
 
 def test_a_repeated_indicator_value_gets_no_interpolant(monkeypatch):
     """Past a sign flip every replaced end repeats the value of the end that
-    replaced it, so each probe is the Illinois secant root, which here is
-    the midpoint."""
+    replaced it, so each probe is the secant root through the ends' values,
+    which here is the midpoint."""
     log = record_probes(monkeypatch)
     stats = dict.fromkeys(STAT_KEYS, 0)
     unit_clock_probes(lambda s: -1.0 if s < 0.3 else 1.0, stats=stats)
     assert [entry[0] for entry in log] == ["probe"] * stats["locate_probes"]
     assert [h for _, h in log[1:4]] == [0.5, 0.25, 0.375]
     assert stats["locate_misses"] == 1
+
+
+@pytest.mark.parametrize("c", [0.05, 0.07])
+def test_the_fallback_probe_is_the_secant_root_through_the_true_values(
+        monkeypatch, c):
+    """Replaying the bracket from the logged probes: every probe that is
+    neither an accepted interpolant nor the midpoint is the secant root
+    through the bracket ends' own indicator values, with no end weighted."""
+    step = engine.step_flow
+    spec = pure_flow_spec(lambda v: np.ones(1))
+    log = record_probes(monkeypatch)
+
+    def f(s):
+        return math.atan(50.0 * (s - c))
+
+    def at(s):
+        return f(step(spec, [0.0], s)[0])
+
+    unit_clock_probes(f)
+    assert log[0] == ("probe", 1.0)
+    lo, hi, f_lo, f_hi = 0.0, 1.0, f(0.0), at(1.0)
+    interpolant, secants = None, 0
+    for entry in log[1:]:
+        if entry[0] == "quadratic":
+            interpolant = entry[3]
+            continue
+        s = entry[1]
+        if not (s == interpolant and lo < s < hi or s == 0.5 * (lo + hi)):
+            assert s == hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            secants += 1
+        interpolant, f_s = None, at(s)
+        if (f_s > 0.0) == (f_hi > 0.0):
+            hi, f_hi = s, f_s
+        else:
+            lo, f_lo = s, f_s
+    assert secants >= 2
 
 
 @pytest.mark.parametrize("f, outside", [
@@ -968,8 +1028,8 @@ def test_an_interpolant_outside_the_bracket_gives_way_to_the_secant(
 def test_a_tiny_indicator_is_located_without_error(scale, shape):
     """At 1e-160 the products of indicator differences in a Lagrange-form
     interpolant underflow to zero; at 1e-310 the divided differences
-    overflow.  Either way the location ends within twice bisection's 54
-    probes."""
+    overflow.  Either way the location ends within the midpoint rule's
+    2 * 54 + 2 probes."""
     for c in (0.1, 0.3, 0.7, 0.9):
         f = shape(c)
         assert unit_clock_probes(lambda s: scale * f(s), tol=1e-10 * scale) \

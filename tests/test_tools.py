@@ -99,8 +99,9 @@ def test_untested_lines_names_the_branch_not_taken(tmp_path):
 
 
 def test_arc_digest_is_the_same_on_a_second_run():
-    """Two runs of one config digest alike, and so do two audits of it: no
-    wall time, temporary path or other run-to-run detail reaches the hash."""
+    """Two runs of one config digest alike, and so do two audits of it and
+    two runs of the locator line: no wall time, temporary path or other
+    run-to-run detail reaches the hash."""
     tool = load_tool("arc_digest")
     path = CONFIG_DIR / "fig2_check.json"
     first = tool.config_digest(path)
@@ -108,3 +109,5 @@ def test_arc_digest_is_the_same_on_a_second_run():
     assert tool.config_digest(path) == first
     audit = tool.audit_digest(path)
     assert audit != first and tool.audit_digest(path) == audit
+    locator = tool.locator_digest()
+    assert locator not in (first, audit) and tool.locator_digest() == locator

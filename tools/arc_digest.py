@@ -23,8 +23,14 @@ and ``backstepped_quadruple``, each started from that config's packed start
 cut to its width and run at dt 1e-3 to t = 0.5, plus one seeded
 ``audit_quadruple`` report per family.  After these, one ``<config>:audit``
 line per shipped config covers what ``syncon audit`` prints and returns on
-it, by default and with ``--samples 50 --seed 7``.  Standard library and
-numpy only; the whole run takes a few seconds.
+it, by default and with ``--samples 50 --seed 7``.  The last, ``locator``
+line covers every probe fraction, located state and count of
+``locate_boundary`` on the unit clock (x' = 1 over one unit step, so the
+state is the fraction) at 51 fixed roots of six indicator shapes: a cubic,
+an exponential, a kink flat on one side, atan, a signed square root and a
+step with no zero.  Unlike the thermostat's, these locations reach the
+secant and midpoint probes.  Standard library and numpy only; the whole run
+takes a few seconds.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -159,6 +166,47 @@ def audit_digest(path: Path) -> str:
     return h.hexdigest()
 
 
+LOCATOR_SHAPES = {
+    "cubic": lambda c: lambda s: s ** 3 - c ** 3,
+    "exp": lambda c: lambda s: math.exp(5.0 * s) - math.exp(5.0 * c),
+    "kink": lambda c: lambda s: (math.expm1(min(700.0, 1e4 * (s - c)))
+                                 if s > c else 1e-3 * (s - c)),
+    "atan": lambda c: lambda s: math.atan(50.0 * (s - c)),
+    "sqrt": lambda c: lambda s: math.copysign(math.sqrt(abs(s - c)), s - c),
+    "step": lambda c: lambda s: -1.0 if s < c else 1.0,
+}
+LOCATOR_ROOTS = [*np.linspace(0.03, 0.97, 48).tolist(), 0.25, 0.5, 0.75]
+
+
+def locator_digest() -> str:
+    """Digest of ``locate_boundary``'s probes on the unit clock."""
+    clock = engine.HybridSystemSpec(
+        dim=1, flow_map=lambda v: [1.0], jump_map=lambda v: [],
+        in_flow_set=lambda v: -1.0, in_jump_set=lambda v: 1.0)
+    step_flow, fractions = engine.step_flow, []
+
+    def logged_step(spec, x, h):
+        fractions.append(h)
+        return step_flow(spec, x, h)
+
+    h = hashlib.sha256()
+    engine.step_flow = logged_step
+    try:
+        for name, shape in LOCATOR_SHAPES.items():
+            for c in LOCATOR_ROOTS:
+                f = shape(c)
+                fractions.clear()
+                stats = dict.fromkeys(engine.STAT_KEYS, 0)
+                x, s = engine.locate_boundary(clock, [0.0], 1.0,
+                                              lambda v: f(v[0]), stats=stats)
+                h.update(f"{name}@{c!r}".encode())
+                h.update(np.array([*fractions, *x, s]).tobytes())
+                h.update(json.dumps(stats, sort_keys=True).encode())
+    finally:
+        engine.step_flow = step_flow
+    return h.hexdigest()
+
+
 def main() -> int:
     configs = sorted((ROOT / "configs").glob("*.json"))
     for path in configs:
@@ -168,6 +216,7 @@ def main() -> int:
     print(f"{generic_digest()}  generic")
     for path in configs:
         print(f"{audit_digest(path)}  {path.stem}:audit")
+    print(f"{locator_digest()}  locator")
     return 0
 
 
