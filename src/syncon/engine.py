@@ -13,30 +13,35 @@ here: flowing first there would only add steps and boundary locations.
 
 Solutions live on a hybrid time domain (t, j): flow advances t along segments
 of constant jump counter j, and each jump increments j while t stands still.
-Integration is explicit fixed-step 4th-order Runge-Kutta.  Each state width
-n gets one straight-line kernel, generated and compiled on first use: it
-unpacks the state and each stage into n float locals and builds every stage
-state and the result as a list display, in the order of operations of the
-vector formula x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy
-expression's.  The kernel converts a stage output that is an ndarray itself
+Integration is explicit fixed-step 4th-order Runge-Kutta, as straight-line
+code generated from one template and compiled on first use: the step
+unpacks the state into n float locals, builds every stage state and the
+result in the order of operations of the vector formula
+x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy expression's,
 and checks its own result's finiteness through the sum of the entries, so a
-step costs no further pass over the state.  Inside the engine a state is a
-list of ``dim`` Python floats: the flow map, the indicators, the jump map and
-the projection each receive one, and must not modify it.  A list passed to
-step_flow, locate_boundary or apply_jump is taken as is, so it must hold
-Python floats; any other sequence is read as a float array; a state of any
-width but ``dim`` raises DimensionMismatch.  The flow map may return any
-sequence of ``dim`` floats; any other length fails the stage's unpack and
-raises DimensionMismatch too.  The arc still holds float ndarrays, each
-segment's states one C-contiguous (samples, dim) array filled by
-np.fromiter.  When a step crosses a set boundary the crossing is located on
-the step fraction, re-integrating the partial step at each probe, so every
-accepted sample respects its set within ``event_tol``; a location that
-gives up short of it is counted on the arc.  Each probe interpolates, else
-takes the secant root, else the midpoint, and the midpoint rule brings the
-bracket to its 1e-16 floor within 2 * 54 + 2 probes; ``locate_boundary``
-states the rules.  An indicator that is NaN raises NonFiniteState.  Everything here is
-deterministic: the same spec, state and config produce bit-identical arcs.
+step costs no further pass over the state.  A stage comes in two forms.  A
+flow map that compile_flow built from a flow body, straight-line code over
+named state entries, carries a step with that body inlined at each stage,
+compiled once per body, and step_flow takes it.  Any other flow map, a
+wrapper around such a one included, takes the kernel for its width that
+calls it at each stage and converts an ndarray output itself.
+
+Inside the engine a state is a list of ``dim`` Python floats: the flow map, the
+indicators, the jump map and the projection each receive one, and must not
+modify it.  A list passed to step_flow, locate_boundary or apply_jump is taken
+as is, so it must hold Python floats; any other sequence is read as a float
+array; a state of any width but ``dim`` raises DimensionMismatch.  The flow map
+may return any sequence of ``dim`` floats; any other length fails the call
+stage's unpack and raises DimensionMismatch too.  The arc still holds float
+ndarrays, each segment's states one C-contiguous (samples, dim) array filled by
+np.fromiter.  When a step crosses a set boundary the crossing is located on the
+step fraction, re-integrating the partial step at each probe, so every accepted
+sample respects its set within ``event_tol``; a location that gives up short of
+it is counted on the arc.  Each probe interpolates, else takes the secant root,
+else the midpoint, and the midpoint rule brings the bracket to its 1e-16 floor
+within 2 * 54 + 2 probes; ``locate_boundary`` states the rules.  An indicator
+that is NaN raises NonFiniteState.  Everything here is deterministic: the same
+spec, state and config produce bit-identical arcs.
 
 The indicators are evaluated once per state: the pair computed at the end of
 an accepted step is carried into the next iteration, and is recomputed only
@@ -53,9 +58,11 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
+from types import MethodType
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -248,13 +255,16 @@ def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
     return NonFiniteState(f"indicator {name} is NaN at {np.asarray(x, float)!r}")
 
 
-# One RK4 stage of the kernel below: the flow map at the stage state s, as a
-# list (tolist for an ndarray), unpacked into {k}0 ... {k}{n-1}; an output
-# that fails to unpack raises DimensionMismatch.  A math-domain or overflow
-# error from a flow map at a stage state that has already left the reals (a
-# step too large for the field) is NonFiniteState; at a finite state it
-# propagates as is.
-_RK4_STAGE = """\
+# The RK4 kernels below come from one template, _rk4_source, with one of two
+# stage forms.  Each stage evaluates the flow at a stage state and binds the
+# derivative to {k}0 ... {k}{n-1}.  In both forms a math-domain or overflow
+# error at a stage state that has already left the reals (a step too large
+# for the field) is NonFiniteState; at a finite state it propagates as is.
+#
+# The call stage calls the flow map f at the stage state s, a list, and takes
+# its output as a list (tolist for an ndarray); an output that fails to
+# unpack raises DimensionMismatch.
+_CALL_STAGE = """\
     try:
         k = f(s)
     except (ValueError, OverflowError):
@@ -269,16 +279,26 @@ _RK4_STAGE = """\
             f"flow map returned dimension {{len(k)}}, expected {n}") from None
 """
 
+# The inlined stage assigns the stage state to a flow body's state names,
+# runs the body in place and reads its rates.
+_INLINE_STAGE = """\
+{assign}    try:
+{body}    except (ValueError, OverflowError):
+        _require_finite([{names}], "RK4 stage state")
+        raise
+{read}"""
 
-@functools.cache
-def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]:
-    """The RK4 step over lists of n Python floats, as straight-line code.
 
-    ``kernel(f, x, h)`` is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), computed for
-    each entry in the order of operations of the vector expression, so it is
-    bit-identical to it.  The source is generated once per width: x and each
-    stage are unpacked into locals and every stage state and the result are
-    list displays, so a step runs no per-entry loop.  The result is checked
+def _rk4_source(n: int, stage: Callable[[str, list[str] | None], str]) -> str:
+    """Source of ``kernel(f, x, h)``, the RK4 step over lists of n Python
+    floats as straight-line code, with ``stage(k, entries)`` the text of one
+    stage: the flow at the state whose entries are the expressions
+    ``entries``, or at x itself when that is None, bound to k0 ... k{n-1}.
+
+    The kernel is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), computed for each entry
+    in the order of operations of the vector expression, so it is
+    bit-identical to it.  x is unpacked into locals and the result is a list
+    display, so a step runs no per-entry loop.  The result is checked
     through the sum e of its entries: a sum of finite floats is finite or
     overflows to inf, and an inf or NaN entry makes it inf or NaN, so the
     entries are checked one by one, raising NonFiniteState, only when
@@ -288,23 +308,17 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
         return sep.join(f"{prefix}{i}" for i in range(n))
 
     def state(scale, k):
-        return "[" + ", ".join(f"x{i} + {scale} * {k}{i}" for i in range(n)) + "]"
-
-    def stage(k):
-        return _RK4_STAGE.format(n=n, ks=names(k))
+        return [f"x{i} + {scale} * {k}{i}" for i in range(n)]
 
     result = "".join(
         f"    y{i} = x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})\n"
         for i in range(n))
-    source = (
+    return (
         "def kernel(f, x, h):\n"
         f"    [{names('x')}] = x\n"
         "    half = 0.5 * h\n"
-        "    s = x\n"
-        + stage("a")
-        + f"    s = {state('half', 'a')}\n" + stage("b")
-        + f"    s = {state('half', 'b')}\n" + stage("c")
-        + f"    s = {state('h', 'c')}\n" + stage("d")
+        + stage("a", None) + stage("b", state("half", "a"))
+        + stage("c", state("half", "b")) + stage("d", state("h", "c"))
         + "    w = h / 6.0\n"
         + result
         + f"    out = [{names('y')}]\n"
@@ -312,19 +326,86 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
         "    if e - e != 0.0:\n"
         '        _require_finite(out, "flow step output (h={:g})", h)\n'
         "    return out\n")
+
+
+@functools.cache
+def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]:
+    """The RK4 step over lists of n floats that calls the flow map at each
+    stage, compiled once per width."""
+    def stage(k, entries):
+        s = "x" if entries is None else "[" + ", ".join(entries) + "]"
+        ks = ", ".join(f"{k}{i}" for i in range(n))
+        return f"    s = {s}\n" + _CALL_STAGE.format(n=n, ks=ks)
+
     namespace = {"_require_finite": _require_finite,
                  "DimensionMismatch": DimensionMismatch, "ndarray": np.ndarray}
-    exec(compile(source, f"<rk4 kernel, width {n}>", "exec"), namespace)
+    exec(compile(_rk4_source(n, stage), f"<rk4 kernel, width {n}>", "exec"),
+         namespace)
     return namespace["kernel"]
 
 
+@functools.cache
+def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...]):
+    """The compiled source that defines ``flow(v)`` and its inlined
+    ``kernel(f, x, h)`` for one flow body."""
+    n = len(state)
+    names = ", ".join(state)
+    body = body.rstrip() + "\n"
+
+    def stage(k, entries):
+        entries = entries or [f"x{i}" for i in range(n)]
+        return _INLINE_STAGE.format(
+            assign="".join(f"    {v} = {e}\n" for v, e in zip(state, entries)),
+            body=textwrap.indent(body, " " * 8), names=names,
+            read="".join(f"    {k}{i} = {r}\n" for i, r in enumerate(rates)))
+
+    source = (f"def flow(v):\n    [{names}] = v\n"
+              + textwrap.indent(body, "    ")
+              + f"    return [{', '.join(rates)}]\n\n\n"
+              + _rk4_source(n, stage))
+    return compile(source, f"<flow body, width {n}>", "exec")
+
+
+def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
+                 constants: dict) -> Callable[[list[float]], list[float]]:
+    """The flow map of a flow body, carrying its RK4 step with the body
+    inlined at each stage.
+
+    ``body`` is straight-line Python that reads the state entries by the names
+    ``state``, in order, and the names in ``constants``, and leaves the n
+    derivatives in the expressions ``rates``, one per entry.  It must assign no
+    state name and none of the names the kernel keeps across its stages: h,
+    half, and x, a, b, c or d followed by digits.  The returned ``flow(v)``
+    unpacks v into the state names, runs the body and returns the rates as a
+    list.  Its ``rk4_step(x, h)`` attribute is the RK4 kernel of
+    ``_rk4_source``, bound to ``flow``, whose stages run the body in place
+    instead of calling it: the same operations on the same floats, so the same
+    bits and the same errors as the call kernel, without a call, a list and an
+    unpack per stage.  step_flow takes it only for the flow map it is bound to,
+    so a wrapper that copies the attribute (functools.wraps) takes the call
+    path like any other.  The source is compiled once per (state, body, rates);
+    each call only runs it in a namespace of its own constants.
+    """
+    namespace = {"_require_finite": _require_finite, **constants}
+    exec(_flow_code(tuple(state), body, tuple(rates)), namespace)
+    flow = namespace["flow"]
+    flow.rk4_step = MethodType(namespace["kernel"], flow)
+    return flow
+
+
 def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
-    """One explicit RK4 step of size h along the flow map, as a list."""
+    """One explicit RK4 step of size h along the flow map, as a list: the
+    flow map's own inlined step (compile_flow) when it has one, else the
+    kernel that calls it at each stage."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
     if type(x) is not list or len(x) != spec.dim:
         x = _state(x, spec.dim, "state")
-    return _rk4_kernel(spec.dim)(spec.flow_map, x, h)
+    f = spec.flow_map
+    step = getattr(f, "rk4_step", None)
+    if step is not None and step.__self__ is f:
+        return step(x, h)
+    return _rk4_kernel(spec.dim)(f, x, h)
 
 
 def _inverse_quadratic(a: float, f_a: float, b: float, f_b: float,

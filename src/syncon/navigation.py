@@ -36,18 +36,23 @@ them: the smoothed loop is the hybrid loop plus the tracker eta, the
 backstepped loop the smoothed loop plus the actuator integrator u.  Each
 layer's bounds, gap and packed width are stated once, in layer_checks,
 loop_gap and _packed_width, which the builder and the harness read (the
-width through sample_channels).  The builder reads every world, gain and
-layer constant once into closure locals and builds one flow closure and
-one switching kernel, in_flow_set, for the switching rule
-synergy.switching_system; both are straight-line float code that adds the
-tracker terms when there is a tracker and the integrator terms when there
-is an integrator.  The kernel is the flow-set indicator, one Python call: it
-computes the terms of V that do not depend on theta once per state (p - p_o,
-the skirt, the integrator term), combines them with the state's own angle
-and with each candidate's cos, sin, penalty and offset, fixed when the loop
-is built, keeps the least candidate V inline and returns V - best - gap;
-handed a list, it appends each candidate's V for the jump map.  The gradient
-loop never switches and has its own flow closure.
+width through sample_channels).  Each loop's flow is written once, as text
+fragments of straight-line float code: grad V_nav with its skirt weight,
+the rotation terms, the hybrid input, the tracker terms and the integrator
+terms.  The builder joins the fragments of the layers present and
+engine.compile_flow compiles them into the flow map and an RK4 step with
+the flow inlined at each stage; the gradient loop, which never switches,
+has the first fragment alone for its flow.  The switching kernel,
+in_flow_set, for the switching rule synergy.switching_system, is one
+closure that reads every world, gain and layer constant once into closure
+locals and adds the tracker terms when there is a tracker and the
+integrator terms when there is an integrator.  The kernel is the flow-set
+indicator, one Python call: it computes the terms of V that do not depend
+on theta once per state (p - p_o, the skirt, the integrator term),
+combines them with the state's own angle and with each candidate's cos,
+sin, penalty and offset, fixed when the loop is built, keeps the least
+candidate V inline and returns V - best - gap; handed a list, it appends
+each candidate's V for the jump map.
 Post-processing reads the harness's V, u, excess and clearance channels
 from sample_channels, the same formulas over a stack of states as numpy
 arrays (_loop_v and _angle_terms take arrays too).  The float helpers
@@ -56,9 +61,11 @@ switch_offset, switch_offset_rate, tracked_input) are built from small
 scalar kernels and serve nominal_controller, decomposed_feedback,
 find_critical_point and the harness's checks.  All three follow one order
 of operations and give the same bits: tests/test_navigation.py's
-test_fused_kernels_equal_the_scalar_helpers pins the fused closures against
-the float helpers and against sample_channels with ==, inside and outside
-the skirt, and test_loop_maps_guard_the_clearance pins the clearance guard.
+test_fused_kernels_equal_the_scalar_helpers pins the flow maps and kernels
+against the float helpers and against sample_channels with ==, inside and
+outside the skirt, test_the_inlined_step_equals_the_call_path pins the
+inlined step against the engine's call kernel, and
+test_loop_maps_guard_the_clearance pins the clearance guard.
 The generic compositions (assemble_closed_loop over nominal_controller,
 smoothed_quadruple and backstepped_quadruple) give the same flows at many
 times the cost, so they serve as the tests' reference.
@@ -73,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backstepping import BacksteppingParams, validate_backstepping_params
-from .engine import HybridSystemSpec
+from .engine import HybridSystemSpec, compile_flow
 from .errors import (
     DimensionMismatch,
     GainValidation,
@@ -296,8 +303,8 @@ def _check_z(z: float) -> None:
 #
 # The potentials and gradients are written once, as scalar kernels over
 # Python floats (the underscored functions below).  The public helpers
-# unpack their arguments and call them; the fused loop closures further down
-# repeat their order of operations inline.
+# unpack their arguments and call them; the loops' flow fragments and
+# switching kernels further down repeat their order of operations inline.
 
 def obstacle_distance(world: NavigationWorld, p: np.ndarray) -> float:
     """Signed clearance ||p - p_o|| - r_o (negative inside the disc)."""
@@ -482,9 +489,9 @@ def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
     (both), with ``gap`` its switching gap.  V is the loop's potential, u
     (shape (n, 2)) the applied input, mu = in_flow_set + gap the switching
     excess (None for the gradient loop), dobs the obstacle clearance and
-    ddest the distance to p_d.  Every entry has the bits of the loop's fused
-    closures and of the float helpers at that row; a clearance at or below
-    1e-12 raises NonPositiveDistance.
+    ddest the distance to p_d.  Every entry has the bits of the loop's flow
+    map and switching kernel and of the float helpers at that row; a
+    clearance at or below 1e-12 raises NonPositiveDistance.
     """
     n_x = _packed_width(sp, bp)
     if xs.ndim != 2 or xs.shape[1] != n_x + 1:
@@ -700,9 +707,73 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
 
 # -- closed loops ------------------------------------------------------------
 #
-# The fused closures repeat the scalar kernels' order of operations inline,
-# down to the skirt weight varrho*0.0/rho outside the skirt (as in _grad),
-# so that they give the helpers' bits, signed zeros included.
+# Each loop's flow is written once, as text fragments that engine.compile_flow
+# compiles into the flow map and the RK4 step with the flow inlined.  They
+# repeat the scalar kernels' order of operations, down to the skirt weight
+# varrho*0.0/rho outside the skirt (as in _grad), so that they give the
+# helpers' bits, signed zeros included.
+
+# grad V_nav(p) = (gx, gy) with the skirt weight a (_radial, _grad): the
+# gradient loop's flow and the start of the switched loops'.
+_GRADIENT_FLOW = """\
+wx = px - pox
+wy = py - poy
+rho = hypot(wx, wy)
+z = rho - r_o
+if not z > _Z_MIN:
+    _check_z(z)
+if z < r_s:
+    d = z - r_s
+    lg = log(r_s / z)
+    a = varrho * (2.0 * d * lg - d * d / z) / rho
+else:
+    a = varrho * 0.0 / rho
+gx = px - pdx + a * wx
+gy = py - pdy + a * wy
+"""
+
+# The switched loops' shared prefix after the gradient: the offset sigma =
+# (sx, sy), its theta-derivative (rx, ry) and the angle rate dth.
+_ROTATION_FLOW = """\
+c = cos(th)
+s = sin(th)
+ry = c * qx + s * qy
+rx = s * qx - c * qy
+sx = qx - ry
+sy = qy - (c * qy - s * qx)
+dth = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
+"""
+
+# The hybrid loop's input -k_p (g - sigma).
+_HYBRID_FLOW = """\
+dpx = nk_p * (gx - sx)
+dpy = nk_p * (gy - sy)
+"""
+
+# The tracker's flow and the tracked input r = k_p (eta - g).
+_TRACKER_FLOW = """\
+deta1 = nk_eta * (eta1 - sx) + rx * dth - kp_gs * (gx - sx)
+deta2 = nk_eta * (eta2 - sy) + ry * dth - kp_gs * (gy - sy)
+r1 = k_p * (eta1 - gx)
+r2 = k_p * (eta2 - gy)
+"""
+
+# The integrator's flow, with H u for H = I + a I + b n n^T (nav_hessian),
+# written radially.
+_INTEGRATOR_FLOW = """\
+if z < r_s:
+    b = varrho * (2.0 * lg - 4.0 * d / z + d * d / (z * z)) - a
+else:
+    b = varrho * 0.0 - a
+nx = wx / rho
+ny = wy / rho
+ndotu = nx * u1 + ny * u2
+Hu1 = (1.0 + a) * u1 + b * ndotu * nx
+Hu2 = (1.0 + a) * u2 + b * ndotu * ny
+du1 = nk_b * (u1 - r1) + (k_p * deta1 - k_p * Hu1) - (gx - sx) / gamma_b
+du2 = nk_b * (u2 - r2) + (k_p * deta2 - k_p * Hu2) - (gy - sy) / gamma_b
+"""
+
 
 def _world_constants(world: NavigationWorld):
     """(pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho) as plain numbers."""
@@ -710,15 +781,47 @@ def _world_constants(world: NavigationWorld):
             world.varrho)
 
 
+def _flow_constants(world: NavigationWorld, gains: NavGains) -> dict:
+    """The names the flow fragments read: the world and gain constants, the
+    math functions and the clearance guard."""
+    names = ("pox", "poy", "pdx", "pdy", "qx", "qy", "r_o", "r_s", "varrho")
+    return dict(zip(names, _world_constants(world)), k_p=gains.k_p,
+                nk_p=-gains.k_p, nk_theta=-gains.k_theta,
+                gamma_theta=gains.gamma_theta, hypot=math.hypot,
+                log=math.log, cos=math.cos, sin=math.sin, _Z_MIN=_Z_MIN,
+                _check_z=_check_z)
+
+
+def _switched_flow(world: NavigationWorld, gains: NavGains,
+                   sp: SmoothedParams | None, bp: BacksteppingParams | None):
+    """The flow map of the switched loop the layers ``sp`` and ``bp`` select,
+    assembled from the fragments of the layers present."""
+    consts = _flow_constants(world, gains)
+    body = _GRADIENT_FLOW + _ROTATION_FLOW
+    if sp is None:
+        return compile_flow(("px", "py", "th"), body + _HYBRID_FLOW,
+                            ("dpx", "dpy", "dth"), consts)
+    consts.update(nk_eta=-sp.k_eta, kp_gs=gains.k_p / sp.gamma_s)
+    body += _TRACKER_FLOW
+    if bp is None:
+        return compile_flow(("px", "py", "eta1", "eta2", "th"), body,
+                            ("r1", "r2", "deta1", "deta2", "dth"), consts)
+    consts.update(nk_b=-bp.k_b, gamma_b=bp.gamma_b)
+    return compile_flow(("px", "py", "eta1", "eta2", "u1", "u2", "th"),
+                        body + _INTEGRATOR_FLOW,
+                        ("u1", "u2", "deta1", "deta2", "du1", "du2", "dth"),
+                        consts)
+
+
 def _switched_loop(world: NavigationWorld, gains: NavGains,
                    sp: SmoothedParams | None,
                    bp: BacksteppingParams | None) -> HybridSystemSpec:
     """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
     (neither), smoothed (``sp``) or backstepped (both), after the checks of
-    layer_checks have passed; the first that fails raises.  Its flow and its
-    switching kernel in_flow_set(v, out=None), V(v) - best candidate V -
-    loop_gap, share the hybrid loop's prefix and add the tracker and
-    integrator terms of the layers present."""
+    layer_checks have passed; the first that fails raises.  Its flow
+    (_switched_flow) and its switching kernel in_flow_set(v, out=None), V(v)
+    - best candidate V - loop_gap, share the hybrid loop's prefix and add
+    the tracker and integrator terms of the layers present."""
     for check in layer_checks(world, gains, sp, bp):
         check()
     tracker = sp is not None
@@ -726,72 +829,14 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
     gap = loop_gap(gains, sp, bp)
     if tracker:
         half_gs = 0.5 * sp.gamma_s
-        nk_eta = -sp.k_eta
-        kp_gs = gains.k_p / sp.gamma_s
     if integrator:
         half_gb = 0.5 * bp.gamma_b
-        gamma_b = bp.gamma_b
-        nk_b = -bp.k_b
     pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
     k_p = gains.k_p
-    nk_p = -k_p
-    nk_theta = -gains.k_theta
-    gamma_theta = gains.gamma_theta
-    half_gt = 0.5 * gamma_theta
+    half_gt = 0.5 * gains.gamma_theta
     cands = [_angle_terms(world, gains, t)
              for t in gains.theta_candidates.tolist()]
     hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
-
-    def flow(v):
-        if not tracker:
-            px, py, th = v
-        elif not integrator:
-            px, py, eta1, eta2, th = v
-        else:
-            px, py, eta1, eta2, u1, u2, th = v
-        wx = px - pox
-        wy = py - poy
-        rho = hypot(wx, wy)
-        z = rho - r_o
-        if not z > _Z_MIN:
-            _check_z(z)
-        if z < r_s:
-            d = z - r_s
-            lg = log(r_s / z)
-            a = varrho * (2.0 * d * lg - d * d / z) / rho
-        else:
-            a = varrho * 0.0 / rho
-        gx = px - pdx + a * wx
-        gy = py - pdy + a * wy
-        c = cos(th)
-        s = sin(th)
-        ry = c * qx + s * qy
-        rx = s * qx - c * qy
-        sx = qx - ry
-        sy = qy - (c * qy - s * qx)
-        varpi = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
-        if not tracker:
-            return [nk_p * (gx - sx), nk_p * (gy - sy), varpi]
-        ks1 = nk_eta * (eta1 - sx) + rx * varpi - kp_gs * (gx - sx)
-        ks2 = nk_eta * (eta2 - sy) + ry * varpi - kp_gs * (gy - sy)
-        if not integrator:
-            return [k_p * (eta1 - gx), k_p * (eta2 - gy), ks1, ks2, varpi]
-        # H u for H = I + a I + b n n^T (nav_hessian), written radially
-        if z < r_s:
-            b = varrho * (2.0 * lg - 4.0 * d / z + d * d / (z * z)) - a
-        else:
-            b = varrho * 0.0 - a
-        nx = wx / rho
-        ny = wy / rho
-        ndotu = nx * u1 + ny * u2
-        Hu1 = (1.0 + a) * u1 + b * ndotu * nx
-        Hu2 = (1.0 + a) * u2 + b * ndotu * ny
-        return [u1, u2, ks1, ks2,
-                nk_b * (u1 - k_p * (eta1 - gx)) + (k_p * ks1 - k_p * Hu1)
-                - (gx - sx) / gamma_b,
-                nk_b * (u2 - k_p * (eta2 - gy)) + (k_p * ks2 - k_p * Hu2)
-                - (gy - sy) / gamma_b,
-                varpi]
 
     def in_flow_set(v, out=None):
         px = v[0]
@@ -848,7 +893,8 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
         return own - best - gap
 
     return switching_system(in_flow_set, gains.theta_candidates.reshape(-1, 1),
-                            flow, _packed_width(sp, bp), shell_projection(world))
+                            _switched_flow(world, gains, sp, bp),
+                            _packed_width(sp, bp), shell_projection(world))
 
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
@@ -882,25 +928,9 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
 
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Plain descent on the base potential; never jumps.  [px, py, theta]."""
-    pox, poy, pdx, pdy, _, _, r_o, r_s, varrho = _world_constants(world)
-    nk_p = -gains.k_p
-    hypot, log = math.hypot, math.log
-
-    def flow(v):
-        px, py, _ = v
-        wx = px - pox
-        wy = py - poy
-        rho = hypot(wx, wy)
-        z = rho - r_o
-        if not z > _Z_MIN:
-            _check_z(z)
-        if z < r_s:
-            d = z - r_s
-            a = varrho * (2.0 * d * log(r_s / z) - d * d / z) / rho
-        else:
-            a = varrho * 0.0 / rho
-        return [nk_p * (px - pdx + a * wx), nk_p * (py - pdy + a * wy), 0.0]
-
+    flow = compile_flow(("px", "py", "th"), _GRADIENT_FLOW,
+                        ("nk_p * gx", "nk_p * gy", "0.0"),
+                        _flow_constants(world, gains))
     return HybridSystemSpec(
         dim=3,
         flow_map=flow,

@@ -1,6 +1,7 @@
 """Unit tests for the planar obstacle-avoidance construction."""
 
 import dataclasses
+import functools
 import math
 import sys
 
@@ -9,13 +10,15 @@ import pytest
 
 from conftest import CONFIG_DIR, loop_potential
 from syncon import numdiff
-from syncon.engine import SimConfig, simulate
+from syncon.engine import SimConfig, simulate, step_flow
 from syncon.errors import (
     GainValidation,
     NoRootBracketed,
+    NonFiniteState,
     NonPositiveDistance,
     OutsideFreeSpace,
     ParamBoundViolation,
+    SynconError,
 )
 from syncon.navigation import (
     NavGains,
@@ -683,6 +686,127 @@ def test_fused_kernels_equal_the_scalar_helpers():
     for v in skirt_states(world, gains, rng, 200, 3):
         assert spec.flow_map(v) == (
             -k_p * nav_gradient(world, v[:2], check=False)).tolist() + [0.0]
+
+
+def off_axis_loops():
+    """The world of test_fused_kernels_equal_the_scalar_helpers, with no
+    zero coordinate, and (name, spec, width) for each navigation loop on it."""
+    world = dataclasses.replace(demo_world(), p_o=np.array([3.3, 5.1]),
+                                p_d=np.array([0.3, 1.1]))
+    gains = dataclasses.replace(demo_gains(),
+                                theta_candidates=np.array([-0.2, 0.2]))
+    sp, bp = demo_smoothed(), demo_backstep()
+    return world, gains, [
+        ("hybrid", hybrid_closed_loop(world, gains), 3),
+        ("smooth", smooth_closed_loop(world, gains, sp), 5),
+        ("backstep", backstep_closed_loop(world, gains, sp, bp), 7),
+        ("gradient", gradient_closed_loop(world, gains), 3)]
+
+
+def call_path(spec, calls=None):
+    """The spec with its flow map behind a wrapper, so step_flow calls it at
+    each stage: functools.wraps copies the inlined step onto the wrapper,
+    but the step is bound to the flow map it was built for.  Each call
+    appends to ``calls`` when it is given."""
+    flow = spec.flow_map
+
+    @functools.wraps(flow)
+    def wrapped(v):
+        if calls is not None:
+            calls.append(None)
+        return flow(v)
+
+    assert wrapped.rk4_step is flow.rk4_step
+    return dataclasses.replace(spec, flow_map=wrapped)
+
+
+def step_outcome(spec, v, h):
+    """step_flow's result, or the type and message of the error it raised."""
+    try:
+        return step_flow(spec, v, h)
+    except SynconError as exc:
+        return type(exc), str(exc)
+
+
+def test_the_inlined_step_equals_the_call_path():
+    """Each loop's flow map carries an RK4 step with the flow inlined, which
+    step_flow takes; it gives the bits (==) of the call kernel over the same
+    flow map, or raises what that raises, inside and outside the skirt."""
+    world, gains, loops = off_axis_loops()
+    rng = np.random.default_rng(71)
+    dt = 1e-3
+    for name, spec, width in loops:
+        assert spec.flow_map.rk4_step is not None, name
+        called = call_path(spec)
+        finished = 0
+        for v in skirt_states(world, gains, rng, 60, width):
+            for h in (dt, 0.37 * dt, 1.0):
+                out = step_outcome(spec, v, h)
+                assert out == step_outcome(called, v, h), (name, v, h)
+                finished += type(out) is list
+        assert finished >= 120, name
+
+
+def test_an_inlined_arc_equals_the_call_path_arc():
+    """One short run per loop, from an angle away from every candidate so
+    that the switched loops jump first, gives the same bytes on both paths;
+    the wrapped flow map is called four times per RK4 step."""
+    world, gains, loops = off_axis_loops()
+    cfg = SimConfig(dt=1e-3, t_max=0.2)
+    for name, spec, width in loops:
+        v = [9.0, 3.0, 0.5, -0.5, 1.0, 2.0][:width - 1] + [0.9]
+        calls = []
+        arc = simulate(spec, np.array(v), cfg)
+        ref = simulate(call_path(spec, calls), np.array(v), cfg)
+        assert (name == "gradient") == (arc.n_jumps == 0), name
+        assert len(calls) == 4 * ref.stats["rk4_steps"] > 0, name
+        assert arc.stats == ref.stats, name
+        assert arc.termination == ref.termination, name
+        assert len(arc.segments) == len(ref.segments), name
+        for seg, rseg in zip(arc.segments, ref.segments):
+            assert seg.j == rseg.j, name
+            assert seg.ts.tobytes() == rseg.ts.tobytes(), name
+            assert seg.xs.tobytes() == rseg.xs.tobytes(), name
+        assert [(e.t, e.j_pre, e.x_pre.tobytes(), e.x_post.tobytes(),
+                 e.n_candidates) for e in arc.jumps] == [
+                (e.t, e.j_pre, e.x_pre.tobytes(), e.x_post.tobytes(),
+                 e.n_candidates) for e in ref.jumps], name
+
+
+# What a step of 1e300 from each shipped start raises, on either path.
+HUGE_STEP_ERRORS = {
+    "fig2_check": (NonPositiveDistance, "must be positive, got nan"),
+    "fig5_backstep": (NonFiniteState, "RK4 stage state is not finite: "),
+    "fig5_hybrid": (NonPositiveDistance, "must be positive, got nan"),
+    "fig5_hybrid_offset": (NonFiniteState, "RK4 stage state is not finite: "),
+    "fig5_nonhybrid": (NonPositiveDistance, "must be positive, got nan"),
+    "fig5_smooth": (NonPositiveDistance, "must be positive, got nan"),
+}
+
+
+def test_the_inlined_step_raises_what_the_call_path_raises():
+    """From each shipped start a step of 1e300 overflows a stage state: both
+    paths raise the same error with the same message.  A stage state at a
+    clearance at or below 1e-12 raises NonPositiveDistance on both."""
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert [p.stem for p in paths] == sorted(HUGE_STEP_ERRORS)
+    for path in paths:
+        cfg = load_config(path)
+        spec = build_closed_loop(cfg)
+        x = initial_packed_state(cfg).tolist()
+        kind, text = HUGE_STEP_ERRORS[path.stem]
+        out = step_outcome(spec, x, 1e300)
+        assert out == step_outcome(call_path(spec), x, 1e300), path.stem
+        assert out[0] is kind and text in out[1], path.stem
+
+    world, gains, loops = off_axis_loops()
+    pox, poy = world.p_o.tolist()
+    for name, spec, width in loops:
+        for p in ((pox + world.r_o, poy), (pox, poy - world.r_o + 5e-13)):
+            v = [p[0], p[1], *[0.5] * (width - 3), 0.1]
+            out = step_outcome(spec, v, 1e-3)
+            assert out == step_outcome(call_path(spec), v, 1e-3), name
+            assert out[0] is NonPositiveDistance, name
 
 
 def two_sided_loops():
