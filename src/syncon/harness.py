@@ -501,15 +501,19 @@ def write_csv(record: RunRecord, path) -> None:
 
     Floats are printed with %.17g, so the same config produces
     byte-identical output on every run.  Rows are formatted with one format
-    string, _CSV_CHUNK_ROWS at a time, which bounds the text held at once.
-    From two chunks on, a forked worker formats the second half of the rows
-    into a pipe while this process writes the first, then the pipe is
-    copied in: the same bytes.  The worker is held to the usable CPUs other
-    than the one this process runs on, since a scheduler need not move a
-    forked child off its parent's CPU; this process is never pinned.  With
-    one usable CPU, another live thread (the child could deadlock), no
-    os.sched_setaffinity or no readable /proc/self/stat, or where os.fork
-    fails, one process writes them all.
+    string, _CSV_CHUNK_ROWS at a time, which bounds the text this process
+    holds at once.  From two chunks on, a forked worker formats the second
+    half of the rows into a pipe while this process writes the first, then
+    the pipe is copied in: the same bytes.  The worker joins its whole half
+    and writes it once, since this process reads the pipe only after its
+    own half: a worker that wrote each chunk would stall on the full pipe
+    (64 KiB on Linux, less than one chunk) and format nothing meanwhile.
+    The worker is held to the usable CPUs other than the one this process
+    runs on, since a scheduler need not move a forked child off its
+    parent's CPU; this process is never pinned.  With one usable CPU,
+    another live thread (the child could deadlock), no os.sched_setaffinity
+    or no readable /proc/self/stat, or where os.fork fails, one process
+    writes them all.
 
     threading.active_count() sees Python threads only, not a native pool
     such as OpenBLAS's; Python 3.12 and later warn when such a process

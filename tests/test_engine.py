@@ -318,19 +318,23 @@ def test_step_flow_rejects_a_nonfinite_later_stage(bad):
         simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
 
 
-@pytest.mark.parametrize("stage", [2, 3, 4])
-def test_a_math_error_at_an_overflowed_stage_is_a_nonfinite_state(stage):
+@pytest.mark.parametrize("stage, lazy", [
+    *[pytest.param(stage, False, id=str(stage)) for stage in (2, 3, 4)],
+    *[pytest.param(stage, True, id=f"{stage}-lazy") for stage in (2, 3, 4)]])
+def test_a_math_error_at_an_overflowed_stage_is_a_nonfinite_state(stage, lazy):
     """A step of h = 1e10 too large for the field overflows the given stage
-    state to inf first, where math.cos raises ValueError; the engine names
-    the state.  The rate is 1 at x = 0 and 2 at x = h/2, so the stage states
-    run 0, h/2, h; the first state without a listed rate gets 1e300."""
+    state to inf first, where math.cos raises ValueError: inside the flow
+    map, or, when the flow map returns a generator (lazy), while the engine
+    reads its output.  Either way the engine names the state.  The rate is 1
+    at x = 0 and 2 at x = h/2, so the stage states run 0, h/2, h; the first
+    state without a listed rate gets 1e300."""
     rates = dict([(0.0, 1.0), (5e9, 2.0)][:stage - 2])
     seen = []
 
     def f(v):
         seen.append(v[0])
-        math.cos(v[0])
-        return [rates.get(v[0], 1e300)]
+        out = (math.cos(a) * 0.0 + rates.get(a, 1e300) for a in v)
+        return out if lazy else list(out)
 
     spec = pure_flow_spec(f)
     with pytest.raises(NonFiniteState, match="stage state"):
