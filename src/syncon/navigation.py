@@ -36,23 +36,14 @@ them: the smoothed loop is the hybrid loop plus the tracker eta, the
 backstepped loop the smoothed loop plus the actuator integrator u.  Each
 layer's bounds, gap and packed width are stated once, in layer_checks,
 loop_gap and _packed_width, which the builder and the harness read (the
-width through sample_channels).  Each loop's flow is written once, as text
-fragments of straight-line float code: grad V_nav with its skirt weight,
-the rotation terms, the hybrid input, the tracker terms and the integrator
-terms.  The builder joins the fragments of the layers present and
-engine.compile_flow compiles them into the flow map and an RK4 step with
-the flow inlined at each stage; the gradient loop, which never switches,
-has the first fragment alone for its flow.  The switching kernel,
-in_flow_set, for the switching rule synergy.switching_system, is one
-closure that reads every world, gain and layer constant once into closure
-locals and adds the tracker terms when there is a tracker and the
-integrator terms when there is an integrator.  The kernel is the flow-set
-indicator, one Python call: it computes the terms of V that do not depend
-on theta once per state (p - p_o, the skirt, the integrator term),
-combines them with the state's own angle and with each candidate's cos,
-sin, penalty and offset, fixed when the loop is built, keeps the least
-candidate V inline and returns V - best - gap; handed a list, it appends
-each candidate's V for the jump map.
+width through sample_channels).  Each formula is written once, as a text
+fragment of straight-line float code, and the builder adds the state names
+and fragments of each layer present.  engine.compile_flow compiles the flow
+fragments into the flow map and an RK4 step with the flow inlined at each
+stage; _kernel_code compiles the V fragments into the switching kernel,
+in_flow_set for synergy.switching_system, which evaluates V at the state's
+own angle and at each candidate.  The gradient loop, which never switches,
+has the clearance and gradient fragments alone for its flow.
 Post-processing reads the harness's V, u, excess and clearance channels
 from sample_channels, the same formulas over a stack of states as numpy
 arrays (_loop_v and _angle_terms take arrays too).  The float helpers
@@ -65,7 +56,8 @@ test_fused_kernels_equal_the_scalar_helpers pins the flow maps and kernels
 against the float helpers and against sample_channels with ==, inside and
 outside the skirt, test_the_inlined_step_equals_the_call_path pins the
 inlined step against the engine's call kernel, and
-test_loop_maps_guard_the_clearance pins the clearance guard.
+test_loop_maps_guard_the_clearance pins the clearance guard and the
+state width.
 The generic compositions (assemble_closed_loop over nominal_controller,
 smoothed_quadruple and backstepped_quadruple) give the same flows at many
 times the cost, so they serve as the tests' reference.
@@ -75,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,8 +296,8 @@ def _check_z(z: float) -> None:
 #
 # The potentials and gradients are written once, as scalar kernels over
 # Python floats (the underscored functions below).  The public helpers
-# unpack their arguments and call them; the loops' flow fragments and
-# switching kernels further down repeat their order of operations inline.
+# unpack their arguments and call them; the loops' fragments further down
+# repeat their order of operations inline.
 
 def obstacle_distance(world: NavigationWorld, p: np.ndarray) -> float:
     """Signed clearance ||p - p_o|| - r_o (negative inside the disc)."""
@@ -707,21 +700,24 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
 
 # -- closed loops ------------------------------------------------------------
 #
-# Each loop's flow is written once, as text fragments that engine.compile_flow
-# compiles into the flow map and the RK4 step with the flow inlined.  They
-# repeat the scalar kernels' order of operations, down to the skirt weight
-# varrho*0.0/rho outside the skirt (as in _grad), so that they give the
-# helpers' bits, signed zeros included.
+# Each loop's flow and switching kernel are written once, as text fragments
+# compiled into the flow map with its inlined RK4 step (engine.compile_flow)
+# and into the kernel (_kernel_code).  They repeat the scalar kernels' order
+# of operations, down to the skirt weight varrho*0.0/rho outside the skirt
+# (as in _grad), so that they give the helpers' bits, signed zeros included.
 
-# grad V_nav(p) = (gx, gy) with the skirt weight a (_radial, _grad): the
-# gradient loop's flow and the start of the switched loops'.
-_GRADIENT_FLOW = """\
+# p - p_o, rho and the clearance z (_radial); grad V_nav(p) = (gx, gy) with
+# the skirt weight a (_grad); the skirt term vphi = varrho phi(z) of V.
+_RADIAL = """\
 wx = px - pox
 wy = py - poy
 rho = hypot(wx, wy)
 z = rho - r_o
 if not z > _Z_MIN:
     _check_z(z)
+"""
+
+_GRADIENT = """\
 if z < r_s:
     d = z - r_s
     lg = log(r_s / z)
@@ -732,15 +728,30 @@ gx = px - pdx + a * wx
 gy = py - pdy + a * wy
 """
 
-# The switched loops' shared prefix after the gradient: the offset sigma =
-# (sx, sy), its theta-derivative (rx, ry) and the angle rate dth.
-_ROTATION_FLOW = """\
+_SKIRT = """\
+if z < r_s:
+    d = z - r_s
+    lg = log(r_s / z)
+    vphi = varrho * (d * d * lg)
+else:
+    vphi = varrho * 0.0
+"""
+
+# cos and sin of the logic angle th; the offset sigma = (sx, sy) (_offset);
+# its theta-derivative (rx, ry) and the angle rate dth.
+_ANGLE = """\
 c = cos(th)
 s = sin(th)
+"""
+
+_OFFSET = """\
 ry = c * qx + s * qy
-rx = s * qx - c * qy
 sx = qx - ry
 sy = qy - (c * qy - s * qx)
+"""
+
+_ROTATION_FLOW = """\
+rx = s * qx - c * qy
 dth = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
 """
 
@@ -774,43 +785,67 @@ du1 = nk_b * (u1 - r1) + (k_p * deta1 - k_p * Hu1) - (gx - sx) / gamma_b
 du2 = nk_b * (u2 - r2) + (k_p * deta2 - k_p * Hu2) - (gy - sy) / gamma_b
 """
 
+# V's terms (_loop_v): the integrator's (gamma_b/2)||u - k_p (eta - g)||^2,
+# free of theta; at the angle terms (c, s, pen, sx, sy), the rotated pull,
+# skirt and penalty, and the tracker's term.
+_FOLLOWING = """\
+f1 = u1 - k_p * (eta1 - gx)
+f2 = u2 - k_p * (eta2 - gy)
+integ = half_gb * (f1 * f1 + f2 * f2)
+"""
 
-def _world_constants(world: NavigationWorld):
-    """(pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho) as plain numbers."""
-    return (*world._po, *world._pd, *world._q, world.r_o, world.r_s,
-            world.varrho)
+_VALUE = """\
+ex = pox + c * wx - s * wy - pdx
+ey = poy + s * wx + c * wy - pdy
+V = 0.5 * (ex * ex + ey * ey) + vphi + pen
+"""
+
+_TRACKER_VALUE = """\
+e1 = eta1 - sx
+e2 = eta2 - sy
+V = V + half_gs * (e1 * e1 + e2 * e2)
+"""
+
+_KERNEL = """\
+def in_flow_set(v, out=None):
+    [{state}] = v
+{body}    pen = half_gt * th * th
+{value}    own = V
+    best = None
+    for c, s, pen, sx, sy in cands:
+{candidate}        if out is not None:
+            out.append(V)
+        if best is None or V < best:
+            best = V
+    return own - best - gap
+"""
+
+
+@functools.cache
+def _kernel_code(state: tuple[str, ...], body: str, value: str):
+    """The compiled source of the switching kernel in_flow_set(v, out=None).
+    It unpacks v into ``state`` and runs ``body``: the terms of V that do not
+    depend on theta, and the own angle's.  It returns V from ``value`` at the
+    own angle, less its least value over the (c, s, pen, sx, sy) in
+    ``cands``, less ``gap``, and appends each candidate's V to a list
+    ``out``."""
+    source = _KERNEL.format(state=", ".join(state),
+                            body=textwrap.indent(body, "    "),
+                            value=textwrap.indent(value, "    "),
+                            candidate=textwrap.indent(value, " " * 8))
+    return compile(source, f"<switching kernel, width {len(state)}>", "exec")
 
 
 def _flow_constants(world: NavigationWorld, gains: NavGains) -> dict:
-    """The names the flow fragments read: the world and gain constants, the
-    math functions and the clearance guard."""
-    names = ("pox", "poy", "pdx", "pdy", "qx", "qy", "r_o", "r_s", "varrho")
-    return dict(zip(names, _world_constants(world)), k_p=gains.k_p,
-                nk_p=-gains.k_p, nk_theta=-gains.k_theta,
+    """The names the fragments read: the world and gain constants, the math
+    functions and the clearance guard."""
+    (pox, poy), (pdx, pdy), (qx, qy) = world._po, world._pd, world._q
+    return dict(pox=pox, poy=poy, pdx=pdx, pdy=pdy, qx=qx, qy=qy,
+                r_o=world.r_o, r_s=world.r_s, varrho=world.varrho,
+                k_p=gains.k_p, nk_p=-gains.k_p, nk_theta=-gains.k_theta,
                 gamma_theta=gains.gamma_theta, hypot=math.hypot,
                 log=math.log, cos=math.cos, sin=math.sin, _Z_MIN=_Z_MIN,
                 _check_z=_check_z)
-
-
-def _switched_flow(world: NavigationWorld, gains: NavGains,
-                   sp: SmoothedParams | None, bp: BacksteppingParams | None):
-    """The flow map of the switched loop the layers ``sp`` and ``bp`` select,
-    assembled from the fragments of the layers present."""
-    consts = _flow_constants(world, gains)
-    body = _GRADIENT_FLOW + _ROTATION_FLOW
-    if sp is None:
-        return compile_flow(("px", "py", "th"), body + _HYBRID_FLOW,
-                            ("dpx", "dpy", "dth"), consts)
-    consts.update(nk_eta=-sp.k_eta, kp_gs=gains.k_p / sp.gamma_s)
-    body += _TRACKER_FLOW
-    if bp is None:
-        return compile_flow(("px", "py", "eta1", "eta2", "th"), body,
-                            ("r1", "r2", "deta1", "deta2", "dth"), consts)
-    consts.update(nk_b=-bp.k_b, gamma_b=bp.gamma_b)
-    return compile_flow(("px", "py", "eta1", "eta2", "u1", "u2", "th"),
-                        body + _INTEGRATOR_FLOW,
-                        ("u1", "u2", "deta1", "deta2", "du1", "du2", "dth"),
-                        consts)
 
 
 def _switched_loop(world: NavigationWorld, gains: NavGains,
@@ -818,82 +853,46 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
                    bp: BacksteppingParams | None) -> HybridSystemSpec:
     """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
     (neither), smoothed (``sp``) or backstepped (both), after the checks of
-    layer_checks have passed; the first that fails raises.  Its flow
-    (_switched_flow) and its switching kernel in_flow_set(v, out=None), V(v)
-    - best candidate V - loop_gap, share the hybrid loop's prefix and add
-    the tracker and integrator terms of the layers present."""
+    layer_checks have passed; the first that fails raises.  Each layer
+    present adds its state names and fragments to the flow map (compile_flow)
+    and to the switching kernel in_flow_set(v, out=None), V(v) - best
+    candidate V - loop_gap (_kernel_code), both run in a namespace of the
+    loop's constants."""
     for check in layer_checks(world, gains, sp, bp):
         check()
-    tracker = sp is not None
-    integrator = bp is not None
-    gap = loop_gap(gains, sp, bp)
-    if tracker:
-        half_gs = 0.5 * sp.gamma_s
-    if integrator:
-        half_gb = 0.5 * bp.gamma_b
-    pox, poy, pdx, pdy, qx, qy, r_o, r_s, varrho = _world_constants(world)
-    k_p = gains.k_p
-    half_gt = 0.5 * gains.gamma_theta
-    cands = [_angle_terms(world, gains, t)
-             for t in gains.theta_candidates.tolist()]
-    hypot, log, cos, sin = math.hypot, math.log, math.cos, math.sin
-
-    def in_flow_set(v, out=None):
-        px = v[0]
-        py = v[1]
-        th = v[-1]
-        wx = px - pox
-        wy = py - poy
-        rho = hypot(wx, wy)
-        z = rho - r_o
-        if not z > _Z_MIN:
-            _check_z(z)
-        if z < r_s:
-            d = z - r_s
-            lg = log(r_s / z)
-            vphi = varrho * (d * d * lg)
-        else:
-            vphi = varrho * 0.0
-        if tracker:
-            eta1 = v[2]
-            eta2 = v[3]
-            if integrator:
-                dphi = 2.0 * d * lg - d * d / z if z < r_s else 0.0
-                a = varrho * dphi / rho
-                f1 = v[4] - k_p * (eta1 - (px - pdx + a * wx))
-                f2 = v[5] - k_p * (eta2 - (py - pdy + a * wy))
-                integ = half_gb * (f1 * f1 + f2 * f2)
-        # _loop_v at the state's own angle, then at each candidate's
-        c = cos(th)
-        s = sin(th)
-        ex = pox + c * wx - s * wy - pdx  # T(p, theta) - p_d
-        ey = poy + s * wx + c * wy - pdy
-        own = 0.5 * (ex * ex + ey * ey) + vphi + half_gt * th * th
-        if tracker:
-            e1 = eta1 - (qx - (c * qx + s * qy))
-            e2 = eta2 - (qy - (c * qy - s * qx))
-            own = own + half_gs * (e1 * e1 + e2 * e2)
-            if integrator:
-                own = own + integ
-        best = None
-        for c, s, pen, sx, sy in cands:
-            ex = pox + c * wx - s * wy - pdx
-            ey = poy + s * wx + c * wy - pdy
-            V = 0.5 * (ex * ex + ey * ey) + vphi + pen
-            if tracker:
-                e1 = eta1 - sx
-                e2 = eta2 - sy
-                V = V + half_gs * (e1 * e1 + e2 * e2)
-                if integrator:
-                    V = V + integ
-            if out is not None:
-                out.append(V)
-            if best is None or V < best:
-                best = V
-        return own - best - gap
-
-    return switching_system(in_flow_set, gains.theta_candidates.reshape(-1, 1),
-                            _switched_flow(world, gains, sp, bp),
+    consts = _flow_constants(world, gains)
+    consts.update(half_gt=0.5 * gains.gamma_theta, gap=loop_gap(gains, sp, bp),
+                  cands=[_angle_terms(world, gains, t)
+                         for t in gains.theta_candidates.tolist()])
+    state = ("px", "py")
+    flow = _RADIAL + _GRADIENT + _ANGLE + _OFFSET + _ROTATION_FLOW
+    body = _RADIAL + _SKIRT + _ANGLE
+    value = _VALUE
+    if sp is None:
+        flow += _HYBRID_FLOW
+        rates = ("dpx", "dpy")
+    else:
+        state += ("eta1", "eta2")
+        flow += _TRACKER_FLOW
+        body += _OFFSET
+        value += _TRACKER_VALUE
+        rates = ("r1", "r2", "deta1", "deta2")
+        consts.update(nk_eta=-sp.k_eta, kp_gs=gains.k_p / sp.gamma_s,
+                      half_gs=0.5 * sp.gamma_s)
+    if bp is not None:
+        state += ("u1", "u2")
+        flow += _INTEGRATOR_FLOW
+        body += _GRADIENT + _FOLLOWING
+        value += "V = V + integ\n"
+        rates = ("u1", "u2", "deta1", "deta2", "du1", "du2")
+        consts.update(nk_b=-bp.k_b, gamma_b=bp.gamma_b,
+                      half_gb=0.5 * bp.gamma_b)
+    state += ("th",)
+    kernel = dict(consts)
+    exec(_kernel_code(state, body, value), kernel)
+    return switching_system(kernel["in_flow_set"],
+                            gains.theta_candidates.reshape(-1, 1),
+                            compile_flow(state, flow, (*rates, "dth"), consts),
                             _packed_width(sp, bp), shell_projection(world))
 
 
@@ -928,7 +927,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
 
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Plain descent on the base potential; never jumps.  [px, py, theta]."""
-    flow = compile_flow(("px", "py", "th"), _GRADIENT_FLOW,
+    flow = compile_flow(("px", "py", "th"), _RADIAL + _GRADIENT,
                         ("nk_p * gx", "nk_p * gy", "0.0"),
                         _flow_constants(world, gains))
     return HybridSystemSpec(

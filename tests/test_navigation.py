@@ -632,60 +632,73 @@ def skirt_states(world, gains, rng, n, width):
 
 
 def test_fused_kernels_equal_the_scalar_helpers():
-    """The loops' fused flow and indicator closures give the bits (==, not
-    approx) of the public float helpers and of sample_channels, inside and
-    outside the skirt, in a world with no zero coordinate."""
+    """The loops' compiled flow maps and switching kernels give the bits (==,
+    not approx) of the public float helpers and of sample_channels, inside
+    and outside the skirt, in a world with no zero coordinate, with two
+    candidates and with three.  A kernel handed a list appends each
+    candidate's V to it, in Theta order."""
     world = dataclasses.replace(demo_world(), p_o=np.array([3.3, 5.1]),
                                 p_d=np.array([0.3, 1.1]))
-    gains = dataclasses.replace(demo_gains(),
-                                theta_candidates=np.array([-0.2, 0.2]))
-    sp = demo_smoothed()
+    two = dataclasses.replace(demo_gains(),
+                              theta_candidates=np.array([-0.2, 0.2]))
+    # The smallest candidate and the widest set bound delta and gamma_s.
+    three = dataclasses.replace(demo_gains(),
+                                theta_candidates=np.array([-0.3, 0.1, 0.25]),
+                                delta=0.01)
     bp = demo_backstep()
-    k_p, k_theta = gains.k_p, gains.k_theta
-    loops = {
-        "hybrid": (hybrid_closed_loop(world, gains), 3, gains.delta, None,
-                   None),
-        "smooth": (smooth_closed_loop(world, gains, sp), 5, sp.delta_s, sp,
-                   None),
-        "backstep": (backstep_closed_loop(world, gains, sp, bp), 7,
-                     bp.delta_b, sp, bp),
-    }
-    smooth_spec = loops["smooth"][0]
-    cands = gains.theta_candidates.tolist()
     rng = np.random.default_rng(59)
-    for name, (spec, width, gap, lsp, lbp) in loops.items():
-        states = skirt_states(world, gains, rng, 200, width)
-        inside = [obstacle_distance(world, v[:2]) < world.r_s for v in states]
-        assert 0 < sum(inside) < len(states)
-        for v in states:
-            own = loop_potential(world, gains, lsp, lbp, v, v[-1])
-            best = min(loop_potential(world, gains, lsp, lbp, v, t)
-                       for t in cands)
-            assert spec.in_flow_set(v) == own - best - gap, name
-            assert spec.in_jump_set(v) == gap - (own - best), name
-            V, _, mu, _, _ = sample_channels(world, gains, np.array([v]), gap,
-                                             lsp, lbp)
-            assert spec.in_flow_set(v) + gap == mu[0], name
-            assert V[0] == own, name
-            flow = spec.flow_map(v)
-            assert flow[-1] == -k_theta * switched_gradient_theta(
-                world, gains, v[:2], v[-1]), name
-            if name == "hybrid":
-                assert flow[:2] == (-k_p * switched_gradient_p(
-                    world, gains, v[:2], v[2], check=False)).tolist()
-            elif name == "smooth":
-                assert flow[:2] == tracked_input(world, gains, v[:2],
-                                                 v[2:4]).tolist()
-            else:
-                # The integrator drives p; the tracker flows as in the
-                # smoothed loop at the same (p, eta, theta).
-                assert flow[:2] == v[4:6]
-                assert flow[2:4] == smooth_spec.flow_map(v[:4] + v[-1:])[2:4]
+    for gains, sp in ((two, demo_smoothed()),
+                      (three, dataclasses.replace(demo_smoothed(),
+                                                  gamma_s=0.004))):
+        k_p, k_theta = gains.k_p, gains.k_theta
+        loops = {
+            "hybrid": (hybrid_closed_loop(world, gains), 3, gains.delta, None,
+                       None),
+            "smooth": (smooth_closed_loop(world, gains, sp), 5, sp.delta_s,
+                       sp, None),
+            "backstep": (backstep_closed_loop(world, gains, sp, bp), 7,
+                         bp.delta_b, sp, bp),
+        }
+        smooth_spec = loops["smooth"][0]
+        cands = gains.theta_candidates.tolist()
+        for name, (spec, width, gap, lsp, lbp) in loops.items():
+            states = skirt_states(world, gains, rng, 200, width)
+            inside = [obstacle_distance(world, v[:2]) < world.r_s
+                      for v in states]
+            assert 0 < sum(inside) < len(states)
+            for v in states:
+                own = loop_potential(world, gains, lsp, lbp, v, v[-1])
+                values = [loop_potential(world, gains, lsp, lbp, v, t)
+                          for t in cands]
+                best = min(values)
+                out = []
+                assert spec.in_flow_set(v, out) == own - best - gap, name
+                assert out == values, name
+                assert spec.in_jump_set(v) == gap - (own - best), name
+                V, _, mu, _, _ = sample_channels(world, gains, np.array([v]),
+                                                 gap, lsp, lbp)
+                assert spec.in_flow_set(v) + gap == mu[0], name
+                assert V[0] == own, name
+                flow = spec.flow_map(v)
+                assert flow[-1] == -k_theta * switched_gradient_theta(
+                    world, gains, v[:2], v[-1]), name
+                if name == "hybrid":
+                    assert flow[:2] == (-k_p * switched_gradient_p(
+                        world, gains, v[:2], v[2], check=False)).tolist()
+                elif name == "smooth":
+                    assert flow[:2] == tracked_input(world, gains, v[:2],
+                                                     v[2:4]).tolist()
+                else:
+                    # The integrator drives p; the tracker flows as in the
+                    # smoothed loop at the same (p, eta, theta).
+                    assert flow[:2] == v[4:6]
+                    assert flow[2:4] == smooth_spec.flow_map(
+                        v[:4] + v[-1:])[2:4]
 
-    spec = gradient_closed_loop(world, gains)
-    for v in skirt_states(world, gains, rng, 200, 3):
-        assert spec.flow_map(v) == (
-            -k_p * nav_gradient(world, v[:2], check=False)).tolist() + [0.0]
+    spec = gradient_closed_loop(world, two)
+    for v in skirt_states(world, two, rng, 200, 3):
+        assert spec.flow_map(v) == (-two.k_p * nav_gradient(
+            world, v[:2], check=False)).tolist() + [0.0]
 
 
 def off_axis_loops():
@@ -867,7 +880,8 @@ def test_tied_candidates_all_come_back_from_the_jump_map():
 def test_loop_maps_guard_the_clearance():
     """Every loop map and float helper that reads the clearance raises
     NonPositiveDistance at or below 1e-12: on the rim, a hair outside it, at
-    p_o and at NaN."""
+    p_o and at NaN.  Every switched loop map raises the flow map's ValueError
+    at a packed state of the wrong width."""
     world = demo_world()
     gains = demo_gains()
     sp = demo_smoothed()
@@ -894,6 +908,18 @@ def test_loop_maps_guard_the_clearance():
             for fn in maps:
                 with pytest.raises(NonPositiveDistance):
                     getattr(spec, fn)(v)
+    # A packed state one entry short or long: the sets and the jump map
+    # raise the flow map's unpacking error, as the kernel unpacks v alike.
+    for spec, width, _ in loops[:3]:
+        short = [9.0, 3.0, *[0.5] * (width - 3)]
+        for v in (short, short + [0.1, 0.1]):
+            with pytest.raises(ValueError) as flow_error:
+                spec.flow_map(v)
+            for fn in ("in_flow_set", "in_jump_set", "jump_map"):
+                with pytest.raises(ValueError) as error:
+                    getattr(spec, fn)(v)
+                assert type(error.value) is ValueError
+                assert str(error.value) == str(flow_error.value)
     helpers = [
         lambda p: switched_potential(world, gains, p, 0.1, check=False),
         lambda p: switched_gradient_p(world, gains, p, 0.1, check=False),
