@@ -21,10 +21,11 @@ x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy expression's,
 and checks its own result's finiteness through the sum of the entries, so a
 step costs no further pass over the state.  Each stage runs a flow body,
 straight-line code over named state entries, in place.  A flow map that
-compile_flow built from a body carries the step with that body inlined, and
-step_flow takes it; any other flow map, a wrapper around such a one
-included, takes the step for its width whose body calls it and converts an
-ndarray output itself.
+compile_flow built from a body carries the step with that body inlined and
+its float constants written in as literals (literal_source), and step_flow
+takes it; any other flow map, a wrapper around such a one included, takes
+the step for its width whose body calls it and converts an ndarray output
+itself.
 
 Inside the engine a state is a list of ``dim`` Python floats: the flow map, the
 indicators, the jump map and the projection each receive one, and must not
@@ -33,14 +34,16 @@ as is, so it must hold Python floats; any other sequence is read as a float
 array; a state of any width but ``dim`` raises DimensionMismatch.  The flow map
 may return any sequence of ``dim`` floats; any other length fails the call
 body's unpack and raises DimensionMismatch too.  The arc still holds float
-ndarrays, each segment's states one C-contiguous (samples, dim) array filled by
-np.fromiter.  When a step crosses a set boundary the crossing is located on the
-step fraction, re-integrating the partial step at each probe, so every accepted
-sample respects its set within ``event_tol``; a location that gives up short of
-it is counted on the arc.  Each probe interpolates, else takes the secant root,
-else the midpoint, and the midpoint rule brings the bracket to its 1e-16 floor
-within 2 * 54 + 2 probes; ``locate_boundary`` states the rules.  An indicator
-that is NaN raises NonFiniteState.  Everything here is deterministic: the same
+ndarrays: simulate appends each accepted state's floats to one flat list per
+segment, and np.fromiter turns it into that segment's C-contiguous (samples,
+dim) array when the segment closes.  When a step crosses a set boundary the
+crossing is located on the step fraction, re-integrating the partial step at
+each probe, so every accepted sample respects its set within ``event_tol``; a
+location that gives up short of it is counted on the arc.  Each probe
+interpolates, else takes the secant root, else the midpoint, and the midpoint
+rule brings the bracket to its 1e-16 floor within 2 * 54 + 2 probes;
+``locate_boundary`` states the rules.  An indicator that is NaN raises
+NonFiniteState.  Everything here is deterministic: the same
 spec, state and config produce bit-identical arcs.
 
 The indicators are evaluated once per state: the pair computed at the end of
@@ -56,12 +59,12 @@ names, so a tracer that replaces them sees every step.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import textwrap
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from types import MethodType
 from typing import Callable, Iterator, Sequence
 
@@ -284,11 +287,10 @@ except ValueError:
 """
 
 
-@functools.cache
-def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...]):
-    """The compiled source that defines ``flow(v)`` and ``kernel(f, x, h)``,
-    the RK4 step over lists of n = len(state) Python floats as
-    straight-line code with the body run in place at each stage.
+def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...]) -> str:
+    """The source that defines ``flow(v)`` and ``kernel(f, x, h)``, the RK4
+    step over lists of n = len(state) Python floats as straight-line code
+    with the body run in place at each stage.
 
     The kernel is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), computed for each entry
     in the order of operations of the vector expression, so it is
@@ -317,22 +319,21 @@ def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...]):
     result = "".join(
         f"    y{i} = x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})\n"
         for i in range(n))
-    source = (f"def flow(v):\n    [{names}] = v\n"
-              + textwrap.indent(body, "    ")
-              + f"    return [{', '.join(rates)}]\n\n\n"
-              "def kernel(f, x, h):\n"
-              f"    [{listed('x')}] = x\n"
-              "    half = 0.5 * h\n"
-              + stage("a") + stage("b", "half", "a")
-              + stage("c", "half", "b") + stage("d", "h", "c")
-              + "    w = h / 6.0\n"
-              + result
-              + f"    out = [{listed('y')}]\n"
-              f"    e = {listed('y', ' + ')}\n"
-              "    if e - e != 0.0:\n"
-              '        _require_finite(out, "flow step output (h={:g})", h)\n'
-              "    return out\n")
-    return compile(source, f"<flow body, width {n}>", "exec")
+    return (f"def flow(v):\n    [{names}] = v\n"
+            + textwrap.indent(body, "    ")
+            + f"    return [{', '.join(rates)}]\n\n\n"
+            "def kernel(f, x, h):\n"
+            f"    [{listed('x')}] = x\n"
+            "    half = 0.5 * h\n"
+            + stage("a") + stage("b", "half", "a")
+            + stage("c", "half", "b") + stage("d", "h", "c")
+            + "    w = h / 6.0\n"
+            + result
+            + f"    out = [{listed('y')}]\n"
+            f"    e = {listed('y', ' + ')}\n"
+            "    if e - e != 0.0:\n"
+            '        _require_finite(out, "flow step output (h={:g})", h)\n'
+            "    return out\n")
 
 
 @functools.cache
@@ -344,8 +345,85 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
     body = _CALL_BODY.format(state=", ".join(state), rates=", ".join(rates), n=n)
     namespace = {"_require_finite": _require_finite,
                  "DimensionMismatch": DimensionMismatch, "ndarray": np.ndarray}
-    exec(_flow_code(state, body, rates), namespace)
+    exec(compile(_flow_code(state, body, rates), f"<flow body, width {n}>",
+                 "exec"), namespace)
     return namespace["kernel"]
+
+
+@functools.cache
+def _names(text: str) -> tuple[frozenset[str], tuple[tuple[int, int, str], ...]]:
+    """The names that ``text``, Python source, binds (assigns, defines,
+    imports or takes as parameters), and the (start, end, name) UTF-8 byte
+    spans of its reads of names, in order, outside f-strings, whose inner
+    positions Python 3.11 does not always report."""
+    tree = ast.parse(text)
+    lines = text.encode().splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+    bound, reads = set(), []
+    # The order does not matter here, and ast.walk costs several times this.
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is ast.Name:
+            if type(node.ctx) is not ast.Load:
+                bound.add(node.id)
+            else:
+                reads.append((starts[node.lineno - 1] + node.col_offset,
+                              starts[node.end_lineno - 1] + node.end_col_offset,
+                              node.id))
+            continue
+        if type(node) is ast.JoinedStr:
+            continue
+        if type(node) is ast.arg:
+            bound.add(node.arg)
+        for name in ("name", "asname", "rest"):
+            value = getattr(node, name, None)
+            if type(value) is str:
+                bound.add(value.partition(".")[0])
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if type(value) is list:
+                stack += (v for v in value if isinstance(v, ast.AST))
+            elif isinstance(value, ast.AST):
+                stack.append(value)
+    return frozenset(bound), tuple(sorted(reads))
+
+
+def literal_source(text: str, constants: dict, bound=()) -> str:
+    """``text``, Python source, with each read of a name that ``constants``
+    binds to a finite Python float written as that float's repr in
+    parentheses.  repr round-trips, so the literal has the float's bits, and
+    compiled code loads it as a constant instead of looking a name up; the
+    compiler folds an operation on two literals into the bits the operation
+    gives at run time.  A name that ``text`` binds, or that is in ``bound``,
+    is a local where it is read and stays as it is, as does a constant of
+    any other type."""
+    taken, reads = _names(text)
+    data = text.encode()
+    pieces, last = [], 0
+    for start, end, name in reads:
+        value = constants.get(name)
+        if (type(value) is float and math.isfinite(value)
+                and name not in taken and name not in bound):
+            pieces += data[last:start], f"({value!r})".encode()
+            last = end
+    pieces.append(data[last:])
+    return b"".join(pieces).decode()
+
+
+# Code objects of compile_source, keyed on the source, which carries each
+# build's constants as literals; the bound keeps a sweep over many worlds
+# from holding one set of code objects per world.
+_CODE_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE)
+def compile_source(source: str, filename: str):
+    """The code object of the module ``source``, compiled once while it is
+    among the last _CODE_CACHE compiled."""
+    return compile(source, filename, "exec")
 
 
 def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
@@ -365,12 +443,17 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     bits and the same errors as the kernel whose body calls the flow map,
     without a call, a list and an unpack per stage.  step_flow takes it only
     for the flow map it is bound to, so a wrapper that copies the attribute
-    (functools.wraps) takes the call path like any other.  The source is
-    compiled once per (state, body, rates); each call only runs it in a
-    namespace of its own constants.
+    (functools.wraps) takes the call path like any other.  The finite float
+    constants are written into the body and the rates as literals
+    (literal_source); the others, such as functions, are names in the flow
+    map's namespace.
     """
+    state = tuple(state)
+    bound = {*state, *_names(body)[0]}
+    source = _flow_code(state, literal_source(body, constants, bound),
+                        tuple(literal_source(r, constants, bound) for r in rates))
     namespace = {"_require_finite": _require_finite, **constants}
-    exec(_flow_code(tuple(state), body, tuple(rates)), namespace)
+    exec(compile_source(source, f"<flow body, width {len(state)}>"), namespace)
     flow = namespace["flow"]
     flow.rk4_step = MethodType(namespace["kernel"], flow)
     return flow
@@ -586,16 +669,17 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     segments: list[FlowSegment] = []
     jumps: list[JumpEvent] = []
     notes: list[str] = []
-    # The open segment's samples; no state list is modified, so none is copied.
+    # The open segment's samples: its times, and its states one after the
+    # other in one flat list of floats, so an accepted state's list is not
+    # kept.
     seg_t = [t]
-    seg_x = [x]
+    seg_x = x.copy()
     consecutive_jumps = 0
     zeno_warned = False
     termination = TERM_T_MAX
 
     def close_segment() -> None:
-        n = len(seg_x)
-        xs = np.fromiter(chain.from_iterable(seg_x), float, n * dim).reshape(n, dim)
+        xs = np.fromiter(seg_x, float, len(seg_x)).reshape(len(seg_t), dim)
         segments.append(FlowSegment(j, np.array(seg_t), xs))
 
     while True:
@@ -613,7 +697,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             x = x_post.tolist()
             fi = ji = None
             seg_t = [t]
-            seg_x = [x]
+            seg_x = x.copy()
             consecutive_jumps += 1
             if consecutive_jumps > ZENO_WARN_AFTER and not zeno_warned:
                 msg = (f"{consecutive_jumps} consecutive jumps without flow-time "
@@ -679,7 +763,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
         x = x_new
         t = t_new
         seg_t.append(t)
-        seg_x.append(x)
+        seg_x += x
 
     close_segment()
     stats["rk4_steps"] += steps

@@ -40,10 +40,13 @@ width through sample_channels).  Each formula is written once, as a text
 fragment of straight-line float code, and the builder adds the state names
 and fragments of each layer present.  engine.compile_flow compiles the flow
 fragments into the flow map and an RK4 step with the flow inlined at each
-stage; _kernel_code compiles the V fragments into the switching kernel,
+stage; _kernel_code writes the V fragments into the switching kernel,
 in_flow_set for synergy.switching_system, which evaluates V at the state's
-own angle and at each candidate.  The gradient loop, which never switches,
-has the clearance and gradient fragments alone for its flow.
+own angle and then at each candidate in turn, in straight-line code with no
+loop over Theta.  Both are compiled with the loop's float constants, the
+candidates' angle terms among them, written in as literals
+(engine.literal_source).  The gradient loop, which never switches, has the
+clearance and gradient fragments alone for its flow.
 Post-processing reads the harness's V, u, excess and clearance channels
 from sample_channels, the same formulas over a stack of states as numpy
 arrays (_loop_v and _angle_terms take arrays too).  The float helpers
@@ -67,13 +70,19 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import textwrap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backstepping import BacksteppingParams, validate_backstepping_params
-from .engine import HybridSystemSpec, compile_flow
+from .engine import (
+    HybridSystemSpec,
+    compile_flow,
+    compile_source,
+    literal_source,
+)
 from .errors import (
     DimensionMismatch,
     GainValidation,
@@ -702,9 +711,11 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
 #
 # Each loop's flow and switching kernel are written once, as text fragments
 # compiled into the flow map with its inlined RK4 step (engine.compile_flow)
-# and into the kernel (_kernel_code).  They repeat the scalar kernels' order
-# of operations, down to the skirt weight varrho*0.0/rho outside the skirt
-# (as in _grad), so that they give the helpers' bits, signed zeros included.
+# and into the kernel (_kernel_code), each with the loop's float constants
+# written in as literals (engine.literal_source).  They repeat the scalar
+# kernels' order of operations, so that they give the helpers' bits, signed
+# zeros included.  Outside the skirt the weight a is 0.0, the +0.0 that
+# _grad's varrho*0.0/rho gives there, as varrho > 0 and rho > r_o.
 
 # p - p_o, rho and the clearance z (_radial); grad V_nav(p) = (gx, gy) with
 # the skirt weight a (_grad); the skirt term vphi = varrho phi(z) of V.
@@ -723,7 +734,7 @@ if z < r_s:
     lg = log(r_s / z)
     a = varrho * (2.0 * d * lg - d * d / z) / rho
 else:
-    a = varrho * 0.0 / rho
+    a = 0.0
 gx = px - pdx + a * wx
 gy = py - pdy + a * wy
 """
@@ -806,34 +817,41 @@ e2 = eta2 - sy
 V = V + half_gs * (e1 * e1 + e2 * e2)
 """
 
+# The first of equal candidate values is the least (V_k < best), as with
+# the builtin min.
 _KERNEL = """\
 def in_flow_set(v, out=None):
     [{state}] = v
 {body}    pen = half_gt * th * th
-{value}    own = V
-    best = None
-    for c, s, pen, sx, sy in cands:
-{candidate}        if out is not None:
-            out.append(V)
-        if best is None or V < best:
-            best = V
-    return own - best - gap
+{value}{candidates}    best = V_0
+{minimum}    if out is not None:
+        out.extend(({values},))
+    return V - best - gap
 """
 
+# The names of the angle terms (_angle_terms) in the V fragments.
+_ANGLE_TERMS = ("c", "s", "pen", "sx", "sy")
+_CANDIDATE_NAMES = re.compile(r"\b(%s)\b" % "|".join((*_ANGLE_TERMS, "V")))
 
-@functools.cache
-def _kernel_code(state: tuple[str, ...], body: str, value: str):
-    """The compiled source of the switching kernel in_flow_set(v, out=None).
-    It unpacks v into ``state`` and runs ``body``: the terms of V that do not
-    depend on theta, and the own angle's.  It returns V from ``value`` at the
-    own angle, less its least value over the (c, s, pen, sx, sy) in
-    ``cands``, less ``gap``, and appends each candidate's V to a list
-    ``out``."""
-    source = _KERNEL.format(state=", ".join(state),
-                            body=textwrap.indent(body, "    "),
-                            value=textwrap.indent(value, "    "),
-                            candidate=textwrap.indent(value, " " * 8))
-    return compile(source, f"<switching kernel, width {len(state)}>", "exec")
+
+def _kernel_code(state: tuple[str, ...], body: str, value: str, n: int) -> str:
+    """The source of the switching kernel in_flow_set(v, out=None) over n
+    candidates, as straight-line code.  It unpacks v into ``state`` and runs
+    ``body``: the terms of V that do not depend on theta, and the own
+    angle's.  It returns V from ``value`` at the own angle, less the least of
+    the candidates' V, less ``gap``, and extends a list ``out`` by the
+    candidates' V in Theta order.  Candidate k's V is ``value`` with its
+    angle terms and V renamed with the suffix _k; the builder binds the
+    angle terms to floats, which literal_source writes in."""
+    candidates = "".join(
+        _CANDIDATE_NAMES.sub(rf"\1_{k}", value) for k in range(n))
+    return _KERNEL.format(
+        state=", ".join(state), body=textwrap.indent(body, "    "),
+        value=textwrap.indent(value, "    "),
+        candidates=textwrap.indent(candidates, "    "),
+        minimum="".join(f"    if V_{k} < best:\n        best = V_{k}\n"
+                        for k in range(1, n)),
+        values=", ".join(f"V_{k}" for k in range(n)))
 
 
 def _flow_constants(world: NavigationWorld, gains: NavGains) -> dict:
@@ -856,14 +874,13 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
     layer_checks have passed; the first that fails raises.  Each layer
     present adds its state names and fragments to the flow map (compile_flow)
     and to the switching kernel in_flow_set(v, out=None), V(v) - best
-    candidate V - loop_gap (_kernel_code), both run in a namespace of the
-    loop's constants."""
+    candidate V - loop_gap (_kernel_code), both compiled with the loop's
+    float constants, and the kernel's with each candidate's angle terms, as
+    literals."""
     for check in layer_checks(world, gains, sp, bp):
         check()
     consts = _flow_constants(world, gains)
-    consts.update(half_gt=0.5 * gains.gamma_theta, gap=loop_gap(gains, sp, bp),
-                  cands=[_angle_terms(world, gains, t)
-                         for t in gains.theta_candidates.tolist()])
+    consts.update(half_gt=0.5 * gains.gamma_theta, gap=loop_gap(gains, sp, bp))
     state = ("px", "py")
     flow = _RADIAL + _GRADIENT + _ANGLE + _OFFSET + _ROTATION_FLOW
     body = _RADIAL + _SKIRT + _ANGLE
@@ -889,7 +906,13 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
                       half_gb=0.5 * bp.gamma_b)
     state += ("th",)
     kernel = dict(consts)
-    exec(_kernel_code(state, body, value), kernel)
+    cands = gains.theta_candidates.tolist()
+    for k, t in enumerate(cands):
+        kernel.update((f"{name}_{k}", term) for name, term in
+                      zip(_ANGLE_TERMS, _angle_terms(world, gains, t)))
+    source = literal_source(_kernel_code(state, body, value, len(cands)), kernel)
+    exec(compile_source(source, f"<switching kernel, width {len(state)}>"),
+         kernel)
     return switching_system(kernel["in_flow_set"],
                             gains.theta_candidates.reshape(-1, 1),
                             compile_flow(state, flow, (*rates, "dth"), consts),

@@ -279,6 +279,43 @@ def test_segments_hold_c_contiguous_float64_states():
     assert clock.segments[1].xs[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+def double_reset_spec(dim):
+    """A unit clock c with dim - 1 decaying passengers y' = c - y/2, each
+    offset by its index: at c = 1 it jumps to c = 2, still in the jump set,
+    then at once to c = 0, leaving a one-sample segment between the jumps."""
+    def flow(v):
+        c = v[0]
+        return [1.0] + [c - 0.5 * y + 0.25 * i for i, y in enumerate(v[1:])]
+
+    return HybridSystemSpec(
+        dim=dim, flow_map=flow,
+        jump_map=lambda v: [[2.0 if v[0] < 1.5 else 0.0, *v[1:]]],
+        in_flow_set=lambda v: v[0] - 1.0,
+        in_jump_set=lambda v: 1.0 - v[0])
+
+
+@pytest.mark.parametrize("dim", [1, 7])
+def test_segment_states_equal_a_step_flow_replay(dim):
+    """The flat per-segment buffer reshapes into each segment's states in
+    sample order: every segment, the one-sample segments right after a jump
+    included, is a C-contiguous float64 (samples, dim) array equal to a
+    replay of step_flow from its first state, and starts at the post-state
+    of the jump before it."""
+    spec = double_reset_spec(dim)
+    x0 = [0.0] + [0.5 * i - 1.0 for i in range(1, dim)]
+    arc = simulate(spec, np.array(x0), SimConfig(dt=0.25, t_max=2.5))
+    assert [len(seg.ts) for seg in arc.segments] == [5, 1, 5, 1, 3]
+    for k, seg in enumerate(arc.segments):
+        xs = seg.xs
+        assert xs.dtype == np.float64 and xs.flags.c_contiguous
+        assert xs.shape == (len(seg.ts), dim)
+        x = (x0 if k == 0 else arc.jumps[k - 1].x_post.tolist())
+        replay = [x]
+        for _ in range(len(seg.ts) - 1):
+            replay.append(step_flow(spec, replay[-1], 0.25))
+        assert xs.tolist() == replay
+
+
 def test_a_state_of_the_wrong_width_is_named():
     """step_flow and locate_boundary compare the caller's state with
     spec.dim: a width-agnostic flow would step it, and a fixed-width one

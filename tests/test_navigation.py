@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, loop_potential
-from syncon import numdiff
+from syncon import engine, numdiff
 from syncon.engine import SimConfig, simulate, step_flow
 from syncon.errors import (
     GainValidation,
@@ -31,6 +31,7 @@ from syncon.navigation import (
     find_critical_point,
     gradient_closed_loop,
     hybrid_closed_loop,
+    loop_gap,
     max_synergy_gap,
     nav_gradient,
     nav_hessian,
@@ -875,6 +876,106 @@ def test_tied_candidates_all_come_back_from_the_jump_map():
             post = [c.tolist() for c in spec.jump_map(v)]
             assert post == [v[:-1] + [cands[i]] for i in _tied(values)], name
             assert [p[-1] for p in post] == [-0.2, 0.2], name
+
+
+def scan_families():
+    """(name, world, gains, spec, width, sp, bp): the demo world's hybrid
+    loop with Theta = [-0.3, 0.2, 0.3] and with [-0.2, 0.2], and its
+    smoothed and backstepped loops with [-0.2, 0.2]."""
+    world, gains, loops = two_sided_loops()
+    three = dataclasses.replace(gains,
+                                theta_candidates=np.array([-0.3, 0.2, 0.3]))
+    return [("hybrid3", world, three, hybrid_closed_loop(world, three), 3,
+             None, None)] + [(name, world, gains, spec, width, sp, bp)
+                             for name, spec, width, sp, bp in loops]
+
+
+def test_the_candidate_scan_equals_the_scalar_helpers():
+    """The kernel's straight-line scan over Theta gives, bit for bit, what
+    the public potentials give: in_flow_set is V less the first least
+    candidate V less the gap, ``out`` holds the candidates' V in Theta
+    order, and the jump map returns the tied candidates in synergy._tied's
+    order.  The states are drawn inside and outside the skirt, on the
+    p_o-p_d axis, where candidates of equal magnitude tie, and at each
+    candidate angle, where the own angle ties with it."""
+    rng = np.random.default_rng(73)
+    ties = 0
+    for name, world, gains, spec, width, sp, bp in scan_families():
+        cands = gains.theta_candidates.tolist()
+        gap = loop_gap(gains, sp, bp)
+        states = skirt_states(world, gains, rng, 40, width)
+        for px in (-3.0, 2.55, 7.3, 12.0):
+            states.append([px, 0.0, 0.7, 0.0, 1.5, -0.4][:width - 1] + [0.05])
+        states += [v[:-1] + [t] for v in states[:]
+                   for t in cands + [-cands[0]]]
+        for v in states:
+            own = loop_potential(world, gains, sp, bp, v, v[-1])
+            values = [loop_potential(world, gains, sp, bp, v, t) for t in cands]
+            out = []
+            assert spec.in_flow_set(v, out) == own - min(values) - gap, name
+            assert out == values, name
+            post = [c.tolist() for c in spec.jump_map(v)]
+            assert post == [v[:-1] + [cands[i]] for i in _tied(values)], name
+            ties += v[-1] in cands and own == min(values)
+    assert ties >= 100
+
+
+def hybrid_reference_flow(world, gains):
+    """The hybrid loop's flow map from the public float helpers, which give
+    its bits, and never through a compiled body."""
+    def flow(v):
+        return [*(-gains.k_p * switched_gradient_p(world, gains, v[:2], v[2],
+                                                   check=False)).tolist(),
+                -gains.k_theta * switched_gradient_theta(world, gains, v[:2],
+                                                         v[2])]
+    return flow
+
+
+def assert_steps_on_its_own_constants(world, gains, spec):
+    """The loop's inlined step equals the call-path step over the helpers'
+    flow map, and its kernel the helpers' V, at seeded states."""
+    reference = hybrid_reference_flow(world, gains)
+    kernel = engine._rk4_kernel(3)
+    for v in skirt_states(world, gains, np.random.default_rng(79), 12, 3):
+        assert step_flow(spec, v, 1e-3) == kernel(reference, v, 1e-3)
+        own = loop_potential(world, gains, None, None, v, v[-1])
+        best = min(loop_potential(world, gains, None, None, v, t)
+                   for t in gains.theta_candidates.tolist())
+        assert spec.in_flow_set(v) == own - best - gains.delta
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_loops_that_differ_in_one_constant_keep_their_own(order):
+    """Two hybrid loops whose worlds differ only in r_o, and two whose gains
+    differ only in k_p, built one after the other from an empty code cache
+    in either order: each steps and switches on its own constants."""
+    world, gains = demo_world(), demo_gains()
+    pairs = [((world, gains), (dataclasses.replace(world, r_o=2.1), gains)),
+             ((world, gains), (world, dataclasses.replace(gains, k_p=11.0)))]
+    for pair in pairs:
+        engine.compile_source.cache_clear()
+        built = [(w, g, hybrid_closed_loop(w, g)) for w, g in pair[::order]]
+        for w, g, spec in built:
+            assert_steps_on_its_own_constants(w, g, spec)
+
+
+def test_the_code_cache_is_bounded():
+    """Past _CODE_CACHE loops, each with its own k_p, the cache holds no
+    more code than its bound, and the first loop, evicted and built again,
+    still steps on its own constants."""
+    world, gains = demo_world(), demo_gains()
+    engine.compile_source.cache_clear()
+    gains_k = [dataclasses.replace(gains, k_p=10.0 + 0.01 * k)
+               for k in range(engine._CODE_CACHE + 1)]
+    loops = [hybrid_closed_loop(world, g) for g in gains_k]
+    info = engine.compile_source.cache_info()
+    assert info.currsize == info.maxsize == engine._CODE_CACHE
+    # One flow per loop; the switching kernel reads no k_p, so one for all.
+    assert info.misses == len(loops) + 1
+    assert_steps_on_its_own_constants(world, gains_k[0], loops[0])
+    assert_steps_on_its_own_constants(world, gains_k[0],
+                                      hybrid_closed_loop(world, gains_k[0]))
+    assert engine.compile_source.cache_info().misses == len(loops) + 2
 
 
 def test_loop_maps_guard_the_clearance():

@@ -99,9 +99,11 @@ def test_untested_lines_names_the_branch_not_taken(tmp_path):
 
 
 def test_arc_digest_is_the_same_on_a_second_run():
-    """Two runs of one config digest alike, and so do two audits of it and
-    two runs of the locator line: no wall time, temporary path or other
-    run-to-run detail reaches the hash."""
+    """Two runs of one config digest alike, and so do two audits of it, two
+    runs of the locator line and two runs of the theta3 line's loop over two
+    grid starts, which differ from the ring loop's with two candidates: no
+    wall time, temporary path or other run-to-run detail reaches the
+    hash."""
     tool = load_tool("arc_digest")
     path = CONFIG_DIR / "fig2_check.json"
     first = tool.config_digest(path)
@@ -111,3 +113,9 @@ def test_arc_digest_is_the_same_on_a_second_run():
     assert audit != first and tool.audit_digest(path) == audit
     locator = tool.locator_digest()
     assert locator not in (first, audit) and tool.locator_digest() == locator
+    # The theta3 line's loop over two grid starts, against the ring loop's.
+    theta3 = {"theta3": tool.theta3_config()}
+    grid = tool.grid_digest(theta3, range(2))
+    assert grid == tool.grid_digest(theta3, range(2))
+    ring = {"theta3": tool._workloads().ring_configs()["hybrid"]}
+    assert tool.grid_digest(ring, range(2)) != grid

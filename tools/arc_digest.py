@@ -29,8 +29,11 @@ line covers every probe fraction, located state and count of
 state is the fraction) at 51 fixed roots of six indicator shapes: a cubic,
 an exponential, a kink flat on one side, atan, a signed square root and a
 step with no zero.  Unlike the thermostat's, these locations reach the
-secant and midpoint probes.  Standard library and numpy only; the whole run
-takes a few seconds.
+secant and midpoint probes.  The ``theta3`` line, printed last, covers
+the arcs and stats of the ``RING_GRID`` starts through fig5_hybrid's loop
+with the three candidates ``THETA3`` = [-0.3, 0.2, 0.3], at ring_sweep's
+hybrid horizon: the only line whose loop scans more than two candidates.
+Standard library and numpy only; the whole run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -92,17 +95,43 @@ def _workloads():
     return workloads
 
 
-def ring_digest() -> str:
-    """Digest of every ring_sweep grid start through both ring loops."""
+def grid_digest(cfgs: dict, ks) -> str:
+    """Digest of ring_sweep's grid starts ``ks`` through the loop of each
+    config in ``cfgs``, keyed by loop name."""
     workloads = _workloads()
     h = hashlib.sha256()
-    for loop, cfg in workloads.ring_configs().items():
+    for loop, cfg in cfgs.items():
         spec = harness.build_closed_loop(cfg)
-        for k in range(workloads.RING_GRID):
+        for k in ks:
             h.update(f"{loop}@{k}".encode())
             _feed_arc(h, engine.simulate(spec, workloads.ring_start(cfg, k),
                                          cfg.sim))
     return h.hexdigest()
+
+
+def ring_digest() -> str:
+    """Digest of every ring_sweep grid start through both ring loops."""
+    workloads = _workloads()
+    return grid_digest(workloads.ring_configs(), range(workloads.RING_GRID))
+
+
+THETA3 = [-0.3, 0.2, 0.3]
+
+
+def theta3_config():
+    """fig5_hybrid with Theta = THETA3, at ring_sweep's hybrid horizon."""
+    base, t_max = _workloads().RING_LOOPS["hybrid"]
+    raw = json.loads((ROOT / "configs" / f"{base}.json").read_text())
+    raw["name"] = "theta3"
+    raw["gains"]["Theta"] = THETA3
+    raw["sim"]["t_max"] = t_max
+    return harness.parse_config(raw, source=raw["name"])
+
+
+def theta3_digest() -> str:
+    """Digest of every ring_sweep grid start through the theta3 loop."""
+    workloads = _workloads()
+    return grid_digest({"theta3": theta3_config()}, range(workloads.RING_GRID))
 
 
 def thermostat_digest() -> str:
@@ -217,6 +246,7 @@ def main() -> int:
     for path in configs:
         print(f"{audit_digest(path)}  {path.stem}:audit")
     print(f"{locator_digest()}  locator")
+    print(f"{theta3_digest()}  theta3")
     return 0
 
 
