@@ -22,10 +22,11 @@ and checks its own result's finiteness through the sum of the entries, so a
 step costs no further pass over the state.  Each stage runs a flow body,
 straight-line code over named state entries, in place.  A flow map that
 compile_flow built from a body carries the step with that body inlined and
-its float constants written in as literals (literal_source), and step_flow
-takes it; any other flow map, a wrapper around such a one included, takes
-the step for its width whose body calls it and converts an ndarray output
-itself.
+its float constants written in as literals (literal_source, one whole-word
+rule over the text, so a body may neither assign a constant's name nor
+spell it in a string), and step_flow takes it; any other flow map, a
+wrapper around such a one included, takes the step for its width whose
+body calls it and converts an ndarray output itself.
 
 Inside the engine a state is a list of ``dim`` Python floats: the flow map, the
 indicators, the jump map and the projection each receive one, and must not
@@ -59,9 +60,9 @@ names, so a tracer that replaces them sees every step.
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
+import re
 import textwrap
 import warnings
 from dataclasses import dataclass, field
@@ -350,67 +351,19 @@ def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]
     return namespace["kernel"]
 
 
-@functools.cache
-def _names(text: str) -> tuple[frozenset[str], tuple[tuple[int, int, str], ...]]:
-    """The names that ``text``, Python source, binds (assigns, defines,
-    imports or takes as parameters), and the (start, end, name) UTF-8 byte
-    spans of its reads of names, in order, outside f-strings, whose inner
-    positions Python 3.11 does not always report."""
-    tree = ast.parse(text)
-    lines = text.encode().splitlines(keepends=True)
-    starts = [0]
-    for line in lines:
-        starts.append(starts[-1] + len(line))
-    bound, reads = set(), []
-    # The order does not matter here, and ast.walk costs several times this.
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if type(node) is ast.Name:
-            if type(node.ctx) is not ast.Load:
-                bound.add(node.id)
-            else:
-                reads.append((starts[node.lineno - 1] + node.col_offset,
-                              starts[node.end_lineno - 1] + node.end_col_offset,
-                              node.id))
-            continue
-        if type(node) is ast.JoinedStr:
-            continue
-        if type(node) is ast.arg:
-            bound.add(node.arg)
-        for name in ("name", "asname", "rest"):
-            value = getattr(node, name, None)
-            if type(value) is str:
-                bound.add(value.partition(".")[0])
-        for name in node._fields:
-            value = getattr(node, name, None)
-            if type(value) is list:
-                stack += (v for v in value if isinstance(v, ast.AST))
-            elif isinstance(value, ast.AST):
-                stack.append(value)
-    return frozenset(bound), tuple(sorted(reads))
-
-
-def literal_source(text: str, constants: dict, bound=()) -> str:
-    """``text``, Python source, with each read of a name that ``constants``
+def literal_source(text: str, constants: dict) -> str:
+    """``text``, Python source, with each whole word that ``constants``
     binds to a finite Python float written as that float's repr in
     parentheses.  repr round-trips, so the literal has the float's bits, and
     compiled code loads it as a constant instead of looking a name up; the
     compiler folds an operation on two literals into the bits the operation
-    gives at run time.  A name that ``text`` binds, or that is in ``bound``,
-    is a local where it is read and stays as it is, as does a constant of
-    any other type."""
-    taken, reads = _names(text)
-    data = text.encode()
-    pieces, last = [], 0
-    for start, end, name in reads:
-        value = constants.get(name)
-        if (type(value) is float and math.isfinite(value)
-                and name not in taken and name not in bound):
-            pieces += data[last:start], f"({value!r})".encode()
-            last = end
-    pieces.append(data[last:])
-    return b"".join(pieces).decode()
+    gives at run time.  A constant of any other type, inf and nan included,
+    stays a name.  The rule reads words, not syntax: a text that assigns
+    such a name fails to compile, as a literal is no target, and the name
+    spelled inside a string literal is rewritten there too."""
+    floats = {name: f"({value!r})" for name, value in constants.items()
+              if type(value) is float and math.isfinite(value)}
+    return re.sub(r"\w+", lambda word: floats.get(word[0], word[0]), text)
 
 
 # Code objects of compile_source, keyed on the source, which carries each
@@ -445,13 +398,15 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     for the flow map it is bound to, so a wrapper that copies the attribute
     (functools.wraps) takes the call path like any other.  The finite float
     constants are written into the body and the rates as literals
-    (literal_source); the others, such as functions, are names in the flow
-    map's namespace.
+    (literal_source), so the body must not assign one or spell one inside
+    a string; the others, such as functions, are names in the flow map's
+    namespace.  A constant named like a state entry is not written in: the
+    entry stays a local, and the flow reads the state.
     """
     state = tuple(state)
-    bound = {*state, *_names(body)[0]}
-    source = _flow_code(state, literal_source(body, constants, bound),
-                        tuple(literal_source(r, constants, bound) for r in rates))
+    floats = {k: v for k, v in constants.items() if k not in state}
+    source = _flow_code(state, literal_source(body, floats),
+                        tuple(literal_source(r, floats) for r in rates))
     namespace = {"_require_finite": _require_finite, **constants}
     exec(compile_source(source, f"<flow body, width {len(state)}>"), namespace)
     flow = namespace["flow"]

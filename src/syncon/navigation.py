@@ -44,9 +44,10 @@ stage; _kernel_code writes the V fragments into the switching kernel,
 in_flow_set for synergy.switching_system, which evaluates V at the state's
 own angle and then at each candidate in turn, in straight-line code with no
 loop over Theta.  Both are compiled with the loop's float constants, the
-candidates' angle terms among them, written in as literals
-(engine.literal_source).  The gradient loop, which never switches, has the
-clearance and gradient fragments alone for its flow.
+paper's gains under their own names and the candidates' angle terms, written
+in as literals by one whole-word rule (engine.literal_source).  The gradient
+loop, which never switches, has the clearance and gradient fragments alone
+for its flow.
 Post-processing reads the harness's V, u, excess and clearance channels
 from sample_channels, the same formulas over a stack of states as numpy
 arrays (_loop_v and _angle_terms take arrays too).  The float helpers
@@ -110,7 +111,7 @@ class NavigationWorld:
     so the potential is exactly quadratic near it, and at a finite distance
     (a gain ceiling that overflows is reported by the validator that reads
     it); the safety margin epsilon must leave room inside the skirt,
-    0 < epsilon < r_s.
+    0 < epsilon < r_s.  The radii and varrho are stored as Python floats.
     """
 
     p_o: np.ndarray
@@ -121,6 +122,8 @@ class NavigationWorld:
     varrho: float
 
     def __post_init__(self):
+        for name in ("r_o", "epsilon", "r_s", "varrho"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "p_o", np.asarray(self.p_o, dtype=float).reshape(2))
         object.__setattr__(self, "p_d", np.asarray(self.p_d, dtype=float).reshape(2))
         # Plain-float copies of p_o, p_d and p_o - p_d for the scalar kernels.
@@ -154,7 +157,8 @@ class NavigationWorld:
 
 @dataclass(frozen=True)
 class NavGains:
-    """Feedback gains and switching parameters for the rotated family."""
+    """Feedback gains and switching parameters for the rotated family; the
+    scalars are stored as Python floats, the candidates as a float array."""
 
     k_p: float
     k_theta: float
@@ -163,6 +167,8 @@ class NavGains:
     delta: float
 
     def __post_init__(self):
+        for name in ("k_p", "k_theta", "gamma_theta", "delta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         cand = np.atleast_1d(np.asarray(self.theta_candidates, dtype=float))
         if cand.ndim != 1 or cand.size == 0:
             raise ValueError("theta_candidates must be a nonempty 1-d sequence")
@@ -712,7 +718,10 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
 # Each loop's flow and switching kernel are written once, as text fragments
 # compiled into the flow map with its inlined RK4 step (engine.compile_flow)
 # and into the kernel (_kernel_code), each with the loop's float constants
-# written in as literals (engine.literal_source).  They repeat the scalar
+# written in as literals (engine.literal_source), so no fragment assigns a
+# constant's name.  The fragments read the paper's gains by name (-k_p,
+# 0.5 * gamma_s, k_p / gamma_s): the compiler folds an operation on two
+# literals into the bits it gives at run time.  They repeat the scalar
 # kernels' order of operations, so that they give the helpers' bits, signed
 # zeros included.  Outside the skirt the weight a is 0.0, the +0.0 that
 # _grad's varrho*0.0/rho gives there, as varrho > 0 and rho > r_o.
@@ -763,19 +772,19 @@ sy = qy - (c * qy - s * qx)
 
 _ROTATION_FLOW = """\
 rx = s * qx - c * qy
-dth = nk_theta * (gamma_theta * th - (wx * rx + wy * ry))
+dth = -k_theta * (gamma_theta * th - (wx * rx + wy * ry))
 """
 
 # The hybrid loop's input -k_p (g - sigma).
 _HYBRID_FLOW = """\
-dpx = nk_p * (gx - sx)
-dpy = nk_p * (gy - sy)
+dpx = -k_p * (gx - sx)
+dpy = -k_p * (gy - sy)
 """
 
 # The tracker's flow and the tracked input r = k_p (eta - g).
 _TRACKER_FLOW = """\
-deta1 = nk_eta * (eta1 - sx) + rx * dth - kp_gs * (gx - sx)
-deta2 = nk_eta * (eta2 - sy) + ry * dth - kp_gs * (gy - sy)
+deta1 = -k_eta * (eta1 - sx) + rx * dth - k_p / gamma_s * (gx - sx)
+deta2 = -k_eta * (eta2 - sy) + ry * dth - k_p / gamma_s * (gy - sy)
 r1 = k_p * (eta1 - gx)
 r2 = k_p * (eta2 - gy)
 """
@@ -792,8 +801,8 @@ ny = wy / rho
 ndotu = nx * u1 + ny * u2
 Hu1 = (1.0 + a) * u1 + b * ndotu * nx
 Hu2 = (1.0 + a) * u2 + b * ndotu * ny
-du1 = nk_b * (u1 - r1) + (k_p * deta1 - k_p * Hu1) - (gx - sx) / gamma_b
-du2 = nk_b * (u2 - r2) + (k_p * deta2 - k_p * Hu2) - (gy - sy) / gamma_b
+du1 = -k_b * (u1 - r1) + (k_p * deta1 - k_p * Hu1) - (gx - sx) / gamma_b
+du2 = -k_b * (u2 - r2) + (k_p * deta2 - k_p * Hu2) - (gy - sy) / gamma_b
 """
 
 # V's terms (_loop_v): the integrator's (gamma_b/2)||u - k_p (eta - g)||^2,
@@ -802,7 +811,7 @@ du2 = nk_b * (u2 - r2) + (k_p * deta2 - k_p * Hu2) - (gy - sy) / gamma_b
 _FOLLOWING = """\
 f1 = u1 - k_p * (eta1 - gx)
 f2 = u2 - k_p * (eta2 - gy)
-integ = half_gb * (f1 * f1 + f2 * f2)
+integ = 0.5 * gamma_b * (f1 * f1 + f2 * f2)
 """
 
 _VALUE = """\
@@ -814,7 +823,7 @@ V = 0.5 * (ex * ex + ey * ey) + vphi + pen
 _TRACKER_VALUE = """\
 e1 = eta1 - sx
 e2 = eta2 - sy
-V = V + half_gs * (e1 * e1 + e2 * e2)
+V = V + 0.5 * gamma_s * (e1 * e1 + e2 * e2)
 """
 
 # The first of equal candidate values is the least (V_k < best), as with
@@ -822,36 +831,36 @@ V = V + half_gs * (e1 * e1 + e2 * e2)
 _KERNEL = """\
 def in_flow_set(v, out=None):
     [{state}] = v
-{body}    pen = half_gt * th * th
+{body}    pen = 0.5 * gamma_theta * th * th
 {value}{candidates}    best = V_0
 {minimum}    if out is not None:
         out.extend(({values},))
     return V - best - gap
 """
 
-# The names of the angle terms (_angle_terms) in the V fragments.
-_ANGLE_TERMS = ("c", "s", "pen", "sx", "sy")
-_CANDIDATE_NAMES = re.compile(r"\b(%s)\b" % "|".join((*_ANGLE_TERMS, "V")))
 
-
-def _kernel_code(state: tuple[str, ...], body: str, value: str, n: int) -> str:
-    """The source of the switching kernel in_flow_set(v, out=None) over n
-    candidates, as straight-line code.  It unpacks v into ``state`` and runs
-    ``body``: the terms of V that do not depend on theta, and the own
-    angle's.  It returns V from ``value`` at the own angle, less the least of
-    the candidates' V, less ``gap``, and extends a list ``out`` by the
-    candidates' V in Theta order.  Candidate k's V is ``value`` with its
-    angle terms and V renamed with the suffix _k; the builder binds the
-    angle terms to floats, which literal_source writes in."""
+def _kernel_code(state: tuple[str, ...], body: str, value: str,
+                 terms: list[tuple[float, ...]]) -> str:
+    """The source of the switching kernel in_flow_set(v, out=None) over the
+    candidates whose angle terms (_angle_terms) are ``terms``, as
+    straight-line code.  It unpacks v into ``state`` and runs ``body``: the
+    terms of V that do not depend on theta, and the own angle's.  It
+    returns V from ``value`` at the own angle, less the least of the
+    candidates' V, less ``gap``, and extends a list ``out`` by the
+    candidates' V in Theta order.  Candidate k's V is ``value`` with the
+    angle terms c, s, pen, sx and sy written in as literals
+    (literal_source) and V renamed V_k by the same whole-word rule."""
+    names = ("c", "s", "pen", "sx", "sy")
     candidates = "".join(
-        _CANDIDATE_NAMES.sub(rf"\1_{k}", value) for k in range(n))
+        re.sub(r"\bV\b", f"V_{k}", literal_source(value, dict(zip(names, at))))
+        for k, at in enumerate(terms))
     return _KERNEL.format(
         state=", ".join(state), body=textwrap.indent(body, "    "),
         value=textwrap.indent(value, "    "),
         candidates=textwrap.indent(candidates, "    "),
         minimum="".join(f"    if V_{k} < best:\n        best = V_{k}\n"
-                        for k in range(1, n)),
-        values=", ".join(f"V_{k}" for k in range(n)))
+                        for k in range(1, len(terms))),
+        values=", ".join(f"V_{k}" for k in range(len(terms))))
 
 
 def _flow_constants(world: NavigationWorld, gains: NavGains) -> dict:
@@ -860,7 +869,7 @@ def _flow_constants(world: NavigationWorld, gains: NavGains) -> dict:
     (pox, poy), (pdx, pdy), (qx, qy) = world._po, world._pd, world._q
     return dict(pox=pox, poy=poy, pdx=pdx, pdy=pdy, qx=qx, qy=qy,
                 r_o=world.r_o, r_s=world.r_s, varrho=world.varrho,
-                k_p=gains.k_p, nk_p=-gains.k_p, nk_theta=-gains.k_theta,
+                k_p=gains.k_p, k_theta=gains.k_theta,
                 gamma_theta=gains.gamma_theta, hypot=math.hypot,
                 log=math.log, cos=math.cos, sin=math.sin, _Z_MIN=_Z_MIN,
                 _check_z=_check_z)
@@ -874,13 +883,14 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
     layer_checks have passed; the first that fails raises.  Each layer
     present adds its state names and fragments to the flow map (compile_flow)
     and to the switching kernel in_flow_set(v, out=None), V(v) - best
-    candidate V - loop_gap (_kernel_code), both compiled with the loop's
-    float constants, and the kernel's with each candidate's angle terms, as
-    literals."""
+    candidate V - loop_gap (_kernel_code).  Both are compiled with the
+    world's, the gains' and the layers' float constants written in as
+    literals (literal_source), the kernel with each candidate's angle terms
+    too."""
     for check in layer_checks(world, gains, sp, bp):
         check()
     consts = _flow_constants(world, gains)
-    consts.update(half_gt=0.5 * gains.gamma_theta, gap=loop_gap(gains, sp, bp))
+    consts["gap"] = loop_gap(gains, sp, bp)
     state = ("px", "py")
     flow = _RADIAL + _GRADIENT + _ANGLE + _OFFSET + _ROTATION_FLOW
     body = _RADIAL + _SKIRT + _ANGLE
@@ -894,23 +904,19 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
         body += _OFFSET
         value += _TRACKER_VALUE
         rates = ("r1", "r2", "deta1", "deta2")
-        consts.update(nk_eta=-sp.k_eta, kp_gs=gains.k_p / sp.gamma_s,
-                      half_gs=0.5 * sp.gamma_s)
+        consts.update(k_eta=sp.k_eta, gamma_s=sp.gamma_s)
     if bp is not None:
         state += ("u1", "u2")
         flow += _INTEGRATOR_FLOW
         body += _GRADIENT + _FOLLOWING
         value += "V = V + integ\n"
         rates = ("u1", "u2", "deta1", "deta2", "du1", "du2")
-        consts.update(nk_b=-bp.k_b, gamma_b=bp.gamma_b,
-                      half_gb=0.5 * bp.gamma_b)
+        consts.update(k_b=bp.k_b, gamma_b=bp.gamma_b)
     state += ("th",)
+    terms = [_angle_terms(world, gains, t)
+             for t in gains.theta_candidates.tolist()]
+    source = literal_source(_kernel_code(state, body, value, terms), consts)
     kernel = dict(consts)
-    cands = gains.theta_candidates.tolist()
-    for k, t in enumerate(cands):
-        kernel.update((f"{name}_{k}", term) for name, term in
-                      zip(_ANGLE_TERMS, _angle_terms(world, gains, t)))
-    source = literal_source(_kernel_code(state, body, value, len(cands)), kernel)
     exec(compile_source(source, f"<switching kernel, width {len(state)}>"),
          kernel)
     return switching_system(kernel["in_flow_set"],
@@ -951,7 +957,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Plain descent on the base potential; never jumps.  [px, py, theta]."""
     flow = compile_flow(("px", "py", "th"), _RADIAL + _GRADIENT,
-                        ("nk_p * gx", "nk_p * gy", "0.0"),
+                        ("-k_p * gx", "-k_p * gy", "0.0"),
                         _flow_constants(world, gains))
     return HybridSystemSpec(
         dim=3,

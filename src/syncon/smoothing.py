@@ -64,11 +64,13 @@ class DecomposedFeedback:
 
 @dataclass(frozen=True)
 class _PositiveParams:
-    """Layer parameters whose every field must be positive and finite."""
+    """Layer parameters whose every field must be positive and finite,
+    stored as Python floats."""
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
+            v = float(getattr(self, f.name))
+            object.__setattr__(self, f.name, v)
             if not (v > 0.0 and np.isfinite(v)):
                 raise ValueError(f"{f.name} must be positive and finite, got {v}")
 

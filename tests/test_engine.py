@@ -222,6 +222,58 @@ def test_step_flow_equals_the_vector_rk4_expression():
             assert np.asarray(out).tobytes() == expect.tobytes()
 
 
+def test_literal_source_writes_each_finite_float_with_its_bits():
+    """-0.0, the least subnormal, the largest float and a negative value
+    under ** and under unary minus compile, with no name left to look up,
+    to the bits of the floats themselves: the parentheses keep a negative
+    literal whole."""
+    consts = {"zero": -0.0, "tiny": 5e-324, "big": 1.7976931348623157e308,
+              "neg": -2.5}
+    source = engine.literal_source(
+        "out = [zero, tiny, big, neg ** 2.0, -neg, 2.0 ** neg]", consts)
+    code = compile(source, "<literals>", "exec")
+    assert code.co_names == ("out",)
+    namespace = {}
+    exec(code, namespace)
+    expect = [-0.0, 5e-324, 1.7976931348623157e308, 6.25, 2.5, 2.0 ** -2.5]
+    assert np.array(namespace["out"]).tobytes() == np.array(expect).tobytes()
+
+
+def test_literal_source_rewrites_whole_words_of_finite_floats_only():
+    """r_s is rewritten where it is a whole word, not inside r_s2, nr_s or
+    x_r_s; inf, nan, an int, an np.float64 and a function stay names."""
+    assert engine.literal_source("y = r_s + r_s2 + nr_s + x_r_s * r_s",
+                                 {"r_s": 0.5}) \
+        == "y = (0.5) + r_s2 + nr_s + x_r_s * (0.5)"
+    text = "y = fn(big + bad + k + half)"
+    assert engine.literal_source(text, {
+        "big": math.inf, "bad": math.nan, "k": 3, "half": np.float64(0.5),
+        "fn": math.cos}) == text
+
+
+def test_a_flow_body_that_assigns_a_float_constant_does_not_compile():
+    """The literal is not an assignment target, so the body is refused
+    instead of shadowing the constant."""
+    with pytest.raises(SyntaxError):
+        engine.compile_flow(("x",), "r_s = 2.0 * x\n", ("r_s",), {"r_s": 0.5})
+
+
+def test_a_constant_that_shares_a_state_name_leaves_the_state_a_local():
+    """The flow map and its inlined step read the state x, not the constant
+    x, while k, which names no state, is written in as a literal."""
+    flow = engine.compile_flow(("x", "y"), "d = k * x\n", ("d", "-y"),
+                               {"x": 2.0, "y": 5.0, "k": 3.0})
+    assert "k" not in flow.__code__.co_names
+    assert flow([1.0, 4.0]) == [3.0, -4.0]
+
+    def reference(v):
+        return [3.0 * v[0], -v[1]]
+
+    spec = dataclasses.replace(pure_flow_spec(flow), dim=2)
+    assert step_flow(spec, [1.0, 4.0], 0.1) \
+        == engine._rk4_kernel(2)(reference, [1.0, 4.0], 0.1)
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_step_flow_rejects_a_flow_of_the_wrong_length(size):
     """Too short or too long, as an ndarray, a list or a tuple, at the first

@@ -978,6 +978,53 @@ def test_the_code_cache_is_bounded():
     assert engine.compile_source.cache_info().misses == len(loops) + 2
 
 
+def retyped(obj, to, *names):
+    """obj with the named fields, or else every float field, passed through
+    ``to``."""
+    names = names or [f.name for f in dataclasses.fields(obj)
+                      if type(getattr(obj, f.name)) is float]
+    return dataclasses.replace(obj, **{n: to(getattr(obj, n)) for n in names})
+
+
+def test_numpy_and_int_constants_build_the_float_loops():
+    """NavigationWorld, NavGains and the layer parameters store Python
+    floats, so loops built from np.float64 values, or from ints where the
+    demo values are whole, share the float build's compiled flow map, step
+    and switching kernel, and return the same Python floats."""
+    parts = (demo_world(), demo_gains(), demo_smoothed(), demo_backstep())
+    builds = [tuple(retyped(o, np.float64) for o in parts),
+              (retyped(parts[0], int, "r_o", "varrho"),
+               retyped(parts[1], int, "k_p"), retyped(parts[2], int, "k_eta"),
+               retyped(parts[3], int, "k_b"))]
+
+    def loops(world, gains, sp, bp):
+        return [(hybrid_closed_loop(world, gains), 3),
+                (smooth_closed_loop(world, gains, sp), 5),
+                (backstep_closed_loop(world, gains, sp, bp), 7),
+                (gradient_closed_loop(world, gains), 3)]
+
+    rng = np.random.default_rng(83)
+    for build in builds:
+        for part in build:
+            assert all(type(getattr(part, f.name)) is float
+                       for f in dataclasses.fields(part)
+                       if f.name not in ("p_o", "p_d", "theta_candidates"))
+        for (ref, width), (spec, _) in zip(loops(*parts), loops(*build)):
+            assert spec.flow_map.__code__ == ref.flow_map.__code__
+            assert spec.flow_map.rk4_step.__func__.__code__ \
+                == ref.flow_map.rk4_step.__func__.__code__
+            assert spec.in_flow_set.__code__ == ref.in_flow_set.__code__
+            states = skirt_states(parts[0], parts[1], rng, 6, width)
+            for v in states:
+                rates = spec.flow_map(v)
+                assert rates == ref.flow_map(v)
+                assert all(type(r) is float for r in rates)
+                mu = spec.in_flow_set(v)
+                assert type(mu) is float and mu == ref.in_flow_set(v)
+            for v in states[3:]:  # outside the skirt, where a step is safe
+                assert step_flow(spec, v, 1e-3) == step_flow(ref, v, 1e-3)
+
+
 def test_loop_maps_guard_the_clearance():
     """Every loop map and float helper that reads the clearance raises
     NonPositiveDistance at or below 1e-12: on the rim, a hair outside it, at

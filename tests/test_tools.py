@@ -100,10 +100,10 @@ def test_untested_lines_names_the_branch_not_taken(tmp_path):
 
 def test_arc_digest_is_the_same_on_a_second_run():
     """Two runs of one config digest alike, and so do two audits of it, two
-    runs of the locator line and two runs of the theta3 line's loop over two
-    grid starts, which differ from the ring loop's with two candidates: no
-    wall time, temporary path or other run-to-run detail reaches the
-    hash."""
+    runs of the locator line, two runs of the theta3 line's loop over two
+    grid starts, which differ from the ring loop's with two candidates, and
+    two digests of the loops' compiled code: no wall time, temporary path,
+    file name or other run-to-run detail reaches the hash."""
     tool = load_tool("arc_digest")
     path = CONFIG_DIR / "fig2_check.json"
     first = tool.config_digest(path)
@@ -119,3 +119,6 @@ def test_arc_digest_is_the_same_on_a_second_run():
     assert grid == tool.grid_digest(theta3, range(2))
     ring = {"theta3": tool._workloads().ring_configs()["hybrid"]}
     assert tool.grid_digest(ring, range(2)) != grid
+    code = tool.code_digest()
+    assert code not in (first, audit, locator, grid)
+    assert tool.code_digest() == code

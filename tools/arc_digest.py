@@ -33,6 +33,13 @@ secant and midpoint probes.  The ``theta3`` line, printed last, covers
 the arcs and stats of the ``RING_GRID`` starts through fig5_hybrid's loop
 with the three candidates ``THETA3`` = [-0.3, 0.2, 0.3], at ring_sweep's
 hybrid horizon: the only line whose loop scans more than two candidates.
+The ``code`` line, printed last, covers the compiled code of the loops of
+every shipped config, the theta3 loop and ring_sweep's two loops: for each,
+the flow map, its inlined RK4 step and, for a switched loop, its switching
+kernel ``in_flow_set``, each by its bytecode, constants (nested code
+objects in turn), global names and local names, but not its file name or
+line table.  Bytecode differs between CPython versions, so this line is
+only comparable between runs on one Python version.
 Standard library and numpy only; the whole run takes a few seconds.
 """
 
@@ -46,6 +53,7 @@ import json
 import math
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,6 +140,35 @@ def theta3_digest() -> str:
     """Digest of every ring_sweep grid start through the theta3 loop."""
     workloads = _workloads()
     return grid_digest({"theta3": theta3_config()}, range(workloads.RING_GRID))
+
+
+def _feed_code(h, code: types.CodeType) -> None:
+    h.update(code.co_code)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            _feed_code(h, const)
+        else:
+            h.update(repr(const).encode())
+    h.update(repr((code.co_names, code.co_varnames)).encode())
+
+
+def code_digest() -> str:
+    """Digest of the compiled flow maps, inlined steps and switching kernels
+    of the shipped configs' loops, the theta3 loop and the ring loops."""
+    cfgs = {path.stem: harness.load_config(path)
+            for path in sorted((ROOT / "configs").glob("*.json"))}
+    cfgs["theta3"] = theta3_config()
+    cfgs.update(_workloads().ring_configs())
+    h = hashlib.sha256()
+    for name, cfg in cfgs.items():
+        spec = harness.build_closed_loop(cfg)
+        h.update(name.encode())
+        funcs = [spec.flow_map, spec.flow_map.rk4_step.__func__]
+        if cfg.controller != "non_hybrid":
+            funcs.append(spec.in_flow_set)
+        for func in funcs:
+            _feed_code(h, func.__code__)
+    return h.hexdigest()
 
 
 def thermostat_digest() -> str:
@@ -247,6 +284,7 @@ def main() -> int:
         print(f"{audit_digest(path)}  {path.stem}:audit")
     print(f"{locator_digest()}  locator")
     print(f"{theta3_digest()}  theta3")
+    print(f"{code_digest()}  code")
     return 0
 
 
