@@ -14,18 +14,18 @@ here: flowing first there would only add steps and boundary locations.
 Solutions live on a hybrid time domain (t, j): flow advances t along segments
 of constant jump counter j, and each jump increments j while t stands still.
 Integration is explicit fixed-step 4th-order Runge-Kutta, as straight-line
-code generated from one template and compiled on first use: the step
-unpacks the state into n float locals, builds every stage state and the
-result in the order of operations of the vector formula
-x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy expression's,
-and checks its own result's finiteness through the sum of the entries, so a
-step costs no further pass over the state.  Each stage runs a flow body,
-straight-line code over named state entries, in place.  A flow map that
-compile_flow built from a body carries the step with that body inlined and
-its float constants written in as literals (literal_source, one whole-word
-rule over the text, so a body may neither assign a constant's name nor
-spell it in a string), and step_flow takes it; any other flow map, a
-wrapper around such a one included, takes the step for its width whose
+code that one generator writes from the classical tableau, held as data, and
+compiles on first use: the step unpacks the state into n float locals, builds
+every stage state and the result in the order of operations of the vector
+formula x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy
+expression's, and checks its own result's finiteness through the sum of the
+entries, so a step costs no further pass over the state.  Each stage runs a
+flow body, straight-line code over named state entries, in place.  A flow
+map that compile_flow built from a body carries the step with that body
+inlined and its float constants written in as literals (literal_source, one
+whole-word rule over the text, so a body may neither assign a constant's
+name nor spell it in a string), and step_flow takes it; any other flow map,
+a wrapper around such a one included, takes the step for its width whose
 body calls it and converts an ndarray output itself.
 
 Inside the engine a state is a list of ``dim`` Python floats: the flow map, the
@@ -67,7 +67,7 @@ import textwrap
 import warnings
 from dataclasses import dataclass, field
 from types import MethodType
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -122,7 +122,8 @@ class SimConfig:
                error
     event_tol  tolerance on set-indicator values at accepted samples, finite
 
-    Where both sets hold, the engine jumps; there is no setting for it.
+    dt, t_max and event_tol are stored as Python floats.  Where both sets
+    hold, the engine jumps; there is no setting for it.
     """
 
     dt: float
@@ -131,18 +132,20 @@ class SimConfig:
     event_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.t_max >= 0.0 and np.isfinite(self.t_max)):
-            raise ValueError(
-                f"t_max must be non-negative and finite, got {self.t_max}")
+        for name in ("dt", "t_max", "event_tol"):
+            given = getattr(self, name)
+            try:
+                value = float(given)
+            except OverflowError:  # an int beyond float range
+                value = math.inf
+            least = "non-negative" if name == "t_max" else "positive"
+            if not (0.0 < value < math.inf or value == 0.0 and name == "t_max"):
+                raise ValueError(f"{name} must be {least} and finite, got {given}")
+            object.__setattr__(self, name, value)
         if not isinstance(self.j_max, int) or isinstance(self.j_max, bool) \
                 or self.j_max < 0:
             raise ValueError(
                 f"j_max must be a non-negative integer, got {self.j_max!r}")
-        if not (self.event_tol > 0.0 and np.isfinite(self.event_tol)):
-            raise ValueError(
-                f"event_tol must be positive and finite, got {self.event_tol}")
 
 
 @dataclass
@@ -229,12 +232,6 @@ class HybridArc:
     def total_samples(self) -> int:
         return sum(len(seg.ts) for seg in self.segments)
 
-    def iter_samples(self) -> Iterator[tuple[float, int, np.ndarray]]:
-        """Yield (t, j, state) over all segments in hybrid-time order."""
-        for seg in self.segments:
-            for k in range(len(seg.ts)):
-                yield float(seg.ts[k]), seg.j, seg.xs[k]
-
 
 def _state(x, dim: int, what: str) -> list[float]:
     """x as the engine's state: a list as is, anything else via a float
@@ -259,18 +256,26 @@ def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
     return NonFiniteState(f"indicator {name} is NaN at {np.asarray(x, float)!r}")
 
 
-# Every RK4 kernel is generated by _flow_code from a flow body, which each
-# stage runs in place: the stage state is assigned to the body's state names,
-# and the rates are read into the stage's derivatives (a0 ... at the first
-# stage, d0 ... at the last).  A math-domain or overflow error at a stage
-# state that has already left the reals (a step too large for the field) is
-# NonFiniteState; at a finite state it propagates as is.
+# The flow body as each stage of a _flow_code kernel runs it, in place.  A
+# math-domain or overflow error at a stage state that has already left the
+# reals (a step too large for the field) is NonFiniteState; at a finite state
+# it propagates as is.
 _STAGE = """\
-{assign}    try:
+    try:
 {body}    except (ValueError, OverflowError):
         _require_finite([{names}], "RK4 stage state")
         raise
-{read}"""
+"""
+
+# The classical RK4 tableau (Butcher 2016, ch. 3) as _flow_code reads it: the
+# step-size scales; each stage's rate prefix with the (scale, earlier rate
+# prefix) terms its state adds to x; and the weights, a common factor times
+# small integers, so the result keeps the bits of x + h/6 (a + 2b + 2c + d).
+_RK4 = (
+    {"half": "0.5 * h"},
+    {"a": (), "b": (("half", "a"),), "c": (("half", "b"),), "d": (("h", "c"),)},
+    ("h / 6.0", (1, 2, 2, 1)),
+)
 
 # The flow body of the kernel that calls a flow map f of width {n}: it takes
 # f's output as a list (tolist for an ndarray), and an output that fails to
@@ -289,47 +294,42 @@ except ValueError:
 
 
 def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...]) -> str:
-    """The source that defines ``flow(v)`` and ``kernel(f, x, h)``, the RK4
-    step over lists of n = len(state) Python floats as straight-line code
-    with the body run in place at each stage.
+    """The source that defines ``flow(v)`` and ``kernel(f, x, h)``, the step
+    of the _RK4 tableau over lists of n = len(state) Python floats, as
+    straight-line code with the body run in place at each stage.
 
-    The kernel is x + (h/6)(k1 + 2 k2 + 2 k3 + k4), computed for each entry
-    in the order of operations of the vector expression, so it is
-    bit-identical to it.  x is unpacked into locals and the result is a list
-    display, so a step runs no per-entry loop.  The result is checked
-    through the sum e of its entries: a sum of finite floats is finite or
-    overflows to inf, and an inf or NaN entry makes it inf or NaN, so the
-    entries are checked one by one, raising NonFiniteState, only when
-    ``e - e`` is not zero.
+    Each stage state and the result follow, entry by entry, the order of
+    operations of the tableau's vector formula, so the step is bit-identical
+    to it.  x is unpacked into locals and the result is a list display, so a
+    step runs no per-entry loop.  The result is checked through the sum e of
+    its entries: a sum of finite floats is finite or overflows to inf, and an
+    inf or NaN entry makes it inf or NaN, so the entries are checked one by
+    one, raising NonFiniteState, only when ``e - e`` is not zero.
     """
+    scales, stages, (factor, weights) = _RK4
     n = len(state)
     names = ", ".join(state)
     body = body.rstrip() + "\n"
+    staged = _STAGE.format(body=textwrap.indent(body, " " * 8), names=names)
 
     def listed(prefix, sep=", "):
         return sep.join(f"{prefix}{i}" for i in range(n))
 
-    def stage(k, scale=None, by=None):
-        entries = (f"x{i}" if by is None else f"x{i} + {scale} * {by}{i}"
-                   for i in range(n))
-        return _STAGE.format(
-            assign="".join(f"    {v} = {e}\n" for v, e in zip(state, entries)),
-            body=textwrap.indent(body, " " * 8), names=names,
-            read="".join(f"    {k}{i} = {r}\n" for i, r in enumerate(rates)))
-
-    result = "".join(
-        f"    y{i} = x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})\n"
-        for i in range(n))
+    code = [f"    [{listed('x')}] = x\n"]
+    code += (f"    {name} = {value}\n" for name, value in scales.items())
+    for k, terms in stages.items():
+        code += (f"    {v} = x{i}" + "".join(f" + {c} * {p}{i}" for c, p in terms)
+                 + "\n" for i, v in enumerate(state))
+        code.append(staged)
+        code += (f"    {k}{i} = {r}\n" for i, r in enumerate(rates))
+    code.append(f"    w = {factor}\n")
+    code += (f"    y{i} = x{i} + w * (" + " + ".join(
+        f"{k}{i}" if b == 1 else f"{float(b)!r} * {k}{i}"
+        for k, b in zip(stages, weights)) + ")\n" for i in range(n))
     return (f"def flow(v):\n    [{names}] = v\n"
             + textwrap.indent(body, "    ")
             + f"    return [{', '.join(rates)}]\n\n\n"
-            "def kernel(f, x, h):\n"
-            f"    [{listed('x')}] = x\n"
-            "    half = 0.5 * h\n"
-            + stage("a") + stage("b", "half", "a")
-            + stage("c", "half", "b") + stage("d", "h", "c")
-            + "    w = h / 6.0\n"
-            + result
+            "def kernel(f, x, h):\n" + "".join(code)
             + f"    out = [{listed('y')}]\n"
             f"    e = {listed('y', ' + ')}\n"
             "    if e - e != 0.0:\n"
@@ -339,8 +339,8 @@ def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...]) -> str
 
 @functools.cache
 def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]:
-    """The RK4 step over lists of n floats whose flow body, _CALL_BODY,
-    calls the flow map f at each stage, compiled once per width."""
+    """The _RK4 step whose flow body, _CALL_BODY, calls the flow map f at
+    each stage, compiled once per width n outside compile_source's cache."""
     state = tuple(f"s{i}" for i in range(n))
     rates = tuple(f"k{i}" for i in range(n))
     body = _CALL_BODY.format(state=", ".join(state), rates=", ".join(rates), n=n)
@@ -388,20 +388,20 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     ``state``, in order, and the names in ``constants``, and leaves the n
     derivatives in the expressions ``rates``, one per entry.  It must assign no
     state name and none of the names the kernel keeps across its stages: h,
-    half, and x, a, b, c or d followed by digits.  The returned ``flow(v)``
-    unpacks v into the state names, runs the body and returns the rates as a
-    list.  Its ``rk4_step(x, h)`` attribute is the RK4 kernel of
-    ``_flow_code``, bound to ``flow``, whose stages run the body in place
-    instead of calling it: the same operations on the same floats, so the same
-    bits and the same errors as the kernel whose body calls the flow map,
-    without a call, a list and an unpack per stage.  step_flow takes it only
-    for the flow map it is bound to, so a wrapper that copies the attribute
-    (functools.wraps) takes the call path like any other.  The finite float
-    constants are written into the body and the rates as literals
-    (literal_source), so the body must not assign one or spell one inside
-    a string; the others, such as functions, are names in the flow map's
-    namespace.  A constant named like a state entry is not written in: the
-    entry stays a local, and the flow reads the state.
+    the tableau's scales (half), and x, a, b, c or d followed by digits.  The
+    returned ``flow(v)`` unpacks v into the state names, runs the body and
+    returns the rates as a list.  Its ``rk4_step(x, h)`` attribute is the
+    _RK4 step that ``_flow_code`` generates, bound to ``flow``, whose stages
+    run the body in place instead of calling it: the same operations on the
+    same floats, so the same bits and the same errors as the kernel whose
+    body calls the flow map, without a call, a list and an unpack per stage.
+    step_flow takes it only for the flow map it is bound to, so a wrapper
+    that copies the attribute (functools.wraps) takes the call path like any
+    other.  The finite float constants are written into the body and the
+    rates as literals (literal_source), so the body must not assign one or
+    spell one inside a string; the others, such as functions, are names in
+    the flow map's namespace.  A constant named like a state entry is not
+    written in: the entry stays a local, and the flow reads the state.
     """
     state = tuple(state)
     floats = {k: v for k, v in constants.items() if k not in state}
@@ -415,9 +415,9 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
 
 
 def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
-    """One explicit RK4 step of size h along the flow map, as a list: the
-    flow map's own inlined step (compile_flow) when it has one, else the
-    step whose flow body calls it (_rk4_kernel)."""
+    """One explicit step of the _RK4 tableau of size h along the flow map, as
+    a list: the flow map's own inlined step (compile_flow) when it has one,
+    else the step whose flow body calls it (_rk4_kernel)."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
     if type(x) is not list or len(x) != spec.dim:

@@ -7,6 +7,7 @@ the end of a pytest run shows where the gate stands.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import pathlib
 
@@ -125,6 +126,15 @@ def loop_potential(world, gains, sp, bp, v, th):
     f1, f2 = (np.asarray(v[4:6])
               - tracked_input(world, gains, v[:2], v[2:4])).tolist()
     return V + 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
+
+
+def load_tool(name):
+    """The module of tools/<name>.py."""
+    spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def record_criterion(num: int, label: str, passed: bool, detail: str = "") -> None:

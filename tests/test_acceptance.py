@@ -10,13 +10,14 @@ the angle settling when run to t = 160; the sweep tests probe robustness
 from a ring of start positions.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, record_criterion, toy_scalar_pieces
+from conftest import CONFIG_DIR, load_tool, record_criterion, toy_scalar_pieces
 from syncon.backstepping import backstepped_quadruple
 from syncon.engine import HybridSystemSpec, SimConfig, simulate, step_flow
 from syncon.harness import (
@@ -71,15 +72,14 @@ def long_records(records):
         arc2 = simulate(spec, rec.arc.final_state,
                         SimConfig(dt=0.01, t_max=150.0))
         world = rec.config.world
-        t2, dist2, th2 = [], [], []
-        for t, _, x in arc2.iter_samples():
-            t2.append(10.0 + t)
-            dist2.append(math.hypot(x[0] - world.p_d[0], x[1] - world.p_d[1]))
-            th2.append(x[-1])
+        t2 = np.concatenate([seg.ts for seg in arc2.segments])
+        xs2 = np.concatenate([seg.xs for seg in arc2.segments])
+        dist2 = [math.hypot(x[0] - world.p_d[0], x[1] - world.p_d[1])
+                 for x in xs2]
         out[name] = (
-            np.concatenate([rec.t, t2]),
+            np.concatenate([rec.t, 10.0 + t2]),
             np.concatenate([rec.ddest, dist2]),
-            np.concatenate([rec.theta, th2]),
+            np.concatenate([rec.theta, xs2[:, -1]]),
         )
     return out
 
@@ -97,13 +97,10 @@ def reversed_spec(spec: HybridSystemSpec) -> HybridSystemSpec:
 
 def flow_samples(arc, in_flow, t_min=0.5, stride=500, boundary=-1e-5):
     """Interior flow samples of an arc, past the initial transient."""
-    picked = []
-    for i, (t, _, x) in enumerate(arc.iter_samples()):
-        if t < t_min or i % stride:
-            continue
-        if in_flow(x) <= boundary:
-            picked.append(np.asarray(x, float).copy())
-    return picked
+    ts = np.concatenate([seg.ts for seg in arc.segments])[::stride]
+    xs = np.concatenate([seg.xs for seg in arc.segments])[::stride]
+    return [x.copy() for t, x in zip(ts, xs)
+            if t >= t_min and in_flow(x) <= boundary]
 
 
 def test_criterion_1_stuck_point_location():
@@ -351,7 +348,8 @@ def test_criterion_8_backstepping_demo(records):
     spec = assemble_closed_loop(plant_b, q_b)
     arc = simulate(spec, np.array([1.5, 0.0, 0.0, 0.0]),
                    SimConfig(dt=1e-3, t_max=5.0))
-    toy_V = np.array([q_b.V(x[:3], x[3:]) for _, _, x in arc.iter_samples()])
+    toy_V = np.array([q_b.V(x[:3], x[3:]) for seg in arc.segments
+                      for x in seg.xs])
     toy_rise = float(np.max(np.diff(toy_V)))
     xe = arc.final_state
     toy_follow = abs(float(xe[2]) - float(tracked_feedback(
@@ -413,6 +411,43 @@ def test_criterion_9_integrator_order_and_determinism(records, tmp_path):
     assert ok_bytes
 
 
+# -- committed regression record ---------------------------------------------
+
+def assert_matches(got, want, rel, where):
+    """got equals want, a loaded record: strings and counts exactly, floats
+    within a relative rel."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_matches(got[key], want[key], rel, f"{where}/{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, rel, f"{where}[{k}]")
+    elif type(want) is float:
+        assert abs(got - want) <= rel * abs(want), f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def test_arcs_match_the_committed_record(records):
+    """A fresh run of tools/arc_digest.py's runs against tests/arc_record.json
+    (tools/arc_record.py): counts exactly, and floats within a relative 1e-12
+    on the navigation loops, which call libm, so a different libm passes.
+    The thermostat's flow, sets, jumps and locator use only correctly
+    rounded arithmetic, so its floats must match bit for bit: a last-bit
+    change to an RK4 weight or to the locator's secant moves no recorded
+    float by more than about 3e-14 relative, which only that check sees."""
+    tool = load_tool("arc_record")
+    committed = json.loads(tool.RECORD.read_text())
+    assert committed["configs"].keys() == records.keys()
+    fresh = tool.record(records)
+    assert fresh.keys() == committed.keys()
+    for group, rel in (("configs", 1e-12), ("thermostat", 0.0),
+                       ("generic", 1e-12)):
+        assert_matches(fresh[group], committed[group], rel, group)
+
+
 # -- long-horizon companions -------------------------------------------------
 
 def test_long_horizon_hybrid_converges(long_records):
@@ -450,7 +485,7 @@ def test_hybrid_ring_sweep():
         arc = simulate(spec, np.array([p0[0], p0[1], 0.0]), sim)
 
         vs, clear = [], math.inf
-        for _, _, x in arc.iter_samples():
+        for x in np.concatenate([seg.xs for seg in arc.segments]):
             vs.append(switched_potential(world, gains, x[:2], x[2],
                                          check=False))
             clear = min(clear, obstacle_distance(world, x[:2]))
@@ -476,7 +511,7 @@ def test_smooth_ring_sweep():
         arc = simulate(spec, np.array([p0[0], p0[1], 0.0, 0.0, 0.0]), sim)
 
         clear = math.inf
-        for _, _, x in arc.iter_samples():
+        for x in np.concatenate([seg.xs for seg in arc.segments]):
             clear = min(clear, obstacle_distance(world, x[:2]))
         xe = arc.final_state
         v_end = tracking_lyapunov(q, d, sp, xe[:2], xe[2:4], xe[4:])

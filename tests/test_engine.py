@@ -521,8 +521,6 @@ def test_event_location_places_jumps_on_the_boundary():
     assert len(arc.segments) == 4
     assert [seg.j for seg in arc.segments] == [0, 1, 2, 3]
     assert arc.total_samples == sum(len(seg.ts) for seg in arc.segments)
-    ts = [t for t, _, _ in arc.iter_samples()]
-    assert len(ts) == arc.total_samples
 
 
 def test_simulate_is_deterministic():
@@ -530,7 +528,9 @@ def test_simulate_is_deterministic():
     for _ in range(2):
         arc = simulate(reset_clock_spec(), np.array([0.0]),
                        SimConfig(dt=0.03, t_max=3.5))
-        runs.append(np.array([[t, j, x[0]] for t, j, x in arc.iter_samples()]))
+        runs.append(np.concatenate([
+            np.column_stack([seg.ts, np.full(len(seg.ts), seg.j), seg.xs[:, 0]])
+            for seg in arc.segments]))
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -771,7 +771,7 @@ def test_project_flow_clamps_samples_and_counts():
     spec = pure_flow_spec(lambda v: -np.ones(1),
                           project=lambda v: np.maximum(v, floor))
     arc = simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
-    xs = np.array([x[0] for _, _, x in arc.iter_samples()])
+    xs = np.concatenate([seg.xs[:, 0] for seg in arc.segments])
     assert np.min(xs) >= floor - 1e-12
     assert abs(float(arc.final_state[0]) - floor) <= 1e-12
     assert arc.n_clamped >= 4
@@ -809,6 +809,29 @@ def test_sim_config_validation():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg = SimConfig(dt=0.1, t_max=1.0)
         cfg.dt = 0.2
+
+
+def test_sim_config_stores_python_floats():
+    """np.float64 and int settings are stored as Python floats and give the
+    float settings' arc byte for byte, jump times included; an int beyond
+    float range is a ValueError that names its field."""
+    def arc_bytes(cfg):
+        arc = simulate(reset_clock_spec(), np.array([0.0]), cfg)
+        return ([(seg.j, seg.ts.tobytes(), seg.xs.tobytes())
+                 for seg in arc.segments],
+                [(repr(ev.t), ev.j_pre, ev.x_pre.tobytes(), ev.x_post.tobytes())
+                 for ev in arc.jumps], arc.stats, arc.termination)
+
+    for dt, t_max, event_tol in ((np.float64(0.03), np.float64(3.5),
+                                  np.float64(1e-10)), (1, 3, 1e-10)):
+        cfg = SimConfig(dt=dt, t_max=t_max, event_tol=event_tol)
+        assert [type(v) for v in (cfg.dt, cfg.t_max, cfg.event_tol)] == [float] * 3
+        assert arc_bytes(cfg) == arc_bytes(SimConfig(
+            dt=float(dt), t_max=float(t_max), event_tol=float(event_tol)))
+    assert type(SimConfig(dt=1, t_max=3, event_tol=1).event_tol) is float
+    for name in ("dt", "t_max", "event_tol"):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SimConfig(**{"dt": 0.1, "t_max": 1.0, name: 10 ** 400})
 
 
 def _expm(a: np.ndarray, terms: int = 40) -> np.ndarray:

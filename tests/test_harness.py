@@ -692,11 +692,12 @@ def test_run_scenario_channels_equal_the_scalar_helpers(path):
         return scalar_channels(cfg.world, cfg.gains, cfg.smoothed, cfg.backstep,
                                spec, gap, v)
 
-    samples = list(rec.arc.iter_samples())
-    xs = np.array([x for _, _, x in samples])
+    segments = rec.arc.segments
+    xs = np.concatenate([seg.xs for seg in segments])
     V, ux, uy, mu, dobs, ddest = np.array([ref(x) for x in xs]).T
-    assert np.array_equal(rec.t, [t for t, _, _ in samples])
-    assert np.array_equal(rec.j, [j for _, j, _ in samples])
+    assert np.array_equal(rec.t, np.concatenate([seg.ts for seg in segments]))
+    assert np.array_equal(rec.j, np.repeat([seg.j for seg in segments],
+                                           [len(seg.ts) for seg in segments]))
     assert np.array_equal(rec.p, xs[:, :2])
     assert np.array_equal(rec.u, np.stack([ux, uy], axis=1))
     for got, want in ((rec.V, V), (rec.dobs, dobs), (rec.ddest, ddest)):

@@ -7,15 +7,7 @@ import json
 import shutil
 import sys
 
-from conftest import CONFIG_DIR, REPO_ROOT
-
-
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import CONFIG_DIR, REPO_ROOT, load_tool
 
 
 def test_bench_snapshot_has_the_shape_of_the_committed_files(tmp_path,

@@ -41,6 +41,8 @@ objects in turn), global names and local names, but not its file name or
 line table.  Bytecode differs between CPython versions, so this line is
 only comparable between runs on one Python version.
 Standard library and numpy only; the whole run takes a few seconds.
+``tools/arc_record.py`` records the config, thermostat and generic runs
+from the lists here (``config_paths``, ``thermostat_runs``, ``generic_runs``).
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ def _feed_arc(h, arc: engine.HybridArc) -> None:
         h.update(ev.x_post.tobytes())
     h.update(json.dumps([arc.termination, arc.stats, arc.notes],
                         sort_keys=True).encode())
+
+
+def config_paths() -> list[Path]:
+    """The shipped configs, in the order their lines are printed."""
+    return sorted((ROOT / "configs").glob("*.json"))
 
 
 def config_digest(path: Path) -> str:
@@ -155,8 +162,7 @@ def _feed_code(h, code: types.CodeType) -> None:
 def code_digest() -> str:
     """Digest of the compiled flow maps, inlined steps and switching kernels
     of the shipped configs' loops, the theta3 loop and the ring loops."""
-    cfgs = {path.stem: harness.load_config(path)
-            for path in sorted((ROOT / "configs").glob("*.json"))}
+    cfgs = {path.stem: harness.load_config(path) for path in config_paths()}
     cfgs["theta3"] = theta3_config()
     cfgs.update(_workloads().ring_configs())
     h = hashlib.sha256()
@@ -171,23 +177,32 @@ def code_digest() -> str:
     return h.hexdigest()
 
 
-def thermostat_digest() -> str:
-    """Digest of event_storm's thermostat from a fixed grid of starts."""
+def thermostat_runs() -> list:
+    """(x0, spec, sim) of event_storm's thermostat from a fixed grid of
+    starts, at the workload's step and horizon."""
     workloads = _workloads()
     spec = workloads.thermostat_spec()
     cfg = engine.SimConfig(dt=workloads.THERMO_DT, t_max=workloads.THERMO_T_MAX)
+    return [(np.array([temp, mode]), spec, cfg)
+            for temp in np.linspace(0.5, 1.5, 9) for mode in (0.0, 1.0)]
+
+
+def thermostat_digest() -> str:
+    """Digest of event_storm's thermostat from a fixed grid of starts."""
     h = hashlib.sha256()
-    for temp in np.linspace(0.5, 1.5, 9):
-        for mode in (0.0, 1.0):
-            x0 = np.array([temp, mode])
-            h.update(x0.tobytes())
-            _feed_arc(h, engine.simulate(spec, x0, cfg))
+    for x0, spec, cfg in thermostat_runs():
+        h.update(x0.tobytes())
+        _feed_arc(h, engine.simulate(spec, x0, cfg))
     return h.hexdigest()
 
 
-def generic_digest() -> str:
-    """Digest of fig5_backstep's layers through the generic constructions."""
-    cfg = harness.load_config(ROOT / "configs" / "fig5_backstep.json")
+GENERIC_CONFIG = ROOT / "configs" / "fig5_backstep.json"
+GENERIC_SIM = engine.SimConfig(dt=1e-3, t_max=0.5)
+
+
+def generic_runs(cfg) -> dict:
+    """name -> (plant, family, x0) of cfg's layers through the generic
+    constructions, each started from cfg's packed start cut to its width."""
     world, gains, sp, bp = cfg.world, cfg.gains, cfg.smoothed, cfg.backstep
     plant, q = navigation.nominal_controller(world, gains)
     d = navigation.decomposed_feedback(world, gains)
@@ -197,16 +212,22 @@ def generic_digest() -> str:
         "backstepped": backstepping.backstepped_quadruple(plant, q, d, sp, bp),
     }
     start = harness.initial_packed_state(cfg)
-    sim = engine.SimConfig(dt=1e-3, t_max=0.5)
+    return {name: (fam_plant, fam,
+                   np.concatenate([start[:fam_plant.dim_x], start[-1:]]))
+            for name, (fam_plant, fam) in families.items()}
+
+
+def generic_digest() -> str:
+    """Digest of fig5_backstep's layers through the generic constructions."""
+    cfg = harness.load_config(GENERIC_CONFIG)
     lo, hi = harness.audit_box(cfg)
-    p_star = navigation.find_critical_point(world)
+    p_star = navigation.find_critical_point(cfg.world)
     h = hashlib.sha256()
-    for name, (fam_plant, fam) in families.items():
+    for name, (fam_plant, fam, x0) in generic_runs(cfg).items():
         n = fam_plant.dim_x
-        x0 = np.concatenate([start[:n], start[-1:]])
         h.update(name.encode())
         _feed_arc(h, engine.simulate(synergy.assemble_closed_loop(fam_plant, fam),
-                                     x0, sim))
+                                     x0, GENERIC_SIM))
         # The box and the stuck point carry the start's tracker and
         # integrator entries, with a unit margin on each.
         tail = x0[2:n]
@@ -274,7 +295,7 @@ def locator_digest() -> str:
 
 
 def main() -> int:
-    configs = sorted((ROOT / "configs").glob("*.json"))
+    configs = config_paths()
     for path in configs:
         print(f"{config_digest(path)}  {path.stem}")
     print(f"{ring_digest()}  ring_grid")
