@@ -37,7 +37,12 @@ may return any sequence of ``dim`` floats; any other length fails the call
 body's unpack and raises DimensionMismatch too.  The arc still holds float
 ndarrays: simulate appends each accepted state's floats to one flat list per
 segment, and np.fromiter turns it into that segment's C-contiguous (samples,
-dim) array when the segment closes.  When a step crosses a set boundary the
+dim) array when the segment closes.  A caller that passes simulate a
+``sink`` is handed the samples while the run goes on: ``sink(j, ts, xs)``
+gets each segment's samples in order, SINK_ROWS at a time as they are
+accepted and the rest when the segment closes, with ts a new list of their
+times and xs a new flat list of their states' floats, so the calls'
+samples, joined, are the arc's.  When a step crosses a set boundary the
 crossing is located on the step fraction, re-integrating the partial step at
 each probe, so every accepted sample respects its set within ``event_tol``; a
 location that gives up short of it is counted on the arc.  Each probe
@@ -96,6 +101,9 @@ _PROGRESS_EPS = 1e-15
 # after the first, so 200 probes outlast the 1e-16 bracket floor.
 _MAX_PROBES = 200
 
+# Most samples one call of simulate's sink carries; at least 2.
+SINK_ROWS = 1024
+
 # Counters kept on HybridArc.stats, all integers filled by the engine itself.
 #   indicator_evals  calls of in_flow_set / in_jump_set
 #   rk4_steps        RK4 steps, trial steps and locator probes alike
@@ -110,6 +118,16 @@ STAT_KEYS = ("indicator_evals", "rk4_steps", "locate_calls", "locate_probes",
 
 def _new_stats() -> dict[str, int]:
     return dict.fromkeys(STAT_KEYS, 0)
+
+
+def float_field(name: str, value) -> float:
+    """float(value), the value of the field called name; an int beyond
+    float range raises a ValueError that names the field."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int beyond float "
+                         "range") from None
 
 
 @dataclass(frozen=True)
@@ -134,10 +152,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("dt", "t_max", "event_tol"):
             given = getattr(self, name)
-            try:
-                value = float(given)
-            except OverflowError:  # an int beyond float range
-                value = math.inf
+            value = float_field(name, given)
             least = "non-negative" if name == "t_max" else "positive"
             if not (0.0 < value < math.inf or value == 0.0 and name == "t_max"):
                 raise ValueError(f"{name} must be {least} and finite, got {given}")
@@ -588,14 +603,18 @@ def _indicator_pair(spec: HybridSystemSpec, v: list[float],
     return f, g
 
 
-def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridArc:
+def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
+             sink: Callable[[int, list[float], list[float]], object] | None = None
+             ) -> HybridArc:
     """Integrate the hybrid system from x0 over hybrid time.
 
     The run ends when flow time reaches ``cfg.t_max``, when one more jump
     would exceed ``cfg.j_max``, or at a dead end where the state can neither
     flow (the flow field exits the flow set immediately) nor jump.  All three
     are normal terminations, recorded on the arc.  A state outside both sets
-    raises CoverageViolation.
+    raises CoverageViolation.  ``sink``, when given, is called with the
+    samples as the run accepts them (see the module docstring); an error it
+    raises ends the run.
     """
     dim = spec.dim
     x = _state(np.ravel(x0), dim, "x0")
@@ -629,11 +648,15 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
     # kept.
     seg_t = [t]
     seg_x = x.copy()
+    sent = 0  # samples of the open segment the sink has been given
+    rows = SINK_ROWS
     consecutive_jumps = 0
     zeno_warned = False
     termination = TERM_T_MAX
 
-    def close_segment() -> None:
+    def close_segment(sent: int) -> None:
+        if sink is not None and len(seg_t) > sent:
+            sink(j, seg_t[sent:], seg_x[sent * dim:])
         xs = np.fromiter(seg_x, float, len(seg_x)).reshape(len(seg_t), dim)
         segments.append(FlowSegment(j, np.array(seg_t), xs))
 
@@ -647,12 +670,13 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
             x_post, n_cand = _select_jump(spec, x, tol, ji=ji)
             jumps.append(JumpEvent(t=t, j_pre=j, x_pre=np.array(x, dtype=float),
                                    x_post=x_post.copy(), n_candidates=n_cand))
-            close_segment()
+            close_segment(sent)
             j += 1
             x = x_post.tolist()
             fi = ji = None
             seg_t = [t]
             seg_x = x.copy()
+            sent = 0
             consecutive_jumps += 1
             if consecutive_jumps > ZENO_WARN_AFTER and not zeno_warned:
                 msg = (f"{consecutive_jumps} consecutive jumps without flow-time "
@@ -719,8 +743,11 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig) -> HybridAr
         t = t_new
         seg_t.append(t)
         seg_x += x
+        if sink is not None and len(seg_t) - sent == rows:
+            sink(j, seg_t[sent:], seg_x[sent * dim:])
+            sent += rows
 
-    close_segment()
+    close_segment(sent)
     stats["rk4_steps"] += steps
     stats["indicator_evals"] += steps if complementary else 2 * steps
     return HybridArc(segments=segments, jumps=jumps, termination=termination,

@@ -11,11 +11,15 @@ reported at once in a ValidationError so a config can be fixed in one pass.
 run_scenario simulates the closed loop and post-processes the arc into
 flat per-sample channels (position, logic angle, tracker, applied input,
 Lyapunov value, switching excess, clearances) ready for CSV export or the
-hand-rolled SVG plot.  The channels are computed as arrays over the stacked
-states of the whole arc (navigation.sample_channels), with numpy arithmetic
-in the scalar kernels' order of operations and math's log, hypot, cos and
-sin, so every value, and every exported byte, is what the per-sample scalar
-helpers give.  write_csv formats bounded chunks of rows, on two cores.
+hand-rolled SVG plot.  The channels are computed as arrays over stacked
+states (navigation.sample_channels), with numpy arithmetic in the scalar
+kernels' order of operations and math's log, hypot, cos and sin, so every
+value, and every exported byte, is what the per-sample scalar helpers give,
+over the whole arc or any run of its rows.  Given a CSV path, run_scenario
+streams the samples to the export as the engine accepts them, in chunks of
+engine.SINK_ROWS, and a forked worker computes and formats their rows on
+another core while the run goes on (_csv_export); write_csv replays a
+finished run's arc through the same export.
 
 check_scenario reports the parameter bounds from the same validators,
 locates the stuck point of the base potential, and audits the switched
@@ -24,18 +28,22 @@ family on a sampled box, producing a line-per-check report.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
-import shutil
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
+from stat import S_IMODE, S_ISREG
 
 import numpy as np
 
+from . import engine
 from .backstepping import BacksteppingParams
 from .engine import HybridArc, SimConfig, simulate
 from .errors import NoRootBracketed, ParseError, SynconError, ValidationError
@@ -70,8 +78,6 @@ CONTROLLERS = ("hybrid", "smooth_hybrid", "non_hybrid", "backstepped")
 CSV_HEADER = "t,j,px,py,theta,eta1,eta2,ux,uy,V,mu,dobs,ddest"
 
 _SVG_WIDTH = 640  # pixels; the height follows the scene's aspect ratio
-
-_CSV_CHUNK_ROWS = 1024  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -410,7 +416,11 @@ class JumpRow:
 
 @dataclass
 class RunRecord:
-    """One simulated scenario flattened into per-sample channels."""
+    """One simulated scenario flattened into per-sample channels.
+
+    ``wall_time`` is the seconds run_scenario took, from building the loop
+    to its return, so it includes the wait for a streamed CSV's last rows.
+    """
 
     config: ScenarioConfig
     t: np.ndarray
@@ -459,13 +469,27 @@ class RunRecord:
         return lines
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunRecord:
-    """Simulate one scenario and post-process the arc into channels."""
+def run_scenario(cfg: ScenarioConfig, *, csv=None) -> RunRecord:
+    """Simulate one scenario and post-process the arc into channels.
+
+    With ``csv``, a path, the run's CSV is written there while it simulates
+    (_csv_export), and is complete at that path when this returns; a run
+    that raises leaves no CSV, and a regular file at the path unchanged.
+    The path is opened before the first step, so an unwritable one raises
+    first.
+    """
     start = time.perf_counter()
     spec = build_closed_loop(cfg)
     x0 = initial_packed_state(cfg)
-    arc = simulate(spec, x0, cfg.sim)
+    with (contextlib.nullcontext() if csv is None else
+          _csv_export(cfg, csv, cfg.sim.t_max / cfg.sim.dt)) as add:
+        record = _record(cfg, simulate(spec, x0, cfg.sim, sink=add))
+    record.wall_time = time.perf_counter() - start
+    return record
 
+
+def _record(cfg: ScenarioConfig, arc: HybridArc) -> RunRecord:
+    """The run record of cfg's arc, its wall time still unset."""
     gap = governing_gap(cfg)
     segments = arc.segments
     xs = np.concatenate([seg.xs for seg in segments])
@@ -489,75 +513,153 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         eta=None if cfg.smoothed is None else xs[:, 2:4],
         u=u, V=V, mu=mu, dobs=dobs, ddest=ddest,
         jumps=jump_rows, termination=arc.termination, gap=gap,
-        n_clamped=arc.n_clamped, wall_time=time.perf_counter() - start,
-        arc=arc,
+        n_clamped=arc.n_clamped, wall_time=math.nan, arc=arc,
     )
 
 
 # -- exports -----------------------------------------------------------------
 
 def write_csv(record: RunRecord, path) -> None:
-    """Write the per-sample channels; absent channels stay empty.
+    """Write the CSV of a finished run: its arc's samples, replayed through
+    the export run_scenario streams them to, SINK_ROWS at a time, so the
+    bytes are those ``run_scenario(cfg, csv=path)`` writes.
 
-    Floats are printed with %.17g, so the same config produces
-    byte-identical output on every run.  Rows are formatted with one format
-    string, _CSV_CHUNK_ROWS at a time, which bounds the text this process
-    holds at once.  From two chunks on, a forked worker formats the second
-    half of the rows into a pipe while this process writes the first, then
-    the pipe is copied in: the same bytes.  The worker joins its whole half
-    and writes it once, since this process reads the pipe only after its
-    own half: a worker that wrote each chunk would stall on the full pipe
-    (64 KiB on Linux, less than one chunk) and format nothing meanwhile.
-    The worker is held to the usable CPUs other than the one this process
-    runs on, since a scheduler need not move a forked child off its
-    parent's CPU; this process is never pinned.  With one usable CPU,
-    another live thread (the child could deadlock), no os.sched_setaffinity
-    or no readable /proc/self/stat, or where os.fork fails, one process
-    writes them all.
+    The rows are computed afresh from ``record.arc`` and ``record.config``;
+    the record's channel arrays (t, p, V, ...) are not read, so a record
+    whose channels were replaced exports its arc's, not theirs."""
+    rows = engine.SINK_ROWS
+    with _csv_export(record.config, path, len(record.t)) as add:
+        for seg in record.arc.segments:
+            for a in range(0, len(seg.ts), rows):
+                add(seg.j, seg.ts[a:a + rows], seg.xs[a:a + rows].ravel())
+
+
+def _csv_lines(cfg: ScenarioConfig, chunks):
+    """The CSV rows of each (j, ts, xs) chunk of samples, one string per
+    chunk: ts their times, xs their packed states as one flat sequence of
+    floats, j their jump counter.
+
+    The channels are navigation.sample_channels over the chunk's rows,
+    which gives each row the bits the whole arc's call gives it.  Each row
+    is one format string: %.17g per float, so the same config produces
+    byte-identical output on every run, %d for j, and nothing for a channel
+    the controller does not carry.
+    """
+    gap = governing_gap(cfg)
+    row = None
+    for j, ts, xs in chunks:
+        xs = np.asarray(xs, dtype=float).reshape(len(ts), -1)
+        V, u, mu, dobs, ddest = sample_channels(cfg.world, cfg.gains, xs, gap,
+                                                cfg.smoothed, cfg.backstep)
+        eta = [None, None] if cfg.smoothed is None else [xs[:, 2], xs[:, 3]]
+        columns = [xs[:, 0], xs[:, 1], None if mu is None else xs[:, -1], *eta,
+                   u[:, 0], u[:, 1], V, mu, dobs, ddest]
+        if row is None:
+            row = ",".join(["%.17g", "%d"] + ["" if col is None else "%.17g"
+                                              for col in columns]) + "\n"
+        values = [np.asarray(ts, dtype=float).tolist(), itertools.repeat(j)]
+        values += [col.tolist() for col in columns if col is not None]
+        yield "".join([row % v for v in zip(*values)])
+
+
+@contextlib.contextmanager
+def _csv_export(cfg: ScenarioConfig, path, rows: float):
+    """The CSV of one run at path: yields ``add(j, ts, xs)``, which exports
+    one chunk of samples (see _csv_lines), and completes the file on leaving.
+    rows is about the number of rows to come; it need not be exact.
+
+    Where path is a regular file, or nothing yet, rows are written to a
+    file beside it, which replaces path only once every row is in, so an
+    export left on an error leaves no partial CSV and whatever was at path
+    as it was; the new file takes the old one's permission bits, but not
+    its owner or its other hard links, and a symbolic link at path has the
+    file it names replaced.  Any other path (a device such as
+    /dev/null, a FIFO), or one whose directory takes no new file, is
+    written through, so an error there leaves the rows written so far.  A
+    path that is a directory, or whose directory is missing, raises at once.
+
+    A forked worker computes and formats the rows on another core while
+    this process goes on: add pickles each chunk to it through a pipe, and
+    on leaving the pipe is closed and the worker waited for.  It is held to
+    the usable CPUs other than the one this process runs on, since a
+    scheduler need not move a forked child off its parent's CPU; this
+    process is never pinned.  With fewer rows than one chunk (SINK_ROWS),
+    one usable CPU, another live thread (the child could deadlock), no
+    os.sched_setaffinity or no readable /proc/self/stat, or where os.fork
+    fails, add formats each chunk itself: a fork and wait costs about 7 ms,
+    more than a run that short can overlap.
+    A worker that fails writes its traceback to stderr; add then stops
+    sending, and leaving raises OSError naming its wait status.  Leaving on
+    an error closes the pipe too, and reaps the worker.
 
     threading.active_count() sees Python threads only, not a native pool
     such as OpenBLAS's; Python 3.12 and later warn when such a process
-    forks.  The threshold and the pinning were measured on one 2-core host
-    whose cpuset does not balance load, under Python 3.11 only: there the
-    forked export took 10% less time at 2048 rows and 26-41% less from
-    4096 to 32768 rows.
+    forks.  The pinning was measured on one 2-core host whose cpuset does
+    not balance load, under Python 3.11 only.
     """
-    eta, j = record.eta, record.j
-    columns = [record.t, j, record.p[:, 0], record.p[:, 1], record.theta,
-               None if eta is None else eta[:, 0],
-               None if eta is None else eta[:, 1],
-               record.u[:, 0], record.u[:, 1], record.V, record.mu,
-               record.dobs, record.ddest]
-    row = ",".join("" if col is None else "%d" if col is j else "%.17g"
-                   for col in columns) + "\n"
-    present = [col for col in columns if col is not None]
-
-    def chunks(lo, hi):  # rows lo:hi, _CSV_CHUNK_ROWS formatted to a string
-        for a in range(lo, hi, _CSV_CHUNK_ROWS):
-            b = min(a + _CSV_CHUNK_ROWS, hi)
-            yield "".join([row % v for v in zip(*[c[a:b].tolist() for c in present])])
-
-    n = len(record.t)
-    here = (_cpu_now() if n >= 2 * _CSV_CHUNK_ROWS
-            and threading.active_count() == 1 else None)
-    others = [] if here is None else sorted(os.sched_getaffinity(0) - {here})
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        worker = _fork_csv_worker(chunks(n // 2, n), others) if others else None
-        if worker is None:
-            fh.writelines(chunks(0, n))
-            return
-        pid, pipe = worker
+    path = os.fspath(path)
+    real = os.path.realpath(path)  # a symbolic link stays one
+    try:
+        was = os.stat(real)
+    except OSError:
+        was = None
+    part = None
+    if was is None or S_ISREG(was.st_mode):
+        part = f"{real}.{os.getpid()}.part"
         try:
-            fh.writelines(chunks(0, n // 2))
-            fh.flush()
-            shutil.copyfileobj(pipe, fh.buffer)
-        finally:
-            pipe.close()  # a worker still writing then exits
+            out = open(part, "w")
+        except OSError:  # the directory takes no new file
+            part = None
+    if part is None:
+        out = open(path, "w")
+    pid = pipe = None
+    try:
+        with out:
+            out.write(CSV_HEADER + "\n")
+            fork = rows >= engine.SINK_ROWS and threading.active_count() == 1
+            here = _cpu_now() if fork else None
+            others = [] if here is None else sorted(os.sched_getaffinity(0) - {here})
+            if others:
+                out.flush()
+                pid, pipe = _fork_csv_worker(cfg, out.fileno(), others) or (None, None)
+            if pid is None:
+                yield lambda j, ts, xs: out.writelines(_csv_lines(cfg, [(j, ts, xs)]))
+        if pid is not None:
+            def add(j, ts, xs):
+                nonlocal pipe
+                if pipe is not None:
+                    try:
+                        pickle.dump((j, ts, xs), pipe, pickle.HIGHEST_PROTOCOL)
+                    except BrokenPipeError:  # the worker has ended
+                        pipe = _closed(pipe)
+
+            yield add
+            pipe = _closed(pipe)  # the worker reads to the end and exits
             status = os.waitpid(pid, 0)[1]
-    if status:
-        raise OSError(f"{path}: the CSV worker ended with wait status {status}"
-                      " (its traceback is on stderr)")
+            pid = None
+            if status:
+                raise OSError(f"{path}: the CSV worker ended with wait status "
+                              f"{status} (its traceback is on stderr)")
+        if part is not None:
+            if was is not None:
+                os.chmod(part, S_IMODE(was.st_mode))
+            os.replace(part, real)
+    except BaseException:
+        _closed(pipe)
+        if pid is not None:  # it has at most a pipe's worth of rows left
+            os.waitpid(pid, 0)
+        if part is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+        raise
+
+
+def _closed(pipe) -> None:
+    """Close pipe unless it is None, whether its worker has ended or not,
+    and return None."""
+    if pipe is not None:
+        with contextlib.suppress(BrokenPipeError):
+            pipe.close()
 
 
 def _cpu_now() -> int | None:
@@ -573,14 +675,22 @@ def _cpu_now() -> int | None:
         return None
 
 
-def _fork_csv_worker(texts, cpus):
-    """(pid, pipe) of a forked worker, held to cpus, that joins the strings
-    texts yields and writes them to a pipe; pipe is its read end, a binary
-    file.  None where os.fork fails (a process limit, no memory).
+def _read_chunks(pipe):
+    """The objects pickled to pipe, a binary file, in order, to its end."""
+    while True:
+        try:
+            yield pickle.load(pipe)
+        except EOFError:
+            return
+
+
+def _fork_csv_worker(cfg: ScenarioConfig, fd: int, cpus):
+    """(pid, pipe) of a forked worker that runs _csv_worker on the read end
+    of pipe, whose write end is returned as a binary file, until the caller
+    closes it.  None where os.fork fails (a process limit, no memory).
 
     The worker touches no file object of the caller and always ends in
-    os._exit, so no buffer the caller holds is written twice.  A worker that
-    fails writes its traceback to file descriptor 2 and exits with status 1.
+    os._exit, so no buffer the caller holds is written twice.
     """
     r, w = os.pipe()
     try:
@@ -591,18 +701,28 @@ def _fork_csv_worker(texts, cpus):
         return None
     if pid == 0:
         try:
-            os.close(r)  # so that it gets EPIPE once the caller closes
-            os.sched_setaffinity(0, cpus)
-            with open(w, "w") as out:
-                out.write("".join(texts))
-            os._exit(0)
-        except BaseException:
-            import traceback  # only a failing worker needs it
-            os.write(2, traceback.format_exc().encode())
+            os.close(w)  # so that it reads an end once the caller closes
+            os._exit(_csv_worker(cfg, r, fd, cpus))
         finally:
             os._exit(1)
-    os.close(w)  # the worker's copy is the only writer
-    return pid, open(r, "rb")
+    os.close(r)  # so that writes fail with EPIPE once the worker has ended
+    return pid, open(w, "wb")
+
+
+def _csv_worker(cfg: ScenarioConfig, r: int, fd: int, cpus) -> int:
+    """The CSV worker's body, held to cpus: it writes to the file
+    descriptor fd the rows (_csv_lines) of the chunks pickled to the file
+    descriptor r, to its end, and returns its exit status: 0, or 1 when it
+    fails, with the traceback written to file descriptor 2."""
+    try:
+        os.sched_setaffinity(0, cpus)
+        with open(r, "rb") as pipe, open(fd, "w", closefd=False) as out:
+            out.writelines(_csv_lines(cfg, _read_chunks(pipe)))
+        return 0
+    except Exception:
+        import traceback  # only a failing worker needs it
+        os.write(2, traceback.format_exc().encode())
+        return 1
 
 
 def write_svg(record: RunRecord, path) -> None:

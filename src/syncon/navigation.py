@@ -82,6 +82,7 @@ from .engine import (
     HybridSystemSpec,
     compile_flow,
     compile_source,
+    float_field,
     literal_source,
 )
 from .errors import (
@@ -123,7 +124,7 @@ class NavigationWorld:
 
     def __post_init__(self):
         for name in ("r_o", "epsilon", "r_s", "varrho"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float_field(name, getattr(self, name)))
         object.__setattr__(self, "p_o", np.asarray(self.p_o, dtype=float).reshape(2))
         object.__setattr__(self, "p_d", np.asarray(self.p_d, dtype=float).reshape(2))
         # Plain-float copies of p_o, p_d and p_o - p_d for the scalar kernels.
@@ -168,7 +169,7 @@ class NavGains:
 
     def __post_init__(self):
         for name in ("k_p", "k_theta", "gamma_theta", "delta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float_field(name, getattr(self, name)))
         cand = np.atleast_1d(np.asarray(self.theta_candidates, dtype=float))
         if cand.ndim != 1 or cand.size == 0:
             raise ValueError("theta_candidates must be a nonempty 1-d sequence")

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .engine import float_field
 from .errors import ParamBoundViolation
 from .synergy import AffinePlant, SynergisticQuadruple, augmented_family
 
@@ -69,7 +70,7 @@ class _PositiveParams:
 
     def __post_init__(self):
         for f in fields(self):
-            v = float(getattr(self, f.name))
+            v = float_field(f.name, getattr(self, f.name))
             object.__setattr__(self, f.name, v)
             if not (v > 0.0 and np.isfinite(v)):
                 raise ValueError(f"{f.name} must be positive and finite, got {v}")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from syncon import engine
 from syncon.engine import (
     STAT_KEYS,
@@ -27,6 +28,7 @@ from syncon.errors import (
     NonFiniteState,
     NotInJumpSet,
 )
+from syncon.harness import build_closed_loop, initial_packed_state, load_config
 
 
 def pure_flow_spec(f, project=None):
@@ -1272,3 +1274,54 @@ def test_errors_name_the_list_state_as_an_array():
     with pytest.raises(EmptyJumpSet) as info:
         apply_jump(empty, [0.25])
     assert str(info.value) == "jump map returned no candidates at array([0.25])"
+
+
+def sink_runs():
+    """(spec, x0, config) of the four navigation loops over 1.2 s (1 200 to
+    2 400 samples, a jump at t = 0 for the switched ones) and of the
+    thermostat, a width-2 spec that jumps every few samples."""
+    runs = []
+    for name in ("fig5_hybrid", "fig5_smooth", "fig5_backstep", "fig5_nonhybrid"):
+        cfg = load_config(CONFIG_DIR / f"{name}.json")
+        runs.append((build_closed_loop(cfg), initial_packed_state(cfg),
+                     dataclasses.replace(cfg.sim, t_max=1.2)))
+    runs.append((thermostat_spec(), np.array([1.0, 1.0]),
+                 SimConfig(dt=0.05, t_max=5.0)))
+    return runs
+
+
+def arc_record(arc):
+    """Every sample, jump, the termination and the stats of an arc."""
+    return ([(seg.j, seg.ts.tobytes(), seg.xs.tobytes()) for seg in arc.segments],
+            [(ev.t, ev.j_pre, ev.x_pre.tobytes(), ev.x_post.tobytes(),
+              ev.n_candidates) for ev in arc.jumps],
+            arc.termination, arc.stats, arc.notes)
+
+
+@pytest.mark.parametrize("sink_rows", [1024, 7, 2])
+def test_a_sink_is_handed_the_arc_in_chunks_and_changes_nothing(monkeypatch,
+                                                                sink_rows):
+    """With a sink the arc is bit for bit the one without.  The sink is
+    handed each segment's samples in order, as new lists, in chunks of
+    SINK_ROWS and then the rest when the segment closes, so the chunks,
+    joined, are the arc's times, states and jump counters."""
+    monkeypatch.setattr(engine, "SINK_ROWS", sink_rows)
+    longest = 0
+    for spec, x0, cfg in sink_runs():
+        chunks = []
+        arc = simulate(spec, x0, cfg, sink=lambda *chunk: chunks.append(chunk))
+        assert arc_record(arc) == arc_record(simulate(spec, x0, cfg))
+        for seg in arc.segments:
+            n = len(seg.ts)
+            longest = max(longest, n)
+            sizes = [sink_rows] * (n // sink_rows) + [n % sink_rows] * (n % sink_rows > 0)
+            mine, chunks = chunks[:len(sizes)], chunks[len(sizes):]
+            assert [(j, len(ts), len(xs)) for j, ts, xs in mine] == \
+                [(seg.j, size, size * spec.dim) for size in sizes]
+            assert all(type(ts) is list and type(xs) is list for _, ts, xs in mine)
+            assert np.array([t for _, ts, _ in mine for t in ts]).tobytes() == \
+                seg.ts.tobytes()
+            assert np.array([v for _, _, xs in mine for v in xs]).tobytes() == \
+                seg.xs.tobytes()
+        assert chunks == []
+    assert longest > 2 * 1024

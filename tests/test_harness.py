@@ -7,7 +7,10 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import re
+import stat
+import subprocess
 import sys
 import threading
 import xml.etree.ElementTree as ET
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT, loop_potential
-from syncon import harness
+from syncon import engine, harness
 from syncon.cli import main
 from syncon.engine import SimConfig, simulate
 from syncon.errors import (
@@ -752,16 +755,20 @@ def per_row_csv(rec) -> bytes:
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
                                                             monkeypatch):
+    """The CSV a run streams and the one write_csv replays from its arc are
+    the per-row formatting's bytes, whatever the chunks."""
     # More rows than one default chunk holds on every config.
-    rec = run_scenario(short_shipped(path, t_max=1.2))
-    assert len(rec.t) > harness._CSV_CHUNK_ROWS
+    cfg = short_shipped(path, t_max=1.2)
+    rec = run_scenario(cfg, csv=tmp_path / "run.csv")
+    assert len(rec.t) > engine.SINK_ROWS
     expected = per_row_csv(rec)
     write_csv(rec, tmp_path / "a.csv")
-    assert (tmp_path / "a.csv").read_bytes() == expected
-    # Many chunks, the last one short.
-    monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", 7)
-    write_csv(rec, tmp_path / "b.csv")
-    assert (tmp_path / "b.csv").read_bytes() == expected
+    # Many chunks, the last one of each segment short.
+    monkeypatch.setattr(engine, "SINK_ROWS", 7)
+    run_scenario(cfg, csv=tmp_path / "run7.csv")
+    write_csv(rec, tmp_path / "a7.csv")
+    for name in ("run.csv", "a.csv", "run7.csv", "a7.csv"):
+        assert (tmp_path / name).read_bytes() == expected, name
 
     write_svg(rec, tmp_path / "a.svg")
     ns = {"s": "http://www.w3.org/2000/svg"}
@@ -782,24 +789,24 @@ def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
     assert root.find(".//s:polyline", ns).get("points") == points
 
 
-# -- the CSV export on two cores ----------------------------------------------
+# -- the CSV export beside the run ---------------------------------------------
 
-CHUNK = harness._CSV_CHUNK_ROWS
+SMOOTH = CONFIG_DIR / "fig5_smooth.json"
 CPU_NOW = harness._cpu_now
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
 @pytest.fixture(scope="module")
 def smooth_record():
-    """fig5_smooth over t = 1.2: 2401 rows, every channel present."""
-    return run_scenario(short_shipped(CONFIG_DIR / "fig5_smooth.json", t_max=1.2))
+    """fig5_smooth over t = 1.2: 2403 rows, every channel present."""
+    return run_scenario(short_shipped(SMOOTH, t_max=1.2))
 
 
 @pytest.fixture
 def pins(monkeypatch, tmp_path):
     """A host with two usable CPUs and this process on CPU 0.  Returns the
     os.sched_setaffinity calls made so far, "<pid> <cpus>" each; they are
-    logged to a file, so a worker's calls are seen too."""
+    logged to pins.txt in tmp_path, so a worker's calls are seen too."""
     log = tmp_path / "pins.txt"
     log.write_text("")
 
@@ -816,7 +823,7 @@ def pins(monkeypatch, tmp_path):
 
 @pytest.fixture
 def forks(monkeypatch, pins):
-    """The os.fork calls write_csv makes."""
+    """The os.fork calls the export makes."""
     calls = []
     fork = os.fork
 
@@ -834,46 +841,69 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def first_rows(rec, n):
-    """The record cut to its first n samples, every channel alike."""
-    names = ("t", "j", "p", "theta", "eta", "u", "V", "mu", "dobs", "ddest")
-    return dataclasses.replace(rec, **{name: getattr(rec, name)[:n] for name in names
-                                       if getattr(rec, name) is not None})
+def failing_channels(monkeypatch, where):
+    """Make the channels raise in the process where(this pid, the test's
+    pid) holds, the worker's or the caller's, and compute them elsewhere."""
+    caller = os.getpid()
 
+    def channels(world, gains, xs, *rest):
+        if where(os.getpid(), caller):
+            raise ValueError(f"{len(xs)} rows refused")
+        return sample_channels(world, gains, xs, *rest)
 
-class FailingSlices:
-    """A channel whose row slices raise where ``fails(first row)`` holds."""
-
-    def __init__(self, values, fails):
-        self.values, self.fails = values, fails
-
-    def __getitem__(self, rows):
-        if self.fails(rows.start):
-            raise ValueError(f"rows from {rows.start} refused")
-        return self.values[rows]
+    monkeypatch.setattr(harness, "sample_channels", channels)
 
 
 @needs_fork
-@pytest.mark.parametrize("rows, chunk_rows, n_forks", [
-    (2 * CHUNK - 1, CHUNK, 0),
-    (2 * CHUNK, CHUNK, 1),
-    (2401, CHUNK, 1),
-    (13, 7, 0),
-    (2401, 7, 1),  # both halves many chunks, each ending short
+@pytest.mark.parametrize("t_max, rows, sink_rows", [
+    (0.0055, 13, 7),
+    (1.0225, 2048, 1024),  # the second segment ends one short of two chunks
+    (1.023, 2049, 1024),  # and here on two whole chunks
+    (1.2, 2403, 1024),
+    (1.2, 2403, 7),  # many chunks, the last one short
 ])
-def test_csv_halves_give_the_per_row_bytes(smooth_record, forks, pins,
-                                           monkeypatch, tmp_path, rows,
-                                           chunk_rows, n_forks):
-    """A record of two chunks or more is formatted by two processes, one
-    below that by one; the bytes are the per-row formatting's either way.
+def test_streamed_csv_gives_the_per_row_bytes(forks, pins, monkeypatch,
+                                              tmp_path, t_max, rows, sink_rows):
+    """A run streams its samples to one forked worker in chunks of at most
+    SINK_ROWS; the bytes are the per-row formatting's whatever the chunks.
     Only the worker is pinned, to the CPU this process is not on."""
-    monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", chunk_rows)
-    rec = first_rows(smooth_record, rows)
-    write_csv(rec, tmp_path / "a.csv")
+    monkeypatch.setattr(engine, "SINK_ROWS", sink_rows)
+    rec = run_scenario(short_shipped(SMOOTH, t_max=t_max), csv=tmp_path / "a.csv")
+    assert len(rec.t) == rows  # a one-sample segment, then a jump at t = 0
     assert (tmp_path / "a.csv").read_bytes() == per_row_csv(rec)
-    assert len(forks) == n_forks
-    assert pins() == ["0 [1]"] * n_forks
+    assert len(forks) == 1
+    assert pins() == ["0 [1]"]
     assert_no_child()
+
+
+def test_the_worker_body_runs_in_this_process(pins, monkeypatch, tmp_path,
+                                             capfd):
+    """The worker's body, run here on a pipe of the chunks a run hands its
+    sink, pickled as the export pickles them: it pins itself, writes the
+    per-row bytes after the header the caller wrote and returns 0; where
+    its channels fail it returns 1, with the traceback on stderr."""
+    monkeypatch.setattr(engine, "SINK_ROWS", 7)
+    cfg = short_shipped(SMOOTH, t_max=0.0055)
+    rec = run_scenario(cfg)
+    chunks = []
+    simulate(build_closed_loop(cfg), initial_packed_state(cfg), cfg.sim,
+             sink=lambda *chunk: chunks.append(chunk))
+    assert len(chunks) == 3  # a one-sample segment, then 7 and 5 samples
+    for status in (0, 1):
+        if status:
+            failing_channels(monkeypatch, lambda pid, caller: True)
+        r, w = os.pipe()
+        with open(w, "wb") as pipe:  # a few hundred bytes: the pipe holds them
+            for chunk in chunks:
+                pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
+        with open(tmp_path / "a.csv", "w") as out:
+            out.write(CSV_HEADER + "\n")
+            out.flush()
+            assert harness._csv_worker(cfg, r, out.fileno(), [1]) == status
+        assert pins()[-1] == "0 [1]"
+        if not status:
+            assert (tmp_path / "a.csv").read_bytes() == per_row_csv(rec)
+    assert "ValueError: 1 rows refused" in capfd.readouterr().err
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
@@ -897,7 +927,7 @@ def test_the_worker_runs_off_the_callers_cpu(smooth_record, monkeypatch,
                         lambda: seen.append(CPU_NOW()) or seen[-1])
     monkeypatch.setattr(os, "sched_setaffinity", logged)
     before = os.sched_getaffinity(0)
-    write_csv(smooth_record, tmp_path / "a.csv")
+    run_scenario(smooth_record.config, csv=tmp_path / "a.csv")
     assert os.sched_getaffinity(0) == before
     assert seen[0] in before
     assert log.read_text() == repr(sorted(before - {seen[0]}))
@@ -933,7 +963,7 @@ def test_csv_is_written_in_one_process_where_a_worker_cannot_run(
     else:
         monkeypatch.setattr(harness, "_cpu_now", lambda: None)
     try:
-        write_csv(smooth_record, tmp_path / "a.csv")
+        run_scenario(smooth_record.config, csv=tmp_path / "a.csv")
     finally:
         release.set()
     if cannot == "thread":
@@ -954,7 +984,7 @@ def test_csv_is_written_in_one_process_where_fork_fails(smooth_record, pins,
 
     fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
     monkeypatch.setattr(os, "fork", refused)
-    write_csv(smooth_record, tmp_path / "a.csv")
+    run_scenario(smooth_record.config, csv=tmp_path / "a.csv")
     assert (tmp_path / "a.csv").read_bytes() == per_row_csv(smooth_record)
     assert pins() == []
     if fds:
@@ -963,42 +993,121 @@ def test_csv_is_written_in_one_process_where_fork_fails(smooth_record, pins,
 
 
 @needs_fork
-def test_a_failing_csv_worker_raises_an_oserror(smooth_record, forks, tmp_path,
-                                                capfd):
-    """Only the worker formats rows n//2 on, so a channel that fails there
-    fails the worker: its traceback goes to stderr, and write_csv raises
-    OSError naming its status."""
-    mid = len(smooth_record.t) // 2
-    rec = dataclasses.replace(
-        smooth_record, V=FailingSlices(smooth_record.V, lambda a: a >= mid))
+def test_a_failing_csv_worker_raises_an_oserror(smooth_record, forks,
+                                                monkeypatch, tmp_path, capfd):
+    """Channels that fail in the worker alone fail the worker at its first
+    chunk: its traceback goes to stderr, the caller stops sending at the
+    broken pipe and finishes its run, then raises OSError naming the
+    worker's status, and leaves no CSV."""
+    failing_channels(monkeypatch, lambda pid, caller: pid != caller)
+    monkeypatch.setattr(engine, "SINK_ROWS", 7)
     with pytest.raises(OSError, match="wait status 256"):
-        write_csv(rec, tmp_path / "a.csv")
+        run_scenario(smooth_record.config, csv=tmp_path / "a.csv")
     assert len(forks) == 1
-    assert f"ValueError: rows from {mid} refused" in capfd.readouterr().err
+    assert re.search(r"ValueError: \d+ rows refused", capfd.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["pins.txt"]
     assert_no_child()
 
 
 @needs_fork
 def test_a_failure_in_the_callers_half_reaps_the_worker(smooth_record, forks,
-                                                        tmp_path):
-    """The caller's own error propagates; its worker, with more text than
-    a pipe buffers, is not left blocked on the pipe."""
-    mid = len(smooth_record.t) // 2
-    rec = dataclasses.replace(
-        smooth_record, V=FailingSlices(smooth_record.V, lambda a: a < mid))
-    with pytest.raises(ValueError, match="rows from 0 refused"):
-        write_csv(rec, tmp_path / "a.csv")
+                                                        monkeypatch, tmp_path):
+    """The caller's own error, here in its channels once the run has
+    streamed every chunk, propagates; the worker, still formatting, is
+    reaped, and the file already at the path stays as it was."""
+    failing_channels(monkeypatch, lambda pid, caller: pid == caller)
+    path = tmp_path / "a.csv"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=f"^{len(smooth_record.t)} rows refused"):
+        run_scenario(smooth_record.config, csv=path)
     assert len(forks) == 1
+    assert path.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "pins.txt"]
     assert_no_child()
 
 
 @needs_fork
 def test_an_unwritable_csv_path_raises_before_any_fork(smooth_record, forks,
-                                                       tmp_path):
+                                                       monkeypatch, tmp_path):
+    """A directory, or a path in a missing directory, raises before the
+    first step, and forks nothing."""
+    steps = []
+    monkeypatch.setattr(engine, "step_flow", lambda *args: steps.append(args))
+    with pytest.raises(IsADirectoryError):
+        run_scenario(smooth_record.config, csv=tmp_path)
+    with pytest.raises(FileNotFoundError):
+        run_scenario(smooth_record.config, csv=tmp_path / "missing" / "a.csv")
     with pytest.raises(IsADirectoryError):
         write_csv(smooth_record, tmp_path)
-    assert forks == []
+    assert forks == [] and steps == []
     assert_no_child()
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_a_csv_path_that_is_no_regular_file_is_written_through(
+        smooth_record, forks, tmp_path):
+    """A FIFO at the CSV path (like /dev/null or /dev/stdout, no regular
+    file) is opened and written as it is: the worker's rows reach its
+    reader, and the path is the same FIFO afterwards, with no file beside
+    it."""
+    fifo = tmp_path / "rows"
+    os.mkfifo(fifo)
+    before = os.stat(fifo)
+    reader = subprocess.Popen(
+        [sys.executable, "-c", "import shutil, sys; shutil.copyfileobj("
+         "open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))",
+         str(fifo), str(tmp_path / "read.csv")])
+    try:
+        run_scenario(smooth_record.config, csv=fifo)
+        assert reader.wait(timeout=30) == 0
+    finally:
+        reader.kill()  # nothing to do once it has ended
+        reader.wait()
+    after = os.stat(fifo)
+    assert stat.S_ISFIFO(after.st_mode)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert (tmp_path / "read.csv").read_bytes() == per_row_csv(smooth_record)
+    assert sorted(os.listdir(tmp_path)) == ["pins.txt", "read.csv", "rows"]
+    assert len(forks) == 1
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no os.symlink")
+def test_a_replaced_csv_keeps_its_mode_and_the_link_to_it(smooth_record,
+                                                          tmp_path):
+    """A symbolic link at the CSV path stays a link: the file it names is
+    replaced, and keeps its permission bits."""
+    target = tmp_path / "a.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_csv(smooth_record, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == per_row_csv(smooth_record)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "link.csv"]
+
+
+def test_a_directory_that_takes_no_new_file_is_written_through(
+        smooth_record, monkeypatch, tmp_path):
+    """Where no file can be made beside the path (a read-only directory
+    holding a writable CSV), the path itself is written, as it is."""
+    path = tmp_path / "a.csv"
+    path.write_text("old\n")
+    inode = path.stat().st_ino
+
+    def no_new_file(name, *args, **kwargs):
+        if str(name).endswith(".part"):
+            raise PermissionError(errno.EACCES, "Permission denied", name)
+        return open(name, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", no_new_file, raising=False)
+    write_csv(smooth_record, path)
+    assert path.stat().st_ino == inode
+    assert path.read_bytes() == per_row_csv(smooth_record)
+    assert os.listdir(tmp_path) == ["a.csv"]
 
 
 @needs_fork
@@ -1007,7 +1116,7 @@ def test_the_csv_worker_flushes_no_buffer_of_the_caller(smooth_record, forks,
     """Text the caller has buffered but not flushed is written once."""
     with open(tmp_path / "log.txt", "w") as log:
         log.write("buffered\n")
-        write_csv(smooth_record, tmp_path / "a.csv")
+        run_scenario(smooth_record.config, csv=tmp_path / "a.csv")
     assert len(forks) == 1
     assert (tmp_path / "log.txt").read_text() == "buffered\n"
     assert_no_child()
@@ -1237,6 +1346,54 @@ def test_cli_error_paths_exit_two(tmp_path, capsys):
                   "--samples", "-5"])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_that_fails_leaves_the_csv_path_as_it_was(tmp_path, capsys):
+    """fig5_hybrid at dt 0.01 steps into the obstacle at t = 0.04, after its
+    export has been handed the first segment: run exits 2, the file already
+    at the CSV path is byte for byte as it was, and neither a worker nor a
+    partial file is left."""
+    raw = json.loads((CONFIG_DIR / "fig5_hybrid.json").read_text())
+    raw["sim"]["dt"] = 0.01
+    cfg_path = tmp_path / "coarse.json"
+    cfg_path.write_text(json.dumps(raw))
+    csv_path = tmp_path / "out.csv"
+    earlier = b"t,j\n0,0\n"
+    csv_path.write_bytes(earlier)
+    chunks = []
+
+    def seen(spec, x0, sim, sink):
+        def add(j, ts, xs):
+            chunks.append(ts[-1])
+            sink(j, ts, xs)
+        return simulate(spec, x0, sim, sink=add)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "simulate", seen)
+        assert main(["run", str(cfg_path), "--csv", str(csv_path)]) == 2
+    assert chunks == [0.0]
+    assert "error: distance to the obstacle boundary must be positive" in \
+        capsys.readouterr().err
+    assert csv_path.read_bytes() == earlier
+    assert sorted(os.listdir(tmp_path)) == ["coarse.json", "out.csv"]
+    assert_no_child()
+
+
+def test_cli_run_to_an_unwritable_csv_path_takes_no_step(tmp_path, monkeypatch,
+                                                         capsys):
+    """A directory, or a path in a missing directory, exits 2 before the
+    first RK4 step."""
+    steps = []
+    step_flow = engine.step_flow
+    monkeypatch.setattr(engine, "step_flow",
+                        lambda *args: steps.append(None) or step_flow(*args))
+    for bad in (tmp_path, tmp_path / "missing" / "out.csv"):
+        assert main(["run", str(CONFIG_DIR / "fig5_hybrid.json"),
+                     "--csv", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
+    assert steps == []
+    assert os.listdir(tmp_path) == []
+    assert_no_child()
 
 
 # -- benchmark tracer --------------------------------------------------------

@@ -1173,3 +1173,50 @@ def test_complementary_loops_match_the_two_indicator_path(name):
     # per-state one: one call where the two-indicator path makes two.
     assert paired.stats["locate_calls"] == 0
     assert general.stats["indicator_evals"] == 2 * paired.stats["indicator_evals"]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_sample_channels_of_any_split_of_the_rows_are_the_whole_calls(path):
+    """The channels are row by row, so a CSV worker that computes them one
+    chunk at a time gets the whole-arc call's bits: every row alone, and
+    seeded random splits, over states around the obstacle that fall inside
+    the skirt and beyond it."""
+    cfg = load_config(path)
+    gap = None if cfg.controller == "non_hybrid" else loop_gap(
+        cfg.gains, cfg.smoothed, cfg.backstep)
+    rng = np.random.default_rng(404)
+    n = 300
+    xs = np.tile(initial_packed_state(cfg), (n, 1))
+    xs += rng.normal(0.0, 0.5, xs.shape)
+    world = cfg.world
+    angle = rng.uniform(-math.pi, math.pi, n)
+    radius = world.r_o + rng.uniform(1e-3, 2.0 * world.r_s, n)
+    xs[:, 0] = world.p_o[0] + radius * np.cos(angle)
+    xs[:, 1] = world.p_o[1] + radius * np.sin(angle)
+
+    def channels(rows):
+        return sample_channels(world, cfg.gains, rows, gap, cfg.smoothed,
+                               cfg.backstep)
+
+    whole = channels(xs)
+    assert (whole[3] < world.r_s).any() and (whole[3] >= world.r_s).any()
+    for cuts in (list(range(1, n)),
+                 *(sorted(rng.choice(np.arange(1, n), k, replace=False).tolist())
+                   for k in (1, 5, 40))):
+        parts = [channels(xs[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        for k, got in enumerate(zip(*parts)):
+            if whole[k] is None:
+                assert all(part is None for part in got)
+            else:
+                assert np.concatenate(got).tobytes() == whole[k].tobytes()
+
+
+@pytest.mark.parametrize("field", ["r_o", "k_p", "gamma_s", "gamma_b"])
+def test_an_int_beyond_float_range_is_a_value_error_naming_the_field(field):
+    cfg = load_config(CONFIG_DIR / "fig5_backstep.json")
+    built = {"r_o": cfg.world, "k_p": cfg.gains, "gamma_s": cfg.smoothed,
+             "gamma_b": cfg.backstep}[field]
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got an int "
+                                         "beyond float range$"):
+        dataclasses.replace(built, **{field: 10 ** 400})

@@ -9,7 +9,8 @@ alone should print the same lines before and after.
 Each config line covers, for one file in ``configs/``: the arc (every
 segment's j, times and states, every jump, the termination, ``arc.stats``
 and the notes), the CSV and SVG bytes that ``syncon run --csv --svg``
-writes, the run summary with its wall time zeroed, and the ``syncon check``
+writes (the CSV streamed by ``run_scenario(cfg, csv=...)``, as run does it),
+the run summary with its wall time zeroed, and the ``syncon check``
 report.  The ``ring_grid`` line covers the arcs and stats of all
 ``RING_GRID`` starts of perfbench's ring_sweep through both of its loops, at
 the workload's horizons.  The ``thermostat`` line covers the arcs and stats
@@ -89,12 +90,11 @@ def config_digest(path: Path) -> str:
     """Digest of one config's arc, stats, exports, summary and check."""
     h = hashlib.sha256()
     cfg = harness.load_config(path)
-    record = harness.run_scenario(cfg)
-    _feed_arc(h, record.arc)
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, svg_path = Path(tmp) / "run.csv", Path(tmp) / "run.svg"
-        harness.write_csv(record, csv_path)
+        record = harness.run_scenario(cfg, csv=csv_path)
         harness.write_svg(record, svg_path)
+        _feed_arc(h, record.arc)
         h.update(csv_path.read_bytes())
         h.update(svg_path.read_bytes())
     summary = dataclasses.replace(record, wall_time=0.0).summary_lines()
