@@ -15,11 +15,11 @@ hand-rolled SVG plot.  The channels are computed as arrays over stacked
 states (navigation.sample_channels), with numpy arithmetic in the scalar
 kernels' order of operations and math's log, hypot, cos and sin, so every
 value, and every exported byte, is what the per-sample scalar helpers give,
-over the whole arc or any run of its rows.  Given a CSV path, run_scenario
-streams the samples to the export as the engine accepts them, in chunks of
-engine.SINK_ROWS, and a forked worker computes and formats their rows on
-another core while the run goes on (_csv_export); write_csv replays a
-finished run's arc through the same export.
+over the whole arc or any run of its rows.  They are computed once, a
+block of engine.SINK_ROWS samples at a time as the engine accepts them
+(_fields); the run record joins the blocks, and a CSV export formats the
+same blocks in a forked worker while the run goes on (_csv_export).
+write_csv formats a finished record's own fields.
 
 check_scenario reports the parameter bounds from the same validators,
 locates the stuck point of the base potential, and audits the switched
@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -76,6 +75,8 @@ from .smoothing import tracked_feedback, tracking_lyapunov  # noqa: F401
 CONTROLLERS = ("hybrid", "smooth_hybrid", "non_hybrid", "backstepped")
 
 CSV_HEADER = "t,j,px,py,theta,eta1,eta2,ux,uy,V,mu,dobs,ddest"
+_RECORD_FIELDS = ("t", "j", "p", "theta", "eta", "u", "V", "mu", "dobs", "ddest")
+_PIPE_BYTES = 1 << 20  # asked of the CSV worker's pipe: several blocks
 
 _SVG_WIDTH = 640  # pixels; the height follows the scene's aspect ratio
 
@@ -481,92 +482,91 @@ def run_scenario(cfg: ScenarioConfig, *, csv=None) -> RunRecord:
     start = time.perf_counter()
     spec = build_closed_loop(cfg)
     x0 = initial_packed_state(cfg)
+    gap = governing_gap(cfg)
+    blocks = []
+    # A fork and wait (about 7 ms) costs more than a run under one block overlaps.
     with (contextlib.nullcontext() if csv is None else
-          _csv_export(cfg, csv, cfg.sim.t_max / cfg.sim.dt)) as add:
-        record = _record(cfg, simulate(spec, x0, cfg.sim, sink=add))
+          _csv_export(csv, fork=cfg.sim.t_max / cfg.sim.dt >= engine.SINK_ROWS)) as add:
+        def sink(j, ts, xs):
+            blocks.append(_fields(cfg, gap, j, ts, xs))
+            if add is not None:
+                add(blocks[-1])
+
+        record = _record(cfg, gap, simulate(spec, x0, cfg.sim, sink=sink), blocks)
     record.wall_time = time.perf_counter() - start
     return record
 
 
-def _record(cfg: ScenarioConfig, arc: HybridArc) -> RunRecord:
-    """The run record of cfg's arc, its wall time still unset."""
-    gap = governing_gap(cfg)
-    segments = arc.segments
-    xs = np.concatenate([seg.xs for seg in segments])
+def _fields(cfg: ScenarioConfig, gap: float | None, j: int, ts, xs) -> tuple:
+    """The record's fields (_RECORD_FIELDS) of a block of samples: times ts,
+    jump counter j, packed states xs as one flat sequence of floats; None
+    for a field the controller does not carry.  One sample_channels call
+    gives each row the bits the whole arc's call gives it."""
+    xs = np.asarray(xs, dtype=float).reshape(len(ts), -1)
     V, u, mu, dobs, ddest = sample_channels(cfg.world, cfg.gains, xs, gap,
                                             cfg.smoothed, cfg.backstep)
+    return (np.asarray(ts, dtype=float), np.full(len(ts), j, dtype=int), xs[:, :2],
+            None if gap is None else xs[:, -1],
+            None if cfg.smoothed is None else xs[:, 2:4], u, V, mu, dobs, ddest)
+
+
+def _record(cfg: ScenarioConfig, gap: float | None, arc: HybridArc,
+            blocks: list) -> RunRecord:
+    """cfg's run record, joined from its arc's blocks of fields; wall time unset."""
+    fields = {name: None if parts[0] is None else np.concatenate(parts)
+              for name, parts in zip(_RECORD_FIELDS, zip(*blocks))}
+    V, mu = fields["V"], fields["mu"]
     jump_rows = []
     if arc.jumps:
         # Jump k closes segment k on x_pre and opens segment k + 1 on x_post,
         # so its channels are the samples on either side of that segment end.
-        post = np.cumsum([len(seg.ts) for seg in segments[:-1]])
+        post = np.cumsum([len(seg.ts) for seg in arc.segments[:-1]])
         jump_rows = [JumpRow(t=ev.t, j_pre=ev.j_pre, mu_pre=m, V_pre=vp, V_post=vq)
                      for ev, m, vp, vq in zip(arc.jumps, mu[post - 1].tolist(),
                                               V[post - 1].tolist(), V[post].tolist())]
 
-    return RunRecord(
-        config=cfg,
-        t=np.concatenate([seg.ts for seg in segments]),
-        j=np.concatenate([np.full(len(seg.ts), seg.j, dtype=int)
-                          for seg in segments]),
-        p=xs[:, :2], theta=None if gap is None else xs[:, -1],
-        eta=None if cfg.smoothed is None else xs[:, 2:4],
-        u=u, V=V, mu=mu, dobs=dobs, ddest=ddest,
-        jumps=jump_rows, termination=arc.termination, gap=gap,
-        n_clamped=arc.n_clamped, wall_time=math.nan, arc=arc,
-    )
+    return RunRecord(config=cfg, **fields, jumps=jump_rows,
+                     termination=arc.termination, gap=gap,
+                     n_clamped=arc.n_clamped, wall_time=math.nan, arc=arc)
 
 
 # -- exports -----------------------------------------------------------------
 
 def write_csv(record: RunRecord, path) -> None:
-    """Write the CSV of a finished run: its arc's samples, replayed through
-    the export run_scenario streams them to, SINK_ROWS at a time, so the
-    bytes are those ``run_scenario(cfg, csv=path)`` writes.
-
-    The rows are computed afresh from ``record.arc`` and ``record.config``;
-    the record's channel arrays (t, p, V, ...) are not read, so a record
-    whose channels were replaced exports its arc's, not theirs."""
-    rows = engine.SINK_ROWS
-    with _csv_export(record.config, path, len(record.t)) as add:
-        for seg in record.arc.segments:
-            for a in range(0, len(seg.ts), rows):
-                add(seg.j, seg.ts[a:a + rows], seg.xs[a:a + rows].ravel())
+    """Write the CSV of the record's own fields (record.arc is not read),
+    SINK_ROWS rows at a time through run_scenario's export: the bytes
+    ``run_scenario(cfg, csv=path)`` writes, for a record it returned.  With
+    no run left to overlap, a worker would only add its fork and pickling,
+    so this process formats the rows."""
+    fields = [getattr(record, name) for name in _RECORD_FIELDS]
+    n, rows = len(record.t), engine.SINK_ROWS
+    with _csv_export(path, fork=False) as add:
+        for a in range(0, n, rows):
+            add(tuple(None if f is None else f[a:a + rows] for f in fields))
 
 
-def _csv_lines(cfg: ScenarioConfig, chunks):
-    """The CSV rows of each (j, ts, xs) chunk of samples, one string per
-    chunk: ts their times, xs their packed states as one flat sequence of
-    floats, j their jump counter.
-
-    The channels are navigation.sample_channels over the chunk's rows,
-    which gives each row the bits the whole arc's call gives it.  Each row
-    is one format string: %.17g per float, so the same config produces
-    byte-identical output on every run, %d for j, and nothing for a channel
-    the controller does not carry.
-    """
-    gap = governing_gap(cfg)
+def _csv_lines(blocks):
+    """The CSV rows of each block of run record fields (_fields), one
+    string per block.  Each row is one format string: %.17g per float, so
+    the same config produces byte-identical output on every run, %d for j,
+    and nothing for a field the controller does not carry."""
     row = None
-    for j, ts, xs in chunks:
-        xs = np.asarray(xs, dtype=float).reshape(len(ts), -1)
-        V, u, mu, dobs, ddest = sample_channels(cfg.world, cfg.gains, xs, gap,
-                                                cfg.smoothed, cfg.backstep)
-        eta = [None, None] if cfg.smoothed is None else [xs[:, 2], xs[:, 3]]
-        columns = [xs[:, 0], xs[:, 1], None if mu is None else xs[:, -1], *eta,
-                   u[:, 0], u[:, 1], V, mu, dobs, ddest]
+    for t, j, p, theta, eta, u, V, mu, dobs, ddest in blocks:
+        columns = [*p.T, theta, *([None, None] if eta is None else eta.T),
+                   *u.T, V, mu, dobs, ddest]
         if row is None:
             row = ",".join(["%.17g", "%d"] + ["" if col is None else "%.17g"
                                               for col in columns]) + "\n"
-        values = [np.asarray(ts, dtype=float).tolist(), itertools.repeat(j)]
+        values = [t.tolist(), j.tolist()]
         values += [col.tolist() for col in columns if col is not None]
         yield "".join([row % v for v in zip(*values)])
 
 
 @contextlib.contextmanager
-def _csv_export(cfg: ScenarioConfig, path, rows: float):
-    """The CSV of one run at path: yields ``add(j, ts, xs)``, which exports
-    one chunk of samples (see _csv_lines), and completes the file on leaving.
-    rows is about the number of rows to come; it need not be exact.
+def _csv_export(path, fork: bool):
+    """The CSV of one run at path: yields ``add(block)``, which exports one
+    block of run record fields (_csv_lines), and completes the file on
+    leaving.  fork says whether a worker may format the rows (below).
 
     Where path is a regular file, or nothing yet, rows are written to a
     file beside it, which replaces path only once every row is in, so an
@@ -578,16 +578,15 @@ def _csv_export(cfg: ScenarioConfig, path, rows: float):
     written through, so an error there leaves the rows written so far.  A
     path that is a directory, or whose directory is missing, raises at once.
 
-    A forked worker computes and formats the rows on another core while
-    this process goes on: add pickles each chunk to it through a pipe, and
-    on leaving the pipe is closed and the worker waited for.  It is held to
-    the usable CPUs other than the one this process runs on, since a
-    scheduler need not move a forked child off its parent's CPU; this
-    process is never pinned.  With fewer rows than one chunk (SINK_ROWS),
-    one usable CPU, another live thread (the child could deadlock), no
-    os.sched_setaffinity or no readable /proc/self/stat, or where os.fork
-    fails, add formats each chunk itself: a fork and wait costs about 7 ms,
-    more than a run that short can overlap.
+    A forked worker only formats the rows, on another core, while this
+    process goes on: add pickles each block to it through a pipe sized to hold
+    several (F_SETPIPE_SZ, Linux only, best effort), and on leaving the
+    pipe is closed and the worker waited for.  It is held to the usable
+    CPUs other than the one this process runs on, since a scheduler need
+    not move a forked child off its parent's CPU; this process is never
+    pinned.  Without fork, with one usable CPU, another live thread (the
+    child could deadlock), no os.sched_setaffinity or no readable
+    /proc/self/stat, or where os.fork fails, add formats each block itself.
     A worker that fails writes its traceback to stderr; add then stops
     sending, and leaving raises OSError naming its wait status.  Leaving on
     an error closes the pipe too, and reaps the worker.
@@ -616,20 +615,19 @@ def _csv_export(cfg: ScenarioConfig, path, rows: float):
     try:
         with out:
             out.write(CSV_HEADER + "\n")
-            fork = rows >= engine.SINK_ROWS and threading.active_count() == 1
-            here = _cpu_now() if fork else None
+            here = _cpu_now() if fork and threading.active_count() == 1 else None
             others = [] if here is None else sorted(os.sched_getaffinity(0) - {here})
             if others:
                 out.flush()
-                pid, pipe = _fork_csv_worker(cfg, out.fileno(), others) or (None, None)
+                pid, pipe = _fork_csv_worker(out.fileno(), others) or (None, None)
             if pid is None:
-                yield lambda j, ts, xs: out.writelines(_csv_lines(cfg, [(j, ts, xs)]))
+                yield lambda block: out.writelines(_csv_lines([block]))
         if pid is not None:
-            def add(j, ts, xs):
+            def add(block):
                 nonlocal pipe
                 if pipe is not None:
                     try:
-                        pickle.dump((j, ts, xs), pipe, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(block, pipe, pickle.HIGHEST_PROTOCOL)
                     except BrokenPipeError:  # the worker has ended
                         pipe = _closed(pipe)
 
@@ -646,7 +644,7 @@ def _csv_export(cfg: ScenarioConfig, path, rows: float):
             os.replace(part, real)
     except BaseException:
         _closed(pipe)
-        if pid is not None:  # it has at most a pipe's worth of rows left
+        if pid is not None:  # it has at most a pipe's worth of blocks left
             os.waitpid(pid, 0)
         if part is not None:
             with contextlib.suppress(FileNotFoundError):
@@ -655,8 +653,7 @@ def _csv_export(cfg: ScenarioConfig, path, rows: float):
 
 
 def _closed(pipe) -> None:
-    """Close pipe unless it is None, whether its worker has ended or not,
-    and return None."""
+    """Close pipe, if any, whether its worker has ended or not; None."""
     if pipe is not None:
         with contextlib.suppress(BrokenPipeError):
             pipe.close()
@@ -675,7 +672,7 @@ def _cpu_now() -> int | None:
         return None
 
 
-def _read_chunks(pipe):
+def _read_blocks(pipe):
     """The objects pickled to pipe, a binary file, in order, to its end."""
     while True:
         try:
@@ -684,7 +681,7 @@ def _read_chunks(pipe):
             return
 
 
-def _fork_csv_worker(cfg: ScenarioConfig, fd: int, cpus):
+def _fork_csv_worker(fd: int, cpus):
     """(pid, pipe) of a forked worker that runs _csv_worker on the read end
     of pipe, whose write end is returned as a binary file, until the caller
     closes it.  None where os.fork fails (a process limit, no memory).
@@ -692,7 +689,10 @@ def _fork_csv_worker(cfg: ScenarioConfig, fd: int, cpus):
     The worker touches no file object of the caller and always ends in
     os._exit, so no buffer the caller holds is written twice.
     """
+    import fcntl  # reached only where os.sched_setaffinity is, so on Unix
     r, w = os.pipe()
+    with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ: Linux
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     try:
         pid = os.fork()
     except OSError:
@@ -702,22 +702,22 @@ def _fork_csv_worker(cfg: ScenarioConfig, fd: int, cpus):
     if pid == 0:
         try:
             os.close(w)  # so that it reads an end once the caller closes
-            os._exit(_csv_worker(cfg, r, fd, cpus))
+            os._exit(_csv_worker(r, fd, cpus))
         finally:
             os._exit(1)
     os.close(r)  # so that writes fail with EPIPE once the worker has ended
     return pid, open(w, "wb")
 
 
-def _csv_worker(cfg: ScenarioConfig, r: int, fd: int, cpus) -> int:
+def _csv_worker(r: int, fd: int, cpus) -> int:
     """The CSV worker's body, held to cpus: it writes to the file
-    descriptor fd the rows (_csv_lines) of the chunks pickled to the file
+    descriptor fd the rows (_csv_lines) of the blocks pickled to the file
     descriptor r, to its end, and returns its exit status: 0, or 1 when it
     fails, with the traceback written to file descriptor 2."""
     try:
         os.sched_setaffinity(0, cpus)
         with open(r, "rb") as pipe, open(fd, "w", closefd=False) as out:
-            out.writelines(_csv_lines(cfg, _read_chunks(pipe)))
+            out.writelines(_csv_lines(_read_blocks(pipe)))
         return 0
     except Exception:
         import traceback  # only a failing worker needs it
@@ -764,8 +764,8 @@ def write_svg(record: RunRecord, path) -> None:
         circle(world.p_o[0], world.p_o[1], world.r_o,
                'fill="#9aa0a6" stroke="#5f6368" stroke-width="1.5"'),
     ]
-    pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in
-                    zip(sx(record.p[:, 0]).tolist(), sy(record.p[:, 1]).tolist())])
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(sx(record.p[:, 0]).tolist(),
+                                                 sy(record.p[:, 1]).tolist())))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1a73e8" '
                  f'stroke-width="1.8"/>')
     for row in record.jumps:

@@ -683,11 +683,13 @@ def test_csv_export_layout_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_run_scenario_channels_equal_the_scalar_helpers(path):
-    """The channels are computed over stacked states; each entry must have
-    the bits the per-sample scalar helpers give at that sample."""
+def test_run_scenario_channels_equal_the_scalar_helpers(path, monkeypatch,
+                                                        tmp_path):
+    """The channels are computed over stacked states, one block of samples
+    at a time, and the record joins the blocks; each entry must have the
+    bits the per-sample scalar helpers give at that sample, whatever the
+    blocks (SINK_ROWS) and with or without a CSV export."""
     cfg = short_shipped(path)
-    rec = run_scenario(cfg)
     spec = build_closed_loop(cfg)
     gap = governing_gap(cfg)
 
@@ -695,28 +697,50 @@ def test_run_scenario_channels_equal_the_scalar_helpers(path):
         return scalar_channels(cfg.world, cfg.gains, cfg.smoothed, cfg.backstep,
                                spec, gap, v)
 
-    segments = rec.arc.segments
+    records = [run_scenario(cfg)]
+    monkeypatch.setattr(engine, "SINK_ROWS", 7)
+    records.append(run_scenario(cfg))
+    records.append(run_scenario(cfg, csv=tmp_path / "a.csv"))
+    segments = records[0].arc.segments
     xs = np.concatenate([seg.xs for seg in segments])
     V, ux, uy, mu, dobs, ddest = np.array([ref(x) for x in xs]).T
-    assert np.array_equal(rec.t, np.concatenate([seg.ts for seg in segments]))
-    assert np.array_equal(rec.j, np.repeat([seg.j for seg in segments],
-                                           [len(seg.ts) for seg in segments]))
-    assert np.array_equal(rec.p, xs[:, :2])
-    assert np.array_equal(rec.u, np.stack([ux, uy], axis=1))
-    for got, want in ((rec.V, V), (rec.dobs, dobs), (rec.ddest, ddest)):
-        assert np.array_equal(got, want)
-    if gap is None:
-        assert rec.mu is None and rec.theta is None
-    else:
-        assert np.array_equal(rec.mu, mu)
-        assert np.array_equal(rec.theta, xs[:, -1])
+    for rec in records:
+        assert np.array_equal(rec.t, np.concatenate([seg.ts for seg in segments]))
+        assert np.array_equal(rec.j, np.repeat([seg.j for seg in segments],
+                                               [len(seg.ts) for seg in segments]))
+        assert np.array_equal(rec.p, xs[:, :2])
+        assert np.array_equal(rec.u, np.stack([ux, uy], axis=1))
+        for got, want in ((rec.V, V), (rec.dobs, dobs), (rec.ddest, ddest)):
+            assert np.array_equal(got, want)
+        if gap is None:
+            assert rec.mu is None and rec.theta is None
+        else:
+            assert np.array_equal(rec.mu, mu)
+            assert np.array_equal(rec.theta, xs[:, -1])
 
-    assert len(rec.jumps) == rec.arc.n_jumps
-    for row, ev in zip(rec.jumps, rec.arc.jumps):
-        pre, post = ref(ev.x_pre), ref(ev.x_post)
-        assert (row.t, row.j_pre) == (ev.t, ev.j_pre)
-        assert (row.V_pre, row.mu_pre, row.V_post) == (pre[0], pre[3], post[0])
+        assert len(rec.jumps) == rec.arc.n_jumps
+        for row, ev in zip(rec.jumps, rec.arc.jumps):
+            pre, post = ref(ev.x_pre), ref(ev.x_post)
+            assert (row.t, row.j_pre) == (ev.t, ev.j_pre)
+            assert (row.V_pre, row.mu_pre, row.V_post) == (pre[0], pre[3], post[0])
+    assert (tmp_path / "a.csv").read_bytes() == per_row_csv(records[0])
 
+
+@pytest.mark.parametrize("sink_rows", [7, 2])
+def test_the_record_joins_its_blocks_in_order(sink_rows, monkeypatch):
+    """Every field of the record, joined from blocks of at most SINK_ROWS
+    samples, equals the one a block per segment gives, with its dtype and
+    shape, and so do the jump rows, which span a block end."""
+    cfg = short_shipped(SMOOTH, t_max=0.05)
+    whole = run_scenario(cfg)
+    assert len(whole.arc.segments) == 2 and len(whole.t) > 2 * sink_rows
+    monkeypatch.setattr(engine, "SINK_ROWS", sink_rows)
+    rec = run_scenario(cfg)
+    for name in harness._RECORD_FIELDS:
+        got, want = getattr(rec, name), getattr(whole, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert rec.jumps == whole.jumps
 
 @pytest.mark.parametrize("raw_fn", [hybrid_raw, smooth_raw, backstep_raw,
                                     non_hybrid_raw])
@@ -755,8 +779,8 @@ def per_row_csv(rec) -> bytes:
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_exports_equal_the_per_row_and_per_point_formatting(path, tmp_path,
                                                             monkeypatch):
-    """The CSV a run streams and the one write_csv replays from its arc are
-    the per-row formatting's bytes, whatever the chunks."""
+    """The CSV a run streams and the one write_csv makes of its record are
+    the per-row formatting's bytes, whatever the blocks."""
     # More rows than one default chunk holds on every config.
     cfg = short_shipped(path, t_max=1.2)
     rec = run_scenario(cfg, csv=tmp_path / "run.csv")
@@ -841,17 +865,17 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_channels(monkeypatch, where):
-    """Make the channels raise in the process where(this pid, the test's
-    pid) holds, the worker's or the caller's, and compute them elsewhere."""
-    caller = os.getpid()
+def rejected(block):
+    """block with a V field of strings, which the CSV formatter rejects
+    ("%.17g" takes a number) and the record joins as it is."""
+    v = harness._RECORD_FIELDS.index("V")
+    return block[:v] + (np.full(len(block[0]), "refused"),) + block[v + 1:]
 
-    def channels(world, gains, xs, *rest):
-        if where(os.getpid(), caller):
-            raise ValueError(f"{len(xs)} rows refused")
-        return sample_channels(world, gains, xs, *rest)
 
-    monkeypatch.setattr(harness, "sample_channels", channels)
+def rejected_blocks(monkeypatch):
+    """Make every block of fields a run makes one the formatter rejects."""
+    fields = harness._fields
+    monkeypatch.setattr(harness, "_fields", lambda *args: rejected(fields(*args)))
 
 
 @needs_fork
@@ -878,32 +902,34 @@ def test_streamed_csv_gives_the_per_row_bytes(forks, pins, monkeypatch,
 
 def test_the_worker_body_runs_in_this_process(pins, monkeypatch, tmp_path,
                                              capfd):
-    """The worker's body, run here on a pipe of the chunks a run hands its
-    sink, pickled as the export pickles them: it pins itself, writes the
-    per-row bytes after the header the caller wrote and returns 0; where
-    its channels fail it returns 1, with the traceback on stderr."""
+    """The worker's body, run here on a pipe of the field blocks a run
+    makes of the samples it hands its sink, pickled as the export pickles
+    them: it pins itself, writes the per-row bytes after the header the
+    caller wrote and returns 0; where the formatter rejects a block it
+    returns 1, with the traceback on stderr."""
     monkeypatch.setattr(engine, "SINK_ROWS", 7)
     cfg = short_shipped(SMOOTH, t_max=0.0055)
     rec = run_scenario(cfg)
-    chunks = []
+    blocks = []
     simulate(build_closed_loop(cfg), initial_packed_state(cfg), cfg.sim,
-             sink=lambda *chunk: chunks.append(chunk))
-    assert len(chunks) == 3  # a one-sample segment, then 7 and 5 samples
+             sink=lambda *chunk: blocks.append(
+                 harness._fields(cfg, governing_gap(cfg), *chunk)))
+    assert len(blocks) == 3  # a one-sample segment, then 7 and 5 samples
     for status in (0, 1):
         if status:
-            failing_channels(monkeypatch, lambda pid, caller: True)
+            blocks[1] = rejected(blocks[1])
         r, w = os.pipe()
-        with open(w, "wb") as pipe:  # a few hundred bytes: the pipe holds them
-            for chunk in chunks:
-                pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as pipe:  # a few KB: the pipe holds them
+            for block in blocks:
+                pickle.dump(block, pipe, pickle.HIGHEST_PROTOCOL)
         with open(tmp_path / "a.csv", "w") as out:
             out.write(CSV_HEADER + "\n")
             out.flush()
-            assert harness._csv_worker(cfg, r, out.fileno(), [1]) == status
+            assert harness._csv_worker(r, out.fileno(), [1]) == status
         assert pins()[-1] == "0 [1]"
         if not status:
             assert (tmp_path / "a.csv").read_bytes() == per_row_csv(rec)
-    assert "ValueError: 1 rows refused" in capfd.readouterr().err
+    assert "TypeError: must be real number, not str" in capfd.readouterr().err
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
@@ -995,16 +1021,16 @@ def test_csv_is_written_in_one_process_where_fork_fails(smooth_record, pins,
 @needs_fork
 def test_a_failing_csv_worker_raises_an_oserror(smooth_record, forks,
                                                 monkeypatch, tmp_path, capfd):
-    """Channels that fail in the worker alone fail the worker at its first
-    chunk: its traceback goes to stderr, the caller stops sending at the
-    broken pipe and finishes its run, then raises OSError naming the
-    worker's status, and leaves no CSV."""
-    failing_channels(monkeypatch, lambda pid, caller: pid != caller)
+    """Blocks the formatter rejects fail the worker at the first one: its
+    traceback goes to stderr, the caller stops sending at the broken pipe
+    and finishes its run, then raises OSError naming the worker's status,
+    and leaves no CSV."""
+    rejected_blocks(monkeypatch)
     monkeypatch.setattr(engine, "SINK_ROWS", 7)
     with pytest.raises(OSError, match="wait status 256"):
         run_scenario(smooth_record.config, csv=tmp_path / "a.csv")
     assert len(forks) == 1
-    assert re.search(r"ValueError: \d+ rows refused", capfd.readouterr().err)
+    assert "TypeError: must be real number, not str" in capfd.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["pins.txt"]
     assert_no_child()
 
@@ -1012,17 +1038,43 @@ def test_a_failing_csv_worker_raises_an_oserror(smooth_record, forks,
 @needs_fork
 def test_a_failure_in_the_callers_half_reaps_the_worker(smooth_record, forks,
                                                         monkeypatch, tmp_path):
-    """The caller's own error, here in its channels once the run has
-    streamed every chunk, propagates; the worker, still formatting, is
-    reaped, and the file already at the path stays as it was."""
-    failing_channels(monkeypatch, lambda pid, caller: pid == caller)
+    """The caller's own error, here in the channels of its first block,
+    propagates before the worker is sent anything; the worker is reaped, no
+    part file is left, and the file already at the path stays as it was."""
+    def refused(world, gains, xs, *rest):
+        raise ValueError(f"{len(xs)} rows refused")
+
+    monkeypatch.setattr(harness, "sample_channels", refused)
     path = tmp_path / "a.csv"
     path.write_text("kept\n")
-    with pytest.raises(ValueError, match=f"^{len(smooth_record.t)} rows refused"):
+    with pytest.raises(ValueError, match="^1 rows refused"):
         run_scenario(smooth_record.config, csv=path)
     assert len(forks) == 1
     assert path.read_text() == "kept\n"
     assert sorted(os.listdir(tmp_path)) == ["a.csv", "pins.txt"]
+    assert_no_child()
+
+
+@needs_fork
+def test_a_pipe_that_keeps_its_size_still_carries_every_row(
+        smooth_record, forks, monkeypatch, tmp_path):
+    """The export asks for a worker pipe of _PIPE_BYTES; where that is
+    refused the pipe keeps its size, and the worker still writes the
+    per-row bytes."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("no F_SETPIPE_SZ (Linux only)")
+    calls = []
+
+    def refused(fd, cmd, arg=0):
+        calls.append((cmd, arg))
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(fcntl, "fcntl", refused)
+    run_scenario(smooth_record.config, csv=tmp_path / "a.csv")
+    assert calls == [(fcntl.F_SETPIPE_SZ, harness._PIPE_BYTES)]
+    assert (tmp_path / "a.csv").read_bytes() == per_row_csv(smooth_record)
+    assert len(forks) == 1
     assert_no_child()
 
 
@@ -1071,6 +1123,21 @@ def test_a_csv_path_that_is_no_regular_file_is_written_through(
     assert sorted(os.listdir(tmp_path)) == ["pins.txt", "read.csv", "rows"]
     assert len(forks) == 1
     assert_no_child()
+
+
+@needs_fork
+def test_write_csv_exports_the_fields_of_the_record_it_is_given(
+        smooth_record, forks, tmp_path):
+    """write_csv formats the record's own fields, in this process: a V
+    replaced on the record is the V exported, and a record without its arc
+    exports too."""
+    swapped = dataclasses.replace(smooth_record, V=smooth_record.V[::-1].copy())
+    write_csv(swapped, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == per_row_csv(swapped)
+    assert per_row_csv(swapped) != per_row_csv(smooth_record)
+    write_csv(dataclasses.replace(smooth_record, arc=None), tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == per_row_csv(smooth_record)
+    assert forks == []
 
 
 @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no os.symlink")
