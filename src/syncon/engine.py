@@ -35,14 +35,14 @@ as is, so it must hold Python floats; any other sequence is read as a float
 array; a state of any width but ``dim`` raises DimensionMismatch.  The flow map
 may return any sequence of ``dim`` floats; any other length fails the call
 body's unpack and raises DimensionMismatch too.  The arc still holds float
-ndarrays: simulate appends each accepted state's floats to one flat list per
-segment, and np.fromiter turns it into that segment's C-contiguous (samples,
-dim) array when the segment closes.  A caller that passes simulate a
-``sink`` is handed the samples while the run goes on: ``sink(j, ts, xs)``
-gets each segment's samples in order, SINK_ROWS at a time as they are
-accepted and the rest when the segment closes, with ts a new list of their
-times and xs a new flat list of their states' floats, so the calls'
-samples, joined, are the arc's.  When a step crosses a set boundary the
+ndarrays: simulate appends each accepted state's floats to one flat list,
+and turns the list into a block of arrays, each sample's time in ts and its
+state in a row of the C-contiguous (samples, dim) array xs, once per
+SINK_ROWS samples and when the segment closes; a segment's arrays are its
+blocks' joined.  A caller that passes simulate a ``sink`` is handed the
+blocks while the run goes on: ``sink(j, ts, xs)`` gets each segment's blocks
+in order, as they are made, so the calls' samples, joined, are the arc's.
+The sink must not modify them.  When a step crosses a set boundary the
 crossing is located on the step fraction, re-integrating the partial step at
 each probe, so every accepted sample respects its set within ``event_tol``; a
 location that gives up short of it is counted on the arc.  Each probe
@@ -101,7 +101,7 @@ _PROGRESS_EPS = 1e-15
 # after the first, so 200 probes outlast the 1e-16 bracket floor.
 _MAX_PROBES = 200
 
-# Most samples one call of simulate's sink carries; at least 2.
+# Most samples in one of simulate's blocks (one call of its sink); at least 2.
 SINK_ROWS = 1024
 
 # Counters kept on HybridArc.stats, all integers filled by the engine itself.
@@ -604,7 +604,7 @@ def _indicator_pair(spec: HybridSystemSpec, v: list[float],
 
 
 def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
-             sink: Callable[[int, list[float], list[float]], object] | None = None
+             sink: Callable[[int, np.ndarray, np.ndarray], object] | None = None
              ) -> HybridArc:
     """Integrate the hybrid system from x0 over hybrid time.
 
@@ -612,9 +612,9 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     would exceed ``cfg.j_max``, or at a dead end where the state can neither
     flow (the flow field exits the flow set immediately) nor jump.  All three
     are normal terminations, recorded on the arc.  A state outside both sets
-    raises CoverageViolation.  ``sink``, when given, is called with the
-    samples as the run accepts them (see the module docstring); an error it
-    raises ends the run.
+    raises CoverageViolation.  ``sink``, when given, is called with each
+    block of samples as the run makes it (see the module docstring); an
+    error it raises ends the run.
     """
     dim = spec.dim
     x = _state(np.ravel(x0), dim, "x0")
@@ -643,22 +643,28 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     segments: list[FlowSegment] = []
     jumps: list[JumpEvent] = []
     notes: list[str] = []
-    # The open segment's samples: its times, and its states one after the
-    # other in one flat list of floats, so an accepted state's list is not
-    # kept.
+    # The open segment's blocks, and its samples since the last: their times,
+    # and their states' floats in one flat list, so no state list is kept.
     seg_t = [t]
     seg_x = x.copy()
-    sent = 0  # samples of the open segment the sink has been given
+    blocks = []
     rows = SINK_ROWS
     consecutive_jumps = 0
     zeno_warned = False
     termination = TERM_T_MAX
 
-    def close_segment(sent: int) -> None:
-        if sink is not None and len(seg_t) > sent:
-            sink(j, seg_t[sent:], seg_x[sent * dim:])
+    def add_block() -> None:
+        ts = np.array(seg_t)
         xs = np.fromiter(seg_x, float, len(seg_x)).reshape(len(seg_t), dim)
-        segments.append(FlowSegment(j, np.array(seg_t), xs))
+        blocks.append((ts, xs))
+        if sink is not None:
+            sink(j, ts, xs)
+
+    def close_segment() -> None:
+        if seg_t:
+            add_block()
+        ts, xs = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+        segments.append(FlowSegment(j, ts, xs))
 
     while True:
         if fi is None:
@@ -670,13 +676,13 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             x_post, n_cand = _select_jump(spec, x, tol, ji=ji)
             jumps.append(JumpEvent(t=t, j_pre=j, x_pre=np.array(x, dtype=float),
                                    x_post=x_post.copy(), n_candidates=n_cand))
-            close_segment(sent)
+            close_segment()
             j += 1
             x = x_post.tolist()
             fi = ji = None
             seg_t = [t]
             seg_x = x.copy()
-            sent = 0
+            blocks = []
             consecutive_jumps += 1
             if consecutive_jumps > ZENO_WARN_AFTER and not zeno_warned:
                 msg = (f"{consecutive_jumps} consecutive jumps without flow-time "
@@ -743,11 +749,11 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
         t = t_new
         seg_t.append(t)
         seg_x += x
-        if sink is not None and len(seg_t) - sent == rows:
-            sink(j, seg_t[sent:], seg_x[sent * dim:])
-            sent += rows
+        if len(seg_t) == rows:
+            add_block()
+            seg_t, seg_x = [], []
 
-    close_segment(sent)
+    close_segment()
     stats["rk4_steps"] += steps
     stats["indicator_evals"] += steps if complementary else 2 * steps
     return HybridArc(segments=segments, jumps=jumps, termination=termination,

@@ -12,14 +12,14 @@ run_scenario simulates the closed loop and post-processes the arc into
 flat per-sample channels (position, logic angle, tracker, applied input,
 Lyapunov value, switching excess, clearances) ready for CSV export or the
 hand-rolled SVG plot.  The channels are computed as arrays over stacked
-states (navigation.sample_channels), with numpy arithmetic in the scalar
-kernels' order of operations and math's log, hypot, cos and sin, so every
-value, and every exported byte, is what the per-sample scalar helpers give,
-over the whole arc or any run of its rows.  They are computed once, a
-block of engine.SINK_ROWS samples at a time as the engine accepts them
-(_fields); the run record joins the blocks, and a CSV export formats the
-same blocks in a forked worker while the run goes on (_csv_export).
-write_csv formats a finished record's own fields.
+states by the loop's channel map (navigation.loop_channels), built once per
+run next to the loop from the same fragments as its flow map and switching
+kernel, so every value, and every exported byte, is what the per-sample
+scalar helpers give, over the whole arc or any run of its rows.  They are
+computed once, for each block of at most engine.SINK_ROWS samples that
+the engine hands its sink (_fields); the run record joins the blocks, and a
+CSV export formats the same blocks in a forked worker while the run goes on
+(_csv_export).  write_csv formats a finished record's own fields.
 
 check_scenario reports the parameter bounds from the same validators,
 locates the stuck point of the base potential, and audits the switched
@@ -55,12 +55,12 @@ from .navigation import (
     gradient_closed_loop,
     hybrid_closed_loop,
     layer_checks,
+    loop_channels,
     loop_gap,
     max_synergy_gap,
     nav_gradient,
     nominal_controller,
     obstacle_distance,
-    sample_channels,
     smooth_closed_loop,
     tracked_input,
 )
@@ -94,7 +94,8 @@ class ScenarioConfig:
     """Fully validated scenario, ready to build and simulate: ``smoothed``
     is set exactly for smooth_hybrid and backstepped, ``backstep`` for
     backstepped alone (ValueError otherwise), and the run reads these
-    layers, not the controller name."""
+    layers, not the controller name.  ``expected``, when set, maps each
+    "expected" field to its parsed value, saddle_tol always among them."""
 
     name: str
     controller: str
@@ -233,7 +234,7 @@ FIELDS = (
     ("sim", "j_max", _count, CONTROLLERS, 10_000),
     ("", "seed", _seed, CONTROLLERS, 0),
     ("expected", "saddle_x", _number, CONTROLLERS, _OPTIONAL),
-    ("expected", "saddle_tol", _positive, CONTROLLERS, _OPTIONAL),
+    ("expected", "saddle_tol", _positive, CONTROLLERS, 1e-2),
 )
 
 # What each section reads as when absent, as for fields; the one absent by
@@ -354,10 +355,13 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
 
     if problems:
         raise ValidationError([f"{source}: {p}" for p in problems])
+    expected = None if raw.get("expected") is None else {
+        path.partition(".")[2]: value for path, value in values.items()
+        if path.startswith("expected.")}
     return ScenarioConfig(name=values["name"], controller=controller,
                           world=world, gains=gains, initial=initial, sim=sim,
                           smoothed=smoothed, backstep=backstep,
-                          seed=values["seed"], expected=raw.get("expected"))
+                          seed=values["seed"], expected=expected)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -483,12 +487,13 @@ def run_scenario(cfg: ScenarioConfig, *, csv=None) -> RunRecord:
     spec = build_closed_loop(cfg)
     x0 = initial_packed_state(cfg)
     gap = governing_gap(cfg)
+    channels = loop_channels(cfg.world, cfg.gains, gap, cfg.smoothed, cfg.backstep)
     blocks = []
     # A fork and wait (about 7 ms) costs more than a run under one block overlaps.
     with (contextlib.nullcontext() if csv is None else
           _csv_export(csv, fork=cfg.sim.t_max / cfg.sim.dt >= engine.SINK_ROWS)) as add:
         def sink(j, ts, xs):
-            blocks.append(_fields(cfg, gap, j, ts, xs))
+            blocks.append(_fields(cfg, channels, j, ts, xs))
             if add is not None:
                 add(blocks[-1])
 
@@ -497,16 +502,14 @@ def run_scenario(cfg: ScenarioConfig, *, csv=None) -> RunRecord:
     return record
 
 
-def _fields(cfg: ScenarioConfig, gap: float | None, j: int, ts, xs) -> tuple:
-    """The record's fields (_RECORD_FIELDS) of a block of samples: times ts,
-    jump counter j, packed states xs as one flat sequence of floats; None
-    for a field the controller does not carry.  One sample_channels call
-    gives each row the bits the whole arc's call gives it."""
-    xs = np.asarray(xs, dtype=float).reshape(len(ts), -1)
-    V, u, mu, dobs, ddest = sample_channels(cfg.world, cfg.gains, xs, gap,
-                                            cfg.smoothed, cfg.backstep)
-    return (np.asarray(ts, dtype=float), np.full(len(ts), j, dtype=int), xs[:, :2],
-            None if gap is None else xs[:, -1],
+def _fields(cfg: ScenarioConfig, channels, j: int, ts: np.ndarray,
+            xs: np.ndarray) -> tuple:
+    """The record's fields (_RECORD_FIELDS) of a block of samples that
+    simulate hands its sink (times ts, jump counter j, packed states xs), by
+    the loop's channel map; None for a field the controller does not carry."""
+    V, u, mu, dobs, ddest = channels(xs)
+    return (ts, np.full(len(ts), j, dtype=int), xs[:, :2],
+            None if mu is None else xs[:, -1],
             None if cfg.smoothed is None else xs[:, 2:4], u, V, mu, dobs, ddest)
 
 
@@ -895,7 +898,7 @@ def check_scenario(cfg: ScenarioConfig, n_audit_samples: int = 200) -> Consisten
             f"margin = {report.c4_margin:.3g}, min sampled V = {report.v_min:.3g}"))
 
     if cfg.expected is not None and "saddle_x" in cfg.expected and critical:
-        tol = cfg.expected.get("saddle_tol", 1e-2)
+        tol = cfg.expected["saddle_tol"]
         err = abs(critical[0][0][0] - cfg.expected["saddle_x"])
         items.append(CheckItem(
             "expected stuck point", err <= tol,

@@ -30,38 +30,25 @@ HybridSystemSpec:
     backstep_closed_loop   tracker plus an actuator integrator
     gradient_closed_loop   plain gradient descent on V_nav, never switches
 
-Each potential is stated once per path.  On the run path, one builder,
-_switched_loop, makes all three switched loops the way the paper layers
-them: the smoothed loop is the hybrid loop plus the tracker eta, the
-backstepped loop the smoothed loop plus the actuator integrator u.  Each
-layer's bounds, gap and packed width are stated once, in layer_checks,
-loop_gap and _packed_width, which the builder and the harness read (the
-width through sample_channels).  Each formula is written once, as a text
-fragment of straight-line float code, and the builder adds the state names
-and fragments of each layer present.  engine.compile_flow compiles the flow
-fragments into the flow map and an RK4 step with the flow inlined at each
-stage; _kernel_code writes the V fragments into the switching kernel,
-in_flow_set for synergy.switching_system, which evaluates V at the state's
-own angle and then at each candidate in turn, in straight-line code with no
-loop over Theta.  Both are compiled with the loop's float constants, the
-paper's gains under their own names and the candidates' angle terms, written
-in as literals by one whole-word rule (engine.literal_source).  The gradient
-loop, which never switches, has the clearance and gradient fragments alone
-for its flow.
-Post-processing reads the harness's V, u, excess and clearance channels
-from sample_channels, the same formulas over a stack of states as numpy
-arrays (_loop_v and _angle_terms take arrays too).  The float helpers
-(switched_potential, switched_gradient_p/theta, nav_gradient, nav_hessian,
-switch_offset, switch_offset_rate, tracked_input) are built from small
-scalar kernels and serve nominal_controller, decomposed_feedback,
-find_critical_point and the harness's checks.  All three follow one order
-of operations and give the same bits: tests/test_navigation.py's
-test_fused_kernels_equal_the_scalar_helpers pins the flow maps and kernels
-against the float helpers and against sample_channels with ==, inside and
-outside the skirt, test_the_inlined_step_equals_the_call_path pins the
-inlined step against the engine's call kernel, and
-test_loop_maps_guard_the_clearance pins the clearance guard and the
-state width.
+Each navigation formula is stated once on the run path, as a text fragment
+of straight-line float code (under "closed loops" below).  _switched_text
+gathers a switched loop's pieces the way the paper layers them: the
+smoothed loop is the hybrid loop plus the tracker eta, the backstepped loop
+the smoothed loop plus the actuator integrator u; each layer's bounds and
+gap are stated once, in layer_checks and loop_gap.  The pieces compile
+three ways, each with the loop's float constants written in as literals
+(engine.literal_source): into the flow map and its inlined RK4 step
+(engine.compile_flow), into the switching kernel in_flow_set, straight-line
+code with no loop over Theta (_kernel_code), and into the harness's
+per-sample channels, the same fragments run once over the numpy columns of
+a stack of states through one array rule (loop_channels, _array_code).
+The float helpers (switched_potential, switched_gradient_p/theta,
+nav_gradient, nav_hessian, switch_offset, switch_offset_rate,
+tracked_input), small scalar kernels behind nominal_controller,
+decomposed_feedback, find_critical_point and the harness's checks, are the
+tests' independent statement of each formula.  All give the same bits,
+which tests/test_navigation.py pins with == (test_fused_kernels_equal_the_
+scalar_helpers, test_channels_at_the_skirt_edge_equal_the_scalar_helpers).
 The generic compositions (assemble_closed_loop over nominal_controller,
 smoothed_quadruple and backstepped_quadruple) give the same flows at many
 times the cost, so they serve as the tests' reference.
@@ -74,6 +61,7 @@ import math
 import re
 import textwrap
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,11 +262,6 @@ def loop_gap(gains: NavGains, sp: SmoothedParams | None,
     return gains.delta
 
 
-def _packed_width(sp: SmoothedParams | None, bp: BacksteppingParams | None) -> int:
-    """Width of [p | eta | u], ahead of theta, in the loop ``sp`` and ``bp`` select."""
-    return 2 if sp is None else 4 if bp is None else 6
-
-
 # -- repulsive skirt ---------------------------------------------------------
 
 def _phi(z: float, r_s: float) -> float:
@@ -387,40 +370,14 @@ def _offset(world: NavigationWorld, c: float, s: float):
             s * qx - c * qy, c * qx + s * qy)
 
 
-def _angle_terms(world: NavigationWorld, gains: NavGains, th, cos=math.cos,
-                 sin=math.sin):
+def _angle_terms(world: NavigationWorld, gains: NavGains, th: float):
     """The part of a loop's V fixed by the logic angle th: (c, s, pen, sx,
     sy) with c = cos th, s = sin th, the penalty gamma_theta th^2/2 and the
     offset sigma(th)."""
-    c = cos(th)
-    s = sin(th)
+    c = math.cos(th)
+    s = math.sin(th)
     sx, sy, _, _ = _offset(world, c, s)
     return c, s, 0.5 * gains.gamma_theta * th * th, sx, sy
-
-
-def _loop_v(world: NavigationWorld, sp: SmoothedParams | None, st, at):
-    """A switched loop's V from its state terms and angle terms: the rotated
-    pull, skirt and penalty, plus (gamma_s/2)||eta - sigma||^2 when ``sp`` is
-    given and the integrator term when there is one.  Over floats, or over
-    numpy arrays of states."""
-    wx, wy, vphi, eta, integ = st
-    c, s, pen, sx, sy = at
-    pox, poy = world._po
-    pdx, pdy = world._pd
-    ex = pox + c * wx - s * wy - pdx  # T(p, theta) - p_d
-    ey = poy + s * wx + c * wy - pdy
-    V = 0.5 * (ex * ex + ey * ey) + vphi + pen
-    if sp is None:
-        return V
-    e1 = eta[0] - sx
-    e2 = eta[1] - sy
-    V = V + 0.5 * sp.gamma_s * (e1 * e1 + e2 * e2)
-    return V if integ is None else V + integ
-
-
-def _tracked(gains: NavGains, eta1: float, eta2: float, gx: float, gy: float):
-    """Applied input k_p (eta - g) of the tracker loops, g = grad V_nav(p)."""
-    return gains.k_p * (eta1 - gx), gains.k_p * (eta2 - gy)
 
 
 def switched_potential(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -428,8 +385,12 @@ def switched_potential(world: NavigationWorld, gains: NavGains, p: np.ndarray,
     """Rotated pull plus skirt plus angle penalty, V(p, theta)."""
     px, py = _xy(p)
     wx, wy, _, z = _radial(world, px, py, check)
-    st = (wx, wy, world.varrho * _phi(z, world.r_s), None, None)
-    return _loop_v(world, None, st, _angle_terms(world, gains, float(theta)))
+    c, s, pen, _, _ = _angle_terms(world, gains, float(theta))
+    pox, poy = world._po
+    pdx, pdy = world._pd
+    ex = pox + c * wx - s * wy - pdx  # T(p, theta) - p_d
+    ey = poy + s * wx + c * wy - pdy
+    return 0.5 * (ex * ex + ey * ey) + world.varrho * _phi(z, world.r_s) + pen
 
 
 def tracked_input(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -437,7 +398,8 @@ def tracked_input(world: NavigationWorld, gains: NavGains, p: np.ndarray,
     """Applied input k_p (eta - grad V_nav(p)) of the tracker-mediated loops."""
     px, py = _xy(p)
     gx, gy, _ = _grad(world, px, py, *_radial(world, px, py))
-    return np.array(_tracked(gains, *_xy(eta), gx, gy))
+    eta1, eta2 = _xy(eta)
+    return np.array([gains.k_p * (eta1 - gx), gains.k_p * (eta2 - gy)])
 
 
 def switched_gradient_p(world: NavigationWorld, gains: NavGains, p: np.ndarray,
@@ -470,103 +432,6 @@ def switch_offset(world: NavigationWorld, theta: float) -> np.ndarray:
 def switch_offset_rate(world: NavigationWorld, theta: float) -> np.ndarray:
     """Derivative of the offset in theta."""
     return np.array(_offset(world, math.cos(theta), math.sin(theta))[2:])
-
-
-# -- sample channels ---------------------------------------------------------
-#
-# The harness's per-sample channels over a whole stack of packed states.
-# numpy's + - * / round exactly like Python floats, so each array expression
-# below follows the order of operations of the scalar kernel it mirrors and
-# gives the same bits.  log, hypot, cos and sin are math's, mapped over the
-# entries: numpy's own differ from math's in the last place on a fraction of
-# a percent of inputs.
-
-def _mapped(fn, *cols: np.ndarray) -> np.ndarray:
-    """fn applied entry by entry over Python floats."""
-    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=float,
-                       count=len(cols[0]))
-
-
-def sample_channels(world: NavigationWorld, gains: NavGains, xs: np.ndarray,
-                    gap: float | None, sp: SmoothedParams | None,
-                    bp: BacksteppingParams | None):
-    """(V, u, mu, dobs, ddest) of a loop at each row of ``xs``.
-
-    ``xs`` stacks packed states, shape (n, dim).  The loop is the gradient
-    loop when ``gap`` is None, otherwise the switched loop that ``sp`` and
-    ``bp`` select: hybrid (neither), smoothed (``sp``) or backstepped
-    (both), with ``gap`` its switching gap.  V is the loop's potential, u
-    (shape (n, 2)) the applied input, mu = in_flow_set + gap the switching
-    excess (None for the gradient loop), dobs the obstacle clearance and
-    ddest the distance to p_d.  Every entry has the bits of the loop's flow
-    map and switching kernel and of the float helpers at that row; a
-    clearance at or below 1e-12 raises NonPositiveDistance.
-    """
-    n_x = _packed_width(sp, bp)
-    if xs.ndim != 2 or xs.shape[1] != n_x + 1:
-        raise DimensionMismatch(
-            f"states have shape {xs.shape}, expected (n, {n_x + 1})")
-    cols = xs.T
-    px, py, th = cols[0], cols[1], cols[-1]
-    pox, poy = world._po
-    pdx, pdy = world._pd
-    r_s = world.r_s
-    # _radial
-    wx = px - pox
-    wy = py - poy
-    rho = _mapped(math.hypot, wx, wy)
-    z = rho - world.r_o
-    low = ~(z > _Z_MIN)
-    if low.any():
-        _check_z(float(z[low.argmax()]))
-    # _phi and _dphi, zero from r_s outward
-    phi = np.zeros_like(z)
-    dphi = np.zeros_like(z)
-    skirt = z < r_s
-    if skirt.any():
-        zs = z[skirt]
-        d = zs - r_s
-        log = _mapped(math.log, r_s / zs)
-        phi[skirt] = d * d * log
-        dphi[skirt] = 2.0 * d * log - d * d / zs
-    vphi = world.varrho * phi
-    # _grad, with p - p_d
-    ex = px - pdx
-    ey = py - pdy
-    a = world.varrho * dphi / rho
-    gx = ex + a * wx
-    gy = ey + a * wy
-    ddest = _mapped(math.hypot, ex, ey)
-
-    if gap is None:
-        # V_nav(p) and -k_p nav_gradient
-        V = 0.5 * (ex * ex + ey * ey) + vphi
-        u = np.stack([-gains.k_p * gx, -gains.k_p * gy], axis=1)
-        return V, u, None, z, ddest
-
-    eta = None if sp is None else cols[2:4]
-    integ = None
-    if bp is not None:
-        # (gamma_b/2)||u - k_p (eta - g)||^2
-        r1, r2 = _tracked(gains, *eta, gx, gy)
-        f1 = cols[4] - r1
-        f2 = cols[5] - r2
-        integ = 0.5 * bp.gamma_b * (f1 * f1 + f2 * f2)
-    st = (wx, wy, vphi, eta, integ)
-    own = _angle_terms(world, gains, th, functools.partial(_mapped, math.cos),
-                       functools.partial(_mapped, math.sin))
-    V = _loop_v(world, sp, st, own)
-    best = np.min([_loop_v(world, sp, st, _angle_terms(world, gains, t))
-                   for t in gains.theta_candidates.tolist()], axis=0)
-    mu = V - best - gap + gap  # (excess - gap) + gap, as in_flow_set + gap
-    if sp is None:
-        sx, sy = own[3:]
-        u = np.stack([-gains.k_p * (gx - sx), -gains.k_p * (gy - sy)], axis=1)
-    elif bp is None:
-        u = np.stack(_tracked(gains, *eta, gx, gy), axis=1)
-    else:
-        u = xs[:, 4:6]
-    return V, u, mu, z, ddest
 
 
 # -- critical point ----------------------------------------------------------
@@ -716,16 +581,12 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
 
 # -- closed loops ------------------------------------------------------------
 #
-# Each loop's flow and switching kernel are written once, as text fragments
-# compiled into the flow map with its inlined RK4 step (engine.compile_flow)
-# and into the kernel (_kernel_code), each with the loop's float constants
-# written in as literals (engine.literal_source), so no fragment assigns a
-# constant's name.  The fragments read the paper's gains by name (-k_p,
-# 0.5 * gamma_s, k_p / gamma_s): the compiler folds an operation on two
-# literals into the bits it gives at run time.  They repeat the scalar
-# kernels' order of operations, so that they give the helpers' bits, signed
-# zeros included.  Outside the skirt the weight a is 0.0, the +0.0 that
-# _grad's varrho*0.0/rho gives there, as varrho > 0 and rho > r_o.
+# No fragment assigns a constant's name (engine.literal_source).  They read
+# the paper's gains by name (-k_p, 0.5 * gamma_s, k_p / gamma_s): the
+# compiler folds an operation on two literals into the bits it gives at run
+# time.  They repeat the scalar kernels' order of operations, signed zeros
+# included: outside the skirt the weight a is 0.0, the +0.0 that _grad's
+# varrho*0.0/rho gives there, as varrho > 0 and rho > r_o.
 
 # p - p_o, rho and the clearance z (_radial); grad V_nav(p) = (gx, gy) with
 # the skirt weight a (_grad); the skirt term vphi = varrho phi(z) of V.
@@ -806,14 +667,16 @@ du1 = -k_b * (u1 - r1) + (k_p * deta1 - k_p * Hu1) - (gx - sx) / gamma_b
 du2 = -k_b * (u2 - r2) + (k_p * deta2 - k_p * Hu2) - (gy - sy) / gamma_b
 """
 
-# V's terms (_loop_v): the integrator's (gamma_b/2)||u - k_p (eta - g)||^2,
-# free of theta; at the angle terms (c, s, pen, sx, sy), the rotated pull,
-# skirt and penalty, and the tracker's term.
+# V's terms: the integrator's (gamma_b/2)||u - k_p (eta - g)||^2 and the
+# penalty; at the angle terms (c, s, pen, sx, sy), the rotated pull, skirt
+# and penalty, and the tracker's term; the gradient loop's V_nav(p).
 _FOLLOWING = """\
 f1 = u1 - k_p * (eta1 - gx)
 f2 = u2 - k_p * (eta2 - gy)
 integ = 0.5 * gamma_b * (f1 * f1 + f2 * f2)
 """
+
+_PENALTY = "pen = 0.5 * gamma_theta * th * th\n"
 
 _VALUE = """\
 ex = pox + c * wx - s * wy - pdx
@@ -827,41 +690,61 @@ e2 = eta2 - sy
 V = V + 0.5 * gamma_s * (e1 * e1 + e2 * e2)
 """
 
-# The first of equal candidate values is the least (V_k < best), as with
-# the builtin min.
+_NAV_VALUE = """\
+ex = px - pdx
+ey = py - pdy
+V = 0.5 * (ex * ex + ey * ey) + vphi
+"""
+
+_DEST = "ddest = hypot(px - pdx, py - pdy)\n"  # a channel of every loop
+
 _KERNEL = """\
 def in_flow_set(v, out=None):
     [{state}] = v
-{body}    pen = 0.5 * gamma_theta * th * th
-{value}{candidates}    best = V_0
-{minimum}    if out is not None:
+{body}{value}{least}    if out is not None:
         out.extend(({values},))
     return V - best - gap
 """
 
 
-def _kernel_code(state: tuple[str, ...], body: str, value: str,
-                 terms: list[tuple[float, ...]]) -> str:
-    """The source of the switching kernel in_flow_set(v, out=None) over the
-    candidates whose angle terms (_angle_terms) are ``terms``, as
-    straight-line code.  It unpacks v into ``state`` and runs ``body``: the
-    terms of V that do not depend on theta, and the own angle's.  It
-    returns V from ``value`` at the own angle, less the least of the
-    candidates' V, less ``gap``, and extends a list ``out`` by the
-    candidates' V in Theta order.  Candidate k's V is ``value`` with the
-    angle terms c, s, pen, sx and sy written in as literals
-    (literal_source) and V renamed V_k by the same whole-word rule."""
+class _LoopText(NamedTuple):
+    """A loop's pieces, read by its flow map, kernel and channels: the names
+    its fragments read, its state names, its flow fragments and rates, the
+    fragments of V's terms free of the candidates (``body``) and of V at an
+    angle (``value``), and the candidates' angle terms (_angle_terms)."""
+
+    consts: dict
+    state: tuple[str, ...]
+    flow: tuple[str, ...]
+    rates: tuple[str, ...]
+    body: tuple[str, ...]
+    value: str
+    terms: tuple[tuple[float, ...], ...]
+
+
+def _least(value: str, terms) -> str:
+    """The lines setting best to the least candidate V: V_k is ``value`` with
+    candidate k's angle terms written in as literals (literal_source) and V
+    renamed V_k; the first of equal values is the least, as with min."""
     names = ("c", "s", "pen", "sx", "sy")
-    candidates = "".join(
-        re.sub(r"\bV\b", f"V_{k}", literal_source(value, dict(zip(names, at))))
-        for k, at in enumerate(terms))
+    return ("".join(re.sub(r"\bV\b", f"V_{k}",
+                           literal_source(value, dict(zip(names, at))))
+                    for k, at in enumerate(terms))
+            + "best = V_0\n"
+            + "".join(f"if V_{k} < best:\n    best = V_{k}\n"
+                      for k in range(1, len(terms))))
+
+
+def _kernel_code(loop: _LoopText) -> str:
+    """The source of a switched loop's in_flow_set(v, out=None): V at the
+    own angle, less the least candidate V (_least), less ``gap``; it extends
+    a list ``out`` by the candidates' V in Theta order."""
     return _KERNEL.format(
-        state=", ".join(state), body=textwrap.indent(body, "    "),
-        value=textwrap.indent(value, "    "),
-        candidates=textwrap.indent(candidates, "    "),
-        minimum="".join(f"    if V_{k} < best:\n        best = V_{k}\n"
-                        for k in range(1, len(terms))),
-        values=", ".join(f"V_{k}" for k in range(len(terms))))
+        state=", ".join(loop.state),
+        body=textwrap.indent("".join(loop.body), "    "),
+        value=textwrap.indent(loop.value, "    "),
+        least=textwrap.indent(_least(loop.value, loop.terms), "    "),
+        values=", ".join(f"V_{k}" for k in range(len(loop.terms))))
 
 
 def _flow_constants(world: NavigationWorld, gains: NavGains) -> dict:
@@ -876,54 +759,66 @@ def _flow_constants(world: NavigationWorld, gains: NavGains) -> dict:
                 _check_z=_check_z)
 
 
-def _switched_loop(world: NavigationWorld, gains: NavGains,
+def _switched_text(world: NavigationWorld, gains: NavGains,
                    sp: SmoothedParams | None,
-                   bp: BacksteppingParams | None) -> HybridSystemSpec:
-    """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
-    (neither), smoothed (``sp``) or backstepped (both), after the checks of
-    layer_checks have passed; the first that fails raises.  Each layer
-    present adds its state names and fragments to the flow map (compile_flow)
-    and to the switching kernel in_flow_set(v, out=None), V(v) - best
-    candidate V - loop_gap (_kernel_code).  Both are compiled with the
-    world's, the gains' and the layers' float constants written in as
-    literals (literal_source), the kernel with each candidate's angle terms
-    too."""
-    for check in layer_checks(world, gains, sp, bp):
-        check()
+                   bp: BacksteppingParams | None) -> _LoopText:
+    """The pieces of the switched loop the layers ``sp`` and ``bp`` select,
+    each layer adding its state names and fragments; gap is loop_gap."""
     consts = _flow_constants(world, gains)
     consts["gap"] = loop_gap(gains, sp, bp)
     state = ("px", "py")
-    flow = _RADIAL + _GRADIENT + _ANGLE + _OFFSET + _ROTATION_FLOW
-    body = _RADIAL + _SKIRT + _ANGLE
+    flow = (_RADIAL, _GRADIENT, _ANGLE, _OFFSET, _ROTATION_FLOW)
+    body = (_RADIAL, _SKIRT, _ANGLE)
     value = _VALUE
     if sp is None:
-        flow += _HYBRID_FLOW
+        flow += (_HYBRID_FLOW,)
         rates = ("dpx", "dpy")
     else:
         state += ("eta1", "eta2")
-        flow += _TRACKER_FLOW
-        body += _OFFSET
+        flow += (_TRACKER_FLOW,)
+        body += (_OFFSET,)
         value += _TRACKER_VALUE
         rates = ("r1", "r2", "deta1", "deta2")
         consts.update(k_eta=sp.k_eta, gamma_s=sp.gamma_s)
     if bp is not None:
         state += ("u1", "u2")
-        flow += _INTEGRATOR_FLOW
-        body += _GRADIENT + _FOLLOWING
+        flow += (_INTEGRATOR_FLOW,)
+        body += (_GRADIENT, _FOLLOWING)
         value += "V = V + integ\n"
         rates = ("u1", "u2", "deta1", "deta2", "du1", "du2")
         consts.update(k_b=bp.k_b, gamma_b=bp.gamma_b)
-    state += ("th",)
-    terms = [_angle_terms(world, gains, t)
-             for t in gains.theta_candidates.tolist()]
-    source = literal_source(_kernel_code(state, body, value, terms), consts)
-    kernel = dict(consts)
-    exec(compile_source(source, f"<switching kernel, width {len(state)}>"),
+    terms = tuple(_angle_terms(world, gains, t)
+                  for t in gains.theta_candidates.tolist())
+    return _LoopText(consts, (*state, "th"), flow, (*rates, "dth"),
+                     body + (_PENALTY,), value, terms)
+
+
+def _gradient_text(world: NavigationWorld, gains: NavGains) -> _LoopText:
+    """The pieces of the gradient loop: its flow, -k_p grad V_nav, and V_nav."""
+    return _LoopText(_flow_constants(world, gains), ("px", "py", "th"),
+                     (_RADIAL, _GRADIENT), ("-k_p * gx", "-k_p * gy", "0.0"),
+                     (_RADIAL, _SKIRT), _NAV_VALUE, ())
+
+
+def _switched_loop(world: NavigationWorld, gains: NavGains,
+                   sp: SmoothedParams | None,
+                   bp: BacksteppingParams | None) -> HybridSystemSpec:
+    """The switched loop of the layers ``sp`` and ``bp`` select: hybrid
+    (neither), smoothed (``sp``) or backstepped (both), with its flow map and
+    kernel compiled from its pieces once layer_checks have passed; the first
+    check that fails raises."""
+    for check in layer_checks(world, gains, sp, bp):
+        check()
+    loop = _switched_text(world, gains, sp, bp)
+    source = literal_source(_kernel_code(loop), loop.consts)
+    kernel = dict(loop.consts)
+    exec(compile_source(source, f"<switching kernel, width {len(loop.state)}>"),
          kernel)
     return switching_system(kernel["in_flow_set"],
                             gains.theta_candidates.reshape(-1, 1),
-                            compile_flow(state, flow, (*rates, "dth"), consts),
-                            _packed_width(sp, bp), shell_projection(world))
+                            compile_flow(loop.state, "".join(loop.flow),
+                                         loop.rates, loop.consts),
+                            len(loop.state) - 1, shell_projection(world))
 
 
 def hybrid_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
@@ -957,9 +852,8 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
 
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Plain descent on the base potential; never jumps.  [px, py, theta]."""
-    flow = compile_flow(("px", "py", "th"), _RADIAL + _GRADIENT,
-                        ("-k_p * gx", "-k_p * gy", "0.0"),
-                        _flow_constants(world, gains))
+    loop = _gradient_text(world, gains)
+    flow = compile_flow(loop.state, "".join(loop.flow), loop.rates, loop.consts)
     return HybridSystemSpec(
         dim=3,
         flow_map=flow,
@@ -969,3 +863,99 @@ def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSyste
         project_flow=shell_projection(world),
         complementary=True,
     )
+
+
+# -- channels ----------------------------------------------------------------
+
+def _mapped(fn, *cols: np.ndarray) -> np.ndarray:
+    """fn applied entry by entry over Python floats."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=float,
+                       count=len(cols[0]))
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log over the entries of x, 0.0 where an entry is 1.0."""
+    out = np.zeros_like(x)
+    out[x != 1.0] = _mapped(math.log, x[x != 1.0])
+    return out
+
+
+_ARRAY_NAMES = dict(log=_log, hypot=functools.partial(_mapped, math.hypot),
+                    cos=functools.partial(_mapped, math.cos),
+                    sin=functools.partial(_mapped, math.sin),
+                    minimum=np.minimum, stack=np.stack,
+                    DimensionMismatch=DimensionMismatch)
+
+_ARRAY_RULES = (
+    (r"^if not (\w+) > _Z_MIN:\n    _check_z\(\1\)$",
+     r"if not (\1 > _Z_MIN).all():\n    _check_z(\1[~(\1 > _Z_MIN)][0])"),
+    (r"^if (V_\d+) < best:\n    best = \1$", r"best = minimum(best, \1)"),
+    (r"^if z < r_s:\n((?:    .*\n)+)else:\n(?:    .*\n)+",
+     lambda m: "zc = minimum(z, r_s)\n" + re.sub(r"\bz\b", "zc",
+                                                 textwrap.dedent(m[1]))),
+)
+
+
+def _array_code(text: str) -> str:
+    """The array rule: ``text``, fragments of float code, run once over numpy
+    columns with the bits they give each row.  numpy's + - * / round like
+    Python's; log, hypot, cos and sin are math's over the entries
+    (_ARRAY_NAMES; numpy's differ in the last place on some inputs).  The
+    rewrites (_ARRAY_RULES): the clearance guard tests every row and passes
+    the first bad row's clearance to _check_z; "if V_k < best: best = V_k"
+    becomes a minimum; an "if z < r_s:" skirt branch runs its inside
+    formulas alone on zc = min(z, r_s), where at zc = r_s, d = +0.0 and
+    log(1.0) = 0.0 give the outside formulas' bits, as phi and its first two
+    derivatives vanish at r_s.  Any other if or else raises ValueError."""
+    for pattern, repl in _ARRAY_RULES:
+        text = re.sub(pattern, repl, text, flags=re.M)
+    for line in text.splitlines():
+        if (re.match(r"(if|elif|else)\b", line)
+                and not re.fullmatch(r"if not \(\w+ > _Z_MIN\)\.all\(\):", line)):
+            raise ValueError(f"no array rule for {line!r}")
+    return text
+
+
+_CHANNELS = """\
+def channels(xs):
+    if xs.ndim != 2 or xs.shape[1] != {width}:
+        raise DimensionMismatch(
+            f"states have shape {{xs.shape}}, expected (n, {width})")
+    [{state}] = xs.T
+{body}    return V, stack(({u}), 1), {mu}, z, ddest
+"""
+
+
+def _channel_code(loop: _LoopText) -> str:
+    """The source of a loop's channels(xs): its flow, V fragments the flow
+    lacks, the candidates' V and ddest, through the array rule."""
+    text = "".join(loop.flow + tuple(f for f in loop.body if f not in loop.flow))
+    text += loop.value
+    mu = "None"
+    if loop.terms:
+        text += _least(loop.value, loop.terms)
+        mu = "V - best - gap + gap"  # (excess - gap) + gap, as in_flow_set + gap
+    return _CHANNELS.format(
+        width=len(loop.state), state=", ".join(loop.state),
+        body=textwrap.indent(_array_code(text + _DEST), "    "),
+        u=", ".join(loop.rates[:2]), mu=mu)
+
+
+def loop_channels(world: NavigationWorld, gains: NavGains, gap: float | None,
+                  sp: SmoothedParams | None, bp: BacksteppingParams | None):
+    """``channels(xs)``: (V, u, mu, dobs, ddest) at each row of ``xs``, packed
+    states of shape (n, dim), of the gradient loop when ``gap`` is None, else
+    of the switched loop ``sp`` and ``bp`` select with gap ``gap``: V, the
+    rate u of p (shape (n, 2)), the excess mu = in_flow_set + gap (None for
+    the gradient loop), the clearance and the distance to p_d, each with the
+    bits the loop's maps and the float helpers give that row.  A clearance at
+    or below 1e-12 raises NonPositiveDistance, another width
+    DimensionMismatch."""
+    if gap is None:
+        loop = _gradient_text(world, gains)
+    else:
+        loop = _switched_text(world, gains, sp, bp)
+    namespace = {**loop.consts, "gap": gap, **_ARRAY_NAMES}
+    exec(compile_source(literal_source(_channel_code(loop), namespace),
+                        f"<channels, width {len(loop.state)}>"), namespace)
+    return namespace["channels"]

@@ -1302,8 +1302,8 @@ def arc_record(arc):
 def test_a_sink_is_handed_the_arc_in_chunks_and_changes_nothing(monkeypatch,
                                                                 sink_rows):
     """With a sink the arc is bit for bit the one without.  The sink is
-    handed each segment's samples in order, as new lists, in chunks of
-    SINK_ROWS and then the rest when the segment closes, so the chunks,
+    handed each segment's samples in order, as arrays, in blocks of
+    SINK_ROWS and then the rest when the segment closes, so the blocks,
     joined, are the arc's times, states and jump counters."""
     monkeypatch.setattr(engine, "SINK_ROWS", sink_rows)
     longest = 0
@@ -1316,12 +1316,13 @@ def test_a_sink_is_handed_the_arc_in_chunks_and_changes_nothing(monkeypatch,
             longest = max(longest, n)
             sizes = [sink_rows] * (n // sink_rows) + [n % sink_rows] * (n % sink_rows > 0)
             mine, chunks = chunks[:len(sizes)], chunks[len(sizes):]
-            assert [(j, len(ts), len(xs)) for j, ts, xs in mine] == \
-                [(seg.j, size, size * spec.dim) for size in sizes]
-            assert all(type(ts) is list and type(xs) is list for _, ts, xs in mine)
-            assert np.array([t for _, ts, _ in mine for t in ts]).tobytes() == \
+            assert [(j, ts.shape, xs.shape) for j, ts, xs in mine] == \
+                [(seg.j, (size,), (size, spec.dim)) for size in sizes]
+            assert all(ts.dtype == xs.dtype == float and xs.flags.c_contiguous
+                       for _, ts, xs in mine)
+            assert np.concatenate([ts for _, ts, _ in mine]).tobytes() == \
                 seg.ts.tobytes()
-            assert np.array([v for _, _, xs in mine for v in xs]).tobytes() == \
+            assert np.concatenate([xs for _, _, xs in mine]).tobytes() == \
                 seg.xs.tobytes()
         assert chunks == []
     assert longest > 2 * 1024

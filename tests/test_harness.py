@@ -45,13 +45,12 @@ from syncon.harness import (
     write_svg,
 )
 from syncon.navigation import (
-    _packed_width,
     _phi,
     decomposed_feedback,
     nav_gradient,
     nominal_controller,
+    loop_channels,
     obstacle_distance,
-    sample_channels,
     switched_gradient_p,
     tracked_input,
 )
@@ -427,6 +426,23 @@ def test_parse_accepts_a_positive_saddle_tol():
     assert parse_config(raw, source="test").expected["saddle_tol"] == 0.05
 
 
+def test_the_config_keeps_its_own_parsed_expected_fields():
+    """The config holds the values parse_config read, not the caller's
+    mapping: a later edit of the raw config changes neither them nor the
+    check report.  An absent saddle_tol reads as its default, 0.01."""
+    raw = json.loads((CONFIG_DIR / "fig2_check.json").read_text())
+    cfg = parse_config(raw, source="test")
+    lines = check_scenario(cfg, n_audit_samples=20).lines()
+    raw["expected"]["saddle_x"] = "oops"
+    del raw["expected"]["saddle_tol"]
+    assert cfg.expected == {"saddle_x": 5.6865, "saddle_tol": 0.02}
+    assert check_scenario(cfg, n_audit_samples=20).lines() == lines
+    raw["expected"]["saddle_x"] = 5.6865
+    assert parse_config(raw).expected == {"saddle_x": 5.6865, "saddle_tol": 0.01}
+    raw["expected"] = None
+    assert parse_config(raw).expected is None
+
+
 def test_parse_reports_an_unknown_expected_key_once():
     raw = hybrid_raw()
     raw["expected"] = {"saddle_y": "x"}
@@ -598,12 +614,14 @@ def test_a_controller_must_match_its_layers(path, mismatch):
 @pytest.mark.parametrize("raw_fn", [hybrid_raw, smooth_raw, backstep_raw,
                                     non_hybrid_raw])
 def test_initial_packed_state_width_is_the_navigation_rule(raw_fn):
-    """[p | eta | u] is as wide as navigation's one rule says, for every
-    controller, then theta follows; the built loop has that width too."""
+    """[p | eta | u] is as wide as the layers the controller takes, then
+    theta follows; the built loop and its channel map have that width too."""
     cfg = parse_config(raw_fn())
-    width = _packed_width(cfg.smoothed, cfg.backstep)
+    width = 2 + 2 * (cfg.smoothed is not None) + 2 * (cfg.backstep is not None)
     assert initial_packed_state(cfg).shape == (width + 1,)
     assert build_closed_loop(cfg).dim == width + 1
+    loop_channels(cfg.world, cfg.gains, governing_gap(cfg), cfg.smoothed,
+                  cfg.backstep)(initial_packed_state(cfg)[None])
 
 
 def test_governing_gap_per_controller():
@@ -748,18 +766,17 @@ def test_the_record_joins_its_blocks_in_order(sink_rows, monkeypatch):
 def test_sample_channels_raise_at_nonpositive_clearance(raw_fn, clearance):
     cfg = parse_config(raw_fn())
     world = cfg.world
+    channels = loop_channels(world, cfg.gains, governing_gap(cfg), cfg.smoothed,
+                             cfg.backstep)
     xs = np.tile(initial_packed_state(cfg), (3, 1))
     xs[1, :2] = world.p_o + [world.r_o + clearance, 0.0]
     assert obstacle_distance(world, xs[1, :2]) <= 1e-12
     with pytest.raises(NonPositiveDistance):
-        sample_channels(world, cfg.gains, xs, governing_gap(cfg), cfg.smoothed,
-                        cfg.backstep)
+        channels(xs)
     xs[1, :2] = world.p_o + [world.r_o + 1e-6, 0.0]
-    sample_channels(world, cfg.gains, xs, governing_gap(cfg), cfg.smoothed,
-                    cfg.backstep)
+    channels(xs)
     with pytest.raises(DimensionMismatch):
-        sample_channels(world, cfg.gains, xs[:, 1:], governing_gap(cfg),
-                        cfg.smoothed, cfg.backstep)
+        channels(xs[:, 1:])
 
 
 def per_row_csv(rec) -> bytes:
@@ -911,9 +928,11 @@ def test_the_worker_body_runs_in_this_process(pins, monkeypatch, tmp_path,
     cfg = short_shipped(SMOOTH, t_max=0.0055)
     rec = run_scenario(cfg)
     blocks = []
+    channels = loop_channels(cfg.world, cfg.gains, governing_gap(cfg),
+                             cfg.smoothed, cfg.backstep)
     simulate(build_closed_loop(cfg), initial_packed_state(cfg), cfg.sim,
              sink=lambda *chunk: blocks.append(
-                 harness._fields(cfg, governing_gap(cfg), *chunk)))
+                 harness._fields(cfg, channels, *chunk)))
     assert len(blocks) == 3  # a one-sample segment, then 7 and 5 samples
     for status in (0, 1):
         if status:
@@ -1041,10 +1060,10 @@ def test_a_failure_in_the_callers_half_reaps_the_worker(smooth_record, forks,
     """The caller's own error, here in the channels of its first block,
     propagates before the worker is sent anything; the worker is reaped, no
     part file is left, and the file already at the path stays as it was."""
-    def refused(world, gains, xs, *rest):
+    def refused(xs):
         raise ValueError(f"{len(xs)} rows refused")
 
-    monkeypatch.setattr(harness, "sample_channels", refused)
+    monkeypatch.setattr(harness, "loop_channels", lambda *layers: refused)
     path = tmp_path / "a.csv"
     path.write_text("kept\n")
     with pytest.raises(ValueError, match="^1 rows refused"):

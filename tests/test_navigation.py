@@ -1,8 +1,10 @@
 """Unit tests for the planar obstacle-avoidance construction."""
 
+import ast
 import dataclasses
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,6 +14,7 @@ from conftest import CONFIG_DIR, loop_potential
 from syncon import engine, numdiff
 from syncon.engine import SimConfig, simulate, step_flow
 from syncon.errors import (
+    DimensionMismatch,
     GainValidation,
     NoRootBracketed,
     NonFiniteState,
@@ -23,14 +26,20 @@ from syncon.errors import (
 from syncon.navigation import (
     NavGains,
     NavigationWorld,
+    _array_code,
+    _channel_code,
     _d2phi,
     _dphi,
+    _gradient_text,
     _phi,
+    _switched_loop,
+    _switched_text,
     backstep_closed_loop,
     decomposed_feedback,
     find_critical_point,
     gradient_closed_loop,
     hybrid_closed_loop,
+    loop_channels,
     loop_gap,
     max_synergy_gap,
     nav_gradient,
@@ -38,7 +47,6 @@ from syncon.navigation import (
     nominal_controller,
     obstacle_distance,
     rotation_rate_bound,
-    sample_channels,
     shell_projection,
     smooth_closed_loop,
     switch_offset,
@@ -634,8 +642,8 @@ def skirt_states(world, gains, rng, n, width):
 
 def test_fused_kernels_equal_the_scalar_helpers():
     """The loops' compiled flow maps and switching kernels give the bits (==,
-    not approx) of the public float helpers and of sample_channels, inside
-    and outside the skirt, in a world with no zero coordinate, with two
+    not approx) of the public float helpers and of the channel maps
+    (loop_channels), inside and outside the skirt, in a world with no zero coordinate, with two
     candidates and with three.  A kernel handed a list appends each
     candidate's V to it, in Theta order."""
     world = dataclasses.replace(demo_world(), p_o=np.array([3.3, 5.1]),
@@ -663,6 +671,7 @@ def test_fused_kernels_equal_the_scalar_helpers():
         smooth_spec = loops["smooth"][0]
         cands = gains.theta_candidates.tolist()
         for name, (spec, width, gap, lsp, lbp) in loops.items():
+            channels = loop_channels(world, gains, gap, lsp, lbp)
             states = skirt_states(world, gains, rng, 200, width)
             inside = [obstacle_distance(world, v[:2]) < world.r_s
                       for v in states]
@@ -676,8 +685,7 @@ def test_fused_kernels_equal_the_scalar_helpers():
                 assert spec.in_flow_set(v, out) == own - best - gap, name
                 assert out == values, name
                 assert spec.in_jump_set(v) == gap - (own - best), name
-                V, _, mu, _, _ = sample_channels(world, gains, np.array([v]),
-                                                 gap, lsp, lbp)
+                V, _, mu, _, _ = channels(np.array([v]))
                 assert spec.in_flow_set(v) + gap == mu[0], name
                 assert V[0] == own, name
                 flow = spec.flow_map(v)
@@ -1029,7 +1037,9 @@ def test_loop_maps_guard_the_clearance():
     """Every loop map and float helper that reads the clearance raises
     NonPositiveDistance at or below 1e-12: on the rim, a hair outside it, at
     p_o and at NaN.  Every switched loop map raises the flow map's ValueError
-    at a packed state of the wrong width."""
+    at a packed state of the wrong width.  A channel map tests every row of
+    a stack and names the first bad row's clearance, and raises
+    DimensionMismatch at a stack of the wrong width."""
     world = demo_world()
     gains = demo_gains()
     sp = demo_smoothed()
@@ -1079,6 +1089,23 @@ def test_loop_maps_guard_the_clearance():
         for p in points:
             with pytest.raises(NonPositiveDistance):
                 helper(np.array(p))
+    layers = [(gains.delta, None, None), (sp.delta_s, sp, None),
+              (bp.delta_b, sp, bp), (None, None, None)]
+    good = (pox, poy + world.r_o + 1.0)
+    for (_, width, _), (gap, lsp, lbp) in zip(loops, layers):
+        channels = loop_channels(world, gains, gap, lsp, lbp)
+        for p in points:
+            xs = np.array([[*q, *[0.5] * (width - 3), 0.1]
+                           for q in (good, p, points[0])])
+            z = obstacle_distance(world, np.array(p))
+            with pytest.raises(NonPositiveDistance,
+                               match=re.escape(f"got {z:.6g}")):
+                channels(xs)
+        xs[1, :2] = good
+        channels(xs[:2])
+        for bad in (xs[:, 1:], np.hstack([xs, xs[:, :1]]), xs[0]):
+            with pytest.raises(DimensionMismatch):
+                channels(bad)
 
 
 def mirrored_loops(world, gains):
@@ -1178,8 +1205,8 @@ def test_complementary_loops_match_the_two_indicator_path(name):
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda p: p.stem)
 def test_sample_channels_of_any_split_of_the_rows_are_the_whole_calls(path):
-    """The channels are row by row, so a CSV worker that computes them one
-    chunk at a time gets the whole-arc call's bits: every row alone, and
+    """The channel map works row by row, so a run that computes the channels
+    one block at a time gets the whole-arc call's bits: every row alone, and
     seeded random splits, over states around the obstacle that fall inside
     the skirt and beyond it."""
     cfg = load_config(path)
@@ -1194,11 +1221,7 @@ def test_sample_channels_of_any_split_of_the_rows_are_the_whole_calls(path):
     radius = world.r_o + rng.uniform(1e-3, 2.0 * world.r_s, n)
     xs[:, 0] = world.p_o[0] + radius * np.cos(angle)
     xs[:, 1] = world.p_o[1] + radius * np.sin(angle)
-
-    def channels(rows):
-        return sample_channels(world, cfg.gains, rows, gap, cfg.smoothed,
-                               cfg.backstep)
-
+    channels = loop_channels(world, cfg.gains, gap, cfg.smoothed, cfg.backstep)
     whole = channels(xs)
     assert (whole[3] < world.r_s).any() and (whole[3] >= world.r_s).any()
     for cuts in (list(range(1, n)),
@@ -1210,6 +1233,77 @@ def test_sample_channels_of_any_split_of_the_rows_are_the_whole_calls(path):
                 assert all(part is None for part in got)
             else:
                 assert np.concatenate(got).tobytes() == whole[k].tobytes()
+
+
+def skirt_edge_rows(world, width):
+    """Packed states of the given width at p on the p_o-p_d axis whose
+    clearance is r_s, with px one ulp below and above."""
+    x = world.p_o[0] + world.r_o + world.r_s
+    return np.array([[px, world.p_o[1], *[0.5] * (width - 3), 0.1]
+                     for px in (math.nextafter(x, -math.inf), x,
+                                math.nextafter(x, math.inf))])
+
+
+@pytest.mark.parametrize("where", ["fig2_check", "demo"])
+def test_channels_at_the_skirt_edge_equal_the_scalar_helpers(where):
+    """At the clearance z = r_s, where the array rule's skirt branch meets
+    the outside formulas, and at one ulp of p either side, every channel of
+    every loop has the scalar helpers' bits: on fig2_check (p = (6, 0)) the
+    hybrid and gradient loops, in the demo world all four."""
+    from test_harness import scalar_channels
+    if where == "fig2_check":
+        cfg = load_config(CONFIG_DIR / "fig2_check.json")
+        world, gains = cfg.world, cfg.gains
+        layers = [(None, None)]
+    else:
+        world, gains = demo_world(), demo_gains()
+        sp, bp = demo_smoothed(), demo_backstep()
+        layers = [(None, None), (sp, None), (sp, bp)]
+    loops = [(_switched_loop(world, gains, *lay), loop_gap(gains, *lay), *lay)
+             for lay in layers]
+    loops.append((gradient_closed_loop(world, gains), None, None, None))
+    for spec, gap, sp, bp in loops:
+        name = spec.dim, gap
+        xs = skirt_edge_rows(world, spec.dim)
+        V, u, mu, dobs, ddest = loop_channels(world, gains, gap, sp, bp)(xs)
+        assert dobs[0] < world.r_s == dobs[1] < dobs[2], name
+        ref = np.array([scalar_channels(world, gains, sp, bp, spec, gap, v)
+                        for v in xs])
+        got = np.column_stack([V, u, np.full(3, math.nan) if mu is None else mu,
+                               dobs, ddest])
+        assert np.array_equal(got, ref, equal_nan=True), name
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_channel_sources_test_no_array_but_the_clearance(path):
+    """The array rule leaves each shipped loop's channel source straight-line
+    code: no loop, no conditional expression, and only two if statements,
+    the stack's width check and the clearance guard over every row."""
+    cfg = load_config(path)
+    if cfg.controller == "non_hybrid":
+        loop = _gradient_text(cfg.world, cfg.gains)
+    else:
+        loop = _switched_text(cfg.world, cfg.gains, cfg.smoothed, cfg.backstep)
+    tree = ast.parse(_channel_code(loop))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.For, ast.While, ast.IfExp,
+                                     ast.comprehension))]
+    width = len(initial_packed_state(cfg))
+    assert [ast.unparse(node.test) for node in ast.walk(tree)
+            if isinstance(node, ast.If)] == [
+        f"xs.ndim != 2 or xs.shape[1] != {width}", "not (z > _Z_MIN).all()"]
+
+
+@pytest.mark.parametrize("text", [
+    "if z > r_s:\n    a = 0.0\n",
+    "if z < r_s:\n    a = z\n",
+    "if V_1 <= best:\n    best = V_1\n",
+    "a = 1.0 if z < r_s else 0.0\nif th:\n    a = 2.0\n",
+])
+def test_the_array_rule_refuses_a_branch_it_has_no_rule_for(text):
+    with pytest.raises(ValueError, match="^no array rule for 'if "):
+        _array_code(text)
 
 
 @pytest.mark.parametrize("field", ["r_o", "k_p", "gamma_s", "gamma_b"])

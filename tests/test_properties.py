@@ -35,8 +35,8 @@ from syncon.navigation import (
     gradient_closed_loop,
     hybrid_closed_loop,
     nominal_controller,
+    loop_channels,
     obstacle_distance,
-    sample_channels,
     smooth_closed_loop,
 )
 from syncon.smoothing import smoothed_quadruple
@@ -234,24 +234,25 @@ def test_loop_maps_raise_at_nonpositive_clearance(name, thetas, clearance,
                fused.jump_map):
         with pytest.raises(NonPositiveDistance):
             fn(v)
-    _, gap, sp, bp = _channel_loops()[2][name]
+    channels = _channel_loops()[2][name][-1]
     with pytest.raises(NonPositiveDistance):
-        sample_channels(world, gains, np.stack([v, v]), gap, sp, bp)
+        channels(np.stack([v, v]))
 
 
 # -- harness channels over stacked states -------------------------------------
 
 @functools.cache
 def _channel_loops():
-    """Per loop: its unprojected spec and the (gap, sp, bp) that select it
-    in sample_channels; the gradient loop has no gap."""
+    """Per loop: its unprojected spec, the (gap, sp, bp) that select it in
+    loop_channels, the gradient loop with no gap, and its channel map."""
     world, gains, loops = _loops()
     sp, bp = demo_smoothed(), demo_backstep()
     layers = {"hybrid": (None, None), "smooth": (sp, None), "backstep": (sp, bp)}
     out = {name: (loops[name][0], loops[name][3]) + layers[name]
            for name in loops}
     out["gradient"] = (gradient_closed_loop(world, gains), None, None, None)
-    return world, gains, out
+    return world, gains, {name: (*parts, loop_channels(world, gains, *parts[1:]))
+                          for name, parts in out.items()}
 
 
 # Clearances inside the skirt (z < r_s = 0.5 in the demo world) and beyond it.
@@ -265,14 +266,14 @@ _clearances = st.one_of(st.floats(1e-9, 0.5, exclude_max=True),
                                _vectors), min_size=1, max_size=6))
 def test_sample_channels_equal_the_scalar_helpers(name, rows):
     world, gains, loops = _channel_loops()
-    spec, gap, sp, bp = loops[name]
+    spec, gap, sp, bp, channels = loops[name]
     xs = np.array([
         _packed("hybrid" if name == "gradient" else name,
                 world.p_o + (world.r_o + z) * np.array([math.cos(a),
                                                         math.sin(a)]),
                 eta, u, theta)
         for z, a, theta, eta, u in rows])
-    V, u, mu, dobs, ddest = sample_channels(world, gains, xs, gap, sp, bp)
+    V, u, mu, dobs, ddest = channels(xs)
     ref = np.array([scalar_channels(world, gains, sp, bp, spec, gap, v)
                     for v in xs])
     assert np.array_equal(V, ref[:, 0])
@@ -288,7 +289,7 @@ def test_sample_channels_equal_the_scalar_helpers_across_the_skirt(name):
     numpy's log and hypot differ from math's in the last place on a fraction
     of a percent of inputs, too rarely for the drawn stacks above to meet."""
     world, gains, loops = _channel_loops()
-    spec, gap, sp, bp = loops[name]
+    spec, gap, sp, bp, channels = loops[name]
     rng = np.random.default_rng(7)
     n = 2000
     z = rng.uniform(1e-9, 0.6, n)
@@ -297,7 +298,7 @@ def test_sample_channels_equal_the_scalar_helpers_across_the_skirt(name):
             world.p_o[1] + (world.r_o + z) * np.sin(a)]
     cols += list(rng.uniform(-20.0, 20.0, (spec.dim - 3, n)))
     xs = np.stack(cols + [rng.uniform(-0.5, 0.5, n)], axis=1)
-    V, u, mu, dobs, ddest = sample_channels(world, gains, xs, gap, sp, bp)
+    V, u, mu, dobs, ddest = channels(xs)
     ref = np.array([scalar_channels(world, gains, sp, bp, spec, gap, v)
                     for v in xs])
     got = np.column_stack([V, u, np.full(n, math.nan) if mu is None else mu,

@@ -36,10 +36,11 @@ with the three candidates ``THETA3`` = [-0.3, 0.2, 0.3], at ring_sweep's
 hybrid horizon: the only line whose loop scans more than two candidates.
 The ``code`` line, printed last, covers the compiled code of the loops of
 every shipped config, the theta3 loop and ring_sweep's two loops: for each,
-the flow map, its inlined RK4 step and, for a switched loop, its switching
-kernel ``in_flow_set``, each by its bytecode, constants (nested code
-objects in turn), global names and local names, but not its file name or
-line table.  Bytecode differs between CPython versions, so this line is
+the flow map, its inlined RK4 step, for a switched loop its switching
+kernel ``in_flow_set``, and the channel map ``navigation.loop_channels``
+builds for it, each by its bytecode, constants (nested code objects in
+turn), global names and local names, but not its file name or line
+table.  Bytecode differs between CPython versions, so this line is
 only comparable between runs on one Python version.
 Standard library and numpy only; the whole run takes a few seconds.
 ``tools/arc_record.py`` records the config, thermostat and generic runs
@@ -160,8 +161,9 @@ def _feed_code(h, code: types.CodeType) -> None:
 
 
 def code_digest() -> str:
-    """Digest of the compiled flow maps, inlined steps and switching kernels
-    of the shipped configs' loops, the theta3 loop and the ring loops."""
+    """Digest of the compiled flow maps, inlined steps, switching kernels and
+    channel maps of the shipped configs' loops, the theta3 loop and the ring
+    loops."""
     cfgs = {path.stem: harness.load_config(path) for path in config_paths()}
     cfgs["theta3"] = theta3_config()
     cfgs.update(_workloads().ring_configs())
@@ -172,6 +174,9 @@ def code_digest() -> str:
         funcs = [spec.flow_map, spec.flow_map.rk4_step.__func__]
         if cfg.controller != "non_hybrid":
             funcs.append(spec.in_flow_set)
+        funcs.append(navigation.loop_channels(
+            cfg.world, cfg.gains, harness.governing_gap(cfg), cfg.smoothed,
+            cfg.backstep))
         for func in funcs:
             _feed_code(h, func.__code__)
     return h.hexdigest()
