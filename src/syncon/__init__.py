@@ -23,6 +23,7 @@ from .engine import (
 from .errors import (
     CoverageViolation,
     DimensionMismatch,
+    DomainError,
     EmptyJumpSet,
     GainValidation,
     NonFiniteState,

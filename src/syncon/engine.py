@@ -1,4 +1,4 @@
-"""Fixed-step simulator for dynamics that mix continuous flow with jumps.
+"""Simulator for dynamics that mix continuous flow with jumps.
 
 A system owns two regimes: a flow map ``xdot = F(x)`` that applies while the
 flow-set indicator is non-positive, and a jump map ``x+ in G(x)`` that applies
@@ -13,20 +13,27 @@ here: flowing first there would only add steps and boundary locations.
 
 Solutions live on a hybrid time domain (t, j): flow advances t along segments
 of constant jump counter j, and each jump increments j while t stands still.
-Integration is explicit fixed-step 4th-order Runge-Kutta, as straight-line
-code that one generator writes from the classical tableau, held as data, and
-compiles on first use: the step unpacks the state into n float locals, builds
-every stage state and the result in the order of operations of the vector
-formula x + (h/6)(k1 + 2 k2 + 2 k3 + k4), so its bits equal the numpy
-expression's, and checks its own result's finiteness through the sum of the
+SimConfig.method picks the integrator.  Under "dopri5", the default, steps
+are explicit Dormand-Prince 5(4) pairs with error control (RTOL, ATOL) and
+FSAL; ``dt`` is only the output grid, whose samples come from each step's
+continuous extension, and a step whose stage raises a DomainError is
+rejected and shortened.  Under "rk4", the reference path that the scenario
+runs (harness) and the frozen references use, steps are fixed 4th-order
+Runge-Kutta steps of ``dt``.  Both steps are straight-line code that one
+generator writes from a tableau, held as data, and compiles on first use:
+the step unpacks the state into n float locals, builds every stage state and
+the result from the tableau's vector formula (for RK4 x + (h/6)(k1 + 2 k2 +
+2 k3 + k4), in its order of operations, so its bits equal the numpy
+expression's), and checks its own result's finiteness through the sum of the
 entries, so a step costs no further pass over the state.  Each stage runs a
 flow body, straight-line code over named state entries, in place.  A flow
-map that compile_flow built from a body carries the step with that body
+map that compile_flow built from a body carries the RK4 step with that body
 inlined and its float constants written in as literals (literal_source, one
 whole-word rule over the text, so a body may neither assign a constant's
-name nor spell it in a string), and step_flow takes it; any other flow map,
-a wrapper around such a one included, takes the step for its width whose
-body calls it and converts an ndarray output itself.
+name nor spell it in a string), and rk4 runs take it; any other flow map, a
+wrapper around such a one included, and every dopri5 run, take the step for
+its width whose body calls the flow map and converts an ndarray output
+itself.  simulate resolves the step once per run (step_kernel).
 
 Inside the engine a state is a list of ``dim`` Python floats: the flow map, the
 indicators, the jump map and the projection each receive one, and must not
@@ -43,22 +50,24 @@ blocks' joined.  A caller that passes simulate a ``sink`` is handed the
 blocks while the run goes on: ``sink(j, ts, xs)`` gets each segment's blocks
 in order, as they are made, so the calls' samples, joined, are the arc's.
 The sink must not modify them.  When a step crosses a set boundary the
-crossing is located on the step fraction, re-integrating the partial step at
-each probe, so every accepted sample respects its set within ``event_tol``; a
-location that gives up short of it is counted on the arc.  Each probe
+crossing is located on the step fraction, under rk4 re-integrating the
+partial step at each probe, under dopri5 on the step's interpolant, so every
+accepted sample respects its set within ``event_tol``; a location that gives
+up short of it is counted on the arc.  Each probe
 interpolates, else takes the secant root, else the midpoint, and the midpoint
 rule brings the bracket to its 1e-16 floor within 2 * 54 + 2 probes;
 ``locate_boundary`` states the rules.  An indicator that is NaN raises
 NonFiniteState.  Everything here is deterministic: the same
 spec, state and config produce bit-identical arcs.
 
-The indicators are evaluated once per state: the pair computed at the end of
-an accepted step is carried into the next iteration, and is recomputed only
-after a jump, a located boundary state, or a projection that moved the
-sample.  A spec whose producer declares ``complementary=True`` promises
-``in_jump_set(x) == -in_flow_set(x)`` exactly, for every x; the engine then
-calls only ``in_flow_set`` and negates it, in line at the end of each trial
-step.  The arc's ``stats`` mapping counts the work done.  ``simulate`` reaches
+The indicators are evaluated once per state checked: the pair computed at
+the end of an accepted step (under dopri5, at its last sample or its end) is
+carried into the next iteration, and is recomputed only after a jump, a
+located boundary state, or a projection that moved the sample.  A spec
+whose producer declares ``complementary=True`` promises ``in_jump_set(x) ==
+-in_flow_set(x)`` exactly, for every x; the engine then calls only
+``in_flow_set`` and negates it, in line at each state a step checks.  The
+arc's ``stats`` mapping counts the work done.  ``simulate`` reaches
 ``step_flow``, ``locate_boundary`` and ``_select_jump`` through this module's
 names, so a tracer that replaces them sees every step.
 """
@@ -79,6 +88,7 @@ import numpy as np
 from .errors import (
     CoverageViolation,
     DimensionMismatch,
+    DomainError,
     EmptyJumpSet,
     NoSignChange,
     NonFiniteState,
@@ -89,6 +99,10 @@ from .errors import (
 TERM_T_MAX = "t_max"
 TERM_J_MAX = "j_max"
 TERM_DEAD_END = "dead_end"
+TERM_STEP_BUDGET = "step_budget"
+
+# Integration methods, SimConfig.method's values.
+METHODS = ("dopri5", "rk4")
 
 # Consecutive zero-flow-time jumps tolerated before a rate warning is issued.
 # This is a diagnostic for near-Zeno behaviour; the hard stop is j_max.
@@ -104,14 +118,36 @@ _MAX_PROBES = 200
 # Most samples in one of simulate's blocks (one call of its sink); at least 2.
 SINK_ROWS = 1024
 
+# The dopri5 step-size rule (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.4): the next step is the last times _SAFETY * err ** -0.2, held to
+# [_SHRINK_MOST, _GROW_MOST], and at most the last right after a rejection;
+# a step whose stage raises a DomainError is halved.  A run may try
+# _STEP_BUDGET steps at its start, per dt of flow time and per jump; one
+# that has tried more by time t after j jumps ends (TERM_STEP_BUDGET): a
+# flow that needs steps that short, over and over, changes faster than the
+# dt grid can show, or is stiff for an explicit pair, and the rule ends it
+# within _STEP_BUDGET * (1 + t_max / dt + j_max) steps.
+_SAFETY = 0.9
+_SHRINK_MOST = 0.2
+_GROW_MOST = 10.0
+_STEP_BUDGET = 4096
+
 # Counters kept on HybridArc.stats, all integers filled by the engine itself.
 #   indicator_evals  calls of in_flow_set / in_jump_set
-#   rk4_steps        RK4 steps, trial steps and locator probes alike
+#   rk4_steps        step_flow calls: under rk4, every step, trial steps and
+#                    locator probes alike (each accepted, unless its end
+#                    crossed a boundary, when a located partial step is
+#                    kept); under dopri5, every step tried, accepted or
+#                    rejected
 #   locate_calls     boundary locations started
-#   locate_probes    partial steps integrated while locating a boundary
+#   locate_probes    probes while locating a boundary: partial RK4 steps
+#                    integrated, or points of the dopri5 step's interpolant
 #   locate_misses    locations that ran out of bracket or of probes with the
 #                    indicator still beyond event_tol
 #   clamps           accepted samples that project_flow moved
+# A dopri5 arc adds rejected_steps, the steps of rk4_steps that were tried
+# and thrown away, for their error or a DomainError at a stage; the rest
+# were accepted.
 STAT_KEYS = ("indicator_evals", "rk4_steps", "locate_calls", "locate_probes",
              "locate_misses", "clamps")
 
@@ -134,11 +170,17 @@ def float_field(name: str, value) -> float:
 class SimConfig:
     """Integrator settings.
 
-    dt         fixed flow step (final step of a segment may be shorter)
+    dt         the sample spacing: under rk4 the fixed flow step (final step
+               of a segment may be shorter), under dopri5 only the grid the
+               interpolant is sampled on, not a bound on the step
     t_max      flow-time horizon
     j_max      jump budget, an int; exceeding it ends the run, it is not an
                error
     event_tol  tolerance on set-indicator values at accepted samples, finite
+    method     "dopri5", error-controlled Dormand-Prince 5(4) steps with
+               dense output, to the tolerances RTOL and ATOL (the default);
+               or "rk4", fixed steps of dt, the reference path that scenario
+               runs (harness) take
 
     dt, t_max and event_tol are stored as Python floats.  Where both sets
     hold, the engine jumps; there is no setting for it.
@@ -148,6 +190,7 @@ class SimConfig:
     t_max: float
     j_max: int = 10_000
     event_tol: float = 1e-10
+    method: str = "dopri5"
 
     def __post_init__(self):
         for name in ("dt", "t_max", "event_tol"):
@@ -161,6 +204,9 @@ class SimConfig:
                 or self.j_max < 0:
             raise ValueError(
                 f"j_max must be a non-negative integer, got {self.j_max!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got "
+                             f"{self.method!r}")
 
 
 @dataclass
@@ -222,7 +268,8 @@ class JumpEvent:
 class HybridArc:
     """A simulated solution: flow segments separated by jumps.
 
-    ``stats`` holds the engine's counts for the run, keyed by STAT_KEYS.
+    ``stats`` holds the engine's counts for the run, keyed by STAT_KEYS,
+    with rejected_steps too for a dopri5 run.
     """
 
     segments: list[FlowSegment]
@@ -278,7 +325,7 @@ def _nan_indicator(indicator: Callable | str, x) -> NonFiniteState:
 _STAGE = """\
     try:
 {body}    except (ValueError, OverflowError):
-        _require_finite([{names}], "RK4 stage state")
+        _require_finite([{names}], "{method} stage state")
         raise
 """
 
@@ -291,6 +338,47 @@ _RK4 = (
     {"a": (), "b": (("half", "a"),), "c": (("half", "b"),), "d": (("h", "c"),)},
     ("h / 6.0", (1, 2, 2, 1)),
 )
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): each stage's coefficients on the earlier stages' rates, the last
+# stage's state being the fifth-order result, whose rate is the next step's
+# first (FSAL); the error weights, fifth- less fourth-order; and the weights
+# of the continuous extension's last coefficient (Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.6, as in their dopri5).
+_DP_STAGES = (
+    (), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_ERROR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+             22 / 525, -1 / 40)
+_DP_DENSE = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+             -10690763975 / 1880347072, 701980252875 / 199316789632,
+             -1453857185 / 822651844, 69997945 / 29380423)
+
+
+def _dopri5_tableau() -> tuple:
+    """_DP_STAGES, _DP_ERROR and _DP_DENSE in _RK4's form, over stages a to
+    g: no scales; each stage with its (coefficient, earlier rate prefix)
+    terms, the coefficient a float literal and h a common factor; and, in
+    place of the weights, the error combination q and the dense
+    combination r.  Each quotient of integers is correctly rounded."""
+    def terms(coefs) -> tuple:
+        return tuple((repr(c), p) for p, c in zip("abcdefg", coefs) if c)
+
+    return ({}, dict(zip("abcdefg", map(terms, _DP_STAGES))),
+            {"q": terms(_DP_ERROR), "r": terms(_DP_DENSE)})
+
+
+_DOPRI5 = _dopri5_tableau()
+
+# The error tolerances of a dopri5 step, relative and absolute: a step is
+# accepted when the root mean square over the entries of its error estimate,
+# each over ATOL + RTOL * max(|x_i|, |y_i|), is at most 1.  Chosen from
+# tools/converged_reference.py's table (README, CHANGES.md).
+RTOL = 1e-10
+ATOL = 1e-12
 
 # The flow body of the kernel that calls a flow map f of width {n}: it takes
 # f's output as a list (tolist for an ndarray), and an output that fails to
@@ -308,62 +396,137 @@ except ValueError:
 """
 
 
-def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...]) -> str:
+def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...],
+               tableau: tuple = _RK4) -> str:
     """The source that defines ``flow(v)`` and ``kernel(f, x, h)``, the step
-    of the _RK4 tableau over lists of n = len(state) Python floats, as
-    straight-line code with the body run in place at each stage.
+    of ``tableau`` (_RK4 or _DOPRI5) over lists of n = len(state) Python
+    floats, as straight-line code with the body run in place at each stage.
 
     Each stage state and the result follow, entry by entry, the order of
-    operations of the tableau's vector formula, so the step is bit-identical
-    to it.  x is unpacked into locals and the result is a list display, so a
-    step runs no per-entry loop.  The result is checked through the sum e of
-    its entries: a sum of finite floats is finite or overflows to inf, and an
-    inf or NaN entry makes it inf or NaN, so the entries are checked one by
-    one, raising NonFiniteState, only when ``e - e`` is not zero.
+    operations of the tableau's vector formula, so the RK4 step is
+    bit-identical to it.  x is unpacked into locals and the result is a list
+    display, so a step runs no per-entry loop.  The result is checked
+    through the sum e of its entries: a sum of finite floats is finite or
+    overflows to inf, and an inf or NaN entry makes it inf or NaN, so the
+    entries are checked one by one, raising NonFiniteState, only when
+    ``e - e`` is not zero.
+
+    The _DOPRI5 kernel is ``kernel(f, x, h, rate=None)``: ``rate``, the
+    rates at x when the caller holds them (the last step's FSAL stage),
+    spares the first stage.  It returns the fifth-order result y, the rates
+    at y, the error ratio (the root mean square of the error estimate over
+    ATOL + RTOL * max(|x_i|, |y_i|); at most 1 accepts the step) and the
+    continuous extension's coefficients, four per entry, that
+    _dense_kernel's ``dense`` reads.
     """
-    scales, stages, (factor, weights) = _RK4
+    scales, stages, weights = tableau
+    fsal = type(weights) is dict
     n = len(state)
     names = ", ".join(state)
     body = body.rstrip() + "\n"
-    staged = _STAGE.format(body=textwrap.indent(body, " " * 8), names=names)
+    staged = _STAGE.format(body=textwrap.indent(body, " " * 8), names=names,
+                           method="DOPRI5" if fsal else "RK4")
 
     def listed(prefix, sep=", "):
         return sep.join(f"{prefix}{i}" for i in range(n))
 
+    def combined(v, i, terms, base=None):
+        """v = base plus the terms at entry i; under FSAL, h times their sum."""
+        sums = [f"{c} * {p}{i}" for c, p in terms]
+        if fsal and sums:
+            sums = [f"h * ({' + '.join(sums)})"]
+        return f"    {v} = " + " + ".join([base] * (base is not None) + sums) + "\n"
+
     code = [f"    [{listed('x')}] = x\n"]
     code += (f"    {name} = {value}\n" for name, value in scales.items())
     for k, terms in stages.items():
-        code += (f"    {v} = x{i}" + "".join(f" + {c} * {p}{i}" for c, p in terms)
-                 + "\n" for i, v in enumerate(state))
-        code.append(staged)
-        code += (f"    {k}{i} = {r}\n" for i, r in enumerate(rates))
-    code.append(f"    w = {factor}\n")
-    code += (f"    y{i} = x{i} + w * (" + " + ".join(
-        f"{k}{i}" if b == 1 else f"{float(b)!r} * {k}{i}"
-        for k, b in zip(stages, weights)) + ")\n" for i in range(n))
+        stage = [combined(v, i, terms, f"x{i}") for i, v in enumerate(state)]
+        stage.append(staged)
+        stage += (f"    {k}{i} = {r}\n" for i, r in enumerate(rates))
+        if fsal and not terms:
+            code += ["    if rate is None:\n",
+                     textwrap.indent("".join(stage), "    "),
+                     f"    else:\n        [{listed(k)}] = rate\n"]
+        else:
+            code += stage
+    if fsal:
+        last = list(stages)[-1]
+        for v, terms in weights.items():
+            code += (combined(f"{v}{i}", i, terms) for i in range(n))
+        code += (f"    p{i} = {v} - x{i}\n    m{i} = h * a{i} - p{i}\n"
+                 f"    u{i} = abs(x{i})\n    w{i} = abs({v})\n"
+                 f"    if u{i} < w{i}:\n        u{i} = w{i}\n"
+                 f"    w{i} = q{i} / ({ATOL!r} + {RTOL!r} * u{i})\n"
+                 for i, v in enumerate(state))
+        out = f"[{names}]"
+        tail = ("    err = sqrt((" + " + ".join(f"w{i} * w{i}" for i in range(n))
+                + f") / {float(n)!r})\n"
+                "    return out, [" + listed(last) + "], err, ["
+                + ", ".join(f"p{i}, m{i}, p{i} - h * {last}{i} - m{i}, r{i}"
+                            for i in range(n)) + "]\n")
+        check = " + ".join(state)
+    else:
+        factor, weights = weights
+        code.append(f"    w = {factor}\n")
+        code += (f"    y{i} = x{i} + w * (" + " + ".join(
+            f"{k}{i}" if b == 1 else f"{float(b)!r} * {k}{i}"
+            for k, b in zip(stages, weights)) + ")\n" for i in range(n))
+        out, tail, check = f"[{listed('y')}]", "    return out\n", listed("y", " + ")
+    signature = "f, x, h, rate=None" if fsal else "f, x, h"
     return (f"def flow(v):\n    [{names}] = v\n"
             + textwrap.indent(body, "    ")
             + f"    return [{', '.join(rates)}]\n\n\n"
-            "def kernel(f, x, h):\n" + "".join(code)
-            + f"    out = [{listed('y')}]\n"
-            f"    e = {listed('y', ' + ')}\n"
+            f"def kernel({signature}):\n" + "".join(code)
+            + f"    out = {out}\n"
+            f"    e = {check}\n"
             "    if e - e != 0.0:\n"
             '        _require_finite(out, "flow step output (h={:g})", h)\n'
-            "    return out\n")
+            + tail)
+
+
+def _call_kernel(n: int, tableau: tuple) -> Callable:
+    """The ``tableau`` step whose flow body, _CALL_BODY, calls the flow map
+    f at each stage, compiled for width n outside compile_source's cache."""
+    state = tuple(f"s{i}" for i in range(n))
+    rates = tuple(f"k{i}" for i in range(n))
+    body = _CALL_BODY.format(state=", ".join(state), rates=", ".join(rates), n=n)
+    namespace = {"_require_finite": _require_finite, "sqrt": math.sqrt,
+                 "DimensionMismatch": DimensionMismatch, "ndarray": np.ndarray}
+    exec(compile(_flow_code(state, body, rates, tableau),
+                 f"<flow body, width {n}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 @functools.cache
 def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]:
-    """The _RK4 step whose flow body, _CALL_BODY, calls the flow map f at
-    each stage, compiled once per width n outside compile_source's cache."""
-    state = tuple(f"s{i}" for i in range(n))
-    rates = tuple(f"k{i}" for i in range(n))
-    body = _CALL_BODY.format(state=", ".join(state), rates=", ".join(rates), n=n)
-    namespace = {"_require_finite": _require_finite,
-                 "DimensionMismatch": DimensionMismatch, "ndarray": np.ndarray}
-    exec(compile(_flow_code(state, body, rates), f"<flow body, width {n}>",
-                 "exec"), namespace)
-    return namespace["kernel"]
+    """The _RK4 step whose flow body calls the flow map f (_call_kernel),
+    compiled once per width n."""
+    return _call_kernel(n, _RK4)
+
+
+@functools.cache
+def _dopri5_kernel(n: int) -> Callable:
+    """The _DOPRI5 step whose flow body calls the flow map f (_call_kernel),
+    compiled once per width n: ``kernel(f, x, h, rate=None)``, returning
+    (y, rates at y, error ratio, dense coefficients) (_flow_code)."""
+    return _call_kernel(n, _DOPRI5)
+
+
+@functools.cache
+def _dense_kernel(n: int) -> Callable[[list[float], list[float], float], list[float]]:
+    """``dense(x, cont, s)``: the continuous extension of the dopri5 step from
+    x with coefficients cont (the kernel's last output) at the fraction s of
+    the step, x + s (p + (1 - s) (m + s (o + (1 - s) r))) entry by entry,
+    as straight-line code; s = 0 gives x."""
+    state = ", ".join(f"x{i}" for i in range(n))
+    entries = ", ".join(f"p{i}, m{i}, o{i}, r{i}" for i in range(n))
+    source = (f"def dense(x, cont, s):\n    [{state}] = x\n"
+              f"    [{entries}] = cont\n    u = 1.0 - s\n    return ["
+              + ", ".join(f"x{i} + s * (p{i} + u * (m{i} + s * (o{i} + u * r{i})))"
+                          for i in range(n)) + "]\n")
+    namespace = {}
+    exec(compile(source, f"<dense output, width {n}>", "exec"), namespace)
+    return namespace["dense"]
 
 
 def literal_source(text: str, constants: dict) -> str:
@@ -429,19 +592,39 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     return flow
 
 
-def step_flow(spec: HybridSystemSpec, x, h: float) -> list[float]:
+def step_kernel(spec: HybridSystemSpec, method: str = "rk4") -> Callable:
+    """The step of ``method`` along spec's flow map, for step_flow's
+    ``kernel``.  For rk4, ``kernel(x, h)``: the flow map's own inlined step
+    (compile_flow) when it has one, else the step whose flow body calls it
+    (_rk4_kernel).  For dopri5, ``kernel(x, h, rate=None)``, the
+    _dopri5_kernel step that calls the flow map, even one compile_flow
+    built."""
+    f = spec.flow_map
+    if method == "dopri5":
+        return functools.partial(_dopri5_kernel(spec.dim), f)
+    step = getattr(f, "rk4_step", None)
+    if step is not None and step.__self__ is f:
+        return step
+    return functools.partial(_rk4_kernel(spec.dim), f)
+
+
+def step_flow(spec: HybridSystemSpec, x, h: float, *,
+              kernel: Callable | None = None, rate: list[float] | None = None):
     """One explicit step of the _RK4 tableau of size h along the flow map, as
     a list: the flow map's own inlined step (compile_flow) when it has one,
-    else the step whose flow body calls it (_rk4_kernel)."""
+    else the step whose flow body calls it (_rk4_kernel).
+
+    A caller that resolved the step once (step_kernel) passes it as
+    ``kernel``, with x a list of dim floats and h positive and finite, which
+    are then not checked; a dopri5 kernel's return (_flow_code) is returned
+    as is, and ``rate``, the rates at x when known, is passed on to it."""
+    if kernel is not None:
+        return kernel(x, h) if rate is None else kernel(x, h, rate)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
     if type(x) is not list or len(x) != spec.dim:
         x = _state(x, spec.dim, "state")
-    f = spec.flow_map
-    step = getattr(f, "rk4_step", None)
-    if step is not None and step.__self__ is f:
-        return step(x, h)
-    return _rk4_kernel(spec.dim)(f, x, h)
+    return step_kernel(spec)(x, h)
 
 
 def _inverse_quadratic(a: float, f_a: float, b: float, f_b: float,
@@ -462,11 +645,15 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
                     x_hi: list[float] | None = None,
                     f_lo: float | None = None,
                     f_hi: float | None = None,
-                    stats: dict[str, int] | None = None) -> tuple[list[float], float]:
+                    stats: dict[str, int] | None = None,
+                    path: Callable[[float], list[float]] | None = None
+                    ) -> tuple[list[float], float]:
     """Find the boundary crossing of ``indicator`` within one flow step.
 
     Searches the step fraction in [0, 1], re-integrating the partial RK4
-    step from ``x_inside`` at each probe, until the indicator magnitude at
+    step from ``x_inside`` at each probe, or, given ``path``, taking the
+    state ``path(s)`` at fraction s (simulate passes a dopri5 step's
+    interpolant, with h the span it covers), until the indicator magnitude at
     the probe state is within ``event_tol``.  Three rules place a probe.
     It goes to Brent's inverse quadratic interpolant through the bracket
     ends and the end the previous probe replaced, at their true indicator
@@ -503,8 +690,11 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     if abs(f_lo) <= event_tol:
         return x_inside, 0.0
     if x_hi is None:
-        x_hi = step_flow(spec, x_inside, h)
-        stats["rk4_steps"] += 1
+        if path is None:
+            x_hi = step_flow(spec, x_inside, h)
+            stats["rk4_steps"] += 1
+        else:
+            x_hi = path(1.0)
         stats["locate_probes"] += 1
     else:
         x_hi = _state(x_hi, spec.dim, "x_hi")
@@ -535,9 +725,12 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
                 s = hi - f_hi * width / (f_hi - f_lo)
                 if not lo < s < hi:
                     s = 0.5 * (lo + hi)
-        x_s = step_flow(spec, x_inside, s * h)
+        if path is None:
+            x_s = step_flow(spec, x_inside, s * h)
+            stats["rk4_steps"] += 1
+        else:
+            x_s = path(s)
         f_s = float(indicator(x_s))
-        stats["rk4_steps"] += 1
         stats["locate_probes"] += 1
         stats["indicator_evals"] += 1
         if f_s != f_s:
@@ -603,18 +796,37 @@ def _indicator_pair(spec: HybridSystemSpec, v: list[float],
     return f, g
 
 
+def _interpolant(dense: Callable, x: list[float], cont: list[float],
+                 s0: float, s1: float) -> Callable[[float], list[float]]:
+    """locate_boundary's path over the dopri5 step from x with coefficients
+    cont between its fractions s0 (u = 0) and s1 (u = 1)."""
+    return lambda u: dense(x, cont, s0 + u * (s1 - s0))
+
+
 def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
              sink: Callable[[int, np.ndarray, np.ndarray], object] | None = None
              ) -> HybridArc:
     """Integrate the hybrid system from x0 over hybrid time.
 
     The run ends when flow time reaches ``cfg.t_max``, when one more jump
-    would exceed ``cfg.j_max``, or at a dead end where the state can neither
-    flow (the flow field exits the flow set immediately) nor jump.  All three
-    are normal terminations, recorded on the arc.  A state outside both sets
-    raises CoverageViolation.  ``sink``, when given, is called with each
-    block of samples as the run makes it (see the module docstring); an
-    error it raises ends the run.
+    would exceed ``cfg.j_max``, at a dead end where the state can neither
+    flow (the flow field exits the flow set immediately) nor jump, or, under
+    dopri5, when the steps tried outrun the step budget (_STEP_BUDGET; a
+    note says where).  All are normal terminations,
+    recorded on the arc.  A state outside both sets raises CoverageViolation.
+    ``sink``, when given, is called with each block of samples as the run
+    makes it (see the module docstring); an error it raises ends the run.
+
+    Under rk4 each step of dt (the last one shorter, to end at t_max) is
+    checked against both sets at its end, and kept as a sample.  Under
+    dopri5 the steps are error-controlled (RTOL, ATOL); a step whose stage
+    raises a DomainError is rejected and halved.  Each accepted step's
+    samples on the dt grid (a sample dt after the last, or t_max) come from
+    its interpolant, each is projected and checked against both sets, and
+    so is the step's end when it is not a sample, as the next step's start;
+    so a crossing is bracketed inside one step, and located on its
+    interpolant.  Under either method, simulate reaches each step, location
+    and jump selection through step_flow, locate_boundary and _select_jump.
     """
     dim = spec.dim
     x = _state(np.ravel(x0), dim, "x0")
@@ -627,8 +839,9 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     in_jump_set = spec.in_jump_set
     project_flow = spec.project_flow
     complementary = spec.complementary
+    kernel = step_kernel(spec, cfg.method)
     stats = _new_stats()
-    # Trial steps; each also evaluates the indicators once at its end.
+    # Steps tried; under rk4 each also evaluates the indicators once at its end.
     steps = 0
 
     # (fi, ji) are the indicators at x; None once x has moved to a state
@@ -666,95 +879,255 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
         ts, xs = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
         segments.append(FlowSegment(j, ts, xs))
 
-    while True:
-        if fi is None:
-            fi, ji = _indicator_pair(spec, x, stats)
-        if ji <= tol:
-            if j >= cfg.j_max:
-                termination = TERM_J_MAX
-                break
-            x_post, n_cand = _select_jump(spec, x, tol, ji=ji)
-            jumps.append(JumpEvent(t=t, j_pre=j, x_pre=np.array(x, dtype=float),
-                                   x_post=x_post.copy(), n_candidates=n_cand))
-            close_segment()
-            j += 1
-            x = x_post.tolist()
-            fi = ji = None
-            seg_t = [t]
-            seg_x = x.copy()
-            blocks = []
-            consecutive_jumps += 1
-            if consecutive_jumps > ZENO_WARN_AFTER and not zeno_warned:
-                msg = (f"{consecutive_jumps} consecutive jumps without flow-time "
-                       f"progress at t={t:.6g}; solution may be Zeno")
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
-                notes.append(msg)
-                zeno_warned = True
-            continue
-        consecutive_jumps = 0
+    # The defaults keep spec, tol, project_flow and stats plain locals of
+    # simulate, not cells shared with these functions.
+    def jump(x: list[float], t: float, ji: float, spec=spec,
+             tol=tol) -> list[float]:
+        """Jump from x at time t, where the jump indicator is ji: record it,
+        close the segment and open the next; returns the post-state."""
+        nonlocal j, seg_t, seg_x, blocks, consecutive_jumps, zeno_warned
+        x_post, n_cand = _select_jump(spec, x, tol, ji=ji)
+        jumps.append(JumpEvent(t=t, j_pre=j, x_pre=np.array(x, dtype=float),
+                               x_post=x_post.copy(), n_candidates=n_cand))
+        # A segment that kept a sample after its first has flowed.
+        consecutive_jumps = 1 if blocks or len(seg_t) > 1 else consecutive_jumps + 1
+        close_segment()
+        j += 1
+        x = x_post.tolist()
+        seg_t = [t]
+        seg_x = x.copy()
+        blocks = []
+        if consecutive_jumps > ZENO_WARN_AFTER and not zeno_warned:
+            msg = (f"{consecutive_jumps} consecutive jumps without flow-time "
+                   f"progress at t={t:.6g}; solution may be Zeno")
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+            notes.append(msg)
+            zeno_warned = True
+        return x
 
-        if fi > tol:
-            raise CoverageViolation(
-                f"state in neither set at t={t:.6g}, j={j} "
-                f"(flow {fi:.6g}, jump {ji:.6g})")
-        if t >= t_stop:
-            termination = TERM_T_MAX
-            break
-
-        h = t_max - t
-        if not h < dt:
-            h = dt
-        x_trial = step_flow(spec, x, h)
-        steps += 1
-        fi_trial = float(in_flow_set(x_trial))
-        if fi_trial != fi_trial:
-            raise _nan_indicator("in_flow_set", x_trial)
-        if complementary:
-            ji_trial = -fi_trial
-        else:
-            ji_trial = float(in_jump_set(x_trial))
-            if ji_trial != ji_trial:
-                raise _nan_indicator("in_jump_set", x_trial)
-
-        indicator = None
-        if ji_trial <= -tol:
-            # Entered the jump set mid-step: stop at the earliest entry point.
-            indicator, f_lo, f_hi = in_jump_set, ji, ji_trial
-        elif fi_trial > tol:
-            # Left the flow set mid-step: stop on its boundary.
-            indicator, f_lo, f_hi = in_flow_set, fi, fi_trial
-
-        if indicator is None:
-            x_new, t_new = x_trial, t + h
-            fi, ji = fi_trial, ji_trial
-        else:
-            x_b, frac = locate_boundary(spec, x, h, indicator, tol, x_hi=x_trial,
-                                        f_lo=f_lo, f_hi=f_hi, stats=stats)
-            if frac * h <= _PROGRESS_EPS:
-                # No flow from a boundary state outside the jump set: x, fi
-                # and ji are unchanged, so the solution cannot be continued.
-                termination = TERM_DEAD_END
-                break
-            x_new, t_new = x_b, t + frac * h
-            fi = ji = None
-
+    def keep(t: float, x: list[float], project_flow=project_flow,
+             stats=stats) -> list[float]:
+        """Keep the dopri5 sample x at time t, projected; returns the kept
+        state, x itself unless the projection moved it."""
+        nonlocal seg_t, seg_x
         if project_flow is not None:
-            # A projection that hands back its input object did not move it.
-            x_proj = project_flow(x_new)
-            if x_proj is not x_new and not np.array_equal(x_proj, x_new):
+            x_proj = project_flow(x)
+            if x_proj is not x and not np.array_equal(x_proj, x):
                 stats["clamps"] += 1
-                x_new = _state(x_proj, dim, "projected state")
-                fi = ji = None
-        x = x_new
-        t = t_new
+                x = _state(x_proj, dim, "projected state")
         seg_t.append(t)
         seg_x += x
-        if len(seg_t) == rows:
+        if len(seg_t) == SINK_ROWS:
             add_block()
             seg_t, seg_x = [], []
+        return x
+
+    # One loop per method, so that the rk4 loop takes no test of the method
+    # per sample.
+    if cfg.method == "rk4":
+        while True:
+            if fi is None:
+                fi, ji = _indicator_pair(spec, x, stats)
+            if ji <= tol:
+                if j >= cfg.j_max:
+                    termination = TERM_J_MAX
+                    break
+                x = jump(x, t, ji)
+                fi = ji = None
+                continue
+
+            if fi > tol:
+                raise CoverageViolation(
+                    f"state in neither set at t={t:.6g}, j={j} "
+                    f"(flow {fi:.6g}, jump {ji:.6g})")
+            if t >= t_stop:
+                termination = TERM_T_MAX
+                break
+
+            h = t_max - t
+            if not h < dt:
+                h = dt
+            x_trial = step_flow(spec, x, h, kernel=kernel)
+            steps += 1
+            fi_trial = float(in_flow_set(x_trial))
+            if fi_trial != fi_trial:
+                raise _nan_indicator("in_flow_set", x_trial)
+            if complementary:
+                ji_trial = -fi_trial
+            else:
+                ji_trial = float(in_jump_set(x_trial))
+                if ji_trial != ji_trial:
+                    raise _nan_indicator("in_jump_set", x_trial)
+
+            indicator = None
+            if ji_trial <= -tol:
+                # Entered the jump set mid-step: stop at the earliest entry point.
+                indicator, f_lo, f_hi = in_jump_set, ji, ji_trial
+            elif fi_trial > tol:
+                # Left the flow set mid-step: stop on its boundary.
+                indicator, f_lo, f_hi = in_flow_set, fi, fi_trial
+
+            if indicator is None:
+                x_new, t_new = x_trial, t + h
+                fi, ji = fi_trial, ji_trial
+            else:
+                x_b, frac = locate_boundary(spec, x, h, indicator, tol, x_hi=x_trial,
+                                            f_lo=f_lo, f_hi=f_hi, stats=stats)
+                if frac * h <= _PROGRESS_EPS:
+                    # No flow from a boundary state outside the jump set: x, fi
+                    # and ji are unchanged, so the solution cannot be continued.
+                    termination = TERM_DEAD_END
+                    break
+                x_new, t_new = x_b, t + frac * h
+                fi = ji = None
+
+            if project_flow is not None:
+                # A projection that hands back its input object did not move it.
+                x_proj = project_flow(x_new)
+                if x_proj is not x_new and not np.array_equal(x_proj, x_new):
+                    stats["clamps"] += 1
+                    x_new = _state(x_proj, dim, "projected state")
+                    fi = ji = None
+            x = x_new
+            t = t_new
+            seg_t.append(t)
+            seg_x += x
+            if len(seg_t) == rows:
+                add_block()
+                seg_t, seg_x = [], []
+        checks = steps
+    else:
+        dense = _dense_kernel(dim)
+        h = dt          # the next step to try
+        grow = True     # False right after a rejection: the next step may not grow
+        rate = None     # the flow map at x, when the last step's FSAL stage holds it
+        t_kept = t      # the time of the last sample kept
+        rejected = 0
+        checks = 0      # states checked against the sets after a step
+        while True:
+            if fi is None:
+                fi, ji = _indicator_pair(spec, x, stats)
+            if ji <= tol:
+                if j >= cfg.j_max:
+                    termination = TERM_J_MAX
+                    break
+                x = jump(x, t, ji)
+                fi = ji = rate = None
+                t_kept = t
+                continue
+
+            if fi > tol:
+                raise CoverageViolation(
+                    f"state in neither set at t={t:.6g}, j={j} "
+                    f"(flow {fi:.6g}, jump {ji:.6g})")
+            if t >= t_stop:
+                termination = TERM_T_MAX
+                break
+            if steps >= _STEP_BUDGET * (1.0 + t / dt + j):
+                termination = TERM_STEP_BUDGET
+                notes.append(f"{steps} steps tried by t={t:.6g} after {j} "
+                             f"jump(s), the last asking for h={h:.6g}: over "
+                             f"the budget of {_STEP_BUDGET} per dt={dt:g} of "
+                             "flow time, per jump and at the start")
+                if t > t_kept:
+                    keep(t, x)
+                break
+
+            hs = t_max - t
+            last = not hs > h  # the step ends the run at t_max
+            if not last:
+                hs = h
+            try:
+                y, rate_y, err, cont = step_flow(spec, x, hs, kernel=kernel,
+                                                 rate=rate)
+            except DomainError:
+                steps += 1
+                rejected += 1
+                h = 0.5 * hs
+                grow = False
+                continue
+            steps += 1
+            if not err <= 1.0:  # NaN too
+                rejected += 1
+                h = hs * max(_SHRINK_MOST, _SAFETY * err ** -0.2)
+                grow = False
+                continue
+            fac = _GROW_MOST if err == 0.0 else min(_GROW_MOST,
+                                                    _SAFETY * err ** -0.2)
+            h = hs * (fac if grow or fac < 1.0 else 1.0)
+            grow = True
+
+            # Check the step's samples, then its end, from lo, the last state
+            # checked: stop at a crossing, a jump due, a projection that moved
+            # a sample, or the end.
+            t1 = t_max if last else t + hs
+            lo_x, lo_t, lo_f, lo_g = x, t, fi, ji
+            while True:
+                gap = t_max - t_kept
+                tc = t_kept + (gap if gap < dt else dt)
+                if tc < t1:
+                    xc = dense(x, cont, (tc - t) / hs)
+                    sample = True
+                else:
+                    xc = y
+                    sample = last or tc == t1
+                    if not sample:
+                        tc = t1
+                f_c = float(in_flow_set(xc))
+                if f_c != f_c:
+                    raise _nan_indicator("in_flow_set", xc)
+                if complementary:
+                    g_c = -f_c
+                else:
+                    g_c = float(in_jump_set(xc))
+                    if g_c != g_c:
+                        raise _nan_indicator("in_jump_set", xc)
+                checks += 1
+
+                if g_c <= -tol or f_c > tol:
+                    # Crossed since lo: locate the crossing on the interpolant,
+                    # into the jump set first, as under rk4.
+                    if g_c <= -tol:
+                        indicator, f_lo, f_hi = in_jump_set, lo_g, g_c
+                    else:
+                        indicator, f_lo, f_hi = in_flow_set, lo_f, f_c
+                    path = _interpolant(dense, x, cont, (lo_t - t) / hs,
+                                        1.0 if xc is y else (tc - t) / hs)
+                    x_b, frac = locate_boundary(spec, lo_x, tc - lo_t, indicator,
+                                                tol, x_hi=xc, f_lo=f_lo, f_hi=f_hi,
+                                                stats=stats, path=path)
+                    if frac * (tc - lo_t) <= _PROGRESS_EPS:
+                        # No flow from lo, a boundary state outside the jump set.
+                        termination = TERM_DEAD_END
+                        if lo_t > t_kept:
+                            keep(lo_t, lo_x)
+                        break
+                    t = lo_t + frac * (tc - lo_t)
+                    x = keep(t, x_b)
+                    t_kept = t
+                    fi = ji = rate = None
+                    break
+                if not (sample or g_c <= tol):
+                    # The step's end, inside the flow set: the next step's start.
+                    x, t, fi, ji, rate = y, t1, f_c, g_c, rate_y
+                    break
+                x_kept = keep(tc, xc)
+                t_kept = tc
+                if x_kept is not xc or g_c <= tol or xc is y:
+                    x, t = x_kept, tc
+                    if x_kept is xc:
+                        fi, ji = f_c, g_c
+                        rate = rate_y if xc is y else None
+                    else:
+                        fi = ji = rate = None
+                    break
+                lo_x, lo_t, lo_f, lo_g = xc, tc, f_c, g_c
+            if termination == TERM_DEAD_END:
+                break
+        stats["rejected_steps"] = rejected
 
     close_segment()
     stats["rk4_steps"] += steps
-    stats["indicator_evals"] += steps if complementary else 2 * steps
+    stats["indicator_evals"] += checks if complementary else 2 * checks
     return HybridArc(segments=segments, jumps=jumps, termination=termination,
                      stats=stats, notes=notes)

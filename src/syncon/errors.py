@@ -41,7 +41,14 @@ class GainValidation(SynconError):
     """Navigation gains violate an admissibility bound."""
 
 
-class NonPositiveDistance(SynconError):
+class DomainError(SynconError):
+    """A map was evaluated at a state outside the domain it is defined on.
+
+    An error-controlled step (engine.simulate under ``dopri5``) whose stage
+    raises one is rejected and retried shorter."""
+
+
+class NonPositiveDistance(DomainError):
     """Barrier evaluation at a distance that is zero or negative."""
 
 

@@ -325,6 +325,12 @@ def bound_violations(world: NavigationWorld, gains: NavGains,
     return lines
 
 
+# Every scenario runs on the fixed-step reference path, whatever the
+# engine's default: the shipped configs' CSVs, reference endpoints and
+# acceptance figures are RK4's.  A config file cannot choose the method.
+SCENARIO_METHOD = "rk4"
+
+
 def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     """Validate a raw scenario mapping; raises ValidationError on any defect."""
     if not isinstance(raw, dict):
@@ -342,6 +348,8 @@ def parse_config(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     smoothed = _make(SmoothedParams, "gains", values, problems)
     backstep = _make(BacksteppingParams, "gains", values, problems)
     sim = _make(SimConfig, "sim", values, problems)
+    if sim is not None:
+        sim = dataclasses.replace(sim, method=SCENARIO_METHOD)
     initial = _make(InitialState, "initial", values, problems)
     if world is not None and gains is not None:
         problems.extend(f"gains: {line}" for line in
@@ -515,9 +523,16 @@ def _fields(cfg: ScenarioConfig, channels, j: int, ts: np.ndarray,
 
 def _record(cfg: ScenarioConfig, gap: float | None, arc: HybridArc,
             blocks: list) -> RunRecord:
-    """cfg's run record, joined from its arc's blocks of fields; wall time unset."""
-    fields = {name: None if parts[0] is None else np.concatenate(parts)
-              for name, parts in zip(_RECORD_FIELDS, zip(*blocks))}
+    """cfg's run record, joined from its arc's blocks of fields, which it
+    empties; wall time unset.  Fields are joined one at a time, each
+    field's parts dropped once joined, so the record's samples do not exist
+    twice at the join."""
+    columns = [list(parts) for parts in zip(*blocks)]
+    blocks.clear()
+    fields = {}
+    for name, parts in zip(_RECORD_FIELDS, columns):
+        fields[name] = None if parts[0] is None else np.concatenate(parts)
+        parts.clear()
     V, mu = fields["V"], fields["mu"]
     jump_rows = []
     if arc.jumps:

@@ -390,7 +390,8 @@ def test_criterion_9_integrator_order_and_determinism(records, tmp_path):
     )
     errs = []
     for dt in (0.05, 0.025):
-        arc = simulate(spec, np.array([1.0]), SimConfig(dt=dt, t_max=1.0))
+        arc = simulate(spec, np.array([1.0]),
+                       SimConfig(dt=dt, t_max=1.0, method="rk4"))
         errs.append(abs(float(arc.final_state[0]) - math.e))
     ratio = errs[0] / errs[1]
     ok_order = 8.0 <= ratio <= 32.0

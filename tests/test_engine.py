@@ -1,17 +1,19 @@
 """Unit tests for the fixed-step hybrid integration engine."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, load_tool
 from syncon import engine
 from syncon.engine import (
     STAT_KEYS,
     TERM_DEAD_END,
     TERM_J_MAX,
+    TERM_STEP_BUDGET,
     TERM_T_MAX,
     HybridSystemSpec,
     SimConfig,
@@ -26,9 +28,16 @@ from syncon.errors import (
     EmptyJumpSet,
     NoSignChange,
     NonFiniteState,
+    NonPositiveDistance,
     NotInJumpSet,
 )
-from syncon.harness import build_closed_loop, initial_packed_state, load_config
+from syncon.harness import (
+    build_closed_loop,
+    initial_packed_state,
+    load_config,
+    parse_config,
+)
+from syncon.synergy import assemble_closed_loop
 
 
 def pure_flow_spec(f, project=None):
@@ -318,7 +327,7 @@ def test_segments_hold_c_contiguous_float64_states():
     holding the states in sample order: on a width-1 clock whose first
     segment is one sample (a jump at t = 0), and on a width-2 thermostat."""
     clock = simulate(reset_clock_spec(), np.array([1.0]),
-                     SimConfig(dt=0.25, t_max=2.0))
+                     SimConfig(dt=0.25, t_max=2.0, method="rk4"))
     thermo = simulate(thermostat_spec(), np.array([1.0, 1.0]),
                       SimConfig(dt=0.05, t_max=1.0))
     assert len(clock.segments[0].ts) == 1 and clock.jumps[0].t == 0.0
@@ -357,7 +366,8 @@ def test_segment_states_equal_a_step_flow_replay(dim):
     of the jump before it."""
     spec = double_reset_spec(dim)
     x0 = [0.0] + [0.5 * i - 1.0 for i in range(1, dim)]
-    arc = simulate(spec, np.array(x0), SimConfig(dt=0.25, t_max=2.5))
+    arc = simulate(spec, np.array(x0), SimConfig(dt=0.25, t_max=2.5,
+                                                 method="rk4"))
     assert [len(seg.ts) for seg in arc.segments] == [5, 1, 5, 1, 3]
     for k, seg in enumerate(arc.segments):
         xs = seg.xs
@@ -450,7 +460,8 @@ def test_pure_flow_growth_error_shrinks_fourth_order():
     spec = pure_flow_spec(lambda v: v)
     errs = []
     for dt in (0.05, 0.025):
-        arc = simulate(spec, np.array([1.0]), SimConfig(dt=dt, t_max=1.0))
+        arc = simulate(spec, np.array([1.0]), SimConfig(dt=dt, t_max=1.0,
+                                                        method="rk4"))
         assert arc.termination == TERM_T_MAX
         assert abs(arc.segments[-1].ts[-1] - 1.0) <= 1e-12
         errs.append(abs(float(arc.final_state[0]) - math.e))
@@ -479,16 +490,17 @@ def test_zero_horizon_returns_initial_state():
 
 
 def test_jump_chain_halves_until_budget():
-    arc = simulate(always_jump_spec(), np.array([1.0]),
-                   SimConfig(dt=0.1, t_max=1.0, j_max=5))
-    assert arc.termination == TERM_J_MAX
-    assert arc.n_jumps == 5
-    assert arc.segments[-1].j == 5
-    assert abs(float(arc.final_state[0]) - 1.0 / 32.0) <= 1e-15
-    for k, ev in enumerate(arc.jumps):
-        assert ev.t == 0.0
-        assert ev.j_pre == k
-        assert ev.n_candidates == 1
+    for method in engine.METHODS:
+        arc = simulate(always_jump_spec(), np.array([1.0]),
+                       SimConfig(dt=0.1, t_max=1.0, j_max=5, method=method))
+        assert arc.termination == TERM_J_MAX
+        assert arc.n_jumps == 5
+        assert arc.segments[-1].j == 5
+        assert abs(float(arc.final_state[0]) - 1.0 / 32.0) <= 1e-15
+        for k, ev in enumerate(arc.jumps):
+            assert ev.t == 0.0
+            assert ev.j_pre == k
+            assert ev.n_candidates == 1
 
 
 def test_zeno_chain_warns_after_a_hundred_instant_jumps():
@@ -544,8 +556,10 @@ def test_initial_state_outside_both_sets_raises():
         in_flow_set=lambda v: 1.0,
         in_jump_set=lambda v: 1.0,
     )
-    with pytest.raises(CoverageViolation):
-        simulate(spec, np.array([0.0]), SimConfig(dt=0.1, t_max=1.0))
+    for method in engine.METHODS:
+        with pytest.raises(CoverageViolation):
+            simulate(spec, np.array([0.0]),
+                     SimConfig(dt=0.1, t_max=1.0, method=method))
 
 
 def test_jump_landing_outside_both_sets_raises():
@@ -558,8 +572,10 @@ def test_jump_landing_outside_both_sets_raises():
         in_flow_set=lambda v: float(v[0] - 1.0),
         in_jump_set=lambda v: max(float(1.0 - v[0]), float(v[0] - 1.2)),
     )
-    with pytest.raises(CoverageViolation):
-        simulate(spec, np.array([0.0]), SimConfig(dt=0.1, t_max=1.0))
+    for method in engine.METHODS:
+        with pytest.raises(CoverageViolation):
+            simulate(spec, np.array([0.0]),
+                     SimConfig(dt=0.1, t_max=1.0, method=method))
 
 
 def test_dead_end_when_flow_stalls_and_no_jump_allowed():
@@ -570,10 +586,12 @@ def test_dead_end_when_flow_stalls_and_no_jump_allowed():
         in_flow_set=lambda v: float(v[0] - 1.0),
         in_jump_set=lambda v: 1.0,
     )
-    arc = simulate(spec, np.array([0.0]), SimConfig(dt=0.1, t_max=5.0))
-    assert arc.termination == TERM_DEAD_END
-    assert abs(float(arc.final_state[0]) - 1.0) <= 1e-8
-    assert arc.segments[-1].ts[-1] < 5.0
+    for method in engine.METHODS:
+        arc = simulate(spec, np.array([0.0]),
+                       SimConfig(dt=0.1, t_max=5.0, method=method))
+        assert arc.termination == TERM_DEAD_END
+        assert abs(float(arc.final_state[0]) - 1.0) <= 1e-8
+        assert arc.segments[-1].ts[-1] < 5.0
 
 
 def test_priority_resolves_overlap():
@@ -636,7 +654,7 @@ def test_locate_boundary_reuses_the_callers_step():
 
 def test_flow_steps_evaluate_indicators_once_per_state():
     spec = pure_flow_spec(lambda v: [-v[0]])
-    cfg = SimConfig(dt=0.1, t_max=1.0)
+    cfg = SimConfig(dt=0.1, t_max=1.0, method="rk4")
     general = simulate(spec, np.array([1.0]), cfg)
     paired = simulate(dataclasses.replace(spec, complementary=True),
                       np.array([1.0]), cfg)
@@ -668,7 +686,7 @@ def counting_reset_clock_spec(complementary):
 
 
 def test_event_counts_on_the_reset_clock():
-    cfg = SimConfig(dt=0.03, t_max=3.5)
+    cfg = SimConfig(dt=0.03, t_max=3.5, method="rk4")
     general_spec, general_calls = counting_reset_clock_spec(False)
     paired_spec, paired_calls = counting_reset_clock_spec(True)
     general = simulate(general_spec, np.array([0.0]), cfg)
@@ -702,21 +720,24 @@ def test_event_counts_on_the_reset_clock():
 
 def test_simulate_reaches_its_steps_through_the_traced_names(monkeypatch):
     """A tracer patches engine.step_flow, engine.locate_boundary and
-    engine._select_jump; simulate must call them by those names, so that
-    the patched ones count every RK4 step (trial steps and locator probes),
-    every location and every jump selection on the arc's stats."""
+    engine._select_jump; simulate must call them by those names, under
+    either method, so that the patched ones count every step (under rk4
+    trial steps and locator probes, under dopri5 every step tried), every
+    location and every jump selection on the arc's stats."""
     calls = {}
     for name in ("step_flow", "locate_boundary", "_select_jump"):
         def counted(*args, _name=name, _fn=getattr(engine, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(engine, name, counted)
-    arc = simulate(reset_clock_spec(), np.array([0.0]),
-                   SimConfig(dt=0.03, t_max=3.5))
-    assert arc.stats["locate_probes"] > 0 and arc.n_jumps > 0
-    assert calls == {"step_flow": arc.stats["rk4_steps"],
-                     "locate_boundary": arc.stats["locate_calls"],
-                     "_select_jump": arc.n_jumps}
+    for method in engine.METHODS:
+        calls.clear()
+        arc = simulate(reset_clock_spec(), np.array([0.0]),
+                       SimConfig(dt=0.03, t_max=3.5, method=method))
+        assert arc.stats["locate_probes"] > 0 and arc.n_jumps > 0
+        assert calls == {"step_flow": arc.stats["rk4_steps"],
+                         "locate_boundary": arc.stats["locate_calls"],
+                         "_select_jump": arc.n_jumps}
 
 
 def test_apply_jump_selects_first_candidate():
@@ -772,7 +793,8 @@ def test_project_flow_clamps_samples_and_counts():
     floor = 0.5
     spec = pure_flow_spec(lambda v: -np.ones(1),
                           project=lambda v: np.maximum(v, floor))
-    arc = simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
+    arc = simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0,
+                                                    method="rk4"))
     xs = np.concatenate([seg.xs[:, 0] for seg in arc.segments])
     assert np.min(xs) >= floor - 1e-12
     assert abs(float(arc.final_state[0]) - floor) <= 1e-12
@@ -807,6 +829,10 @@ def test_sim_config_validation():
             SimConfig(dt=0.1, t_max=1.0, event_tol=event_tol)
     with pytest.raises(TypeError, match="priority"):
         SimConfig(dt=0.1, t_max=1.0, priority="jump")
+    for method in ("RK4", "euler", None):
+        with pytest.raises(ValueError, match="method must be one of"):
+            SimConfig(dt=0.1, t_max=1.0, method=method)
+    assert SimConfig(dt=0.1, t_max=1.0).method == "dopri5"
     assert SimConfig(dt=0.1, t_max=1.0, j_max=0).j_max == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg = SimConfig(dt=0.1, t_max=1.0)
@@ -861,7 +887,7 @@ def test_random_linear_flows_track_matrix_exponential():
         )
         errs = []
         for dt in (0.05, 0.025):
-            arc = simulate(spec, x0, SimConfig(dt=dt, t_max=1.0))
+            arc = simulate(spec, x0, SimConfig(dt=dt, t_max=1.0, method="rk4"))
             errs.append(float(np.linalg.norm(arc.final_state - exact)))
         assert errs[1] <= 1e-6
         if errs[0] > 1e-12:
@@ -884,15 +910,17 @@ def nan_above_spec(cut):
 def test_a_nan_indicator_on_a_trial_step_raises():
     """NaN compares false against every threshold, so without the check the
     run flowed on to t_max as if the state were inside the flow set."""
-    for complementary in (False, True):
-        spec = dataclasses.replace(nan_above_spec(0.5),
-                                   complementary=complementary)
-        with pytest.raises(NonFiniteState, match="in_flow_set"):
-            simulate(spec, np.zeros(1), SimConfig(dt=0.1, t_max=2.0))
-    jump_only = dataclasses.replace(nan_above_spec(0.5),
-                                    in_flow_set=lambda v: -1.0)
-    with pytest.raises(NonFiniteState, match="in_jump_set"):
-        simulate(jump_only, np.zeros(1), SimConfig(dt=0.1, t_max=2.0))
+    for method in engine.METHODS:
+        cfg = SimConfig(dt=0.1, t_max=2.0, method=method)
+        for complementary in (False, True):
+            spec = dataclasses.replace(nan_above_spec(0.5),
+                                       complementary=complementary)
+            with pytest.raises(NonFiniteState, match="in_flow_set"):
+                simulate(spec, np.zeros(1), cfg)
+        jump_only = dataclasses.replace(nan_above_spec(0.5),
+                                        in_flow_set=lambda v: -1.0)
+        with pytest.raises(NonFiniteState, match="in_jump_set"):
+            simulate(jump_only, np.zeros(1), cfg)
 
 
 def test_a_nan_indicator_at_the_initial_state_raises():
@@ -1035,9 +1063,9 @@ def record_probes(monkeypatch):
     log = []
     step_flow, quadratic = engine.step_flow, engine._inverse_quadratic
 
-    def logged_step(spec, x, h):
+    def logged_step(spec, x, h, **kwargs):
         log.append(("probe", h))
-        return step_flow(spec, x, h)
+        return step_flow(spec, x, h, **kwargs)
 
     def logged_quadratic(a, f_a, b, f_b, c, f_c):
         s = quadratic(a, f_a, b, f_b, c, f_c)
@@ -1224,7 +1252,7 @@ def test_a_first_probe_near_the_root_is_spared_the_midpoint(monkeypatch):
     between."""
     log = record_probes(monkeypatch)
     arc = simulate(thermostat_spec(), np.array([1.0, 1.0]),
-                   SimConfig(dt=0.01, t_max=0.15))
+                   SimConfig(dt=0.01, t_max=0.15, method="rk4"))
     assert arc.n_jumps == arc.stats["locate_calls"] == 1
     assert arc.stats["locate_probes"] == 2
     # Eleven full steps, the last of them across the switch, then the probes.
@@ -1326,3 +1354,202 @@ def test_a_sink_is_handed_the_arc_in_chunks_and_changes_nothing(monkeypatch,
                 seg.xs.tobytes()
         assert chunks == []
     assert longest > 2 * 1024
+
+
+# -- dopri5 ------------------------------------------------------------------
+
+def growth_spec():
+    """x' = x on one entry, always flowing."""
+    return pure_flow_spec(lambda v: v)
+
+
+def dopri5_step(spec, x, h):
+    """(y, rates at y, error ratio, dense coefficients) of one dopri5 step."""
+    return step_flow(spec, x, h, kernel=engine.step_kernel(spec, "dopri5"))
+
+
+def test_the_dopri5_step_is_fifth_order_with_a_fourth_order_estimate():
+    """On x' = x from 1, halving h divides the step's local error by about
+    2**6 and its error estimate by about 2**5; its last rate is the flow at
+    its result (FSAL), and a step given that rate makes one flow call
+    fewer with the same bits."""
+    spec = growth_spec()
+    (y1, r1, e1, _), (y2, r2, e2, _) = (dopri5_step(spec, [1.0], h)
+                                        for h in (0.2, 0.1))
+    ratio = abs(y1[0] - math.exp(0.2)) / abs(y2[0] - math.exp(0.1))
+    assert 48.0 <= ratio <= 80.0
+    assert 20.0 <= e1 / e2 <= 40.0
+    assert r1 == y1 and r2 == y2
+    calls = []
+    counted = pure_flow_spec(lambda v: calls.append(None) or v)
+    kernel = engine.step_kernel(counted, "dopri5")
+    fresh = step_flow(counted, y1, 0.1, kernel=kernel)
+    assert len(calls) == 7
+    assert step_flow(counted, y1, 0.1, kernel=kernel, rate=r1) == fresh
+    assert len(calls) == 13
+
+
+def test_the_dense_output_follows_the_exponential_inside_the_step():
+    """The continuous extension on x' = x meets e**(s h) at interior
+    fractions to within its fifth-order local error, which halving h
+    divides by about 2**5; it starts at x and ends at the step's result."""
+    spec = growth_spec()
+    dense = engine._dense_kernel(1)
+    errs = {}
+    for h in (0.2, 0.1):
+        y, _, _, cont = dopri5_step(spec, [1.0], h)
+        errs[h] = [abs(dense([1.0], cont, s)[0] - math.exp(s * h))
+                   for s in (0.25, 0.5, 0.75)]
+        assert dense([1.0], cont, 0.0) == [1.0]
+        assert abs(dense([1.0], cont, 1.0)[0] - y[0]) <= 4e-16
+    assert max(errs[0.1]) <= 1e-8
+    assert all(16.0 <= a / b <= 48.0 for a, b in zip(errs[0.2], errs[0.1]))
+
+
+def test_dopri5_switch_times_meet_the_closed_form_at_every_digest_start():
+    """Under dopri5, every switch of the thermostat from the digest's 18
+    starts lies within 1e-8 of the closed form, located on the step's
+    interpolant: no locator probe is an RK4 step."""
+    tool = load_tool("arc_digest")
+    workloads = tool._workloads()
+    for x0, spec, sim in tool.thermostat_runs():
+        sim = dataclasses.replace(sim, t_max=10.0)
+        assert sim.method == "dopri5"
+        arc = simulate(spec, x0, sim)
+        closed = workloads.thermostat_switch_times(float(x0[0]), int(x0[1]),
+                                                   sim.t_max)
+        assert [round(ev.t, 6) for ev in arc.jumps] == \
+            [round(t, 6) for t in closed]
+        assert max(abs(ev.t - t) for ev, t in zip(arc.jumps, closed)) <= 1e-8
+        assert arc.termination == TERM_T_MAX
+        assert arc.stats["rk4_steps"] < arc.total_samples / 3
+        assert arc.stats["locate_misses"] == 0
+
+
+def test_a_domain_error_at_a_stage_rejects_the_step():
+    """A stage that raises a DomainError (NonPositiveDistance here) throws
+    the step away and halves it.  fig5_hybrid's loop at dt 0.01, where an
+    RK4 step's stage reaches into the obstacle, and at dt 1, where a dopri5
+    stage does, runs to t_max under dopri5 and ends where the rk4 run at
+    the shipped dt 1e-3 does.  NonFiniteState is not retried."""
+    cfg = load_config(CONFIG_DIR / "fig5_hybrid.json")
+    spec, x0 = build_closed_loop(cfg), initial_packed_state(cfg)
+    with pytest.raises(NonPositiveDistance):
+        simulate(spec, x0, dataclasses.replace(cfg.sim, dt=0.01))
+    shipped = simulate(spec, x0, cfg.sim)
+    flow, raised = spec.flow_map, []
+
+    def counted(v):
+        try:
+            return flow(v)
+        except NonPositiveDistance:
+            raised.append(v)
+            raise
+
+    counted_spec = dataclasses.replace(spec, flow_map=counted)
+    for dt in (0.01, 1.0):
+        arc = simulate(counted_spec, x0,
+                       dataclasses.replace(cfg.sim, dt=dt, method="dopri5"))
+        assert arc.termination == TERM_T_MAX
+        assert arc.stats["rejected_steps"] > 0
+        assert np.max(np.abs(arc.final_state - shipped.final_state)) <= 1e-7
+    assert raised
+
+    def blows_up(v):
+        if v[0] > 1.5:
+            raise NonFiniteState("flow is not finite")
+        return [1.0]
+
+    with pytest.raises(NonFiniteState):
+        simulate(pure_flow_spec(blows_up), np.array([0.0]),
+                 SimConfig(dt=0.5, t_max=2.0))
+
+
+def test_a_dead_end_at_a_steps_end_keeps_that_state():
+    """x' = 1 on x <= 1 with no jump, its flow map defined up to 1 + 1e-9:
+    from 0.5 the first dopri5 step of dt = 1 is halved, ends on the
+    boundary at t = 0.5, off the dt grid, and every step from there leaves
+    the domain or the flow set, so the run ends as a dead end there, with
+    that state kept as the arc's last sample."""
+    def flow(v):
+        if v[0] > 1.0 + 1e-9:
+            raise NonPositiveDistance("past the boundary")
+        return [1.0]
+
+    spec = HybridSystemSpec(dim=1, flow_map=flow, jump_map=lambda v: [],
+                            in_flow_set=lambda v: v[0] - 1.0,
+                            in_jump_set=lambda v: 1.0)
+    arc = simulate(spec, np.array([0.5]), SimConfig(dt=1.0, t_max=5.0))
+    assert arc.termination == TERM_DEAD_END
+    assert arc.segments[-1].ts.tolist() == [0.0, 0.5]
+    assert abs(arc.final_state[0] - 1.0) <= 1e-12
+    assert arc.stats["rejected_steps"] >= 2
+
+
+def test_dopri5_projects_each_sample_and_goes_on_from_a_moved_one():
+    """x' = -1 from 1 with samples clamped at 0.5: each sample below the
+    floor is projected onto it and counted, and the flow goes on from the
+    clamped sample."""
+    floor = 0.5
+    spec = pure_flow_spec(lambda v: [-1.0],
+                          project=lambda v: np.maximum(v, floor))
+    arc = simulate(spec, np.array([1.0]), SimConfig(dt=0.1, t_max=1.0))
+    xs = arc.segments[0].xs[:, 0]
+    assert np.min(xs) == floor and xs[-1] == floor
+    assert arc.n_clamped == arc.stats["clamps"] >= 4
+    assert np.allclose(xs[:6], [1.0, 0.9, 0.8, 0.7, 0.6, 0.5], atol=1e-12)
+
+
+def test_locate_boundary_along_a_path_probes_its_points():
+    """Given a path, the locator probes its points instead of partial RK4
+    steps: on the unit clock the path s -> [s] gives the same probes, with
+    no step counted, also when it must take x_hi from the path itself."""
+    clock = pure_flow_spec(lambda v: [1.0])
+
+    def f(v):
+        return v[0] ** 3 - 0.3 ** 3
+
+    stepped, along = (dict.fromkeys(STAT_KEYS, 0) for _ in range(2))
+    x_rk4, s_rk4 = locate_boundary(clock, [0.0], 1.0, f, stats=stepped)
+    x_path, s_path = locate_boundary(clock, [0.0], 1.0, f, stats=along,
+                                     path=lambda s: [s])
+    assert (x_path, s_path) == (x_rk4, s_rk4)
+    assert along["locate_probes"] == stepped["locate_probes"]
+    assert along["rk4_steps"] == 0 < stepped["rk4_steps"]
+
+
+def test_a_run_too_fast_for_its_grid_ends_on_the_step_budget():
+    """The wide-skirt world (fig5_hybrid's gains, r_s 1e5, p_d (-3e5, 0),
+    p0 (2e5, 10), dt 1e-3), whose angle runs away at about 1.2e9/s, ends
+    under dopri5 with the recorded step_budget termination and a note, not
+    a crawl to t_max."""
+    raw = json.loads((CONFIG_DIR / "fig5_hybrid.json").read_text())
+    raw["world"].update(r_s=1e5, p_d=[-3e5, 0.0])
+    raw["initial"]["p0"] = [2e5, 10.0]
+    cfg = parse_config(raw)
+    arc = simulate(build_closed_loop(cfg), initial_packed_state(cfg),
+                   dataclasses.replace(cfg.sim, method="dopri5"))
+    assert arc.termination == TERM_STEP_BUDGET
+    steps = arc.stats["rk4_steps"]
+    # The budget at t < dt after the jump at t = 0, the first step past it.
+    assert 2 * engine._STEP_BUDGET <= steps <= 3 * engine._STEP_BUDGET
+    assert arc.notes and arc.notes[-1].startswith(f"{steps} steps tried by t=")
+    assert arc.segments[-1].ts[-1] < 1e-3
+
+
+def test_dopri5_reruns_are_bit_identical():
+    """Two dopri5 runs of the thermostat, and of the generic backstepped
+    composition, give the same bytes, stats and notes."""
+    cfg = load_config(CONFIG_DIR / "fig5_backstep.json")
+    plant, fam, x0 = load_tool("arc_digest").generic_runs(cfg)["backstepped"]
+    runs = [(thermostat_spec(), np.array([1.0, 0.0]), SimConfig(0.01, 5.0)),
+            (assemble_closed_loop(plant, fam), x0, SimConfig(1e-3, 0.1))]
+    for spec, x, sim in runs:
+        a, b = simulate(spec, x, sim), simulate(spec, x, sim)
+        assert a.stats == b.stats and a.notes == b.notes
+        assert a.termination == b.termination
+        for sa, sb in zip(a.segments, b.segments, strict=True):
+            assert sa.ts.tobytes() == sb.ts.tobytes()
+            assert sa.xs.tobytes() == sb.xs.tobytes()
+        assert [(e.t, e.x_post.tobytes()) for e in a.jumps] == \
+            [(e.t, e.x_post.tobytes()) for e in b.jumps]

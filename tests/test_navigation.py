@@ -774,7 +774,7 @@ def test_an_inlined_arc_equals_the_call_path_arc():
     that the switched loops jump first, gives the same bytes on both paths;
     the wrapped flow map is called four times per RK4 step."""
     world, gains, loops = off_axis_loops()
-    cfg = SimConfig(dt=1e-3, t_max=0.2)
+    cfg = SimConfig(dt=1e-3, t_max=0.2, method="rk4")
     for name, spec, width in loops:
         v = [9.0, 3.0, 0.5, -0.5, 1.0, 2.0][:width - 1] + [0.9]
         calls = []

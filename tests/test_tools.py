@@ -114,3 +114,26 @@ def test_arc_digest_is_the_same_on_a_second_run():
     code = tool.code_digest()
     assert code not in (first, audit, locator, grid)
     assert tool.code_digest() == code
+
+
+def test_converged_reference_prints_a_row_per_config_and_method(capsys):
+    """On a short horizon, the table has its header, one rk4 and one dopri5
+    row per shipped config and for the thermostat, each with six cells,
+    and leaves the engine's tolerances as they were."""
+    tool = load_tool("converged_reference")
+    engine = tool.engine
+    own = (engine.RTOL, engine.ATOL)
+    assert tool.main(["--t-max", "0.02", "--tolerances", "1e-8/1e-10"]) == 0
+    assert (engine.RTOL, engine.ATOL) == own
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("| config | run | endpoint error | jump-time error "
+                        "| steps | flow calls |")
+    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
+    names = sorted(path.stem for path in CONFIG_DIR.glob("*.json"))
+    assert [row[:2] for row in rows] == [
+        [name, run] for name in [*names, "thermostat"]
+        for run in ("rk4", "dopri5 1e-08/1e-10")]
+    assert all(len(row) == 6 and int(row[4]) > 0 and int(row[5]) > 0
+               for row in rows)
+    assert all(float(row[2]) >= 0.0 for row in rows[:-2])
+    assert [row[2] for row in rows[-2:]] == ["-", "-"]

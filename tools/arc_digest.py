@@ -14,7 +14,8 @@ the run summary with its wall time zeroed, and the ``syncon check``
 report.  The ``ring_grid`` line covers the arcs and stats of all
 ``RING_GRID`` starts of perfbench's ring_sweep through both of its loops, at
 the workload's horizons.  The ``thermostat`` line covers the arcs and stats
-of event_storm's thermostat, at the workload's step and horizon, from nine
+of event_storm's thermostat, at the workload's step, horizon and method
+(the engine's default, dopri5), from nine
 temperatures evenly spaced over [0.5, 1.5] in either mode: the only line
 whose arcs locate boundaries, with a spec that is not complementary and a
 flow map that returns ndarrays.  The ``generic`` line covers the generic
@@ -30,18 +31,21 @@ line covers every probe fraction, located state and count of
 state is the fraction) at 51 fixed roots of six indicator shapes: a cubic,
 an exponential, a kink flat on one side, atan, a signed square root and a
 step with no zero.  Unlike the thermostat's, these locations reach the
-secant and midpoint probes.  The ``theta3`` line, printed last, covers
-the arcs and stats of the ``RING_GRID`` starts through fig5_hybrid's loop
-with the three candidates ``THETA3`` = [-0.3, 0.2, 0.3], at ring_sweep's
-hybrid horizon: the only line whose loop scans more than two candidates.
-The ``code`` line, printed last, covers the compiled code of the loops of
-every shipped config, the theta3 loop and ring_sweep's two loops: for each,
-the flow map, its inlined RK4 step, for a switched loop its switching
-kernel ``in_flow_set``, and the channel map ``navigation.loop_channels``
-builds for it, each by its bytecode, constants (nested code objects in
-turn), global names and local names, but not its file name or line
-table.  Bytecode differs between CPython versions, so this line is
-only comparable between runs on one Python version.
+secant and midpoint probes.  The ``theta3`` line covers the arcs and stats
+of the ``RING_GRID`` starts through fig5_hybrid's loop with the three
+candidates ``THETA3`` = [-0.3, 0.2, 0.3], at ring_sweep's hybrid horizon:
+the only line whose loop scans more than two candidates.
+The ``code`` line covers the compiled code of the loops of every shipped
+config, the theta3 loop and ring_sweep's two loops: for each, the flow map,
+its inlined RK4 step, for a switched loop its switching kernel
+``in_flow_set``, and the channel map ``navigation.loop_channels`` builds
+for it, each by its bytecode, constants (nested code objects in turn),
+global names and local names, but not its file name or line table.
+Bytecode differs between CPython versions, so this line is only comparable
+between runs on one Python version.  The ``dopri5`` line, printed last,
+covers the arcs and stats of every shipped config's loop from its start,
+simulated under ``dataclasses.replace(cfg.sim, method="dopri5")``; the
+scenario runs themselves stay on RK4.
 Standard library and numpy only; the whole run takes a few seconds.
 ``tools/arc_record.py`` records the config, thermostat and generic runs
 from the lists here (``config_paths``, ``thermostat_runs``, ``generic_runs``).
@@ -299,6 +303,18 @@ def locator_digest() -> str:
     return h.hexdigest()
 
 
+def dopri5_digest() -> str:
+    """Digest of every shipped config's loop under dopri5."""
+    h = hashlib.sha256()
+    for path in config_paths():
+        cfg = harness.load_config(path)
+        h.update(path.stem.encode())
+        _feed_arc(h, engine.simulate(
+            harness.build_closed_loop(cfg), harness.initial_packed_state(cfg),
+            dataclasses.replace(cfg.sim, method="dopri5")))
+    return h.hexdigest()
+
+
 def main() -> int:
     configs = config_paths()
     for path in configs:
@@ -311,6 +327,7 @@ def main() -> int:
     print(f"{locator_digest()}  locator")
     print(f"{theta3_digest()}  theta3")
     print(f"{code_digest()}  code")
+    print(f"{dopri5_digest()}  dopri5")
     return 0
 
 
