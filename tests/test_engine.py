@@ -1262,6 +1262,59 @@ def test_a_first_probe_near_the_root_is_spared_the_midpoint(monkeypatch):
     assert 0.5 < second < first < 0.54
 
 
+RK4_THERMOSTAT_RUNS = [
+    ((1.0, 1.0),
+     [(0.10536051556321038, (1.0999999999072496, 1.0)),
+      (0.30603121095130037, (0.900000000005894, 0.0)),
+      (0.506701906418351, (1.0999999999941061, 1.0)),
+      (0.7073726018854014, (0.900000000005894, 0.0)),
+      (0.908043297352452, (1.0999999999941061, 1.0))],
+     (1.00335910635421, 0.0), [12, 22, 22, 22, 22, 11]),
+    ((0.95, 0.0),
+     [(0.054067221177368494, (0.9000000000874063, 0.0)),
+      (0.254737916570317, (1.0999999999941061, 1.0)),
+      (0.45540861203736743, (0.900000000005894, 0.0)),
+      (0.656079307504418, (1.0999999999941061, 1.0)),
+      (0.8567500029714684, (0.900000000005894, 0.0))],
+     (1.0468088489532332, 1.0), [7, 22, 22, 22, 22, 16]),
+]
+
+
+@pytest.mark.parametrize("x0, switches, final, lengths", RK4_THERMOSTAT_RUNS)
+def test_rk4_crossings_keep_their_bits(x0, switches, final, lengths):
+    """The rk4 path through located crossings, pinned bit for bit: every
+    switch time and pre-jump state, the final state, the samples per
+    segment and the counts, on the thermostat at dt 0.01 to t = 1."""
+    arc = simulate(thermostat_spec(), np.array(x0),
+                   SimConfig(dt=0.01, t_max=1.0, method="rk4"))
+    assert arc.termination == TERM_T_MAX
+    assert [(ev.t, tuple(ev.x_pre.tolist())) for ev in arc.jumps] == switches
+    assert tuple(arc.final_state.tolist()) == final
+    assert arc.segments[-1].ts[-1] == 1.0
+    assert [len(seg.ts) for seg in arc.segments] == lengths
+    assert arc.stats == {"indicator_evals": 242, "rk4_steps": 115,
+                         "locate_calls": 5, "locate_probes": 10,
+                         "locate_misses": 0, "clamps": 0}
+
+
+def test_an_rk4_dead_end_keeps_its_bits():
+    """x' = 1 - x^2 from 0 on x <= 1/2 with no jump: under rk4 the crossing
+    at atanh(1/2) is located and kept, and the next step's location finds no
+    flow from it, so the run ends there as a dead end."""
+    spec = HybridSystemSpec(dim=1, flow_map=lambda v: [1.0 - v[0] * v[0]],
+                            jump_map=lambda v: [v],
+                            in_flow_set=lambda v: v[0] - 0.5,
+                            in_jump_set=lambda v: 1.0)
+    arc = simulate(spec, np.array([0.0]),
+                   SimConfig(dt=0.1, t_max=5.0, method="rk4"))
+    assert arc.termination == TERM_DEAD_END
+    assert arc.segments[-1].ts[-3:].tolist() == [0.4, 0.5, 0.5493069032623348]
+    assert arc.final_state.tolist() == [0.5000000000479897]
+    assert arc.stats == {"indicator_evals": 21, "rk4_steps": 10,
+                         "locate_calls": 2, "locate_probes": 3,
+                         "locate_misses": 0, "clamps": 0}
+
+
 def test_located_states_on_a_nonlinear_flow_meet_event_tol():
     """A unit-rate rotation reset to (1, 0) when it reaches height sin(1):
     the indicator is nonlinear in the step fraction."""
