@@ -49,9 +49,11 @@ SINK_ROWS samples and when the segment closes; a segment's arrays are its
 blocks' joined.  A caller that passes simulate a ``sink`` is handed the
 blocks while the run goes on: ``sink(j, ts, xs)`` gets each segment's blocks
 in order, as they are made, so the calls' samples, joined, are the arc's.
-The sink must not modify them.  When a step crosses a set boundary the
-crossing is located on the step fraction, under rk4 re-integrating the
-partial step at each probe, under dopri5 on the step's interpolant, so every
+The sink must not modify them.  simulate runs one loop for both methods,
+whose head and crossing handler they share; only the step differs.  When a
+step crosses a set boundary the crossing is located on the step fraction,
+under rk4 re-integrating the partial step at each probe (locate_boundary's
+default path), under dopri5 on the step's interpolant, so every
 accepted sample respects its set within ``event_tol``; a location that gives
 up short of it is counted on the arc.  Each probe
 interpolates, else takes the secant root, else the midpoint, and the midpoint
@@ -650,11 +652,12 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
                     ) -> tuple[list[float], float]:
     """Find the boundary crossing of ``indicator`` within one flow step.
 
-    Searches the step fraction in [0, 1], re-integrating the partial RK4
-    step from ``x_inside`` at each probe, or, given ``path``, taking the
-    state ``path(s)`` at fraction s (simulate passes a dopri5 step's
-    interpolant, with h the span it covers), until the indicator magnitude at
-    the probe state is within ``event_tol``.  Three rules place a probe.
+    Searches the step fraction in [0, 1], taking the state ``path(s)`` at
+    each probe fraction s, until the indicator magnitude at the probe state
+    is within ``event_tol``.  Without ``path``, the path re-integrates the
+    partial RK4 step, ``path(s) = step_flow(spec, x_inside, s * h)``, and
+    counts each such step in ``rk4_steps``; simulate passes a dopri5 step's
+    interpolant, with h the span it covers.  Three rules place a probe.
     It goes to Brent's inverse quadratic interpolant through the bracket
     ends and the end the previous probe replaced, at their true indicator
     values.  Without such a third point, with a value repeated, or with the
@@ -689,12 +692,12 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
             raise _nan_indicator(indicator, x_inside)
     if abs(f_lo) <= event_tol:
         return x_inside, 0.0
-    if x_hi is None:
-        if path is None:
-            x_hi = step_flow(spec, x_inside, h)
+    if path is None:
+        def path(s: float) -> list[float]:
             stats["rk4_steps"] += 1
-        else:
-            x_hi = path(1.0)
+            return step_flow(spec, x_inside, s * h)
+    if x_hi is None:
+        x_hi = path(1.0)
         stats["locate_probes"] += 1
     else:
         x_hi = _state(x_hi, spec.dim, "x_hi")
@@ -725,11 +728,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
                 s = hi - f_hi * width / (f_hi - f_lo)
                 if not lo < s < hi:
                     s = 0.5 * (lo + hi)
-        if path is None:
-            x_s = step_flow(spec, x_inside, s * h)
-            stats["rk4_steps"] += 1
-        else:
-            x_s = path(s)
+        x_s = path(s)
         f_s = float(indicator(x_s))
         stats["locate_probes"] += 1
         stats["indicator_evals"] += 1
@@ -817,16 +816,18 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     ``sink``, when given, is called with each block of samples as the run
     makes it (see the module docstring); an error it raises ends the run.
 
-    Under rk4 each step of dt (the last one shorter, to end at t_max) is
-    checked against both sets at its end, and kept as a sample.  Under
-    dopri5 the steps are error-controlled (RTOL, ATOL); a step whose stage
-    raises a DomainError is rejected and halved.  Each accepted step's
-    samples on the dt grid (a sample dt after the last, or t_max) come from
-    its interpolant, each is projected and checked against both sets, and
-    so is the step's end when it is not a sample, as the next step's start;
-    so a crossing is bracketed inside one step, and located on its
-    interpolant.  Under either method, simulate reaches each step, location
-    and jump selection through step_flow, locate_boundary and _select_jump.
+    One loop serves both methods; only the step differs.  Under rk4 each
+    step of dt (the last one shorter, to end at t_max) is checked against
+    both sets at its end, and kept as a sample.  Under dopri5 the steps are
+    error-controlled (RTOL, ATOL); a step whose stage raises a DomainError
+    is rejected and halved.  Each accepted step's samples on the dt grid (a
+    sample dt after the last, or t_max) come from its interpolant, each is
+    projected and checked against both sets, and so is the step's end when
+    it is not a sample, as the next step's start; so a crossing is
+    bracketed inside one step, and located on its interpolant.  A run that
+    reaches t_max ends with one sample at t_max itself.  Under either
+    method, simulate reaches each step, location and jump selection through
+    step_flow, locate_boundary and _select_jump.
     """
     dim = spec.dim
     x = _state(np.ravel(x0), dim, "x0")
@@ -907,8 +908,8 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
 
     def keep(t: float, x: list[float], project_flow=project_flow,
              stats=stats) -> list[float]:
-        """Keep the dopri5 sample x at time t, projected; returns the kept
-        state, x itself unless the projection moved it."""
+        """Keep the sample x at time t, projected; returns the kept state, x
+        itself unless the projection moved it."""
         nonlocal seg_t, seg_x
         if project_flow is not None:
             x_proj = project_flow(x)
@@ -922,107 +923,74 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             seg_t, seg_x = [], []
         return x
 
-    # One loop per method, so that the rk4 loop takes no test of the method
-    # per sample.
-    if cfg.method == "rk4":
-        while True:
-            if fi is None:
-                fi, ji = _indicator_pair(spec, x, stats)
-            if ji <= tol:
-                if j >= cfg.j_max:
-                    termination = TERM_J_MAX
-                    break
-                x = jump(x, t, ji)
-                fi = ji = None
-                continue
-
-            if fi > tol:
-                raise CoverageViolation(
-                    f"state in neither set at t={t:.6g}, j={j} "
-                    f"(flow {fi:.6g}, jump {ji:.6g})")
-            if t >= t_stop:
-                termination = TERM_T_MAX
+    # The head and the crossing handler serve both methods; only the step
+    # differs.  The rk4 step, its end check and its sample stay in line, as
+    # the per-step path that scenario runs take.
+    rk4 = cfg.method == "rk4"
+    dense = _dense_kernel(dim)
+    h = dt          # the next dopri5 step to try
+    grow = True     # False right after a rejection: the next step may not grow
+    rate = None     # the flow map at x, when the last step's FSAL stage holds it
+    t_kept = t      # the time of the last sample kept, under dopri5
+    rejected = 0
+    checks = 0      # states checked against the sets after a dopri5 step
+    while True:
+        if fi is None:
+            fi, ji = _indicator_pair(spec, x, stats)
+        if ji <= tol:
+            if j >= cfg.j_max:
+                termination = TERM_J_MAX
                 break
+            x = jump(x, t, ji)
+            fi = ji = rate = None
+            t_kept = t
+            continue
 
-            h = t_max - t
-            if not h < dt:
-                h = dt
-            x_trial = step_flow(spec, x, h, kernel=kernel)
+        if fi > tol:
+            raise CoverageViolation(
+                f"state in neither set at t={t:.6g}, j={j} "
+                f"(flow {fi:.6g}, jump {ji:.6g})")
+        if t >= t_stop:
+            break
+
+        if rk4:
+            hs = t_max - t
+            t1 = t_max  # the step's end
+            if hs > dt:
+                hs = dt
+                t1 = t + dt
+            xc = step_flow(spec, x, hs, kernel=kernel)
             steps += 1
-            fi_trial = float(in_flow_set(x_trial))
-            if fi_trial != fi_trial:
-                raise _nan_indicator("in_flow_set", x_trial)
+            f_c = float(in_flow_set(xc))
+            if f_c != f_c:
+                raise _nan_indicator("in_flow_set", xc)
             if complementary:
-                ji_trial = -fi_trial
+                g_c = -f_c
             else:
-                ji_trial = float(in_jump_set(x_trial))
-                if ji_trial != ji_trial:
-                    raise _nan_indicator("in_jump_set", x_trial)
-
-            indicator = None
-            if ji_trial <= -tol:
-                # Entered the jump set mid-step: stop at the earliest entry point.
-                indicator, f_lo, f_hi = in_jump_set, ji, ji_trial
-            elif fi_trial > tol:
-                # Left the flow set mid-step: stop on its boundary.
-                indicator, f_lo, f_hi = in_flow_set, fi, fi_trial
-
-            if indicator is None:
-                x_new, t_new = x_trial, t + h
-                fi, ji = fi_trial, ji_trial
-            else:
-                x_b, frac = locate_boundary(spec, x, h, indicator, tol, x_hi=x_trial,
-                                            f_lo=f_lo, f_hi=f_hi, stats=stats)
-                if frac * h <= _PROGRESS_EPS:
-                    # No flow from a boundary state outside the jump set: x, fi
-                    # and ji are unchanged, so the solution cannot be continued.
-                    termination = TERM_DEAD_END
-                    break
-                x_new, t_new = x_b, t + frac * h
-                fi = ji = None
-
-            if project_flow is not None:
-                # A projection that hands back its input object did not move it.
-                x_proj = project_flow(x_new)
-                if x_proj is not x_new and not np.array_equal(x_proj, x_new):
-                    stats["clamps"] += 1
-                    x_new = _state(x_proj, dim, "projected state")
-                    fi = ji = None
-            x = x_new
-            t = t_new
-            seg_t.append(t)
-            seg_x += x
-            if len(seg_t) == rows:
-                add_block()
-                seg_t, seg_x = [], []
-        checks = steps
-    else:
-        dense = _dense_kernel(dim)
-        h = dt          # the next step to try
-        grow = True     # False right after a rejection: the next step may not grow
-        rate = None     # the flow map at x, when the last step's FSAL stage holds it
-        t_kept = t      # the time of the last sample kept
-        rejected = 0
-        checks = 0      # states checked against the sets after a step
-        while True:
-            if fi is None:
-                fi, ji = _indicator_pair(spec, x, stats)
-            if ji <= tol:
-                if j >= cfg.j_max:
-                    termination = TERM_J_MAX
-                    break
-                x = jump(x, t, ji)
-                fi = ji = rate = None
-                t_kept = t
+                g_c = float(in_jump_set(xc))
+                if g_c != g_c:
+                    raise _nan_indicator("in_jump_set", xc)
+            if not (g_c <= -tol or f_c > tol):
+                t = t1
+                fi, ji = f_c, g_c
+                if project_flow is not None:
+                    # A projection that hands back its input object did not
+                    # move it.
+                    x_proj = project_flow(xc)
+                    if x_proj is not xc and not np.array_equal(x_proj, xc):
+                        stats["clamps"] += 1
+                        xc = _state(x_proj, dim, "projected state")
+                        fi = ji = None
+                x = xc
+                seg_t.append(t)
+                seg_x += x
+                if len(seg_t) == rows:
+                    add_block()
+                    seg_t, seg_x = [], []
                 continue
-
-            if fi > tol:
-                raise CoverageViolation(
-                    f"state in neither set at t={t:.6g}, j={j} "
-                    f"(flow {fi:.6g}, jump {ji:.6g})")
-            if t >= t_stop:
-                termination = TERM_T_MAX
-                break
+            lo_x, lo_t, lo_f, lo_g = x, t, fi, ji
+            span, path, t_kept = hs, None, t
+        else:
             if steps >= _STEP_BUDGET * (1.0 + t / dt + j):
                 termination = TERM_STEP_BUDGET
                 notes.append(f"{steps} steps tried by t={t:.6g} after {j} "
@@ -1058,13 +1026,13 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             grow = True
 
             # Check the step's samples, then its end, from lo, the last state
-            # checked: stop at a crossing, a jump due, a projection that moved
-            # a sample, or the end.
+            # checked: stop at a crossing, a jump due, a projection that
+            # moved a sample, or the end.
             t1 = t_max if last else t + hs
             lo_x, lo_t, lo_f, lo_g = x, t, fi, ji
+            path = None     # the interpolant from lo, once a crossing is seen
             while True:
-                gap = t_max - t_kept
-                tc = t_kept + (gap if gap < dt else dt)
+                tc = t_max if t_max - t_kept <= dt else t_kept + dt
                 if tc < t1:
                     xc = dense(x, cont, (tc - t) / hs)
                     sample = True
@@ -1085,30 +1053,13 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                 checks += 1
 
                 if g_c <= -tol or f_c > tol:
-                    # Crossed since lo: locate the crossing on the interpolant,
-                    # into the jump set first, as under rk4.
-                    if g_c <= -tol:
-                        indicator, f_lo, f_hi = in_jump_set, lo_g, g_c
-                    else:
-                        indicator, f_lo, f_hi = in_flow_set, lo_f, f_c
+                    span = tc - lo_t
                     path = _interpolant(dense, x, cont, (lo_t - t) / hs,
                                         1.0 if xc is y else (tc - t) / hs)
-                    x_b, frac = locate_boundary(spec, lo_x, tc - lo_t, indicator,
-                                                tol, x_hi=xc, f_lo=f_lo, f_hi=f_hi,
-                                                stats=stats, path=path)
-                    if frac * (tc - lo_t) <= _PROGRESS_EPS:
-                        # No flow from lo, a boundary state outside the jump set.
-                        termination = TERM_DEAD_END
-                        if lo_t > t_kept:
-                            keep(lo_t, lo_x)
-                        break
-                    t = lo_t + frac * (tc - lo_t)
-                    x = keep(t, x_b)
-                    t_kept = t
-                    fi = ji = rate = None
                     break
                 if not (sample or g_c <= tol):
-                    # The step's end, inside the flow set: the next step's start.
+                    # The step's end, inside the flow set: the next step's
+                    # start.
                     x, t, fi, ji, rate = y, t1, f_c, g_c, rate_y
                     break
                 x_kept = keep(tc, xc)
@@ -1122,11 +1073,34 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                         fi = ji = rate = None
                     break
                 lo_x, lo_t, lo_f, lo_g = xc, tc, f_c, g_c
-            if termination == TERM_DEAD_END:
-                break
-        stats["rejected_steps"] = rejected
+            if path is None:
+                continue
+
+        # The flow crossed a set boundary between lo, the last state checked,
+        # and xc, span later: locate the crossing along path (under rk4,
+        # locate_boundary's partial RK4 steps), into the jump set first.
+        if g_c <= -tol:
+            indicator, f_lo, f_hi = in_jump_set, lo_g, g_c
+        else:
+            indicator, f_lo, f_hi = in_flow_set, lo_f, f_c
+        x_b, frac = locate_boundary(spec, lo_x, span, indicator, tol, x_hi=xc,
+                                    f_lo=f_lo, f_hi=f_hi, stats=stats, path=path)
+        if frac * span <= _PROGRESS_EPS:
+            # No flow from lo, a boundary state outside the jump set.
+            termination = TERM_DEAD_END
+            if lo_t > t_kept:
+                keep(lo_t, lo_x)
+            break
+        t = lo_t + frac * span
+        x = keep(t, x_b)
+        t_kept = t
+        fi = ji = rate = None
 
     close_segment()
+    if rk4:
+        checks = steps
+    else:
+        stats["rejected_steps"] = rejected
     stats["rk4_steps"] += steps
     stats["indicator_evals"] += checks if complementary else 2 * checks
     return HybridArc(segments=segments, jumps=jumps, termination=termination,

@@ -489,6 +489,28 @@ def test_zero_horizon_returns_initial_state():
     assert float(arc.final_state[0]) == 3.0
 
 
+@pytest.mark.parametrize("method, t_max, dt, top, x0", [
+    ("dopri5", 1.5794140572310205, 1.6317165044924318, 2.0, 1.570823911861948),
+    ("rk4", 27035.926099497152, 24519.927806462016, 24889.715048055456,
+     16509.151759530778),
+    ("rk4", 2.9080807079267204, 3.345722813757634, 2.73567552307469,
+     1.9034628206554782),
+])
+def test_a_run_ends_exactly_at_t_max_with_one_sample_there(method, t_max, dt,
+                                                            top, x0):
+    """A clock x' = 1 reset to 0 at x = top jumps once, before t_max / 2 and
+    less than dt before t_max, so t + (t_max - t) rounds away from t_max;
+    the run still ends with one sample, at t_max itself."""
+    spec = HybridSystemSpec(dim=1, flow_map=lambda v: [1.0],
+                            jump_map=lambda v: [[0.0]],
+                            in_flow_set=lambda v: v[0] - top,
+                            in_jump_set=lambda v: top - v[0])
+    arc = simulate(spec, np.array([x0]),
+                   SimConfig(dt=dt, t_max=t_max, method=method))
+    assert arc.termination == TERM_T_MAX and arc.n_jumps == 1
+    assert arc.segments[-1].ts.tolist() == [arc.jumps[0].t, t_max]
+
+
 def test_jump_chain_halves_until_budget():
     for method in engine.METHODS:
         arc = simulate(always_jump_spec(), np.array([1.0]),
