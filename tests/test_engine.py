@@ -1,6 +1,7 @@
 """Unit tests for the fixed-step hybrid integration engine."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -1335,6 +1336,145 @@ def test_an_rk4_dead_end_keeps_its_bits():
     assert arc.stats == {"indicator_evals": 21, "rk4_steps": 10,
                          "locate_calls": 2, "locate_probes": 3,
                          "locate_misses": 0, "clamps": 0}
+
+
+DOPRI5_THERMOSTAT_RUNS = [
+    ((1.0, 1.0),
+     [(0.10536051551977153, (1.0999999999072496, 1.0)),
+      (0.306031210903884, (0.9000000000000822, 0.0)),
+      (0.5067019063638705, (1.0999999999941057, 1.0)),
+      (0.7073726018269187, (0.9000000000001134, 0.0)),
+      (0.908043297286877, (1.0999999999941057, 1.0)),
+      (1.1087139927499257, (0.9000000000001133, 0.0)),
+      (1.3093846882098836, (1.0999999999941055, 1.0)),
+      (1.5100553836729318, (0.9000000000001134, 0.0)),
+      (1.7107260791328902, (1.0999999999941055, 1.0)),
+      (1.9113967745959382, (0.9000000000001134, 0.0)),
+      (2.112067470055897, (1.0999999999941057, 1.0)),
+      (2.3127381655189456, (0.9000000000001134, 0.0)),
+      (2.5134088609789043, (1.0999999999941057, 1.0)),
+      (2.7140795564419524, (0.9000000000001134, 0.0)),
+      (2.9147502519019106, (1.0999999999941057, 1.0)),
+      (3.115420947364959, (0.9000000000001134, 0.0)),
+      (3.316091642824917, (1.0999999999941055, 1.0)),
+      (3.516762338287965, (0.9000000000001134, 0.0)),
+      (3.7174330337479238, (1.0999999999941057, 1.0)),
+      (3.9181037292109715, (0.9000000000001134, 0.0)),
+      (4.118774424670929, (1.0999999999941057, 1.0)),
+      (4.3194451201339765, (0.9000000000001134, 0.0)),
+      (4.520115815593935, (1.0999999999941057, 1.0)),
+      (4.720786511056984, (0.9000000000001134, 0.0)),
+      (4.921457206516942, (1.0999999999941057, 1.0))],
+     (1.0169087479232153, 0.0),
+     [12] + [22] * 24 + [9],
+     {"indicator_evals": 1420, "rk4_steps": 138, "locate_calls": 25,
+      "locate_probes": 50, "locate_misses": 0, "clamps": 0,
+      "rejected_steps": 0},
+     "eb2ceb2874ed89380057cb6c8a3e0aa8d63ce56ac32ed467a8a98dc3e4f5ff2c"),
+    ((0.95, 0.0),
+     [(0.05406722117353279, (0.9000000000822306, 0.0)),
+      (0.254737916558845, (1.0999999999941057, 1.0)),
+      (0.4554086120218933, (0.9000000000001133, 0.0)),
+      (0.6560793074818516, (1.0999999999941055, 1.0)),
+      (0.8567500029448993, (0.9000000000001134, 0.0)),
+      (1.0574206984048573, (1.0999999999941057, 1.0)),
+      (1.2580913938679057, (0.9000000000001134, 0.0)),
+      (1.4587620893278643, (1.0999999999941057, 1.0)),
+      (1.6594327847909125, (0.9000000000001133, 0.0)),
+      (1.8601034802508702, (1.0999999999941055, 1.0)),
+      (2.060774175713918, (0.9000000000001133, 0.0)),
+      (2.2614448711738766, (1.0999999999941055, 1.0)),
+      (2.4621155666369248, (0.9000000000001133, 0.0)),
+      (2.662786262096883, (1.0999999999941055, 1.0)),
+      (2.8634569575599307, (0.9000000000001133, 0.0)),
+      (3.064127653019889, (1.0999999999941057, 1.0)),
+      (3.264798348482937, (0.9000000000001134, 0.0)),
+      (3.465469043942895, (1.0999999999941057, 1.0)),
+      (3.666139739405943, (0.9000000000001134, 0.0)),
+      (3.8668104348659016, (1.0999999999941057, 1.0)),
+      (4.06748113032895, (0.9000000000001134, 0.0)),
+      (4.268151825788908, (1.0999999999941057, 1.0)),
+      (4.468822521251956, (0.9000000000001134, 0.0)),
+      (4.669493216711913, (1.0999999999941055, 1.0)),
+      (4.87016391217496, (0.9000000000001134, 0.0))],
+     (1.0339366894228508, 1.0),
+     [7] + [22] * 24 + [14],
+     {"indicator_evals": 1422, "rk4_steps": 139, "locate_calls": 25,
+      "locate_probes": 50, "locate_misses": 0, "clamps": 0,
+      "rejected_steps": 0},
+     "f2bab1424d168101f5fa3ff6502706b9b9768fe9fbf9c2bd2cc8655949625bf4"),
+]
+
+
+def arc_sha256(arc):
+    """The SHA-256 of every segment's times and then states, in order."""
+    digest = hashlib.sha256()
+    for seg in arc.segments:
+        digest.update(seg.ts.tobytes())
+        digest.update(seg.xs.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("x0, switches, final, lengths, stats, sha",
+                         DOPRI5_THERMOSTAT_RUNS)
+def test_dopri5_crossings_keep_their_bits(x0, switches, final, lengths, stats,
+                                          sha):
+    """The dopri5 path through located crossings, pinned bit for bit: every
+    switch time and pre-jump state, the final state, the samples per
+    segment, the counts and the bytes of every segment, on the thermostat
+    at dt 0.01 to t = 5."""
+    arc = simulate(thermostat_spec(), np.array(x0), SimConfig(dt=0.01, t_max=5.0))
+    assert arc.termination == TERM_T_MAX
+    assert [(ev.t, tuple(ev.x_pre.tolist())) for ev in arc.jumps] == switches
+    assert tuple(arc.final_state.tolist()) == final
+    assert arc.segments[-1].ts[-1] == 5.0
+    assert [len(seg.ts) for seg in arc.segments] == lengths
+    assert arc.stats == stats
+    assert arc_sha256(arc) == sha
+
+
+def test_dopri5_moved_samples_keep_their_bits(monkeypatch):
+    """The dopri5 path through samples that project_flow moves, pinned bit
+    for bit with a sink at SINK_ROWS 2: the thermostat heating through
+    (1.05, 1.08) has each sample there pulled back by a tenth of its excess
+    over 1.05, and goes on from the moved sample; the sink's blocks join to
+    the arc."""
+    def damp(v):
+        if v[1] > 0.5 and 1.05 < v[0] < 1.08:
+            return [1.05 + 0.9 * (v[0] - 1.05), v[1]]
+        return v
+
+    monkeypatch.setattr(engine, "SINK_ROWS", 2)
+    spec = dataclasses.replace(thermostat_spec(), project_flow=damp)
+    blocks = []
+    arc = simulate(spec, np.array([1.0, 1.0]), SimConfig(dt=0.01, t_max=2.0),
+                   sink=lambda *block: blocks.append(block))
+    assert arc.termination == TERM_T_MAX
+    assert [(ev.t, tuple(ev.x_pre.tolist())) for ev in arc.jumps] == [
+        (0.11066645731841622, (1.0999999999941752, 1.0)),
+        (0.31133715278156665, (0.9000000000000509, 0.0)),
+        (0.518851383314298, (1.0999999999477772, 1.0)),
+        (0.719522078735267, (0.9000000000000564, 0.0)),
+        (0.927036309267995, (1.0999999999477774, 1.0)),
+        (1.127707004688964, (0.9000000000000565, 0.0)),
+        (1.3352212352216917, (1.0999999999477774, 1.0)),
+        (1.5358919306426608, (0.9000000000000564, 0.0)),
+        (1.7434061611753888, (1.0999999999477774, 1.0)),
+        (1.9440768565963578, (0.9000000000000564, 0.0))]
+    assert arc.final_state.tolist() == [0.9598270094357018, 1.0]
+    assert [len(seg.ts) for seg in arc.segments] == [13] + [22] * 9 + [7]
+    assert arc.stats == {"indicator_evals": 582, "rk4_steps": 65,
+                         "locate_calls": 10, "locate_probes": 20,
+                         "locate_misses": 0, "clamps": 19,
+                         "rejected_steps": 0}
+    assert arc_sha256(arc) == \
+        "69db090819172eb7803f68483e1991802bd87bc231fddb13ec283d2b99595279"
+    assert len(blocks) == 110
+    assert [j for j, _, _ in blocks] == sorted(j for j, _, _ in blocks)
+    for seg in arc.segments:
+        mine = [(ts, xs) for j, ts, xs in blocks if j == seg.j]
+        assert np.concatenate([ts for ts, _ in mine]).tobytes() == seg.ts.tobytes()
+        assert np.concatenate([xs for _, xs in mine]).tobytes() == seg.xs.tobytes()
 
 
 def test_located_states_on_a_nonlinear_flow_meet_event_tol():
