@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -32,7 +33,10 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parse_args leaves
+    it as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="syncon",
         description="Simulate and validate synergistic hybrid feedback "

@@ -50,7 +50,12 @@ blocks' joined.  A caller that passes simulate a ``sink`` is handed the
 blocks while the run goes on: ``sink(j, ts, xs)`` gets each segment's blocks
 in order, as they are made, so the calls' samples, joined, are the arc's.
 The sink must not modify them.  simulate runs one loop for both methods,
-whose head and crossing handler they share; only the step differs.  When a
+whose head and crossing handler they share; only the step differs.  Under
+dopri5 one walk checks an accepted step's grid samples in order and keeps
+each interior one in line; it stops at the first sample that needs more
+than a keep (a crossing, a jump due, a sample the projection moves, or the
+step's end), and one tail handles that sample with its indicators already
+evaluated.  When a
 step crosses a set boundary the crossing is located on the step fraction,
 under rk4 re-integrating the partial step at each probe (locate_boundary's
 default path), under dopri5 on the step's interpolant, so every
@@ -716,7 +721,9 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     lo, hi = 0.0, 1.0
     c = f_c = None
     halved = True
-    for probe in range(_MAX_PROBES):
+    # Each probe evaluates the indicator once; both counts go to stats at
+    # the end.  A probe within event_tol, or NaN, ends the search.
+    for probes in range(1, _MAX_PROBES + 1):
         width = hi - lo
         if not halved:
             s = 0.5 * (lo + hi)
@@ -730,13 +737,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
                     s = 0.5 * (lo + hi)
         x_s = path(s)
         f_s = float(indicator(x_s))
-        stats["locate_probes"] += 1
-        stats["indicator_evals"] += 1
-        if f_s != f_s:
-            raise _nan_indicator(indicator, x_s)
-        if abs(f_s) <= event_tol:
-            return x_s, s
-        if width < 1e-16 or not lo < s < hi:
+        if not abs(f_s) > event_tol or width < 1e-16 or not lo < s < hi:
             break
         if (f_s > 0.0) == (f_hi > 0.0):
             c, f_c = hi, f_hi
@@ -745,8 +746,13 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
             c, f_c = lo, f_lo
             lo, f_lo = s, f_s
         halved = (hi - lo <= 0.5 * width
-                  or probe == 0 and abs(f_s) <= 0.5 * abs(f_c))
-    stats["locate_misses"] += 1
+                  or probes == 1 and abs(f_s) <= 0.5 * abs(f_c))
+    stats["locate_probes"] += probes
+    stats["indicator_evals"] += probes
+    if f_s != f_s:
+        raise _nan_indicator(indicator, x_s)
+    if abs(f_s) > event_tol:
+        stats["locate_misses"] += 1
     return x_s, s
 
 
@@ -768,7 +774,7 @@ def _select_jump(spec: HybridSystemSpec, x: list[float], event_tol: float,
     if post.shape != (spec.dim,):
         raise DimensionMismatch(
             f"jump candidate has shape {post.shape}, expected ({spec.dim},)")
-    _require_finite(post, "jump output")
+    _require_finite(post.tolist(), "jump output")
     return post, len(candidates)
 
 
@@ -776,23 +782,6 @@ def apply_jump(spec: HybridSystemSpec, x: np.ndarray,
                event_tol: float = 1e-10) -> np.ndarray:
     """Apply the jump map at x, returning the selected post-state."""
     return _select_jump(spec, _state(x, spec.dim, "state"), event_tol)[0]
-
-
-def _indicator_pair(spec: HybridSystemSpec, v: list[float],
-                    stats: dict[str, int]) -> tuple[float, float]:
-    """(in_flow_set, in_jump_set) at v, each checked for NaN; a complementary
-    spec's jump indicator is the negated flow indicator."""
-    f = float(spec.in_flow_set(v))
-    if f != f:
-        raise _nan_indicator("in_flow_set", v)
-    if spec.complementary:
-        stats["indicator_evals"] += 1
-        return f, -f
-    g = float(spec.in_jump_set(v))
-    if g != g:
-        raise _nan_indicator("in_jump_set", v)
-    stats["indicator_evals"] += 2
-    return f, g
 
 
 def _interpolant(dense: Callable, x: list[float], cont: list[float],
@@ -822,12 +811,17 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     error-controlled (RTOL, ATOL); a step whose stage raises a DomainError
     is rejected and halved.  Each accepted step's samples on the dt grid (a
     sample dt after the last, or t_max) come from its interpolant, each is
-    projected and checked against both sets, and so is the step's end when
+    checked against both sets and projected, and so is the step's end when
     it is not a sample, as the next step's start; so a crossing is
-    bracketed inside one step, and located on its interpolant.  A run that
-    reaches t_max ends with one sample at t_max itself.  Under either
-    method, simulate reaches each step, location and jump selection through
-    step_flow, locate_boundary and _select_jump.
+    bracketed inside one step, and located on its interpolant.  The walk
+    over a step's samples keeps each in line until the first that is a
+    crossing, a jump due, moved by the projection, or the step's end; the
+    tail after it handles that one.  A run that reaches t_max ends with one
+    sample at t_max itself: an rk4 step's end or a dopri5 grid sample at or
+    past t_max - _PROGRESS_EPS, where the head stops, is t_max, and a dopri5
+    step that would end there is the last.  Under either method, simulate
+    reaches each step, location and jump selection through step_flow,
+    locate_boundary and _select_jump.
     """
     dim = spec.dim
     x = _state(np.ravel(x0), dim, "x0")
@@ -844,13 +838,8 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     stats = _new_stats()
     # Steps tried; under rk4 each also evaluates the indicators once at its end.
     steps = 0
-
-    # (fi, ji) are the indicators at x; None once x has moved to a state
-    # where they have not been evaluated yet.
-    fi, ji = _indicator_pair(spec, x, stats)
-    if fi > tol and ji > tol:
-        raise CoverageViolation(
-            f"initial state is in neither set (flow {fi:.6g}, jump {ji:.6g})")
+    # States checked against both sets, but for the rk4 steps' ends.
+    checks = 0
 
     t = 0.0
     j = 0
@@ -868,8 +857,11 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     termination = TERM_T_MAX
 
     def add_block() -> None:
-        ts = np.array(seg_t)
-        xs = np.fromiter(seg_x, float, len(seg_x)).reshape(len(seg_t), dim)
+        # One buffer, the times and then the states' floats; np.fromiter
+        # with its dtype and count given builds it faster than np.array.
+        n = len(seg_t)
+        both = np.fromiter(seg_t + seg_x, float, n * (dim + 1))
+        ts, xs = both[:n], both[n:].reshape(n, dim)
         blocks.append((ts, xs))
         if sink is not None:
             sink(j, ts, xs)
@@ -908,8 +900,9 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
 
     def keep(t: float, x: list[float], project_flow=project_flow,
              stats=stats) -> list[float]:
-        """Keep the sample x at time t, projected; returns the kept state, x
-        itself unless the projection moved it."""
+        """Keep the sample x at time t, projected (not when project_flow is
+        passed as None); returns the kept state, x itself unless the
+        projection moved it."""
         nonlocal seg_t, seg_x
         if project_flow is not None:
             x_proj = project_flow(x)
@@ -924,8 +917,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
         return x
 
     # The head and the crossing handler serve both methods; only the step
-    # differs.  The rk4 step, its end check and its sample stay in line, as
-    # the per-step path that scenario runs take.
+    # differs.  Each step keeps its samples in line, as the per-sample path.
     rk4 = cfg.method == "rk4"
     dense = _dense_kernel(dim)
     h = dt          # the next dopri5 step to try
@@ -933,10 +925,21 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     rate = None     # the flow map at x, when the last step's FSAL stage holds it
     t_kept = t      # the time of the last sample kept, under dopri5
     rejected = 0
-    checks = 0      # states checked against the sets after a dopri5 step
+    allow = 0.0     # the step budget when last computed; it grows with t and j
+    # (fi, ji) are the indicators at x; None until they are evaluated there.
+    fi = ji = None
     while True:
         if fi is None:
-            fi, ji = _indicator_pair(spec, x, stats)
+            fi = float(in_flow_set(x))
+            if fi != fi:
+                raise _nan_indicator("in_flow_set", x)
+            if complementary:
+                ji = -fi
+            else:
+                ji = float(in_jump_set(x))
+                if ji != ji:
+                    raise _nan_indicator("in_jump_set", x)
+            checks += 1
         if ji <= tol:
             if j >= cfg.j_max:
                 termination = TERM_J_MAX
@@ -954,11 +957,11 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             break
 
         if rk4:
-            hs = t_max - t
-            t1 = t_max  # the step's end
-            if hs > dt:
-                hs = dt
-                t1 = t + dt
+            t1 = t + dt  # the step's end
+            hs = dt
+            if not t1 < t_stop:
+                hs = t_max - t
+                t1 = t_max
             xc = step_flow(spec, x, hs, kernel=kernel)
             steps += 1
             f_c = float(in_flow_set(xc))
@@ -991,20 +994,25 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             lo_x, lo_t, lo_f, lo_g = x, t, fi, ji
             span, path, t_kept = hs, None, t
         else:
-            if steps >= _STEP_BUDGET * (1.0 + t / dt + j):
-                termination = TERM_STEP_BUDGET
-                notes.append(f"{steps} steps tried by t={t:.6g} after {j} "
-                             f"jump(s), the last asking for h={h:.6g}: over "
-                             f"the budget of {_STEP_BUDGET} per dt={dt:g} of "
-                             "flow time, per jump and at the start")
-                if t > t_kept:
-                    keep(t, x)
-                break
+            # The budget only grows, so it is recomputed only when the steps
+            # tried reach its last value.
+            if steps >= allow:
+                allow = _STEP_BUDGET * (1.0 + t / dt + j)
+                if steps >= allow:
+                    termination = TERM_STEP_BUDGET
+                    notes.append(f"{steps} steps tried by t={t:.6g} after {j} "
+                                 f"jump(s), the last asking for h={h:.6g}: over "
+                                 f"the budget of {_STEP_BUDGET} per dt={dt:g} "
+                                 "of flow time, per jump and at the start")
+                    if t > t_kept:
+                        keep(t, x)
+                    break
 
-            hs = t_max - t
-            last = not hs > h  # the step ends the run at t_max
-            if not last:
-                hs = h
+            t1 = t + h  # the step's end; one in the margin ends the run
+            hs = h
+            if t1 >= t_stop:
+                hs = t_max - t
+                t1 = t_max
             try:
                 y, rate_y, err, cont = step_flow(spec, x, hs, kernel=kernel,
                                                  rate=rate)
@@ -1020,27 +1028,23 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                 h = hs * max(_SHRINK_MOST, _SAFETY * err ** -0.2)
                 grow = False
                 continue
-            fac = _GROW_MOST if err == 0.0 else min(_GROW_MOST,
-                                                    _SAFETY * err ** -0.2)
+            fac = _SAFETY * err ** -0.2 if err else _GROW_MOST
+            if fac > _GROW_MOST:
+                fac = _GROW_MOST
             h = hs * (fac if grow or fac < 1.0 else 1.0)
             grow = True
 
-            # Check the step's samples, then its end, from lo, the last state
-            # checked: stop at a crossing, a jump due, a projection that
-            # moved a sample, or the end.
-            t1 = t_max if last else t + hs
+            # The walk: check the step's grid samples, then its end, from lo,
+            # the last state checked, keeping each interior sample in line;
+            # stop at a crossing, a jump due, a projection that moves a
+            # sample, or the step's end.
             lo_x, lo_t, lo_f, lo_g = x, t, fi, ji
-            path = None     # the interpolant from lo, once a crossing is seen
+            tc = t_kept
             while True:
-                tc = t_max if t_max - t_kept <= dt else t_kept + dt
-                if tc < t1:
-                    xc = dense(x, cont, (tc - t) / hs)
-                    sample = True
-                else:
-                    xc = y
-                    sample = last or tc == t1
-                    if not sample:
-                        tc = t1
+                tc += dt  # the next grid sample, or t_max
+                if tc >= t_stop:
+                    tc = t_max
+                xc = dense(x, cont, (tc - t) / hs) if tc < t1 else y
                 f_c = float(in_flow_set(xc))
                 if f_c != f_c:
                     raise _nan_indicator("in_flow_set", xc)
@@ -1051,30 +1055,50 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                     if g_c != g_c:
                         raise _nan_indicator("in_jump_set", xc)
                 checks += 1
-
-                if g_c <= -tol or f_c > tol:
-                    span = tc - lo_t
-                    path = _interpolant(dense, x, cont, (lo_t - t) / hs,
-                                        1.0 if xc is y else (tc - t) / hs)
+                if g_c <= tol or f_c > tol or xc is y:
                     break
-                if not (sample or g_c <= tol):
-                    # The step's end, inside the flow set: the next step's
+                if project_flow is not None:
+                    x_proj = project_flow(xc)
+                    if x_proj is not xc and not np.array_equal(x_proj, xc):
+                        break
+                seg_t.append(tc)
+                seg_x += xc
+                if len(seg_t) == rows:
+                    add_block()
+                    seg_t, seg_x = [], []
+                lo_x = xc
+                lo_t = t_kept = tc
+                lo_f = f_c
+                lo_g = g_c
+
+            # The tail: the sample the walk stopped at, its indicators known.
+            if xc is y and tc != t1:
+                # The step's end, off the grid.
+                tc = t1
+                if not (g_c <= tol or f_c > tol):
+                    # Inside the flow set, with no jump due: the next step's
                     # start.
                     x, t, fi, ji, rate = y, t1, f_c, g_c, rate_y
-                    break
-                x_kept = keep(tc, xc)
-                t_kept = tc
-                if x_kept is not xc or g_c <= tol or xc is y:
-                    x, t = x_kept, tc
-                    if x_kept is xc:
-                        fi, ji = f_c, g_c
-                        rate = rate_y if xc is y else None
-                    else:
-                        fi = ji = rate = None
-                    break
-                lo_x, lo_t, lo_f, lo_g = xc, tc, f_c, g_c
-            if path is None:
+                    continue
+            if not (g_c <= -tol or f_c > tol):
+                # A jump due, the step's end on the grid, or a sample that
+                # the walk's projection moved: keep it, and go on from it.
+                if g_c <= tol or xc is y:
+                    x = keep(tc, xc)
+                else:
+                    stats["clamps"] += 1
+                    x = keep(tc, _state(x_proj, dim, "projected state"),
+                             project_flow=None)
+                t = t_kept = tc
+                if x is xc:
+                    fi, ji = f_c, g_c
+                    rate = rate_y if xc is y else None
+                else:
+                    fi = ji = rate = None
                 continue
+            span = tc - lo_t
+            path = _interpolant(dense, x, cont, (lo_t - t) / hs,
+                                1.0 if xc is y else (tc - t) / hs)
 
         # The flow crossed a set boundary between lo, the last state checked,
         # and xc, span later: locate the crossing along path (under rk4,
@@ -1098,7 +1122,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
 
     close_segment()
     if rk4:
-        checks = steps
+        checks += steps
     else:
         stats["rejected_steps"] = rejected
     stats["rk4_steps"] += steps

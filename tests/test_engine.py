@@ -512,6 +512,19 @@ def test_a_run_ends_exactly_at_t_max_with_one_sample_there(method, t_max, dt,
     assert arc.segments[-1].ts.tolist() == [arc.jumps[0].t, t_max]
 
 
+
+@pytest.mark.parametrize("method", engine.METHODS)
+def test_an_end_within_the_stop_margin_is_snapped_to_t_max(method):
+    """On x' = -x at dt 0.1 the grid builds up to 0.9999999999999999, within
+    the head's 1e-15 margin below t_max = 1: that end is t_max itself, so the
+    run ends with one sample there and none one ulp before it."""
+    arc = simulate(pure_flow_spec(lambda v: [-v[0]]), np.array([1.0]),
+                   SimConfig(dt=0.1, t_max=1.0, method=method))
+    ts = arc.segments[-1].ts
+    assert arc.termination == TERM_T_MAX
+    assert ts[-1] == 1.0 and ts[-2] < 0.95
+    assert len(ts) == 11
+
 def test_jump_chain_halves_until_budget():
     for method in engine.METHODS:
         arc = simulate(always_jump_spec(), np.array([1.0]),
