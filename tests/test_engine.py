@@ -512,7 +512,6 @@ def test_a_run_ends_exactly_at_t_max_with_one_sample_there(method, t_max, dt,
     assert arc.segments[-1].ts.tolist() == [arc.jumps[0].t, t_max]
 
 
-
 @pytest.mark.parametrize("method", engine.METHODS)
 def test_an_end_within_the_stop_margin_is_snapped_to_t_max(method):
     """On x' = -x at dt 0.1 the grid builds up to 0.9999999999999999, within
@@ -524,6 +523,7 @@ def test_an_end_within_the_stop_margin_is_snapped_to_t_max(method):
     assert arc.termination == TERM_T_MAX
     assert ts[-1] == 1.0 and ts[-2] < 0.95
     assert len(ts) == 11
+
 
 def test_jump_chain_halves_until_budget():
     for method in engine.METHODS:
