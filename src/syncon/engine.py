@@ -50,7 +50,11 @@ blocks' joined.  A caller that passes simulate a ``sink`` is handed the
 blocks while the run goes on: ``sink(j, ts, xs)`` gets each segment's blocks
 in order, as they are made, so the calls' samples, joined, are the arc's.
 The sink must not modify them.  simulate runs one loop for both methods,
-whose head and crossing handler they share; only the step differs.  Under
+whose head and crossing handler they share; only the step differs.  The
+head stops the run at t_max less a margin, max(_PROGRESS_EPS, 4 ulps of
+t_max), which stays above zero on long horizons, where 1e-15 alone rounds
+away; an rk4 step's end or a dopri5 grid sample inside the margin is t_max
+itself, so a run that reaches t_max ends with one sample there.  Under
 dopri5 one walk checks an accepted step's grid samples in order and keeps
 each interior one in line; it stops at the first sample that needs more
 than a keep (a crossing, a jump due, a sample the projection moves, or the
@@ -491,32 +495,22 @@ def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...],
             + tail)
 
 
-def _call_kernel(n: int, tableau: tuple) -> Callable:
-    """The ``tableau`` step whose flow body, _CALL_BODY, calls the flow map
-    f at each stage, compiled for width n outside compile_source's cache."""
+@functools.cache
+def _call_kernel(n: int, method: str) -> Callable:
+    """The step of ``method`` whose flow body, _CALL_BODY, calls the flow map
+    f at each stage, compiled once per width n and method outside
+    compile_source's cache: ``kernel(f, x, h)`` for rk4 (_RK4), and for
+    dopri5 (_DOPRI5) ``kernel(f, x, h, rate=None)``, returning (y, rates at
+    y, error ratio, dense coefficients) (_flow_code)."""
     state = tuple(f"s{i}" for i in range(n))
     rates = tuple(f"k{i}" for i in range(n))
     body = _CALL_BODY.format(state=", ".join(state), rates=", ".join(rates), n=n)
     namespace = {"_require_finite": _require_finite, "sqrt": math.sqrt,
                  "DimensionMismatch": DimensionMismatch, "ndarray": np.ndarray}
+    tableau = _DOPRI5 if method == "dopri5" else _RK4
     exec(compile(_flow_code(state, body, rates, tableau),
                  f"<flow body, width {n}>", "exec"), namespace)
     return namespace["kernel"]
-
-
-@functools.cache
-def _rk4_kernel(n: int) -> Callable[[Callable, list[float], float], list[float]]:
-    """The _RK4 step whose flow body calls the flow map f (_call_kernel),
-    compiled once per width n."""
-    return _call_kernel(n, _RK4)
-
-
-@functools.cache
-def _dopri5_kernel(n: int) -> Callable:
-    """The _DOPRI5 step whose flow body calls the flow map f (_call_kernel),
-    compiled once per width n: ``kernel(f, x, h, rate=None)``, returning
-    (y, rates at y, error ratio, dense coefficients) (_flow_code)."""
-    return _call_kernel(n, _DOPRI5)
 
 
 @functools.cache
@@ -599,27 +593,25 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     return flow
 
 
-def step_kernel(spec: HybridSystemSpec, method: str = "rk4") -> Callable:
+def step_kernel(spec: HybridSystemSpec, method: str) -> Callable:
     """The step of ``method`` along spec's flow map, for step_flow's
     ``kernel``.  For rk4, ``kernel(x, h)``: the flow map's own inlined step
     (compile_flow) when it has one, else the step whose flow body calls it
-    (_rk4_kernel).  For dopri5, ``kernel(x, h, rate=None)``, the
-    _dopri5_kernel step that calls the flow map, even one compile_flow
-    built."""
+    (_call_kernel).  For dopri5, ``kernel(x, h, rate=None)``, the step that
+    calls the flow map, even one compile_flow built."""
     f = spec.flow_map
-    if method == "dopri5":
-        return functools.partial(_dopri5_kernel(spec.dim), f)
-    step = getattr(f, "rk4_step", None)
-    if step is not None and step.__self__ is f:
-        return step
-    return functools.partial(_rk4_kernel(spec.dim), f)
+    if method == "rk4":
+        step = getattr(f, "rk4_step", None)
+        if step is not None and step.__self__ is f:
+            return step
+    return functools.partial(_call_kernel(spec.dim, method), f)
 
 
 def step_flow(spec: HybridSystemSpec, x, h: float, *,
               kernel: Callable | None = None, rate: list[float] | None = None):
     """One explicit step of the _RK4 tableau of size h along the flow map, as
     a list: the flow map's own inlined step (compile_flow) when it has one,
-    else the step whose flow body calls it (_rk4_kernel).
+    else the step whose flow body calls it (_call_kernel).
 
     A caller that resolved the step once (step_kernel) passes it as
     ``kernel``, with x a list of dim floats and h positive and finite, which
@@ -631,7 +623,7 @@ def step_flow(spec: HybridSystemSpec, x, h: float, *,
         raise ValueError(f"step size must be positive and finite, got {h}")
     if type(x) is not list or len(x) != spec.dim:
         x = _state(x, spec.dim, "state")
-    return step_kernel(spec)(x, h)
+    return step_kernel(spec, "rk4")(x, h)
 
 
 def _inverse_quadratic(a: float, f_a: float, b: float, f_b: float,
@@ -818,10 +810,10 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     crossing, a jump due, moved by the projection, or the step's end; the
     tail after it handles that one.  A run that reaches t_max ends with one
     sample at t_max itself: an rk4 step's end or a dopri5 grid sample at or
-    past t_max - _PROGRESS_EPS, where the head stops, is t_max, and a dopri5
-    step that would end there is the last.  Under either method, simulate
-    reaches each step, location and jump selection through step_flow,
-    locate_boundary and _select_jump.
+    past t_max less max(_PROGRESS_EPS, 4 ulps of t_max), where the head
+    stops, is t_max, and a dopri5 step that would end there is the last.
+    Under either method, simulate reaches each step, location and jump
+    selection through step_flow, locate_boundary and _select_jump.
     """
     dim = spec.dim
     x = _state(np.ravel(x0), dim, "x0")
@@ -829,7 +821,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     tol = cfg.event_tol
     dt = cfg.dt
     t_max = cfg.t_max
-    t_stop = t_max - _PROGRESS_EPS
+    t_stop = t_max - max(_PROGRESS_EPS, 4 * math.ulp(t_max))
     in_flow_set = spec.in_flow_set
     in_jump_set = spec.in_jump_set
     project_flow = spec.project_flow

@@ -916,38 +916,6 @@ def _array_code(text: str) -> str:
     return text
 
 
-def _live_code(text: str, reads: str) -> str:
-    """``text``, straight-line code (_array_code's), less its dead work: an
-    assignment that repeats an earlier one whose target and inputs nothing
-    assigned since is dropped, and then, walking back from the end, so is
-    each assignment whose target nothing after it reads before it is
-    assigned again, given that the code ``reads`` runs last.  A statement
-    that assigns nothing (the clearance guard) stays."""
-    statements = re.findall(r"^\S.*\n(?:    .*\n)*", text, flags=re.M)
-    names = functools.partial(re.findall, r"(?<![.\w])[A-Za-z_]\w*")
-    unique, held = [], {}  # held: target -> the assignment that set it
-    for st in statements:
-        target = re.match(r"(\w+) = ", st)
-        if target and held.get(target[1]) == st:
-            continue
-        unique.append(st)
-        if target:
-            # Forget every assignment that read or set the target.
-            held = {k: v for k, v in held.items()
-                    if k != target[1] and target[1] not in names(v[len(k):])}
-            held[target[1]] = st
-    live, kept = set(names(reads)), []
-    for st in reversed(unique):
-        target = re.match(r"(\w+) = ", st)
-        if target and target[1] not in live:
-            continue
-        if target:
-            live.discard(target[1])
-        live.update(names(st[len(target[0]):] if target else st))
-        kept.append(st)
-    return "".join(reversed(kept))
-
-
 _CHANNELS = """\
 def channels(xs):
     if xs.ndim != 2 or xs.shape[1] != {width}:
@@ -959,9 +927,8 @@ def channels(xs):
 
 
 def _channel_code(loop: _LoopText) -> str:
-    """The source of a loop's channels(xs): its flow, V fragments the flow
-    lacks, the candidates' V and ddest, through the array rule, less the
-    work no channel reads (_live_code)."""
+    """The source of a loop's channels(xs): its flow, the V fragments the
+    flow lacks, the candidates' V and ddest, through the array rule."""
     text = "".join(loop.flow + tuple(f for f in loop.body if f not in loop.flow))
     text += loop.value
     mu = "None"
@@ -971,8 +938,7 @@ def _channel_code(loop: _LoopText) -> str:
     u = ", ".join(loop.rates[:2])
     return _CHANNELS.format(
         width=len(loop.state), state=", ".join(loop.state),
-        body=textwrap.indent(_live_code(_array_code(text + _DEST),
-                                        f"V, {u}, {mu}, z, ddest"), "    "),
+        body=textwrap.indent(_array_code(text + _DEST), "    "),
         u=u, mu=mu)
 
 
@@ -985,7 +951,9 @@ def loop_channels(world: NavigationWorld, gains: NavGains, gap: float | None,
     the gradient loop), the clearance and the distance to p_d, each with the
     bits the loop's maps and the float helpers give that row.  A clearance at
     or below 1e-12 raises NonPositiveDistance, another width
-    DimensionMismatch."""
+    DimensionMismatch.  The map runs the loop's whole flow, rates no channel
+    reads included: run_scenario builds it on every run, and a text pass
+    that drops them costs more to build than it saves."""
     if gap is None:
         loop = _gradient_text(world, gains)
     else:

@@ -283,7 +283,7 @@ def test_a_constant_that_shares_a_state_name_leaves_the_state_a_local():
 
     spec = dataclasses.replace(pure_flow_spec(flow), dim=2)
     assert step_flow(spec, [1.0, 4.0], 0.1) \
-        == engine._rk4_kernel(2)(reference, [1.0, 4.0], 0.1)
+        == engine._call_kernel(2, "rk4")(reference, [1.0, 4.0], 0.1)
 
 
 @pytest.mark.parametrize("size", [1, 3])
@@ -513,16 +513,20 @@ def test_a_run_ends_exactly_at_t_max_with_one_sample_there(method, t_max, dt,
 
 
 @pytest.mark.parametrize("method", engine.METHODS)
-def test_an_end_within_the_stop_margin_is_snapped_to_t_max(method):
-    """On x' = -x at dt 0.1 the grid builds up to 0.9999999999999999, within
-    the head's 1e-15 margin below t_max = 1: that end is t_max itself, so the
-    run ends with one sample there and none one ulp before it."""
+@pytest.mark.parametrize("dt, t_max, samples",
+                         [(0.1, 1.0, 11), (0.34, 17.0, 51), (0.4, 20.0, 51)])
+def test_an_end_within_the_stop_margin_is_snapped_to_t_max(method, dt, t_max,
+                                                           samples):
+    """On x' = -x the grid builds up to an end an ulp or two short of t_max
+    (0.9999999999999999 at dt 0.1; 16.999999999999996 at dt 0.34, where 1e-15
+    below 17 rounds to 17 itself): that end is t_max, so the run ends with one
+    sample there and none an ulp before it."""
     arc = simulate(pure_flow_spec(lambda v: [-v[0]]), np.array([1.0]),
-                   SimConfig(dt=0.1, t_max=1.0, method=method))
+                   SimConfig(dt=dt, t_max=t_max, method=method))
     ts = arc.segments[-1].ts
     assert arc.termination == TERM_T_MAX
-    assert ts[-1] == 1.0 and ts[-2] < 0.95
-    assert len(ts) == 11
+    assert ts[-1] == t_max and ts[-2] < t_max - dt / 2
+    assert len(ts) == samples
 
 
 def test_jump_chain_halves_until_budget():

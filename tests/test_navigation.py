@@ -943,7 +943,7 @@ def assert_steps_on_its_own_constants(world, gains, spec):
     """The loop's inlined step equals the call-path step over the helpers'
     flow map, and its kernel the helpers' V, at seeded states."""
     reference = hybrid_reference_flow(world, gains)
-    kernel = engine._rk4_kernel(3)
+    kernel = engine._call_kernel(3, "rk4")
     for v in skirt_states(world, gains, np.random.default_rng(79), 12, 3):
         assert step_flow(spec, v, 1e-3) == kernel(reference, v, 1e-3)
         own = loop_potential(world, gains, None, None, v, v[-1])

@@ -74,7 +74,7 @@ def tolerance_pairs(text: str | None) -> list[tuple[float, float]]:
 def with_tolerances(rtol: float, atol: float) -> None:
     """Set the engine's dopri5 tolerances; its kernels are compiled anew."""
     engine.RTOL, engine.ATOL = rtol, atol
-    engine._dopri5_kernel.cache_clear()
+    engine._call_kernel.cache_clear()
 
 
 def config_rows(t_max: float | None, pairs) -> list[list[str]]:
