@@ -407,6 +407,16 @@ except ValueError:
 """
 
 
+# The names an _RK4 kernel of _flow_code keeps across its stages or binds
+# after them: h, the scale half, the weight w, the check e, the result out,
+# and x (the stage states' base), a to d (the rates) and y (the result)
+# followed by an entry index.  A state so named would overwrite the kernel's
+# value between stages, and a constant left a name (not a finite float)
+# would read the kernel's local in place of its own value, so compile_flow
+# refuses both.
+_KEPT = re.compile(r"h|half|w|e|out|[xabcdy]\d+")
+
+
 def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...],
                tableau: tuple = _RK4) -> str:
     """The source that defines ``flow(v)`` and ``kernel(f, x, h)``, the step
@@ -566,8 +576,9 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     ``body`` is straight-line Python that reads the state entries by the names
     ``state``, in order, and the names in ``constants``, and leaves the n
     derivatives in the expressions ``rates``, one per entry.  It must assign no
-    state name and none of the names the kernel keeps across its stages: h,
-    the tableau's scales (half), and x, a, b, c or d followed by digits.  The
+    state name and none of the names the kernel keeps (_KEPT): h, the
+    tableau's scale half, w, e and out, and x, a, b, c, d or y followed by
+    digits.  A state or a constant so named raises ValueError naming it.  The
     returned ``flow(v)`` unpacks v into the state names, runs the body and
     returns the rates as a list.  Its ``rk4_step(x, h)`` attribute is the
     _RK4 step that ``_flow_code`` generates, bound to ``flow``, whose stages
@@ -583,6 +594,9 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     written in: the entry stays a local, and the flow reads the state.
     """
     state = tuple(state)
+    clash = [name for name in (*state, *constants) if _KEPT.fullmatch(name)]
+    if clash:
+        raise ValueError(f"names {clash} clash with the inlined step's own")
     floats = {k: v for k, v in constants.items() if k not in state}
     source = _flow_code(state, literal_source(body, floats),
                         tuple(literal_source(r, floats) for r in rates))
@@ -802,16 +816,17 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     both sets at its end, and kept as a sample.  Under dopri5 the steps are
     error-controlled (RTOL, ATOL); a step whose stage raises a DomainError
     is rejected and halved.  Each accepted step's samples on the dt grid (a
-    sample dt after the last, or t_max) come from its interpolant, each is
-    checked against both sets and projected, and so is the step's end when
-    it is not a sample, as the next step's start; so a crossing is
-    bracketed inside one step, and located on its interpolant.  The walk
-    over a step's samples keeps each in line until the first that is a
-    crossing, a jump due, moved by the projection, or the step's end; the
-    tail after it handles that one.  A run that reaches t_max ends with one
-    sample at t_max itself: an rk4 step's end or a dopri5 grid sample at or
-    past t_max less max(_PROGRESS_EPS, 4 ulps of t_max), where the head
-    stops, is t_max, and a dopri5 step that would end there is the last.
+    sample dt after the last, or t_max) come from its interpolant, and each
+    is checked against both sets and projected; the step's end, when it is
+    not a sample, is checked against both sets but not projected, as the
+    next step's start.  So a crossing is bracketed inside one step, and
+    located on its interpolant.  The walk over a step's samples keeps each
+    in line until the first that is a crossing, a jump due, moved by the
+    projection, or the step's end; the tail after it handles that one.  A
+    run that reaches t_max ends with one sample at t_max itself: an rk4
+    step's end or a dopri5 grid sample at or past t_max less
+    max(_PROGRESS_EPS, 4 ulps of t_max), where the head stops, is t_max,
+    and a dopri5 step that would end there is the last.
     Under either method, simulate reaches each step, location and jump
     selection through step_flow, locate_boundary and _select_jump.
     """

@@ -37,11 +37,13 @@ smoothed loop is the hybrid loop plus the tracker eta, the backstepped loop
 the smoothed loop plus the actuator integrator u; each layer's bounds and
 gap are stated once, in layer_checks and loop_gap.  The pieces compile
 three ways, each with the loop's float constants written in as literals
-(engine.literal_source): into the flow map and its inlined RK4 step
-(engine.compile_flow), into the switching kernel in_flow_set, straight-line
-code with no loop over Theta (_kernel_code), and into the harness's
-per-sample channels, the same fragments run once over the numpy columns of
-a stack of states through one array rule (loop_channels, _array_code).
+(engine.literal_source), each map running only the pieces it reads
+(_LoopText): the flow's into the flow map and its inlined RK4 step
+(engine.compile_flow); V's into the switching kernel in_flow_set,
+straight-line code with no loop over Theta (_kernel_code); and V's with the
+applied input's into the harness's per-sample channels, run once over the
+numpy columns of a stack of states through one array rule (loop_channels,
+_array_code).
 The float helpers (switched_potential, switched_gradient_p/theta,
 nav_gradient, nav_hessian, switch_offset, switch_offset_rate,
 tracked_input), small scalar kernels behind nominal_controller,
@@ -643,10 +645,14 @@ dpx = -k_p * (gx - sx)
 dpy = -k_p * (gy - sy)
 """
 
-# The tracker's flow and the tracked input r = k_p (eta - g).
+# The tracker's flow; the tracked input r = k_p (eta - g), the smoothed
+# loop's applied input and the backstepped loop's reference.
 _TRACKER_FLOW = """\
 deta1 = -k_eta * (eta1 - sx) + rx * dth - k_p / gamma_s * (gx - sx)
 deta2 = -k_eta * (eta2 - sy) + ry * dth - k_p / gamma_s * (gy - sy)
+"""
+
+_TRACKED = """\
 r1 = k_p * (eta1 - gx)
 r2 = k_p * (eta2 - gy)
 """
@@ -667,12 +673,12 @@ du1 = -k_b * (u1 - r1) + (k_p * deta1 - k_p * Hu1) - (gx - sx) / gamma_b
 du2 = -k_b * (u2 - r2) + (k_p * deta2 - k_p * Hu2) - (gy - sy) / gamma_b
 """
 
-# V's terms: the integrator's (gamma_b/2)||u - k_p (eta - g)||^2 and the
-# penalty; at the angle terms (c, s, pen, sx, sy), the rotated pull, skirt
-# and penalty, and the tracker's term; the gradient loop's V_nav(p).
+# V's terms: the integrator's (gamma_b/2)||u - r||^2 and the penalty; at the
+# angle terms (c, s, pen, sx, sy), the rotated pull, skirt and penalty, and
+# the tracker's term; the gradient loop's V_nav(p).
 _FOLLOWING = """\
-f1 = u1 - k_p * (eta1 - gx)
-f2 = u2 - k_p * (eta2 - gy)
+f1 = u1 - r1
+f2 = u2 - r2
 integ = 0.5 * gamma_b * (f1 * f1 + f2 * f2)
 """
 
@@ -696,22 +702,23 @@ ey = py - pdy
 V = 0.5 * (ex * ex + ey * ey) + vphi
 """
 
-_DEST = "ddest = hypot(px - pdx, py - pdy)\n"  # a channel of every loop
-
 _KERNEL = """\
 def in_flow_set(v, out=None):
     [{state}] = v
-{body}{value}{least}    if out is not None:
+{body}    if out is not None:
         out.extend(({values},))
     return V - best - gap
 """
 
 
 class _LoopText(NamedTuple):
-    """A loop's pieces, read by its flow map, kernel and channels: the names
-    its fragments read, its state names, its flow fragments and rates, the
-    fragments of V's terms free of the candidates (``body``) and of V at an
-    angle (``value``), and the candidates' angle terms (_angle_terms)."""
+    """A loop's pieces: the names its fragments read, its state names, its
+    flow fragments and rates, which the flow map reads; the fragments of V's
+    terms free of the candidates (``body``) and of V at an angle
+    (``value``), and the candidates' angle terms (_angle_terms), which the
+    kernel reads; and the fragments that the applied input, p's rate
+    (``rates[:2]``), needs beyond V's (``applied``), which the channels
+    read after V's."""
 
     consts: dict
     state: tuple[str, ...]
@@ -720,30 +727,29 @@ class _LoopText(NamedTuple):
     body: tuple[str, ...]
     value: str
     terms: tuple[tuple[float, ...], ...]
+    applied: tuple[str, ...]
 
 
-def _least(value: str, terms) -> str:
-    """The lines setting best to the least candidate V: V_k is ``value`` with
-    candidate k's angle terms written in as literals (literal_source) and V
-    renamed V_k; the first of equal values is the least, as with min."""
-    names = ("c", "s", "pen", "sx", "sy")
-    return ("".join(re.sub(r"\bV\b", f"V_{k}",
-                           literal_source(value, dict(zip(names, at))))
-                    for k, at in enumerate(terms))
-            + "best = V_0\n"
-            + "".join(f"if V_{k} < best:\n    best = V_{k}\n"
-                      for k in range(1, len(terms))))
+def _value_code(loop: _LoopText) -> str:
+    """V's text: the body and V at the own angle, then, for a switched loop,
+    each candidate's V_k, ``value`` with candidate k's angle terms written in
+    as literals (literal_source) and V renamed V_k, with best the least
+    V_k so far; the first of equal values is the least, as with min."""
+    text = "".join(loop.body) + loop.value
+    for k, at in enumerate(loop.terms):
+        text += re.sub(r"\bV\b", f"V_{k}", literal_source(
+            loop.value, dict(zip(("c", "s", "pen", "sx", "sy"), at))))
+        text += f"if V_{k} < best:\n    best = V_{k}\n" if k else "best = V_0\n"
+    return text
 
 
 def _kernel_code(loop: _LoopText) -> str:
     """The source of a switched loop's in_flow_set(v, out=None): V at the
-    own angle, less the least candidate V (_least), less ``gap``; it extends
-    a list ``out`` by the candidates' V in Theta order."""
+    own angle, less the least candidate V (_value_code), less ``gap``; it
+    extends a list ``out`` by the candidates' V in Theta order."""
     return _KERNEL.format(
         state=", ".join(loop.state),
-        body=textwrap.indent("".join(loop.body), "    "),
-        value=textwrap.indent(loop.value, "    "),
-        least=textwrap.indent(_least(loop.value, loop.terms), "    "),
+        body=textwrap.indent(_value_code(loop), "    "),
         values=", ".join(f"V_{k}" for k in range(len(loop.terms))))
 
 
@@ -763,7 +769,11 @@ def _switched_text(world: NavigationWorld, gains: NavGains,
                    sp: SmoothedParams | None,
                    bp: BacksteppingParams | None) -> _LoopText:
     """The pieces of the switched loop the layers ``sp`` and ``bp`` select,
-    each layer adding its state names and fragments; gap is loop_gap."""
+    each layer adding its state names and fragments; gap is loop_gap.  The
+    applied input is the hybrid loop's -k_p (g - sigma), the smoothed
+    loop's tracked input k_p (eta - g) (_TRACKED), which the backstepped
+    loop's V reads as the integrator's reference, and the backstepped
+    loop's state u."""
     consts = _flow_constants(world, gains)
     consts["gap"] = loop_gap(gains, sp, bp)
     state = ("px", "py")
@@ -773,31 +783,35 @@ def _switched_text(world: NavigationWorld, gains: NavGains,
     if sp is None:
         flow += (_HYBRID_FLOW,)
         rates = ("dpx", "dpy")
+        applied = (_GRADIENT, _OFFSET, _HYBRID_FLOW)
     else:
         state += ("eta1", "eta2")
-        flow += (_TRACKER_FLOW,)
+        flow += (_TRACKER_FLOW, _TRACKED)
         body += (_OFFSET,)
         value += _TRACKER_VALUE
         rates = ("r1", "r2", "deta1", "deta2")
+        applied = (_GRADIENT, _TRACKED)
         consts.update(k_eta=sp.k_eta, gamma_s=sp.gamma_s)
     if bp is not None:
         state += ("u1", "u2")
         flow += (_INTEGRATOR_FLOW,)
-        body += (_GRADIENT, _FOLLOWING)
+        body += (_GRADIENT, _TRACKED, _FOLLOWING)
         value += "V = V + integ\n"
         rates = ("u1", "u2", "deta1", "deta2", "du1", "du2")
+        applied = ()
         consts.update(k_b=bp.k_b, gamma_b=bp.gamma_b)
     terms = tuple(_angle_terms(world, gains, t)
                   for t in gains.theta_candidates.tolist())
     return _LoopText(consts, (*state, "th"), flow, (*rates, "dth"),
-                     body + (_PENALTY,), value, terms)
+                     body + (_PENALTY,), value, terms, applied)
 
 
 def _gradient_text(world: NavigationWorld, gains: NavGains) -> _LoopText:
-    """The pieces of the gradient loop: its flow, -k_p grad V_nav, and V_nav."""
+    """The pieces of the gradient loop: its flow, -k_p grad V_nav, and V_nav;
+    its applied input needs the gradient beyond V_nav's pieces."""
     return _LoopText(_flow_constants(world, gains), ("px", "py", "th"),
                      (_RADIAL, _GRADIENT), ("-k_p * gx", "-k_p * gy", "0.0"),
-                     (_RADIAL, _SKIRT), _NAV_VALUE, ())
+                     (_RADIAL, _SKIRT), _NAV_VALUE, (), (_GRADIENT,))
 
 
 def _switched_loop(world: NavigationWorld, gains: NavGains,
@@ -922,24 +936,20 @@ def channels(xs):
         raise DimensionMismatch(
             f"states have shape {{xs.shape}}, expected (n, {width})")
     [{state}] = xs.T
-{body}    return V, stack(({u}), 1), {mu}, z, ddest
+{body}    return V, stack(({u}), 1), {mu}, z, hypot(px - pdx, py - pdy)
 """
 
 
 def _channel_code(loop: _LoopText) -> str:
-    """The source of a loop's channels(xs): its flow, the V fragments the
-    flow lacks, the candidates' V and ddest, through the array rule."""
-    text = "".join(loop.flow + tuple(f for f in loop.body if f not in loop.flow))
-    text += loop.value
-    mu = "None"
-    if loop.terms:
-        text += _least(loop.value, loop.terms)
-        mu = "V - best - gap + gap"  # (excess - gap) + gap, as in_flow_set + gap
-    u = ", ".join(loop.rates[:2])
+    """The source of a loop's channels(xs): V's text (_value_code) and the
+    applied input's fragments, through the array rule, then the distance to
+    p_d; the flow's other rates are not computed.  mu is (V - best - gap) +
+    gap, in_flow_set's value plus the gap."""
+    text = _array_code(_value_code(loop) + "".join(loop.applied))
     return _CHANNELS.format(
         width=len(loop.state), state=", ".join(loop.state),
-        body=textwrap.indent(_array_code(text + _DEST), "    "),
-        u=u, mu=mu)
+        body=textwrap.indent(text, "    "), u=", ".join(loop.rates[:2]),
+        mu="V - best - gap + gap" if loop.terms else "None")
 
 
 def loop_channels(world: NavigationWorld, gains: NavGains, gap: float | None,
@@ -951,9 +961,9 @@ def loop_channels(world: NavigationWorld, gains: NavGains, gap: float | None,
     the gradient loop), the clearance and the distance to p_d, each with the
     bits the loop's maps and the float helpers give that row.  A clearance at
     or below 1e-12 raises NonPositiveDistance, another width
-    DimensionMismatch.  The map runs the loop's whole flow, rates no channel
-    reads included: run_scenario builds it on every run, and a text pass
-    that drops them costs more to build than it saves."""
+    DimensionMismatch.  The map runs V's pieces and the applied input's
+    (_channel_code), not the flow: the loop's other rates are never
+    computed."""
     if gap is None:
         loop = _gradient_text(world, gains)
     else:

@@ -286,6 +286,23 @@ def test_a_constant_that_shares_a_state_name_leaves_the_state_a_local():
         == engine._call_kernel(2, "rk4")(reference, [1.0, 4.0], 0.1)
 
 
+@pytest.mark.parametrize("state, constant", [
+    *((name, None) for name in ("h", "half", "x0", "a0", "b0", "c0")),
+    *(("s", name) for name in ("e", "w", "out", "y0")),
+])
+def test_a_state_or_constant_named_like_a_name_the_step_keeps_is_refused(
+        state, constant):
+    """A state named like one of the inlined step's own names would be
+    overwritten between stages, and a function constant so named shadowed by
+    the step's local; either is a ValueError naming the clash, not a step
+    that gives other bits than flow(v) or raises UnboundLocalError."""
+    name = constant or state
+    body = f"r = -{state}" if constant is None else f"r = -{constant}({state})"
+    consts = {} if constant is None else {constant: math.sin}
+    with pytest.raises(ValueError, match=f"\\['{name}'\\] clash"):
+        engine.compile_flow((state,), body, ("r",), consts)
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_step_flow_rejects_a_flow_of_the_wrong_length(size):
     """Too short or too long, as an ndarray, a list or a tuple, at the first

@@ -1279,7 +1279,9 @@ def test_channels_at_the_skirt_edge_equal_the_scalar_helpers(where):
 def test_channel_sources_test_no_array_but_the_clearance(path):
     """The array rule leaves each shipped loop's channel source straight-line
     code: no loop, no conditional expression, and only two if statements,
-    the stack's width check and the clearance guard over every row."""
+    the stack's width check and the clearance guard over every row.  The
+    source runs V and the applied input only: it assigns none of the flow's
+    other rates, nor what only they read."""
     cfg = load_config(path)
     if cfg.controller == "non_hybrid":
         loop = _gradient_text(cfg.world, cfg.gains)
@@ -1293,6 +1295,10 @@ def test_channel_sources_test_no_array_but_the_clearance(path):
     assert [ast.unparse(node.test) for node in ast.walk(tree)
             if isinstance(node, ast.If)] == [
         f"xs.ndim != 2 or xs.shape[1] != {width}", "not (z > _Z_MIN).all()"]
+    assigned = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not assigned & {"dth", "rx", "deta1", "deta2", "b", "nx", "ny",
+                           "ndotu", "Hu1", "Hu2", "du1", "du2"}
 
 
 @pytest.mark.parametrize("text", [
