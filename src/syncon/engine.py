@@ -86,6 +86,7 @@ names, so a tracer that replaces them sees every step.
 from __future__ import annotations
 
 import functools
+import keyword
 import math
 import re
 import textwrap
@@ -413,8 +414,12 @@ except ValueError:
 # followed by an entry index.  A state so named would overwrite the kernel's
 # value between stages, and a constant left a name (not a finite float)
 # would read the kernel's local in place of its own value, so compile_flow
-# refuses both.
+# refuses both.  The arguments of flow(v) and kernel(f, x, h) other than h
+# (_ARGUMENTS) are harmless as states, which the body unpacks over them,
+# but a constant so named that stays a name and names no state would read
+# the argument, so compile_flow refuses that constant too.
 _KEPT = re.compile(r"h|half|w|e|out|[xabcdy]\d+")
+_ARGUMENTS = ("f", "v", "x")
 
 
 def _flow_code(state: tuple[str, ...], body: str, rates: tuple[str, ...],
@@ -540,6 +545,11 @@ def _dense_kernel(n: int) -> Callable[[list[float], list[float], float], list[fl
     return namespace["dense"]
 
 
+# Where a `` - name`` term ends: at a closing bracket, a comma, a sign, a
+# comparison, a comment, a line's end or a keyword of lower precedence.
+_TERM_END = r"(?= *(?:[-+)\]},;<>=!#\n]|(?:if|else|and|or|for|in|is|not)\b|$))"
+
+
 def literal_source(text: str, constants: dict) -> str:
     """``text``, Python source, with each whole word that ``constants``
     binds to a finite Python float written as that float's repr in
@@ -549,10 +559,45 @@ def literal_source(text: str, constants: dict) -> str:
     gives at run time.  A constant of any other type, inf and nan included,
     stays a name.  The rule reads words, not syntax: a text that assigns
     such a name fails to compile, as a literal is no target, and the name
-    spelled inside a string literal is rewritten there too."""
+    spelled inside a string literal is rewritten there too.
+
+    The same rule drops each term `` - name`` whose name is bound to +0.0,
+    where the term is whole (the next token ends it: a closing bracket, a
+    comma, a sign, a comparison, if, else, and, or, a comment, a line's
+    end) and the word before the minus is a float, a name that is no
+    keyword and no constant kept a name.  x - (+0.0) is x for every float
+    x, -0.0, the infinities and NaN included (IEEE 754), and so entry by
+    entry for a float array, but the compiler folds no such subtraction
+    from a variable; so each drop is one float operation less at run time,
+    with the same bits.  A signalling NaN alone differs: the subtraction
+    quiets it, the dropped term passes it as it came.  Everything else
+    stays as the whole-word rule writes it: -0.0; a unary minus; a zero
+    that is a factor, base or primary (- z * k, - z ** 2, - z[0], - z.a,
+    - z(...)) or on the left of a minus; a zero added or multiplied, as
+    +0.0 + -0.0 is +0.0 and a zero times a negative is -0.0; a zero after
+    an int or bool, where the subtraction makes a float, or after a number,
+    which the compiler folds with the literal; and one after a closing
+    bracket, which the pattern does not look for.  The pattern names the
+    +0.0 constants, so it matches no other term, and a text with no such
+    constant is written by the whole-word rule alone."""
     floats = {name: f"({value!r})" for name, value in constants.items()
               if type(value) is float and math.isfinite(value)}
-    return re.sub(r"\w+", lambda word: floats.get(word[0], word[0]), text)
+    zeros = "|".join(name for name, value in floats.items()
+                     if value == "(0.0)" and name.isidentifier())
+    if not zeros:
+        return re.sub(r"\w+", lambda word: floats.get(word[0], word[0]), text)
+
+    def written(match) -> str:
+        word = match[0]
+        if " " not in word:
+            return floats.get(word, word)
+        word, *dropped = word.split(" - ")
+        if word in floats or (word not in constants and word.isidentifier()
+                              and not keyword.iskeyword(word)):
+            return floats.get(word, word)
+        return word + " - (0.0)" * len(dropped)
+
+    return re.sub(rf"\w+(?: - (?:{zeros}){_TERM_END})*+", written, text)
 
 
 # Code objects of compile_source, keyed on the source, which carries each
@@ -575,10 +620,15 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
 
     ``body`` is straight-line Python that reads the state entries by the names
     ``state``, in order, and the names in ``constants``, and leaves the n
-    derivatives in the expressions ``rates``, one per entry.  It must assign no
-    state name and none of the names the kernel keeps (_KEPT): h, the
-    tableau's scale half, w, e and out, and x, a, b, c, d or y followed by
-    digits.  A state or a constant so named raises ValueError naming it.  The
+    derivatives in the expressions ``rates``, one per entry.  It computes on
+    floats, as the navigation fragments do: the state entries and the rates
+    are Python floats, so literal_source may drop a term that subtracts a
+    +0.0 constant from a name.  It must assign no state name and none of the
+    names the kernel keeps (_KEPT): h, the tableau's scale half, w, e and
+    out, and x, a, b, c, d or y followed by digits.  A state or a constant so
+    named raises ValueError naming it, as does a constant named f, v or x
+    (_ARGUMENTS) that names no state and is no finite float, since the flow
+    map or its step would read its own argument of that name.  The
     returned ``flow(v)`` unpacks v into the state names, runs the body and
     returns the rates as a list.  Its ``rk4_step(x, h)`` attribute is the
     _RK4 step that ``_flow_code`` generates, bound to ``flow``, whose stages
@@ -594,10 +644,12 @@ def compile_flow(state: Sequence[str], body: str, rates: Sequence[str],
     written in: the entry stays a local, and the flow reads the state.
     """
     state = tuple(state)
+    floats = {k: v for k, v in constants.items() if k not in state}
     clash = [name for name in (*state, *constants) if _KEPT.fullmatch(name)]
+    clash += [name for name in _ARGUMENTS
+              if name in floats and literal_source(name, floats) == name]
     if clash:
         raise ValueError(f"names {clash} clash with the inlined step's own")
-    floats = {k: v for k, v in constants.items() if k not in state}
     source = _flow_code(state, literal_source(body, floats),
                         tuple(literal_source(r, floats) for r in rates))
     namespace = {"_require_finite": _require_finite, **constants}

@@ -588,7 +588,14 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
 # compiler folds an operation on two literals into the bits it gives at run
 # time.  They repeat the scalar kernels' order of operations, signed zeros
 # included: outside the skirt the weight a is 0.0, the +0.0 that _grad's
-# varrho*0.0/rho gives there, as varrho > 0 and rho > r_o.
+# varrho*0.0/rho gives there, as varrho > 0 and rho > r_o.  A world
+# coordinate is subtracted as a whole term after a name (py - poy, px - pdx
+# + a * wx, the tails - pdx and - pdy of ex and ey), so where it is +0.0
+# (p_d at the origin, p_o on an axis, as in every shipped world) the rule
+# drops the term, with the same bits, as x - (+0.0) is x.  A zero
+# coordinate added or on the left of a minus stays, as in poy + s * wx and
+# qy - (c * qy - s * qx): +0.0 + y is +0.0, not y, at y = -0.0, and
+# +0.0 - y is +0.0, not -y, at y = +0.0.
 
 # p - p_o, rho and the clearance z (_radial); grad V_nav(p) = (gx, gy) with
 # the skirt weight a (_grad); the skirt term vphi = varrho phi(z) of V.

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,57 @@ def test_literal_source_rewrites_whole_words_of_finite_floats_only():
         "fn": math.cos}) == text
 
 
+# Constants for the zero-term rule: two +0.0, a -0.0, an int zero, an int
+# and a float.
+ZERO_TERMS = {"z": 0.0, "n": 0.0, "m": -0.0, "zi": 0, "k": 3, "a": 2.5}
+
+
+def plain_words(text: str) -> str:
+    """``text`` under the whole-word rule alone: every finite float of
+    ZERO_TERMS written in, no term dropped."""
+    literals = {"z": "(0.0)", "n": "(0.0)", "m": "(-0.0)", "a": "(2.5)"}
+    return re.sub(r"\w+", lambda word: literals.get(word[0], word[0]), text)
+
+
+@pytest.mark.parametrize("text, written", [
+    ("r = x - z", "r = x"),
+    ("r = x - z\nq = y - n\n", "r = x\nq = y\n"),
+    ("r = f(x - z, y - n)", "r = f(x, y)"),
+    ("r = [x - z] + y - z", "r = [x] + y"),
+    ("r = x - z + y - n - w", "r = x + y - w"),
+    ("r = x - z < y - n", "r = x < y"),
+    ("r = x - z if c - z else y - z", "r = x if c else y"),
+    ("r = x - z and y - z or w - z  # x - z", "r = x and y or w  # x"),
+    ("r = x - a - z - n", "r = x - (2.5)"),
+    ("r = k - x - z", "r = k - x"),
+    ("r = a - z", "r = (2.5)"),
+])
+def test_literal_source_drops_a_whole_term_that_subtracts_plus_zero(
+        text, written):
+    """- name, where the name is +0.0, the term is whole and a float name is
+    on its left, is not written at all; the other words are written in as
+    the whole-word rule writes them."""
+    assert engine.literal_source(text, ZERO_TERMS) == written
+
+
+@pytest.mark.parametrize("text", [
+    "r = x - m",
+    "r = - z", "r = (- z)", "r = f(y, - z)", "r = y * - z", "r = y = - z",
+    "return - z", "r = y if c else - z", "r = not - z",
+    "r = x - z * k", "r = x - z / k", "r = x - z ** 2", "r = x - z[0]",
+    "r = x - z.real", "r = x - z(q)",
+    "r = z - x", "r = s * z", "r = z * c", "r = z + x", "r = x + z",
+    "r = k - z", "r = 2 - z", "r = True - z", "r = 1.0 - z", "r = f(x) - z",
+    "r = v[0] - z", "r = k - z - n", "r = x - zi", "r = x - zz + z_1",
+])
+def test_literal_source_keeps_a_zero_that_is_no_whole_subtracted_term(text):
+    """-0.0; a unary minus; a zero that is a factor, base or primary; a zero
+    on the left, added or multiplied; a zero after an int, a bool, a number
+    or a closing bracket; an int zero: each is written as the whole-word
+    rule writes it, with no term dropped."""
+    assert engine.literal_source(text, ZERO_TERMS) == plain_words(text)
+
+
 def test_a_flow_body_that_assigns_a_float_constant_does_not_compile():
     """The literal is not an assignment target, so the body is refused
     instead of shadowing the constant."""
@@ -301,6 +353,28 @@ def test_a_state_or_constant_named_like_a_name_the_step_keeps_is_refused(
     consts = {} if constant is None else {constant: math.sin}
     with pytest.raises(ValueError, match=f"\\['{name}'\\] clash"):
         engine.compile_flow((state,), body, ("r",), consts)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("x", math.sin), ("f", math.sin), ("x", math.inf), ("v", math.sin)])
+def test_a_constant_named_like_a_step_argument_that_stays_a_name_is_refused(
+        name, value):
+    """A constant named f, v or x that is no finite float and names no state
+    would read flow(v)'s or kernel(f, x, h)'s argument, not its own value,
+    so it is a ValueError naming the clash."""
+    with pytest.raises(ValueError, match=f"\\['{name}'\\] clash"):
+        engine.compile_flow(("s",), f"r = -{name}(s) if callable({name}) "
+                            f"else -{name} * s", ("r",), {name: value})
+
+
+def test_a_float_constant_named_like_a_step_argument_is_written_in():
+    """A finite float x is written in as a literal, so the flow map and its
+    inlined step read 2.0, as the step that calls the flow map does."""
+    flow = engine.compile_flow(("s",), "r = -x * s\n", ("r",), {"x": 2.0})
+    spec = dataclasses.replace(pure_flow_spec(flow), dim=1)
+    assert flow([0.5]) == [-1.0]
+    assert step_flow(spec, [0.5], 0.1) == engine._call_kernel(1, "rk4")(
+        lambda v: [-2.0 * v[0]], [0.5], 0.1)
 
 
 @pytest.mark.parametrize("size", [1, 3])

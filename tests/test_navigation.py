@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, loop_potential
-from syncon import engine, numdiff
+from conftest import CONFIG_DIR, load_tool, loop_potential
+from syncon import engine, navigation, numdiff
 from syncon.engine import SimConfig, simulate, step_flow
 from syncon.errors import (
     DimensionMismatch,
@@ -58,7 +58,12 @@ from syncon.navigation import (
     tracked_input,
     validate_gains,
 )
-from syncon.harness import build_closed_loop, initial_packed_state, load_config
+from syncon.harness import (
+    build_closed_loop,
+    governing_gap,
+    initial_packed_state,
+    load_config,
+)
 from syncon.smoothing import (
     SmoothedParams,
     check_reconstruction,
@@ -1233,6 +1238,49 @@ def test_sample_channels_of_any_split_of_the_rows_are_the_whole_calls(path):
                 assert all(part is None for part in got)
             else:
                 assert np.concatenate(got).tobytes() == whole[k].tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_a_folded_channel_map_leaves_the_state_columns_alone(path):
+    """With p_d at the origin the map's p - p_d and the distance read the
+    position columns themselves (literal_source drops - (0.0)), yet no
+    channel shares memory with xs and xs keeps its bits."""
+    cfg = load_config(path)
+    assert cfg.world.p_d.tolist() == [0.0, 0.0]
+    rng = np.random.default_rng(405)
+    xs = np.tile(initial_packed_state(cfg), (64, 1))
+    xs += rng.normal(0.0, 0.1, xs.shape)
+    before = xs.tobytes()
+    out = loop_channels(cfg.world, cfg.gains, governing_gap(cfg), cfg.smoothed,
+                        cfg.backstep)(xs)
+    assert xs.tobytes() == before
+    assert not any(np.shares_memory(c, xs) for c in out if c is not None)
+
+
+def test_no_generated_source_subtracts_a_zero_literal(monkeypatch):
+    """Every source compiled for the loops of the shipped configs, the theta3
+    loop and ring_sweep's loops (the digest tool's code line), in worlds
+    whose p_d or p_o has a zero coordinate, is free of ' - (0.0)'."""
+    tool = load_tool("arc_digest")
+    cfgs = [load_config(path) for path in tool.config_paths()]
+    cfgs += [tool.theta3_config(), *tool._workloads().ring_configs().values()]
+    sources = []
+    real = engine.compile_source
+
+    def recorded(source, filename):
+        sources.append(source)
+        return real(source, filename)
+
+    monkeypatch.setattr(engine, "compile_source", recorded)
+    monkeypatch.setattr(navigation, "compile_source", recorded)
+    for cfg in cfgs:
+        assert 0.0 in (*cfg.world.p_d.tolist(), *cfg.world.p_o.tolist())
+        build_closed_loop(cfg)
+        loop_channels(cfg.world, cfg.gains, governing_gap(cfg), cfg.smoothed,
+                      cfg.backstep)
+    assert len(sources) == 3 * len(cfgs) - 1  # fig5_nonhybrid has no kernel
+    assert not [s for s in sources if " - (0.0)" in s]
 
 
 def skirt_edge_rows(world, width):

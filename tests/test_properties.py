@@ -9,14 +9,17 @@ import dataclasses
 import functools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import CONFIG_DIR, loop_potential
 from syncon.backstepping import backstepped_quadruple
+from syncon.engine import literal_source
 from syncon.errors import NonPositiveDistance, ParseError, ValidationError
 from syncon.harness import (
     CONTROLLERS,
@@ -401,3 +404,59 @@ def test_load_config_of_mutated_shipped_configs_raises_only_its_own_errors(
     except (ValidationError, ParseError):
         return
     _assert_admissible(cfg)
+
+
+# -- the zero-term rule ------------------------------------------------------
+
+_SUBTRACTION = "def sub(a):\n    r = a - z\n    return r\n"
+
+
+def _compiled(source: str):
+    namespace = {}
+    exec(compile(source, "<subtraction>", "exec"), namespace)
+    return namespace["sub"]
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+# r = a - z with z = +0.0: as literal_source writes it, the term dropped,
+# and as the whole-word rule alone writes it, a subtraction of the literal.
+_FOLDED = literal_source(_SUBTRACTION, {"z": 0.0})
+_UNFOLDED = _SUBTRACTION.replace("- z", "- (0.0)")
+_folded, _unfolded = _compiled(_FOLDED), _compiled(_UNFOLDED)
+
+# Every float but a signalling NaN (a NaN whose quiet bit is clear), with
+# the signed zeros, the infinities, NaNs of either sign and the subnormal
+# and normal bounds drawn often.
+_FLOATS = st.floats().filter(
+    lambda x: x == x or _bits(x) >> 51 & 1) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+     2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308])
+
+
+def test_the_zero_term_is_dropped_from_the_subtraction():
+    assert _FOLDED == "def sub(a):\n    r = a\n    return r\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_FLOATS)
+def test_a_dropped_zero_term_keeps_the_bits_of_the_subtraction(a):
+    """a - (+0.0) is a, bit for bit, for every float a but a signalling NaN."""
+    assert _bits(_folded(a)) == _bits(_unfolded(a))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(a=arrays(np.float64, st.integers(0, 16), elements=_FLOATS))
+def test_a_dropped_zero_term_keeps_the_bits_of_an_array_subtraction(a):
+    """Entry by entry over float64 arrays, as the channel maps run it."""
+    assert _folded(a).tobytes() == _unfolded(a).tobytes()
+
+
+def test_a_signalling_nan_passes_a_dropped_zero_term_as_it_came():
+    """The subtraction quiets a signalling NaN; the dropped term does not
+    run, so the NaN comes out as it went in.  Either is a NaN."""
+    snan = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
+    assert _bits(_folded(snan)) == 0x7FF0000000000001
+    assert math.isnan(_unfolded(snan))
