@@ -546,8 +546,11 @@ def _dense_kernel(n: int) -> Callable[[list[float], list[float], float], list[fl
 
 
 # Where a `` - name`` term ends: at a closing bracket, a comma, a sign, a
-# comparison, a comment, a line's end or a keyword of lower precedence.
-_TERM_END = r"(?= *(?:[-+)\]},;<>=!#\n]|(?:if|else|and|or|for|in|is|not)\b|$))"
+# comparison, if, else, a comment or a line's end.
+_TERM_END = r"(?= *(?:[-+)\],<>=!#\n]|(?:if|else)\b|$))"
+
+# A name that the whole-word rule can write in: one word, as \w reads it.
+_WORD = re.compile(r"\w+")
 
 
 def literal_source(text: str, constants: dict) -> str:
@@ -557,47 +560,58 @@ def literal_source(text: str, constants: dict) -> str:
     compiled code loads it as a constant instead of looking a name up; the
     compiler folds an operation on two literals into the bits the operation
     gives at run time.  A constant of any other type, inf and nan included,
-    stays a name.  The rule reads words, not syntax: a text that assigns
-    such a name fails to compile, as a literal is no target, and the name
-    spelled inside a string literal is rewritten there too.
+    stays a name, and so does one found inside a longer word.  The rule
+    reads words, not syntax: a text that assigns such a name fails to
+    compile, as a literal is no target, and the name spelled inside a
+    string literal is rewritten there too.
 
     The same rule drops each term `` - name`` whose name is bound to +0.0,
-    where the term is whole (the next token ends it: a closing bracket, a
-    comma, a sign, a comparison, if, else, and, or, a comment, a line's
-    end) and the word before the minus is a float, a name that is no
-    keyword and no constant kept a name.  x - (+0.0) is x for every float
-    x, -0.0, the infinities and NaN included (IEEE 754), and so entry by
-    entry for a float array, but the compiler folds no such subtraction
-    from a variable; so each drop is one float operation less at run time,
-    with the same bits.  A signalling NaN alone differs: the subtraction
-    quiets it, the dropped term passes it as it came.  Everything else
-    stays as the whole-word rule writes it: -0.0; a unary minus; a zero
-    that is a factor, base or primary (- z * k, - z ** 2, - z[0], - z.a,
-    - z(...)) or on the left of a minus; a zero added or multiplied, as
-    +0.0 + -0.0 is +0.0 and a zero times a negative is -0.0; a zero after
-    an int or bool, where the subtraction makes a float, or after a number,
-    which the compiler folds with the literal; and one after a closing
-    bracket, which the pattern does not look for.  The pattern names the
-    +0.0 constants, so it matches no other term, and a text with no such
-    constant is written by the whole-word rule alone."""
+    where the term is whole (the name is a whole word and the next token
+    ends the term: a closing bracket, a comma, a sign, a comparison, if,
+    else, a comment, a line's end) and the word that ends just before the
+    term is a float: a float constant, or a name that is no keyword and no
+    constant kept a name.  x - (+0.0) is x for every float x, -0.0, the
+    infinities and NaN included (IEEE 754), and so entry by entry for a
+    float array, but the compiler folds no such subtraction from a
+    variable; so each drop is one float operation less at run time, with
+    the same bits.  A signalling NaN alone differs: the subtraction quiets
+    it, the dropped term passes it as it came.  Everything else stays as the
+    whole-word rule writes it: -0.0; a unary minus; a zero that is a factor,
+    base or primary (- z * k, - z ** 2, - z[0], - z.a, - z(...)) or on the
+    left of a minus; a zero added or multiplied, as +0.0 + -0.0 is +0.0 and
+    a zero times a negative is -0.0; a zero after an int or bool, where the
+    subtraction makes a float, or after a number, which the compiler folds
+    with the literal; one after a closing bracket, where no word ends; and
+    a term followed by any other token (and, or, in, ...).
+
+    One re.sub does both: its pattern names the float constants and the
+    +0.0 terms, so only their sites call back into Python, and a text with
+    no +0.0 constant has no term to drop."""
     floats = {name: f"({value!r})" for name, value in constants.items()
-              if type(value) is float and math.isfinite(value)}
+              if type(value) is float and math.isfinite(value)
+              and _WORD.fullmatch(name)}
+    if not floats:
+        return text
     zeros = "|".join(name for name, value in floats.items()
                      if value == "(0.0)" and name.isidentifier())
-    if not zeros:
-        return re.sub(r"\w+", lambda word: floats.get(word[0], word[0]), text)
 
     def written(match) -> str:
+        start = begin = match.start()
+        while begin and (text[begin - 1].isalnum() or text[begin - 1] == "_"):
+            begin -= 1
         word = match[0]
-        if " " not in word:
-            return floats.get(word, word)
-        word, *dropped = word.split(" - ")
-        if word in floats or (word not in constants and word.isidentifier()
-                              and not keyword.iskeyword(word)):
-            return floats.get(word, word)
-        return word + " - (0.0)" * len(dropped)
+        if word[0] != " ":
+            return word if begin < start else floats[word]
+        left = text[begin:start]
+        if left in floats or (left not in constants and left.isidentifier()
+                              and not keyword.iskeyword(left)):
+            return ""
+        return " - (0.0)"
 
-    return re.sub(rf"\w+(?: - (?:{zeros}){_TERM_END})*+", written, text)
+    pattern = "(?:" + "|".join(floats) + r")\b"
+    if zeros:
+        pattern += rf"| - (?:{zeros})\b{_TERM_END}"
+    return re.sub(pattern, written, text)
 
 
 # Code objects of compile_source, keyed on the source, which carries each

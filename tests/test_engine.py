@@ -284,16 +284,17 @@ def plain_words(text: str) -> str:
     ("r = x - z + y - n - w", "r = x + y - w"),
     ("r = x - z < y - n", "r = x < y"),
     ("r = x - z if c - z else y - z", "r = x if c else y"),
-    ("r = x - z and y - z or w - z  # x - z", "r = x and y or w  # x"),
+    ("r = x - z == y - n != w - z  # x - z", "r = x == y != w  # x"),
     ("r = x - a - z - n", "r = x - (2.5)"),
     ("r = k - x - z", "r = k - x"),
+    ("r = k - z - n", "r = k - (0.0)"),
     ("r = a - z", "r = (2.5)"),
 ])
 def test_literal_source_drops_a_whole_term_that_subtracts_plus_zero(
         text, written):
-    """- name, where the name is +0.0, the term is whole and a float name is
-    on its left, is not written at all; the other words are written in as
-    the whole-word rule writes them."""
+    """- name, where the name is +0.0, the term is whole and the word on its
+    left is a float constant or a name, is not written at all; the other
+    words are written in as the whole-word rule writes them."""
     assert engine.literal_source(text, ZERO_TERMS) == written
 
 
@@ -305,13 +306,17 @@ def test_literal_source_drops_a_whole_term_that_subtracts_plus_zero(
     "r = x - z.real", "r = x - z(q)",
     "r = z - x", "r = s * z", "r = z * c", "r = z + x", "r = x + z",
     "r = k - z", "r = 2 - z", "r = True - z", "r = 1.0 - z", "r = f(x) - z",
-    "r = v[0] - z", "r = k - z - n", "r = x - zi", "r = x - zz + z_1",
+    "r = v[0] - z", "r = x - zi", "r = x - zz + z_1",
+    "r = x - zor", "r = x - zif(x)", "r = y - nelse", "r = x - z_1",
+    "r = x - z and y", "r = x - z or y", "r = x - z in y", "r = x - z;",
 ])
 def test_literal_source_keeps_a_zero_that_is_no_whole_subtracted_term(text):
     """-0.0; a unary minus; a zero that is a factor, base or primary; a zero
     on the left, added or multiplied; a zero after an int, a bool, a number
-    or a closing bracket; an int zero: each is written as the whole-word
-    rule writes it, with no term dropped."""
+    or a closing bracket; an int zero; a name that only begins with a zero's
+    name; a term followed by a token that does not end it for the rule:
+    each is written as the whole-word rule writes it, with no term
+    dropped."""
     assert engine.literal_source(text, ZERO_TERMS) == plain_words(text)
 
 

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -460,3 +461,71 @@ def test_a_signalling_nan_passes_a_dropped_zero_term_as_it_came():
     snan = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
     assert _bits(_folded(snan)) == 0x7FF0000000000001
     assert math.isnan(_unfolded(snan))
+
+
+# Words that a constant may or may not name, and what may stand between
+# them: a longer word, a number, a name with a character \w does not read.
+_WORDS = ["r_s", "r_s2", "nr_s", "x_r_s", "k", "a", "ab", "b", "2x", "α",
+          "a·b", "if"]
+_GLUE = [" ", " + ", " - ", " * ", "(", ")", ".", "·", "\n", "_", "1", "e"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=st.lists(st.sampled_from(_WORDS + _GLUE), max_size=24).map("".join),
+       constants=st.dictionaries(st.sampled_from(_WORDS), st.sampled_from(
+           [0.5, -0.0, -2.5, 3, math.inf, math.nan, math.cos])))
+def test_literal_source_with_no_plus_zero_writes_whole_words_in(
+        text, constants):
+    """With no +0.0 constant no term is dropped, and each whole word, as \\w
+    reads words, is written in where a finite float constant names it."""
+    floats = {name: f"({value!r})" for name, value in constants.items()
+              if type(value) is float and math.isfinite(value)}
+    assert literal_source(text, constants) == re.sub(
+        r"\w+", lambda word: floats.get(word[0], word[0]), text)
+
+
+# Expressions over the float arguments x and y and the constants: z is
+# +0.0, m is -0.0, a is 2.5, k is the int 3.
+_ZERO_CONSTANTS = {"z": 0.0, "m": -0.0, "a": 2.5, "k": 3}
+_LEAVES = st.sampled_from(
+    ["x", "y", "x", "y", "z", "z", "m", "a", "k", "1.0", "2", "- z"])
+
+
+def _sums(terms):
+    """Terms joined by +, - and *, subtraction drawn most often."""
+    return st.tuples(terms, st.lists(st.tuples(st.sampled_from(
+        [" + ", " - ", " - ", " * "]), terms), max_size=3)).map(
+        lambda sum_: sum_[0] + "".join(op + term for op, term in sum_[1]))
+
+
+_EXPRESSIONS = st.recursive(_sums(_LEAVES), lambda inner: _sums(
+    st.one_of(_LEAVES, inner.map(lambda e: f"({e})"),
+              inner.map(lambda e: f"abs({e})"),
+              st.tuples(inner, inner, inner, inner).map(
+                  lambda e: f"({e[0]} if {e[1]} < {e[2]} else {e[3]})"))),
+    max_leaves=6)
+# Mostly ordinary floats, so that a wrong drop shows in the value.
+_ARGUMENTS = st.floats(-1e3, 1e3) | _FLOATS
+
+
+def _same(p, q) -> bool:
+    if type(p) is float and type(q) is float:
+        return _bits(p) == _bits(q)
+    return type(p) is type(q) and p == q
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(expression=_EXPRESSIONS, x=_ARGUMENTS, y=_ARGUMENTS)
+def test_a_dropped_zero_term_keeps_every_expression_s_value(expression, x, y):
+    """Whatever terms the rule drops from an expression over float
+    arguments, the expression computes the type and bits that it computes
+    with every - (0.0) kept."""
+    source = f"def sub(x, y):\n    return {expression}\n"
+    floats = {"z": "(0.0)", "m": "(-0.0)", "a": "(2.5)"}
+    kept = re.sub(r"\w+", lambda word: floats.get(word[0], word[0]), source)
+    folded = _compiled(literal_source(source, _ZERO_CONSTANTS))
+    unfolded = _compiled(kept)
+    namespace = {"k": 3}
+    folded.__globals__.update(namespace)
+    unfolded.__globals__.update(namespace)
+    assert _same(folded(x, y), unfolded(x, y))
