@@ -38,8 +38,10 @@ the smoothed loop plus the actuator integrator u; each layer's bounds and
 gap are stated once, in layer_checks and loop_gap.  The pieces compile
 three ways, each with the loop's float constants written in as literals
 (engine.literal_source), each map running only the pieces it reads
-(_LoopText): the flow's into the flow map and its inlined RK4 step
-(engine.compile_flow); V's into the switching kernel in_flow_set,
+(_LoopText) after the clearance and one skirt branch, which takes
+log(r_s / z) once and then the terms of one table (_SKIRT_TERMS) that the
+pieces read (_skirted): the flow's into the flow map and its inlined RK4
+step (engine.compile_flow); V's into the switching kernel in_flow_set,
 straight-line code with no loop over Theta (_kernel_code); and V's with the
 applied input's into the harness's per-sample channels, run once over the
 numpy columns of a stack of states through one array rule (loop_channels,
@@ -597,8 +599,8 @@ def decomposed_feedback(world: NavigationWorld, gains: NavGains) -> DecomposedFe
 # qy - (c * qy - s * qx): +0.0 + y is +0.0, not y, at y = -0.0, and
 # +0.0 - y is +0.0, not -y, at y = +0.0.
 
-# p - p_o, rho and the clearance z (_radial); grad V_nav(p) = (gx, gy) with
-# the skirt weight a (_grad); the skirt term vphi = varrho phi(z) of V.
+# p - p_o, rho and the clearance z (_radial), which each map computes before
+# its one skirt branch (_skirted); grad V_nav(p) = (gx, gy) (_grad).
 _RADIAL = """\
 wx = px - pox
 wy = py - poy
@@ -609,24 +611,18 @@ if not z > _Z_MIN:
 """
 
 _GRADIENT = """\
-if z < r_s:
-    d = z - r_s
-    lg = log(r_s / z)
-    a = varrho * (2.0 * d * lg - d * d / z) / rho
-else:
-    a = 0.0
 gx = px - pdx + a * wx
 gy = py - pdy + a * wy
 """
 
-_SKIRT = """\
-if z < r_s:
-    d = z - r_s
-    lg = log(r_s / z)
-    vphi = varrho * (d * d * lg)
-else:
-    vphi = varrho * 0.0
-"""
+# The skirt's terms inside the skirt (d = z - r_s, lg = log(r_s / z)) and
+# beyond it, each reading only the terms above it: V's vphi = varrho phi(z),
+# a = varrho phi'(z)/rho (_grad) and b = varrho phi''(z) - a (nav_hessian).
+_SKIRT_TERMS = (
+    ("vphi", "varrho * (d * d * lg)", "varrho * 0.0"),
+    ("a", "varrho * (2.0 * d * lg - d * d / z) / rho", "0.0"),
+    ("b", "varrho * (2.0 * lg - 4.0 * d / z + d * d / (z * z)) - a", "varrho * 0.0 - a"),
+)
 
 # cos and sin of the logic angle th; the offset sigma = (sx, sy) (_offset);
 # its theta-derivative (rx, ry) and the angle rate dth.
@@ -667,10 +663,6 @@ r2 = k_p * (eta2 - gy)
 # The integrator's flow, with H u for H = I + a I + b n n^T (nav_hessian),
 # written radially.
 _INTEGRATOR_FLOW = """\
-if z < r_s:
-    b = varrho * (2.0 * lg - 4.0 * d / z + d * d / (z * z)) - a
-else:
-    b = varrho * 0.0 - a
 nx = wx / rho
 ny = wy / rho
 ndotu = nx * u1 + ny * u2
@@ -725,7 +717,8 @@ class _LoopText(NamedTuple):
     (``value``), and the candidates' angle terms (_angle_terms), which the
     kernel reads; and the fragments that the applied input, p's rate
     (``rates[:2]``), needs beyond V's (``applied``), which the channels
-    read after V's."""
+    read after V's.  Each map's text starts with the clearance and its one
+    skirt branch (_skirted), which no fragment holds."""
 
     consts: dict
     state: tuple[str, ...]
@@ -750,13 +743,27 @@ def _value_code(loop: _LoopText) -> str:
     return text
 
 
+def _skirted(*fragments: str) -> str:
+    """_RADIAL, one "if z < r_s:" branch and the fragments: the branch sets
+    d, lg and the terms of _SKIRT_TERMS that the fragments or a later term
+    read, else those terms' outside formulas."""
+    text = "".join(fragments)
+    inside = outside = ""
+    for name, within, beyond in reversed(_SKIRT_TERMS):
+        if re.search(rf"\b{name}\b", text + inside):
+            inside = f"    {name} = {within}\n" + inside
+            outside = f"    {name} = {beyond}\n" + outside
+    return (_RADIAL + "if z < r_s:\n    d = z - r_s\n    lg = log(r_s / z)\n"
+            + inside + "else:\n" + outside + text)
+
+
 def _kernel_code(loop: _LoopText) -> str:
     """The source of a switched loop's in_flow_set(v, out=None): V at the
     own angle, less the least candidate V (_value_code), less ``gap``; it
     extends a list ``out`` by the candidates' V in Theta order."""
     return _KERNEL.format(
         state=", ".join(loop.state),
-        body=textwrap.indent(_value_code(loop), "    "),
+        body=textwrap.indent(_skirted(_value_code(loop)), "    "),
         values=", ".join(f"V_{k}" for k in range(len(loop.terms))))
 
 
@@ -778,14 +785,12 @@ def _switched_text(world: NavigationWorld, gains: NavGains,
     """The pieces of the switched loop the layers ``sp`` and ``bp`` select,
     each layer adding its state names and fragments; gap is loop_gap.  The
     applied input is the hybrid loop's -k_p (g - sigma), the smoothed
-    loop's tracked input k_p (eta - g) (_TRACKED), which the backstepped
-    loop's V reads as the integrator's reference, and the backstepped
-    loop's state u."""
+    loop's tracked input (_TRACKED) and the backstepped loop's state u."""
     consts = _flow_constants(world, gains)
     consts["gap"] = loop_gap(gains, sp, bp)
     state = ("px", "py")
-    flow = (_RADIAL, _GRADIENT, _ANGLE, _OFFSET, _ROTATION_FLOW)
-    body = (_RADIAL, _SKIRT, _ANGLE)
+    flow = (_GRADIENT, _ANGLE, _OFFSET, _ROTATION_FLOW)
+    body = (_ANGLE,)
     value = _VALUE
     if sp is None:
         flow += (_HYBRID_FLOW,)
@@ -817,8 +822,8 @@ def _gradient_text(world: NavigationWorld, gains: NavGains) -> _LoopText:
     """The pieces of the gradient loop: its flow, -k_p grad V_nav, and V_nav;
     its applied input needs the gradient beyond V_nav's pieces."""
     return _LoopText(_flow_constants(world, gains), ("px", "py", "th"),
-                     (_RADIAL, _GRADIENT), ("-k_p * gx", "-k_p * gy", "0.0"),
-                     (_RADIAL, _SKIRT), _NAV_VALUE, (), (_GRADIENT,))
+                     (_GRADIENT,), ("-k_p * gx", "-k_p * gy", "0.0"), (),
+                     _NAV_VALUE, (), (_GRADIENT,))
 
 
 def _switched_loop(world: NavigationWorld, gains: NavGains,
@@ -837,7 +842,7 @@ def _switched_loop(world: NavigationWorld, gains: NavGains,
          kernel)
     return switching_system(kernel["in_flow_set"],
                             gains.theta_candidates.reshape(-1, 1),
-                            compile_flow(loop.state, "".join(loop.flow),
+                            compile_flow(loop.state, _skirted(*loop.flow),
                                          loop.rates, loop.consts),
                             len(loop.state) - 1, shell_projection(world))
 
@@ -864,9 +869,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
     """Loop with tracker and actuator integrator; [p, eta, u, theta] packed.
 
     The tracker flows as in smooth_closed_loop; the integrator tracks the
-    reference k_p (eta - grad V_nav) with its time derivative, which needs
-    H u for H the base-potential Hessian I + a I + b n n^T (nav_hessian),
-    written radially.
+    reference k_p (eta - grad V_nav) with its time derivative.
     """
     return _switched_loop(world, gains, sp, bp)
 
@@ -874,7 +877,7 @@ def backstep_closed_loop(world: NavigationWorld, gains: NavGains,
 def gradient_closed_loop(world: NavigationWorld, gains: NavGains) -> HybridSystemSpec:
     """Plain descent on the base potential; never jumps.  [px, py, theta]."""
     loop = _gradient_text(world, gains)
-    flow = compile_flow(loop.state, "".join(loop.flow), loop.rates, loop.consts)
+    flow = compile_flow(loop.state, _skirted(*loop.flow), loop.rates, loop.consts)
     return HybridSystemSpec(
         dim=3,
         flow_map=flow,
@@ -924,7 +927,7 @@ def _array_code(text: str) -> str:
     (_ARRAY_NAMES; numpy's differ in the last place on some inputs).  The
     rewrites (_ARRAY_RULES): the clearance guard tests every row and passes
     the first bad row's clearance to _check_z; "if V_k < best: best = V_k"
-    becomes a minimum; an "if z < r_s:" skirt branch runs its inside
+    becomes a minimum; the map's one skirt branch (_skirted) runs its inside
     formulas alone on zc = min(z, r_s), where at zc = r_s, d = +0.0 and
     log(1.0) = 0.0 give the outside formulas' bits, as phi and its first two
     derivatives vanish at r_s.  Any other if or else raises ValueError."""
@@ -950,9 +953,8 @@ def channels(xs):
 def _channel_code(loop: _LoopText) -> str:
     """The source of a loop's channels(xs): V's text (_value_code) and the
     applied input's fragments, through the array rule, then the distance to
-    p_d; the flow's other rates are not computed.  mu is (V - best - gap) +
-    gap, in_flow_set's value plus the gap."""
-    text = _array_code(_value_code(loop) + "".join(loop.applied))
+    p_d.  mu is (V - best - gap) + gap, in_flow_set's value plus the gap."""
+    text = _array_code(_skirted(_value_code(loop), *loop.applied))
     return _CHANNELS.format(
         width=len(loop.state), state=", ".join(loop.state),
         body=textwrap.indent(text, "    "), u=", ".join(loop.rates[:2]),
@@ -968,9 +970,7 @@ def loop_channels(world: NavigationWorld, gains: NavGains, gap: float | None,
     the gradient loop), the clearance and the distance to p_d, each with the
     bits the loop's maps and the float helpers give that row.  A clearance at
     or below 1e-12 raises NonPositiveDistance, another width
-    DimensionMismatch.  The map runs V's pieces and the applied input's
-    (_channel_code), not the flow: the loop's other rates are never
-    computed."""
+    DimensionMismatch; the loop's other rates are never computed."""
     if gap is None:
         loop = _gradient_text(world, gains)
     else:

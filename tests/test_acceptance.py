@@ -335,11 +335,11 @@ def test_criterion_7_smooth_input_continuity(records):
         7, "applied input continuity across switches", ok_cont and ok_settle,
         f"worst input step over {sm.n_jumps} jump(s) = {worst_step:.1e} "
         f"<= 1e-9; |theta| at t = 10 is {theta_end:.3f} (threshold 1e-3, met "
-        f"only past t ~ 140; see test_long_horizon_hybrid_converges)")
+        f"only past t ~ 134; see test_long_horizon_smooth_converges)")
     assert ok_cont
     assert ok_settle, (
         f"the logic angle is still {theta_end:.3f} at the shipped horizon "
-        f"t = 10; it settles below 1e-3 around t = 140 on the long run")
+        f"t = 10; it settles below 1e-3 around t = 134 on the long run")
 
 
 def test_criterion_8_backstepping_demo(records):
@@ -466,11 +466,17 @@ def test_long_horizon_hybrid_converges(long_records):
 
 
 def test_long_horizon_smooth_converges(long_records):
-    t, dist, _ = long_records["fig5_smooth"]
+    t, dist, theta = long_records["fig5_smooth"]
     reached = np.where(dist <= 0.05)[0]
     assert reached.size, "never reached the destination by t = 160"
     assert t[reached[0]] <= 90.0
+
+    above = np.where(np.abs(theta) > 1e-3)[0]
+    assert above.size and above[-1] < len(t) - 1
+    assert t[above[-1]] <= 155.0
+
     assert dist[-1] <= 0.05
+    assert abs(theta[-1]) <= 1e-3
 
 
 # -- start sweeps (repo-chosen robustness thresholds) ------------------------

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, load_tool, loop_potential
+from conftest import CONFIG_DIR, REPO_ROOT, load_tool, loop_potential
 from syncon import engine, navigation, numdiff
 from syncon.engine import SimConfig, simulate, step_flow
 from syncon.errors import (
@@ -1258,29 +1258,84 @@ def test_a_folded_channel_map_leaves_the_state_columns_alone(path):
     assert not any(np.shares_memory(c, xs) for c in out if c is not None)
 
 
-def test_no_generated_source_subtracts_a_zero_literal(monkeypatch):
+@pytest.fixture
+def shipped_sources(monkeypatch):
     """Every source compiled for the loops of the shipped configs, the theta3
-    loop and ring_sweep's loops (the digest tool's code line), in worlds
-    whose p_d or p_o has a zero coordinate, is free of ' - (0.0)'."""
+    loop and ring_sweep's loops (the digest tool's code line), as (loop,
+    source) pairs: each loop's flow map with its inlined RK4 step, switching
+    kernel (fig5_nonhybrid has none) and channel map.  Each world has a zero
+    coordinate in p_d or p_o."""
     tool = load_tool("arc_digest")
-    cfgs = [load_config(path) for path in tool.config_paths()]
-    cfgs += [tool.theta3_config(), *tool._workloads().ring_configs().values()]
+    cfgs = {path.stem: load_config(path) for path in tool.config_paths()}
+    cfgs["theta3"] = tool.theta3_config()
+    cfgs.update(tool._workloads().ring_configs())
     sources = []
     real = engine.compile_source
 
     def recorded(source, filename):
-        sources.append(source)
+        sources.append((name, source))
         return real(source, filename)
 
     monkeypatch.setattr(engine, "compile_source", recorded)
     monkeypatch.setattr(navigation, "compile_source", recorded)
-    for cfg in cfgs:
+    for name, cfg in cfgs.items():
         assert 0.0 in (*cfg.world.p_d.tolist(), *cfg.world.p_o.tolist())
         build_closed_loop(cfg)
         loop_channels(cfg.world, cfg.gains, governing_gap(cfg), cfg.smoothed,
                       cfg.backstep)
-    assert len(sources) == 3 * len(cfgs) - 1  # fig5_nonhybrid has no kernel
-    assert not [s for s in sources if " - (0.0)" in s]
+    assert len(sources) == 3 * len(cfgs) - 1
+    return sources
+
+
+def test_no_generated_source_subtracts_a_zero_literal(shipped_sources):
+    assert not [name for name, s in shipped_sources if " - (0.0)" in s]
+
+
+def skirt_passes(node) -> tuple[int, int]:
+    """The log calls and the skirt tests under ``node``: if statements on
+    z < r_s in scalar code, minimum(z, r_s) in channel code."""
+    logs = tests = 0
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
+            logs += n.func.id == "log"
+            tests += n.func.id == "minimum" and ast.unparse(n.args[0]) == "z"
+        elif isinstance(n, ast.If):
+            tests += ast.unparse(n.test).startswith("z < ")
+    return logs, tests
+
+
+def test_every_generated_map_takes_the_skirt_once_per_state(shipped_sources):
+    """Each flow map, switching kernel and channel map tests the skirt once
+    and takes log(r_s / z) once, and the inlined RK4 step does so once in
+    each of its four stages (each a try block) and nowhere else."""
+    bad = []
+    for name, source in shipped_sources:
+        for fn in ast.parse(source).body:
+            if fn.name == "kernel":
+                stages = [skirt_passes(n) for n in fn.body
+                          if isinstance(n, ast.Try)]
+                ok = stages == [(1, 1)] * 4 and skirt_passes(fn) == (4, 4)
+            else:
+                ok = skirt_passes(fn) == (1, 1)
+            bad += [] if ok else [(name, fn.name)]
+    assert not bad
+
+
+def test_the_package_and_its_generated_sources_parse_as_python_3_10(
+        shipped_sources):
+    """pyproject.toml admits Python 3.10, so every module of the package and
+    every generated source of the shipped loops parses under 3.10's grammar
+    (ast.parse's feature_version, which rejects 3.11 syntax such as
+    except*).  Only syntax is covered: a regex feature or a library call
+    that 3.10 lacks passes unseen."""
+    paths = sorted((REPO_ROOT / "src" / "syncon").glob("*.py"))
+    assert paths
+    for label, text in [*((p.name, p.read_text()) for p in paths),
+                        *shipped_sources]:
+        try:
+            ast.parse(text, feature_version=(3, 10))
+        except SyntaxError as exc:
+            pytest.fail(f"{label}: {exc}")
 
 
 def skirt_edge_rows(world, width):
