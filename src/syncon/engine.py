@@ -50,26 +50,27 @@ blocks' joined.  A caller that passes simulate a ``sink`` is handed the
 blocks while the run goes on: ``sink(j, ts, xs)`` gets each segment's blocks
 in order, as they are made, so the calls' samples, joined, are the arc's.
 The sink must not modify them.  simulate runs one loop for both methods,
-whose head and crossing handler they share; only the step differs.  The
-head stops the run at t_max less a margin, max(_PROGRESS_EPS, 4 ulps of
+whose head and crossing handler they share; only the step differs.  Both
+sample one grid, origin + k * dt after the start, each jump and each located
+state, each time rounded once, so every rk4 step is dt but a run's last.
+The head stops the run at t_max less a margin, max(_PROGRESS_EPS, 4 ulps of
 t_max), which stays above zero on long horizons, where 1e-15 alone rounds
-away; an rk4 step's end or a dopri5 grid sample inside the margin is t_max
-itself, so a run that reaches t_max ends with one sample there.  Under
-dopri5 one walk checks an accepted step's grid samples in order and keeps
-each interior one in line; it stops at the first sample that needs more
-than a keep (a crossing, a jump due, a sample the projection moves, or the
-step's end), and one tail handles that sample with its indicators already
-evaluated.  When a
-step crosses a set boundary the crossing is located on the step fraction,
-under rk4 re-integrating the partial step at each probe (locate_boundary's
-default path), under dopri5 on the step's interpolant, so every
-accepted sample respects its set within ``event_tol``; a location that gives
-up short of it is counted on the arc.  Each probe
-interpolates, else takes the secant root, else the midpoint, and the midpoint
-rule brings the bracket to its 1e-16 floor within 2 * 54 + 2 probes;
-``locate_boundary`` states the rules.  An indicator that is NaN raises
-NonFiniteState.  Everything here is deterministic: the same
-spec, state and config produce bit-identical arcs.
+away; a grid time inside the margin is t_max itself, so a run that reaches
+t_max ends with one sample there.  Under dopri5 one walk checks an accepted
+step's grid samples in order and keeps each interior one in line; it stops
+at the first sample that needs more than a keep (a crossing, a jump due, a
+sample the projection moves, or the step's end), and one tail handles that
+sample with its indicators already evaluated.  When a step crosses a set
+boundary the crossing is located on the step fraction, under rk4
+re-integrating the partial step at each probe (locate_boundary's default
+path), under dopri5 on the step's interpolant, so every accepted sample
+respects its set within ``event_tol``; a location that gives up short of it
+is counted on the arc and ends inside its indicator's set, so a missed
+entry still jumps.  Each probe interpolates, else takes the secant root,
+else the midpoint, and the midpoint rule brings the bracket to its 1e-16
+floor within 2 * 54 + 2 probes; ``locate_boundary`` states the rules.  An
+indicator that is NaN raises NonFiniteState.  Everything here is
+deterministic: the same spec, state and config produce bit-identical arcs.
 
 The indicators are evaluated once per state checked: the pair computed at
 the end of an accepted step (under dopri5, at its last sample or its end) is
@@ -182,9 +183,9 @@ def float_field(name: str, value) -> float:
 class SimConfig:
     """Integrator settings.
 
-    dt         the sample spacing: under rk4 the fixed flow step (final step
-               of a segment may be shorter), under dopri5 only the grid the
-               interpolant is sampled on, not a bound on the step
+    dt         the sample spacing: under rk4 the fixed flow step (a run's
+               last may be shorter, to end at t_max), under dopri5 only the
+               grid the interpolant is sampled on, not a bound on the step
     t_max      flow-time horizon
     j_max      jump budget, an int; exceeding it ends the run, it is not an
                error
@@ -749,8 +750,9 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
     endpoints must straddle the zero level set, otherwise NoSignChange is
     raised.  Returns the boundary state (a list) and the located fraction.
     A bracket narrower than 1e-16, or with no float inside, or
-    ``_MAX_PROBES`` probes end the search at the last probe and count a
-    ``locate_misses``; a NaN indicator raises NonFiniteState.
+    ``_MAX_PROBES`` probes end the search as a ``locate_misses``, at the last
+    probe, else the bracket end, where the indicator is negative; a NaN
+    indicator raises NonFiniteState.
 
     A caller that already holds the full step ``x_hi = step_flow(spec,
     x_inside, h)`` or the indicator values at its ends (``f_lo`` at
@@ -790,7 +792,7 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
             f"indicator does not change sign over the step: {f_lo:.6g} -> {f_hi:.6g}")
     # Interpolate through c, the end the previous probe replaced, else take
     # the secant root, else the midpoint: the docstring states the rules.
-    lo, hi = 0.0, 1.0
+    lo, hi, x_lo = 0.0, 1.0, x_inside
     c = f_c = None
     halved = True
     # Each probe evaluates the indicator once; both counts go to stats at
@@ -813,10 +815,10 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
             break
         if (f_s > 0.0) == (f_hi > 0.0):
             c, f_c = hi, f_hi
-            hi, f_hi = s, f_s
+            hi, f_hi, x_hi = s, f_s, x_s
         else:
             c, f_c = lo, f_lo
-            lo, f_lo = s, f_s
+            lo, f_lo, x_lo = s, f_s, x_s
         halved = (hi - lo <= 0.5 * width
                   or probes == 1 and abs(f_s) <= 0.5 * abs(f_c))
     stats["locate_probes"] += probes
@@ -825,6 +827,8 @@ def locate_boundary(spec: HybridSystemSpec, x_inside, h: float,
         raise _nan_indicator(indicator, x_s)
     if abs(f_s) > event_tol:
         stats["locate_misses"] += 1
+        if f_s > 0.0:
+            return (x_lo, lo) if f_lo < 0.0 else (x_hi, hi)
     return x_s, s
 
 
@@ -872,29 +876,25 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
     would exceed ``cfg.j_max``, at a dead end where the state can neither
     flow (the flow field exits the flow set immediately) nor jump, or, under
     dopri5, when the steps tried outrun the step budget (_STEP_BUDGET; a
-    note says where).  All are normal terminations,
-    recorded on the arc.  A state outside both sets raises CoverageViolation.
-    ``sink``, when given, is called with each block of samples as the run
-    makes it (see the module docstring); an error it raises ends the run.
+    note says where).  All are normal terminations, recorded on the arc.  A
+    state outside both sets raises CoverageViolation.  ``sink``, when given,
+    is called with each block of samples as the run makes it (see the module
+    docstring); an error it raises ends the run.
 
-    One loop serves both methods; only the step differs.  Under rk4 each
-    step of dt (the last one shorter, to end at t_max) is checked against
-    both sets at its end, and kept as a sample.  Under dopri5 the steps are
-    error-controlled (RTOL, ATOL); a step whose stage raises a DomainError
-    is rejected and halved.  Each accepted step's samples on the dt grid (a
-    sample dt after the last, or t_max) come from its interpolant, and each
-    is checked against both sets and projected; the step's end, when it is
-    not a sample, is checked against both sets but not projected, as the
-    next step's start.  So a crossing is bracketed inside one step, and
-    located on its interpolant.  The walk over a step's samples keeps each
-    in line until the first that is a crossing, a jump due, moved by the
-    projection, or the step's end; the tail after it handles that one.  A
-    run that reaches t_max ends with one sample at t_max itself: an rk4
-    step's end or a dopri5 grid sample at or past t_max less
-    max(_PROGRESS_EPS, 4 ulps of t_max), where the head stops, is t_max,
-    and a dopri5 step that would end there is the last.
-    Under either method, simulate reaches each step, location and jump
-    selection through step_flow, locate_boundary and _select_jump.
+    One loop serves both methods; only the step differs.  Both sample the
+    module docstring's grid, and end a run that reaches t_max with one
+    sample there.  Under rk4 each step of dt (a run's last one shorter where
+    t_max is off the grid) is checked against both sets at its end, and
+    kept as a sample.  Under dopri5 the steps are error-controlled (RTOL,
+    ATOL); a step whose stage raises a DomainError is rejected and halved,
+    and a step that would end inside the stop margin ends at t_max.  Each
+    accepted step's grid samples come from its interpolant, and each is
+    checked against both sets and projected; the step's end, when it is not
+    a sample, is checked against both sets but not projected, as the next
+    step's start.  So a crossing is bracketed inside one step, and located
+    on its interpolant.  Under either method, simulate reaches each step,
+    location and jump selection through step_flow, locate_boundary and
+    _select_jump.
     """
     dim = spec.dim
     x = _state(np.ravel(x0), dim, "x0")
@@ -989,14 +989,14 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             seg_t, seg_x = [], []
         return x
 
-    # The head and the crossing handler serve both methods; only the step
-    # differs.  Each step keeps its samples in line, as the per-sample path.
     rk4 = cfg.method == "rk4"
     dense = _dense_kernel(dim)
     h = dt          # the next dopri5 step to try
     grow = True     # False right after a rejection: the next step may not grow
     rate = None     # the flow map at x, when the last step's FSAL stage holds it
-    t_kept = t      # the time of the last sample kept, under dopri5
+    # Grid sample k is at origin + k * dt, rounded once: the origin is the
+    # start, a jump or a state kept off the grid, and k the last one kept.
+    origin, k = t, 0
     rejected = 0
     allow = 0.0     # the step budget when last computed; it grows with t and j
     # (fi, ji) are the indicators at x; None until they are evaluated there.
@@ -1019,7 +1019,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                 break
             x = jump(x, t, ji)
             fi = ji = rate = None
-            t_kept = t
+            origin, k = t, 0
             continue
 
         if fi > tol:
@@ -1030,10 +1030,10 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             break
 
         if rk4:
-            t1 = t + dt  # the step's end
+            t1 = origin + (k + 1) * dt  # the step's end
             hs = dt
             if not t1 < t_stop:
-                hs = t_max - t
+                hs = min(dt, t_max - t)
                 t1 = t_max
             xc = step_flow(spec, x, hs, kernel=kernel)
             steps += 1
@@ -1047,7 +1047,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                 if g_c != g_c:
                     raise _nan_indicator("in_jump_set", xc)
             if not (g_c <= -tol or f_c > tol):
-                t = t1
+                t, k = t1, k + 1
                 fi, ji = f_c, g_c
                 if project_flow is not None:
                     # A projection that hands back its input object did not
@@ -1065,7 +1065,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                     seg_t, seg_x = [], []
                 continue
             lo_x, lo_t, lo_f, lo_g = x, t, fi, ji
-            span, path, t_kept = hs, None, t
+            span, path = hs, None
         else:
             # The budget only grows, so it is recomputed only when the steps
             # tried reach its last value.
@@ -1077,7 +1077,7 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                                  f"jump(s), the last asking for h={h:.6g}: over "
                                  f"the budget of {_STEP_BUDGET} per dt={dt:g} "
                                  "of flow time, per jump and at the start")
-                    if t > t_kept:
+                    if t > origin + k * dt:
                         keep(t, x)
                     break
 
@@ -1112,9 +1112,8 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
             # stop at a crossing, a jump due, a projection that moves a
             # sample, or the step's end.
             lo_x, lo_t, lo_f, lo_g = x, t, fi, ji
-            tc = t_kept
             while True:
-                tc += dt  # the next grid sample, or t_max
+                tc = origin + (k + 1) * dt  # the next grid sample, or t_max
                 if tc >= t_stop:
                     tc = t_max
                 xc = dense(x, cont, (tc - t) / hs) if tc < t1 else y
@@ -1140,13 +1139,13 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                     add_block()
                     seg_t, seg_x = [], []
                 lo_x = xc
-                lo_t = t_kept = tc
+                lo_t, k = tc, k + 1
                 lo_f = f_c
                 lo_g = g_c
 
             # The tail: the sample the walk stopped at, its indicators known.
-            if xc is y and tc != t1:
-                # The step's end, off the grid.
+            off_grid = xc is y and tc != t1  # the step's end, off the grid
+            if off_grid:
                 tc = t1
                 if not (g_c <= tol or f_c > tol):
                     # Inside the flow set, with no jump due: the next step's
@@ -1162,7 +1161,8 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
                     stats["clamps"] += 1
                     x = keep(tc, _state(x_proj, dim, "projected state"),
                              project_flow=None)
-                t = t_kept = tc
+                t = tc
+                origin, k = (t, 0) if off_grid else (origin, k + 1)
                 if x is xc:
                     fi, ji = f_c, g_c
                     rate = rate_y if xc is y else None
@@ -1185,12 +1185,12 @@ def simulate(spec: HybridSystemSpec, x0: np.ndarray, cfg: SimConfig, *,
         if frac * span <= _PROGRESS_EPS:
             # No flow from lo, a boundary state outside the jump set.
             termination = TERM_DEAD_END
-            if lo_t > t_kept:
+            if lo_t > origin + k * dt:
                 keep(lo_t, lo_x)
             break
         t = lo_t + frac * span
         x = keep(t, x_b)
-        t_kept = t
+        origin, k = t, 0
         fi = ji = rate = None
 
     close_segment()

@@ -610,19 +610,48 @@ def test_a_run_ends_exactly_at_t_max_with_one_sample_there(method, t_max, dt,
 
 @pytest.mark.parametrize("method", engine.METHODS)
 @pytest.mark.parametrize("dt, t_max, samples",
-                         [(0.1, 1.0, 11), (0.34, 17.0, 51), (0.4, 20.0, 51)])
+                         [(0.1, 1.0, 11), (0.34, 17.0, 51), (0.4, 20.0, 51),
+                          (0.3, 0.9, 4), (0.3, 17.1, 58),
+                          (1e-3, 10.0, 10001), (5e-4, 10.0, 20001)])
 def test_an_end_within_the_stop_margin_is_snapped_to_t_max(method, dt, t_max,
                                                            samples):
-    """On x' = -x the grid builds up to an end an ulp or two short of t_max
-    (0.9999999999999999 at dt 0.1; 16.999999999999996 at dt 0.34, where 1e-15
-    below 17 rounds to 17 itself): that end is t_max, so the run ends with one
-    sample there and none an ulp before it."""
+    """On x' = -x the last grid time k * dt can round to an ulp short of
+    t_max (0.8999999999999999 = 3 * 0.3; 17.099999999999998 = 57 * 0.3,
+    where 1e-15 below 17.1 rounds to 17.1 itself): that end is t_max, so
+    the run ends with one sample there and none an ulp before it.  Summing
+    dt would end 0.34 * 50 at 16.999999999999996 and dt 1e-3 and 5e-4 some
+    1e-13 short of 10, outside the margin."""
     arc = simulate(pure_flow_spec(lambda v: [-v[0]]), np.array([1.0]),
                    SimConfig(dt=dt, t_max=t_max, method=method))
     ts = arc.segments[-1].ts
     assert arc.termination == TERM_T_MAX
     assert ts[-1] == t_max and ts[-2] < t_max - dt / 2
     assert len(ts) == samples
+
+
+@pytest.mark.parametrize("method", engine.METHODS)
+def test_samples_sit_on_one_grid_from_each_origin(method):
+    """Sample k of a segment is at origin + k * dt, where the origin is the
+    segment's first time: the start, or a jump at a time off the grid.
+    Only each segment's last sample, the located state before its jump or
+    t_max, is off the grid.  The flow-only arc is x' = -x from 0.5; the
+    clock x' = 1 from 0 is reset to 0 at x = 0.77, so it jumps every 0.77,
+    and its first dopri5 step, of dt, ends on the grid and stays a grid
+    sample.  Summing dt instead puts sample 6 at 0.6000000000000001."""
+    clock = HybridSystemSpec(dim=1, flow_map=lambda v: [1.0],
+                             jump_map=lambda v: [[0.0]],
+                             in_flow_set=lambda v: v[0] - 0.77,
+                             in_jump_set=lambda v: 0.77 - v[0])
+    dt = 0.1
+    for spec, x0, jumps in ((pure_flow_spec(lambda v: [-v[0]]), 0.5, 0),
+                            (clock, 0.0, 3)):
+        arc = simulate(spec, np.array([x0]),
+                       SimConfig(dt=dt, t_max=3.0, method=method))
+        assert arc.termination == TERM_T_MAX and arc.n_jumps == jumps
+        for seg in arc.segments:
+            ts = seg.ts.tolist()
+            assert ts[:-1] == [ts[0] + k * dt for k in range(len(ts) - 1)]
+        assert ts[-1] == 3.0
 
 
 def test_jump_chain_halves_until_budget():
@@ -1095,7 +1124,10 @@ def test_a_location_that_gives_up_is_counted():
     """Bisection needs 54 halvings to bring the bracket below 1e-16; the
     midpoint rule halves it at least every second probe.  At fractions of
     0.5 and above, adjacent floats are 1.1e-16 apart, so the bracket stops
-    shrinking above the floor and only the no-float-inside test ends it."""
+    shrinking above the floor and only the no-float-inside test ends it.
+    A location that gives up returns a state inside the indicator's set,
+    the path's own state at the fraction it returns, so the clock's missed
+    entries into its jump set all jump, under either method."""
     spec = pure_flow_spec(lambda v: np.ones(1))
     for c in (1e-3, 0.3, 0.5, 0.7, 0.987654321, 1.0 - 2.0 ** -53):
         for sign in (1.0, -1.0):
@@ -1106,16 +1138,29 @@ def test_a_location_that_gives_up_is_counted():
             assert stats["locate_calls"] == stats["locate_misses"] == 1
             assert stats["locate_probes"] <= 2 * 54 + 2
             assert abs(frac - c) <= 1e-15
-            assert float(x_b[0]) == frac
+            assert x_b == step_flow(spec, [0.0], frac)
+            assert sign * flip(x_b) < 0
 
     clock = HybridSystemSpec(dim=1, flow_map=lambda v: np.ones(1),
                              jump_map=lambda v: [np.zeros(1)],
                              in_flow_set=step_indicator(0.27),
                              in_jump_set=lambda v: -step_indicator(0.27)(v))
-    arc = simulate(clock, np.zeros(1), SimConfig(dt=0.1, t_max=1.0))
-    assert arc.n_jumps == arc.stats["locate_calls"] == 3
-    assert arc.stats["locate_misses"] == 3
-    assert arc.stats["locate_probes"] <= 3 * (2 * 54 + 2)
+    for method in engine.METHODS:
+        arc = simulate(clock, np.zeros(1),
+                       SimConfig(dt=0.1, t_max=1.0, method=method))
+        assert arc.termination == TERM_T_MAX
+        assert arc.n_jumps == arc.stats["locate_calls"] == 3
+        assert arc.stats["locate_misses"] == 3
+        assert arc.stats["locate_probes"] <= 3 * (2 * 54 + 2)
+    # A missed exit from the flow set, with no jump set, stays inside the
+    # flow set: the run ends as a dead end there, not outside both sets.
+    no_jump = dataclasses.replace(clock, in_jump_set=lambda v: 1.0)
+    for method in engine.METHODS:
+        arc = simulate(no_jump, np.zeros(1),
+                       SimConfig(dt=0.1, t_max=1.0, method=method))
+        assert arc.termination == TERM_DEAD_END
+        assert arc.stats["locate_misses"] == 2
+        assert no_jump.in_flow_set(arc.final_state.tolist()) < 0
 
 
 def bisection_probes(f, tol):
@@ -1400,19 +1445,19 @@ def test_a_first_probe_near_the_root_is_spared_the_midpoint(monkeypatch):
 
 RK4_THERMOSTAT_RUNS = [
     ((1.0, 1.0),
-     [(0.10536051556321038, (1.0999999999072496, 1.0)),
-      (0.30603121095130037, (0.900000000005894, 0.0)),
-      (0.506701906418351, (1.0999999999941061, 1.0)),
-      (0.7073726018854014, (0.900000000005894, 0.0)),
-      (0.908043297352452, (1.0999999999941061, 1.0))],
-     (1.00335910635421, 0.0), [12, 22, 22, 22, 22, 11]),
+     [(0.1053605155632104, (1.0999999999072496, 1.0)),
+      (0.30603121095130026, (0.900000000005894, 0.0)),
+      (0.5067019064183508, (1.0999999999941061, 1.0)),
+      (0.7073726018854011, (0.900000000005894, 0.0)),
+      (0.9080432973524516, (1.0999999999941061, 1.0))],
+     (1.0033591063542093, 0.0), [12, 22, 22, 22, 22, 11]),
     ((0.95, 0.0),
      [(0.054067221177368494, (0.9000000000874063, 0.0)),
-      (0.254737916570317, (1.0999999999941061, 1.0)),
-      (0.45540861203736743, (0.900000000005894, 0.0)),
-      (0.656079307504418, (1.0999999999941061, 1.0)),
-      (0.8567500029714684, (0.900000000005894, 0.0))],
-     (1.0468088489532332, 1.0), [7, 22, 22, 22, 22, 16]),
+      (0.25473791657031697, (1.0999999999941061, 1.0)),
+      (0.4554086120373672, (0.900000000005894, 0.0)),
+      (0.6560793075044177, (1.0999999999941061, 1.0)),
+      (0.856750002971468, (0.900000000005894, 0.0))],
+     (1.046808848953234, 1.0), [7, 22, 22, 22, 22, 16]),
 ]
 
 
@@ -1453,69 +1498,69 @@ def test_an_rk4_dead_end_keeps_its_bits():
 
 DOPRI5_THERMOSTAT_RUNS = [
     ((1.0, 1.0),
-     [(0.10536051551977153, (1.0999999999072496, 1.0)),
+     [(0.10536051551977155, (1.0999999999072496, 1.0)),
       (0.306031210903884, (0.9000000000000822, 0.0)),
-      (0.5067019063638705, (1.0999999999941057, 1.0)),
-      (0.7073726018269187, (0.9000000000001134, 0.0)),
-      (0.908043297286877, (1.0999999999941057, 1.0)),
-      (1.1087139927499257, (0.9000000000001133, 0.0)),
-      (1.3093846882098836, (1.0999999999941055, 1.0)),
-      (1.5100553836729318, (0.9000000000001134, 0.0)),
-      (1.7107260791328902, (1.0999999999941055, 1.0)),
-      (1.9113967745959382, (0.9000000000001134, 0.0)),
-      (2.112067470055897, (1.0999999999941057, 1.0)),
-      (2.3127381655189456, (0.9000000000001134, 0.0)),
-      (2.5134088609789043, (1.0999999999941057, 1.0)),
-      (2.7140795564419524, (0.9000000000001134, 0.0)),
-      (2.9147502519019106, (1.0999999999941057, 1.0)),
-      (3.115420947364959, (0.9000000000001134, 0.0)),
-      (3.316091642824917, (1.0999999999941055, 1.0)),
+      (0.5067019063638704, (1.0999999999941055, 1.0)),
+      (0.7073726018269182, (0.9000000000001134, 0.0)),
+      (0.9080432972868765, (1.0999999999941057, 1.0)),
+      (1.1087139927499248, (0.9000000000001134, 0.0)),
+      (1.3093846882098832, (1.0999999999941057, 1.0)),
+      (1.5100553836729316, (0.9000000000001133, 0.0)),
+      (1.7107260791328902, (1.0999999999941057, 1.0)),
+      (1.9113967745959384, (0.9000000000001134, 0.0)),
+      (2.1120674700558966, (1.0999999999941057, 1.0)),
+      (2.312738165518945, (0.9000000000001134, 0.0)),
+      (2.5134088609789034, (1.0999999999941057, 1.0)),
+      (2.7140795564419515, (0.9000000000001134, 0.0)),
+      (2.91475025190191, (1.0999999999941057, 1.0)),
+      (3.1154209473649583, (0.9000000000001133, 0.0)),
+      (3.316091642824917, (1.0999999999941057, 1.0)),
       (3.516762338287965, (0.9000000000001134, 0.0)),
-      (3.7174330337479238, (1.0999999999941057, 1.0)),
-      (3.9181037292109715, (0.9000000000001134, 0.0)),
-      (4.118774424670929, (1.0999999999941057, 1.0)),
-      (4.3194451201339765, (0.9000000000001134, 0.0)),
-      (4.520115815593935, (1.0999999999941057, 1.0)),
-      (4.720786511056984, (0.9000000000001134, 0.0)),
-      (4.921457206516942, (1.0999999999941057, 1.0))],
-     (1.0169087479232153, 0.0),
+      (3.7174330337479233, (1.0999999999941055, 1.0)),
+      (3.918103729210971, (0.9000000000001134, 0.0)),
+      (4.118774424670929, (1.0999999999941055, 1.0)),
+      (4.319445120133977, (0.9000000000001134, 0.0)),
+      (4.520115815593935, (1.0999999999941055, 1.0)),
+      (4.720786511056983, (0.9000000000001134, 0.0)),
+      (4.921457206516941, (1.0999999999941055, 1.0))],
+     (1.0169087479232133, 0.0),
      [12] + [22] * 24 + [9],
      {"indicator_evals": 1420, "rk4_steps": 138, "locate_calls": 25,
       "locate_probes": 50, "locate_misses": 0, "clamps": 0,
       "rejected_steps": 0},
-     "eb2ceb2874ed89380057cb6c8a3e0aa8d63ce56ac32ed467a8a98dc3e4f5ff2c"),
+     "d1bd83068addaced77d817cb2bd56edaea362c27f2fdda25bc8e4eaf4907d0de"),
     ((0.95, 0.0),
      [(0.05406722117353279, (0.9000000000822306, 0.0)),
-      (0.254737916558845, (1.0999999999941057, 1.0)),
-      (0.4554086120218933, (0.9000000000001133, 0.0)),
-      (0.6560793074818516, (1.0999999999941055, 1.0)),
+      (0.2547379165588449, (1.0999999999941057, 1.0)),
+      (0.4554086120218931, (0.9000000000001134, 0.0)),
+      (0.6560793074818513, (1.0999999999941055, 1.0)),
       (0.8567500029448993, (0.9000000000001134, 0.0)),
-      (1.0574206984048573, (1.0999999999941057, 1.0)),
-      (1.2580913938679057, (0.9000000000001134, 0.0)),
-      (1.4587620893278643, (1.0999999999941057, 1.0)),
-      (1.6594327847909125, (0.9000000000001133, 0.0)),
-      (1.8601034802508702, (1.0999999999941055, 1.0)),
+      (1.0574206984048575, (1.0999999999941057, 1.0)),
+      (1.2580913938679055, (0.9000000000001134, 0.0)),
+      (1.4587620893278637, (1.0999999999941055, 1.0)),
+      (1.6594327847909118, (0.9000000000001134, 0.0)),
+      (1.86010348025087, (1.0999999999941055, 1.0)),
       (2.060774175713918, (0.9000000000001133, 0.0)),
-      (2.2614448711738766, (1.0999999999941055, 1.0)),
-      (2.4621155666369248, (0.9000000000001133, 0.0)),
-      (2.662786262096883, (1.0999999999941055, 1.0)),
-      (2.8634569575599307, (0.9000000000001133, 0.0)),
+      (2.261444871173876, (1.0999999999941055, 1.0)),
+      (2.4621155666369243, (0.9000000000001134, 0.0)),
+      (2.6627862620968825, (1.0999999999941055, 1.0)),
+      (2.8634569575599307, (0.9000000000001134, 0.0)),
       (3.064127653019889, (1.0999999999941057, 1.0)),
       (3.264798348482937, (0.9000000000001134, 0.0)),
-      (3.465469043942895, (1.0999999999941057, 1.0)),
-      (3.666139739405943, (0.9000000000001134, 0.0)),
-      (3.8668104348659016, (1.0999999999941057, 1.0)),
-      (4.06748113032895, (0.9000000000001134, 0.0)),
-      (4.268151825788908, (1.0999999999941057, 1.0)),
-      (4.468822521251956, (0.9000000000001134, 0.0)),
-      (4.669493216711913, (1.0999999999941055, 1.0)),
-      (4.87016391217496, (0.9000000000001134, 0.0))],
-     (1.0339366894228508, 1.0),
+      (3.4654690439428952, (1.0999999999941057, 1.0)),
+      (3.666139739405944, (0.9000000000001134, 0.0)),
+      (3.866810434865902, (1.0999999999941057, 1.0)),
+      (4.067481130328949, (0.9000000000001134, 0.0)),
+      (4.268151825788907, (1.0999999999941057, 1.0)),
+      (4.468822521251955, (0.9000000000001134, 0.0)),
+      (4.669493216711912, (1.0999999999941055, 1.0)),
+      (4.87016391217496, (0.9000000000001133, 0.0))],
+     (1.0339366894228506, 1.0),
      [7] + [22] * 24 + [14],
      {"indicator_evals": 1422, "rk4_steps": 139, "locate_calls": 25,
       "locate_probes": 50, "locate_misses": 0, "clamps": 0,
       "rejected_steps": 0},
-     "f2bab1424d168101f5fa3ff6502706b9b9768fe9fbf9c2bd2cc8655949625bf4"),
+     "75ca2cf27584ca1b92efcce953d6d759befbc4c89ffb5b4bdc0d8df72cdab3a7"),
 ]
 
 
@@ -1564,24 +1609,24 @@ def test_dopri5_moved_samples_keep_their_bits(monkeypatch):
                    sink=lambda *block: blocks.append(block))
     assert arc.termination == TERM_T_MAX
     assert [(ev.t, tuple(ev.x_pre.tolist())) for ev in arc.jumps] == [
-        (0.11066645731841622, (1.0999999999941752, 1.0)),
+        (0.11066645731841623, (1.0999999999941752, 1.0)),
         (0.31133715278156665, (0.9000000000000509, 0.0)),
-        (0.518851383314298, (1.0999999999477772, 1.0)),
-        (0.719522078735267, (0.9000000000000564, 0.0)),
-        (0.927036309267995, (1.0999999999477774, 1.0)),
-        (1.127707004688964, (0.9000000000000565, 0.0)),
-        (1.3352212352216917, (1.0999999999477774, 1.0)),
-        (1.5358919306426608, (0.9000000000000564, 0.0)),
+        (0.5188513833142981, (1.0999999999477774, 1.0)),
+        (0.7195220787352672, (0.9000000000000564, 0.0)),
+        (0.9270363092679954, (1.0999999999477772, 1.0)),
+        (1.1277070046889643, (0.9000000000000565, 0.0)),
+        (1.3352212352216923, (1.0999999999477772, 1.0)),
+        (1.535891930642661, (0.9000000000000564, 0.0)),
         (1.7434061611753888, (1.0999999999477774, 1.0)),
-        (1.9440768565963578, (0.9000000000000564, 0.0))]
-    assert arc.final_state.tolist() == [0.9598270094357018, 1.0]
+        (1.9440768565963575, (0.9000000000000564, 0.0))]
+    assert arc.final_state.tolist() == [0.959827009435702, 1.0]
     assert [len(seg.ts) for seg in arc.segments] == [13] + [22] * 9 + [7]
     assert arc.stats == {"indicator_evals": 582, "rk4_steps": 65,
                          "locate_calls": 10, "locate_probes": 20,
                          "locate_misses": 0, "clamps": 19,
                          "rejected_steps": 0}
     assert arc_sha256(arc) == \
-        "69db090819172eb7803f68483e1991802bd87bc231fddb13ec283d2b99595279"
+        "8c88fbff35fedf0c808ced75f2126616fa2e5c6be7c498a28990b5b92472b69c"
     assert len(blocks) == 110
     assert [j for j, _, _ in blocks] == sorted(j for j, _, _ in blocks)
     for seg in arc.segments:

@@ -898,10 +898,10 @@ def rejected_blocks(monkeypatch):
 @needs_fork
 @pytest.mark.parametrize("t_max, rows, sink_rows", [
     (0.0055, 13, 7),
-    (1.0225, 2048, 1024),  # the second segment ends one short of two chunks
-    (1.023, 2049, 1024),  # and here on two whole chunks
-    (1.2, 2403, 1024),
-    (1.2, 2403, 7),  # many chunks, the last one short
+    (1.023, 2048, 1024),  # the second segment ends one short of two chunks
+    (1.0235, 2049, 1024),  # and here on two whole chunks
+    (1.2005, 2403, 1024),
+    (1.2005, 2403, 7),  # many chunks, the last one short
 ])
 def test_streamed_csv_gives_the_per_row_bytes(forks, pins, monkeypatch,
                                               tmp_path, t_max, rows, sink_rows):
